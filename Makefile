@@ -4,7 +4,7 @@
 # `make bench-shm` regenerates BENCH_shm.json, the same for the shm runtime
 # (pooled region dispatch, chunk handout, reductions, exemplar speedup).
 
-.PHONY: check test bench bench-mpi bench-shm bench-recovery bench-session bench-vec bench-shmt bench-hier bench-sched bench-rma bench-diff staticcheck
+.PHONY: check test bench bench-gate bench-gate-quick bench-mpi bench-shm bench-recovery bench-session bench-vec bench-shmt bench-hier bench-sched bench-rma bench-diff staticcheck
 
 check:
 	./scripts/check.sh
@@ -27,6 +27,15 @@ test:
 
 bench:
 	go test ./... -run '^$$' -bench . -benchtime 0.5s
+
+# The gating benchmark (bench/README.md): seven np=2 workloads scored against
+# in-run yardsticks; what a performance PR is judged by. -quick is the smoke
+# run `go test ./bench` also does.
+bench-gate:
+	go run ./bench
+
+bench-gate-quick:
+	go run ./bench -quick
 
 bench-mpi:
 	go run ./cmd/benchlab -mpibench

@@ -23,7 +23,8 @@ import (
 // vrange is the block partition: rank r of np owns [n*r/np, n*(r+1)/np).
 func vrange(n, r, np int) (int, int) { return n * r / np, n * (r + 1) / np }
 
-// ownerOf inverts vrange.
+// ownerOf inverts vrange. It divides, so it stays off the per-edge paths:
+// BFSMPI calls it once per frontier push, the tests to cross-check the plan.
 func ownerOf(v, n, np int) int {
 	o := v * np / n
 	for n*o/np > v {
@@ -35,167 +36,157 @@ func ownerOf(v, n, np int) int {
 	return o
 }
 
-// exchangePlan is the setup-time index for the steady-state contribution
-// exchange: which foreign vertices this rank pushes to (deduplicated and
-// packed per owner), where each of its edges lands in the packed send
-// buffer, and which of its own vertices the peers will push to.
-type exchangePlan struct {
-	sendCounts []int // packed contribution slots per owner
-	recvCounts []int
-	edgeSlot   []int32 // per owned edge: packed send slot, or ^localIndex
-	recvIdx    []int32 // per incoming slot: the owned vertex it folds into
-	sendLen    int
+// uniform is the power iteration's start vector restricted to one block.
+func uniform(n, block int) []float64 {
+	pr := make([]float64, block)
+	for i := range pr {
+		pr[i] = 1 / float64(n)
+	}
+	return pr
 }
 
-// buildPlan scans the owned edge range once and exchanges the destination
-// indices, so the per-iteration exchange moves only float64 values with
-// fixed counts.
-func buildPlan(c *mpi.Comm, g *Graph) (*exchangePlan, error) {
-	np, rank := c.Size(), c.Rank()
-	lo, hi := vrange(g.N, rank, np)
-	p := &exchangePlan{
-		sendCounts: make([]int, np),
-		edgeSlot:   make([]int32, g.Off[hi]-g.Off[lo]),
+// scatterAdd is the kernel every variant shares, and with idx = g.Dst it is
+// the oracle's loop: each vertex of the block spreads pr/outdeg over
+// acc[idx[e]] for its out-edges e — one index load and one add per edge, no
+// branch — and the dangling vertices' mass is returned. off is the block's
+// window of g.Off; idx holds one accumulator index per edge of the block.
+func scatterAdd(pr []float64, off []int, idx []int32, acc []float64) (dangling float64) {
+	for i, p := range pr {
+		d := off[i+1] - off[i]
+		if d == 0 {
+			dangling += p
+			continue
+		}
+		w := p / float64(d)
+		for _, s := range idx[:d] {
+			acc[s] += w
+		}
+		idx = idx[d:]
 	}
-	// Dedup destinations per owner: slot[v] is the packed position of
-	// foreign vertex v within its owner's block, assigned in first-touch
-	// order (deterministic: the edge scan order is fixed).
-	slot := make(map[int32]int32)
-	perOwner := make([][]int32, np) // destination vertex per packed slot
-	for u := lo; u < hi; u++ {
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			v := g.Dst[e]
-			if int(v) >= lo && int(v) < hi {
-				p.edgeSlot[e-g.Off[lo]] = ^(v - int32(lo))
-				continue
+	return dangling
+}
+
+// exchange is one rank's working set for the two-sided iteration: the
+// setup-time index of the contribution exchange (which foreign vertices this
+// rank pushes to, deduplicated and packed per owner in ascending vertex
+// order, and which of its own vertices the peers push to) plus the buffers
+// every step reuses.
+type exchange struct {
+	n          int
+	off        []int   // g.Off over the owned vertices
+	edgeSlot   []int32 // per owned edge: index into acc
+	sendCounts []int   // packed contribution slots per owner
+	recvCounts []int
+	recvIdx    []int32 // per incoming slot: the owned vertex it folds into
+
+	pr       []float64 // owned block of the rank vector
+	acc      []float64 // owned vertices' contributions, then the packed send block
+	recvVals []float64
+	dang     []float64 // the Allreduce operand: this rank's dangling mass
+	kernel   func()    // bound once, so Compute allocates nothing per step
+}
+
+// newExchange builds the plan in time linear in the owned edges plus g.N —
+// mark the reached vertices in a dense table, number the foreign ones by
+// walking the other owners' ranges, translate the edges by table lookup — and
+// exchanges the destination indices once, so the per-iteration exchange
+// moves only float64 values with fixed counts. pr is the owned block the
+// iteration starts from.
+func newExchange(c *mpi.Comm, g *Graph, pr []float64) (*exchange, error) {
+	np := c.Size()
+	lo, hi := vrange(g.N, c.Rank(), np)
+	dst := g.Dst[g.Off[lo]:g.Off[hi]]
+	x := &exchange{n: g.N, off: g.Off[lo : hi+1], edgeSlot: make([]int32, len(dst)),
+		sendCounts: make([]int, np), pr: pr, dang: make([]float64, 1)}
+
+	slot := make([]int32, g.N) // 1 = reached by an owned edge; then the vertex's index in acc
+	for _, v := range dst {
+		slot[v] = 1
+	}
+	clear(slot[lo:hi])
+	sendLen := 0
+	for _, m := range slot {
+		sendLen += int(m)
+	}
+	sendIdx := make([]int32, 0, sendLen) // destination vertex per packed slot
+	for o := range x.sendCounts {
+		olo, ohi := vrange(g.N, o, np)
+		for v := olo; v < ohi; v++ {
+			if slot[v] != 0 {
+				slot[v] = int32(hi - lo + len(sendIdx))
+				sendIdx = append(sendIdx, int32(v))
+				x.sendCounts[o]++
 			}
-			s, ok := slot[v]
-			if !ok {
-				o := ownerOf(int(v), g.N, np)
-				s = int32(len(perOwner[o]))
-				perOwner[o] = append(perOwner[o], v)
-				slot[v] = s
-			}
-			p.edgeSlot[e-g.Off[lo]] = s // block-local for now; rebased below
 		}
 	}
-	// Rebase block-local slots onto the packed send buffer and flatten the
-	// destination index for the one-time exchange.
-	displ := make([]int32, np)
-	total := 0
-	for o := 0; o < np; o++ {
-		displ[o] = int32(total)
-		p.sendCounts[o] = len(perOwner[o])
-		total += len(perOwner[o])
+	for v := lo; v < hi; v++ {
+		slot[v] = int32(v - lo)
 	}
-	sendIdx := make([]int32, total)
-	for o, idx := range perOwner {
-		copy(sendIdx[displ[o]:], idx)
+	for e, v := range dst {
+		x.edgeSlot[e] = slot[v]
 	}
-	for u := lo; u < hi; u++ {
-		for e := g.Off[u]; e < g.Off[u+1]; e++ {
-			i := e - g.Off[lo]
-			if p.edgeSlot[i] < 0 {
-				continue
-			}
-			p.edgeSlot[i] += displ[ownerOf(int(g.Dst[e]), g.N, np)]
-		}
-	}
-	p.sendLen = total
 
 	var err error
-	if p.recvCounts, err = mpi.AlltoallCounts(c, p.sendCounts); err != nil {
+	if x.recvCounts, err = mpi.AlltoallCounts(c, x.sendCounts); err != nil {
 		return nil, err
 	}
-	if p.recvIdx, err = mpi.AlltoallvSlice(c, sendIdx, p.sendCounts, p.recvCounts); err != nil {
+	if x.recvIdx, err = mpi.AlltoallvSlice(c, sendIdx, x.sendCounts, x.recvCounts); err != nil {
 		return nil, err
 	}
-	for i, v := range p.recvIdx {
+	for i, v := range x.recvIdx {
 		if int(v) < lo || int(v) >= hi {
 			return nil, fmt.Errorf("pagerank: peer pushed vertex %d outside this rank's range [%d,%d)", v, lo, hi)
 		}
-		p.recvIdx[i] = v - int32(lo)
+		x.recvIdx[i] = v - int32(lo)
 	}
-	return p, nil
+	x.acc = make([]float64, hi-lo+sendLen)
+	x.recvVals = make([]float64, len(x.recvIdx))
+	x.kernel = func() { x.dang[0] = scatterAdd(x.pr, x.off, x.edgeSlot, x.acc) }
+	return x, nil
+}
+
+// step is one power iteration over the owned range: scatter-add
+// contributions into the local and packed-send slots, exchange, fold, and
+// apply the damped update.
+func (x *exchange) step(c *mpi.Comm, damping float64) error {
+	clear(x.acc)
+	c.Compute(x.kernel)
+	total, err := mpi.AllreduceSliceOp(c, x.dang, mpi.Sum)
+	if err != nil {
+		return err
+	}
+	contrib := x.acc[:len(x.pr)]
+	if err := mpi.AlltoallvInto(c, x.acc[len(x.pr):], x.sendCounts, x.recvVals, x.recvCounts); err != nil {
+		return err
+	}
+	for k, v := range x.recvIdx {
+		contrib[v] += x.recvVals[k]
+	}
+	base := (1-damping)/float64(x.n) + damping*total[0]/float64(x.n)
+	for i := range x.pr {
+		x.pr[i] = base + damping*contrib[i]
+	}
+	return nil
 }
 
 // PageRankMPI runs the damped power iteration across the communicator and
 // returns the full PageRank vector on every rank. Per iteration it moves
-// one coalesced value block per rank pair (AlltoallvInto into reused
-// buffers, zero steady-state allocation) plus one scalar Allreduce for the
-// dangling mass.
+// one coalesced value block per rank pair (AlltoallvInto out of and into
+// buffers the exemplar allocates once; the transport underneath may still
+// copy, and the local one does: one block per peer per iteration) plus one
+// scalar Allreduce for the dangling mass.
 func PageRankMPI(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, error) {
-	np, rank := c.Size(), c.Rank()
-	lo, hi := vrange(g.N, rank, np)
-	plan, err := buildPlan(c, g)
+	lo, hi := vrange(g.N, c.Rank(), c.Size())
+	x, err := newExchange(c, g, uniform(g.N, hi-lo))
 	if err != nil {
 		return nil, err
 	}
-	recvLen := 0
-	for _, ct := range plan.recvCounts {
-		recvLen += ct
-	}
-	pr := make([]float64, hi-lo)
-	for i := range pr {
-		pr[i] = 1 / float64(g.N)
-	}
-	contrib := make([]float64, hi-lo)
-	sendVals := make([]float64, plan.sendLen)
-	recvVals := make([]float64, recvLen)
-	dang := make([]float64, 1)
-
 	for it := 0; it < iters; it++ {
-		if err := pageRankStep(c, g, plan, lo, hi, damping, pr, contrib, sendVals, recvVals, dang); err != nil {
+		if err := x.step(c, damping); err != nil {
 			return nil, err
 		}
 	}
-	return gatherFull(c, pr)
-}
-
-// pageRankStep is one power iteration over the owned range: scatter-add
-// contributions into the local and packed-send slots, exchange, fold, and
-// apply the damped update.
-func pageRankStep(c *mpi.Comm, g *Graph, plan *exchangePlan, lo, hi int, damping float64,
-	pr, contrib, sendVals, recvVals, dang []float64) error {
-	for i := range contrib {
-		contrib[i] = 0
-	}
-	for i := range sendVals {
-		sendVals[i] = 0
-	}
-	dang[0] = 0
-	c.Compute(func() {
-		for u := lo; u < hi; u++ {
-			d := g.OutDeg(u)
-			if d == 0 {
-				dang[0] += pr[u-lo]
-				continue
-			}
-			w := pr[u-lo] / float64(d)
-			for e := g.Off[u]; e < g.Off[u+1]; e++ {
-				if s := plan.edgeSlot[e-g.Off[lo]]; s >= 0 {
-					sendVals[s] += w
-				} else {
-					contrib[^s] += w
-				}
-			}
-		}
-	})
-	total, err := mpi.AllreduceSliceOp(c, dang, mpi.Sum)
-	if err != nil {
-		return err
-	}
-	if err := mpi.AlltoallvInto(c, sendVals, plan.sendCounts, recvVals, plan.recvCounts); err != nil {
-		return err
-	}
-	for k, v := range plan.recvIdx {
-		contrib[v] += recvVals[k]
-	}
-	base := (1-damping)/float64(g.N) + damping*total[0]/float64(g.N)
-	for i := range pr {
-		pr[i] = base + damping*contrib[i]
-	}
-	return nil
+	return gatherFull(c, x.pr, g.N)
 }
 
 // PageRankRMA is the one-sided formulation: each rank exposes its
@@ -205,47 +196,30 @@ func pageRankStep(c *mpi.Comm, g *Graph, plan *exchangePlan, lo, hi int, damping
 // to floating-point reassociation (Accumulate arrival order is
 // nondeterministic).
 func PageRankRMA(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, error) {
-	np, rank := c.Size(), c.Rank()
-	lo, hi := vrange(g.N, rank, np)
+	np := c.Size()
+	lo, hi := vrange(g.N, c.Rank(), np)
 	w, err := mpi.WinCreate[float64](c, hi-lo)
 	if err != nil {
 		return nil, err
 	}
 	defer w.Free()
 
-	pr := make([]float64, hi-lo)
-	for i := range pr {
-		pr[i] = 1 / float64(g.N)
-	}
-	dense := make([][]float64, np) // per-owner pre-aggregated contribution block
-	for o := 0; o < np; o++ {
+	pr := uniform(g.N, hi-lo)
+	// The per-owner pre-aggregated contribution blocks are contiguous in
+	// vertex order, so they are views of one vector indexed by destination:
+	// the kernel is the oracle's, no owner lookup per edge.
+	flat := make([]float64, g.N)
+	dense := make([][]float64, np)
+	for o := range dense {
 		olo, ohi := vrange(g.N, o, np)
-		dense[o] = make([]float64, ohi-olo)
+		dense[o] = flat[olo:ohi]
 	}
 	dang := make([]float64, 1)
+	kernel := func() { dang[0] = scatterAdd(pr, g.Off[lo:hi+1], g.Dst[g.Off[lo]:g.Off[hi]], flat) }
 
 	for it := 0; it < iters; it++ {
-		for o := range dense {
-			for i := range dense[o] {
-				dense[o][i] = 0
-			}
-		}
-		dang[0] = 0
-		c.Compute(func() {
-			for u := lo; u < hi; u++ {
-				d := g.OutDeg(u)
-				if d == 0 {
-					dang[0] += pr[u-lo]
-					continue
-				}
-				w := pr[u-lo] / float64(d)
-				for _, v := range g.Dst[g.Off[u]:g.Off[u+1]] {
-					o := ownerOf(int(v), g.N, np)
-					olo, _ := vrange(g.N, o, np)
-					dense[o][int(v)-olo] += w
-				}
-			}
-		})
+		clear(flat)
+		c.Compute(kernel)
 		// The window holds zeros here (fresh, or zeroed at the end of the
 		// previous iteration before that epoch's closing fence).
 		if err := w.Fence(); err != nil {
@@ -273,7 +247,7 @@ func PageRankRMA(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, 
 			contrib[i] = 0 // reset the exposure for the next epoch
 		}
 	}
-	return gatherFull(c, pr)
+	return gatherFull(c, pr, g.N)
 }
 
 // BFSMPI is the level-synchronized distributed traversal: each level, ranks
@@ -298,6 +272,8 @@ func BFSMPI(c *mpi.Comm, g *Graph, src int) ([]int32, error) {
 		frontier = append(frontier, int32(src))
 	}
 	outbox := make([][]int32, np)
+	sendCounts := make([]int, np)
+	var send []int32
 	for depth := int32(0); ; depth++ {
 		for o := range outbox {
 			outbox[o] = outbox[o][:0]
@@ -312,17 +288,13 @@ func BFSMPI(c *mpi.Comm, g *Graph, src int) ([]int32, error) {
 					}
 					continue
 				}
-				outbox[ownerOf(int(v), g.N, np)] = append(outbox[ownerOf(int(v), g.N, np)], v)
+				o := ownerOf(int(v), g.N, np)
+				outbox[o] = append(outbox[o], v)
 			}
 		}
-		sendCounts := make([]int, np)
-		total := 0
-		for o := range outbox {
-			sendCounts[o] = len(outbox[o])
-			total += len(outbox[o])
-		}
-		send := make([]int32, 0, total)
-		for _, b := range outbox {
+		send = send[:0]
+		for o, b := range outbox {
+			sendCounts[o] = len(b)
 			send = append(send, b...)
 		}
 		recvCounts, err := mpi.AlltoallCounts(c, sendCounts)
@@ -348,17 +320,17 @@ func BFSMPI(c *mpi.Comm, g *Graph, src int) ([]int32, error) {
 		}
 		frontier = next
 	}
-	return gatherFull(c, level)
+	return gatherFull(c, level, g.N)
 }
 
-// gatherFull concatenates the per-rank blocks into the full vector (the
+// gatherFull concatenates the per-rank blocks into the full n-vector (the
 // blocks are contiguous in rank order by construction of vrange).
-func gatherFull[T int32 | float64](c *mpi.Comm, local []T) ([]T, error) {
+func gatherFull[T int32 | float64](c *mpi.Comm, local []T, n int) ([]T, error) {
 	blocks, err := mpi.Allgather(c, local)
 	if err != nil {
 		return nil, err
 	}
-	var full []T
+	full := make([]T, 0, n)
 	for _, b := range blocks {
 		full = append(full, b...)
 	}

@@ -1,6 +1,9 @@
 package pagerank
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -310,6 +313,205 @@ func TestPageRankRecover(t *testing.T) {
 						t.Fatal("fault plan injected no failure: every rank survived")
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestExchangePlanInvariants: the linear-time plan against its definition,
+// over worlds that include ranks with an empty vertex range (n < np) and
+// ranks with no foreign edge (np = 1). Every edge's accumulator index is in
+// range and names the edge's destination — the owned vertex itself, or a
+// packed send slot that stands for exactly that foreign vertex — and each
+// owner's packed vertices are strictly ascending inside the owner's range.
+func TestExchangePlanInvariants(t *testing.T) {
+	for _, n := range []int{2, 7, 64, 2001} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := Gen(n, 3, seed)
+			for np := 1; np <= 7; np++ {
+				err := mpi.Run(np, func(c *mpi.Comm) error {
+					lo, hi := vrange(n, c.Rank(), np)
+					own := hi - lo
+					x, err := newExchange(c, g, uniform(n, own))
+					if err != nil {
+						return err
+					}
+					return checkPlan(x, g, c.Rank(), np, lo, own)
+				})
+				if err != nil {
+					t.Fatalf("n=%d seed=%d np=%d: %v", n, seed, np, err)
+				}
+			}
+		}
+	}
+}
+
+func checkPlan(x *exchange, g *Graph, rank, np, lo, own int) error {
+	sendLen := len(x.acc) - own
+	sum := 0
+	for _, ct := range x.sendCounts {
+		sum += ct
+	}
+	if sum != sendLen || x.sendCounts[rank] != 0 {
+		return fmt.Errorf("rank %d: sendCounts %v sum to %d, packed block holds %d", rank, x.sendCounts, sum, sendLen)
+	}
+	packed := make([]int32, sendLen) // the vertex each send slot stands for
+	for i := range packed {
+		packed[i] = -1
+	}
+	for e, s := range x.edgeSlot {
+		v := g.Dst[g.Off[lo]+e]
+		switch {
+		case s < 0 || int(s) >= len(x.acc):
+			return fmt.Errorf("rank %d: edge %d has slot %d outside [0,%d)", rank, e, s, len(x.acc))
+		case int(s) < own:
+			if int(v)-lo != int(s) {
+				return fmt.Errorf("rank %d: edge %d -> owned vertex %d has slot %d", rank, e, v, s)
+			}
+		case packed[int(s)-own] >= 0 && packed[int(s)-own] != v:
+			return fmt.Errorf("rank %d: send slot %d stands for vertices %d and %d", rank, int(s)-own, packed[int(s)-own], v)
+		default:
+			packed[int(s)-own] = v
+		}
+	}
+	k := 0
+	for o, ct := range x.sendCounts {
+		olo, ohi := vrange(g.N, o, np)
+		for i := 0; i < ct; i, k = i+1, k+1 {
+			v := int(packed[k])
+			if v < olo || v >= ohi || ownerOf(v, g.N, np) != o {
+				return fmt.Errorf("rank %d: slot %d of owner %d holds vertex %d outside [%d,%d)", rank, k, o, v, olo, ohi)
+			}
+			if i > 0 && packed[k-1] >= packed[k] {
+				return fmt.Errorf("rank %d: owner %d's packed vertices not strictly ascending at slot %d", rank, o, k)
+			}
+		}
+	}
+	recvLen := 0
+	for _, ct := range x.recvCounts {
+		recvLen += ct
+	}
+	if len(x.recvIdx) != recvLen || len(x.recvVals) != recvLen {
+		return fmt.Errorf("rank %d: %d recv indices, %d recv values, counts sum to %d", rank, len(x.recvIdx), len(x.recvVals), recvLen)
+	}
+	for i, v := range x.recvIdx {
+		if v < 0 || int(v) >= own {
+			return fmt.Errorf("rank %d: recvIdx[%d] = %d outside [0,%d)", rank, i, v, own)
+		}
+	}
+	return nil
+}
+
+// resultHash is FNV-64a over the IEEE bits of the vector, little-endian.
+func resultHash(pr []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range pr {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestPageRankGoldenBits: the per-vertex summation order is part of the
+// exemplar's contract (local edges in scan order, then one term per source
+// rank in rank order), so a rewrite of the plan or the kernel must reproduce
+// the result bit for bit. The constants were computed at the commit before
+// the accumulator/linear-plan rewrite (PR 14's tree). PageRankRMA is not
+// pinned here: Accumulate arrival order is nondeterministic by design.
+func TestPageRankGoldenBits(t *testing.T) {
+	g := Gen(2000, 8, 1)
+	const damping, iters = 0.85, 20
+	golden := map[int]uint64{
+		1: 0x736ac987c11c83fc,
+		2: 0x4483f41720d24cd4,
+		3: 0x3149d23b3b23b4f0,
+		5: 0x94931b51959b2ec1,
+	}
+	for np, want := range golden {
+		check := func(name string, c *mpi.Comm, pr []float64, err error) error {
+			if err == nil && resultHash(pr) != want {
+				t.Errorf("%s np=%d rank=%d: result bits hash to %#x, want %#x", name, np, c.Rank(), resultHash(pr), want)
+			}
+			return err
+		}
+		err := mpi.Run(np, func(c *mpi.Comm) error {
+			pr, err := PageRankMPI(c, g, damping, iters)
+			return check("PageRankMPI", c, pr, err)
+		})
+		if err != nil {
+			t.Fatalf("np=%d: %v", np, err)
+		}
+		err = mpi.Run(np, func(c *mpi.Comm) error {
+			pr, err := PageRankRecover(c, g, damping, iters, ckpt.NewMemStore(), 6)
+			return check("PageRankRecover", c, pr, err)
+		}, mpi.WithRecovery())
+		if err != nil {
+			t.Fatalf("np=%d recover: %v", np, err)
+		}
+	}
+}
+
+// TestStepAllocatesNothing: a steady-state step at np=1 allocates exactly
+// what its two collective calls allocate on their own — the exemplar's
+// buffers, plan and kernel closure are all set up once.
+func TestStepAllocatesNothing(t *testing.T) {
+	g := testGraph()
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		x, err := newExchange(c, g, uniform(g.N, g.N))
+		if err != nil {
+			return err
+		}
+		var stepErr error
+		collectives := testing.AllocsPerRun(50, func() {
+			if _, err := mpi.AllreduceSliceOp(c, x.dang, mpi.Sum); err != nil {
+				stepErr = err
+			}
+			if err := mpi.AlltoallvInto(c, x.acc[g.N:], x.sendCounts, x.recvVals, x.recvCounts); err != nil {
+				stepErr = err
+			}
+		})
+		step := testing.AllocsPerRun(50, func() {
+			if err := x.step(c, 0.85); err != nil {
+				stepErr = err
+			}
+		})
+		if step != collectives {
+			t.Errorf("one step allocates %v times, its collectives alone %v: the exemplar allocates per step", step, collectives)
+		}
+		return stepErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The exemplar against its oracle without the harness: same graph shape as
+// the gating benchmark's pagerank-np2-local workload.
+var benchGraph = sync.OnceValue(func() *Graph { return Gen(20000, 8, 1) })
+
+func BenchmarkPageRankSeq(b *testing.B) {
+	g := benchGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PageRankSeq(g, 0.85, 20)
+	}
+}
+
+func BenchmarkPageRankMPI(b *testing.B) {
+	g := benchGraph()
+	for _, np := range []int{1, 2} {
+		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
+			err := mpi.Run(np, func(c *mpi.Comm) error {
+				for i := 0; i < b.N; i++ {
+					if _, err := PageRankMPI(c, g, 0.85, 20); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

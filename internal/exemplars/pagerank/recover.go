@@ -86,12 +86,8 @@ func PageRankRespawn(c *mpi.Comm, g *Graph, damping float64, iters int, store ck
 // rank failure anywhere inside surfaces as a retryable error wrapping
 // mpi.ErrRankFailed; the caller recovers and re-enters.
 func pageRankCkpt(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.Store, every int) ([]float64, error) {
-	np, rank := c.Size(), c.Rank()
-	lo, hi := vrange(g.N, rank, np)
-	pr := make([]float64, hi-lo)
-	for i := range pr {
-		pr[i] = 1 / float64(g.N)
-	}
+	lo, hi := vrange(g.N, c.Rank(), c.Size())
+	pr := uniform(g.N, hi-lo)
 	it0 := 0
 	_, shards, restored, err := ckpt.LoadLatest(c, store)
 	if err != nil {
@@ -110,19 +106,10 @@ func pageRankCkpt(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.
 		}
 	}
 
-	plan, err := buildPlan(c, g)
+	x, err := newExchange(c, g, pr)
 	if err != nil {
 		return nil, err
 	}
-	recvLen := 0
-	for _, ct := range plan.recvCounts {
-		recvLen += ct
-	}
-	contrib := make([]float64, hi-lo)
-	sendVals := make([]float64, plan.sendLen)
-	recvVals := make([]float64, recvLen)
-	dang := make([]float64, 1)
-
 	for it := it0; it < iters; it++ {
 		// Checkpoint at the top of an iteration: every rank is at the same
 		// count here (the previous iteration's collectives are the lockstep
@@ -136,9 +123,9 @@ func pageRankCkpt(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.
 				return nil, err
 			}
 		}
-		if err := pageRankStep(c, g, plan, lo, hi, damping, pr, contrib, sendVals, recvVals, dang); err != nil {
+		if err := x.step(c, damping); err != nil {
 			return nil, err
 		}
 	}
-	return gatherFull(c, pr)
+	return gatherFull(c, pr, g.N)
 }

@@ -139,6 +139,13 @@ type hubOptions struct {
 	heartbeat time.Duration
 	suspicion time.Duration
 	recovery  bool
+
+	// Test seams around the start broadcast, nil outside tests. startWritten
+	// runs after each start frame is written (routing: that worker's route
+	// loop is already running, which the last joiner's is not); startHeld
+	// runs when a route loop is about to hold a frame for the broadcast.
+	startWritten func(h *Hub, routing bool)
+	startHeld    func()
 }
 
 // HubFormationTimeout bounds how long the hub waits for the world to form.
@@ -235,6 +242,9 @@ type Hub struct {
 	// started flips once the start signal has been broadcast: suspicion
 	// (session resume) only applies to post-formation breaks.
 	started atomic.Bool
+	// startDone is closed once every worker has been sent its start signal;
+	// route loops hold their first frame until then.
+	startDone chan struct{}
 
 	mu       sync.Mutex
 	conns    map[int]*hubConn
@@ -422,6 +432,7 @@ func StartHub(addr string, np int, opts ...HubOption) (*Hub, error) {
 		failedRanks: make(map[int]bool),
 		agreements:  make(map[agreeKey]*hubAgree),
 		finished:    make(chan struct{}),
+		startDone:   make(chan struct{}),
 	}
 	if ho.formation > 0 {
 		// Assign under the lock: the timer callback (and the shutdown path
@@ -566,7 +577,11 @@ func (h *Hub) admit(conn net.Conn) {
 				h.fail(fmt.Errorf("mpi: hub start signal: %w", err))
 				return
 			}
+			if h.opts.startWritten != nil {
+				h.opts.startWritten(h, c != hc)
+			}
 		}
+		close(h.startDone)
 		h.started.Store(true)
 		if h.opts.heartbeat > 0 {
 			go h.heartbeatLoop()
@@ -854,11 +869,28 @@ func (h *Hub) heartbeatLoop() {
 func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 	defer close(down)
 	rd := hc.rd
+	released := false
 	for {
 		f, seq, err := rd.readFrame()
 		if err != nil {
 			h.readerBroken(hc, conn, err)
 			return
+		}
+		if !released {
+			// A frame from this worker means it has its start signal, but the
+			// broadcast may still be in progress: hold the frame until every
+			// peer has been sent its own, or a fast starter's first message
+			// would overtake a slower peer's start signal.
+			if h.opts.startHeld != nil {
+				h.opts.startHeld()
+			}
+			select {
+			case <-h.startDone:
+			case <-h.finished:
+				f.release()
+				return
+			}
+			released = true
 		}
 		if hc.wire >= wireVersion2 && seq > 0 {
 			hc.mu.Lock()

@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -230,5 +231,55 @@ func TestHubHeartbeatDetectsSilentWorker(t *testing.T) {
 	}
 	if !strings.Contains(werr.Error(), "[0]") {
 		t.Fatalf("hub.Wait = %v, want rank 0 named", werr)
+	}
+}
+
+// TestHubStartBroadcastHoldsRoutedFrames: the hub writes the start signal to
+// one worker at a time, and a worker that has its signal sends at once. The
+// seams pause the broadcast after the first start frame that goes to a worker
+// whose route loop is running (the last joiner's starts only after the
+// broadcast) until the hub has read a message from it. Alltoall opens with a
+// send to every peer, and at np=3 at least one of them is still unstarted, so
+// that message must be held back until the broadcast is over. A hub that
+// relays it makes the peer fail with "unexpected frame before start signal",
+// which fails the world and releases the pause through hub.finished.
+func TestHubStartBroadcastHoldsRoutedFrames(t *testing.T) {
+	const np = 3
+	held := make(chan struct{})
+	var heldOnce sync.Once
+	paused := false // touched by the broadcasting goroutine only
+	seams := func(o *hubOptions) {
+		o.startWritten = func(h *Hub, routing bool) {
+			if routing && !paused {
+				paused = true
+				select {
+				case <-held:
+				case <-h.finished:
+				}
+			}
+		}
+		o.startHeld = func() { heldOnce.Do(func() { close(held) }) }
+	}
+	err := RunTCP(np, func(c *Comm) error {
+		items := make([]int, np)
+		for r := range items {
+			items[r] = 10*c.Rank() + r
+		}
+		got, err := Alltoall(c, items)
+		if err != nil {
+			return err
+		}
+		for r, v := range got {
+			if v != 10*r+c.Rank() {
+				return fmt.Errorf("rank %d: alltoall[%d] = %d", c.Rank(), r, v)
+			}
+		}
+		return nil
+	}, WithHubOptions(seams))
+	if err != nil {
+		t.Fatalf("world formation with a paused start broadcast: %v", err)
+	}
+	if !paused {
+		t.Fatal("the start broadcast was never paused: the seam did not fire")
 	}
 }

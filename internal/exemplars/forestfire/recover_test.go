@@ -80,11 +80,11 @@ func TestDomainRecoverNoFailure(t *testing.T) {
 
 func TestDomainRecoverKillRank(t *testing.T) {
 	cases := []struct {
-		name    string
-		np      int
-		victim  int
-		skip    int
-		every   int
+		name   string
+		np     int
+		victim int
+		skip   int
+		every  int
 	}{
 		{"before-first-checkpoint", 4, 2, 0, 3},
 		{"mid-run", 4, 1, 25, 2},

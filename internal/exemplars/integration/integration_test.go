@@ -209,3 +209,45 @@ func TestTrapezoidSharedAccuracyProperty(t *testing.T) {
 		t.Fatal("trapezoid error did not decrease with n")
 	}
 }
+
+// TestTrapezoidSharedGoldenBits pins the exemplar at the gate's size: the
+// static blocks and the thread-order fold fix the summation order, so the
+// integral's bits at each team size are a constant. Computed at the commit
+// before shm's chunk-granular loop engine (PR 15's tree).
+func TestTrapezoidSharedGoldenBits(t *testing.T) {
+	golden := map[int]uint64{
+		1: 0x400921fb54442af9,
+		2: 0x400921fb54442c5c,
+		3: 0x400921fb54442cac,
+		4: 0x400921fb54442c5b,
+	}
+	for nt, want := range golden {
+		got, err := TrapezoidShared(QuarterCircle, 0, 1, 2_000_000, nt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := math.Float64bits(got); bits != want {
+			t.Errorf("nt=%d: integral bits %#x (%v), want %#x", nt, bits, got, want)
+		}
+	}
+}
+
+// The exemplar at the size the gating benchmark's shm-exemplars-t2 workload
+// times it (2 M points): sequential baseline against the reduction on one
+// and two threads, the study's first table.
+func BenchmarkTrapezoid(b *testing.B) {
+	const n = 2_000_000
+	run := func(name string, f func() (float64, error)) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("seq", func() (float64, error) { return Trapezoid(QuarterCircle, 0, 1, n) })
+	run("shared-t1", func() (float64, error) { return TrapezoidShared(QuarterCircle, 0, 1, n, 1) })
+	run("shared-t2", func() (float64, error) { return TrapezoidShared(QuarterCircle, 0, 1, n, 2) })
+}

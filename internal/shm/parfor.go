@@ -29,56 +29,51 @@ func ParallelFor(numThreads, n int, sched Schedule, body func(i int)) {
 // team must call For with the same n and schedule. The call ends with an
 // implicit team barrier, as in OpenMP.
 func (tc *ThreadContext) For(n int, sched Schedule, body func(i int)) {
-	tc.forNowait(n, sched, body)
+	tc.ForNowait(n, sched, body)
 	tc.Barrier()
 }
 
 // ForNowait is For without the trailing barrier: "#pragma omp for nowait".
 func (tc *ThreadContext) ForNowait(n int, sched Schedule, body func(i int)) {
-	tc.forNowait(n, sched, body)
+	tc.forRanges(n, sched, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
 }
 
-func (tc *ThreadContext) forNowait(n int, sched Schedule, body func(i int)) {
+// forRanges is the loop engine: it claims this thread's share of [0, n) under
+// the schedule and calls chunk(lo, hi) once per claimed chunk, never with an
+// empty one. Handing out ranges rather than indices keeps the engine's
+// indirect call off the per-iteration path, so a caller's inner loop (the
+// index loop above, a reduction's fold) runs at the speed of its body.
+func (tc *ThreadContext) forRanges(n int, sched Schedule, chunk func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	switch sched.Kind {
 	case ScheduleStatic:
-		lo, hi := staticRange(n, tc.id, tc.team.size)
-		for i := lo; i < hi; i++ {
-			body(i)
+		if lo, hi := staticRange(n, tc.id, tc.team.size); lo < hi {
+			chunk(lo, hi)
 		}
 	case ScheduleStaticCyclic:
-		chunk := sched.normalizedChunk()
-		for start := tc.id * chunk; start < n; start += tc.team.size * chunk {
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			for i := start; i < end; i++ {
-				body(i)
-			}
+		size := sched.normalizedChunk()
+		for start := tc.id * size; start < n; start += tc.team.size * size {
+			chunk(start, min(start+size, n))
 		}
 	case ScheduleDynamic:
-		chunk := sched.normalizedChunk()
+		size := sched.normalizedChunk()
 		ls := tc.team.loopEnter(n)
 		if ls.engine == LoopWorkStealing {
-			tc.stealLoop(ls, chunk, nil, body)
+			tc.stealLoop(ls, size, nil, chunk)
 			return
 		}
-		ctr := &ls.counter
 		for {
-			start := int(ctr.Add(int64(chunk))) - chunk
+			start := int(ls.counter.Add(int64(size))) - size
 			if start >= n {
 				return
 			}
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			for i := start; i < end; i++ {
-				body(i)
-			}
+			chunk(start, min(start+size, n))
 		}
 	case ScheduleGuided:
 		minChunk := sched.normalizedChunk()
@@ -90,32 +85,27 @@ func (tc *ThreadContext) forNowait(n int, sched Schedule, body func(i int)) {
 			// balancing plays the role the shrinking global chunk played.
 			tc.stealLoop(ls, 0, func(remaining int) int {
 				return guidedChunk(remaining, 1, minChunk)
-			}, body)
+			}, chunk)
 			return
 		}
+		// Guided over a shared counter: each grab takes a chunk sized by
+		// guidedChunk. Claim optimistically with a CAS loop.
 		ctr := &ls.counter
 		for {
-			// Guided over a shared counter: each grab takes a chunk sized
-			// by guidedChunk. Claim optimistically with a CAS loop.
-			for {
-				cur := ctr.Load()
-				if int(cur) >= n {
-					return
-				}
-				chunk := guidedChunk(n-int(cur), tc.team.size, minChunk)
-				if ctr.CompareAndSwap(cur, cur+int64(chunk)) {
-					end := int(cur) + chunk
-					for i := int(cur); i < end; i++ {
-						body(i)
-					}
-					break
-				}
-				// CAS lost: another thread advanced the counter. Yield
-				// instead of immediately re-contending — with 8+ threads on
-				// a tiny minChunk, tight respins serialize on the cache line
-				// and burn cycles the winner could use to run its chunk.
-				runtime.Gosched()
+			cur := ctr.Load()
+			if int(cur) >= n {
+				return
 			}
+			size := guidedChunk(n-int(cur), tc.team.size, minChunk)
+			if ctr.CompareAndSwap(cur, cur+int64(size)) {
+				chunk(int(cur), int(cur)+size)
+				continue
+			}
+			// CAS lost: another thread advanced the counter. Yield instead
+			// of immediately re-contending — with 8+ threads on a tiny
+			// minChunk, tight respins serialize on the cache line and burn
+			// cycles the winner could use to run its chunk.
+			runtime.Gosched()
 		}
 	default:
 		panic("shm: unknown schedule kind")

@@ -66,67 +66,73 @@ func (op ReduceOp) identityInt64() int64 {
 	}
 }
 
-func (op ReduceOp) combineFloat64(a, b float64) float64 {
+// number is the set of element types the typed reductions support.
+type number interface{ float64 | int64 }
+
+// maxOf and minOf are the max and min operators. When the comparison is false
+// (a tie, a NaN on either side) the right operand is the result.
+func maxOf[T number](a, b T) T {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func minOf[T number](a, b T) T {
+	if a < b {
+		return a
+	}
+	return b
+}
+
+// foldRange folds body(lo), …, body(hi-1) into p in index order. The operator
+// is chosen once per range, outside the loop, and the running value is a plain
+// local (a register, spilled only around the call of body), so an iteration
+// costs its body plus one arithmetic instruction.
+func foldRange[T number](op ReduceOp, p T, lo, hi int, body func(i int) T) T {
 	switch op {
 	case OpSum:
-		return a + b
+		for i := lo; i < hi; i++ {
+			p += body(i)
+		}
 	case OpProd:
-		return a * b
+		for i := lo; i < hi; i++ {
+			p *= body(i)
+		}
 	case OpMax:
-		if a > b {
-			return a
+		for i := lo; i < hi; i++ {
+			p = maxOf(p, body(i))
 		}
-		return b
 	case OpMin:
-		if a < b {
-			return a
+		for i := lo; i < hi; i++ {
+			p = minOf(p, body(i))
 		}
-		return b
 	default:
 		panic("shm: unknown reduce op")
 	}
+	return p
 }
 
-func (op ReduceOp) combineInt64(a, b int64) int64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpProd:
-		return a * b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	default:
-		panic("shm: unknown reduce op")
-	}
-}
-
-// The typed reduction fast path. Each thread accumulates into a register
-// (the closure-local partial) and deposits exactly one value into its own
-// cache-line-padded slot at loop end; the caller folds the slots serially
-// after the join. Nothing is shared while the loop runs — no mutex, no
-// atomic, and, because the slots are padded to 64 bytes, not even a cache
-// line. This is the strategy the reduction patternlet teaches, and it is
-// what the AtomicFloat64 CAS-retry alternative is benchmarked against in
-// BENCH_shm.json (reduce_ns_per_iter).
+// The typed reduction fast path. Each thread folds every chunk the loop
+// engine hands it in a local (foldRange) and touches its own
+// cache-line-padded slot once per chunk; the caller folds the slots serially,
+// in thread order, after the join. Nothing is shared while the loop runs — no
+// mutex, no atomic, and, because the slots are padded to 64 bytes, not even a
+// cache line. This is the strategy the reduction patternlet teaches; the
+// gate's shm-exemplars-t2 workload times it through TrapezoidShared, and
+// BENCH_shm.json (reduce_ns_per_iter) sets it against the AtomicFloat64
+// CAS-retry alternative.
 //
-// paddedFloat64 and paddedInt64 hold one per-thread partial each, padded so
-// adjacent threads' final writes cannot false-share.
-type paddedFloat64 struct {
-	v float64
+// padded holds one per-thread partial, padded so adjacent threads' writes
+// cannot false-share.
+type padded[T number] struct {
+	v T
 	_ [56]byte
 }
 
-type paddedInt64 struct {
-	v int64
-	_ [56]byte
+// foldSlots combines the per-thread partials in thread order.
+func foldSlots[T number](op ReduceOp, identity T, slots []padded[T]) T {
+	return foldRange(op, identity, 0, len(slots), func(i int) T { return slots[i].v })
 }
 
 // ParallelForReduceFloat64 runs body(i) for i in [0, n) across a team and
@@ -135,50 +141,28 @@ type paddedInt64 struct {
 //
 //	#pragma omp parallel for reduction(op:acc)
 func ParallelForReduceFloat64(numThreads, n int, sched Schedule, op ReduceOp, body func(i int) float64) float64 {
-	result := op.identityFloat64()
-	if n <= 0 {
-		return result
-	}
-	nt := resolveThreads(numThreads)
-	if nt > n {
-		nt = n
-	}
-	slots := make([]paddedFloat64, nt)
-	Parallel(nt, func(tc *ThreadContext) {
-		partial := op.identityFloat64()
-		tc.ForNowait(n, sched, func(i int) {
-			partial = op.combineFloat64(partial, body(i))
-		})
-		slots[tc.id].v = partial
-	})
-	for i := range slots {
-		result = op.combineFloat64(result, slots[i].v)
-	}
-	return result
+	return forReduce(numThreads, n, sched, op, op.identityFloat64(), body)
 }
 
 // ParallelForReduceInt64 is ParallelForReduceFloat64 for int64 values.
 func ParallelForReduceInt64(numThreads, n int, sched Schedule, op ReduceOp, body func(i int) int64) int64 {
-	result := op.identityInt64()
+	return forReduce(numThreads, n, sched, op, op.identityInt64(), body)
+}
+
+func forReduce[T number](numThreads, n int, sched Schedule, op ReduceOp, identity T, body func(i int) T) T {
 	if n <= 0 {
-		return result
+		return identity
 	}
-	nt := resolveThreads(numThreads)
-	if nt > n {
-		nt = n
-	}
-	slots := make([]paddedInt64, nt)
+	nt := min(resolveThreads(numThreads), n)
+	slots := make([]padded[T], nt)
 	Parallel(nt, func(tc *ThreadContext) {
-		partial := op.identityInt64()
-		tc.ForNowait(n, sched, func(i int) {
-			partial = op.combineInt64(partial, body(i))
+		slot := &slots[tc.id].v
+		*slot = identity
+		tc.forRanges(n, sched, func(lo, hi int) {
+			*slot = foldRange(op, *slot, lo, hi, body)
 		})
-		slots[tc.id].v = partial
 	})
-	for i := range slots {
-		result = op.combineInt64(result, slots[i].v)
-	}
-	return result
+	return foldSlots(op, identity, slots)
 }
 
 // ParallelReduceFloat64 runs body once per thread of a numThreads team and
@@ -192,28 +176,18 @@ func ParallelForReduceInt64(numThreads, n int, sched Schedule, op ReduceOp, body
 // than from individual loop iterations. The combine uses the same padded
 // per-thread slots as the loop reductions.
 func ParallelReduceFloat64(numThreads int, op ReduceOp, body func(tc *ThreadContext) float64) float64 {
-	nt := resolveThreads(numThreads)
-	slots := make([]paddedFloat64, nt)
-	Parallel(nt, func(tc *ThreadContext) {
-		slots[tc.id].v = body(tc)
-	})
-	result := op.identityFloat64()
-	for i := range slots {
-		result = op.combineFloat64(result, slots[i].v)
-	}
-	return result
+	return regionReduce(numThreads, op, op.identityFloat64(), body)
 }
 
 // ParallelReduceInt64 is ParallelReduceFloat64 for int64 values.
 func ParallelReduceInt64(numThreads int, op ReduceOp, body func(tc *ThreadContext) int64) int64 {
-	nt := resolveThreads(numThreads)
-	slots := make([]paddedInt64, nt)
-	Parallel(nt, func(tc *ThreadContext) {
+	return regionReduce(numThreads, op, op.identityInt64(), body)
+}
+
+func regionReduce[T number](numThreads int, op ReduceOp, identity T, body func(tc *ThreadContext) T) T {
+	slots := make([]padded[T], resolveThreads(numThreads))
+	Parallel(len(slots), func(tc *ThreadContext) {
 		slots[tc.id].v = body(tc)
 	})
-	result := op.identityInt64()
-	for i := range slots {
-		result = op.combineInt64(result, slots[i].v)
-	}
-	return result
+	return foldSlots(op, identity, slots)
 }

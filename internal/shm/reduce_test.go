@@ -1,7 +1,12 @@
 package shm
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,7 +56,14 @@ func TestReduceIntOpsMatchSequential(t *testing.T) {
 	seq := func(op ReduceOp) int64 {
 		acc := op.identityInt64()
 		for _, v := range vals {
-			acc = op.combineInt64(acc, v)
+			switch op {
+			case OpSum:
+				acc += v
+			case OpMax:
+				acc = max(acc, v)
+			case OpMin:
+				acc = min(acc, v)
+			}
 		}
 		return acc
 	}
@@ -154,7 +166,7 @@ func TestParallelReduceRegionLevel(t *testing.T) {
 }
 
 // The reduce_ns_per_iter comparison for BENCH_shm.json: the typed fast path
-// (register accumulation + one padded-slot deposit per thread) against the
+// (register accumulation + one padded-slot write per chunk) against the
 // pre-existing strategy of one AtomicFloat64 CAS-retry Add per iteration.
 const reduceBenchN = 1 << 15
 
@@ -193,5 +205,101 @@ func TestRaceConditionFixedByReduction(t *testing.T) {
 	got := ParallelForReduceInt64(8, n, Static(), OpSum, func(i int) int64 { return 1 })
 	if got != n {
 		t.Fatalf("reduction counter = %d, want %d", got, n)
+	}
+}
+
+// TestReductionGoldenBits: the per-thread fold order (each thread folds its
+// chunks in hand-out order, the slots fold in thread order) is part of the
+// reduction's contract, so a rewrite of the loop engine must reproduce every
+// result bit. One FNV-64a per team size over OpSum/Prod/Max/Min under both
+// deterministic schedules; the constants were computed at the commit before
+// the chunk-granular engine (PR 15's tree).
+func TestReductionGoldenBits(t *testing.T) {
+	const n = 1001
+	body := func(i int) float64 { return 1 + math.Sin(float64(i))/64 }
+	golden := map[int]uint64{
+		1: 0xe37a760b03d6dce9,
+		2: 0xd05f32a2fd60d83c,
+		3: 0xdd4e4befcb441ce1,
+		4: 0x3487f5ab8fc3eb98,
+	}
+	for nt, want := range golden {
+		h := fnv.New64a()
+		for _, sched := range []Schedule{Static(), StaticChunk(3)} {
+			for _, op := range []ReduceOp{OpSum, OpProd, OpMax, OpMin} {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(ParallelForReduceFloat64(nt, n, sched, op, body)))
+				h.Write(b[:])
+			}
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("nt=%d: result bits hash to %#x, want %#x", nt, got, want)
+		}
+	}
+}
+
+// TestReductionFoldsPerChunk: the reduction must sit on the engine's chunk
+// callback, not on the public per-index wrappers — the fold's index loop is
+// foldRange's own, entered once per chunk the engine hands out
+// (TestChunkHandOutProperty counts those: Static on nt threads is nt
+// callbacks). Seen from inside body, that is a call chain of
+// body ← foldRange ← forRanges with no ForNowait in between.
+func TestReductionFoldsPerChunk(t *testing.T) {
+	for _, sched := range []Schedule{Static(), Dynamic(2)} {
+		var chain []string
+		ParallelForReduceFloat64(1, 4, sched, OpSum, func(i int) float64 {
+			if i == 0 {
+				pcs := make([]uintptr, 16)
+				frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+				for more := true; more; {
+					var f runtime.Frame
+					f, more = frames.Next()
+					chain = append(chain, f.Function)
+				}
+			}
+			return 1
+		})
+		at := func(name string) int {
+			return slices.IndexFunc(chain, func(f string) bool { return strings.Contains(f, name) })
+		}
+		if at("foldRange") != 1 || at("forRanges") < 2 || at("ForNowait") >= 0 {
+			t.Errorf("%v: body called through %q", sched.Kind, chain)
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestLoopConstructAllocations pins what one call of the loop constructs
+// allocates at what it did before the engine handed out chunks (PR 15's
+// tree): the index-loop and fold wrappers around the chunk callback must
+// stay on the stack, not become a heap closure per thread.
+func TestLoopConstructAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	for _, tc := range []struct {
+		sched              Schedule
+		maxFor, maxReduces float64
+	}{
+		{Static(), 3, 2},
+		{StaticChunk(3), 3, 2},
+		{Dynamic(1), 5, 4},
+		{Guided(1), 5, 4},
+	} {
+		for _, nt := range []int{1, 2, 4} {
+			loop := testing.AllocsPerRun(100, func() { ParallelFor(nt, 1000, tc.sched, func(int) {}) })
+			redF := testing.AllocsPerRun(100, func() {
+				ParallelForReduceFloat64(nt, 1000, tc.sched, OpSum, func(i int) float64 { return float64(i) })
+			})
+			redI := testing.AllocsPerRun(100, func() {
+				ParallelForReduceInt64(nt, 1000, tc.sched, OpSum, func(i int) int64 { return int64(i) })
+			})
+			if loop > tc.maxFor || redF > tc.maxReduces || redI > tc.maxReduces {
+				t.Errorf("%v nt=%d: ParallelFor %v allocs (max %v), reductions %v and %v (max %v)",
+					tc.sched.Kind, nt, loop, tc.maxFor, redF, redI, tc.maxReduces)
+			}
+		}
 	}
 }

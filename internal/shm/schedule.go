@@ -17,8 +17,10 @@ const (
 	// ScheduleStaticCyclic deals iterations round-robin in chunks
 	// ("parallel loop, chunks of 1" when the chunk is 1).
 	ScheduleStaticCyclic
-	// ScheduleDynamic hands out chunks first-come first-served from a
-	// shared counter, the analogue of schedule(dynamic, chunk).
+	// ScheduleDynamic hands out chunks first-come first-served, the
+	// analogue of schedule(dynamic, chunk): each thread carves them off its
+	// own block and steals from the others once that is drained (or, under
+	// LoopSharedCounter, all threads claim from one shared counter).
 	ScheduleDynamic
 	// ScheduleGuided hands out exponentially shrinking chunks, the
 	// analogue of schedule(guided, chunk); chunk is the minimum size.

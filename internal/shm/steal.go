@@ -174,13 +174,13 @@ func (t *team) loopEnter(n int) *loopState {
 	return t.loop
 }
 
-// stealLoop runs body for chunks claimed work-stealing style: drain the own
-// range, then steal from random victims until a full sweep finds everyone
+// stealLoop calls chunk once per range claimed work-stealing style: drain the
+// own range, then steal from random victims until a full sweep finds everyone
 // empty. When chunkOf is nil the chunk size is the constant fixed, and claims
 // go through takeFixed's single-fetch-add fast path (the Dynamic schedule);
 // a size-dependent chunkOf (Guided) needs the CAS path, which must observe
 // the remaining length before claiming.
-func (tc *ThreadContext) stealLoop(ls *loopState, fixed int, chunkOf func(remaining int) int, body func(i int)) {
+func (tc *ThreadContext) stealLoop(ls *loopState, fixed int, chunkOf func(remaining int) int, chunk func(lo, hi int)) {
 	self := &ls.deques[tc.id]
 	size := tc.team.size
 	// Cheap per-thread xorshift for victim selection; seeded off the thread
@@ -198,9 +198,7 @@ func (tc *ThreadContext) stealLoop(ls *loopState, fixed int, chunkOf func(remain
 			if !ok {
 				break
 			}
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
+			chunk(lo, hi)
 		}
 		if size == 1 {
 			return

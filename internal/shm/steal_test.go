@@ -1,6 +1,8 @@
 package shm
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,6 +151,77 @@ func TestScheduleParityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// handedOut runs one loop through the engine on a team of nt threads and
+// returns every chunk forRanges handed out, sorted by lower bound.
+func handedOut(nt, n int, sched Schedule) [][2]int {
+	var mu sync.Mutex
+	var chunks [][2]int
+	Parallel(nt, func(tc *ThreadContext) {
+		tc.forRanges(n, sched, func(lo, hi int) {
+			mu.Lock()
+			chunks = append(chunks, [2]int{lo, hi})
+			mu.Unlock()
+		})
+	})
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
+	return chunks
+}
+
+// TestChunkHandOutProperty is the chunk-level form of the parity pin: for
+// every schedule kind on both engines, the chunks the engine hands out are
+// non-empty and tile [0, n) exactly (disjoint, no gaps), and their sizes obey
+// the schedule. Static hands each thread at most one block. Dynamic(k) never
+// exceeds k; from the shared counter every chunk but the last is exactly k,
+// while the stealing engine may also cut one short at the end of a thread's
+// block or of a stolen half. Guided(m) from the shared counter never goes
+// below m (the tail is swallowed, see guidedChunk); under stealing the floor
+// holds per range, so it is asserted on a one-thread team, where the loop is
+// one range.
+func TestChunkHandOutProperty(t *testing.T) {
+	defer SetLoopEngine(LoopWorkStealing)
+	scheds := []Schedule{Static(), ChunksOf1(), StaticChunk(3), Dynamic(1), Dynamic(4), Guided(1), Guided(3)}
+	for _, engine := range []LoopEngine{LoopWorkStealing, LoopSharedCounter} {
+		SetLoopEngine(engine)
+		for _, sched := range scheds {
+			for nt := 1; nt <= 5; nt++ {
+				for _, n := range []int{0, 1, 7, 64, 1001} {
+					chunks := handedOut(nt, n, sched)
+					label := fmt.Sprintf("engine=%d %v(%d) nt=%d n=%d", engine, sched.Kind, sched.Chunk, nt, n)
+					oneRange := engine == LoopSharedCounter || nt == 1
+					next := 0
+					for _, c := range chunks {
+						if c[0] != next || c[1] <= c[0] {
+							t.Fatalf("%s: chunk [%d,%d) after [..,%d): want non-empty chunks tiling [0,%d)", label, c[0], c[1], next, n)
+						}
+						next = c[1]
+						size, last := c[1]-c[0], c[1] == n
+						switch sched.Kind {
+						case ScheduleStaticCyclic:
+							if size != sched.Chunk && !last {
+								t.Fatalf("%s: cyclic chunk of %d", label, size)
+							}
+						case ScheduleDynamic:
+							if size > sched.Chunk || (oneRange && !last && size != sched.Chunk) {
+								t.Fatalf("%s: dynamic chunk of %d", label, size)
+							}
+						case ScheduleGuided:
+							if oneRange && size < min(sched.Chunk, n) {
+								t.Fatalf("%s: guided chunk of %d below the minimum", label, size)
+							}
+						}
+					}
+					if next != n {
+						t.Fatalf("%s: chunks cover [0,%d), want [0,%d)", label, next, n)
+					}
+					if sched.Kind == ScheduleStatic && len(chunks) != min(nt, n) {
+						t.Fatalf("%s: %d static blocks, want %d", label, len(chunks), min(nt, n))
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package shm
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // ScheduleTrace records which thread executed each iteration of a parallel
@@ -23,12 +22,13 @@ type ScheduleTrace struct {
 func TraceSchedule(numThreads, n int, sched Schedule) *ScheduleTrace {
 	nt := resolveThreads(numThreads)
 	tr := &ScheduleTrace{Threads: nt, N: n, Schedule: sched, Owner: make([]int, n)}
-	var mu sync.Mutex
+	// Chunks are disjoint, so the threads write disjoint elements of Owner,
+	// and Parallel's join orders those writes before the caller's reads.
 	Parallel(nt, func(tc *ThreadContext) {
-		tc.For(n, sched, func(i int) {
-			mu.Lock()
-			tr.Owner[i] = tc.ThreadNum()
-			mu.Unlock()
+		tc.forRanges(n, sched, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				tr.Owner[i] = tc.id
+			}
 		})
 	})
 	return tr

@@ -62,6 +62,20 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 # transports and demand bit-equal results.
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 
+# The packages the shm-exemplars-t2 gate workload times are held to gofmt as
+# well (`go vet ./...` above already covers them): any name printed fails.
+test -z "$(gofmt -l internal/shm internal/exemplars)"
+
+# The master-worker kill tests used to pass by scheduling luck: a kill is
+# armed on the victim's k-th send, and the dynamic queue promised the victim
+# no more than one task (worker-mid-queue injected no failure in ≈ 10 % of
+# package runs; two-workers-die wedged in ≈ 7 % when the 4th send was the
+# forwarded closing broadcast). The victim now serves alone until it dies;
+# 30 fresh runs per gate keep it that way.
+go test -race -timeout 300s -count=30 \
+  -run 'TestMasterWorkerRecoverKills|TestMasterWorkerRecoverTwoWorkersDie' \
+  ./internal/exemplars/drugdesign/
+
 # The vector data plane: the parity property (every *Slice collective
 # element-equal to its scalar counterpart across world sizes, threshold
 # straddles, and all four transport configurations) plus the vector failure

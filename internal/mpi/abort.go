@@ -175,18 +175,8 @@ func WithDeadline(d time.Duration) Option {
 func (w *World) blockedOps() []BlockedOp {
 	var out []BlockedOp
 	for rank, b := range w.boxes {
-		if b == nil {
-			continue
-		}
-		for _, wt := range b.blockedWaiters() {
-			out = append(out, BlockedOp{
-				Rank:   rank,
-				Op:     wt.op,
-				Ctx:    wt.ctx,
-				Src:    wt.src,
-				Tag:    wt.tag,
-				Waited: time.Since(wt.since).Round(time.Millisecond),
-			})
+		if b != nil {
+			out = b.appendBlocked(out, rank)
 		}
 	}
 	return out

@@ -47,6 +47,47 @@ func BenchmarkPingPong16B(b *testing.B)  { benchPingPongPayload(b, 16) }
 func BenchmarkPingPong1KB(b *testing.B)  { benchPingPongPayload(b, 1<<10) }
 func BenchmarkPingPong64KB(b *testing.B) { benchPingPongPayload(b, 64<<10) }
 
+// echoFloats is rank 1 of the gate's pingpong-8B-local op: receive a
+// []float64 from rank 0 under AnyTag and send it back, until tag 1 arrives.
+func echoFloats(c *Comm) error {
+	var in []float64
+	for {
+		st, err := c.Recv(0, AnyTag, &in)
+		if err != nil || st.Tag == 1 {
+			return err
+		}
+		if err := c.Send(0, 0, in); err != nil {
+			return err
+		}
+	}
+}
+
+// BenchmarkRoundTripLocal8B is the gate's pingpong-8B-local op as a Go
+// benchmark: rank 0 sends a one-value []float64 and receives the echo.
+func BenchmarkRoundTripLocal8B(b *testing.B) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return echoFloats(c)
+		}
+		send, recv := []float64{1}, []float64(nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := c.Send(1, 0, send); err != nil {
+				return err
+			}
+			if _, err := c.Recv(1, 0, &recv); err != nil {
+				return err
+			}
+		}
+		b.StopTimer()
+		return c.Send(1, 1, send)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // Collective cost versus world size.
 func benchBcast(b *testing.B, np int) {
 	for i := 0; i < b.N; i++ {

@@ -182,9 +182,8 @@ func (c *Comm) sendValue(dest, tag int, v any) error {
 // also installs the interruption check: a rank failure or revoke observed
 // while blocked turns the wait into a retryable *RankFailedError — after a
 // match miss, so frames already queued from a failed rank still deliver.
-func (c *Comm) waitFrame(op string, source, tag int, pop bool) (frame, error) {
+func (c *Comm) waitFrame(op string, source, tag int, pop bool, out *frame) error {
 	w := c.world
-	box := c.mailbox()
 	var check func() error
 	if r := w.recov; r != nil {
 		srcWorld := -1
@@ -194,14 +193,8 @@ func (c *Comm) waitFrame(op string, source, tag int, pop bool) (frame, error) {
 		startFail := r.failVersion.Load()
 		check = func() error { return r.opErr(c, srcWorld, startFail) }
 	}
-	if w.deadline <= 0 {
-		return box.wait(op, c.ctx, source, tag, 0, nil, check, pop)
-	}
-	self := c.worldRank(c.rank)
-	onTimeout := func() error {
-		return w.deadlineFired(self, op, c.ctx, source, tag)
-	}
-	return box.wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop)
+	onTimeout := func() error { return w.deadlineFired(c.worldRank(c.rank), op, c.ctx, source, tag) }
+	return c.mailbox().wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, out)
 }
 
 // recv takes the earliest message matching (source, tag) — which may use
@@ -213,8 +206,8 @@ func (c *Comm) recv(source, tag int, v any) (Status, error) {
 			return Status{}, err
 		}
 	}
-	f, err := c.waitFrame("Recv", source, tag, true)
-	if err != nil {
+	var f frame
+	if err := c.waitFrame("Recv", source, tag, true, &f); err != nil {
 		return Status{}, err
 	}
 	st := f.status()
@@ -271,8 +264,8 @@ func (c *Comm) Probe(source, tag int) (Status, error) {
 			return Status{}, err
 		}
 	}
-	f, err := c.waitFrame("Probe", source, tag, false)
-	if err != nil {
+	var f frame
+	if err := c.waitFrame("Probe", source, tag, false, &f); err != nil {
 		return Status{}, err
 	}
 	return f.status(), nil

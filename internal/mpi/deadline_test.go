@@ -151,3 +151,36 @@ func TestDeadlineOverTCP(t *testing.T) {
 		t.Fatalf("err = %v, want a deadline report", err)
 	}
 }
+
+// TestDeadlineSnapshotOmitsIdleWindowService: a window's service loop waits
+// for ops with no deadline by design, and is posted in the mailbox like any
+// other blocked receive. The report of a stalled Recv in a world with an idle
+// window must still mean "stuck under a deadline": it names both Recvs and no
+// WinService entry.
+func TestDeadlineSnapshotOmitsIdleWindowService(t *testing.T) {
+	err := runWithWatchdog(t, 10*time.Second, func() error {
+		return Run(2, func(c *Comm) error {
+			if _, err := WinCreate[float64](c, 4); err != nil {
+				return err
+			}
+			// The window is never used or freed; its service sits in its wait
+			// while both ranks stall on a receive nobody sends to.
+			_, rerr := c.Recv(1-c.Rank(), 7, nil)
+			return rerr
+		}, WithDeadline(80*time.Millisecond))
+	})
+	var derr *DeadlineError
+	if !errors.As(err, &derr) {
+		t.Fatalf("err = %v, want a *DeadlineError in the chain", err)
+	}
+	recvs := 0
+	for _, op := range derr.Blocked {
+		if op.Op != "Recv" || op.Tag != 7 {
+			t.Fatalf("blocked snapshot %v names %+v, want only the stalled Recvs", derr.Blocked, op)
+		}
+		recvs++
+	}
+	if recvs != 2 {
+		t.Fatalf("blocked snapshot %v names %d stalled Recvs, want 2", derr.Blocked, recvs)
+	}
+}

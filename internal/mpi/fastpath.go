@@ -209,7 +209,7 @@ func typedSize(v any) int {
 // not exactly match *v are round-tripped through gob so the observable
 // behavior (numeric widening, error text) is identical to the serialized
 // path.
-func (f frame) decodeInto(v any) error {
+func (f *frame) decodeInto(v any) error {
 	if f.Raw != rawNone {
 		if rawDecodeInto(f.Raw, f.Data, v) {
 			f.releaseData()
@@ -244,7 +244,7 @@ func (f frame) decodeInto(v any) error {
 
 // payloadSize reports the frame's payload size: wire bytes for serialized
 // and raw frames, in-memory size for fast-path frames.
-func (f frame) payloadSize() int {
+func (f *frame) payloadSize() int {
 	if f.HasVal {
 		return typedSize(f.Val)
 	}
@@ -252,6 +252,6 @@ func (f frame) payloadSize() int {
 }
 
 // status summarizes the frame for Probe/Recv results.
-func (f frame) status() Status {
+func (f *frame) status() Status {
 	return Status{Source: f.Src, Tag: f.Tag, Bytes: f.payloadSize()}
 }

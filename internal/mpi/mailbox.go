@@ -1,236 +1,233 @@
 package mpi
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
-// mailbox is one rank's incoming message queue. Receives match messages by
-// (context, source, tag) with wildcard support, always taking the earliest
-// matching arrival — which, combined with order-preserving transports,
-// yields MPI's non-overtaking guarantee for any (sender, receiver, context)
-// pair.
+// mailbox is one rank's receive side, built on MPI's textbook pair of
+// queues. The unexpected queue holds, in arrival order, the frames that found
+// no receive waiting for them; the posted queue holds, in posting order, the
+// receives and probes that found no frame waiting for them. A receive scans
+// the unexpected queue for the earliest frame matching its (context, source,
+// tag) — wildcards allowed — and posts itself only on a miss. An arriving
+// frame scans the posted queue and is handed to the earliest receive it
+// matches directly, with one wake-up aimed at that receive alone, and joins
+// the unexpected queue only when no receive wants it yet.
 //
-// Frames are indexed by their exact (context, source, tag) key. An exact
-// receive — the overwhelmingly common case; every collective is one — pops
-// the head of a single per-key queue in O(1) instead of scanning the whole
-// backlog. Wildcard receives (AnySource/AnyTag) compare the heads of the
-// candidate key queues by a global arrival sequence number, so they still
-// take the earliest matching arrival, at O(distinct pending keys) rather
-// than O(pending frames).
+// Ordering holds by construction: a receive is posted only after the
+// unexpected queue had no match for it, and every later matching arrival is
+// handed to it at once, so the earliest matching arrival always meets the
+// earliest matching receive. Combined with order-preserving transports that
+// is MPI's non-overtaking guarantee for any (sender, receiver, context) pair.
 //
 // A mailbox can end in two ways. close (transport shutdown) lets pending
 // frames drain and then fails further waits with ErrShutdown. fail (world
 // abort) poisons the mailbox outright: blocked and future operations return
-// the abort error immediately, pending frames included — the revoke
-// semantic that turns one rank's failure into a prompt error everywhere
-// instead of a hang.
+// the abort error immediately, pending frames included — the revoke semantic
+// that turns one rank's failure into a prompt error everywhere instead of a
+// hang.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	seq     uint64                 // next arrival number
-	byKey   map[mailKey][]seqFrame // pending frames, FIFO per exact key
+	unexp   []frame   // unexpected queue: unexp[head:] is live, earliest arrival first
+	head    int       // consumed prefix of unexp, reclaimed by deliver
+	posted  []*waiter // blocked receives and probes, earliest posted first
+	free    []*waiter // recycled waiters: as many as were ever blocked at once
 	closed  bool
-	failErr error     // abort poison; checked before matching
-	blocked []*waiter // registered blocked operations (deadline worlds only)
+	failErr error // abort poison; checked before matching
 }
 
-// mailKey is the exact-match index key.
-type mailKey struct {
-	ctx      int64
-	src, tag int
-}
+// unexpKeep is the largest unexpected-queue array (in frames of about 100
+// bytes) a drained mailbox keeps; a burst that grew it further gives it back.
+const unexpKeep = 256
 
-// seqFrame stamps a frame with its arrival order across the whole mailbox.
-type seqFrame struct {
-	seq uint64
-	f   frame
-}
-
-// waiter records one blocked receive/probe for the deadline machinery's
-// who-waits-on-whom snapshot. Waiters are registered only in worlds with a
-// deadline, so the default hot path never touches the registry.
+// waiter is one posted receive (pop) or probe: what it matches, the slot
+// deliver fills for a receive, and its one-slot wake-up. Every send on wake
+// happens under the mailbox lock to a waiter still posted, so one taken off
+// the queue and drained under that lock is recycled empty. (The deadline
+// timer is the one outside sender; its stray wake-up costs a re-check.)
 type waiter struct {
 	op       string
 	ctx      int64
 	src, tag int
-	since    time.Time
+	since    time.Time // when it blocked; zero outside deadline worlds, which keeps it out of snapshots
+	pop      bool
+	done     bool  // f was handed over by deliver
+	f        frame // the one frame a receive waits for
+	wake     chan struct{}
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{byKey: make(map[mailKey][]seqFrame)}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+// signal fills the wake-up slot; already full means a re-check is coming.
+func (w *waiter) signal() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
-// deliver appends an arriving frame and wakes blocked receivers.
+func newMailbox() *mailbox { return &mailbox{} }
+
+// deliver hands an arriving frame to the earliest posted receive matching
+// it, or queues it as unexpected. Probes posted ahead of that receive are
+// woken to look again; a frame no receive takes stays queued for them.
 func (m *mailbox) deliver(f frame) {
-	key := mailKey{ctx: f.Ctx, src: f.Src, tag: f.Tag}
 	m.mu.Lock()
-	m.byKey[key] = append(m.byKey[key], seqFrame{seq: m.seq, f: f})
-	m.seq++
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	for i, w := range m.posted {
+		if !f.matches(w.ctx, w.src, w.tag) {
+			continue
+		}
+		if w.pop {
+			w.f, w.done = f, true
+			m.posted = slices.Delete(m.posted, i, i+1)
+			w.signal()
+			return
+		}
+		w.signal()
+	}
+	// Reclaim the consumed prefix once it is half the array instead of
+	// growing, so a mailbox in steady state stops allocating.
+	if m.head > 0 && len(m.unexp) == cap(m.unexp) && m.head >= len(m.unexp)/2 {
+		n := copy(m.unexp, m.unexp[m.head:])
+		clear(m.unexp[n:])
+		m.unexp, m.head = m.unexp[:n], 0
+	}
+	m.unexp = append(m.unexp, f)
 }
 
 // matches reports whether f satisfies a receive for (ctx, src, tag),
 // honouring AnySource and AnyTag.
-func matches(f frame, ctx int64, src, tag int) bool {
-	if f.Ctx != ctx {
-		return false
-	}
-	if src != AnySource && f.Src != src {
-		return false
-	}
-	if tag != AnyTag && f.Tag != tag {
-		return false
-	}
-	return true
+func (f *frame) matches(ctx int64, src, tag int) bool {
+	return f.Ctx == ctx && (src == AnySource || f.Src == src) && (tag == AnyTag || f.Tag == tag)
 }
 
-// findLocked returns the key whose head frame is the earliest arrival
-// matching (ctx, src, tag). Exact receives hit the index directly; wildcard
-// receives scan queue heads. Caller holds m.mu.
-func (m *mailbox) findLocked(ctx int64, src, tag int) (mailKey, bool) {
-	if src != AnySource && tag != AnyTag {
-		key := mailKey{ctx: ctx, src: src, tag: tag}
-		if len(m.byKey[key]) > 0 {
-			return key, true
-		}
-		return mailKey{}, false
-	}
-	var best mailKey
-	bestSeq, found := uint64(0), false
-	for key, q := range m.byKey {
-		if len(q) == 0 || !matches(q[0].f, ctx, src, tag) {
-			continue
-		}
-		if !found || q[0].seq < bestSeq {
-			best, bestSeq, found = key, q[0].seq, true
+// findLocked returns the index in unexp of the earliest queued frame
+// matching (ctx, src, tag), or -1. Caller holds m.mu.
+func (m *mailbox) findLocked(ctx int64, src, tag int) int {
+	for i := m.head; i < len(m.unexp); i++ {
+		if m.unexp[i].matches(ctx, src, tag) {
+			return i
 		}
 	}
-	return best, found
+	return -1
 }
 
-// popLocked removes and returns the head frame of key's queue. Caller holds
-// m.mu and guarantees the queue is non-empty.
-func (m *mailbox) popLocked(key mailKey) frame {
-	q := m.byKey[key]
-	f := q[0].f
-	q[0] = seqFrame{} // release the payload reference held by the backing array
-	if len(q) == 1 {
-		delete(m.byKey, key)
-	} else {
-		m.byKey[key] = q[1:]
+// removeLocked deletes unexp[i], closing the gap from the front: a match
+// sits at or near the head unless stale frames are parked there, so that is
+// the short side. Caller holds m.mu.
+func (m *mailbox) removeLocked(i int) {
+	copy(m.unexp[m.head+1:i+1], m.unexp[m.head:i])
+	m.unexp[m.head] = frame{} // drop the payload reference
+	if m.head++; m.head == len(m.unexp) {
+		m.unexp, m.head = m.unexp[:0], 0
+		if cap(m.unexp) > unexpKeep {
+			m.unexp = nil
+		}
 	}
-	return f
 }
 
 // wait blocks until a frame matching (ctx, src, tag) is available and
-// returns it, popping it for receives (pop) and leaving it queued for
+// stores it in out, taking it for receives (pop) and leaving it queued for
 // probes (!pop). It is the single blocking primitive under Recv, Probe, and
 // every collective.
 //
 // The checks run in revoke order: a poisoned mailbox fails immediately
-// (even with matching frames queued — the world is revoked); a match wins
-// over a close, so pending frames drain after transport shutdown; the
+// (even with a matching frame queued or already handed over — the world is
+// revoked, and a handed-over frame's payload is released here); a match
+// wins over a close, so pending frames drain after transport shutdown; the
 // recovery check (if any) runs only after a match miss, so frames already
 // queued from a rank that later failed still deliver; and only then does a
-// timeout fire. With timeout > 0 the blocked operation is registered for
-// snapshots, and on expiry onTimeout is invoked with the waiter still
-// registered and m.mu released — it may inspect other mailboxes and poison
-// this one — and its error is returned verbatim. check is called with m.mu
-// held and must not block.
-func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool) (frame, error) {
+// timeout fire. Nothing is posted, timed or stamped before the first miss.
+// With timeout > 0 the posted waiter shows in snapshots, and on expiry
+// onTimeout is invoked with the waiter still posted and m.mu released — it
+// may inspect other mailboxes and poison this one — and its error is
+// returned verbatim. check is called with m.mu held and must not block.
+func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, out *frame) (err error) {
+	var w *waiter
+	var timer *time.Timer
 	var deadlineAt time.Time
-	if timeout > 0 {
-		deadlineAt = time.Now().Add(timeout)
-		timer := time.AfterFunc(timeout, func() {
-			// Wake the waiter so the loop observes the expiry; locking
-			// around the broadcast closes the missed-wakeup window.
-			m.mu.Lock()
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		})
-		defer timer.Stop()
-	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	var wt *waiter
-	defer func() {
-		if wt != nil {
-			m.removeWaiterLocked(wt)
-		}
-	}()
 	for {
-		if m.failErr != nil {
-			return frame{}, m.failErr
+		if err = m.failErr; err != nil {
+			break
 		}
-		if key, ok := m.findLocked(ctx, src, tag); ok {
-			if !pop {
-				return m.byKey[key][0].f, nil
+		if w != nil && w.done {
+			*out, w.done = w.f, false
+			break
+		}
+		if i := m.findLocked(ctx, src, tag); i >= 0 {
+			if *out = m.unexp[i]; pop {
+				m.removeLocked(i)
 			}
-			return m.popLocked(key), nil
+			break
 		}
 		if check != nil {
-			if err := check(); err != nil {
-				return frame{}, err
+			if err = check(); err != nil {
+				break
 			}
 		}
 		if m.closed {
-			return frame{}, ErrShutdown
+			err = ErrShutdown
+			break
 		}
-		if timeout > 0 {
-			if wt == nil {
-				wt = &waiter{op: op, ctx: ctx, src: src, tag: tag, since: time.Now()}
-				m.blocked = append(m.blocked, wt)
+		if w == nil {
+			if n := len(m.free); n > 0 {
+				w, m.free = m.free[n-1], m.free[:n-1]
+			} else {
+				w = &waiter{wake: make(chan struct{}, 1)}
 			}
-			if !time.Now().Before(deadlineAt) {
-				m.mu.Unlock()
-				err := onTimeout()
-				m.mu.Lock()
-				return frame{}, err
+			w.op, w.ctx, w.src, w.tag, w.pop = op, ctx, src, tag, pop
+			m.posted = append(m.posted, w)
+			if timeout > 0 {
+				w.since = time.Now()
+				deadlineAt = w.since.Add(timeout)
+				timer = time.AfterFunc(timeout, w.signal)
 			}
+		} else if timeout > 0 && !time.Now().Before(deadlineAt) {
+			m.mu.Unlock()
+			err = onTimeout()
+			m.mu.Lock()
+			break
 		}
-		m.cond.Wait()
+		m.mu.Unlock()
+		<-w.wake
+		m.mu.Lock()
 	}
+	if w != nil {
+		if w.done { // handed over, then revoked or timed out: nobody else can free it
+			w.f.release()
+		}
+		if i := slices.Index(m.posted, w); i >= 0 {
+			m.posted = slices.Delete(m.posted, i, i+1)
+		}
+		select { // drain a wake-up that raced the exit
+		case <-w.wake:
+		default:
+		}
+		w.f, w.done, w.since = frame{}, false, time.Time{}
+		m.free = append(m.free, w)
+	}
+	m.mu.Unlock()
+	if timer != nil {
+		timer.Stop()
+	}
+	return err
 }
 
-func (m *mailbox) removeWaiterLocked(wt *waiter) {
-	for i, w := range m.blocked {
-		if w == wt {
-			last := len(m.blocked) - 1
-			m.blocked[i], m.blocked[last] = m.blocked[last], nil
-			m.blocked = m.blocked[:last]
-			return
-		}
-	}
-}
-
-// blockedWaiters snapshots the registered blocked operations.
-func (m *mailbox) blockedWaiters() []waiter {
+// appendBlocked appends rank's operations stuck under a deadline to out.
+// Waits without one (the window service's idle loop) are posted too, but are
+// not stuck.
+func (m *mailbox) appendBlocked(out []BlockedOp, rank int) []BlockedOp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]waiter, 0, len(m.blocked))
-	for _, wt := range m.blocked {
-		out = append(out, *wt)
+	for _, w := range m.posted {
+		if !w.since.IsZero() {
+			out = append(out, BlockedOp{Rank: rank, Op: w.op, Ctx: w.ctx, Src: w.src, Tag: w.tag,
+				Waited: time.Since(w.since).Round(time.Millisecond)})
+		}
 	}
 	return out
-}
-
-// take removes and returns the earliest frame matching (ctx, src, tag),
-// blocking until one arrives, the mailbox closes, or the world aborts.
-func (m *mailbox) take(ctx int64, src, tag int) (frame, error) {
-	return m.wait("Recv", ctx, src, tag, 0, nil, nil, true)
-}
-
-// poke wakes every blocked waiter so it re-runs its checks — how a rank
-// failure observed under recovery interrupts pending operations without
-// poisoning the mailbox.
-func (m *mailbox) poke() {
-	m.mu.Lock()
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // peek reports whether a frame matching (ctx, src, tag) is queued, and if so
@@ -242,20 +239,26 @@ func (m *mailbox) peek(ctx int64, src, tag int) (Status, bool) {
 	if m.failErr != nil {
 		return Status{}, false
 	}
-	if key, ok := m.findLocked(ctx, src, tag); ok {
-		return m.byKey[key][0].f.status(), true
+	if i := m.findLocked(ctx, src, tag); i >= 0 {
+		return m.unexp[i].status(), true
 	}
 	return Status{}, false
 }
 
-// waitMatch blocks until a matching frame is queued (without removing it),
-// the mailbox closes, or the world aborts: the core of the blocking Probe.
-func (m *mailbox) waitMatch(ctx int64, src, tag int) (Status, error) {
-	f, err := m.wait("Probe", ctx, src, tag, 0, nil, nil, false)
-	if err != nil {
-		return Status{}, err
+// wakeAllLocked makes every posted waiter re-run its checks. m.mu is held.
+func (m *mailbox) wakeAllLocked() {
+	for _, w := range m.posted {
+		w.signal()
 	}
-	return f.status(), nil
+}
+
+// poke wakes every blocked waiter so it re-runs its checks — how a rank
+// failure observed under recovery interrupts pending operations without
+// poisoning the mailbox.
+func (m *mailbox) poke() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.wakeAllLocked()
 }
 
 // close marks the mailbox closed and wakes all blocked receivers. Pending
@@ -263,9 +266,9 @@ func (m *mailbox) waitMatch(ctx int64, src, tag int) (Status, error) {
 // ErrShutdown.
 func (m *mailbox) close() {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	m.wakeAllLocked()
 }
 
 // fail poisons the mailbox with the world's abort error: every blocked and
@@ -273,9 +276,9 @@ func (m *mailbox) close() {
 // first error sticks.
 func (m *mailbox) fail(err error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.failErr == nil {
 		m.failErr = err
 	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	m.wakeAllLocked()
 }

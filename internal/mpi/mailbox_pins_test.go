@@ -1,0 +1,172 @@
+package mpi
+
+import (
+	"testing"
+	"time"
+)
+
+// Clock-free pins on the small local message: what one round trip and the
+// mailbox under it allocate, and whom an arrival wakes.
+
+// roundTripAllocs reports the allocations of one self-addressed Send + Recv
+// of a one-element []float64 — the frame is already queued when the receive
+// looks — in a world built with opts.
+func roundTripAllocs(t *testing.T, opts ...Option) float64 {
+	t.Helper()
+	var n float64
+	err := Run(1, func(c *Comm) error {
+		send, recv := []float64{1}, []float64(nil)
+		var opErr error
+		n = testing.AllocsPerRun(200, func() {
+			if err := c.Send(0, 0, send); err != nil {
+				opErr = err
+			}
+			if _, err := c.Recv(0, 0, &recv); err != nil {
+				opErr = err
+			}
+		})
+		return opErr
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestLocalRoundTripAllocations pins the pingpong-8B-local op: a Send and the
+// matching Recv on each of two ranks allocate at most six objects — on each
+// side the caller boxing its slice, copy-on-send's clone and its re-boxing —
+// and the mailbox none of them.
+func TestLocalRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	var n float64
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return echoFloats(c)
+		}
+		send, recv := []float64{1}, []float64(nil)
+		var opErr error
+		n = testing.AllocsPerRun(500, func() {
+			if err := c.Send(1, 0, send); err != nil {
+				opErr = err
+			}
+			if _, err := c.Recv(1, 0, &recv); err != nil {
+				opErr = err
+			}
+		})
+		if err := c.Send(1, 1, send); err != nil {
+			return err
+		}
+		return opErr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > 6 {
+		t.Fatalf("local round trip allocates %v objects, want <= 6", n)
+	}
+}
+
+// TestDeadlineQueuedRecvAllocatesLikePlain: a deadline world arms its timer
+// and stamps its waiter only when a receive is about to block, so receiving a
+// frame that is already queued costs what it costs in a plain world.
+func TestDeadlineQueuedRecvAllocatesLikePlain(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	plain, timed := roundTripAllocs(t), roundTripAllocs(t, WithDeadline(time.Minute))
+	if timed > plain {
+		t.Fatalf("queued receive allocates %v objects under WithDeadline, %v without", timed, plain)
+	}
+}
+
+// TestMailboxSteadyStateAllocatesNothing: after warm-up neither way through
+// the mailbox allocates — not a frame handed to a posted receive (recycled
+// waiter, reused posted queue), not a frame that waits in the unexpected queue
+// for its receive (reused backing array).
+func TestMailboxSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	m := newMailbox()
+	f := frame{Src: 1, Tag: 3, Data: []byte("x")}
+	unexpected := func() {
+		m.deliver(f)
+		if _, err := m.take(0, 1, 3); err != nil {
+			t.Error(err)
+		}
+	}
+	unexpected()
+	if n := testing.AllocsPerRun(200, unexpected); n != 0 {
+		t.Errorf("deliver then take through the unexpected queue allocates %v objects, want 0", n)
+	}
+
+	got := make(chan struct{})
+	go func() {
+		for {
+			if _, err := m.take(0, 1, 3); err != nil {
+				close(got)
+				return
+			}
+			got <- struct{}{}
+		}
+	}()
+	posted := func() {
+		awaitPosted(t, m, 1)
+		m.deliver(f)
+		<-got
+	}
+	posted()
+	if n := testing.AllocsPerRun(200, posted); n != 0 {
+		t.Errorf("deliver to a posted receive allocates %v objects, want 0", n)
+	}
+	m.close()
+	<-got
+}
+
+// TestDeliverWakesOnlyTheMatchingReceive: with k receives blocked on k tags,
+// one arrival completes exactly the receive that matches it — the posted
+// queue shrinks by that one waiter and no other waiter's wake slot is filled.
+func TestDeliverWakesOnlyTheMatchingReceive(t *testing.T) {
+	const k, hit = 6, 4
+	m := newMailbox()
+	got := make(chan int, k)
+	for tag := 0; tag < k; tag++ {
+		tag := tag
+		go func() {
+			if f, err := m.take(0, 1, tag); err == nil {
+				got <- f.Tag
+			}
+		}()
+		awaitPosted(t, m, tag+1) // posting order = tag order
+	}
+	m.mu.Lock()
+	waiters := append([]*waiter(nil), m.posted...)
+	m.mu.Unlock()
+
+	m.deliver(frame{Src: 1, Tag: hit})
+	if tag := <-got; tag != hit {
+		t.Fatalf("receive on tag %d completed, want the one on tag %d", tag, hit)
+	}
+	m.mu.Lock()
+	if len(m.posted) != k-1 {
+		t.Errorf("posted queue holds %d waiters after one delivery, want %d", len(m.posted), k-1)
+	}
+	for tag, w := range waiters {
+		if tag == hit {
+			continue
+		}
+		if len(w.wake) != 0 || w.done {
+			t.Errorf("waiter on tag %d was woken (wake slot %d, done %v) by a frame for tag %d", tag, len(w.wake), w.done, hit)
+		}
+	}
+	m.mu.Unlock()
+	select {
+	case tag := <-got:
+		t.Errorf("a second receive (tag %d) completed on one delivery", tag)
+	default:
+	}
+	m.close()
+}

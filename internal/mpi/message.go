@@ -138,7 +138,7 @@ type frame struct {
 // block for shm rendezvous frames, the wire-buffer freelist otherwise. Safe
 // (and a no-op) on every other frame; call it whenever a frame's payload is
 // discarded without being decoded.
-func (f frame) release() {
+func (f *frame) release() {
 	if f.Raw != rawNone && f.Data != nil {
 		f.releaseData()
 	}
@@ -146,7 +146,7 @@ func (f frame) release() {
 
 // releaseData hands back a raw frame's Data, honoring the rel override. The
 // caller has already established f.Raw != rawNone.
-func (f frame) releaseData() {
+func (f *frame) releaseData() {
 	if f.rel != nil {
 		f.rel()
 		return

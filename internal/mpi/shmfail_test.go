@@ -145,3 +145,19 @@ func TestShmRecoveryReclaimsOrphanedRendezvous(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShmPeerFailedAfterCloseIsHarmless: the hub reader goroutine outlives
+// the rank's main, so a failure notice can reach the endpoint after Close
+// unmapped the segment. The hook must then leave the segment alone — it used
+// to load a word of unmapped memory and take the whole process down with a
+// fault (seen in about one -race package run in forty).
+func TestShmPeerFailedAfterCloseIsHarmless(t *testing.T) {
+	skipNoShm(t)
+	obs := observeShm(t)
+	if err := RunShm(2, func(c *Comm) error { return c.Barrier() }); err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < 2; rank++ {
+		obs.get(rank).peerFailed(1 - rank)
+	}
+}

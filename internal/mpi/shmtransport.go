@@ -211,6 +211,12 @@ type shmTransport struct {
 	// released frame touching unmapped memory.
 	liveBlocks atomic.Int64
 
+	// unmapMu keeps Close's unmap and peerFailed apart: the hub reader
+	// goroutine outlives the rank's main and may still be acting on a late
+	// failure notice; once unmapped is set it must not touch the segment.
+	unmapMu  sync.Mutex
+	unmapped bool
+
 	// Window-heap allocator (the one-sided layer, win.go). A rank bump-
 	// allocates RMA window memory exclusively from its own heap region of
 	// the segment and publishes offsets through an Allgather at window
@@ -835,8 +841,12 @@ func (t *shmTransport) peerFailed(rank int) {
 	// The pair mutex excludes in-flight producers: a blocked one observes
 	// dead on its next backoff cycle and releases the lock promptly.
 	p.mu.Lock()
-	p.largeHead.Store(p.largeTail.Load())
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	t.unmapMu.Lock()
+	defer t.unmapMu.Unlock()
+	if !t.unmapped {
+		p.largeHead.Store(p.largeTail.Load())
+	}
 }
 
 // peerRejoined pins the outbound pair to a respawned rank onto the TCP
@@ -996,7 +1006,10 @@ func (t *shmTransport) Close() error {
 	}
 	err := t.tcp.Close()
 	if t.liveBlocks.Load() == 0 {
+		t.unmapMu.Lock()
 		t.seg.unmap()
+		t.unmapped = true
+		t.unmapMu.Unlock()
 	}
 	return err
 }

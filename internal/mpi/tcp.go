@@ -1676,14 +1676,15 @@ func (t *tcpTransport) corruptNextFrame() bool {
 // everything after the corrupt frame); closing the transport at that moment
 // would strand frames the hub still needs. The wait is bounded by the grace
 // window plus slack, because every path out of a broken session — resume,
-// refusal, expiry — resolves within it. Sessions without a grace window have
-// nothing to wait for: their writes either reached the socket or killed the
-// transport on the spot.
+// refusal, expiry — resolves within it. Sessions without a grace window wait
+// for the hub's acknowledgement of done too: closing first, with an ack still
+// unread in this socket, resets the connection under the hub's read of it,
+// which the hub reports as a lost rank.
 func (t *tcpTransport) drain() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closing = true
-	if t.wire < wireVersion2 || t.grace <= 0 {
+	if t.wire < wireVersion2 {
 		return
 	}
 	timedOut := false

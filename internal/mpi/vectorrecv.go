@@ -72,8 +72,8 @@ func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply f
 	if err := c.checkRank(source); err != nil {
 		return 0, err
 	}
-	f, err := c.waitFrame("Recv", source, tag, true)
-	if err != nil {
+	var f frame
+	if err := c.waitFrame("Recv", source, tag, true, &f); err != nil {
 		return 0, err
 	}
 	if in, ok := frameSegView[T](f); ok {

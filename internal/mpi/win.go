@@ -541,8 +541,8 @@ func (w *Win[T]) serve() {
 		// window must not trip WithDeadline, and the service must outlive
 		// unrelated rank failures. Abort still unblocks it via the poisoned
 		// mailbox.
-		f, err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, true)
-		if err != nil {
+		var f frame
+		if err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, true, &f); err != nil {
 			return
 		}
 		var op winOp

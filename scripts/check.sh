@@ -62,9 +62,19 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 # transports and demand bit-equal results.
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 
-# The packages the shm-exemplars-t2 gate workload times are held to gofmt as
-# well (`go vet ./...` above already covers them): any name printed fails.
-test -z "$(gofmt -l internal/shm internal/exemplars)"
+# The packages the shm-exemplars-t2 gate workload times, and the three files
+# under the pingpong-8B-local one, are held to gofmt as well (`go vet ./...`
+# above already covers them): any name printed fails.
+test -z "$(gofmt -l internal/shm internal/exemplars internal/mpi/mailbox.go internal/mpi/fastpath.go internal/mpi/comm.go)"
+
+# Receive matching: the posted/unexpected-queue mailbox against its one-list
+# reference model under seeded random scripts (several goroutines blocked on
+# one mailbox, revoke racing a hand-over), and the non-overtaking parity tests
+# across transports and under asymmetric latency. Twenty fresh runs: the
+# interleavings of wake-up, re-check and retire differ every time.
+go test -race -timeout 300s -count=20 \
+  -run 'TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
+  ./internal/mpi/
 
 # The master-worker kill tests used to pass by scheduling luck: a kill is
 # armed on the victim's k-th send, and the dynamic queue promised the victim

@@ -62,14 +62,15 @@ func echoFloats(c *Comm) error {
 	}
 }
 
-// BenchmarkRoundTripLocal8B is the gate's pingpong-8B-local op as a Go
-// benchmark: rank 0 sends a one-value []float64 and receives the echo.
-func BenchmarkRoundTripLocal8B(b *testing.B) {
+// benchRoundTripLocal is the gate's pingpong-8B-local op as a Go benchmark,
+// at any size: rank 0 sends elems float64 values and receives the echo.
+func benchRoundTripLocal(b *testing.B, elems int) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return echoFloats(c)
 		}
-		send, recv := []float64{1}, []float64(nil)
+		send, recv := make([]float64, elems), []float64(nil)
+		b.SetBytes(int64(2 * 8 * elems))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -87,6 +88,9 @@ func BenchmarkRoundTripLocal8B(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+func BenchmarkRoundTripLocal8B(b *testing.B)   { benchRoundTripLocal(b, 1) }
+func BenchmarkRoundTripLocal1MiB(b *testing.B) { benchRoundTripLocal(b, 1<<17) }
 
 // Collective cost versus world size.
 func benchBcast(b *testing.B, np int) {

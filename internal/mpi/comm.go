@@ -130,9 +130,12 @@ func (c *Comm) checkRank(r int) error {
 
 // sendValue routes v to a communicator-local rank under an arbitrary
 // (possibly reserved) tag. On a typed world (local transport, serialization
-// not forced) whitelisted values travel as copy-on-send typed payloads and
-// never touch gob; everything else — and every frame on a serializing
-// transport — is gob-encoded here, before the transport sees it.
+// not forced) whitelisted values travel in memory and never touch gob, and a
+// wire world (TCP, shm) takes raw-encodable slices the same way; everything
+// else is gob-encoded here, before the transport sees it. A slice is lent,
+// not copied: whichever transport carries the frame has read its elements by
+// the time Send returns (frame.borrowed), so the caller may overwrite v at
+// once.
 func (c *Comm) sendValue(dest, tag int, v any) error {
 	if err := c.world.abortErr(); err != nil {
 		return err
@@ -153,20 +156,14 @@ func (c *Comm) sendValue(dest, tag int, v any) error {
 		Tag:  tag,
 	}
 	if c.world.typed {
-		if pv, ok := typedPayload(v); ok {
-			f.Val, f.HasVal = pv, true
-			return c.world.transport.Send(f)
-		}
+		f.borrowed, f.HasVal = typedValue(v)
+	} else if c.world.wire {
+		_, f.HasVal = rawKindOf(v)
+		f.borrowed = f.HasVal
 	}
-	if c.world.wire {
-		if _, ok := rawKindOf(v); ok {
-			// No defensive copy: a wire-capable transport raw-encodes the
-			// slice before Send returns (see wireCapable), so the caller may
-			// mutate v immediately afterwards, exactly as on the copied
-			// local fast path.
-			f.Val, f.HasVal = v, true
-			return c.world.transport.Send(f)
-		}
+	if f.HasVal {
+		f.Val = v
+		return c.world.transport.Send(f)
 	}
 	data, err := encodeValue(v)
 	if err != nil {
@@ -182,7 +179,7 @@ func (c *Comm) sendValue(dest, tag int, v any) error {
 // also installs the interruption check: a rank failure or revoke observed
 // while blocked turns the wait into a retryable *RankFailedError — after a
 // match miss, so frames already queued from a failed rank still deliver.
-func (c *Comm) waitFrame(op string, source, tag int, pop bool, out *frame) error {
+func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *frame) error {
 	w := c.world
 	var check func() error
 	if r := w.recov; r != nil {
@@ -194,7 +191,7 @@ func (c *Comm) waitFrame(op string, source, tag int, pop bool, out *frame) error
 		check = func() error { return r.opErr(c, srcWorld, startFail) }
 	}
 	onTimeout := func() error { return w.deadlineFired(c.worldRank(c.rank), op, c.ctx, source, tag) }
-	return c.mailbox().wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, out)
+	return c.mailbox().wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, dst, out)
 }
 
 // recv takes the earliest message matching (source, tag) — which may use
@@ -207,7 +204,7 @@ func (c *Comm) recv(source, tag int, v any) (Status, error) {
 		}
 	}
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, true, &f); err != nil {
+	if err := c.waitFrame("Recv", source, tag, true, v, &f); err != nil {
 		return Status{}, err
 	}
 	st := f.status()
@@ -224,9 +221,9 @@ func (c *Comm) recv(source, tag int, v any) (Status, error) {
 // Send delivers v to rank dest under the given tag, blocking at most for
 // local buffering (MPI buffered-mode semantics; there is no rendezvous).
 // Tags must be non-negative, as in MPI. The value the receiver observes is
-// always a private copy: the local transport copies whitelisted payloads on
-// send (and gob round-trips the rest), so mutating v — or a slice it
-// contains — after Send never races with the receiver.
+// always a private copy, taken before Send returns on every transport, so
+// mutating v — or a slice it contains — after Send never races with the
+// receiver.
 func (c *Comm) Send(dest, tag int, v any) error {
 	if tag < 0 {
 		return fmt.Errorf("%w: user tags must be >= 0, got %d", ErrInvalidTag, tag)
@@ -237,7 +234,9 @@ func (c *Comm) Send(dest, tag int, v any) error {
 // Recv blocks until a message matching (source, tag) arrives and decodes it
 // into the pointer v. source may be AnySource and tag may be AnyTag; the
 // returned Status carries the actual source and tag. Pass v == nil to
-// discard the payload.
+// discard the payload. A slice *v with enough capacity is overwritten in
+// place, so copy out what must survive the next Recv into v; after an error
+// its contents are unspecified.
 func (c *Comm) Recv(source, tag int, v any) (Status, error) {
 	if tag < 0 && tag != AnyTag {
 		return Status{}, fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
@@ -265,7 +264,7 @@ func (c *Comm) Probe(source, tag int) (Status, error) {
 		}
 	}
 	var f frame
-	if err := c.waitFrame("Probe", source, tag, false, &f); err != nil {
+	if err := c.waitFrame("Probe", source, tag, false, nil, &f); err != nil {
 		return Status{}, err
 	}
 	return f.status(), nil

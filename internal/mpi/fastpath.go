@@ -9,9 +9,8 @@ import (
 
 // The zero-serialization fast path. When every rank lives in one process
 // (the local transport), a message does not need a wire format at all: the
-// runtime can hand the receiver a private copy of the Go value directly.
-// This file decides which values qualify and performs the copy-on-send /
-// assign-on-receive halves of that contract.
+// runtime copies the Go value from the sender to the receiver directly.
+// This file decides which values qualify and performs the copies.
 //
 // Semantics are pinned to the serialized path: the receiver observes a value
 // it exclusively owns (mutating it never affects the sender and vice versa),
@@ -19,45 +18,69 @@ import (
 // would have under gob — including gob's cross-numeric-type flexibility and
 // its error text — because mismatches fall back to a gob round trip.
 
-// typedPayload returns a self-contained copy of v for in-memory delivery
-// and reports whether v is on the fast-path whitelist. Scalars and strings
-// are copied by the interface boxing itself; slices of scalars are copied
-// explicitly (copy-on-send, so the sender may mutate its buffer immediately
-// after Send, as with a buffered MPI send); structs qualify when a shallow
-// copy is provably a full copy (only exported scalar/string/array-of-scalar
-// fields, no custom gob encoding).
-func typedPayload(v any) (any, bool) {
-	switch x := v.(type) {
+// typedValue reports whether v is on the fast-path whitelist and, if so,
+// whether it is a slice, which travels borrowed (frame.borrowed) and is
+// copied where it arrives. Scalars and strings are copied by the interface
+// boxing itself; structs qualify when a shallow copy is provably a full copy
+// (only exported scalar/string/array-of-scalar fields, no custom gob
+// encoding), and boxing one into v already made that copy.
+func typedValue(v any) (slice, ok bool) {
+	switch v.(type) {
 	case bool, int, int8, int16, int32, int64,
 		uint, uint8, uint16, uint32, uint64,
 		float32, float64, complex64, complex128, string:
-		return x, true
-	case []float64:
-		return append([]float64(nil), x...), true
-	case []int:
-		return append([]int(nil), x...), true
-	case []byte:
-		return append([]byte(nil), x...), true
-	case []int64:
-		return append([]int64(nil), x...), true
-	case []int32:
-		return append([]int32(nil), x...), true
-	case []float32:
-		return append([]float32(nil), x...), true
-	case []bool:
-		return append([]bool(nil), x...), true
-	case []string:
-		return append([]string(nil), x...), true
+		return false, true
+	case []float64, []int, []byte, []int64, []int32, []float32, []bool, []string:
+		return true, true
 	case nil:
 		// Let the gob path report its usual nil-payload error.
-		return nil, false
+		return false, false
 	}
-	if shallowCopyable(reflect.TypeOf(v)) {
-		// Boxing a struct into an interface already copied it by value, so
-		// v is a private copy the receiver can own outright.
-		return v, true
+	return false, shallowCopyable(reflect.TypeOf(v))
+}
+
+// settle ends a borrowed slice's loan, so the frame may outlive the Send that
+// carries it: the elements are copied straight into the receive pointer dst
+// when it points to a slice of exactly the sent type — reusing its backing
+// array when the capacity allows, as rawDecodeInto does on the wire paths —
+// and the frame is marked landed; otherwise (another type, no destination)
+// Val becomes a private copy. A []string never lands: its Status.Bytes
+// needs the elements.
+func (f *frame) settle(dst any) {
+	if !f.borrowed {
+		return
 	}
-	return nil, false
+	switch x := f.Val.(type) {
+	case []float64:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []int:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []byte:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []int64:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []int32:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []float32:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []bool:
+		f.Val, f.landed = settled(x, dst, f.Val)
+	case []string:
+		f.Val, f.landed = settled(x, nil, f.Val)
+	}
+	f.borrowed = false
+}
+
+// settled returns val itself (x, already boxed) and true after copying x into
+// *dst, or a private copy of x and false. A nil *[]T is left for the receiver
+// to trip over, on its own goroutine.
+func settled[T any](x []T, dst, val any) (any, bool) {
+	if p, ok := dst.(*[]T); ok && p != nil {
+		*p = growSlice(*p, len(x))
+		copy(*p, x)
+		return val, true
+	}
+	return append([]T(nil), x...), false
 }
 
 // shallowCache memoizes the per-type whitelist decision (reflect.Type -> bool).
@@ -205,11 +228,14 @@ func typedSize(v any) int {
 }
 
 // decodeInto materializes the frame's payload into the pointer v, whichever
-// representation the frame carries. Fast-path frames whose stored type does
-// not exactly match *v are round-tripped through gob so the observable
-// behavior (numeric widening, error text) is identical to the serialized
-// path.
+// representation the frame carries; a landed frame's is there already.
+// Fast-path frames whose stored type does not exactly match *v are
+// round-tripped through gob so the observable behavior (numeric widening,
+// error text) is identical to the serialized path.
 func (f *frame) decodeInto(v any) error {
+	if f.landed {
+		return nil
+	}
 	if f.Raw != rawNone {
 		if rawDecodeInto(f.Raw, f.Data, v) {
 			f.releaseData()

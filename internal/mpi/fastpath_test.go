@@ -1,11 +1,14 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTypedPayloadWhitelist(t *testing.T) {
@@ -30,8 +33,12 @@ func TestTypedPayloadWhitelist(t *testing.T) {
 		scalars{A: 1, B: 2, C: "x", D: [3]int{1, 2, 3}},
 	}
 	for _, v := range yes {
-		if _, ok := typedPayload(v); !ok {
-			t.Errorf("typedPayload(%T) rejected, want fast path", v)
+		slice, ok := typedValue(v)
+		if !ok {
+			t.Errorf("typedValue(%T) rejected, want fast path", v)
+		}
+		if want := reflect.TypeOf(v).Kind() == reflect.Slice; slice != want {
+			t.Errorf("typedValue(%T) reports slice = %v, want %v", v, slice, want)
 		}
 	}
 	no := []any{
@@ -43,42 +50,156 @@ func TestTypedPayloadWhitelist(t *testing.T) {
 		[][]int{{1}},
 	}
 	for _, v := range no {
-		if _, ok := typedPayload(v); ok {
-			t.Errorf("typedPayload(%T) accepted, want gob path", v)
+		if _, ok := typedValue(v); ok {
+			t.Errorf("typedValue(%T) accepted, want gob path", v)
 		}
 	}
 }
 
-// TestCopyOnSendDecouplesSenderBuffer pins the aliasing guarantee: mutating
-// the sent slice immediately after Send must not be visible to the receiver,
-// exactly as if the payload had been serialized.
-func TestCopyOnSendDecouplesSenderBuffer(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []float64{1, 2, 3}
-			if err := c.Send(1, 0, buf); err != nil {
+// ownSync orders one ownership exchange between the two rank goroutines of
+// an in-process world, whichever transport connects them.
+type ownSync struct {
+	box   chan *mailbox // rank 1's mailbox, for rank 0 to watch
+	ready chan struct{} // rank 1 is about to Recv (posted order)
+	sent  chan struct{} // rank 0's Send has returned (unexpected order)
+	dead  chan struct{} // closed by a rank that failed, so its partner does not wait for it
+}
+
+var errOwnPartner = errors.New("the other rank failed")
+
+// await receives from ch unless the other rank has failed.
+func (y *ownSync) await(ch <-chan struct{}) error {
+	select {
+	case <-ch:
+		return nil
+	case <-y.dead:
+		return errOwnPartner
+	}
+}
+
+// ownershipExchange sends two three-element slices from rank 0 to rank 1, one
+// variable on each side. The sender overwrites its buffer the moment Send
+// returns; the receiver must see the values from before, owns what it got
+// (it writes an element while the sender scribbles — the -race run is that
+// assertion), and a copy taken out of the first message must survive the
+// second Recv into the same variable. posted: each Recv is on the mailbox's
+// posted queue before its Send starts; otherwise each Send has returned
+// before its Recv starts.
+func ownershipExchange[S, R comparable](c *Comm, y *ownSync, posted bool, tag int, s func(int) S, r func(int) R) error {
+	bases := []int{10, 20}
+	if c.Rank() == 0 {
+		box := <-y.box
+		y.box <- box
+		for _, base := range bases {
+			buf := []S{s(base), s(base + 1), s(base + 2)}
+			if posted {
+				if err := y.await(y.ready); err != nil {
+					return err
+				}
+				if err := waitPosted(box, 1); err != nil {
+					return err
+				}
+			}
+			if err := c.Send(1, tag, buf); err != nil {
 				return err
 			}
-			buf[0] = -99 // must not reach rank 1
-			return c.Barrier()
+			for i := range buf {
+				buf[i] = s(-1)
+			}
+			if !posted {
+				y.sent <- struct{}{}
+			}
 		}
-		if err := c.Barrier(); err != nil { // mutate strictly before receive
-			return err
-		}
-		var got []float64
-		if _, err := c.Recv(0, 0, &got); err != nil {
-			return err
-		}
-		if got[0] != 1 {
-			return fmt.Errorf("receiver saw sender's post-send mutation: %v", got)
-		}
-		// The receiver owns its value outright: writing it must not race
-		// with anyone (the -race run of this test is the real assertion).
-		got[1] = 42
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+	var got, kept, first []R
+	for _, base := range bases {
+		if posted {
+			select {
+			case y.ready <- struct{}{}:
+			case <-y.dead:
+				return errOwnPartner
+			}
+		} else if err := y.await(y.sent); err != nil {
+			return err
+		}
+		if _, err := c.Recv(0, tag, &got); err != nil {
+			return err
+		}
+		want := []R{r(base), r(base + 1), r(base + 2)}
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("%T into %T: received %v, want %v (the sender's write after Send must not show)", []S(nil), &got, got, want)
+		}
+		if kept == nil {
+			kept, first = slices.Clone(got), want
+			got[1] = r(-1)
+		}
+	}
+	if !slices.Equal(kept, first) {
+		return fmt.Errorf("%T into %T: a copy of the first message reads %v after the second Recv, want %v", []S(nil), &got, kept, first)
+	}
+	return nil
+}
+
+// TestCopyOnSendDecouplesSenderBuffer pins the ownership rule on every
+// transport, in both arrival orders, for every slice type that travels
+// borrowed plus a receive pointer of another type (which takes the gob
+// detour): mutating the sent slice immediately after Send is never visible to
+// the receiver, exactly as if the payload had been serialized.
+func TestCopyOnSendDecouplesSenderBuffer(t *testing.T) {
+	modes := []parityMode{
+		{name: "local", run: Run},
+		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
+		{name: "local-latency", run: Run, opts: []Option{WithLatency(func(src, dst int) time.Duration { return 20 * time.Microsecond })}},
+		{name: "tcp", run: RunTCP},
+	}
+	if shmSupported {
+		modes = append(modes, parityMode{name: "shm", run: RunShm})
+	}
+	num := func(i int) int { return i }
+	for _, mode := range modes {
+		for _, posted := range []bool{true, false} {
+			mode, posted := mode, posted
+			name := mode.name + "/send-first"
+			if posted {
+				name = mode.name + "/recv-posted"
+			}
+			t.Run(name, func(t *testing.T) {
+				y := &ownSync{box: make(chan *mailbox, 1), ready: make(chan struct{}), sent: make(chan struct{}, 1), dead: make(chan struct{})}
+				err := mode.run(2, func(c *Comm) (err error) {
+					defer func() {
+						if err != nil {
+							close(y.dead)
+						}
+					}()
+					if c.Rank() == 1 {
+						y.box <- c.mailbox()
+					}
+					f64 := func(i int) float64 { return float64(i) / 2 }
+					f32 := func(i int) float32 { return float32(i) / 2 }
+					i64 := func(i int) int64 { return int64(i) << 33 }
+					i32 := func(i int) int32 { return int32(i) }
+					u8 := func(i int) byte { return byte(i) }
+					even := func(i int) bool { return i >= 0 && i%2 == 0 }
+					str := func(i int) string { return fmt.Sprint("s", i) }
+					wide := func(i int) int64 { return int64(i) }
+					return errors.Join(
+						ownershipExchange(c, y, posted, 0, f64, f64),
+						ownershipExchange(c, y, posted, 1, num, num),
+						ownershipExchange(c, y, posted, 2, u8, u8),
+						ownershipExchange(c, y, posted, 3, i64, i64),
+						ownershipExchange(c, y, posted, 4, i32, i32),
+						ownershipExchange(c, y, posted, 5, f32, f32),
+						ownershipExchange(c, y, posted, 6, even, even),
+						ownershipExchange(c, y, posted, 7, str, str),
+						ownershipExchange(c, y, posted, 8, num, wide), // []int into *[]int64: gob's widening
+					)
+				}, mode.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 
@@ -164,11 +285,6 @@ func (r *recordingTransport) Send(f frame) error {
 }
 
 func (r *recordingTransport) Close() error { return r.inner.Close() }
-
-func (r *recordingTransport) deliversTyped() bool {
-	tc, ok := r.inner.(typedCapable)
-	return ok && tc.deliversTyped()
-}
 
 func (r *recordingTransport) frames() []frame {
 	r.mu.Lock()

@@ -322,18 +322,12 @@ func (t *faultTransport) Send(f frame) error {
 		}
 		return t.inner.Send(f)
 	case FaultDuplicate:
-		dup := f
-		if f.HasVal {
-			// Re-copy the typed payload so the two deliveries never share
-			// a buffer: each receiver must own its value outright.
-			if pv, ok := typedPayload(f.Val); ok {
-				dup.Val = pv
-			}
-		}
+		// Each delivery copies a borrowed payload for itself, so the two
+		// receivers never share a buffer.
 		if err := t.inner.Send(f); err != nil {
 			return err
 		}
-		return t.inner.Send(dup)
+		return t.inner.Send(f)
 	default:
 		return t.inner.Send(f)
 	}
@@ -352,20 +346,4 @@ func (t *faultTransport) revive(rank int) {
 	t.mu.Lock()
 	delete(t.killed, rank)
 	t.mu.Unlock()
-}
-
-// deliversTyped forwards the wrapped transport's fast-path capability:
-// injecting faults must not silently change how surviving messages travel.
-func (t *faultTransport) deliversTyped() bool {
-	tc, ok := t.inner.(typedCapable)
-	return ok && tc.deliversTyped()
-}
-
-// wiresTyped forwards the wrapped transport's raw-framing capability. Every
-// fault action stays synchronous on the sender (delays sleep, duplicates
-// re-send inline), so the wireCapable contract — Val is fully consumed
-// before Send returns — survives the decoration.
-func (t *faultTransport) wiresTyped() bool {
-	wc, ok := t.inner.(wireCapable)
-	return ok && wc.wiresTyped()
 }

@@ -14,7 +14,10 @@ import (
 // tag) — wildcards allowed — and posts itself only on a miss. An arriving
 // frame scans the posted queue and is handed to the earliest receive it
 // matches directly, with one wake-up aimed at that receive alone, and joins
-// the unexpected queue only when no receive wants it yet.
+// the unexpected queue only when no receive wants it yet. A slice borrowed
+// from its sender (frame.borrowed) is copied on the way: into that receive's
+// destination when it names a slice of the same type, else into a private
+// copy — once either way, and with the lock released.
 //
 // Ordering holds by construction: a receive is posted only after the
 // unexpected queue had no match for it, and every later matching arrival is
@@ -44,15 +47,18 @@ const unexpKeep = 256
 
 // waiter is one posted receive (pop) or probe: what it matches, the slot
 // deliver fills for a receive, and its one-slot wake-up. Every send on wake
-// happens under the mailbox lock to a waiter still posted, so one taken off
-// the queue and drained under that lock is recycled empty. (The deadline
-// timer is the one outside sender; its stray wake-up costs a re-check.)
+// happens under the mailbox lock to a waiter that is posted or busy, neither
+// of which its owner leaves in, so one drained under that lock is recycled
+// empty. (The deadline timer is the one outside sender; its stray wake-up
+// costs a re-check.)
 type waiter struct {
 	op       string
 	ctx      int64
 	src, tag int
 	since    time.Time // when it blocked; zero outside deadline worlds, which keeps it out of snapshots
 	pop      bool
+	dst      any   // Recv's destination pointer, which a borrowed slice is copied into; nil otherwise
+	busy     bool  // claimed by a deliver that is copying its payload with the lock released
 	done     bool  // f was handed over by deliver
 	f        frame // the one frame a receive waits for
 	wake     chan struct{}
@@ -71,20 +77,34 @@ func newMailbox() *mailbox { return &mailbox{} }
 // deliver hands an arriving frame to the earliest posted receive matching
 // it, or queues it as unexpected. Probes posted ahead of that receive are
 // woken to look again; a frame no receive takes stays queued for them.
+//
+// A borrowed payload is settled before deliver returns, with the lock
+// released so that senders to one rank copy in parallel. The receive it was
+// claimed for is off the posted queue and busy meanwhile — no other arrival
+// can match it and its owner cannot leave — and a frame that found none
+// looks again once it owns its payload.
 func (m *mailbox) deliver(f frame) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, w := range m.posted {
-		if !f.matches(w.ctx, w.src, w.tag) {
-			continue
+	w := m.claimLocked(&f)
+	if f.borrowed {
+		var dst any
+		if w != nil {
+			w.busy, dst = true, w.dst
 		}
-		if w.pop {
-			w.f, w.done = f, true
-			m.posted = slices.Delete(m.posted, i, i+1)
-			w.signal()
-			return
+		m.mu.Unlock()
+		f.settle(dst)
+		m.mu.Lock()
+		if w != nil {
+			w.busy = false
+		} else {
+			w = m.claimLocked(&f)
 		}
+	}
+	if w != nil {
+		w.f, w.done = f, true
 		w.signal()
+		m.mu.Unlock()
+		return
 	}
 	// Reclaim the consumed prefix once it is half the array instead of
 	// growing, so a mailbox in steady state stops allocating.
@@ -94,6 +114,24 @@ func (m *mailbox) deliver(f frame) {
 		m.unexp, m.head = m.unexp[:n], 0
 	}
 	m.unexp = append(m.unexp, f)
+	m.mu.Unlock()
+}
+
+// claimLocked takes the earliest posted receive matching f off the posted
+// queue and returns it, or nil; matching probes ahead of it are woken. Caller
+// holds m.mu.
+func (m *mailbox) claimLocked(f *frame) *waiter {
+	for i, w := range m.posted {
+		if !f.matches(w.ctx, w.src, w.tag) {
+			continue
+		}
+		if w.pop {
+			m.posted = slices.Delete(m.posted, i, i+1)
+			return w
+		}
+		w.signal()
+	}
+	return nil
 }
 
 // matches reports whether f satisfies a receive for (ctx, src, tag),
@@ -130,7 +168,9 @@ func (m *mailbox) removeLocked(i int) {
 // wait blocks until a frame matching (ctx, src, tag) is available and
 // stores it in out, taking it for receives (pop) and leaving it queued for
 // probes (!pop). It is the single blocking primitive under Recv, Probe, and
-// every collective.
+// every collective. dst, if not nil, is the pointer the caller will decode
+// into: once the receive is posted, deliver may copy a borrowed slice straight
+// into it and hand over the frame landed.
 //
 // The checks run in revoke order: a poisoned mailbox fails immediately
 // (even with a matching frame queued or already handed over — the world is
@@ -143,7 +183,7 @@ func (m *mailbox) removeLocked(i int) {
 // onTimeout is invoked with the waiter still posted and m.mu released — it
 // may inspect other mailboxes and poison this one — and its error is
 // returned verbatim. check is called with m.mu held and must not block.
-func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, out *frame) (err error) {
+func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, dst any, out *frame) (err error) {
 	var w *waiter
 	var timer *time.Timer
 	var deadlineAt time.Time
@@ -177,7 +217,7 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			} else {
 				w = &waiter{wake: make(chan struct{}, 1)}
 			}
-			w.op, w.ctx, w.src, w.tag, w.pop = op, ctx, src, tag, pop
+			w.op, w.ctx, w.src, w.tag, w.pop, w.dst = op, ctx, src, tag, pop, dst
 			m.posted = append(m.posted, w)
 			if timeout > 0 {
 				w.since = time.Now()
@@ -188,11 +228,12 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			m.mu.Unlock()
 			err = onTimeout()
 			m.mu.Lock()
+			if w.busy {
+				m.sleepLocked(w)
+			}
 			break
 		}
-		m.mu.Unlock()
-		<-w.wake
-		m.mu.Lock()
+		m.sleepLocked(w)
 	}
 	if w != nil {
 		if w.done { // handed over, then revoked or timed out: nobody else can free it
@@ -205,7 +246,7 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 		case <-w.wake:
 		default:
 		}
-		w.f, w.done, w.since = frame{}, false, time.Time{}
+		w.f, w.dst, w.done, w.since = frame{}, nil, false, time.Time{}
 		m.free = append(m.free, w)
 	}
 	m.mu.Unlock()
@@ -213,6 +254,20 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 		timer.Stop()
 	}
 	return err
+}
+
+// sleepLocked releases m.mu until w is woken, and again while a deliver that
+// claimed w is still copying into its destination: the receive may neither
+// time out nor return an error under a copy in progress. Caller holds m.mu.
+func (m *mailbox) sleepLocked(w *waiter) {
+	for {
+		m.mu.Unlock()
+		<-w.wake
+		m.mu.Lock()
+		if !w.busy {
+			return
+		}
+	}
 }
 
 // appendBlocked appends rank's operations stuck under a deadline to out.

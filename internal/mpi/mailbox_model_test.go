@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +18,12 @@ import (
 // take removes and returns the earliest frame matching (ctx, src, tag),
 // blocking until one arrives, the mailbox closes, or the world aborts.
 func (m *mailbox) take(ctx int64, src, tag int) (f frame, err error) {
-	err = m.wait("Recv", ctx, src, tag, 0, nil, nil, true, &f)
+	return m.takeInto(ctx, src, tag, nil)
+}
+
+// takeInto is take with a destination pointer, as Comm.recv posts it.
+func (m *mailbox) takeInto(ctx int64, src, tag int, dst any) (f frame, err error) {
+	err = m.wait("Recv", ctx, src, tag, 0, nil, nil, true, dst, &f)
 	return f, err
 }
 
@@ -25,7 +31,7 @@ func (m *mailbox) take(ctx int64, src, tag int) (f frame, err error) {
 // the mailbox closes, or the world aborts: the core of the blocking Probe.
 func (m *mailbox) waitMatch(ctx int64, src, tag int) (Status, error) {
 	var f frame
-	if err := m.wait("Probe", ctx, src, tag, 0, nil, nil, false, &f); err != nil {
+	if err := m.wait("Probe", ctx, src, tag, 0, nil, nil, false, nil, &f); err != nil {
 		return Status{}, err
 	}
 	return f.status(), nil
@@ -54,7 +60,7 @@ type refOp struct {
 	res      chan refRes
 }
 
-// refRes identifies a frame by its payload length, which every generated
+// refRes identifies a frame by its payload size, which every generated
 // frame has to itself and which Status.Bytes reports for probes.
 type refRes struct {
 	id  int
@@ -76,7 +82,7 @@ func (r *refBox) deliver(f frame) map[*refOp]refRes {
 	for i, op := range r.pending {
 		if op.pop && matches(f, op.ctx, op.src, op.tag) {
 			r.pending = append(r.pending[:i:i], r.pending[i+1:]...)
-			done[op] = refRes{id: len(f.Data)}
+			done[op] = refRes{id: f.payloadSize()}
 			return done
 		}
 	}
@@ -84,7 +90,7 @@ func (r *refBox) deliver(f frame) map[*refOp]refRes {
 	keep := r.pending[:0:0]
 	for _, op := range r.pending {
 		if matches(f, op.ctx, op.src, op.tag) {
-			done[op] = refRes{id: len(f.Data)}
+			done[op] = refRes{id: f.payloadSize()}
 		} else {
 			keep = append(keep, op)
 		}
@@ -99,7 +105,7 @@ func (r *refBox) issue(op *refOp) (refRes, bool) {
 		return refRes{err: r.failed}, true
 	}
 	if i := r.find(op.ctx, op.src, op.tag); i >= 0 {
-		res := refRes{id: len(r.queue[i].Data)}
+		res := refRes{id: r.queue[i].payloadSize()}
 		if op.pop {
 			r.queue = append(r.queue[:i:i], r.queue[i+1:]...)
 		}
@@ -128,13 +134,21 @@ func postedLen(m *mailbox) int {
 	return len(m.posted)
 }
 
-// awaitPosted spins until exactly n operations are posted on m.
-func awaitPosted(t *testing.T, m *mailbox, n int) {
-	t.Helper()
+// waitPosted spins until exactly n operations are posted on m.
+func waitPosted(m *mailbox, n int) error {
 	for stop := time.Now().Add(10 * time.Second); postedLen(m) != n; runtime.Gosched() {
 		if time.Now().After(stop) {
-			t.Fatalf("posted queue holds %d operations, want %d", postedLen(m), n)
+			return fmt.Errorf("posted queue holds %d operations, want %d", postedLen(m), n)
 		}
+	}
+	return nil
+}
+
+// awaitPosted is waitPosted for the test's own goroutine.
+func awaitPosted(t *testing.T, m *mailbox, n int) {
+	t.Helper()
+	if err := waitPosted(m, n); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -146,9 +160,14 @@ func awaitPosted(t *testing.T, m *mailbox, n int) {
 // block on one mailbox, as Irecv and the progress engine make them. After
 // each step the script waits for exactly the operations the reference
 // completed and compares results, so a probe woken for a frame a receive took
-// must have gone back to waiting or a later step fails. Every frame carries a
-// release hook: one that a take returned is released once, by the script; no
-// other frame is released at all.
+// must have gone back to waiting or a later step fails. Half the frames are
+// raw and carry a release hook: one that a take returned is released once, by
+// the script; no other frame is released at all. The other half are borrowed
+// []byte payloads that the script overwrites the moment deliver returns, and
+// takes bring destinations of every sort (none, empty, roomy, another type):
+// the take the reference matched must find the payload as sent — in its own
+// destination if the frame landed, reusing its capacity, else in a private
+// copy — so a payload copied into any other receive's destination fails it.
 func TestMailboxMatchesReferenceModel(t *testing.T) {
 	const (
 		seeds      = 60
@@ -156,11 +175,12 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		maxPending = 4
 	)
 	errPoison := errors.New("model: world revoked")
+	var landings atomic.Int32
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, ref := newMailbox(), &refBox{}
 		var released [steps + 1]atomic.Int32
-		taken := map[int]bool{}
+		taken, hooked := map[int]bool{}, map[int]bool{}
 		nextID := 1
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
@@ -208,10 +228,20 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				ctx, src, tag := pick(false)
 				id := nextID
 				nextID++
-				f := frame{Ctx: ctx, Src: src, Tag: tag, Raw: rawBytes, Data: make([]byte, id),
-					rel: func() { released[id].Add(1) }}
+				f := frame{Ctx: ctx, Src: src, Tag: tag}
+				var lent []byte
+				if rng.Intn(2) == 0 {
+					lent = bytes.Repeat([]byte{byte(id)}, id)
+					f.Val, f.HasVal, f.borrowed = lent, true, true
+				} else {
+					f.Raw, f.Data, f.rel = rawBytes, make([]byte, id), func() { released[id].Add(1) }
+					hooked[id] = true
+				}
 				done := ref.deliver(f)
 				m.deliver(f)
+				for i := range lent { // the sender's buffer is its own again
+					lent[i] = ^byte(id)
+				}
 				settle(step, done)
 			case k < 80:
 				if len(ref.pending) >= maxPending {
@@ -219,13 +249,30 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				}
 				ctx, src, tag := pick(true)
 				op := &refOp{ctx: ctx, src: src, tag: tag, pop: k < 68, res: make(chan refRes, 1)}
+				dstKind := rng.Intn(4)
 				go func() {
 					if op.pop {
-						f, err := m.take(op.ctx, op.src, op.tag)
+						var buf []byte
+						var dst any
+						switch dstKind {
+						case 1:
+							dst = &buf
+						case 2:
+							buf = make([]byte, 2, steps+1)
+							dst = &buf
+						case 3:
+							dst = new([]int64)
+						}
+						room := cap(buf)
+						f, err := m.takeInto(op.ctx, op.src, op.tag, dst)
 						if err == nil {
 							f.release()
+							err = checkTaken(f, buf, room)
 						}
-						op.res <- refRes{id: len(f.Data), err: err}
+						if f.landed {
+							landings.Add(1)
+						}
+						op.res <- refRes{id: f.payloadSize(), err: err}
 						return
 					}
 					st, err := m.waitMatch(op.ctx, op.src, op.tag)
@@ -243,7 +290,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				if ref.failed == nil {
 					i = ref.find(ctx, src, tag)
 				}
-				if ok != (i >= 0) || ok && (st.Bytes != len(ref.queue[i].Data) || st.Source != ref.queue[i].Src || st.Tag != ref.queue[i].Tag) {
+				if ok != (i >= 0) || ok && (st.Bytes != ref.queue[i].payloadSize() || st.Source != ref.queue[i].Src || st.Tag != ref.queue[i].Tag) {
 					fail(step, "peek(%d,%d,%d) = %+v, %v; reference index %d", ctx, src, tag, st, ok, i)
 				}
 			case k < 97:
@@ -266,7 +313,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		settle(steps, ref.end(ErrShutdown))
 		for id := 1; id < nextID; id++ {
 			want := int32(0)
-			if taken[id] {
+			if taken[id] && hooked[id] {
 				want = 1
 			}
 			if got := released[id].Load(); got != want {
@@ -274,28 +321,60 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
+	if landings.Load() == 0 {
+		t.Fatal("no borrowed frame landed in a posted receive's destination")
+	}
+}
+
+// checkTaken verifies a borrowed payload a take returned: id bytes of value
+// id, in buf (the take's destination, which had room capacity) if the frame
+// landed and in a private copy otherwise. Raw frames carry zeros and pass.
+func checkTaken(f frame, buf []byte, room int) error {
+	if !f.HasVal {
+		return nil
+	}
+	id := f.payloadSize()
+	got := buf
+	if !f.landed {
+		got = f.Val.([]byte)
+	} else if room >= id && cap(buf) != room {
+		return fmt.Errorf("frame %d landed in a new array, not in the %d-byte one its receive brought", id, room)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{byte(id)}, id)) {
+		return fmt.Errorf("frame %d (landed=%v) reads %v", id, f.landed, got)
+	}
+	return nil
 }
 
 // TestMailboxHandedFrameReleasedOnceOnFail races a fail against a receive
 // that deliver has already handed its frame to. Whichever the receive sees
 // first, the frame's payload goes back to its owner exactly once: by the
 // caller when the receive returns it, by wait itself when the revoke wins.
+// Every other pair of rounds delivers a borrowed payload to a receive with a
+// destination instead: the revoke then races the copy into it, and a receive
+// that returns without error must hold the payload.
 func TestMailboxHandedFrameReleasedOnceOnFail(t *testing.T) {
 	errPoison := errors.New("model: world revoked")
 	revoked := 0
 	for i := 0; i < 300; i++ {
 		m := newMailbox()
 		var released atomic.Int32
+		var buf []byte
 		res := make(chan error, 1)
 		go func() {
-			f, err := m.take(0, AnySource, 5)
+			f, err := m.takeInto(0, AnySource, 5, &buf)
 			if err == nil {
 				f.release()
 			}
 			res <- err
 		}()
 		awaitPosted(t, m, 1)
-		m.deliver(frame{Src: 1, Tag: 5, Raw: rawBytes, Data: []byte{1}, rel: func() { released.Add(1) }})
+		lend := i%4 >= 2
+		if lend {
+			m.deliver(frame{Src: 1, Tag: 5, Val: []byte{9, 9}, HasVal: true, borrowed: true})
+		} else {
+			m.deliver(frame{Src: 1, Tag: 5, Raw: rawBytes, Data: []byte{1}, rel: func() { released.Add(1) }})
+		}
 		if i%2 == 1 {
 			runtime.Gosched() // give the receive a chance to win
 		}
@@ -304,9 +383,11 @@ func TestMailboxHandedFrameReleasedOnceOnFail(t *testing.T) {
 			revoked++
 		} else if err != nil {
 			t.Fatalf("take = %v", err)
+		} else if lend && !bytes.Equal(buf, []byte{9, 9}) {
+			t.Fatalf("round %d: the receive returned with %v in its destination, want [9 9]", i, buf)
 		}
-		if n := released.Load(); n != 1 {
-			t.Fatalf("round %d: payload released %d times, want exactly 1", i, n)
+		if n := released.Load(); lend == (n == 1) {
+			t.Fatalf("round %d: payload released %d times, want exactly 1 for a raw frame and 0 for a borrowed one", i, n)
 		}
 	}
 	// Even rounds fail the mailbox with no yield after the hand-over, so a
@@ -315,4 +396,78 @@ func TestMailboxHandedFrameReleasedOnceOnFail(t *testing.T) {
 		t.Fatal("the revoke never won: failErr must be checked before a handed-over frame")
 	}
 	t.Logf("the revoke won %d of 300 races", revoked)
+}
+
+// TestMailboxClaimedReceiveIsLeftAlone holds a delivery in the middle of its
+// copy — the test does deliver's steps itself, pausing where deliver has the
+// lock released — and throws at the claimed receive everything that ends a
+// posted one: its deadline passes, a second matching frame arrives, the
+// mailbox is poked and then revoked. The receive must neither time out nor be
+// matched again nor return while its destination is being written; once the
+// delivery completes it returns what the revoke order says, the abort error.
+// Without the revoke it returns the landed frame.
+func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
+	errPoison := errors.New("model: world revoked")
+	for _, revoke := range []bool{false, true} {
+		m := newMailbox()
+		var timeouts atomic.Int32
+		onTimeout := func() error {
+			timeouts.Add(1)
+			return ErrDeadlineExceeded
+		}
+		const budget = 2 * time.Millisecond
+		var buf []byte
+		var got frame
+		res := make(chan error, 1)
+		go func() { res <- m.wait("Recv", 0, 1, 5, budget, onTimeout, nil, true, &buf, &got) }()
+		awaitPosted(t, m, 1)
+
+		f := frame{Src: 1, Tag: 5, Val: []byte{7, 7, 7}, HasVal: true, borrowed: true}
+		m.mu.Lock()
+		w := m.claimLocked(&f)
+		if w == nil {
+			t.Fatal("the posted receive was not claimed")
+		}
+		w.busy = true
+		m.mu.Unlock()
+
+		second := frame{Src: 1, Tag: 5, Data: []byte("2nd")}
+		m.deliver(second)
+		m.poke()
+		if revoke {
+			m.fail(errPoison)
+		}
+		for stop := time.Now().Add(3 * budget); time.Now().Before(stop); {
+			runtime.Gosched() // the deadline passes and its timer wakes the receive
+		}
+		select {
+		case err := <-res:
+			t.Fatalf("revoke=%v: the receive returned (%v) while a delivery was copying into its destination", revoke, err)
+		default:
+		}
+
+		f.settle(w.dst)
+		m.mu.Lock()
+		w.busy = false
+		w.f, w.done = f, true
+		w.signal()
+		m.mu.Unlock()
+
+		err := <-res
+		if n := timeouts.Load(); n != 0 {
+			t.Errorf("revoke=%v: the deadline fired %d times on a claimed receive", revoke, n)
+		}
+		if revoke {
+			if err != errPoison {
+				t.Errorf("revoked: the receive returned %v, want the abort error", err)
+			}
+			continue
+		}
+		if err != nil || !got.landed || !bytes.Equal(buf, []byte{7, 7, 7}) {
+			t.Errorf("the receive returned err=%v landed=%v destination=%v, want the landed frame and [7 7 7]", err, got.landed, buf)
+		}
+		if st, ok := m.peek(0, 1, 5); !ok || st.Bytes != len(second.Data) {
+			t.Errorf("the second frame is not queued (peek = %+v, %v): it must not match a claimed receive", st, ok)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -33,39 +35,58 @@ func roundTripAllocs(t *testing.T, opts ...Option) float64 {
 	return n
 }
 
-// TestLocalRoundTripAllocations pins the pingpong-8B-local op: a Send and the
-// matching Recv on each of two ranks allocate at most six objects — on each
-// side the caller boxing its slice, copy-on-send's clone and its re-boxing —
-// and the mailbox none of them.
+// TestLocalRoundTripAllocations pins the pingpong-8B-local op, and the same
+// round trip at 1 MiB: a Send and the matching Recv on each of two ranks
+// allocate two objects — each caller boxing its slice into the any that Send
+// takes — and the runtime none: the payload is copied once, from the sender's
+// slice into the receiver's, so a megabyte each way allocates under a KiB.
 func TestLocalRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	var n float64
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			return echoFloats(c)
-		}
-		send, recv := []float64{1}, []float64(nil)
-		var opErr error
-		n = testing.AllocsPerRun(500, func() {
-			if err := c.Send(1, 0, send); err != nil {
-				opErr = err
+	for _, elems := range []int{1, 1 << 17} {
+		const trips = 100
+		var n float64
+		var bytes uint64
+		err := Run(2, func(c *Comm) error {
+			if c.Rank() == 1 {
+				return echoFloats(c)
 			}
-			if _, err := c.Recv(1, 0, &recv); err != nil {
-				opErr = err
+			send, recv := make([]float64, elems), []float64(nil)
+			var opErr error
+			trip := func() {
+				if err := c.Send(1, 0, send); err != nil {
+					opErr = err
+				}
+				if _, err := c.Recv(1, 0, &recv); err != nil {
+					opErr = err
+				}
 			}
+			n = testing.AllocsPerRun(trips, trip) // its warm-up run sizes both receive buffers
+			// The best of three batches: a rank preempted between its Send and
+			// its Recv is sent to before it has posted, and that one message is
+			// cloned, as any frame that finds no receive is.
+			bytes = math.MaxUint64
+			for batch := 0; batch < 3; batch++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < trips; i++ {
+					trip()
+				}
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/trips)
+			}
+			if err := c.Send(1, 1, send); err != nil {
+				return err
+			}
+			return opErr
 		})
-		if err := c.Send(1, 1, send); err != nil {
-			return err
+		if err != nil {
+			t.Fatal(err)
 		}
-		return opErr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n > 6 {
-		t.Fatalf("local round trip allocates %v objects, want <= 6", n)
+		if n > 2 || bytes >= 1<<10 {
+			t.Errorf("local round trip of %d values allocates %v objects and %d bytes, want <= 2 objects and < 1 KiB", elems, n, bytes)
+		}
 	}
 }
 

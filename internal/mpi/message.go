@@ -107,11 +107,8 @@ func (s Status) String() string {
 //
 // The payload has three representations. Data with Raw == rawNone carries
 // gob bytes — the self-describing wire format, and the fallback every
-// payload can take. Val carries a typed in-memory value (flagged by HasVal)
-// for the local transport's zero-serialization fast path; it is always a
-// private copy the receiver may own outright (see typedPayload), except on
-// the TCP transport, which serializes the value before Send returns (see
-// wire.go) and so may reference the caller's slice directly. Data with a
+// payload can take. Val carries a typed in-memory value (flagged by HasVal);
+// a slice in it is borrowed from the sender (see borrowed). Data with a
 // non-zero Raw carries the raw little-endian encoding of a whitelisted
 // slice (rawcodec.go), produced and consumed by the v1 TCP framing; the
 // buffer is pooled, so consumers release it via decodeInto or release.
@@ -125,6 +122,15 @@ type frame struct {
 	Val    any // typed fast-path payload; never leaves the process
 	HasVal bool
 	Raw    byte // raw codec kind for Data (rawNone = gob bytes)
+
+	// borrowed is the one ownership rule every transport follows: Val is the
+	// slice the caller passed to Send, uncopied, and whoever carries the frame
+	// is done reading its elements when Send returns — TCP and shm encode it
+	// there, and a mailbox or anything that keeps the frame longer settles it
+	// (fastpath.go). landed marks a frame whose payload settle copied into the
+	// receive's destination; Val still names the sender's slice, of which
+	// only the length may be read.
+	borrowed, landed bool
 
 	// rel, when set, overrides how this frame's Data is returned to its
 	// owner: the shm transport's rendezvous frames view mapped shared

@@ -286,11 +286,6 @@ func (t *shmTransport) startPolling() {
 	go t.pollLoop()
 }
 
-// wiresTyped: like the v1 TCP wire, the shm transport consumes frame.Val
-// synchronously inside Send (encoding it into the ring or staging region),
-// so the send path may pass the caller's slice uncopied.
-func (t *shmTransport) wiresTyped() bool { return true }
-
 // Send routes control frames to the hub, TCP-fallback pairs through the
 // hub, and everything else into the destination pair's ring.
 func (t *shmTransport) Send(f frame) error {

@@ -1359,7 +1359,7 @@ func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bo
 // moves the transport into reconnection (the frame is safe in the replay
 // buffer) instead of surfacing the error. writeFrame and friends serialize
 // typed payloads on the spot, so frame.Val is fully consumed by the time
-// Send returns (the wireCapable contract).
+// Send returns (the borrow rule, frame.borrowed).
 func (t *tcpTransport) Send(f frame) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -1708,10 +1708,6 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// wiresTyped: a v1+ connection raw-encodes whitelisted typed payloads
-// synchronously inside Send (see wireCapable in transport.go).
-func (t *tcpTransport) wiresTyped() bool { return t.wire >= wireVersion }
-
 // defaultDialRetry is JoinTCP's dial budget when WithDialRetry is not set:
 // long enough to ride out a hub that is still binding its listener, short
 // enough that a dead address fails the worker promptly.
@@ -1907,8 +1903,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		names:     names,
 		gate:      cfg.gate,
 		epoch:     time.Now(),
-		typed:     cfg.typedWorld(transport), // always false: both wires serialize
-		wire:      cfg.wireWorld(transport),  // v1+ framing/shm: raw-encode in Send, uncopied
+		wire:      !cfg.serializeAll, // raw-encodable slices reach Send uncopied; every wire version encodes them there
 		deadline:  cfg.deadline,
 		faults:    cfg.faultT,
 		nodeOf:    cfg.nodeOf,

@@ -120,17 +120,3 @@ func (t *countingTransport) Send(f frame) error {
 }
 
 func (t *countingTransport) Close() error { return t.inner.Close() }
-
-// deliversTyped forwards the wrapped transport's fast-path capability, so
-// counting a world does not silently change how its messages travel.
-func (t *countingTransport) deliversTyped() bool {
-	tc, ok := t.inner.(typedCapable)
-	return ok && tc.deliversTyped()
-}
-
-// wiresTyped forwards the wrapped transport's raw-framing capability for the
-// same reason.
-func (t *countingTransport) wiresTyped() bool {
-	wc, ok := t.inner.(wireCapable)
-	return ok && wc.wiresTyped()
-}

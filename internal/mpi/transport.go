@@ -10,7 +10,9 @@ import (
 // mailbox layer turns that into MPI's non-overtaking matching guarantee.
 // Decorators stack on the base transport in wrapTransport's fixed order —
 // fault injection innermost, then message counting, then the test hook —
-// so counters observe what a program tried to send, faults included.
+// so counters observe what a program tried to send, faults included — and
+// stay synchronous: a slice in frame.Val is on loan from the caller until
+// Send returns (see frame.borrowed).
 // Failure propagation does not pass through Send: a world abort poisons
 // the receiving mailboxes directly (local) or travels as a control frame
 // outside the user frame stream (TCP), so no fault rule can suppress it.
@@ -23,35 +25,15 @@ type Transport interface {
 	Close() error
 }
 
-// typedCapable is implemented by transports that can deliver a frame's
-// typed in-memory payload (frame.Val) without serialization. Transports
-// that lack the method — or report false — receive only gob-encoded frames
-// from the send path. Wrapping transports (see countingTransport) must
-// forward the capability of the transport they wrap.
-type typedCapable interface {
-	deliversTyped() bool
-}
-
-// wireCapable is implemented by transports that serialize a frame's typed
-// payload (frame.Val) into the v1 binary wire format *synchronously inside
-// Send*. The distinction from typedCapable matters for copy semantics: a
-// typed-delivering transport hands Val to another goroutine, so the send
-// path must copy it first (typedPayload); a wire-capable transport has
-// finished reading Val by the time Send returns, so the send path may pass
-// the caller's slice uncopied — that is what makes a steady-state large
-// send allocation-free. Wrapping transports forward the capability.
-type wireCapable interface {
-	wiresTyped() bool
-}
-
 // localTransport routes frames through in-memory mailboxes: all ranks are
 // goroutines of one process, the analogue of running mpirun on one node.
 //
 // Without a cost model (latency and linkCost both nil — every plain world)
-// Send appends straight to the destination mailbox: the zero-overhead fast
-// path. With a model installed, Send enqueues onto a per-(sender, receiver)
-// delivery queue drained by one goroutine per pair, which pays the modeled
-// cost and then delivers. The single goroutine per ordered pair is what
+// Send delivers straight to the destination mailbox, which copies a borrowed
+// payload to where it is going. With a model installed, Send enqueues a
+// private copy onto a per-(sender, receiver) delivery queue drained by one
+// goroutine per pair, which pays the modeled cost and then delivers. The
+// single goroutine per ordered pair is what
 // preserves per-pair FIFO (pinned by TestLatencyPreservesPerPairFIFO) while
 // keeping Send properly buffered: a sender is never blocked by the modeled
 // network, and — unlike the old sleep-on-the-sender's-goroutine scheme — a
@@ -90,7 +72,10 @@ func newPairQueue() *pairQueue {
 	return p
 }
 
+// enqueue takes a private copy of a borrowed payload first: the frame is
+// delivered after the Send that brought it has returned.
 func (p *pairQueue) enqueue(f frame) {
+	f.settle(nil)
 	p.mu.Lock()
 	p.q = append(p.q, f)
 	p.mu.Unlock()
@@ -129,10 +114,6 @@ func newLocalTransport(np int) *localTransport {
 	}
 	return t
 }
-
-// deliversTyped: in-process mailboxes can hand typed values straight to the
-// receiver, enabling the zero-serialization fast path.
-func (t *localTransport) deliversTyped() bool { return true }
 
 // Send delivers f to its destination mailbox — directly when no cost model
 // is installed, via the pair's delivery goroutine otherwise.

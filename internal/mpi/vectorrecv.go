@@ -73,7 +73,7 @@ func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply f
 		return 0, err
 	}
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, true, &f); err != nil {
+	if err := c.waitFrame("Recv", source, tag, true, nil, &f); err != nil {
 		return 0, err
 	}
 	if in, ok := frameSegView[T](f); ok {

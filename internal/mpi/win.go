@@ -542,7 +542,7 @@ func (w *Win[T]) serve() {
 		// unrelated rank failures. Abort still unblocks it via the poisoned
 		// mailbox.
 		var f frame
-		if err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, true, &f); err != nil {
+		if err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, true, nil, &f); err != nil {
 			return
 		}
 		var op winOp

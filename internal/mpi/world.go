@@ -18,8 +18,8 @@ type World struct {
 	names     []string   // processor name per world rank
 	gate      func(fn func())
 	epoch     time.Time     // when the world initialized; Wtime's zero point
-	typed     bool          // transport delivers typed payloads (the fast path)
-	wire      bool          // transport raw-encodes typed payloads in Send (tcp v1)
+	typed     bool          // ranks share the process: whitelisted values travel in memory (the fast path)
+	wire      bool          // transport encodes raw-encodable slices in Send (tcp, shm)
 	deadline  time.Duration // per-operation receive budget; 0 = unbounded
 
 	// Revoke state (see abort.go). abortedFlag is the hot-path gate: one
@@ -105,28 +105,6 @@ func (c *config) wrapTransport(t Transport) Transport {
 		t = c.wrap(t)
 	}
 	return t
-}
-
-// typedWorld reports whether a world on the given (already wrapped)
-// transport should use the zero-serialization fast path.
-func (c *config) typedWorld(t Transport) bool {
-	if c.serializeAll {
-		return false
-	}
-	tc, ok := t.(typedCapable)
-	return ok && tc.deliversTyped()
-}
-
-// wireWorld reports whether a world on the given (already wrapped) transport
-// should hand raw-encodable typed payloads to Send uncopied (see
-// wireCapable). WithSerialization disables it, the same ablation switch that
-// disables the local fast path.
-func (c *config) wireWorld(t Transport) bool {
-	if c.serializeAll {
-		return false
-	}
-	wc, ok := t.(wireCapable)
-	return ok && wc.wiresTyped()
 }
 
 // WithProcessorNames assigns each world rank the processor (host) name it
@@ -273,7 +251,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 		names:     names,
 		gate:      cfg.gate,
 		epoch:     time.Now(),
-		typed:     cfg.typedWorld(transport),
+		typed:     !cfg.serializeAll,
 		deadline:  cfg.deadline,
 		faults:    cfg.faultT,
 		nodeOf:    cfg.nodeOf,

@@ -210,7 +210,7 @@ type Scheduler struct {
 	order       []string // submission order, for List
 	tenants     map[string]*tenantQ
 	tenantNames []string // ring for round-robin fairness
-	rrNext      int
+	rrNext      int      // ring position after the tenant served last (1..len(tenantNames); 0 before any)
 	nodes       []*node
 	queuedTotal int
 	idSeq       int
@@ -563,7 +563,10 @@ func (s *Scheduler) placeOneLocked(now time.Time) bool {
 			}
 			s.removeQueuedLocked(j)
 			s.startLocked(j, width, placement)
-			s.rrNext = (s.rrNext + i + 1) % nt
+			// Stored unwrapped and reduced when read: wrapped to 0 here, the
+			// pointer would pass over a tenant that registers before the
+			// next pass and serve this one twice.
+			s.rrNext = (s.rrNext+i)%nt + 1
 			return true
 		}
 	}

@@ -379,6 +379,53 @@ func TestFairnessRoundRobin(t *testing.T) {
 	}
 }
 
+// TestFairnessTenantJoinsAfterFirstPlacement is the sequence that used to
+// make TestFairnessRoundRobin fail one run in thirty: tenant a's first job is
+// placed while a is the only tenant, and b registers before the next pass. A
+// round-robin pointer wrapped to 0 at that first placement served a again
+// (a a b a b b). The first job holds the one core until everything else is
+// queued, so the order depends on no timing.
+func TestFairnessTenantJoinsAfterFirstPlacement(t *testing.T) {
+	release := make(chan struct{})
+	reg := DefaultRegistry()
+	err := reg.Register("held", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
+		return func(c *mpi.Comm) error {
+			<-release
+			return nil
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestSched(t, Config{Platform: testPlatform(1, 1), StarveAfter: 10 * time.Second, Registry: reg})
+	submit := func(tenant string) string {
+		t.Helper()
+		st, err := s.Submit(JobSpec{Tenant: tenant, Program: "held", Width: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	ids := []string{submit("a")}
+	waitState(t, s, ids[0], StateRunning, 5*time.Second)
+	for _, tenant := range []string{"a", "a", "b", "b", "b"} {
+		ids = append(ids, submit(tenant))
+	}
+	close(release)
+	var finals []JobStatus
+	for _, id := range ids {
+		finals = append(finals, waitState(t, s, id, StateSucceeded, 15*time.Second))
+	}
+	sort.Slice(finals, func(i, j int) bool { return finals[i].Started.Before(finals[j].Started) })
+	order := ""
+	for _, f := range finals {
+		order += f.Tenant
+	}
+	if order != "ababab" {
+		t.Fatalf("placement order %s, want ababab", order)
+	}
+}
+
 // TestBackfillThenStarvationGuard: small jobs backfill into the hole a
 // wide job cannot use — until the wide job has starved past the guard, at
 // which point dispatch hoards capacity and the wide job runs.

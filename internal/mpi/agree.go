@@ -180,7 +180,8 @@ func (e *agreeEngine) fail(err error) {
 
 // tcpAgree is the worker half of hub-coordinated agreement: register a
 // waiter, send the contribution, block for the hub's decision (delivered by
-// the connection read loop).
+// whoever reads the hub connection: this wait is not on the mailbox, so that
+// is the transport's fallback reader).
 func (r *recoveryState) tcpAgree(key agreeKey, members []int, self int, mask uint64) (uint64, error) {
 	ch := make(chan agreeOutcome, 1)
 	r.mu.Lock()

@@ -62,10 +62,11 @@ func echoFloats(c *Comm) error {
 	}
 }
 
-// benchRoundTripLocal is the gate's pingpong-8B-local op as a Go benchmark,
-// at any size: rank 0 sends elems float64 values and receives the echo.
-func benchRoundTripLocal(b *testing.B, elems int) {
-	err := Run(2, func(c *Comm) error {
+// benchRoundTrip is the gate's ping-pong op as a Go benchmark, over any
+// launcher and at any size: rank 0 sends elems float64 values and receives
+// the echo.
+func benchRoundTrip(b *testing.B, run func(int, func(*Comm) error, ...Option) error, elems int) {
+	err := run(2, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return echoFloats(c)
 		}
@@ -89,8 +90,10 @@ func benchRoundTripLocal(b *testing.B, elems int) {
 	}
 }
 
-func BenchmarkRoundTripLocal8B(b *testing.B)   { benchRoundTripLocal(b, 1) }
-func BenchmarkRoundTripLocal1MiB(b *testing.B) { benchRoundTripLocal(b, 1<<17) }
+func BenchmarkRoundTripLocal8B(b *testing.B)   { benchRoundTrip(b, Run, 1) }
+func BenchmarkRoundTripLocal1MiB(b *testing.B) { benchRoundTrip(b, Run, 1<<17) }
+func BenchmarkRoundTripTCP8B(b *testing.B)     { benchRoundTrip(b, RunTCP, 1) }
+func BenchmarkRoundTripTCP1MiB(b *testing.B)   { benchRoundTrip(b, RunTCP, 1<<17) }
 
 // Collective cost versus world size.
 func benchBcast(b *testing.B, np int) {

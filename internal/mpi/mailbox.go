@@ -39,6 +39,30 @@ type mailbox struct {
 	free    []*waiter // recycled waiters: as many as were ever blocked at once
 	closed  bool
 	failErr error // abort poison; checked before matching
+	pump    pump  // the transport's read lease; nil unless a blocked receive may read for itself
+}
+
+// pump is a transport whose frames the operation waiting for them can read
+// itself: whoever holds its read lease is the one goroutine that reads the
+// transport and delivers what it reads, to this mailbox among others. An
+// operation about to sleep takes the lease if it is free and spends the wait
+// reading, so its frame is decoded on the goroutine that wants it and nobody
+// is readied on the way. Lock order: the mailbox lock may be held when any
+// method but read is called, and an implementation never takes it.
+type pump interface {
+	// acquire takes the lease if it is free and the transport can be read.
+	acquire() bool
+	// read reads and delivers frames until wake holds a token, interrupt
+	// is called, or the transport can no longer be read by a receive. It is
+	// called with the lease held and the mailbox lock released.
+	read(wake <-chan struct{})
+	// release gives the lease up.
+	release()
+	// interrupt makes a read in progress return at the next frame boundary;
+	// without one it does nothing.
+	interrupt()
+	// idle reports that the lease is free and acquire would succeed.
+	idle() bool
 }
 
 // unexpKeep is the largest unexpected-queue array (in frames of about 100
@@ -49,8 +73,8 @@ const unexpKeep = 256
 // deliver fills for a receive, and its one-slot wake-up. Every send on wake
 // happens under the mailbox lock to a waiter that is posted or busy, neither
 // of which its owner leaves in, so one drained under that lock is recycled
-// empty. (The deadline timer is the one outside sender; its stray wake-up
-// costs a re-check.)
+// empty. (The deadline timer is the one late sender: fired after its wait
+// returned, its stray wake-up costs whoever holds the waiter then a re-check.)
 type waiter struct {
 	op       string
 	ctx      int64
@@ -62,13 +86,20 @@ type waiter struct {
 	done     bool  // f was handed over by deliver
 	f        frame // the one frame a receive waits for
 	wake     chan struct{}
+	reader   pump // the mailbox's pump while this waiter reads it, which a wake-up must interrupt
 }
 
-// signal fills the wake-up slot; already full means a re-check is coming.
+// signal fills the wake-up slot; already full means a re-check is coming. A
+// waiter that is reading its transport is interrupted as well: the token is
+// in place first, so a read that has not parked yet sees it and one that has
+// is woken. Caller holds the mailbox lock.
 func (w *waiter) signal() {
 	select {
 	case w.wake <- struct{}{}:
 	default:
+	}
+	if w.reader != nil {
+		w.reader.interrupt()
 	}
 }
 
@@ -82,8 +113,9 @@ func newMailbox() *mailbox { return &mailbox{} }
 // released so that senders to one rank copy in parallel. The receive it was
 // claimed for is off the posted queue and busy meanwhile — no other arrival
 // can match it and its owner cannot leave — and a frame that found none
-// looks again once it owns its payload.
-func (m *mailbox) deliver(f frame) {
+// looks again once it owns its payload. It reports whether a posted receive
+// took the frame.
+func (m *mailbox) deliver(f frame) bool {
 	m.mu.Lock()
 	w := m.claimLocked(&f)
 	if f.borrowed {
@@ -104,7 +136,7 @@ func (m *mailbox) deliver(f frame) {
 		w.f, w.done = f, true
 		w.signal()
 		m.mu.Unlock()
-		return
+		return true
 	}
 	// Reclaim the consumed prefix once it is half the array instead of
 	// growing, so a mailbox in steady state stops allocating.
@@ -115,6 +147,7 @@ func (m *mailbox) deliver(f frame) {
 	}
 	m.unexp = append(m.unexp, f)
 	m.mu.Unlock()
+	return false
 }
 
 // claimLocked takes the earliest posted receive matching f off the posted
@@ -222,7 +255,12 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			if timeout > 0 {
 				w.since = time.Now()
 				deadlineAt = w.since.Add(timeout)
-				timer = time.AfterFunc(timeout, w.signal)
+				posted := w // captured by value: w itself stays off the heap for waits without a deadline
+				timer = time.AfterFunc(timeout, func() {
+					m.mu.Lock()
+					posted.signal()
+					m.mu.Unlock()
+				})
 			}
 		} else if timeout > 0 && !time.Now().Before(deadlineAt) {
 			m.mu.Unlock()
@@ -233,7 +271,9 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			}
 			break
 		}
-		m.sleepLocked(w)
+		if m.pump == nil || !m.readLocked(w) {
+			m.sleepLocked(w)
+		}
 	}
 	if w != nil {
 		if w.done { // handed over, then revoked or timed out: nobody else can free it
@@ -248,12 +288,55 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 		}
 		w.f, w.dst, w.done, w.since = frame{}, nil, false, time.Time{}
 		m.free = append(m.free, w)
+		if m.pump != nil {
+			m.passLeaseLocked()
+		}
 	}
 	m.mu.Unlock()
 	if timer != nil {
 		timer.Stop()
 	}
 	return err
+}
+
+// readLocked spends w's wait reading: if the pump's lease is free, w becomes
+// the reader and delivers what arrives — its own frame among it — instead of
+// sleeping until another goroutine has. It reports false if w has to sleep
+// after all: the lease is taken, or a delivery that claimed w is still
+// copying. Caller holds m.mu, which is released while w reads.
+func (m *mailbox) readLocked(w *waiter) bool {
+	if !m.pump.acquire() {
+		return false
+	}
+	w.reader = m.pump
+	m.mu.Unlock()
+	m.pump.read(w.wake)
+	m.mu.Lock()
+	w.reader = nil
+	m.pump.release()
+	select { // the wake-up that ended the read, if one did
+	case <-w.wake:
+	default:
+	}
+	return !w.busy
+}
+
+// passLeaseLocked keeps a mailbox with operations posted from being left
+// without a reader: whoever lets go of the lease, or leaves while it is free,
+// wakes the earliest posted operation, which takes it on its way back to
+// sleep. Caller holds m.mu, and m.pump is not nil.
+func (m *mailbox) passLeaseLocked() {
+	if len(m.posted) > 0 && m.pump.idle() {
+		m.posted[0].signal()
+	}
+}
+
+// passLease is passLeaseLocked for a reader that is not an operation of this
+// mailbox: the transport's fallback, after it released the lease.
+func (m *mailbox) passLease() {
+	m.mu.Lock()
+	m.passLeaseLocked()
+	m.mu.Unlock()
 }
 
 // sleepLocked releases m.mu until w is woken, and again while a deliver that

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,6 +129,97 @@ func (r *refBox) end(err error) map[*refOp]refRes {
 	return done
 }
 
+// fakePump gives the model test's mailbox a transport with a read lease
+// (mailbox.pump). The script's frames reach the mailbox through whoever holds
+// the lease: a blocked take or waitMatch, which reads them off the "socket" in
+// and delivers them on its own goroutine — its own frame among them — or the
+// script itself, as the fallback reader would, when no operation reads. send
+// returns once the frame is delivered, so the script keeps its step-by-step
+// comparison with the reference.
+type fakePump struct {
+	m    *mailbox
+	mu   sync.Mutex
+	held bool
+	gone chan struct{} // closed when the lease's holder lets go
+	in   chan frame
+	ack  chan struct{}
+	intr chan struct{} // one slot: a wake-up for the reading operation
+
+	byReader, byScript, interrupted atomic.Int32
+}
+
+func newFakePump(m *mailbox) *fakePump {
+	return &fakePump{m: m, in: make(chan frame), ack: make(chan struct{}), intr: make(chan struct{}, 1)}
+}
+
+func (p *fakePump) acquire() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.held {
+		return false
+	}
+	p.held, p.gone = true, make(chan struct{})
+	return true
+}
+
+func (p *fakePump) release() {
+	p.mu.Lock()
+	p.held = false
+	close(p.gone)
+	p.mu.Unlock()
+}
+
+func (p *fakePump) idle() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.held
+}
+
+func (p *fakePump) interrupt() {
+	select {
+	case p.intr <- struct{}{}:
+	default:
+	}
+}
+
+func (p *fakePump) read(wake <-chan struct{}) {
+	for len(wake) == 0 {
+		select {
+		case f := <-p.in:
+			p.m.deliver(f)
+			p.byReader.Add(1)
+			p.ack <- struct{}{}
+		case <-p.intr:
+			p.interrupted.Add(1)
+		}
+	}
+}
+
+// send puts one frame through the lease.
+func (p *fakePump) send(f frame) {
+	for {
+		if p.acquire() {
+			p.m.deliver(f)
+			p.byScript.Add(1)
+			p.release()
+			p.m.passLease()
+			return
+		}
+		p.mu.Lock()
+		held, gone := p.held, p.gone
+		p.mu.Unlock()
+		if !held {
+			continue
+		}
+		select {
+		case p.in <- f:
+			<-p.ack
+			return
+		case <-gone: // the reader left before it took the frame
+		}
+	}
+}
+
 func postedLen(m *mailbox) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -168,6 +260,13 @@ func awaitPosted(t *testing.T, m *mailbox, n int) {
 // the take the reference matched must find the payload as sent — in its own
 // destination if the frame landed, reusing its capacity, else in a private
 // copy — so a payload copied into any other receive's destination fails it.
+//
+// Every second seed runs on a mailbox with a pump (fakePump), as a TCP world's
+// has: the operation that would sleep reads instead, delivers other
+// operations' frames and its own, is interrupted by every wake-up the script
+// produces (a delivery by the script, poke, close, fail), and on leaving
+// hands the lease to the earliest operation still posted. The reference is the
+// same one list: who reads must not show in what any operation returns.
 func TestMailboxMatchesReferenceModel(t *testing.T) {
 	const (
 		seeds      = 60
@@ -175,10 +274,16 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		maxPending = 4
 	)
 	errPoison := errors.New("model: world revoked")
-	var landings atomic.Int32
+	var landings, byReader, byScript, interrupted atomic.Int32
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, ref := newMailbox(), &refBox{}
+		deliver := func(f frame) { m.deliver(f) }
+		var fp *fakePump
+		if seed%2 == 0 {
+			fp = newFakePump(m)
+			m.pump, deliver = fp, fp.send
+		}
 		var released [steps + 1]atomic.Int32
 		taken, hooked := map[int]bool{}, map[int]bool{}
 		nextID := 1
@@ -238,7 +343,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 					hooked[id] = true
 				}
 				done := ref.deliver(f)
-				m.deliver(f)
+				deliver(f)
 				for i := range lent { // the sender's buffer is its own again
 					lent[i] = ^byte(id)
 				}
@@ -311,6 +416,11 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		}
 		m.close()
 		settle(steps, ref.end(ErrShutdown))
+		if fp != nil {
+			byReader.Add(fp.byReader.Load())
+			byScript.Add(fp.byScript.Load())
+			interrupted.Add(fp.interrupted.Load())
+		}
 		for id := 1; id < nextID; id++ {
 			want := int32(0)
 			if taken[id] && hooked[id] {
@@ -324,6 +434,12 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 	if landings.Load() == 0 {
 		t.Fatal("no borrowed frame landed in a posted receive's destination")
 	}
+	if byReader.Load() == 0 || byScript.Load() == 0 || interrupted.Load() == 0 {
+		t.Fatalf("with a pump, reading operations delivered %d frames, the script %d, and %d reads were interrupted: want some of each",
+			byReader.Load(), byScript.Load(), interrupted.Load())
+	}
+	t.Logf("with a pump: %d frames delivered by reading operations, %d by the script, %d reads interrupted",
+		byReader.Load(), byScript.Load(), interrupted.Load())
 }
 
 // checkTaken verifies a borrowed payload a take returned: id bytes of value

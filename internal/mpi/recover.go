@@ -27,6 +27,10 @@ import (
 // exchanges the failed set as a 64-bit rank bitmask.
 const maxRecoveryRanks = 64
 
+// errRecoveryRankCap is what every launcher refuses a wider WithRecovery world
+// with, before it listens, dials or maps anything.
+var errRecoveryRankCap = fmt.Errorf("mpi: WithRecovery supports at most %d ranks", maxRecoveryRanks)
+
 // RankFailedError reports that a peer rank failed while the world runs in
 // recovery mode. It is retryable: the world is still alive, and the caller
 // should Revoke its working communicator, Shrink, restore from a

@@ -3,8 +3,10 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -312,9 +314,28 @@ func TestWithRecoveryInertOnCleanRuns(t *testing.T) {
 
 // TestWithRecoveryRankCap: the agreement bitmask bounds recovery worlds.
 func TestWithRecoveryRankCap(t *testing.T) {
-	err := Run(65, func(c *Comm) error { return nil }, WithRecovery())
-	if err == nil || !strings.Contains(err.Error(), "at most 64") {
-		t.Fatalf("want rank-cap error, got %v", err)
+	// Every launcher refuses the 65th rank with the one sentinel, before it
+	// has listened, dialed or mapped anything: main never runs, and the
+	// joiners never find out that nothing listens at their hub address.
+	var ran atomic.Bool
+	main := func(c *Comm) error { ran.Store(true); return nil }
+	const nobody = "127.0.0.1:1"
+	launchers := append([]launcher{{"join-tcp", func(np int, main func(*Comm) error, opts ...Option) error {
+		return JoinTCP(nobody, 0, np, main, append(opts, WithDialRetry(-1))...)
+	}}}, recoveryLaunchers...)
+	if shmSupported {
+		launchers = append(launchers, launcher{"join-shm", func(np int, main func(*Comm) error, opts ...Option) error {
+			return JoinShm(nobody, filepath.Join(t.TempDir(), "no-such-segment"), 0, np, main, append(opts, WithDialRetry(-1))...)
+		}})
+	}
+	for _, l := range launchers {
+		err := l.run(65, main, WithRecovery())
+		if !errors.Is(err, errRecoveryRankCap) || !strings.Contains(err.Error(), "at most 64") {
+			t.Errorf("%s: want the rank-cap error, got %v", l.name, err)
+		}
+	}
+	if ran.Load() {
+		t.Error("main ran in a world that was refused")
 	}
 }
 

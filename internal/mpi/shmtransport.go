@@ -978,6 +978,9 @@ func ShmSupported() bool { return shmSupported }
 // rings instead of sockets. It is the launcher the shm parity, failure, and
 // benchmark suites drive.
 func RunShm(np int, main func(c *Comm) error, opts ...Option) error {
+	if _, err := newConfig(np, opts); err != nil {
+		return err
+	}
 	seg, err := CreateShmSegment("", np)
 	if err != nil {
 		return err

@@ -1305,13 +1305,20 @@ const (
 // tcpTransport is one rank's side of the TCP world: the hub connection, the
 // framing layers, and — on wire v2 — the session state that lets a broken
 // connection be redialed and resumed instead of killing the rank. mu guards
-// all mutable state; cond wakes the reader (parked during reconnects) and
-// anyone waiting for the reader to park.
+// all mutable state but the read lease (lease.go), which says who reads the
+// connection; cond wakes the reader (parked during reconnects) and anyone
+// waiting for the reader to park.
 type tcpTransport struct {
 	addr    string
 	rank    int
 	wire    int
 	noDelay *bool
+
+	// What the reader dispatches to (serve), and the fallback reader's exit.
+	world    *World
+	box      *mailbox
+	lease    readLease
+	fallback sync.WaitGroup
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -1322,7 +1329,7 @@ type tcpTransport struct {
 	deadErr    error
 	grace      time.Duration // suspicion window learned from the start frame
 	gen        int           // connection generation; stale errors are discarded by it
-	readerBusy bool          // a recvFrame is inside readFrame without the lock
+	readerBusy bool          // the lease holder is parked on, or reading from, conn without the lock
 	closing    bool          // drain started: the rank is done and tearing down
 	send       sendSession
 	recv       recvSession
@@ -1337,6 +1344,7 @@ func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bo
 		conn:    conn,
 		w:       newWireWriter(conn, wire),
 		rd:      newWireReader(conn),
+		lease:   readLease{quiet: leaseQuiet, nudge: make(chan struct{}, 1)},
 	}
 	t.cond = sync.NewCond(&t.mu)
 	t.rd.v1 = wire >= wireVersion
@@ -1430,15 +1438,22 @@ func (t *tcpTransport) Send(f frame) error {
 	return nil
 }
 
-// recvFrame reads the next frame from the hub, riding out reconnections:
-// while the transport is redialing, the reader parks on the condition
-// variable; read errors from torn-down connections are discarded by the
-// generation counter. Sequenced frames are dup-suppressed and acknowledged
-// through the receive session.
-func (t *tcpTransport) recvFrame() (frame, error) {
+// recvFrame reads the next frame from the hub, for the holder of the read
+// lease. The fallback reader (wake nil) rides out reconnections: while the
+// transport is redialing it parks on the condition variable. A blocked
+// receive (wake its waiter's wake-up slot) waits for the frame's first byte
+// interruptibly and returns errReadInterrupted, with nothing consumed, when a
+// wake-up comes first or the connection is being redialed. Read errors from
+// torn-down connections are discarded by the generation counter. Sequenced
+// frames are dup-suppressed and acknowledged through the receive session.
+func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, error) {
 	for {
 		t.mu.Lock()
 		for t.state == tcpReconnecting {
+			if wake != nil {
+				t.mu.Unlock()
+				return frame{}, errReadInterrupted
+			}
 			t.cond.Wait()
 		}
 		if t.state == tcpDead {
@@ -1446,16 +1461,28 @@ func (t *tcpTransport) recvFrame() (frame, error) {
 			t.mu.Unlock()
 			return frame{}, err
 		}
-		rd := t.rd
+		rd, conn := t.rd, t.conn
 		gen := t.gen
 		t.readerBusy = true
 		t.mu.Unlock()
 
-		f, seq, err := rd.readFrame()
+		var f frame
+		var seq uint64
+		var err error
+		if wake != nil {
+			err = t.lease.park(conn, rd.br, wake)
+		}
+		if err == nil {
+			f, seq, err = rd.readFrame()
+		}
 
 		t.mu.Lock()
 		t.readerBusy = false
 		t.cond.Broadcast()
+		if err == errReadInterrupted {
+			t.mu.Unlock()
+			return frame{}, err
+		}
 		if err != nil {
 			if t.gen != gen || t.state != tcpActive {
 				// The transport already moved on (reconnect or death): this
@@ -1501,12 +1528,15 @@ func (t *tcpTransport) recvFrame() (frame, error) {
 
 // enterReconnectLocked moves an active transport into reconnection: the
 // broken connection is closed, the generation advances (so its pending read
-// error is discarded), and the redial loop starts. Caller holds t.mu.
+// error is discarded), and the redial loop starts. Receives stop reading and
+// the fallback is called to wait the redial out: the hub retransmits the
+// moment it resumes. Caller holds t.mu.
 func (t *tcpTransport) enterReconnectLocked(cause error) {
 	if t.state != tcpActive {
 		return
 	}
 	t.state = tcpReconnecting
+	t.lease.connDown(false)
 	t.gen++
 	if t.conn != nil {
 		t.conn.Close()
@@ -1521,6 +1551,7 @@ func (t *tcpTransport) dieLocked(cause error) {
 	}
 	t.state = tcpDead
 	t.deadErr = cause
+	t.lease.connDown(true)
 	t.gen++
 	if t.conn != nil {
 		t.conn.Close()
@@ -1615,11 +1646,12 @@ func (t *tcpTransport) reconnect(cause error) {
 		t.recv.sinceAck = 0
 		t.gen++
 		t.state = tcpActive
-		// Wake the parked reader before retransmitting: it drains the hub's
-		// concurrent retransmission while ours flows the other way, keeping
-		// the kernel buffers from filling in both directions at once. (The
-		// reader re-acquires the lock only between frames, so the tail below
-		// goes out contiguously before any new Send interleaves.)
+		t.lease.connUp()
+		// Wake the parked fallback reader before retransmitting: it drains the
+		// hub's concurrent retransmission while ours flows the other way,
+		// keeping the kernel buffers from filling in both directions at once.
+		// (A reader re-acquires the lock only between frames, so the tail
+		// below goes out contiguously before any new Send interleaves.)
 		t.cond.Broadcast()
 		var werr error
 		for _, e := range entries {
@@ -1687,6 +1719,7 @@ func (t *tcpTransport) drain() {
 	if t.wire < wireVersion2 {
 		return
 	}
+	t.lease.wantFallback() // nobody is receiving: the acks are the fallback's to read, now
 	timedOut := false
 	timer := time.AfterFunc(t.grace+time.Second, func() {
 		t.mu.Lock()
@@ -1701,10 +1734,12 @@ func (t *tcpTransport) drain() {
 	}
 }
 
+// Close retires the transport and returns once the fallback reader has left.
 func (t *tcpTransport) Close() error {
 	t.mu.Lock()
 	t.dieLocked(errors.New("mpi: tcp transport closed"))
 	t.mu.Unlock()
+	t.fallback.Wait()
 	return nil
 }
 
@@ -1776,15 +1811,17 @@ func RejoinTCP(addr string, rank, np int, main func(c *Comm) error, opts ...Opti
 // joinHub is the shared worker body behind JoinTCP, RejoinTCP, and JoinShm:
 // dial the hub, optionally map the shared-memory segment at segPath as the
 // data plane (control frames and non-shm pairs keep the hub connection),
-// then run the start/run/done protocol. respawn re-admits a previously
-// failed rank instead of registering a new one.
+// then run the start/run/done protocol. It reads the start frame itself; from
+// there on the transport's read lease decides who reads the connection
+// (tcpTransport.serve). respawn re-admits a previously failed rank instead of
+// registering a new one.
 func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm) error, opts ...Option) error {
 	if rank < 0 || rank >= np {
 		return fmt.Errorf("%w: %d (np %d)", ErrInvalidRank, rank, np)
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newConfig(np, opts)
+	if err != nil {
+		return err
 	}
 	if respawn {
 		// A respawned incarnation must not re-run the fault plan: the injected
@@ -1822,6 +1859,9 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		}
 	}
 	t := newTCPTransport(addr, rank, conn, wireVer, cfg.noDelay)
+	if cfg.leaseQuiet > 0 {
+		t.lease.quiet = cfg.leaseQuiet
+	}
 	// The data-plane transport: the hub connection alone, or the shm
 	// endpoint layered over it. The segment must be attached before the
 	// hello goes out, so every peer's sticky shm-vs-TCP routing decision —
@@ -1851,7 +1891,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	// The start frame arrives before any routed traffic. A pre-start abort
 	// (another worker failed the handshake, or formation timed out) arrives
 	// here instead of the start signal.
-	start, err := t.recvFrame()
+	start, err := t.recvFrame(nil)
 	if err != nil {
 		return fmt.Errorf("mpi: waiting for world start: %w", err)
 	}
@@ -1910,9 +1950,6 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		hierMode:  cfg.hierMode,
 	}
 	if cfg.recovery {
-		if np > maxRecoveryRanks {
-			return fmt.Errorf("mpi: WithRecovery supports at most %d ranks, got %d", maxRecoveryRanks, np)
-		}
 		w.recov = newRecoveryState(w)
 		// Control frames bypass the decorated transport: a fault plan that
 		// killed this rank must not also sever its recovery reporting.
@@ -1938,53 +1975,10 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		}
 	}
 
-	// The read loop demultiplexes routed traffic from control frames: a
-	// broadcast revoke poisons this rank's mailbox; heartbeat pings are
-	// answered from here, so a rank stuck in user code still pongs (the
-	// heartbeat detects dead processes, WithDeadline detects stuck ranks).
-	// recvFrame rides out session resumes internally; an error here means
-	// the transport is dead for good.
-	go func() {
-		for {
-			f, err := t.recvFrame()
-			if err != nil {
-				w.abort(fmt.Errorf("mpi: rank %d: connection to hub lost: %w", rank, err))
-				box.close()
-				return
-			}
-			switch f.Tag {
-			case tagAbort:
-				var info abortInfo
-				if err := decodeValue(f.Data, &info); err != nil {
-					info = abortInfo{Rank: -1, Msg: "world aborted (undecodable revoke)"}
-				}
-				w.abort(&remoteAbortError{rank: info.Rank, msg: info.Msg})
-			case tagFailed:
-				var info abortInfo
-				if err := decodeValue(f.Data, &info); err == nil && w.recov != nil {
-					w.rankFailed(info.Rank, fmt.Errorf("%w: rank %d: %s", ErrRankFailed, info.Rank, info.Msg))
-				}
-			case tagRejoin:
-				var info rejoinInfo
-				if err := decodeValue(f.Data, &info); err == nil && w.recov != nil {
-					w.rankRejoined(info.Rank, info.Epoch)
-				}
-			case tagAgreeResp:
-				var resp agreeResp
-				if err := decodeValue(f.Data, &resp); err == nil && w.recov != nil {
-					w.recov.deliverDecision(resp)
-				}
-			case tagRevoke:
-				if w.recov != nil {
-					w.revokeCtx(f.Ctx)
-				}
-			case tagPing:
-				_ = t.Send(frame{Dst: ctrlDst, Tag: tagPong})
-			default:
-				box.deliver(f)
-			}
-		}
-	}()
+	// From here on the read lease says who reads the hub connection: a
+	// receive blocked on it, or the transport's fallback reader (lease.go).
+	// Worlds with an shm data plane leave it to the fallback alone.
+	t.serve(w, box, shmT == nil)
 
 	runErr := runRank(w, rank, main)
 	if runErr == nil {
@@ -2040,9 +2034,9 @@ func RunTCP(np int, main func(c *Comm) error, opts ...Option) error {
 // loopback hub plus np joinHub goroutines, with segPath selecting the data
 // plane ("" = TCP only).
 func runHub(np int, segPath string, main func(c *Comm) error, opts ...Option) error {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newConfig(np, opts)
+	if err != nil {
+		return err
 	}
 	hubOpts := cfg.hubOpts
 	if cfg.recovery {

@@ -441,6 +441,7 @@ type wireReader struct {
 	v1  bool
 	v2  bool
 	hdr [rawHeaderLen + crcLen]byte
+	seq [seqLen]byte // readFrame's scratch: a local would escape through io.ReadFull, once per frame
 
 	// onAck receives the peer's cumulative acks (v2); the session layer uses
 	// it to trim the replay buffer. Called from the reading goroutine.
@@ -484,11 +485,10 @@ func (r *wireReader) readFrame() (frame, uint64, error) {
 		}
 		var seq uint64
 		if r.v2 {
-			var sb [seqLen]byte
-			if _, err := io.ReadFull(r.br, sb[:]); err != nil {
+			if _, err := io.ReadFull(r.br, r.seq[:]); err != nil {
 				return frame{}, 0, err
 			}
-			seq = le.Uint64(sb[:])
+			seq = le.Uint64(r.seq[:])
 			if kind == kindAck {
 				if r.onAck != nil {
 					r.onAck(seq)

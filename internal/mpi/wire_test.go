@@ -177,7 +177,7 @@ func TestWireMismatchFallsBackToGob(t *testing.T) {
 func TestWireLegacyWriterConverts(t *testing.T) {
 	var conn bytes.Buffer
 	w := newWireWriter(&conn, 0) // legacy peer: no kind bytes on this stream
-	rd := newWireReader(&conn)       // rd.v1 stays false
+	rd := newWireReader(&conn)   // rd.v1 stays false
 
 	ints := []int{9, 8, -7}
 	raw := make([]byte, rawSizeOf(ints))
@@ -202,11 +202,20 @@ func TestWireLegacyWriterConverts(t *testing.T) {
 // once the buffer freelist is warm, a steady-state send+receive of a
 // whitelisted slice allocates zero amortized heap bytes per message. The
 // loopback is a real OS pipe, so the measured path is the production one:
-// bufio flush, kind demultiplex, pooled payload buffer, in-place decode.
+// bufio flush, kind demultiplex, pooled payload buffer, in-place decode. It
+// holds on wire v1 and on wire v2, the default, where the sender is the
+// session's captured path (encode into a pooled buffer, write, release on
+// ack) and the reader also takes a sequence number and checks a CRC.
 func TestWireRawSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by race-detector instrumentation")
 	}
+	for _, ver := range []int{wireVersion, wireVersion2} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) { testWireRawSendZeroAlloc(t, ver) })
+	}
+}
+
+func testWireRawSendZeroAlloc(t *testing.T, ver int) {
 	// Earlier tests leave arbitrary-sized buffers in the freelist; steady
 	// state for THIS message size starts from an empty pool plus warm-up.
 	for {
@@ -224,9 +233,9 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 	defer pr.Close()
 	defer pw.Close()
 
-	w := newWireWriter(pw, wireVersion)
+	w := newWireWriter(pw, ver)
 	rd := newWireReader(pr)
-	rd.v1 = true
+	rd.v1, rd.v2 = true, ver >= wireVersion2
 
 	const elems = 4096 // 32 KiB payload: fits the pipe buffer, so one
 	// goroutine can drive both ends without deadlock.
@@ -240,12 +249,31 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 	dst := make([]float64, elems)
 
 	var loopErr error
+	var seq uint64
+	send := func() error {
+		if ver < wireVersion2 {
+			return w.writeFrame(f)
+		}
+		seq++
+		buf, err := w.encodeFrame(f, seq)
+		if err != nil {
+			return err
+		}
+		defer putWireBuf(buf) // acknowledged
+		if err := w.writeEncoded(buf); err != nil {
+			return err
+		}
+		return w.flush()
+	}
 	roundTrip := func() {
-		if err := w.writeFrame(f); err != nil {
+		if err := send(); err != nil {
 			loopErr = err
 			return
 		}
-		g, _, err := rd.readFrame()
+		g, got, err := rd.readFrame()
+		if err == nil && ver >= wireVersion2 && got != seq {
+			err = fmt.Errorf("frame %d arrived as sequence %d", seq, got)
+		}
 		if err != nil {
 			loopErr = err
 			return

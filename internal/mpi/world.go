@@ -84,9 +84,23 @@ type config struct {
 	hubOpts      []HubOption               // consumed by RunTCP's internal hub
 	noDelay      *bool                     // WithTCPNoDelay; nil leaves the platform default
 	wireLegacy   bool                      // force the v0 pure-gob TCP wire (tests/ablation)
+	leaseQuiet   time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
 	wrap         func(Transport) Transport // test hook: outermost decoration
 
 	faultT *faultTransport // set by wrapTransport; handed to the World
+}
+
+// newConfig applies opts and checks what can be checked before a world of np
+// ranks is built.
+func newConfig(np int, opts []Option) (config, error) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.recovery && np > maxRecoveryRanks {
+		return cfg, fmt.Errorf("%w, got %d", errRecoveryRankCap, np)
+	}
+	return cfg, nil
 }
 
 // wrapTransport applies configured decorations to a transport. The fault
@@ -221,9 +235,9 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	if np < 1 {
 		return fmt.Errorf("mpi: Run needs at least 1 process, got %d", np)
 	}
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
+	cfg, err := newConfig(np, opts)
+	if err != nil {
+		return err
 	}
 
 	t := newLocalTransport(np)
@@ -258,9 +272,6 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 		hierMode:  cfg.hierMode,
 	}
 	if cfg.recovery {
-		if np > maxRecoveryRanks {
-			return fmt.Errorf("mpi: WithRecovery supports at most %d ranks, got %d", maxRecoveryRanks, np)
-		}
 		w.recov = newRecoveryState(w)
 		w.recov.engine = newAgreeEngine(w.recov)
 	}

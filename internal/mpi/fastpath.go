@@ -138,45 +138,21 @@ func shallowCopyableUncached(t reflect.Type) bool {
 func assignTyped(val any, dst any) bool {
 	switch p := dst.(type) {
 	case *int:
-		if v, ok := val.(int); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *int64:
-		if v, ok := val.(int64); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *float64:
-		if v, ok := val.(float64); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *bool:
-		if v, ok := val.(bool); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *string:
-		if v, ok := val.(string); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *[]float64:
-		if v, ok := val.([]float64); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *[]int:
-		if v, ok := val.([]int); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	case *[]byte:
-		if v, ok := val.([]byte); ok {
-			*p = v
-			return true
-		}
+		return assignAs(p, val)
 	}
 	rd := reflect.ValueOf(dst)
 	if rd.Kind() != reflect.Pointer || rd.IsNil() {
@@ -188,6 +164,15 @@ func assignTyped(val any, dst any) bool {
 	}
 	rd.Elem().Set(rv)
 	return true
+}
+
+// assignAs stores val in *p when it is a T.
+func assignAs[T any](p *T, val any) bool {
+	v, ok := val.(T)
+	if ok {
+		*p = v
+	}
+	return ok
 }
 
 // typedSize reports the in-memory payload size of a fast-path value: what

@@ -18,7 +18,8 @@ import (
 // message reads it. A receive about to sleep on a world whose data plane is
 // the hub connection takes the lease (mailbox.readLocked) and reads until its
 // own frame has come, so that frame is decoded on the goroutine that wants it
-// and no goroutine is readied on the message's way; a reader goroutine that
+// (a streamed payload is read straight into the posted receive's slice:
+// wireReader.land) and no goroutine is readied on the way; a reader that
 // hands each frame over a channel costs an idle-P wake-up per message, which
 // on two cores was most of an 8-byte round trip (EXPERIMENTS E15).
 //
@@ -55,8 +56,10 @@ type readLease struct {
 	poked   bool     // parked's read deadline was moved into the past to wake that receive
 	nudge   chan struct{}
 
-	// Data frames dispatched by a blocked receive and by the fallback.
-	byRecv, byFallback atomic.Int64
+	// Data frames dispatched by a blocked receive and by the fallback; and
+	// the same frames by where their payload was read: straight into the
+	// receive's destination (wireReader.land), or into a pooled buffer.
+	byRecv, byFallback, landed, buffered atomic.Int64
 }
 
 // leaseQuiet is how long the lease goes unclaimed before the fallback takes
@@ -224,7 +227,7 @@ func (t *tcpTransport) idle() bool    { return t.lease.idle() }
 // read is a blocked receive's turn as the reader.
 func (t *tcpTransport) read(wake <-chan struct{}) {
 	for len(wake) == 0 {
-		f, err := t.recvFrame(wake)
+		f, claimed, err := t.recvFrame(wake)
 		if err == errReadInterrupted {
 			return
 		}
@@ -232,7 +235,7 @@ func (t *tcpTransport) read(wake <-chan struct{}) {
 			t.lost(err)
 			return
 		}
-		t.dispatch(f, &t.lease.byRecv)
+		t.dispatch(f, claimed, &t.lease.byRecv)
 	}
 }
 
@@ -251,12 +254,12 @@ func (t *tcpTransport) serve(w *World, box *mailbox, receivesRead bool) {
 		defer t.fallback.Done()
 		for t.lease.acquireFallback() {
 			for {
-				f, err := t.recvFrame(nil)
+				f, claimed, err := t.recvFrame(nil)
 				if err != nil {
 					t.lost(err)
 					return
 				}
-				if t.dispatch(f, &t.lease.byFallback) && receivesRead {
+				if t.dispatch(f, claimed, &t.lease.byFallback) && receivesRead {
 					break // that rank is receiving again: it reads for itself
 				}
 			}
@@ -271,10 +274,12 @@ func (t *tcpTransport) serve(w *World, box *mailbox, receivesRead bool) {
 }
 
 // lost ends the world this transport fed: recvFrame rides out session resumes
-// internally, so an error from it means the connection is gone for good.
+// internally, so an error from it means the connection is gone for good. The
+// abort poisons the mailbox, and nothing else may end it: the fallback and a
+// reading receive both come here, and a close by the one that found the world
+// already aborting could be seen before the other's poison.
 func (t *tcpTransport) lost(err error) {
 	t.world.abort(fmt.Errorf("mpi: rank %d: connection to hub lost: %w", t.rank, err))
-	t.box.close()
 }
 
 // dispatch demultiplexes one frame read from the hub: a broadcast revoke
@@ -283,7 +288,7 @@ func (t *tcpTransport) lost(err error) {
 // user code, which is the point: the heartbeat detects dead processes,
 // WithDeadline detects stuck ranks — and routed traffic goes to the mailbox,
 // counted in n. It reports whether a blocked receive took the frame.
-func (t *tcpTransport) dispatch(f frame, n *atomic.Int64) bool {
+func (t *tcpTransport) dispatch(f frame, claimed *waiter, n *atomic.Int64) bool {
 	w := t.world
 	switch f.Tag {
 	case tagAbort:
@@ -314,8 +319,12 @@ func (t *tcpTransport) dispatch(f frame, n *atomic.Int64) bool {
 	case tagPing:
 		_ = t.Send(frame{Dst: ctrlDst, Tag: tagPong})
 	default:
-		n.Add(1)
-		return t.box.deliver(f)
+		if n.Add(1); claimed != nil {
+			t.lease.landed.Add(1)
+		} else {
+			t.lease.buffered.Add(1)
+		}
+		return t.box.handOver(f, claimed)
 	}
 	return false
 }

@@ -82,7 +82,7 @@ type waiter struct {
 	since    time.Time // when it blocked; zero outside deadline worlds, which keeps it out of snapshots
 	pop      bool
 	dst      any   // Recv's destination pointer, which a borrowed slice is copied into; nil otherwise
-	busy     bool  // claimed by a deliver that is copying its payload with the lock released
+	busy     bool  // claimed by a deliver that is copying, or a reader that is reading, its payload with the lock released
 	done     bool  // f was handed over by deliver
 	f        frame // the one frame a receive waits for
 	wake     chan struct{}
@@ -115,9 +115,16 @@ func newMailbox() *mailbox { return &mailbox{} }
 // can match it and its owner cannot leave — and a frame that found none
 // looks again once it owns its payload. It reports whether a posted receive
 // took the frame.
-func (m *mailbox) deliver(f frame) bool {
+func (m *mailbox) deliver(f frame) bool { return m.handOver(f, nil) }
+
+// handOver is deliver for a frame whose receive may have been claimed ahead
+// of its payload (claim): w is then that receive, busy, its destination
+// filled and f landed, and the hand-over is all that is left.
+func (m *mailbox) handOver(f frame, w *waiter) bool {
 	m.mu.Lock()
-	w := m.claimLocked(&f)
+	if w == nil {
+		w = m.claimLocked(&f)
+	}
 	if f.borrowed {
 		var dst any
 		if w != nil {
@@ -126,14 +133,12 @@ func (m *mailbox) deliver(f frame) bool {
 		m.mu.Unlock()
 		f.settle(dst)
 		m.mu.Lock()
-		if w != nil {
-			w.busy = false
-		} else {
+		if w == nil {
 			w = m.claimLocked(&f)
 		}
 	}
 	if w != nil {
-		w.f, w.done = f, true
+		w.f, w.done, w.busy = f, true, false
 		w.signal()
 		m.mu.Unlock()
 		return true
@@ -150,21 +155,71 @@ func (m *mailbox) deliver(f frame) bool {
 	return false
 }
 
+// claim is the first half of a delivery, for a reader that holds f's header
+// while its n payload bytes are still on the wire: the earliest posted receive
+// f matches is claimed as deliver claims it, and when its destination is a
+// slice of f's element kind it is returned busy, with that slice's storage,
+// grown to n bytes, for the payload to be read into with the lock released.
+// The reader then hands f over landed (handOver), or gives the receive back
+// if the bytes never came or failed their check (unclaim). A receive that
+// cannot take the bytes as they are keeps its place in the queue, and the
+// frame arrives buffered.
+func (m *mailbox) claim(f *frame, n int) (*waiter, []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := m.matchLocked(f)
+	if i < 0 {
+		return nil, nil
+	}
+	w := m.posted[i]
+	into, ok := rawLanding(f.Raw, n, w.dst)
+	if !ok || len(into) != n {
+		return nil, nil
+	}
+	m.posted = slices.Delete(m.posted, i, i+1)
+	w.busy = true
+	return w, into
+}
+
+// unclaim gives back a claimed receive whose payload was lost: at the head of
+// the posted queue, no longer busy, and woken to re-run its checks. What the
+// failed read left in its destination is unspecified, as after any receive
+// that returns an error.
+func (m *mailbox) unclaim(w *waiter) {
+	m.mu.Lock()
+	w.busy = false
+	m.posted = slices.Insert(m.posted, 0, w)
+	w.signal()
+	m.mu.Unlock()
+}
+
 // claimLocked takes the earliest posted receive matching f off the posted
 // queue and returns it, or nil; matching probes ahead of it are woken. Caller
 // holds m.mu.
 func (m *mailbox) claimLocked(f *frame) *waiter {
+	i := m.matchLocked(f)
+	if i < 0 {
+		return nil
+	}
+	w := m.posted[i]
+	m.posted = slices.Delete(m.posted, i, i+1)
+	return w
+}
+
+// matchLocked is the one matching loop: the place in the posted queue of the
+// earliest receive matching f, or -1, with the matching probes ahead of it
+// woken. Caller holds m.mu.
+func (m *mailbox) matchLocked(f *frame) int {
 	for i, w := range m.posted {
 		if !f.matches(w.ctx, w.src, w.tag) {
 			continue
 		}
 		if w.pop {
-			m.posted = slices.Delete(m.posted, i, i+1)
-			return w
+			return i
 		}
 		w.signal()
 	}
-	return nil
+	return -1
 }
 
 // matches reports whether f satisfies a receive for (ctx, src, tag),
@@ -202,8 +257,9 @@ func (m *mailbox) removeLocked(i int) {
 // stores it in out, taking it for receives (pop) and leaving it queued for
 // probes (!pop). It is the single blocking primitive under Recv, Probe, and
 // every collective. dst, if not nil, is the pointer the caller will decode
-// into: once the receive is posted, deliver may copy a borrowed slice straight
-// into it and hand over the frame landed.
+// into: once the receive is posted, deliver may copy a borrowed slice, and a
+// transport's reader read a streamed payload (claim), straight into it and
+// hand over the frame landed.
 //
 // The checks run in revoke order: a poisoned mailbox fails immediately
 // (even with a matching frame queued or already handed over — the world is
@@ -339,9 +395,10 @@ func (m *mailbox) passLease() {
 	m.mu.Unlock()
 }
 
-// sleepLocked releases m.mu until w is woken, and again while a deliver that
-// claimed w is still copying into its destination: the receive may neither
-// time out nor return an error under a copy in progress. Caller holds m.mu.
+// sleepLocked releases m.mu until w is woken, and again while whoever
+// claimed w is still writing into its destination: the receive may neither
+// time out nor return an error under a copy or a read in progress (a read is
+// bounded by the connection's failure detection). Caller holds m.mu.
 func (m *mailbox) sleepLocked(w *waiter) {
 	for {
 		m.mu.Unlock()

@@ -137,19 +137,20 @@ func (r *refBox) end(err error) map[*refOp]refRes {
 // returns once the frame is delivered, so the script keeps its step-by-step
 // comparison with the reference.
 type fakePump struct {
-	m    *mailbox
-	mu   sync.Mutex
-	held bool
-	gone chan struct{} // closed when the lease's holder lets go
-	in   chan frame
-	ack  chan struct{}
-	intr chan struct{} // one slot: a wake-up for the reading operation
+	m       *mailbox
+	deliver func(frame) // what the lease's holder does with a frame: m.deliver, unless the script streams it
+	mu      sync.Mutex
+	held    bool
+	gone    chan struct{} // closed when the lease's holder lets go
+	in      chan frame
+	ack     chan struct{}
+	intr    chan struct{} // one slot: a wake-up for the reading operation
 
 	byReader, byScript, interrupted atomic.Int32
 }
 
 func newFakePump(m *mailbox) *fakePump {
-	return &fakePump{m: m, in: make(chan frame), ack: make(chan struct{}), intr: make(chan struct{}, 1)}
+	return &fakePump{m: m, deliver: func(f frame) { m.deliver(f) }, in: make(chan frame), ack: make(chan struct{}), intr: make(chan struct{}, 1)}
 }
 
 func (p *fakePump) acquire() bool {
@@ -186,7 +187,7 @@ func (p *fakePump) read(wake <-chan struct{}) {
 	for len(wake) == 0 {
 		select {
 		case f := <-p.in:
-			p.m.deliver(f)
+			p.deliver(f)
 			p.byReader.Add(1)
 			p.ack <- struct{}{}
 		case <-p.intr:
@@ -199,7 +200,7 @@ func (p *fakePump) read(wake <-chan struct{}) {
 func (p *fakePump) send(f frame) {
 	for {
 		if p.acquire() {
-			p.m.deliver(f)
+			p.deliver(f)
 			p.byScript.Add(1)
 			p.release()
 			p.m.passLease()
@@ -260,6 +261,13 @@ func awaitPosted(t *testing.T, m *mailbox, n int) {
 // the take the reference matched must find the payload as sent — in its own
 // destination if the frame landed, reusing its capacity, else in a private
 // copy — so a payload copied into any other receive's destination fails it.
+// A third of the frames are streamed, as a TCP reader delivers a large one: the
+// script holds the header, claims the receive it matches (mailbox.claim),
+// writes the payload into the storage it is given with the lock released, and
+// hands the frame over landed — after up to two reads that fail half way, each
+// of which gives the receive back (unclaim) and must leave exactly the
+// reference's operations posted and the same receive first in line for the
+// retransmission. The reference sees one arrival, when the payload is whole.
 //
 // Every second seed runs on a mailbox with a pump (fakePump), as a TCP world's
 // has: the operation that would sleep reads instead, delivers other
@@ -274,19 +282,60 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		maxPending = 4
 	)
 	errPoison := errors.New("model: world revoked")
-	var landings, byReader, byScript, interrupted atomic.Int32
+	var landings, streamLandings, lostReads, byReader, byScript, interrupted atomic.Int32
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, ref := newMailbox(), &refBox{}
-		deliver := func(f frame) { m.deliver(f) }
-		var fp *fakePump
-		if seed%2 == 0 {
-			fp = newFakePump(m)
-			m.pump, deliver = fp, fp.send
-		}
 		var released [steps + 1]atomic.Int32
 		taken, hooked := map[int]bool{}, map[int]bool{}
 		nextID := 1
+		// arrive is what the lease's holder does with a frame. One that comes
+		// as a bare raw header is streamed: id bytes of value id are still to
+		// be read, and the first fails reads of them break off half way.
+		fails, waiting, streamErr := 0, 0, error(nil) // waiting: operations posted when the frame came
+		arrive := func(f frame) {
+			if f.Raw == rawNone || f.Data != nil {
+				m.deliver(f)
+				return
+			}
+			id, first := nextID-1, (*waiter)(nil)
+			for ; ; fails-- {
+				w, into := m.claim(&f, id)
+				if w == nil {
+					f.Data, f.rel = bytes.Repeat([]byte{byte(id)}, id), func() { released[id].Add(1) }
+					hooked[id] = true
+					m.deliver(f)
+					return
+				}
+				if first == nil {
+					first = w
+				}
+				if w != first && streamErr == nil {
+					streamErr = fmt.Errorf("frame %d: after a lost read the retransmission claimed another receive", id)
+				}
+				if fails <= 0 {
+					copy(into, bytes.Repeat([]byte{byte(id)}, id))
+					f.Data, f.landed = into, true
+					m.handOver(f, w)
+					return
+				}
+				for i := range into[:(id+1)/2] {
+					into[i] = ^byte(id)
+				}
+				m.unclaim(w)
+				lostReads.Add(1)
+				if n := postedLen(m); n != waiting && streamErr == nil {
+					streamErr = fmt.Errorf("frame %d: %d operations posted after a lost read, reference has %d", id, n, waiting)
+				}
+			}
+		}
+		deliver := arrive
+		var fp *fakePump
+		if seed%2 == 0 {
+			fp = newFakePump(m)
+			fp.deliver = arrive
+			m.pump, deliver = fp, fp.send
+		}
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
@@ -334,18 +383,28 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				id := nextID
 				nextID++
 				f := frame{Ctx: ctx, Src: src, Tag: tag}
+				seen := f // what the reference is shown: a streamed frame with its payload
 				var lent []byte
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					lent = bytes.Repeat([]byte{byte(id)}, id)
 					f.Val, f.HasVal, f.borrowed = lent, true, true
-				} else {
+					seen = f
+				case 1:
 					f.Raw, f.Data, f.rel = rawBytes, make([]byte, id), func() { released[id].Add(1) }
 					hooked[id] = true
+					seen = f
+				default:
+					f.Raw, fails, waiting = rawBytes, rng.Intn(3), len(ref.pending)
+					seen.Raw, seen.Data = rawBytes, make([]byte, id)
 				}
-				done := ref.deliver(f)
+				done := ref.deliver(seen)
 				deliver(f)
 				for i := range lent { // the sender's buffer is its own again
 					lent[i] = ^byte(id)
+				}
+				if streamErr != nil {
+					fail(step, "%v", streamErr)
 				}
 				settle(step, done)
 			case k < 80:
@@ -374,8 +433,10 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 							f.release()
 							err = checkTaken(f, buf, room)
 						}
-						if f.landed {
+						if f.landed && f.HasVal {
 							landings.Add(1)
+						} else if f.landed {
+							streamLandings.Add(1)
 						}
 						op.res <- refRes{id: f.payloadSize(), err: err}
 						return
@@ -431,8 +492,9 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
-	if landings.Load() == 0 {
-		t.Fatal("no borrowed frame landed in a posted receive's destination")
+	if landings.Load() == 0 || streamLandings.Load() == 0 || lostReads.Load() == 0 {
+		t.Fatalf("%d borrowed and %d streamed frames landed in a posted receive's destination and %d streamed reads were lost: want some of each",
+			landings.Load(), streamLandings.Load(), lostReads.Load())
 	}
 	if byReader.Load() == 0 || byScript.Load() == 0 || interrupted.Load() == 0 {
 		t.Fatalf("with a pump, reading operations delivered %d frames, the script %d, and %d reads were interrupted: want some of each",
@@ -442,17 +504,19 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		byReader.Load(), byScript.Load(), interrupted.Load())
 }
 
-// checkTaken verifies a borrowed payload a take returned: id bytes of value
-// id, in buf (the take's destination, which had room capacity) if the frame
-// landed and in a private copy otherwise. Raw frames carry zeros and pass.
+// checkTaken verifies a payload a take returned: id bytes of value id, in buf
+// (the take's destination, which had room capacity) if the frame landed, and
+// otherwise in a private copy (borrowed) or in the frame's own buffer
+// (streamed). Raw frames that came whole carry zeros and pass.
 func checkTaken(f frame, buf []byte, room int) error {
-	if !f.HasVal {
-		return nil
-	}
 	id := f.payloadSize()
 	got := buf
-	if !f.landed {
+	if !f.landed && f.HasVal {
 		got = f.Val.([]byte)
+	} else if !f.landed {
+		if got = f.Data; id == 0 || got[0] == 0 {
+			return nil
+		}
 	} else if room >= id && cap(buf) != room {
 		return fmt.Errorf("frame %d landed in a new array, not in the %d-byte one its receive brought", id, room)
 	}

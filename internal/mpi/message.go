@@ -127,9 +127,10 @@ type frame struct {
 	// slice the caller passed to Send, uncopied, and whoever carries the frame
 	// is done reading its elements when Send returns — TCP and shm encode it
 	// there, and a mailbox or anything that keeps the frame longer settles it
-	// (fastpath.go). landed marks a frame whose payload settle copied into the
-	// receive's destination; Val still names the sender's slice, of which
-	// only the length may be read.
+	// (fastpath.go). landed marks a frame whose payload is in the receive's
+	// destination already: copied there by settle (Val still names the
+	// sender's slice, of which only the length may be read), or read there off
+	// the socket (Data views the destination; there is no buffer to release).
 	borrowed, landed bool
 
 	// rel, when set, overrides how this frame's Data is returned to its
@@ -145,7 +146,7 @@ type frame struct {
 // (and a no-op) on every other frame; call it whenever a frame's payload is
 // discarded without being decoded.
 func (f *frame) release() {
-	if f.Raw != rawNone && f.Data != nil {
+	if f.Raw != rawNone && f.Data != nil && !f.landed {
 		f.releaseData()
 	}
 }

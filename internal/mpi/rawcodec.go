@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -54,69 +53,41 @@ func rawKindOf(v any) (byte, bool) {
 }
 
 // rawSizeOf reports the encoded payload length in bytes for a raw-encodable
-// value (which the caller has already vetted with rawKindOf).
-func rawSizeOf(v any) int {
-	switch x := v.(type) {
-	case []float64:
-		return 8 * len(x)
-	case []int:
-		return 8 * len(x)
-	case []int64:
-		return 8 * len(x)
-	case []int32:
-		return 4 * len(x)
-	case []float32:
-		return 4 * len(x)
-	case []byte:
-		return len(x)
-	case []bool:
-		return len(x)
-	}
-	return 0
-}
+// value (which the caller has already vetted with rawKindOf): its element
+// storage, as typedSize counts it.
+func rawSizeOf(v any) int { return typedSize(v) }
 
 // rawEncode writes v's element storage into buf, which the caller has sized
 // with rawSizeOf, and reports the bytes written.
 func rawEncode(buf []byte, v any) int {
 	switch x := v.(type) {
 	case []float64:
-		for i, e := range x {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(e))
-		}
-		return 8 * len(x)
+		return rawPut(buf, x, 8, func(b []byte, e float64) { le.PutUint64(b, math.Float64bits(e)) })
 	case []int:
-		for i, e := range x {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(e)))
-		}
-		return 8 * len(x)
+		return rawPut(buf, x, 8, func(b []byte, e int) { le.PutUint64(b, uint64(int64(e))) })
 	case []int64:
-		for i, e := range x {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(e))
-		}
-		return 8 * len(x)
+		return rawPut(buf, x, 8, func(b []byte, e int64) { le.PutUint64(b, uint64(e)) })
 	case []int32:
-		for i, e := range x {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(e))
-		}
-		return 4 * len(x)
+		return rawPut(buf, x, 4, func(b []byte, e int32) { le.PutUint32(b, uint32(e)) })
 	case []float32:
-		for i, e := range x {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(e))
-		}
-		return 4 * len(x)
+		return rawPut(buf, x, 4, func(b []byte, e float32) { le.PutUint32(b, math.Float32bits(e)) })
 	case []byte:
 		return copy(buf, x)
 	case []bool:
-		for i, e := range x {
-			if e {
-				buf[i] = 1
-			} else {
-				buf[i] = 0
+		return rawPut(buf, x, 1, func(b []byte, e bool) {
+			if b[0] = 0; e {
+				b[0] = 1
 			}
-		}
-		return len(x)
+		})
 	}
 	return 0
+}
+
+func rawPut[T any](buf []byte, x []T, size int, put func([]byte, T)) int {
+	for i, e := range x {
+		put(buf[size*i:], e)
+	}
+	return size * len(x)
 }
 
 // rawDecodeInto decodes a raw payload into the receive pointer dst when the
@@ -127,100 +98,69 @@ func rawEncode(buf []byte, v any) int {
 func rawDecodeInto(kind byte, data []byte, dst any) bool {
 	switch p := dst.(type) {
 	case *[]float64:
-		if kind != rawFloat64 {
-			return false
-		}
-		n := len(data) / 8
-		s := growSlice(*p, n)
-		if view, ok := rawBytesView(s); ok {
-			copy(view, data)
-		} else {
-			for i := 0; i < n; i++ {
-				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-			}
-		}
-		*p = s
-		return true
+		return kind == rawFloat64 && rawFill(p, data, 8, func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) })
 	case *[]int:
-		if kind != rawInt {
-			return false
-		}
-		n := len(data) / 8
-		s := growSlice(*p, n)
-		if view, ok := rawBytesView(s); ok {
-			copy(view, data)
-		} else {
-			for i := 0; i < n; i++ {
-				s[i] = int(int64(binary.LittleEndian.Uint64(data[8*i:])))
-			}
-		}
-		*p = s
-		return true
+		return kind == rawInt && rawFill(p, data, 8, func(b []byte) int { return int(int64(le.Uint64(b))) })
 	case *[]int64:
-		if kind != rawInt64 {
-			return false
-		}
-		n := len(data) / 8
-		s := growSlice(*p, n)
-		if view, ok := rawBytesView(s); ok {
-			copy(view, data)
-		} else {
-			for i := 0; i < n; i++ {
-				s[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
-			}
-		}
-		*p = s
-		return true
+		return kind == rawInt64 && rawFill(p, data, 8, func(b []byte) int64 { return int64(le.Uint64(b)) })
 	case *[]int32:
-		if kind != rawInt32 {
-			return false
-		}
-		n := len(data) / 4
-		s := growSlice(*p, n)
-		if view, ok := rawBytesView(s); ok {
-			copy(view, data)
-		} else {
-			for i := 0; i < n; i++ {
-				s[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
-			}
-		}
-		*p = s
-		return true
+		return kind == rawInt32 && rawFill(p, data, 4, func(b []byte) int32 { return int32(le.Uint32(b)) })
 	case *[]float32:
-		if kind != rawFloat32 {
-			return false
-		}
-		n := len(data) / 4
-		s := growSlice(*p, n)
-		if view, ok := rawBytesView(s); ok {
-			copy(view, data)
-		} else {
-			for i := 0; i < n; i++ {
-				s[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-			}
-		}
-		*p = s
-		return true
+		return kind == rawFloat32 && rawFill(p, data, 4, func(b []byte) float32 { return math.Float32frombits(le.Uint32(b)) })
 	case *[]byte:
-		if kind != rawBytes {
-			return false
-		}
-		s := growSlice(*p, len(data))
-		copy(s, data)
-		*p = s
-		return true
+		return kind == rawBytes && rawFill(p, data, 1, func(b []byte) byte { return b[0] })
 	case *[]bool:
-		if kind != rawBool {
-			return false
-		}
-		s := growSlice(*p, len(data))
-		for i, b := range data {
-			s[i] = b != 0
-		}
-		*p = s
-		return true
+		return kind == rawBool && rawFill(p, data, 1, func(b []byte) bool { return b[0] != 0 })
 	}
 	return false
+}
+
+// rawFill decodes data, elements of size wire bytes each, into the slice p
+// points at: one memmove where its storage is the wire encoding, else get
+// per element.
+func rawFill[T any](p *[]T, data []byte, size int, get func([]byte) T) bool {
+	if view, ok := growView(p, len(data), size, true); ok {
+		copy(view, data)
+		return true
+	}
+	for i := range *p {
+		(*p)[i] = get(data[size*i:])
+	}
+	return true
+}
+
+// growView resizes the slice p points at to n wire bytes of size-byte
+// elements and returns its element storage as bytes, where that storage is
+// the wire encoding (rawBytesView): the step rawFill and a payload read
+// straight off the socket (rawLanding) share. A nil p, or a slice of another
+// kind than the payload's (!match), is left alone.
+func growView[T any](p *[]T, n, size int, match bool) ([]byte, bool) {
+	if p == nil || !match {
+		return nil, false
+	}
+	*p = growSlice(*p, n/size)
+	return rawBytesView(*p)
+}
+
+// rawLanding returns the storage an n-byte raw payload of the given kind can
+// be read into as it stands — dst's slice, grown to fit — when dst points at
+// a slice of exactly that element type whose storage is the wire encoding.
+func rawLanding(kind byte, n int, dst any) ([]byte, bool) {
+	switch p := dst.(type) {
+	case *[]float64:
+		return growView(p, n, 8, kind == rawFloat64)
+	case *[]int:
+		return growView(p, n, 8, kind == rawInt)
+	case *[]int64:
+		return growView(p, n, 8, kind == rawInt64)
+	case *[]int32:
+		return growView(p, n, 4, kind == rawInt32)
+	case *[]float32:
+		return growView(p, n, 4, kind == rawFloat32)
+	case *[]byte:
+		return growView(p, n, 1, kind == rawBytes)
+	}
+	return nil, false
 }
 
 // growSlice returns s resized to n elements, reusing its backing array when
@@ -240,35 +180,27 @@ func growSlice[T any](s []T, n int) []T {
 func rawDecode(kind byte, data []byte) (any, error) {
 	switch kind {
 	case rawFloat64:
-		var s []float64
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[float64](kind, data), nil
 	case rawInt:
-		var s []int
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[int](kind, data), nil
 	case rawInt64:
-		var s []int64
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[int64](kind, data), nil
 	case rawInt32:
-		var s []int32
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[int32](kind, data), nil
 	case rawFloat32:
-		var s []float32
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[float32](kind, data), nil
 	case rawBytes:
-		var s []byte
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[byte](kind, data), nil
 	case rawBool:
-		var s []bool
-		rawDecodeInto(kind, data, &s)
-		return s, nil
+		return rawDecodeAs[bool](kind, data), nil
 	}
 	return nil, fmt.Errorf("mpi: unknown raw payload kind %d", kind)
+}
+
+func rawDecodeAs[T any](kind byte, data []byte) any {
+	var s []T
+	rawDecodeInto(kind, data, &s)
+	return s
 }
 
 // wireBufs recycles payload buffers between the framing layer's encode,

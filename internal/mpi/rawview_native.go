@@ -30,32 +30,24 @@ const rawViewNative = true
 func rawBytesView(v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case []float64:
-		if len(x) == 0 {
-			return nil, true
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 8*len(x)), true
+		return storageOf(x), true
 	case []int:
-		if len(x) == 0 {
-			return nil, true
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 8*len(x)), true
+		return storageOf(x), true
 	case []int64:
-		if len(x) == 0 {
-			return nil, true
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 8*len(x)), true
+		return storageOf(x), true
 	case []int32:
-		if len(x) == 0 {
-			return nil, true
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 4*len(x)), true
+		return storageOf(x), true
 	case []float32:
-		if len(x) == 0 {
-			return nil, true
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 4*len(x)), true
+		return storageOf(x), true
 	case []byte:
 		return x, true
 	}
 	return nil, false
+}
+
+func storageOf[T any](x []T) []byte {
+	if len(x) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), len(x)*int(unsafe.Sizeof(x[0])))
 }

@@ -91,6 +91,23 @@ type sendSession struct {
 	gapSeq      uint64 // newest sequence NOT in the replay buffer (0 = none)
 	replay      []replayEntry
 	replayBytes int
+	spare       [][]byte // buffers of trimmed frames, for the next captured ones: at most an ack window's
+}
+
+// frameBuf returns the length-n buffer a captured frame is rendered into: one
+// an ack gave this session back, else the global list's. A free list shared
+// by every session runs dry under their combined ack windows (four sessions
+// of ackEvery frames a pair, 32 slots), and then each captured frame
+// allocates. s may be nil: a writer with no session.
+func (s *sendSession) frameBuf(n int) []byte {
+	if s != nil && len(s.spare) > 0 {
+		b := s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return getWireBuf(n)
 }
 
 func (s *sendSession) nextSeq() uint64 {
@@ -125,12 +142,18 @@ func (s *sendSession) gap(seq uint64) {
 	}
 }
 
-// trim releases every captured frame the peer has acknowledged.
+// trim releases every captured frame the peer has acknowledged; their
+// buffers stay with the session for its next frames (frameBuf).
 func (s *sendSession) trim(ack uint64) {
 	i := 0
 	for ; i < len(s.replay) && s.replay[i].seq <= ack; i++ {
-		s.replayBytes -= len(s.replay[i].buf)
-		putWireBuf(s.replay[i].buf)
+		b := s.replay[i].buf
+		s.replayBytes -= len(b)
+		if len(s.spare) < ackEvery && cap(b) <= v2RawPrefixLen+replayFrameMax {
+			s.spare = append(s.spare, b)
+		} else {
+			putWireBuf(b)
+		}
 	}
 	if i > 0 {
 		n := copy(s.replay, s.replay[i:])
@@ -154,7 +177,7 @@ func (s *sendSession) drop() {
 	for _, e := range s.replay {
 		putWireBuf(e.buf)
 	}
-	s.replay, s.replayBytes = nil, 0
+	s.replay, s.replayBytes, s.spare = nil, 0, nil
 }
 
 // recvSession is the receiving half: duplicate suppression (retransmitted

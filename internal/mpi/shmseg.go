@@ -172,8 +172,9 @@ var shmSegSeq atomic.Uint64
 // CreateShmSegment creates and initializes a shared-memory segment file for
 // an np-rank world and returns its path. An empty path auto-names a file
 // under the host's shared-memory directory (/dev/shm when present). The
-// caller — typically the launcher — removes the file once the world is
-// done; ranks that mapped it keep their pages until they unmap.
+// ranks unlink the file themselves once the world has formed and keep their
+// pages until they unmap; the caller — typically the launcher — still
+// removes it when the world is done, for one that never formed.
 func CreateShmSegment(path string, np int) (string, error) {
 	if !shmSupported {
 		return "", ErrShmUnsupported

@@ -558,3 +558,34 @@ func TestShmWorldAbort(t *testing.T) {
 		t.Fatalf("err = %v, want the failing rank named", err)
 	}
 }
+
+// TestShmSegmentUnlinkedOnceWorldForms: every rank maps the segment before
+// its hello, so once the start signal is in the path has no reader left and
+// the ranks unlink it — a run killed later (a test's timeout, a signal to the
+// launcher) leaves nothing in /dev/shm. The world runs on, on the mapping.
+func TestShmSegmentUnlinkedOnceWorldForms(t *testing.T) {
+	skipNoShm(t)
+	const np = 3
+	err := RunShm(np, func(c *Comm) error {
+		path := c.world.shmT.seg.path
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("rank %d: the segment path %s is still there with the world running (stat: %v)", c.Rank(), path, err)
+		}
+		big := make([]float64, 1<<15) // 256 KiB: a rendezvous through the mapping
+		big[len(big)-1] = float64(c.Rank())
+		var got []float64
+		if _, err := c.Sendrecv((c.Rank()+1)%np, 0, big, (c.Rank()+np-1)%np, 0, &got); err != nil {
+			return err
+		}
+		if want := float64((c.Rank() + np - 1) % np); len(got) != len(big) || got[len(got)-1] != want {
+			return fmt.Errorf("rank %d: ring exchange over the unlinked segment got %d values ending in %v", c.Rank(), len(got), got[len(got)-1])
+		}
+		if st := &c.world.shmT.stats; st.rendezvous.Load() == 0 || st.fallback.Load() != 0 {
+			return fmt.Errorf("rank %d: %d rendezvous sends and %d over the TCP fallback, want the mapping to carry the exchange", c.Rank(), st.rendezvous.Load(), st.fallback.Load())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -308,8 +308,9 @@ func (hc *hubConn) send(f frame) error {
 }
 
 // sendLocked frames one outbound frame at the worker's wire version. On a
-// v2 session the frame is sequenced and captured for replay; a write error
-// under suspicion-eligible conditions suspends the connection (the frame is
+// v2 session the frame is sequenced and captured for replay, or parked while
+// the connection is down (wireWriter.transmit); a write error under
+// suspicion-eligible conditions suspends the connection (the frame is
 // already safe in the replay buffer) instead of surfacing the error.
 func (hc *hubConn) sendLocked(f frame) error {
 	if hc.dead {
@@ -318,51 +319,11 @@ func (hc *hubConn) sendLocked(f frame) error {
 	if hc.wire < wireVersion2 {
 		return hc.w.writeFrame(f)
 	}
-	seq := hc.sendq.nextSeq()
-	if hc.suspended {
-		// Connection down, grace running: park the frame for retransmission.
-		buf, err := hc.w.encodeFrame(f, seq)
-		if err != nil {
-			return err
-		}
-		hc.sendq.record(seq, buf)
-		return nil
-	}
-	if n := rawPayloadSize(f); n > replayFrameMax {
-		// Large raw frame: stream it without capturing (the zero-copy path)
-		// and record the sequence as a replay gap. Only if the write breaks
-		// is the frame captured after the fact — the payload is still intact
-		// — so the resume is not doomed by the very frame that broke it.
-		err := hc.w.writeFrameDirect(f, seq)
-		if err == nil {
-			err = hc.w.flush()
-		}
-		if err == nil {
-			hc.sendq.gap(seq)
-			return nil
-		}
-		if buf, eerr := hc.w.encodeFrame(f, seq); eerr == nil {
-			hc.sendq.record(seq, buf)
-		} else {
-			hc.sendq.gap(seq)
-		}
-		return hc.streamBrokenLocked(err)
-	}
-	buf, err := hc.w.encodeFrame(f, seq)
-	if err != nil {
-		return err
-	}
-	werr := hc.w.writeEncoded(buf)
-	if werr == nil {
-		werr = hc.w.flush()
-	}
-	// Record after the write: record may evict old frames under budget
-	// pressure, and the buffer being written must not be reclaimed mid-write.
-	hc.sendq.record(seq, buf)
+	werr, err := hc.w.transmit(f, hc.suspended)
 	if werr != nil {
 		return hc.streamBrokenLocked(werr)
 	}
-	return nil
+	return err
 }
 
 // canSuspendLocked reports whether this connection's breaks are absorbed by
@@ -531,6 +492,7 @@ func (h *Hub) admit(conn net.Conn) {
 		readerDown: make(chan struct{}),
 	}
 	if rd.v2 {
+		hc.w.sess = &hc.sendq
 		rd.onAck = func(ack uint64) {
 			hc.mu.Lock()
 			hc.sendq.trim(ack)
@@ -749,6 +711,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		readerDown: make(chan struct{}),
 	}
 	if rd.v2 {
+		hc.w.sess = &hc.sendq
 		rd.onAck = func(ack uint64) {
 			hc.mu.Lock()
 			hc.sendq.trim(ack)
@@ -1319,6 +1282,7 @@ type tcpTransport struct {
 	box      *mailbox
 	lease    readLease
 	fallback sync.WaitGroup
+	claimed  *waiter // the lease holder's: the receive the frame being read is landing in (rd.land)
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -1350,6 +1314,7 @@ func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bo
 	t.rd.v1 = wire >= wireVersion
 	t.rd.v2 = wire >= wireVersion2
 	if t.rd.v2 {
+		t.w.sess = &t.send
 		t.rd.onAck = func(ack uint64) {
 			t.mu.Lock()
 			t.send.trim(ack)
@@ -1358,12 +1323,17 @@ func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bo
 			}
 			t.mu.Unlock()
 		}
+		t.rd.land = func(f frame, n int) (into []byte) {
+			t.claimed, into = t.box.claim(&f, n)
+			return into
+		}
 	}
 	return t
 }
 
 // Send frames one outbound frame. On a v2 session the frame is sequenced
-// and captured for replay; a write error with a grace window configured
+// and captured for replay, or parked while the transport redials
+// (wireWriter.transmit); a write error with a grace window configured
 // moves the transport into reconnection (the frame is safe in the replay
 // buffer) instead of surfacing the error. writeFrame and friends serialize
 // typed payloads on the spot, so frame.Val is fully consumed by the time
@@ -1371,71 +1341,24 @@ func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bo
 func (t *tcpTransport) Send(f frame) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	switch t.state {
-	case tcpDead:
+	if t.state == tcpDead {
 		return fmt.Errorf("mpi: tcp send: %w", t.deadErr)
-	case tcpReconnecting:
-		seq := t.send.nextSeq()
-		buf, err := t.w.encodeFrame(f, seq)
-		if err != nil {
-			return err
-		}
-		t.send.record(seq, buf)
-		return nil
 	}
+	var werr, err error
 	if t.wire < wireVersion2 {
-		if err := t.w.writeFrame(f); err != nil {
-			t.dieLocked(err)
-			return fmt.Errorf("mpi: tcp send: %w", err)
-		}
-		return nil
+		werr = t.w.writeFrame(f)
+	} else {
+		werr, err = t.w.transmit(f, t.state == tcpReconnecting)
 	}
-	seq := t.send.nextSeq()
-	if n := rawPayloadSize(f); n > replayFrameMax {
-		// Stream the large frame without capturing it (the zero-copy path);
-		// its sequence becomes a replay gap. If the write breaks, capture it
-		// after the fact — the payload is still intact — so the resume is
-		// not doomed by the very frame that broke it.
-		err := t.w.writeFrameDirect(f, seq)
-		if err == nil {
-			err = t.w.flush()
-		}
-		if err == nil {
-			t.send.gap(seq)
-			return nil
-		}
-		if t.grace > 0 {
-			if buf, eerr := t.w.encodeFrame(f, seq); eerr == nil {
-				t.send.record(seq, buf)
-			} else {
-				t.send.gap(seq)
-			}
-			t.enterReconnectLocked(err)
-			return nil
-		}
-		t.dieLocked(err)
-		return fmt.Errorf("mpi: tcp send: %w", err)
-	}
-	buf, err := t.w.encodeFrame(f, seq)
-	if err != nil {
+	if werr == nil {
 		return err
 	}
-	werr := t.w.writeEncoded(buf)
-	if werr == nil {
-		werr = t.w.flush()
+	if t.grace > 0 {
+		t.enterReconnectLocked(werr)
+		return nil
 	}
-	// Record after the write: record may evict old frames under budget
-	// pressure, and the buffer being written must not be reclaimed mid-write.
-	t.send.record(seq, buf)
-	if werr != nil {
-		if t.grace > 0 {
-			t.enterReconnectLocked(werr)
-			return nil
-		}
-		t.dieLocked(werr)
-		return fmt.Errorf("mpi: tcp send: %w", werr)
-	}
-	return nil
+	t.dieLocked(werr)
+	return fmt.Errorf("mpi: tcp send: %w", werr)
 }
 
 // recvFrame reads the next frame from the hub, for the holder of the read
@@ -1446,20 +1369,26 @@ func (t *tcpTransport) Send(f frame) error {
 // wake-up comes first or the connection is being redialed. Read errors from
 // torn-down connections are discarded by the generation counter. Sequenced
 // frames are dup-suppressed and acknowledged through the receive session.
-func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, error) {
+//
+// A streamed frame whose payload was read straight into the receive posted
+// for it (rd.land) is returned with that receive, still claimed, for dispatch
+// to complete. If the frame is not returned — the read or its CRC failed, a
+// reconnect replaced the connection under it, the session had seen it — the
+// receive goes back to the mailbox and the frame is lost as any other is.
+func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, *waiter, error) {
 	for {
 		t.mu.Lock()
 		for t.state == tcpReconnecting {
 			if wake != nil {
 				t.mu.Unlock()
-				return frame{}, errReadInterrupted
+				return frame{}, nil, errReadInterrupted
 			}
 			t.cond.Wait()
 		}
 		if t.state == tcpDead {
 			err := t.deadErr
 			t.mu.Unlock()
-			return frame{}, err
+			return frame{}, nil, err
 		}
 		rd, conn := t.rd, t.conn
 		gen := t.gen
@@ -1475,13 +1404,17 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, error) {
 		if err == nil {
 			f, seq, err = rd.readFrame()
 		}
+		claimed := t.claimed
+		if t.claimed = nil; err != nil {
+			t.drop(f, claimed) // before the error is acted on: the mailbox lock comes first
+		}
 
 		t.mu.Lock()
 		t.readerBusy = false
 		t.cond.Broadcast()
 		if err == errReadInterrupted {
 			t.mu.Unlock()
-			return frame{}, err
+			return frame{}, nil, err
 		}
 		if err != nil {
 			if t.gen != gen || t.state != tcpActive {
@@ -1501,20 +1434,20 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, error) {
 			}
 			t.dieLocked(err)
 			t.mu.Unlock()
-			return frame{}, err
+			return frame{}, nil, err
 		}
 		if t.gen != gen {
 			// A frame from a connection a reconnect already replaced;
 			// resume retransmission will deliver it again in order.
-			f.release()
 			t.mu.Unlock()
+			t.drop(f, claimed)
 			continue
 		}
 		if t.wire >= wireVersion2 && seq > 0 {
 			dup, ackNow := t.recv.note(seq)
 			if dup {
 				t.mu.Unlock()
-				f.release()
+				t.drop(f, claimed)
 				continue
 			}
 			if ackNow && t.state == tcpActive {
@@ -1522,7 +1455,17 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, error) {
 			}
 		}
 		t.mu.Unlock()
-		return f, nil
+		return f, claimed, nil
+	}
+}
+
+// drop discards a frame that was read but is not to be delivered, and gives
+// the receive its payload was read into back to the mailbox. Called without
+// t.mu: the mailbox lock comes first.
+func (t *tcpTransport) drop(f frame, claimed *waiter) {
+	f.release()
+	if claimed != nil {
+		t.box.unclaim(claimed)
 	}
 }
 
@@ -1891,7 +1834,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	// The start frame arrives before any routed traffic. A pre-start abort
 	// (another worker failed the handshake, or formation timed out) arrives
 	// here instead of the start signal.
-	start, err := t.recvFrame(nil)
+	start, _, err := t.recvFrame(nil)
 	if err != nil {
 		return fmt.Errorf("mpi: waiting for world start: %w", err)
 	}
@@ -1911,6 +1854,14 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		return fmt.Errorf("mpi: rank %d: %w", rank, info.err())
 	default:
 		return fmt.Errorf("mpi: unexpected frame before start signal (tag %d)", start.Tag)
+	}
+	if shmT != nil {
+		// Every rank maps the segment before its hello and the start signal
+		// follows the last hello, so nothing opens the path again (a respawned
+		// rank joins over TCP): unlink it now, whichever rank is first, and a
+		// run that is killed leaves nothing behind. The launcher's own removal
+		// is for a world that never formed.
+		_ = os.Remove(segPath)
 	}
 	if si.SuspicionNs > 0 && wireVer >= wireVersion2 {
 		// Arm session resumption: from here on a broken connection is a

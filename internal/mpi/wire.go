@@ -127,6 +127,8 @@ type wireWriter struct {
 
 	gobBuf bytes.Buffer // v2: per-frame gob staging
 	hdr2   [v2RawPrefixLen]byte
+	ack    [1 + seqLen]byte // writeAck's scratch: a local would escape through Write
+	sess   *sendSession     // v2: where encodeFrame's buffers come from and go back to; nil in tests
 
 	// corruptNext makes the next raw frame leave the writer with one payload
 	// bit flipped — on the wire only, never in the captured replay copy. The
@@ -176,14 +178,19 @@ func (w *wireWriter) writeHello(hi hello) error {
 // When the peer is a legacy gob-only connection, raw frames being forwarded
 // are converted back to their gob form first.
 func (w *wireWriter) writeFrame(f frame) error {
-	if w.v1 && f.HasVal && headerRanksFit(f) {
-		if kind, ok := rawKindOf(f.Val); ok {
-			return w.writeRawVal(f, kind)
+	if w.v1 {
+		if kind, payload, scratch, ok := rawPayload(f); ok {
+			w.putHeader(f, kind, len(payload))
+			_, err := w.bw.Write(w.hdr[:])
+			if err == nil {
+				_, err = w.bw.Write(payload)
+			}
+			putWireBuf(scratch)
+			if err != nil {
+				return err
+			}
+			return w.bw.Flush()
 		}
-	}
-	if w.v1 && f.Raw != rawNone {
-		// Forwarding an already-encoded raw payload (the hub's routing path).
-		return w.writeRawData(f)
 	}
 	if f.HasVal {
 		data, err := encodeValue(f.Val)
@@ -216,48 +223,32 @@ func (w *wireWriter) writeFrame(f frame) error {
 	return w.bw.Flush()
 }
 
-// writeRawVal frames a typed payload as kindRaw. On layout-compatible
-// platforms the payload bytes are written straight from the value's backing
-// array — sends are synchronous on the caller's goroutine and the write
-// completes before Send returns, so the wire never reads the slice after the
-// caller regains control. Elsewhere (and for []bool, whose storage is not
-// the wire format) the elements are encoded into a pooled scratch buffer,
-// returned before the call completes, so a steady-state send loop allocates
-// nothing either way.
-func (w *wireWriter) writeRawVal(f frame, kind byte) error {
-	n := rawSizeOf(f.Val)
-	w.putHeader(f, kind, n)
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return err
+// rawPayload returns the wire kind and the payload bytes of a frame that
+// travels as kindRaw, or ok false for one that gob-encodes. A payload being
+// forwarded (the hub's routing path) is f.Data as it is. A typed value is its
+// own backing array on layout-compatible platforms — sends are synchronous on
+// the caller's goroutine and the write completes before Send returns, so the
+// wire never reads the slice after the caller regains control. Elsewhere (and
+// for []bool, whose storage is not the wire format) the elements are encoded
+// into a pooled scratch, which the caller returns with putWireBuf once the
+// payload is written, so a steady-state send loop allocates nothing either
+// way.
+func rawPayload(f frame) (kind byte, payload, scratch []byte, ok bool) {
+	if f.Raw != rawNone {
+		return f.Raw, f.Data, nil, true
 	}
-	if view, ok := rawBytesView(f.Val); ok {
-		if len(view) > 0 {
-			if _, err := w.bw.Write(view); err != nil {
-				return err
-			}
-		}
-		return w.bw.Flush()
+	if !f.HasVal || !headerRanksFit(f) {
+		return 0, nil, nil, false
 	}
-	buf := getWireBuf(n)
-	rawEncode(buf, f.Val)
-	_, err := w.bw.Write(buf)
-	putWireBuf(buf)
-	if err != nil {
-		return err
+	if kind, ok = rawKindOf(f.Val); !ok {
+		return 0, nil, nil, false
 	}
-	return w.bw.Flush()
-}
-
-// writeRawData forwards an already raw-encoded payload unchanged.
-func (w *wireWriter) writeRawData(f frame) error {
-	w.putHeader(f, f.Raw, len(f.Data))
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return err
+	if payload, ok = rawBytesView(f.Val); !ok {
+		scratch = getWireBuf(rawSizeOf(f.Val))
+		rawEncode(scratch, f.Val)
+		payload = scratch
 	}
-	if _, err := w.bw.Write(f.Data); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	return kind, payload, scratch, true
 }
 
 func (w *wireWriter) putHeader(f frame, kind byte, payloadLen int) {
@@ -295,12 +286,12 @@ func rawPayloadSize(f frame) int {
 // encodeFrame renders one v2 frame — kind byte, sequence, header, CRC,
 // payload — into a pooled buffer and returns it. The caller (the session
 // layer) owns the buffer: it is written with writeEncoded, kept for replay,
-// and released via putWireBuf once the peer acks past seq.
+// and released once the peer acks past seq (sendSession.trim).
 func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 	if f.HasVal && headerRanksFit(f) {
 		if kind, ok := rawKindOf(f.Val); ok {
 			n := rawSizeOf(f.Val)
-			buf := getWireBuf(v2RawPrefixLen + n)
+			buf := w.sess.frameBuf(v2RawPrefixLen + n)
 			if view, ok := rawBytesView(f.Val); ok {
 				copy(buf[v2RawPrefixLen:], view)
 			} else {
@@ -312,7 +303,7 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 	}
 	if f.Raw != rawNone {
 		n := len(f.Data)
-		buf := getWireBuf(v2RawPrefixLen + n)
+		buf := w.sess.frameBuf(v2RawPrefixLen + n)
 		copy(buf[v2RawPrefixLen:], f.Data)
 		putV2RawPrefix(buf, f, f.Raw, seq, n)
 		return buf, nil
@@ -329,12 +320,53 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 		return nil, err
 	}
 	gb := w.gobBuf.Bytes()
-	buf := getWireBuf(v2GobPrefixLen + len(gb))
+	buf := w.sess.frameBuf(v2GobPrefixLen + len(gb))
 	buf[0] = kindGob
 	le.PutUint64(buf[1:], seq)
 	copy(buf[v2GobPrefixLen:], gb)
 	w.gobBuf.Reset()
 	return buf, nil
+}
+
+// transmit puts one frame on a v2 session: sequenced, then captured for
+// replay and written, or — a raw payload over replayFrameMax — streamed from
+// where it lies (the zero-copy path) with its sequence recorded as a replay
+// gap, and captured after the fact only if the write broke: the payload is
+// still intact, so the resume is not doomed by the very frame that broke it.
+// With the connection down (parked) the frame is captured for the resume and
+// nothing is written. A write error comes back apart from any other: the
+// frame is then in the replay buffer, and the session's owner decides between
+// a resume and the end.
+func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
+	s := w.sess
+	seq := s.nextSeq()
+	stream := !parked && rawPayloadSize(f) > replayFrameMax
+	if stream {
+		if werr = w.writeFrameDirect(f, seq); werr == nil {
+			werr = w.flush()
+		}
+		if werr == nil {
+			s.gap(seq)
+			return nil, nil
+		}
+	}
+	buf, err := w.encodeFrame(f, seq)
+	if err != nil && stream {
+		s.gap(seq)
+		return werr, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !parked && !stream {
+		if werr = w.writeEncoded(buf); werr == nil {
+			werr = w.flush()
+		}
+	}
+	// Record after the write: record may evict old frames under budget
+	// pressure, and the buffer being written must not be reclaimed mid-write.
+	s.record(seq, buf)
+	return werr, nil
 }
 
 // putV2RawPrefix fills a captured v2 raw frame's prefix in place; the
@@ -369,23 +401,9 @@ func (w *wireWriter) writeEncoded(buf []byte) error {
 // scratch), exactly like the v1 fast path. The caller records the sequence
 // as a replay gap. Does not flush.
 func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
-	var kind byte
-	var payload, scratch []byte
-	if f.Raw != rawNone {
-		kind, payload = f.Raw, f.Data
-	} else {
-		k, ok := rawKindOf(f.Val)
-		if !ok {
-			return fmt.Errorf("mpi: writeFrameDirect on a non-raw frame (tag %d)", f.Tag)
-		}
-		kind = k
-		if view, ok := rawBytesView(f.Val); ok {
-			payload = view
-		} else {
-			scratch = getWireBuf(rawSizeOf(f.Val))
-			rawEncode(scratch, f.Val)
-			payload = scratch
-		}
+	kind, payload, scratch, ok := rawPayload(f)
+	if !ok {
+		return fmt.Errorf("mpi: writeFrameDirect on a non-raw frame (tag %d)", f.Tag)
 	}
 	h := w.hdr2[:]
 	h[0] = kindRaw
@@ -404,9 +422,7 @@ func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
 			_, err = w.bw.Write(payload)
 		}
 	}
-	if scratch != nil {
-		putWireBuf(scratch)
-	}
+	putWireBuf(scratch)
 	return err
 }
 
@@ -414,10 +430,9 @@ func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
 // not sequenced and never replayed: a lost ack just means the peer trims a
 // little later.
 func (w *wireWriter) writeAck(seq uint64) error {
-	var b [1 + seqLen]byte
-	b[0] = kindAck
-	le.PutUint64(b[1:], seq)
-	if _, err := w.bw.Write(b[:]); err != nil {
+	w.ack[0] = kindAck
+	le.PutUint64(w.ack[1:], seq)
+	if _, err := w.bw.Write(w.ack[:]); err != nil {
 		return err
 	}
 	return w.bw.Flush()
@@ -446,6 +461,13 @@ type wireReader struct {
 	// onAck receives the peer's cumulative acks (v2); the session layer uses
 	// it to trim the replay buffer. Called from the reading goroutine.
 	onAck func(uint64)
+
+	// land, where set (a rank's v2 reader; never the hub's), is shown the
+	// header of a streamed raw frame — n payload bytes, more than
+	// replayFrameMax, still unread — and may return the n bytes of storage
+	// they are to be read into: the destination of the receive that waits for
+	// them (mailbox.claim). nil reads the payload into a pooled buffer.
+	land func(f frame, n int) []byte
 }
 
 func newWireReader(r io.Reader) *wireReader {
@@ -467,8 +489,9 @@ func (r *wireReader) readHello() (hello, error) {
 }
 
 // readFrame reads one frame, returning its sequence number (0 on pre-v2
-// streams). Raw payloads land in a pooled buffer (frame.Data, flagged by
-// frame.Raw); the consumer returns it via frame.release or decodeInto. Acks
+// streams). Raw payloads are read into a pooled buffer (frame.Data, flagged by
+// frame.Raw) that the consumer returns via frame.release or decodeInto, or
+// into the receive that waits for them (readRawBody, frame.landed). Acks
 // are consumed internally via onAck. A CRC mismatch returns
 // *CorruptFrameError; the stream position is past the frame, but the session
 // layer tears the connection down rather than trusting anything after it.
@@ -510,7 +533,12 @@ func (r *wireReader) readFrame() (frame, uint64, error) {
 	}
 }
 
-// readRawBody reads a raw frame's header (+CRC on v2) and payload.
+// readRawBody reads a raw frame's header (+CRC on v2) and payload: into a
+// pooled buffer, or — a streamed frame that land found a receive for —
+// straight into that receive's destination, which f.Data then views and
+// f.landed marks as nothing to decode and nothing to release. The CRC is
+// checked over the bytes where they lie; after an error the caller gives
+// the claimed receive back.
 func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 	// The raw branch keeps its frame variable to itself: sharing one
 	// across the gob branches would let Decode's &f force a heap
@@ -534,19 +562,27 @@ func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 	f.Dst = int(int32(le.Uint32(h[16:])))
 	f.Tag = int(int32(le.Uint32(h[20:])))
 	f.Raw = h[24]
-	payload := getWireBuf(n)
-	if _, err := io.ReadFull(r.br, payload); err != nil {
-		putWireBuf(payload)
-		return f, err
+	var payload []byte
+	if r.land != nil && n > replayFrameMax {
+		payload = r.land(f, n)
 	}
-	if r.v2 {
+	landed := payload != nil
+	if !landed {
+		payload = getWireBuf(n)
+	}
+	_, err := io.ReadFull(r.br, payload)
+	if err == nil && r.v2 {
 		want := le.Uint32(h[rawHeaderLen:])
 		if got := payloadCRC(h[:rawHeaderLen], payload); got != want {
-			cerr := &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}
-			putWireBuf(payload)
-			return f, cerr
+			err = &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}
 		}
 	}
-	f.Data = payload
+	if err != nil {
+		if !landed {
+			putWireBuf(payload)
+		}
+		return f, err
+	}
+	f.Data, f.landed = payload, landed
 	return f, nil
 }

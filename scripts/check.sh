@@ -65,17 +65,17 @@ go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 # The packages the shm-exemplars-t2 gate workload times, and the files under
 # the pingpong-8B-local and the two TCP ones, are held to gofmt as well (`go
 # vet ./...` above already covers them): any name printed fails.
-test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go mpi/comm.go mpi/transport.go mpi/message.go mpi/tcp.go mpi/lease.go mpi/wire.go mpi/session.go)"
+test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go mpi/comm.go mpi/transport.go mpi/message.go mpi/tcp.go mpi/lease.go mpi/wire.go mpi/session.go mpi/rawcodec.go)"
 
 # Receive matching: the posted/unexpected-queue mailbox against its one-list
 # reference model under seeded random scripts (several goroutines blocked on
-# one mailbox, borrowed payloads landing in posted destinations, revoke racing
-# a hand-over, a receive held mid-delivery, operations that read for
-# themselves), the TCP read lease, the ownership rule on every transport in
-# both arrival orders, non-overtaking parity across transports and latencies.
-# Twenty fresh runs: wake-up, re-check and retire interleave anew each time.
+# one mailbox, borrowed and streamed payloads landing in posted destinations,
+# reads lost after the claim, revoke racing a hand-over, operations that read
+# for themselves), the TCP read lease and the payloads read through it into
+# posted receives, the ownership rule on every transport in both orders,
+# non-overtaking parity. Twenty fresh runs: wake-ups interleave anew each time.
 go test -race -timeout 300s -count=20 \
-  -run 'TestLease|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
+  -run 'TestLease|TestLanding|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
   ./internal/mpi/
 
 # The master-worker kill tests used to pass by scheduling luck: a kill is

@@ -172,9 +172,10 @@ func (x *exchange) step(c *mpi.Comm, damping float64) error {
 // PageRankMPI runs the damped power iteration across the communicator and
 // returns the full PageRank vector on every rank. Per iteration it moves
 // one coalesced value block per rank pair (AlltoallvInto out of and into
-// buffers the exemplar allocates once; the transport underneath may still
-// copy, and the local one does: one block per peer per iteration) plus one
-// scalar Allreduce for the dangling mass.
+// buffers the exemplar allocates once; on the local transport each block is
+// copied once, from the sender's buffer into the receiver's, and with two
+// ranks nothing is allocated on the way) plus one scalar Allreduce for the
+// dangling mass.
 func PageRankMPI(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, error) {
 	lo, hi := vrange(g.N, c.Rank(), c.Size())
 	x, err := newExchange(c, g, uniform(g.N, hi-lo))

@@ -15,9 +15,10 @@ import "fmt"
 // (r+s) mod n and receives the block from (r-s+n) mod n, so every step is a
 // perfect matching — each rank sends at most one message and receives at
 // most one, and no single rank is ever the hot spot the naive "everyone
-// sends to 0 first" rank-ordered loop creates. Sends are buffered
-// (MPI buffered-mode semantics), so the send never deadlocks against the
-// matching receive.
+// sends to 0 first" rank-ordered loop creates. Each step is one exchange
+// (Comm.exchange): the receive is posted first, naming the block's place in
+// the receive buffer, and the outgoing block is sent lent, so neither side
+// waits for the other to start and no block is buffered on the way.
 //
 // Zero-count pairs move no frame at all: the sender skips the Send and the
 // receiver skips the Recv, symmetrically — the sparse-friendly property
@@ -49,7 +50,7 @@ func AlltoallCounts(c *Comm, sendCounts []int) ([]int, error) {
 	if len(sendCounts) != n {
 		return nil, fmt.Errorf("mpi: AlltoallCounts: %d counts for a %d-rank communicator", len(sendCounts), n)
 	}
-	rows, err := Allgather(c, append([]int(nil), sendCounts...))
+	rows, err := Allgather(c, sendCounts)
 	if err != nil {
 		return nil, err
 	}
@@ -83,10 +84,12 @@ func AlltoallvSlice[T any](c *Comm, send []T, sendCounts, recvCounts []int) ([]T
 }
 
 // AlltoallvInto is AlltoallvSlice into a caller-owned receive buffer, which
-// must hold exactly sum(recvCounts) elements. Received blocks are copied
-// in place — on the shm rendezvous and TCP raw paths straight from the
-// transport's staging memory into their final position, one copy total,
-// no intermediate buffer.
+// must hold exactly sum(recvCounts) elements. Each block is copied once, into
+// its final position: on the local transport by whichever of the pair comes
+// second, straight out of the other's send buffer; on TCP off the socket (a
+// streamed frame) or out of the frame's buffer; on shm out of the sender's
+// staging block. A block whose sender is a whole step ahead of its receiver
+// (np > 2) is the exception: it waits as a private copy.
 func AlltoallvInto[T any](c *Comm, send []T, sendCounts []int, recv []T, recvCounts []int) error {
 	n := c.Size()
 	if len(sendCounts) != n || len(recvCounts) != n {
@@ -109,24 +112,26 @@ func AlltoallvInto[T any](c *Comm, send []T, sendCounts []int, recv []T, recvCou
 	if h := c.hier(); h != nil {
 		return hierAlltoallv(c, h, send, sendCounts, sdis, recv, recvCounts, rdis)
 	}
-	var tmp []T
 	for step := 1; step < n; step++ {
-		dst := (r + step) % n
-		src := (r - step + n) % n
-		if ct := sendCounts[dst]; ct > 0 {
-			if err := c.sendReserved(dst, tagA2Av, send[sdis[dst]:sdis[dst]+ct]); err != nil {
-				return err
-			}
+		dst, src := (r+step)%n, (r-step+n)%n
+		out, in := send[sdis[dst]:sdis[dst]+sendCounts[dst]], recv[rdis[src]:rdis[src]+recvCounts[src]]
+		if err := sparseExchange(c, dst, out, src, in, "mpi: Alltoallv: rank %d sent %d elements, recvCounts say %d"); err != nil {
+			return err
 		}
-		if ct := recvCounts[src]; ct > 0 {
-			got, err := recvSegCopy(c, src, tagA2Av, recv[rdis[src]:rdis[src]+ct], &tmp)
-			if err == errVecSegLen {
-				return fmt.Errorf("mpi: Alltoallv: rank %d sent %d elements, recvCounts say %d", src, got, ct)
-			}
-			if err != nil {
-				return err
-			}
-		}
+	}
+	return nil
+}
+
+// sparseExchange is one step of the pairwise schedule: an empty block moves
+// no frame, on either side of it.
+func sparseExchange[T any](c *Comm, dst int, out []T, src int, in []T, format string) error {
+	switch {
+	case len(out) > 0 && len(in) > 0:
+		return exchangeSeg(c, dst, out, src, tagA2Av, in, format)
+	case len(out) > 0:
+		return c.sendReserved(dst, tagA2Av, out)
+	case len(in) > 0:
+		return recvSegCopy(c, src, tagA2Av, in, format)
 	}
 	return nil
 }
@@ -170,11 +175,11 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 	nc := h.nodeComm
 
 	// Phase 1: counts up to the leader (both vectors), then the data.
-	scRows, err := Gather(nc, append([]int(nil), sendCounts...), 0)
+	scRows, err := Gather(nc, sendCounts, 0)
 	if err != nil {
 		return err
 	}
-	rcRows, err := Gather(nc, append([]int(nil), recvCounts...), 0)
+	rcRows, err := Gather(nc, recvCounts, 0)
 	if err != nil {
 		return err
 	}
@@ -186,11 +191,8 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 		}
 		// The leader sends back this member's fully assembled receive
 		// buffer; nothing else to do here.
-		var tmp []T
 		if len(recv) > 0 {
-			if _, err := recvSegCopy(nc, 0, tagA2AvScat, recv, &tmp); err != nil {
-				return err
-			}
+			return recvSegCopy(nc, 0, tagA2AvScat, recv, "")
 		}
 		return nil
 	}
@@ -200,7 +202,6 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 	n := c.Size()
 	bufs := make([][]T, len(mine))
 	bufs[0] = send
-	var tmp []T
 	for i := 1; i < len(mine); i++ {
 		total := 0
 		for _, ct := range scRows[i] {
@@ -208,7 +209,7 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 		}
 		bufs[i] = make([]T, total)
 		if total > 0 {
-			if _, err := recvSegCopy(nc, i, tagA2AvGat, bufs[i], &tmp); err != nil {
+			if err := recvSegCopy(nc, i, tagA2AvGat, bufs[i], ""); err != nil {
 				return err
 			}
 		}
@@ -253,18 +254,11 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 	for step := 1; step < nodes; step++ {
 		D := (h.myNode + step) % nodes
 		S := (h.myNode - step + nodes) % nodes
-		if outSize[D] > 0 {
-			out := make([]T, outSize[D])
-			packAgg(D, out)
-			if err := lc.sendReserved(D, tagA2Av, out); err != nil {
-				return err
-			}
-		}
+		out := make([]T, outSize[D])
+		packAgg(D, out)
 		aggs[S] = make([]T, inSize[S])
-		if inSize[S] > 0 {
-			if _, err := recvSegCopy(lc, S, tagA2Av, aggs[S], &tmp); err != nil {
-				return err
-			}
+		if err := sparseExchange(lc, D, out, S, aggs[S], ""); err != nil {
+			return err
 		}
 	}
 

@@ -95,6 +95,31 @@ func BenchmarkRoundTripLocal1MiB(b *testing.B) { benchRoundTrip(b, Run, 1<<17) }
 func BenchmarkRoundTripTCP8B(b *testing.B)     { benchRoundTrip(b, RunTCP, 1) }
 func BenchmarkRoundTripTCP1MiB(b *testing.B)   { benchRoundTrip(b, RunTCP, 1<<17) }
 
+// BenchmarkAlltoallvLocal80K is the exchange inside one PageRank iteration of
+// the gate's pagerank-np2-local op: AlltoallvInto at np = 2 with 10 000
+// float64 (78 KiB) to the peer, into a reused receive buffer. ns/op and B/op
+// are one rank's call (B/op counts both ranks' allocations: halve it).
+func BenchmarkAlltoallvLocal80K(b *testing.B) {
+	const per = 10000
+	err := Run(2, func(c *Comm) error {
+		counts, send, recv := []int{per, per}, make([]float64, 2*per), make([]float64, 2*per)
+		if c.Rank() == 0 {
+			b.SetBytes(8 * per)
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := AlltoallvInto(c, send, counts, recv, counts); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // Collective cost versus world size.
 func benchBcast(b *testing.B, np int) {
 	for i := 0; i < b.N; i++ {

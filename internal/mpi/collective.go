@@ -285,11 +285,7 @@ func Allgather[T any](c *Comm, v T) ([]T, error) {
 	for step := 0; step < n-1; step++ {
 		sendIdx := (c.rank - step + n*n) % n
 		recvIdx := (c.rank - step - 1 + n*n) % n
-		// Sends are buffered, so send-then-receive cannot deadlock the ring.
-		if err := c.sendReserved(right, tagAllgat, out[sendIdx]); err != nil {
-			return nil, err
-		}
-		if _, err := c.recvReserved(left, tagAllgat, &out[recvIdx]); err != nil {
+		if _, err := c.exchange(right, tagAllgat, out[sendIdx], left, tagAllgat, &out[recvIdx]); err != nil {
 			return nil, err
 		}
 	}

@@ -136,7 +136,10 @@ func (c *Comm) checkRank(r int) error {
 // not copied: whichever transport carries the frame has read its elements by
 // the time Send returns (frame.borrowed), so the caller may overwrite v at
 // once.
-func (c *Comm) sendValue(dest, tag int, v any) error {
+func (c *Comm) sendValue(dest, tag int, v any) error { return c.send(dest, tag, v, false) }
+
+// send is sendValue, and with lend (an exchange step) a slice stays lent past it.
+func (c *Comm) send(dest, tag int, v any, lend bool) error {
 	if err := c.world.abortErr(); err != nil {
 		return err
 	}
@@ -157,6 +160,7 @@ func (c *Comm) sendValue(dest, tag int, v any) error {
 	}
 	if c.world.typed {
 		f.borrowed, f.HasVal = typedValue(v)
+		f.lent = lend && f.borrowed
 	} else if c.world.wire {
 		_, f.HasVal = rawKindOf(v)
 		f.borrowed = f.HasVal
@@ -179,43 +183,88 @@ func (c *Comm) sendValue(dest, tag int, v any) error {
 // also installs the interruption check: a rank failure or revoke observed
 // while blocked turns the wait into a retryable *RankFailedError — after a
 // match miss, so frames already queued from a failed rank still deliver.
-func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *frame) error {
-	w := c.world
+//
+// at is nil for the whole wait. An exchange step and Irecv run a receive's
+// halves apart: with *at nil it is posted (mailbox.post) and left in *at
+// unless it is over already; with *at posted it is awaited.
+func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *frame, at **waiter) (err error) {
+	w, srcWorld := c.world, -1
+	if source != AnySource {
+		if err = c.checkRank(source); err != nil {
+			return err
+		}
+		srcWorld = c.worldRank(source)
+	}
 	var check func() error
 	if r := w.recov; r != nil {
-		srcWorld := -1
-		if source != AnySource {
-			srcWorld = c.worldRank(source)
-		}
 		startFail := r.failVersion.Load()
 		check = func() error { return r.opErr(c, srcWorld, startFail) }
 	}
 	onTimeout := func() error { return w.deadlineFired(c.worldRank(c.rank), op, c.ctx, source, tag) }
-	return c.mailbox().wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, dst, out)
+	switch m := c.mailbox(); {
+	case at == nil:
+		return m.wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, dst, out)
+	case *at == nil:
+		*at, err = m.post(op, c.ctx, source, tag, w.deadline, dst, out)
+		return err
+	default:
+		return m.await(*at, w.deadline, onTimeout, check, out)
+	}
 }
 
 // recv takes the earliest message matching (source, tag) — which may use
 // AnySource/AnyTag — materializes it into v (unless v is nil), and reports
 // its Status.
 func (c *Comm) recv(source, tag int, v any) (Status, error) {
-	if source != AnySource {
-		if err := c.checkRank(source); err != nil {
-			return Status{}, err
-		}
-	}
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, true, v, &f); err != nil {
+	err := c.waitFrame("Recv", source, tag, true, v, &f, nil)
+	return f.receivedInto(v, err)
+}
+
+// receivedInto ends a receive that took f, unless it failed with err: the
+// payload goes into v, or back to its owner when v is nil.
+func (f *frame) receivedInto(v any, err error) (Status, error) {
+	if err != nil {
 		return Status{}, err
 	}
-	st := f.status()
-	if v != nil {
-		if err := f.decodeInto(v); err != nil {
-			return st, err
-		}
-	} else {
+	if v == nil {
 		f.release() // discarded payload: recycle a raw frame's pooled buffer
+		return f.status(), nil
 	}
-	return st, nil
+	return f.status(), f.decodeInto(v)
+}
+
+// exchange is the runtime's one symmetric step, under Sendrecv and the copy
+// steps of the collectives: post the receive naming v as its destination, send
+// sendVal lent (frame.lent), await the receive, take the loan back. A partner
+// in the same step finds either our receive posted, and copies its block
+// straight into v, or our block in its queue, and copies it out at its own
+// post — before the send that lets us go — so a pairwise exchange copies each
+// block once, to where it is going. When the partner has not come by the time
+// our receive is done (a ring, left ≠ right), recall makes the private copy
+// Send would have made, later. Nothing of ours is still lent on any way out.
+func (c *Comm) exchange(dest, sendTag int, sendVal any, source, recvTag int, v any) (Status, error) {
+	if err := c.checkRank(dest); err != nil {
+		return Status{}, err
+	}
+	var f frame
+	var w *waiter
+	err := c.waitFrame("Recv", source, recvTag, true, v, &f, &w)
+	if err != nil {
+		return Status{}, err
+	}
+	lend := c.world.typed // every mailbox is in this process, the destination's too
+	if err = c.send(dest, sendTag, sendVal, lend); err == nil && w != nil {
+		err = c.waitFrame("Recv", source, recvTag, true, v, &f, &w)
+	} else if w != nil {
+		c.mailbox().withdraw(w)
+	} else if err != nil {
+		f.release()
+	}
+	if lend {
+		c.world.boxes[c.worldRank(dest)].recall(c.ctx, c.rank, sendTag)
+	}
+	return f.receivedInto(v, err)
 }
 
 // Send delivers v to rank dest under the given tag, blocking at most for
@@ -246,25 +295,24 @@ func (c *Comm) Recv(source, tag int, v any) (Status, error) {
 
 // Sendrecv performs a send and a receive concurrently, the deadlock-free
 // exchange of MPI_Sendrecv. sendVal goes to dest under sendTag; the matching
-// receive for (source, recvTag) is decoded into recvPtr.
+// receive for (source, recvTag), posted before the send, is decoded into
+// recvPtr.
 func (c *Comm) Sendrecv(dest, sendTag int, sendVal any, source, recvTag int, recvPtr any) (Status, error) {
-	if err := c.Send(dest, sendTag, sendVal); err != nil {
-		return Status{}, err
+	if sendTag < 0 {
+		return Status{}, fmt.Errorf("%w: user tags must be >= 0, got %d", ErrInvalidTag, sendTag)
 	}
-	return c.Recv(source, recvTag, recvPtr)
+	if recvTag < 0 && recvTag != AnyTag {
+		return Status{}, fmt.Errorf("%w: receive tag %d", ErrInvalidTag, recvTag)
+	}
+	return c.exchange(dest, sendTag, sendVal, source, recvTag, recvPtr)
 }
 
 // Probe blocks until a message matching (source, tag) is available and
 // reports its Status without receiving it: MPI_Probe. Like Recv, it fails
 // with ErrWorldAborted on a revoked world and honours WithDeadline.
 func (c *Comm) Probe(source, tag int) (Status, error) {
-	if source != AnySource {
-		if err := c.checkRank(source); err != nil {
-			return Status{}, err
-		}
-	}
 	var f frame
-	if err := c.waitFrame("Probe", source, tag, false, nil, &f); err != nil {
+	if err := c.waitFrame("Probe", source, tag, false, nil, &f, nil); err != nil {
 		return Status{}, err
 	}
 	return f.status(), nil

@@ -68,7 +68,7 @@ func (f *frame) settle(dst any) {
 	case []string:
 		f.Val, f.landed = settled(x, nil, f.Val)
 	}
-	f.borrowed = false
+	f.borrowed, f.lent = false, false
 }
 
 // settled returns val itself (x, already boxed) and true after copying x into

@@ -223,3 +223,82 @@ func TestLeaseInterruptStormTearsNoFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLeaseExchangeStepsKeepAReader: an exchange step posts its receive before
+// its send, so for a while a receive is posted that nobody sleeps in. The lease
+// is never passed to it (passLeaseLocked), or the mailbox would be left to the
+// fallback reader: over 200 AlltoallvInto steps of 64 KiB at np = 2 the fallback
+// dispatches a handful of the data frames, as it did when the receive was
+// posted after the send (0 or 1 as a rule; 3 to 18 under the race detector,
+// where a step can outlast the fallback's quiet millisecond, before and after).
+func TestLeaseExchangeStepsKeepAReader(t *testing.T) {
+	const steps, per = 200, 8 << 10
+	var byRecv, byFallback [2]int64
+	err := RunTCP(2, func(c *Comm) error {
+		counts, send, recv := []int{per, per}, make([]float64, 2*per), make([]float64, 2*per)
+		for i := 0; i < steps; i++ {
+			if err := AlltoallvInto(c, send, counts, recv, counts); err != nil {
+				return err
+			}
+		}
+		l := &tcpOf(c).lease
+		byRecv[c.Rank()], byFallback[c.Rank()] = l.byRecv.Load(), l.byFallback.Load()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range byRecv {
+		if n := byRecv[r] + byFallback[r]; n != steps || byFallback[r] > steps/4 {
+			t.Errorf("rank %d: %d data frames dispatched, %d of them by the fallback reader; want %d and at most %d",
+				r, n, byFallback[r], steps, steps/4)
+		}
+	}
+}
+
+// TestLeasePassSkipsAReceiveNobodyAwaits: a receive posted ahead of its await
+// is first in the posted queue, one operation reads and another sleeps behind
+// it. When the reader leaves, the lease goes to the sleeper — a wake-up left
+// with the posted-ahead receive would be read by nobody, and the mailbox would
+// have no reader.
+func TestLeasePassSkipsAReceiveNobodyAwaits(t *testing.T) {
+	m := newMailbox()
+	fp := newFakePump(m)
+	m.pump = fp
+	var ahead frame
+	w, err := m.post("Recv", 0, 1, 1, 0, nil, &ahead)
+	if w == nil || err != nil {
+		t.Fatalf("post = %v, %v: want a posted receive", w, err)
+	}
+	held := func(want bool) {
+		t.Helper()
+		for stop := time.Now().Add(10 * time.Second); fp.idle() == want; runtime.Gosched() {
+			if time.Now().After(stop) {
+				t.Fatalf("lease held = %v, want %v", !want, want)
+			}
+		}
+	}
+	res := make(chan error, 2)
+	for src := 2; src <= 3; src++ { // the first takes the lease and reads, the second sleeps
+		go func() {
+			_, err := m.take(0, src, src)
+			res <- err
+		}()
+		awaitPosted(t, m, src)
+		held(true)
+	}
+	fp.send(frame{Src: 2, Tag: 2, Data: []byte("2")})
+	if err := <-res; err != nil {
+		t.Fatal(err)
+	}
+	held(true) // by the sleeper now
+	fp.send(frame{Src: 3, Tag: 3, Data: []byte("3")})
+	if err := <-res; err != nil {
+		t.Fatal(err)
+	}
+	held(false)
+	fp.send(frame{Src: 1, Tag: 1, Data: []byte("1")})
+	if err := m.await(w, 0, nil, nil, &ahead); err != nil || string(ahead.Data) != "1" {
+		t.Fatalf("await = %v with %q, want the frame sent last", err, ahead.Data)
+	}
+}

@@ -17,7 +17,9 @@ import (
 // the unexpected queue only when no receive wants it yet. A slice borrowed
 // from its sender (frame.borrowed) is copied on the way: into that receive's
 // destination when it names a slice of the same type, else into a private
-// copy — once either way, and with the lock released.
+// copy — once either way, and with the lock released. Only a frame an exchange
+// step lent (frame.lent) is queued uncopied: the receive that takes it, or the
+// step's recall, copies it under the lock, which is how the lender knows.
 //
 // Ordering holds by construction: a receive is posted only after the
 // unexpected queue had no match for it, and every later matching arrival is
@@ -84,9 +86,11 @@ type waiter struct {
 	dst      any   // Recv's destination pointer, which a borrowed slice is copied into; nil otherwise
 	busy     bool  // claimed by a deliver that is copying, or a reader that is reading, its payload with the lock released
 	done     bool  // f was handed over by deliver
+	away     bool  // posted ahead of its await (post): its owner is elsewhere, so a wake-up is not read until it comes
 	f        frame // the one frame a receive waits for
 	wake     chan struct{}
-	reader   pump // the mailbox's pump while this waiter reads it, which a wake-up must interrupt
+	timer    *time.Timer // the deadline's wake-up, armed when the receive was posted
+	reader   pump        // the mailbox's pump while this waiter reads it, which a wake-up must interrupt
 }
 
 // signal fills the wake-up slot; already full means a re-check is coming. A
@@ -113,8 +117,8 @@ func newMailbox() *mailbox { return &mailbox{} }
 // released so that senders to one rank copy in parallel. The receive it was
 // claimed for is off the posted queue and busy meanwhile — no other arrival
 // can match it and its owner cannot leave — and a frame that found none
-// looks again once it owns its payload. It reports whether a posted receive
-// took the frame.
+// looks again once it owns its payload, unless it is lent and may wait as it
+// is. It reports whether a posted receive took the frame.
 func (m *mailbox) deliver(f frame) bool { return m.handOver(f, nil) }
 
 // handOver is deliver for a frame whose receive may have been claimed ahead
@@ -125,7 +129,7 @@ func (m *mailbox) handOver(f frame, w *waiter) bool {
 	if w == nil {
 		w = m.claimLocked(&f)
 	}
-	if f.borrowed {
+	if f.borrowed && (w != nil || !f.lent) {
 		var dst any
 		if w != nil {
 			w.busy, dst = true, w.dst
@@ -256,39 +260,124 @@ func (m *mailbox) removeLocked(i int) {
 // wait blocks until a frame matching (ctx, src, tag) is available and
 // stores it in out, taking it for receives (pop) and leaving it queued for
 // probes (!pop). It is the single blocking primitive under Recv, Probe, and
-// every collective. dst, if not nil, is the pointer the caller will decode
-// into: once the receive is posted, deliver may copy a borrowed slice, and a
-// transport's reader read a streamed payload (claim), straight into it and
-// hand over the frame landed.
-//
-// The checks run in revoke order: a poisoned mailbox fails immediately
-// (even with a matching frame queued or already handed over — the world is
-// revoked, and a handed-over frame's payload is released here); a match
-// wins over a close, so pending frames drain after transport shutdown; the
-// recovery check (if any) runs only after a match miss, so frames already
-// queued from a rank that later failed still deliver; and only then does a
-// timeout fire. Nothing is posted, timed or stamped before the first miss.
-// With timeout > 0 the posted waiter shows in snapshots, and on expiry
-// onTimeout is invoked with the waiter still posted and m.mu released — it
-// may inspect other mailboxes and poison this one — and its error is
-// returned verbatim. check is called with m.mu held and must not block.
-func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, dst any, out *frame) (err error) {
-	var w *waiter
-	var timer *time.Timer
-	var deadlineAt time.Time
+// every collective: post and await under one hold of the lock. dst, if not
+// nil, is the pointer the caller will decode into: once the receive is
+// posted, deliver may copy a borrowed slice, and a transport's reader read a
+// streamed payload (claim), straight into it and hand over the frame landed.
+func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, dst any, out *frame) error {
 	m.mu.Lock()
+	w, err := m.postLocked(op, ctx, src, tag, timeout, pop, dst, out)
+	if w != nil {
+		err = m.awaitLocked(w, timeout, onTimeout, check, out)
+	}
+	m.mu.Unlock()
+	return err
+}
+
+// post is wait's first half, for a receive whose owner has something to do
+// before it blocks (an exchange step's send, Irecv's return). No waiter means
+// the receive is over: it failed, or out holds the frame. A posted one has its
+// place in the matching order and goes to await, or to withdraw; until then it
+// shows in deadline snapshots, its budget running, but is passed no read
+// lease: nobody is there to read.
+func (m *mailbox) post(op string, ctx int64, src, tag int, timeout time.Duration, dst any, out *frame) (*waiter, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w, err := m.postLocked(op, ctx, src, tag, timeout, true, dst, out)
+	if w != nil {
+		w.away = true
+	}
+	return w, err
+}
+
+// await is wait's second half, for a receive that post posted.
+func (m *mailbox) await(w *waiter, timeout time.Duration, onTimeout func() error, check func() error, out *frame) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.awaitLocked(w, timeout, onTimeout, check, out)
+}
+
+// withdraw retires a posted receive nobody will await, once no delivery is
+// writing into its destination.
+func (m *mailbox) withdraw(w *waiter) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w.busy {
+		m.sleepLocked(w)
+	}
+	m.retireLocked(w)
+}
+
+// postLocked fails on a poisoned mailbox, else takes the earliest matching
+// unexpected frame, else joins the posted queue: nothing is posted, timed or
+// stamped before that miss. With timeout > 0 the waiter shows in snapshots
+// and is woken when the budget is spent. Caller holds m.mu.
+func (m *mailbox) postLocked(op string, ctx int64, src, tag int, timeout time.Duration, pop bool, dst any, out *frame) (*waiter, error) {
+	if m.failErr != nil {
+		return nil, m.failErr
+	}
+	if i := m.findLocked(ctx, src, tag); i >= 0 {
+		m.takeLocked(i, pop, dst, out)
+		return nil, nil
+	}
+	var w *waiter
+	if n := len(m.free); n > 0 {
+		w, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		w = &waiter{wake: make(chan struct{}, 1)}
+	}
+	w.op, w.ctx, w.src, w.tag, w.pop, w.dst = op, ctx, src, tag, pop, dst
+	m.posted = append(m.posted, w)
+	if timeout > 0 {
+		w.since = time.Now()
+		posted := w // captured by value: w itself stays off the heap for waits without a deadline
+		w.timer = time.AfterFunc(timeout, func() {
+			m.mu.Lock()
+			posted.signal()
+			m.mu.Unlock()
+		})
+	}
+	return w, nil
+}
+
+// takeLocked stores the unexpected frame unexp[i] in out, removing it for a
+// receive. A frame still lent is settled here, under the lock its lender takes
+// to have its slice back (recall): into dst, or in place for a probe. Caller
+// holds m.mu.
+func (m *mailbox) takeLocked(i int, pop bool, dst any, out *frame) {
+	if !pop {
+		dst = nil
+	}
+	m.unexp[i].settle(dst)
+	if *out = m.unexp[i]; pop {
+		m.removeLocked(i)
+	}
+}
+
+// awaitLocked blocks until the posted w has its frame, and retires it. The
+// checks run in revoke order: a poisoned mailbox fails immediately (even with
+// a matching frame queued or already handed over — the world is revoked, and
+// a handed-over frame's payload is released); a match wins over a close, so
+// pending frames drain after transport shutdown; the recovery check (if any)
+// runs only after a match miss, so frames already queued from a rank that
+// later failed still deliver; and only then does a timeout fire: onTimeout is
+// invoked with the waiter still posted and m.mu released — it may inspect
+// other mailboxes and poison this one — and its error is returned verbatim.
+// check is called with m.mu held and must not block. Caller holds m.mu.
+func (m *mailbox) awaitLocked(w *waiter, timeout time.Duration, onTimeout func() error, check func() error, out *frame) (err error) {
+	if w.away = false; w.busy {
+		m.sleepLocked(w)
+	}
 	for {
 		if err = m.failErr; err != nil {
 			break
 		}
-		if w != nil && w.done {
+		if w.done {
 			*out, w.done = w.f, false
 			break
 		}
-		if i := m.findLocked(ctx, src, tag); i >= 0 {
-			if *out = m.unexp[i]; pop {
-				m.removeLocked(i)
-			}
+		if i := m.findLocked(w.ctx, w.src, w.tag); i >= 0 {
+			m.takeLocked(i, w.pop, w.dst, out)
 			break
 		}
 		if check != nil {
@@ -300,25 +389,7 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			err = ErrShutdown
 			break
 		}
-		if w == nil {
-			if n := len(m.free); n > 0 {
-				w, m.free = m.free[n-1], m.free[:n-1]
-			} else {
-				w = &waiter{wake: make(chan struct{}, 1)}
-			}
-			w.op, w.ctx, w.src, w.tag, w.pop, w.dst = op, ctx, src, tag, pop, dst
-			m.posted = append(m.posted, w)
-			if timeout > 0 {
-				w.since = time.Now()
-				deadlineAt = w.since.Add(timeout)
-				posted := w // captured by value: w itself stays off the heap for waits without a deadline
-				timer = time.AfterFunc(timeout, func() {
-					m.mu.Lock()
-					posted.signal()
-					m.mu.Unlock()
-				})
-			}
-		} else if timeout > 0 && !time.Now().Before(deadlineAt) {
+		if timeout > 0 && !time.Now().Before(w.since.Add(timeout)) {
 			m.mu.Unlock()
 			err = onTimeout()
 			m.mu.Lock()
@@ -331,28 +402,44 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 			m.sleepLocked(w)
 		}
 	}
-	if w != nil {
-		if w.done { // handed over, then revoked or timed out: nobody else can free it
-			w.f.release()
-		}
-		if i := slices.Index(m.posted, w); i >= 0 {
-			m.posted = slices.Delete(m.posted, i, i+1)
-		}
-		select { // drain a wake-up that raced the exit
-		case <-w.wake:
-		default:
-		}
-		w.f, w.dst, w.done, w.since = frame{}, nil, false, time.Time{}
-		m.free = append(m.free, w)
-		if m.pump != nil {
-			m.passLeaseLocked()
-		}
-	}
-	m.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
+	m.retireLocked(w)
 	return err
+}
+
+// retireLocked unposts and recycles w. Caller holds m.mu.
+func (m *mailbox) retireLocked(w *waiter) {
+	if w.done { // handed over, then revoked or timed out: nobody else can free it
+		w.f.release()
+	}
+	if i := slices.Index(m.posted, w); i >= 0 {
+		m.posted = slices.Delete(m.posted, i, i+1)
+	}
+	select { // drain a wake-up that raced the exit
+	case <-w.wake:
+	default:
+	}
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+	w.f, w.dst, w.done, w.since, w.timer = frame{}, nil, false, time.Time{}, nil
+	m.free = append(m.free, w)
+	if m.pump != nil {
+		m.passLeaseLocked()
+	}
+}
+
+// recall turns rank src's frames still queued lent under (ctx, tag) into the
+// private copies Send would have made. An exchange step calls it on every way
+// out, and by having held the lock has its slice back: whoever took a lent
+// frame copied it out under the same lock.
+func (m *mailbox) recall(ctx int64, src, tag int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := m.head; i < len(m.unexp); i++ {
+		if f := &m.unexp[i]; f.matches(ctx, src, tag) {
+			f.settle(nil)
+		}
+	}
 }
 
 // readLocked spends w's wait reading: if the pump's lease is free, w becomes
@@ -379,11 +466,16 @@ func (m *mailbox) readLocked(w *waiter) bool {
 
 // passLeaseLocked keeps a mailbox with operations posted from being left
 // without a reader: whoever lets go of the lease, or leaves while it is free,
-// wakes the earliest posted operation, which takes it on its way back to
-// sleep. Caller holds m.mu, and m.pump is not nil.
+// wakes the earliest posted operation somebody sleeps in, which takes it on
+// its way back to sleep. Caller holds m.mu, and m.pump is not nil.
 func (m *mailbox) passLeaseLocked() {
-	if len(m.posted) > 0 && m.pump.idle() {
-		m.posted[0].signal()
+	for _, w := range m.posted {
+		if !w.away {
+			if m.pump.idle() {
+				w.signal()
+			}
+			return
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +60,25 @@ type refOp struct {
 	src, tag int
 	pop      bool
 	res      chan refRes
+	start    chan struct{} // a take posted ahead of its await (mailbox.post) awaits once this is closed
+}
+
+// release lets a posted-ahead take start its await; the script calls it when
+// the reference completes the op, at the latest.
+func (op *refOp) release() {
+	if op.start != nil {
+		close(op.start)
+		op.start = nil
+	}
+}
+
+// loan is a frame the script sent lent: buf is the sender's slice, which the
+// script may overwrite only once it has recalled the frame's (ctx, src, tag).
+type loan struct {
+	id       int
+	buf      []byte
+	ctx      int64
+	src, tag int
 }
 
 // refRes identifies a frame by its payload size, which every generated
@@ -269,6 +289,16 @@ func awaitPosted(t *testing.T, m *mailbox, n int) {
 // reference's operations posted and the same receive first in line for the
 // retransmission. The reference sees one arrival, when the payload is whole.
 //
+// A quarter of the frames are lent, as an exchange step sends them: one that
+// finds no receive waits in the queue uncopied, and the script overwrites its
+// slice only after recall — at once, at a random later step, or racing the take
+// the reference has just matched the frame to, which must copy it out under the
+// lock recall takes (the -race run and checkTaken are that assertion). What is
+// still queued at the end is taken and checked too. A third of the takes are
+// posted ahead of their await (mailbox.post), on the script's goroutine; the
+// await starts at once or only when the reference completes the take, so frames
+// are handed to receives nobody is waiting in yet.
+//
 // Every second seed runs on a mailbox with a pump (fakePump), as a TCP world's
 // has: the operation that would sleep reads instead, delivers other
 // operations' frames and its own, is interrupted by every wake-up the script
@@ -282,13 +312,30 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		maxPending = 4
 	)
 	errPoison := errors.New("model: world revoked")
-	var landings, streamLandings, lostReads, byReader, byScript, interrupted atomic.Int32
+	var landings, streamLandings, lostReads, byReader, byScript, interrupted, lentTaken, aheadHanded atomic.Int32
 	for seed := int64(1); seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, ref := newMailbox(), &refBox{}
 		var released [steps + 1]atomic.Int32
 		taken, hooked := map[int]bool{}, map[int]bool{}
 		nextID := 1
+		var loans []loan
+		// recall ends the loans under l's (ctx, src, tag), or every loan, and
+		// only then overwrites their slices.
+		recall := func(l *loan) {
+			keep := loans[:0:0]
+			for _, o := range loans {
+				if l != nil && (o.ctx != l.ctx || o.src != l.src || o.tag != l.tag) {
+					keep = append(keep, o)
+					continue
+				}
+				m.recall(o.ctx, o.src, o.tag)
+				for i := range o.buf {
+					o.buf[i] = ^byte(o.id)
+				}
+			}
+			loans = keep
+		}
 		// arrive is what the lease's holder does with a frame. One that comes
 		// as a bare raw header is streamed: id bytes of value id are still to
 		// be read, and the first fails reads of them break off half way.
@@ -346,6 +393,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 		settle := func(step int, done map[*refOp]refRes) {
 			t.Helper()
 			for op, want := range done {
+				op.release()
 				select {
 				case got := <-op.res:
 					if got != want {
@@ -385,10 +433,10 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				f := frame{Ctx: ctx, Src: src, Tag: tag}
 				seen := f // what the reference is shown: a streamed frame with its payload
 				var lent []byte
-				switch rng.Intn(3) {
-				case 0:
+				switch kind := rng.Intn(4); kind {
+				case 0, 3:
 					lent = bytes.Repeat([]byte{byte(id)}, id)
-					f.Val, f.HasVal, f.borrowed = lent, true, true
+					f.Val, f.HasVal, f.borrowed, f.lent = lent, true, true, kind == 3
 					seen = f
 				case 1:
 					f.Raw, f.Data, f.rel = rawBytes, make([]byte, id), func() { released[id].Add(1) }
@@ -400,8 +448,12 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				}
 				done := ref.deliver(seen)
 				deliver(f)
-				for i := range lent { // the sender's buffer is its own again
-					lent[i] = ^byte(id)
+				if !f.lent {
+					for i := range lent { // the sender's buffer is its own again
+						lent[i] = ^byte(id)
+					}
+				} else if loans = append(loans, loan{id, lent, ctx, src, tag}); rng.Intn(2) == 0 {
+					recall(&loans[len(loans)-1])
 				}
 				if streamErr != nil {
 					fail(step, "%v", streamErr)
@@ -413,40 +465,68 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				}
 				ctx, src, tag := pick(true)
 				op := &refOp{ctx: ctx, src: src, tag: tag, pop: k < 68, res: make(chan refRes, 1)}
-				dstKind := rng.Intn(4)
-				go func() {
-					if op.pop {
-						var buf []byte
-						var dst any
-						switch dstKind {
-						case 1:
-							dst = &buf
-						case 2:
-							buf = make([]byte, 2, steps+1)
-							dst = &buf
-						case 3:
-							dst = new([]int64)
-						}
-						room := cap(buf)
-						f, err := m.takeInto(op.ctx, op.src, op.tag, dst)
-						if err == nil {
-							f.release()
-							err = checkTaken(f, buf, room)
-						}
-						if f.landed && f.HasVal {
-							landings.Add(1)
-						} else if f.landed {
-							streamLandings.Add(1)
-						}
-						op.res <- refRes{id: f.payloadSize(), err: err}
-						return
+				buf := new([]byte)
+				var dst any
+				switch rng.Intn(4) {
+				case 1:
+					dst = buf
+				case 2:
+					*buf = make([]byte, 2, steps+1)
+					dst = buf
+				case 3:
+					dst = new([]int64)
+				}
+				room := cap(*buf)
+				finish := func(f frame, err error) {
+					if err == nil {
+						f.release()
+						err = checkTaken(f, *buf, room)
 					}
-					st, err := m.waitMatch(op.ctx, op.src, op.tag)
-					op.res <- refRes{id: st.Bytes, err: err}
-				}()
+					if f.landed && f.HasVal {
+						landings.Add(1)
+					} else if f.landed {
+						streamLandings.Add(1)
+					}
+					op.res <- refRes{id: f.payloadSize(), err: err}
+				}
+				if ahead := new(frame); op.pop && rng.Intn(3) == 0 {
+					if w, err := m.post("Recv", op.ctx, op.src, op.tag, 0, dst, ahead); w == nil {
+						finish(*ahead, err)
+					} else {
+						start := make(chan struct{})
+						if op.start = start; rng.Intn(2) == 0 {
+							op.release()
+						}
+						go func() {
+							<-start
+							m.mu.Lock()
+							if w.done {
+								aheadHanded.Add(1)
+							}
+							m.mu.Unlock()
+							err := m.await(w, 0, nil, nil, ahead)
+							finish(*ahead, err)
+						}()
+					}
+				} else {
+					go func() {
+						if op.pop {
+							finish(m.takeInto(op.ctx, op.src, op.tag, dst))
+							return
+						}
+						st, err := m.waitMatch(op.ctx, op.src, op.tag)
+						op.res <- refRes{id: st.Bytes, err: err}
+					}()
+				}
 				done := map[*refOp]refRes{}
 				if res, ok := ref.issue(op); ok {
 					done[op] = res
+					// A take the reference matched to a frame still lent races
+					// that frame's recall.
+					if i := slices.IndexFunc(loans, func(l loan) bool { return l.id == res.id }); i >= 0 && op.pop {
+						lentTaken.Add(1)
+						recall(&loans[i])
+					}
 				}
 				settle(step, done)
 			case k < 90:
@@ -459,8 +539,12 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				if ok != (i >= 0) || ok && (st.Bytes != ref.queue[i].payloadSize() || st.Source != ref.queue[i].Src || st.Tag != ref.queue[i].Tag) {
 					fail(step, "peek(%d,%d,%d) = %+v, %v; reference index %d", ctx, src, tag, st, ok, i)
 				}
-			case k < 97:
+			case k < 94:
 				m.poke()
+			case k < 97:
+				if len(loans) > 0 {
+					recall(&loans[rng.Intn(len(loans))])
+				}
 			case k < 99:
 				ref.closed = true
 				done := ref.end(ErrShutdown)
@@ -473,6 +557,21 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				done := ref.end(ref.failed)
 				m.fail(errPoison)
 				settle(step, done)
+			}
+		}
+		// Every loan ends, and what is still queued is what was sent.
+		recall(nil)
+		for ref.failed == nil && len(ref.queue) > 0 {
+			f, err := m.take(ref.queue[0].Ctx, AnySource, AnyTag)
+			if i := ref.find(ref.queue[0].Ctx, AnySource, AnyTag); err != nil || f.payloadSize() != ref.queue[i].payloadSize() {
+				fail(steps, "draining the queue: took frame %d (%v), reference has %d", f.payloadSize(), err, ref.queue[i].payloadSize())
+			} else {
+				ref.queue = append(ref.queue[:i:i], ref.queue[i+1:]...)
+			}
+			f.release()
+			taken[f.payloadSize()] = true
+			if err := checkTaken(f, nil, 0); err != nil {
+				fail(steps, "draining the queue: %v", err)
 			}
 		}
 		m.close()
@@ -495,6 +594,10 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 	if landings.Load() == 0 || streamLandings.Load() == 0 || lostReads.Load() == 0 {
 		t.Fatalf("%d borrowed and %d streamed frames landed in a posted receive's destination and %d streamed reads were lost: want some of each",
 			landings.Load(), streamLandings.Load(), lostReads.Load())
+	}
+	if lentTaken.Load() == 0 || aheadHanded.Load() == 0 {
+		t.Fatalf("%d takes raced the recall of the lent frame they matched and %d takes posted ahead were handed their frame before they awaited it: want some of each",
+			lentTaken.Load(), aheadHanded.Load())
 	}
 	if byReader.Load() == 0 || byScript.Load() == 0 || interrupted.Load() == 0 {
 		t.Fatalf("with a pump, reading operations delivered %d frames, the script %d, and %d reads were interrupted: want some of each",

@@ -124,14 +124,18 @@ type frame struct {
 	Raw    byte // raw codec kind for Data (rawNone = gob bytes)
 
 	// borrowed is the one ownership rule every transport follows: Val is the
-	// slice the caller passed to Send, uncopied, and whoever carries the frame
-	// is done reading its elements when Send returns — TCP and shm encode it
-	// there, and a mailbox or anything that keeps the frame longer settles it
-	// (fastpath.go). landed marks a frame whose payload is in the receive's
-	// destination already: copied there by settle (Val still names the
-	// sender's slice, of which only the length may be read), or read there off
-	// the socket (Data views the destination; there is no buffer to release).
-	borrowed, landed bool
+	// slice the caller passed in, uncopied, and whoever carries the frame is
+	// done reading its elements when the call that lent it returns. For Send
+	// that is Send — TCP and shm encode it there, and a mailbox or anything
+	// that keeps the frame longer settles it (fastpath.go). For an exchange
+	// step (Comm.exchange) it is the step, and the frame is lent as well: a
+	// mailbox with no receive posted for it queues it uncopied, whoever takes
+	// it off the queue settles it under the mailbox lock, and the step recalls
+	// what is left before it returns. landed marks a frame whose payload is in
+	// the receive's destination already: copied there by settle (Val still
+	// names the sender's slice, of which only the length may be read), or read
+	// there off the socket (Data views the destination; nothing to release).
+	borrowed, landed, lent bool
 
 	// rel, when set, overrides how this frame's Data is returned to its
 	// owner: the shm transport's rendezvous frames view mapped shared

@@ -66,13 +66,23 @@ func (c *Comm) Isend(dest, tag int, v any) *Request {
 
 // Irecv starts a nonblocking receive matching (source, tag) into the
 // pointer v and returns immediately: MPI_Irecv. v must remain untouched
-// until the request completes.
+// until the request completes. The receive is posted before Irecv returns, so
+// receives match in the order their calls were made; only the wait for a
+// message still to come runs on the request's own goroutine.
 func (c *Comm) Irecv(source, tag int, v any) *Request {
 	r := newRequest()
-	go func() {
-		st, err := c.Recv(source, tag, v)
-		r.complete(st, err)
-	}()
+	f, w := new(frame), (*waiter)(nil)
+	var err error
+	if tag < 0 && tag != AnyTag {
+		err = fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
+	} else {
+		err = c.waitFrame("Recv", source, tag, true, v, f, &w)
+	}
+	if w == nil {
+		r.complete(f.receivedInto(v, err))
+		return r
+	}
+	go func() { r.complete(f.receivedInto(v, c.waitFrame("Recv", source, tag, true, v, f, &w))) }()
 	return r
 }
 

@@ -265,3 +265,39 @@ func TestRequestTestAfterAbort(t *testing.T) {
 		t.Fatalf("Test err = %v, want ErrWorldAborted wrapping the cause", testErr)
 	}
 }
+
+// TestIrecvMatchesInPostingOrder: two Irecvs for the same (source, tag) match
+// in the order they were called, as MPI says and the package's non-overtaking
+// promise implies. Irecv used to post from a goroutine that had yet to run, so
+// the second could overtake the first (4 of 200 fresh worlds); 2 000 fresh
+// worlds each time keep it at none.
+func TestIrecvMatchesInPostingOrder(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		err := Run(2, func(c *Comm) error {
+			if c.Rank() == 1 {
+				if _, err := c.Recv(0, 8, nil); err != nil {
+					return err
+				}
+				if err := c.Send(0, 7, []int{1}); err != nil {
+					return err
+				}
+				return c.Send(0, 7, []int{2})
+			}
+			var a, b []int
+			reqs := []*Request{c.Irecv(1, 7, &a), c.Irecv(1, 7, &b)}
+			if err := c.Send(1, 8, 0); err != nil {
+				return err
+			}
+			if _, err := Waitall(reqs); err != nil {
+				return err
+			}
+			if len(a) != 1 || len(b) != 1 || a[0] != 1 || b[0] != 2 {
+				return fmt.Errorf("world %d: the first Irecv got %v and the second %v, want [1] and [2]", i, a, b)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

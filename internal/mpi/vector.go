@@ -1,8 +1,8 @@
 package mpi
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -289,16 +289,10 @@ func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo 
 	// would be a wasted pass over the bytes.
 	acc := make([]T, len(v))
 	if isPow2(n) {
-		// One receive scratch serves both phases, and it stays nil until a
-		// receive actually has to decode: when the frame offers an in-place
-		// payload view (typed value, or raw bytes on a native-layout platform)
-		// the fold reads the payload where it lives and the scratch is never
-		// touched, so preallocating it would be pure allocator-zeroing waste.
-		var tmp []T
-		if err := halvingReduceScatter(c, v, acc, &tmp, fo); err != nil {
+		if err := halvingReduceScatter(c, v, acc, fo); err != nil {
 			return nil, err
 		}
-		if err := doublingAllgatherSegs(c, acc, &tmp); err != nil {
+		if err := doublingAllgatherSegs(c, acc); err != nil {
 			return nil, err
 		}
 		return acc, nil
@@ -352,8 +346,7 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 	acc := make([]T, len(v))
 	pow2 := isPow2(n)
 	if pow2 {
-		var scratch []T
-		if err := halvingReduceScatter(c, v, acc, &scratch, fo); err != nil {
+		if err := halvingReduceScatter(c, v, acc, fo); err != nil {
 			return nil, err
 		}
 	} else {
@@ -380,17 +373,12 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 	}
 	out := make([]T, len(acc))
 	copy(out[lo:hi], acc[lo:hi])
-	var tmp []T
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
 		}
-		seg := segOf(r)
-		lo, hi := segRange(len(out), seg, n)
-		got, err := recvSegCopy(c, r, tagVecRed, out[lo:hi], &tmp)
-		if errors.Is(err, errVecSegLen) {
-			return nil, fmt.Errorf("mpi: ReduceSlice: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)", r, got, hi-lo)
-		} else if err != nil {
+		lo, hi := segRange(len(out), segOf(r), n)
+		if err := recvSegCopy(c, r, tagVecRed, out[lo:hi], "mpi: ReduceSlice: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return nil, err
 		}
 	}
@@ -428,13 +416,8 @@ func ringReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 			return err
 		}
 		lo, hi = segRange(len(acc), recvSeg, n)
-		vseg := v[lo:hi]
-		got, err := recvSegInto(c, left, tagVecRed, acc[lo:hi], &tmp, func(dst, in []T) {
-			fo.from(dst, vseg, in)
-		})
-		if errors.Is(err, errVecSegLen) {
-			return fmt.Errorf("mpi: ring reduce-scatter: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)", left, got, hi-lo)
-		} else if err != nil {
+		fold := func(dst, in []T) { fo.from(dst, v[lo:hi], in) }
+		if err := recvSegInto(c, left, tagVecRed, acc[lo:hi], &tmp, fold, "mpi: ring reduce-scatter: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return err
 		}
 	}
@@ -444,25 +427,16 @@ func ringReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 // ringAllgatherSegs runs the allgather half: n−1 ring steps circulating the
 // reduced segments until every rank holds all of them. In step s each rank
 // sends segment (rank+1−s) mod n — its own reduced segment first, then
-// whatever it most recently received — and copies the incoming segment
-// (rank−s) mod n into place.
+// whatever it most recently received — and the incoming segment
+// (rank−s) mod n lands in place (exchangeSeg).
 func ringAllgatherSegs[T any](c *Comm, acc []T) error {
 	n := c.Size()
 	r := c.rank
 	left, right := ringNeighbors(r, n)
-	var tmp []T
 	for step := 0; step < n-1; step++ {
-		sendSeg := ((r+1-step)%n + n) % n
-		recvSeg := ((r-step)%n + n) % n
-		lo, hi := segRange(len(acc), sendSeg, n)
-		if err := c.sendReserved(right, tagVecAg, acc[lo:hi]); err != nil {
-			return err
-		}
-		lo, hi = segRange(len(acc), recvSeg, n)
-		got, err := recvSegCopy(c, left, tagVecAg, acc[lo:hi], &tmp)
-		if errors.Is(err, errVecSegLen) {
-			return fmt.Errorf("mpi: ring allgather: rank %d sent segment of %d elements, want %d", left, got, hi-lo)
-		} else if err != nil {
+		slo, shi := segRange(len(acc), ((r+1-step)%n+n)%n, n)
+		lo, hi := segRange(len(acc), ((r-step)%n+n)%n, n)
+		if err := exchangeSeg(c, right, acc[slo:shi], left, tagVecAg, acc[lo:hi], "mpi: ring allgather: rank %d sent segment of %d elements, want %d"); err != nil {
 			return err
 		}
 	}
@@ -481,19 +455,14 @@ func ringAllgatherSegs[T any](c *Comm, acc []T) error {
 // sums or untouched zeros. The first round reads the rank's contribution
 // straight out of v — the send ships v's half, the fold first-touches the
 // kept half as acc = v op in — so acc never needs to start as a copy of v;
-// later rounds operate on acc's partial sums alone. tmp is the caller's
-// receive scratch, grown capacity-recycled so the two Rabenseifner phases
-// share one buffer.
-func halvingReduceScatter[T any](c *Comm, v, acc []T, tmp *[]T, fo vecFold[T]) error {
+// later rounds operate on acc's partial sums alone.
+func halvingReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 	n := c.Size()
 	r := c.rank
-	segStart := func(s int) int {
-		if s == n {
-			return len(acc)
-		}
-		lo, _ := segRange(len(acc), s, n)
-		return lo
-	}
+	// The receive scratch stays nil until a receive actually has to decode:
+	// when the frame offers an in-place payload view the fold reads the
+	// payload where it lives.
+	var tmp []T
 	// Invariant: the live group is ranks [base, base+g) owning segments
 	// [base, base+g), with r in the group; both shrink together, so the
 	// group-relative rank order always matches the segment order.
@@ -516,23 +485,15 @@ func halvingReduceScatter[T any](c *Comm, v, acc []T, tmp *[]T, fo vecFold[T]) e
 		}
 		// Both partners send before receiving; sends are buffered, so the
 		// symmetric exchange cannot deadlock.
-		if err := c.sendReserved(partner, tagVecRed, src[segStart(sendLo):segStart(sendHi)]); err != nil {
+		if err := c.sendReserved(partner, tagVecRed, src[segStart(len(acc), sendLo, n):segStart(len(acc), sendHi, n)]); err != nil {
 			return err
 		}
-		kl, kh := segStart(keepLo), segStart(keepHi)
-		var got int
-		var err error
+		kl, kh := segStart(len(acc), keepLo, n), segStart(len(acc), keepHi, n)
+		fold := fo.into
 		if first {
-			vkeep := v[kl:kh]
-			got, err = recvSegInto(c, partner, tagVecRed, acc[kl:kh], tmp, func(dst, in []T) {
-				fo.from(dst, vkeep, in)
-			})
-		} else {
-			got, err = recvSegFold(c, partner, tagVecRed, acc[kl:kh], fo.into, tmp)
+			fold = func(dst, in []T) { fo.from(dst, v[kl:kh], in) }
 		}
-		if errors.Is(err, errVecSegLen) {
-			return fmt.Errorf("mpi: halving reduce-scatter: rank %d sent %d elements, want %d (mismatched slice lengths across ranks?)", partner, got, kh-kl)
-		} else if err != nil {
+		if err := recvSegInto(c, partner, tagVecRed, acc[kl:kh], &tmp, fold, "mpi: halving reduce-scatter: rank %d sent %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return err
 		}
 		if rel >= half {
@@ -544,35 +505,32 @@ func halvingReduceScatter[T any](c *Comm, v, acc []T, tmp *[]T, fo vecFold[T]) e
 	return nil
 }
 
+// segStart is where segment s of n begins in a slice of total elements
+// (segRange decomposition); segment n begins at its end.
+func segStart(total, s, n int) int {
+	if s == n {
+		return total
+	}
+	lo, _ := segRange(total, s, n)
+	return lo
+}
+
 // doublingAllgatherSegs runs the allgather half by recursive doubling,
 // unwinding halvingReduceScatter's recursion: log2(n) rounds of exchanges
 // with the same partners in reverse order, each round doubling the
 // contiguous segment range every rank holds, until all ranks hold [0, n).
-// tmp is the caller's receive scratch, shared with the reduce-scatter phase.
-func doublingAllgatherSegs[T any](c *Comm, acc []T, tmp *[]T) error {
+func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 	n := c.Size()
 	r := c.rank
-	segStart := func(s int) int {
-		if s == n {
-			return len(acc)
-		}
-		lo, _ := segRange(len(acc), s, n)
-		return lo
-	}
 	for g := 2; g <= n; g *= 2 {
 		half := g / 2
 		groupBase := r / g * g
 		partner := groupBase + ((r - groupBase) ^ half)
-		myLo := r / half * half // segments held entering this round: [myLo, myLo+half)
-		theirLo := partner / half * half
-		if err := c.sendReserved(partner, tagVecAg, acc[segStart(myLo):segStart(myLo+half)]); err != nil {
-			return err
+		// Entering this round rank x holds segments [x/half*half, +half).
+		held := func(x int) []T {
+			return acc[segStart(len(acc), x/half*half, n):segStart(len(acc), x/half*half+half, n)]
 		}
-		tl, th := segStart(theirLo), segStart(theirLo+half)
-		got, err := recvSegCopy(c, partner, tagVecAg, acc[tl:th], tmp)
-		if errors.Is(err, errVecSegLen) {
-			return fmt.Errorf("mpi: doubling allgather: rank %d sent %d elements, want %d", partner, got, th-tl)
-		} else if err != nil {
+		if err := exchangeSeg(c, partner, held(r), partner, tagVecAg, held(partner), "mpi: doubling allgather: rank %d sent %d elements, want %d"); err != nil {
 			return err
 		}
 	}
@@ -650,14 +608,10 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	if vrank != 0 {
 		buf = make([]T, n)
 	}
-	var tmp []T
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
 		if vrank != 0 {
-			got, err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], &tmp)
-			if errors.Is(err, errVecSegLen) {
-				return nil, fmt.Errorf("mpi: BcastSlice: got chunk of %d elements, want %d", got, hi-lo)
-			} else if err != nil {
+			if err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], "mpi: BcastSlice: got chunk of %[2]d elements, want %[3]d"); err != nil {
 				return nil, err
 			}
 		}
@@ -672,37 +626,16 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 
 // AllgatherSlice concatenates every rank's slice, in rank order, at every
 // rank: MPI_Allgatherv over one backing array. Per-rank lengths may differ
-// (each block travels with its length). Implemented as the same ring as the
-// scalar Allgather, but circulating contiguous blocks instead of boxed
-// values; the result is a single freshly allocated slice rather than a
-// slice of slices.
+// (each block travels with its length). It is the ring of Allgather with a
+// slice as the value — each step one exchange, the block lent and landed —
+// and the result is a single freshly allocated slice rather than a slice of
+// slices.
 func AllgatherSlice[T any](c *Comm, v []T) ([]T, error) {
-	n := c.Size()
-	if n == 1 {
-		return append(make([]T, 0, len(v)), v...), nil
+	blocks, err := Allgather(c, v)
+	if err != nil {
+		return nil, err
 	}
-	blocks := make([][]T, n)
-	blocks[c.rank] = v
-	left, right := ringNeighbors(c.rank, n)
-	for step := 0; step < n-1; step++ {
-		sendIdx := ((c.rank-step)%n + n) % n
-		recvIdx := ((c.rank-step-1)%n + n) % n
-		if err := c.sendReserved(right, tagVecAg, blocks[sendIdx]); err != nil {
-			return nil, err
-		}
-		if _, err := c.recvReserved(left, tagVecAg, &blocks[recvIdx]); err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, b := range blocks {
-		total += len(b)
-	}
-	out := make([]T, 0, total)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out, nil
+	return slices.Concat(blocks...), nil
 }
 
 // GatherSlice concatenates every rank's slice, in rank order, at root:
@@ -729,15 +662,7 @@ func GatherSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 			return nil, err
 		}
 	}
-	total := 0
-	for _, b := range blocks {
-		total += len(b)
-	}
-	out := make([]T, 0, total)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out, nil
+	return slices.Concat(blocks...), nil
 }
 
 // ScatterSlice splits root's data into Size() contiguous blocks (segRange

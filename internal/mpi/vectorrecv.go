@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"unsafe"
 )
 
@@ -9,7 +10,8 @@ import (
 // halving/doubling exchange receives a segment only to fold or copy it into
 // the accumulator and discard it — so materializing the payload into a
 // scratch slice first is a whole wasted pass over the bytes (plus the
-// allocation). The helpers here read the payload where it already lives
+// allocation). A copy step names its segment as the receive's destination
+// (recvSegCopy). A fold step reads the payload where it already lives
 // whenever the frame permits it: the typed fast-path value on the local
 // transport (always a private copy), or an in-place element view of the raw
 // little-endian bytes — which for an shm rendezvous frame is the sender's
@@ -19,8 +21,7 @@ import (
 // decode path through the caller's scratch buffer.
 
 // errVecSegLen reports a received segment whose element count does not match
-// the receiver's slot. The collectives wrap it with their own per-algorithm
-// diagnostics.
+// the receiver's slot.
 var errVecSegLen = errors.New("mpi: vector segment length mismatch")
 
 // rawSliceView reinterprets a raw frame's payload bytes as a []T aliasing
@@ -62,51 +63,75 @@ func frameSegView[T any](f frame) ([]T, bool) {
 	return rawSliceView[T](f)
 }
 
-// recvSegInto is the shared body of recvSegFold and recvSegCopy: it receives
-// the next (source, tag) message and applies the payload to seg — in place
-// from a view when the frame allows it, via the caller's scratch buffer
-// otherwise. It returns the received element count; when that differs from
-// len(seg) nothing is applied and the error is errVecSegLen for the caller
-// to phrase.
-func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply func(dst, in []T)) (int, error) {
-	if err := c.checkRank(source); err != nil {
-		return 0, err
-	}
+// recvSegInto receives the next (source, tag) message and folds the payload
+// into seg with the caller's slice-level fold (foldWith for an arbitrary
+// combine, opFold for a built-in operator) — in place from a view when the
+// frame allows it, via the caller's scratch buffer otherwise. When the
+// received element count differs from len(seg) nothing is applied and the
+// error is segLenErr's.
+func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply func(dst, in []T), format string) error {
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, true, nil, &f); err != nil {
-		return 0, err
+	if err := c.waitFrame("Recv", source, tag, true, nil, &f, nil); err != nil {
+		return err
 	}
-	if in, ok := frameSegView[T](f); ok {
-		n := len(in)
-		if n != len(seg) {
-			f.release()
-			return n, errVecSegLen
+	in, viewed := frameSegView[T](f)
+	if !viewed {
+		if err := f.decodeInto(scratch); err != nil {
+			return err
 		}
-		apply(seg, in)
-		f.release()
-		return n, nil
+		in = *scratch
 	}
-	if err := f.decodeInto(scratch); err != nil {
-		return 0, err
-	}
-	in := *scratch
+	var err error
 	if len(in) != len(seg) {
-		return len(in), errVecSegLen
+		err = segLenErr(format, source, len(in), len(seg))
+	} else {
+		apply(seg, in)
 	}
-	apply(seg, in)
-	return len(in), nil
+	if viewed {
+		f.release() // decodeInto has released a decoded frame's buffer
+	}
+	return err
 }
 
-// recvSegFold receives a segment and folds it into seg with the caller's
-// slice-level fold (foldWith for an arbitrary combine, opFold for a built-in
-// operator).
-func recvSegFold[T any](c *Comm, source, tag int, seg []T, fold func(dst, in []T), scratch *[]T) (int, error) {
-	return recvSegInto(c, source, tag, seg, scratch, fold)
+// segLenErr is errVecSegLen, phrased by the collective's format when it has
+// one: source rank, elements received, elements wanted.
+func segLenErr(format string, source, got, want int) error {
+	if format == "" {
+		return errVecSegLen
+	}
+	return fmt.Errorf(format, source, got, want)
 }
 
-// recvSegCopy receives a segment and copies it over seg.
-func recvSegCopy[T any](c *Comm, source, tag int, seg []T, scratch *[]T) (int, error) {
-	return recvSegInto(c, source, tag, seg, scratch, func(dst, in []T) {
-		copy(dst, in)
-	})
+// recvSegCopy receives a segment over seg, and exchangeSeg does so as one
+// symmetric step that also sends out to dest (Comm.exchange). The receive
+// names seg itself as its destination — a view with the capacity clipped, so
+// that nothing can spill past it — and a block of the right length therefore
+// lands in the caller's array, copied there by its sender or read there off
+// the socket, with no buffer in between; one that arrived before the receive
+// was posted is decoded into the same view.
+func recvSegCopy[T any](c *Comm, source, tag int, seg []T, format string) error {
+	into := seg[:len(seg):len(seg)]
+	_, err := c.recv(source, tag, &into)
+	return segLanded(seg, into, source, format, err)
+}
+
+func exchangeSeg[T any](c *Comm, dest int, out []T, source, tag int, seg []T, format string) error {
+	into := seg[:len(seg):len(seg)]
+	_, err := c.exchange(dest, tag, out, source, tag, &into)
+	return segLanded(seg, into, source, format, err)
+}
+
+// segLanded checks what a receive into a view of seg left there; a payload
+// that took other storage (another sent type, decoded through gob) is copied
+// over.
+func segLanded[T any](seg, into []T, source int, format string, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case len(into) != len(seg):
+		return segLenErr(format, source, len(into), len(seg))
+	case len(seg) > 0 && &into[0] != &seg[0]:
+		copy(seg, into)
+	}
+	return nil
 }

@@ -385,12 +385,7 @@ func (w *Win[T]) Get(target, off int, dst []T) error {
 	if err := w.c.sendValue(target, w.tagOp, winOp{Kind: winGet, Off: off, N: len(dst)}); err != nil {
 		return err
 	}
-	var scratch []T
-	got, err := recvSegCopy(w.c, target, w.tagRep, dst, &scratch)
-	if err == errVecSegLen {
-		return fmt.Errorf("mpi: Get: rank %d replied %d elements, want %d", target, got, len(dst))
-	}
-	return err
+	return recvSegCopy(w.c, target, w.tagRep, dst, "mpi: Get: rank %d replied %d elements, want %d")
 }
 
 // Accumulate folds src into target's window at off with a built-in
@@ -577,7 +572,7 @@ func (w *Win[T]) serve() {
 			// payload follows its header on the same FIFO, so a stall here
 			// means the origin died between the two frames.
 			lockApply(self)
-			_, rerr := recvSegInto(c, src, w.tagData, w.local[op.Off:op.Off+op.N], &scratch, apply)
+			rerr := recvSegInto(c, src, w.tagData, w.local[op.Off:op.Off+op.N], &scratch, apply, "")
 			unlockApply(self)
 			if rerr != nil {
 				if c.world.abortErr() != nil {

@@ -63,19 +63,19 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 
 # The packages the shm-exemplars-t2 gate workload times, and the files under
-# the pingpong-8B-local and the two TCP ones, are held to gofmt as well (`go
-# vet ./...` above already covers them): any name printed fails.
-test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go mpi/comm.go mpi/transport.go mpi/message.go mpi/tcp.go mpi/lease.go mpi/wire.go mpi/session.go mpi/rawcodec.go)"
+# the pingpong, pagerank and TCP ones, are held to gofmt as well (`go vet
+# ./...` above already covers them): any name printed fails.
+test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go mpi/comm.go mpi/transport.go mpi/message.go mpi/tcp.go mpi/lease.go mpi/wire.go mpi/session.go mpi/rawcodec.go mpi/vectorrecv.go mpi/alltoallv.go mpi/request.go)"
 
 # Receive matching: the posted/unexpected-queue mailbox against its one-list
 # reference model under seeded random scripts (several goroutines blocked on
-# one mailbox, borrowed and streamed payloads landing in posted destinations,
-# reads lost after the claim, revoke racing a hand-over, operations that read
-# for themselves), the TCP read lease and the payloads read through it into
-# posted receives, the ownership rule on every transport in both orders,
-# non-overtaking parity. Twenty fresh runs: wake-ups interleave anew each time.
+# one mailbox, borrowed, lent and streamed payloads landing in destinations,
+# reads lost after the claim, revoke racing a hand-over, recall racing a take,
+# receives posted ahead of their await, operations that read for themselves),
+# the TCP read lease, the ownership rule on every transport in both orders for
+# Send and the exchange step, posting order, non-overtaking. Twenty fresh runs.
 go test -race -timeout 300s -count=20 \
-  -run 'TestLease|TestLanding|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
+  -run 'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
   ./internal/mpi/
 
 # The master-worker kill tests used to pass by scheduling luck: a kill is

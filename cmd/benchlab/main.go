@@ -30,94 +30,13 @@ import (
 
 func main() {
 	var (
-		platform   = flag.String("platform", "pi", "modeled platform (pi, colab, chameleon, stolaf)")
-		exemplar   = flag.String("exemplar", "integration", "integration, drugdesign, or forestfire")
-		sweep      = flag.String("sweep", "1,2,4", "comma-separated worker counts")
-		model      = flag.Bool("model", false, "print the platform's predicted speedup curve instead of measuring")
-		repeat     = flag.Int("repeat", 1, "measure each configuration this many times; >1 adds a 95% confidence interval")
-		mpibench   = flag.Bool("mpibench", false, "run the MPI transport microbenchmarks and write BENCH_mpi.json")
-		mpiout     = flag.String("mpibench-out", "BENCH_mpi.json", "output path for -mpibench")
-		mpiiters   = flag.Int("mpibench-iters", 20000, "ping-pong iterations for -mpibench")
-		shmbench   = flag.Bool("shmbench", false, "run the shm runtime microbenchmarks and write BENCH_shm.json")
-		shmout     = flag.String("shmbench-out", "BENCH_shm.json", "output path for -shmbench")
-		shmiters   = flag.Int("shmbench-iters", 20000, "region-launch iterations for -shmbench")
-		recpin     = flag.Bool("recoverpin", false, "check that inert WithRecovery costs <= 2% on the ping-pong path (exit 1 if not)")
-		sesspin    = flag.Bool("sessionpin", false, "check that resilient sessions (wire v2: seq numbers + CRC32C) cost <= 5% over wire v1 on a 1 MiB TCP ping-pong (exit 1 if not)")
-		vecbench   = flag.Bool("vecbench", false, "run the large-payload vector-collective and TCP-framing benchmarks, merge into BENCH_mpi.json, and enforce the speedup pins")
-		vecquick   = flag.Bool("vecbench-quick", false, "abbreviated -vecbench smoke: fewest sizes, one round, no pin enforcement")
-		shmtbench  = flag.Bool("shmtbench", false, "run the shared-memory transport benchmarks (shm vs TCP, eager/rendezvous crossover), merge into BENCH_mpi.json, and enforce the speedup pins")
-		shmtquick  = flag.Bool("shmtbench-quick", false, "abbreviated -shmtbench smoke: fewest sizes, one round, no pin enforcement")
-		hierbench  = flag.Bool("hierbench", false, "run the topology-aware collective benchmarks (flat vs two-level, forestfire overlap) on a modeled 2-node platform, merge into BENCH_mpi.json, and enforce the speedup pins")
-		hierquick  = flag.Bool("hierbench-quick", false, "abbreviated -hierbench smoke: fewest sizes, one round, no pin enforcement")
-		schedbench = flag.Bool("schedbench", false, "load-test the gang scheduler over its HTTP API (steady + chaos phases), merge into BENCH_mpi.json, and enforce the zero-lost-jobs pin")
-		schedquick = flag.Bool("schedbench-quick", false, "abbreviated -schedbench smoke: fewer jobs, same zero-lost-jobs pin")
-		rmabench   = flag.Bool("rmabench", false, "run the one-sided RMA and coalesced-alltoallv benchmarks (Put vs Send/Recv, AlltoallvSlice vs naive loops, PageRank scaling), merge into BENCH_mpi.json, and enforce the speedup pins")
-		rmaquick   = flag.Bool("rmabench-quick", false, "abbreviated -rmabench smoke: fewest sizes, one round, no pin enforcement")
-		benchdiff  = flag.String("benchdiff", "", "compare the BENCH_mpi.json at this path against the committed baseline on stdin (use scripts/bench_diff.sh); prints per-pin drift and exits 1 beyond -benchdiff-tol")
-		difftol    = flag.Float64("benchdiff-tol", 25, "allowed pin drift in percent for -benchdiff")
+		platform = flag.String("platform", "pi", "modeled platform (pi, colab, chameleon, stolaf)")
+		exemplar = flag.String("exemplar", "integration", "integration, drugdesign, or forestfire")
+		sweep    = flag.String("sweep", "1,2,4", "comma-separated worker counts")
+		model    = flag.Bool("model", false, "print the platform's predicted speedup curve instead of measuring")
+		repeat   = flag.Int("repeat", 1, "measure each configuration this many times; >1 adds a 95% confidence interval")
 	)
 	flag.Parse()
-
-	if *recpin {
-		if err := runRecoverPin(*mpiiters); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *sesspin {
-		if err := runSessionPin(*mpiiters); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *vecbench || *vecquick {
-		if err := runVecBench(*mpiout, *vecquick); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *shmtbench || *shmtquick {
-		if err := runShmtBench(*mpiout, *shmtquick); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *hierbench || *hierquick {
-		if err := runHierBench(*mpiout, *hierquick); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *schedbench || *schedquick {
-		if err := runSchedBench(*mpiout, *schedquick); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *rmabench || *rmaquick {
-		if err := runRmaBench(*mpiout, *rmaquick); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchdiff != "" {
-		if err := runBenchDiff(*benchdiff, *difftol); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *mpibench {
-		if err := runMPIBench(*mpiout, *mpiiters); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *shmbench {
-		if err := runSHMBench(*shmout, *shmiters); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	plat, err := cluster.Lookup(*platform)
 	if err != nil {

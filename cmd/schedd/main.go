@@ -1,6 +1,6 @@
 // Command schedd is the gang-scheduling daemon: a long-running,
-// multi-tenant job service in front of the mpi runtime. Students (or the
-// benchlab load generator) submit jobs over an HTTP+JSON API; the daemon
+// multi-tenant job service in front of the mpi runtime. Students (through
+// jobctl or any HTTP client) submit jobs over an HTTP+JSON API; the daemon
 // queues them per tenant, places each gang on the modeled cluster,
 // supervises every run with retries and a poison-job circuit breaker, and
 // keeps admitting work while nodes die under it.

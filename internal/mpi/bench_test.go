@@ -164,9 +164,8 @@ func BenchmarkCommSplit(b *testing.B) {
 }
 
 // The fast-path acceptance benchmarks: the same []float64 ping-pong through
-// the typed fast path and through the forced-gob path. The fast path must
-// be at least 3x cheaper per message (in practice far more; see
-// BENCH_mpi.json from cmd/benchlab for the tracked numbers).
+// the typed fast path and through the forced-gob path, the parity suites'
+// reference.
 func benchPingPongFloats(b *testing.B, opts ...Option) {
 	payload := make([]float64, 128)
 	for i := range payload {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -155,45 +156,75 @@ func TestLandingStreamedFramesOnly(t *testing.T) {
 	}
 }
 
-// TestLandingTCP8BRoundTripAllocations pins what the replay window may cost:
-// a captured frame's buffer comes back to its own session with the peer's ack
-// (sendSession.frameBuf), so the steady-state 8-byte RunTCP round trip
-// allocates the two slices its callers box and at most one object more — not
-// a buffer per frame because four sessions' ack windows have emptied a free
-// list of 32.
+// TestLandingTCP8BRoundTripAllocations pins what a session may cost a frame,
+// at both ends of the size range. A captured frame's buffer comes back to its
+// own session with the peer's ack (sendSession.frameBuf), so the steady-state
+// 8-byte RunTCP round trip allocates the two slices its callers box and at
+// most one object more — not a buffer per frame because four sessions' ack
+// windows have emptied a free list of 32. A streamed megabyte is charged a
+// sequence number, a header and a checksum and no buffer: the same objects,
+// under a KiB allocated for two megabytes moved, and nothing of it in the
+// sender's replay window when Send returns (stream-1MiB-tcp is the gate row
+// that times it).
 func TestLandingTCP8BRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	var allocs float64
-	err := RunTCP(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			return echoFloats(c)
-		}
-		send, recv := []float64{1}, []float64(nil)
-		var opErr error
-		trip := func() {
-			if err := c.Send(1, 0, send); err != nil {
-				opErr = err
+	for _, elems := range []int{1, landElems} {
+		const trips = 100
+		var allocs float64
+		var bytes uint64
+		captured := 0
+		err := RunTCP(2, func(c *Comm) error {
+			if c.Rank() == 1 {
+				return echoFloats(c)
 			}
-			if _, err := c.Recv(1, 0, &recv); err != nil {
-				opErr = err
+			send, recv := make([]float64, elems), []float64(nil)
+			var opErr error
+			tr := tcpOf(c)
+			trip := func() {
+				if err := c.Send(1, 0, send); err != nil {
+					opErr = err
+				}
+				tr.mu.Lock()
+				captured = max(captured, tr.send.replayBytes)
+				tr.mu.Unlock()
+				if _, err := c.Recv(1, 0, &recv); err != nil {
+					opErr = err
+				}
 			}
+			for i := 0; i < 4*ackEvery; i++ { // every session has been acked and holds its spares
+				trip()
+			}
+			allocs = testing.AllocsPerRun(5*trips, trip)
+			// The best of three batches, as TestLocalRoundTripAllocations
+			// takes it: a frame that beats its receive is buffered whole.
+			bytes = math.MaxUint64
+			for batch := 0; batch < 3; batch++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < trips; i++ {
+					trip()
+				}
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/trips)
+			}
+			if err := c.Send(1, 1, send[:1]); err != nil {
+				return err
+			}
+			return opErr
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 4*ackEvery; i++ { // every session has been acked and holds its spares
-			trip()
+		if allocs > 3 || bytes >= 1<<10 {
+			t.Errorf("steady-state RunTCP round trip of %d values allocates %v objects and %d bytes, want <= 3 objects and < 1 KiB", elems, allocs, bytes)
 		}
-		allocs = testing.AllocsPerRun(500, trip)
-		if err := c.Send(1, 1, send); err != nil {
-			return err
+		// The 8-byte frames are there to be seen, so the probe is not blind.
+		if streamed := 8*elems > replayFrameMax; streamed != (captured == 0) {
+			t.Errorf("frames of %d values (streamed: %v) held at most %d bytes of their sender's replay window; streamed frames hold none, captured ones some",
+				elems, streamed, captured)
 		}
-		return opErr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs > 3 {
-		t.Errorf("steady-state 8-byte RunTCP round trip allocates %v objects, want <= 3", allocs)
 	}
 }
 

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -100,6 +102,55 @@ func TestDeadlineQueuedRecvAllocatesLikePlain(t *testing.T) {
 	plain, timed := roundTripAllocs(t), roundTripAllocs(t, WithDeadline(time.Minute))
 	if timed > plain {
 		t.Fatalf("queued receive allocates %v objects under WithDeadline, %v without", timed, plain)
+	}
+}
+
+// roundTripFrames reports the source, destination and tag of every frame the
+// transport carries while the two ranks of a world built with opts ping-pong
+// one float64 fifty times.
+func roundTripFrames(t *testing.T, opts ...Option) []string {
+	t.Helper()
+	seen := &recordingTransport{}
+	err := Run(2, func(c *Comm) error {
+		return pingPong(c, 50, 0, make([]float64, 1))
+	}, append(opts, withTransportWrapper(seen))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range seen.frames() {
+		got = append(got, fmt.Sprintf("%d>%d tag %d", f.WSrc, f.Dst, f.Tag))
+	}
+	return got
+}
+
+// TestWithRecoveryAndEmptyFaultPlanCostNothing: machinery that is armed and
+// never fires is free, counted and not timed. A world under WithRecovery, or
+// under a fault plan with no rules, allocates no more for a queued round trip
+// than a plain world, and its ping-pong puts the plain world's frames on the
+// transport and no others — a clean run has no heartbeat, acknowledgement or
+// agreement traffic. pingpong-8B-local is the gate row that times the path.
+func TestWithRecoveryAndEmptyFaultPlanCostNothing(t *testing.T) {
+	plainFrames := roundTripFrames(t)
+	if len(plainFrames) != 100 {
+		t.Fatalf("plain world carried %d frames for 50 round trips, want 100", len(plainFrames))
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"WithRecovery", WithRecovery()},
+		{"WithFaults(FaultPlan{})", WithFaults(FaultPlan{})},
+	} {
+		if got := roundTripFrames(t, tc.opt); !slices.Equal(got, plainFrames) {
+			t.Errorf("%s: the transport carried %d frames, %d without; its first four: %v", tc.name, len(got), len(plainFrames), got[:min(len(got), 4)])
+		}
+		if raceEnabled {
+			continue // allocation counts are not stable under the race detector
+		}
+		if plain, armed := roundTripAllocs(t), roundTripAllocs(t, tc.opt); armed > plain {
+			t.Errorf("%s: queued receive allocates %v objects, %v without", tc.name, armed, plain)
+		}
 	}
 }
 

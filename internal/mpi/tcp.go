@@ -1792,15 +1792,6 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	if cfg.wireLegacy {
 		wireVer = 0
 	}
-	if cfg.wireCompat != nil {
-		wireVer = *cfg.wireCompat
-		if wireVer < 0 {
-			wireVer = 0
-		}
-		if wireVer > wireVersion2 {
-			wireVer = wireVersion2
-		}
-	}
 	t := newTCPTransport(addr, rank, conn, wireVer, cfg.noDelay)
 	if cfg.leaseQuiet > 0 {
 		t.lease.quiet = cfg.leaseQuiet

@@ -216,3 +216,105 @@ func TestScanMessageCount(t *testing.T) {
 		}
 	}
 }
+
+// TestHierAllreduceInterNodeMessageCount counts what the two-level schedule
+// is for: on 2 nodes of 4 ranks a 1 MiB AllreduceSlice crosses the inter-node
+// link 4 times (the two leaders' reduce-scatter and allgather, one exchange
+// each), where the flat halving/doubling schedule crosses it 16 times (every
+// rank's distance-4 partner is on the other node, in both phases).
+func TestHierAllreduceInterNodeMessageCount(t *testing.T) {
+	nodeOf := []int{0, 0, 0, 0, 1, 1, 1, 1}
+	interNode := func(mode HierMode) int {
+		mc := NewMessageCounter()
+		err := Run(len(nodeOf), func(c *Comm) error {
+			_, err := AllreduceSliceOp(c, make([]float64, 1<<17), Sum)
+			return err
+		}, WithCounter(mc), WithTopology(nodeOf), WithHierarchy(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for src, sn := range nodeOf {
+			for dst, dn := range nodeOf {
+				if sn != dn {
+					n += mc.Pair(src, dst)
+				}
+			}
+		}
+		return n
+	}
+	if twoLevel, flat := interNode(HierAuto), interNode(HierOff); twoLevel != 4 || flat != 16 {
+		t.Errorf("1 MiB allreduce on 2 nodes x 4 ranks: %d inter-node messages two-level, %d flat; want 4 and 16", twoLevel, flat)
+	}
+}
+
+// TestAlltoallvMessagesPerRank: the irregular exchange coalesces each
+// destination's block into one message, so at np = 8 a rank sends at most
+// np - 1 of them whether its blocks hold one element, thousands or none.
+func TestAlltoallvMessagesPerRank(t *testing.T) {
+	const np = 8
+	for name, count := range map[string]func(src, dst int) int{
+		"one element each": func(src, dst int) int { return 1 },
+		"skewed":           func(src, dst int) int { return (src*7 + dst*13) % 5 * 1000 },
+		"rank 0 gets most": func(src, dst int) int { return 1 + 4000*((np-dst)/np) },
+	} {
+		mc := countMessages(t, np, func(c *Comm) error {
+			sendCounts, recvCounts := make([]int, np), make([]int, np)
+			total := 0
+			for r := 0; r < np; r++ {
+				sendCounts[r], recvCounts[r] = count(c.Rank(), r), count(r, c.Rank())
+				total += sendCounts[r]
+			}
+			_, err := AlltoallvSlice(c, make([]int32, total), sendCounts, recvCounts)
+			return err
+		})
+		for src := 0; src < np; src++ {
+			sent := 0
+			for dst := 0; dst < np; dst++ {
+				sent += mc.Pair(src, dst)
+			}
+			if sent > np-1 {
+				t.Errorf("%s: rank %d sent %d messages, want at most %d", name, src, sent, np-1)
+			}
+		}
+	}
+}
+
+// TestWinPutEpochMessageCount: where a window is memory both sides can reach
+// (in process, in the shm segment) a Put is a copy, not a message — an epoch
+// of 128 Puts of 64 KiB sends exactly what an empty epoch sends, its closing
+// Fence — where the two-sided formulation of the same delivery sends 128 more.
+func TestWinPutEpochMessageCount(t *testing.T) {
+	runners := map[string]func(int, func(*Comm) error, ...Option) error{"local": Run}
+	if shmSupported {
+		runners["shm"] = RunShm
+	}
+	for name, run := range runners {
+		epoch := func(puts int) int {
+			mc := NewMessageCounter()
+			err := run(2, func(c *Comm) error {
+				w, err := WinCreate[float64](c, 8<<10)
+				if err != nil {
+					return err
+				}
+				defer w.Free()
+				if c.Rank() == 0 {
+					block := make([]float64, 8<<10)
+					for i := 0; i < puts; i++ {
+						if err := w.Put(1, 0, block); err != nil {
+							return err
+						}
+					}
+				}
+				return w.Fence()
+			}, WithCounter(mc))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return mc.Total()
+		}
+		if empty, full := epoch(0), epoch(128); full != empty {
+			t.Errorf("%s: an epoch of 128 Puts sent %d messages, an empty one %d", name, full, empty)
+		}
+	}
+}

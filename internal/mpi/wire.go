@@ -42,8 +42,8 @@ var le = binary.LittleEndian
 // bounded window keeps the integrity check off the large-message critical
 // path (a full CRC over a 1 MiB payload costs ~25% of the ping-pong; the
 // windows cost ~3%) while still catching header corruption, truncation, and
-// bit flips near either end; the benchlab resilience pin enforces the ≤5%
-// budget. Corruption detected by the reader surfaces as *CorruptFrameError,
+// bit flips near either end; the gate's stream-1MiB-tcp row times the
+// result. Corruption detected by the reader surfaces as *CorruptFrameError,
 // which the session layer treats like a broken connection: tear down,
 // resume, retransmit the clean captured copy.
 //

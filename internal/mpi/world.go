@@ -79,7 +79,6 @@ type config struct {
 	faultReport  *FaultReport
 	recovery     bool
 	respawn      bool                      // relaunch failed ranks into their old slots
-	wireCompat   *int                      // force a specific TCP wire version (benchmarks/ablation)
 	dialRetry    time.Duration             // JoinTCP dial budget; 0 = default, <0 = single attempt
 	hubOpts      []HubOption               // consumed by RunTCP's internal hub
 	noDelay      *bool                     // WithTCPNoDelay; nil leaves the platform default
@@ -164,8 +163,8 @@ func WithTopology(nodeOf []int) Option {
 // default, HierAuto, enables them exactly when the topology says they pay:
 // at least two nodes, at least one of which co-locates two ranks. HierOn
 // forces them whenever the communicator spans more than one node; HierOff
-// pins every collective to the flat algorithms (the ablation switch the
-// hierbench comparison is built on).
+// pins every collective to the flat algorithms (the reference the hierarchy
+// parity suite and TestHierAllreduceInterNodeMessageCount compare against).
 func WithHierarchy(m HierMode) Option {
 	return func(c *config) { c.hierMode = m }
 }
@@ -197,19 +196,6 @@ func WithRespawn() Option {
 	return func(c *config) {
 		c.recovery = true
 		c.respawn = true
-	}
-}
-
-// WithWireCompat forces the TCP wire protocol to at most the given version:
-// 0 = the original pure-gob stream, 1 = kind-byte typed framing, 2 (the
-// default) = resilient sessions with sequence numbers and CRC32C frame
-// integrity. Real programs have no reason to downgrade; the interop tests
-// and the resilience-overhead benchmark use it to measure what each layer
-// costs against the same build.
-func WithWireCompat(version int) Option {
-	return func(c *config) {
-		v := version
-		c.wireCompat = &v
 	}
 }
 

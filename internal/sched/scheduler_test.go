@@ -1,12 +1,19 @@
 package sched
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -805,49 +812,108 @@ func TestCloseReapsEverything(t *testing.T) {
 	}
 }
 
-// TestChaosLoadZeroLostJobs is the package-scale chaos drill the issue
-// pins: a mixed multi-tenant load, a node killed and revived mid-flight,
-// and at the end every admitted job is terminal — succeeded, canceled, or
+// TestChaosLoadZeroLostJobs is the package-scale chaos drill: a mixed
+// multi-tenant load, a node killed and revived mid-flight, and at the end
+// every admitted job is terminal — succeeded, canceled, or
 // quarantined-with-report — with zero lost and the daemon still admitting.
+// It runs once against the scheduler directly and once through the HTTP
+// handler, the four tenants posting at once against a queue of four: the 429
+// storm that follows must cost nothing but retries — every rejection carries
+// Retry-After, and every job is admitted on a later attempt.
 func TestChaosLoadZeroLostJobs(t *testing.T) {
-	s := newTestSched(t, Config{
-		Platform: testPlatform(2, 4),
-		QueueCap: 500,
+	t.Run("in process", func(t *testing.T) {
+		s := newTestSched(t, Config{Platform: testPlatform(2, 4), QueueCap: 500})
+		chaosLoad(t, s, 1, s.Submit)
 	})
-	tenants := []string{"t0", "t1", "t2", "t3"}
-	var boom, flaky, plain []string
-	for i := 0; i < 48; i++ {
-		spec := JobSpec{
-			Tenant:  tenants[i%len(tenants)],
-			Program: "sleep",
-			Width:   1 + i%4,
-			Args:    map[string]string{"ms": "5"},
-		}
-		switch {
-		case i%10 == 9:
-			spec.Program = "boom"
-			spec.MaxRetries = -1
-		case i%10 == 4:
-			spec.Program = "flaky"
-			spec.Args = map[string]string{"fail_attempts": "1"}
-		}
-		st, err := s.Submit(spec)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		switch spec.Program {
-		case "boom":
-			boom = append(boom, st.ID)
-		case "flaky":
-			flaky = append(flaky, st.ID)
-		default:
-			plain = append(plain, st.ID)
-		}
-		if i == 24 {
-			if err := s.KillNode(1); err != nil {
-				t.Fatal(err)
+	t.Run("over HTTP under a 429 storm", func(t *testing.T) {
+		s, srv := newTestServer(t, Config{Platform: testPlatform(2, 4), QueueCap: 4})
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		var rejected atomic.Int64
+		chaosLoad(t, s, 4, func(spec JobSpec) (JobStatus, error) {
+			body, err := json.Marshal(spec)
+			if err != nil {
+				return JobStatus{}, err
 			}
+			for {
+				req, err := http.NewRequestWithContext(ctx, "POST", srv.URL+"/api/v1/jobs", bytes.NewReader(body))
+				if err != nil {
+					return JobStatus{}, err
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					return JobStatus{}, err
+				}
+				var st JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusCreated:
+					return st, err
+				case resp.StatusCode != http.StatusTooManyRequests:
+					return st, fmt.Errorf("POST = %d, want 201 or 429", resp.StatusCode)
+				case resp.Header.Get("Retry-After") == "":
+					return st, errors.New("429 without a Retry-After header")
+				}
+				rejected.Add(1)
+				runtime.Gosched()
+			}
+		})
+		if rejected.Load() == 0 {
+			t.Error("no submission was rejected: the queue is not small enough to test the storm")
 		}
+	})
+}
+
+// chaosLoad puts the chaos mix through submit — 48 gangs from four tenants,
+// every tenth a poison job and every tenth a flaky one, lane l of lanes
+// submitting jobs l, l+lanes, ... in order — kills node 1 once job 24 is in,
+// revives it after the last, drains, and checks the three invariants: nothing
+// lost, nothing non-terminal, and the poison jobs and only they quarantined.
+func chaosLoad(t *testing.T, s *Scheduler, lanes int, submit func(JobSpec) (JobStatus, error)) {
+	const jobs = 48
+	tenants := []string{"t0", "t1", "t2", "t3"}
+	var mu sync.Mutex
+	ids := make(map[string][]string) // by program
+	var wg sync.WaitGroup
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := lane; i < jobs; i += lanes {
+				spec := JobSpec{
+					Tenant:  tenants[i%len(tenants)],
+					Program: "sleep",
+					Width:   1 + i%4,
+					Args:    map[string]string{"ms": "5"},
+				}
+				switch {
+				case i%10 == 9:
+					spec.Program = "boom"
+					spec.MaxRetries = -1
+				case i%10 == 4:
+					spec.Program = "flaky"
+					spec.Args = map[string]string{"fail_attempts": "1"}
+				}
+				st, err := submit(spec)
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				mu.Lock()
+				ids[spec.Program] = append(ids[spec.Program], st.ID)
+				mu.Unlock()
+				if i == jobs/2 {
+					if err := s.KillNode(1); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(lane)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	time.Sleep(100 * time.Millisecond)
 	if err := s.ReviveNode(1); err != nil {
@@ -860,20 +926,20 @@ func TestChaosLoadZeroLostJobs(t *testing.T) {
 	if st.Lost() != 0 {
 		t.Fatalf("stats = %+v: %d jobs lost", st, st.Lost())
 	}
-	if st.Admitted != 48 {
-		t.Fatalf("admitted = %d, want 48", st.Admitted)
+	if st.Admitted != jobs {
+		t.Fatalf("admitted = %d, want %d", st.Admitted, jobs)
 	}
-	for _, id := range plain {
-		if got, _ := s.Status(id); got.State != "succeeded" {
-			t.Errorf("plain job %s = %s (%q), want succeeded", id, got.State, got.Error)
+	if st.Quarantined != len(ids["boom"]) {
+		t.Errorf("quarantined = %d, want the %d poison jobs", st.Quarantined, len(ids["boom"]))
+	}
+	for _, program := range []string{"sleep", "flaky"} { // flaky: retried into success
+		for _, id := range ids[program] {
+			if got, _ := s.Status(id); got.State != "succeeded" {
+				t.Errorf("%s job %s = %s (%q), want succeeded", program, id, got.State, got.Error)
+			}
 		}
 	}
-	for _, id := range flaky {
-		if got, _ := s.Status(id); got.State != "succeeded" {
-			t.Errorf("flaky job %s = %s (%q), want retried into success", id, got.State, got.Error)
-		}
-	}
-	for _, id := range boom {
+	for _, id := range ids["boom"] {
 		got, _ := s.Status(id)
 		if got.State != "quarantined" {
 			t.Errorf("boom job %s = %s, want quarantined", id, got.State)

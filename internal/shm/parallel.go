@@ -99,7 +99,7 @@ func (t *team) orderedState() *orderedState {
 // the calling goroutine itself — as in OpenMP, where the encountering thread
 // becomes the team master — and threads 1..n-1 are parked pool workers, so
 // a region launch costs n-1 channel handoffs rather than n goroutine
-// creations. ParallelSpawn preserves the spawn-per-region strategy.
+// creations.
 //
 // A panic inside any team member is captured and re-raised on the caller's
 // goroutine after the rest of the team has been allowed to finish, so a bug

@@ -12,9 +12,7 @@ import (
 // already-running, parked workers instead of paying goroutine creation,
 // stack setup, and teardown per region — and recycles the per-region state
 // (team, join, thread contexts) through a sync.Pool so a steady stream of
-// regions allocates nothing. ParallelSpawn preserves the spawn-per-region
-// strategy for the benchmarking study (region_launch_ns in BENCH_shm.json
-// is the pooled-vs-spawn comparison).
+// regions allocates nothing.
 
 // maxParked bounds how many idle workers stay parked. Workers beyond the
 // bound exit after finishing their region, so a one-off wide region (say a
@@ -170,36 +168,4 @@ func runMember(item workItem) {
 		}
 	}()
 	item.body(item.tc)
-}
-
-// ParallelSpawn is Parallel implemented the pre-pool way, preserved from
-// the seed runtime as the measured baseline for the pooled dispatcher (see
-// BENCH_shm.json's region_launch_ns) and as teaching material — the
-// difference between the two is exactly what a persistent thread team buys
-// an OpenMP runtime. Each region pays for a fresh goroutine per thread and
-// constructs the full team state (barrier, critical/single tables, ordered
-// state, task pool) eagerly, as the seed did. Semantics are identical to
-// Parallel, including panic propagation.
-func ParallelSpawn(numThreads int, body func(tc *ThreadContext)) {
-	n := resolveThreads(numThreads)
-	t := newTeam(n)
-	// Eager team construction, as in the seed implementation.
-	t.bar()
-	t.taskPool()
-	t.orderedState()
-	t.mu.Lock()
-	t.criticals = make(map[string]*sync.Mutex)
-	t.singles = make(map[string]bool)
-	t.mu.Unlock()
-
-	join := &regionJoin{panics: make([]any, n)}
-	join.wg.Add(n)
-	for id := 0; id < n; id++ {
-		go func(id int) {
-			defer join.wg.Done()
-			runMember(workItem{tc: &ThreadContext{id: id, team: t}, body: body, join: join})
-		}(id)
-	}
-	join.wg.Wait()
-	join.rethrow()
 }

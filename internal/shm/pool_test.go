@@ -9,6 +9,37 @@ import (
 	"testing"
 )
 
+// ParallelSpawn is Parallel implemented the pre-pool way, kept from the seed
+// runtime as the baseline BenchmarkRegionLaunchSpawn sets the pooled
+// dispatcher against: the difference between the two is exactly what a
+// persistent thread team buys an OpenMP runtime. Each region pays for a
+// fresh goroutine per thread and constructs the full team state (barrier,
+// critical/single tables, ordered state, task pool) eagerly, as the seed
+// did. Semantics are identical to Parallel, including panic propagation.
+func ParallelSpawn(numThreads int, body func(tc *ThreadContext)) {
+	n := resolveThreads(numThreads)
+	t := newTeam(n)
+	// Eager team construction, as in the seed implementation.
+	t.bar()
+	t.taskPool()
+	t.orderedState()
+	t.mu.Lock()
+	t.criticals = make(map[string]*sync.Mutex)
+	t.singles = make(map[string]bool)
+	t.mu.Unlock()
+
+	join := &regionJoin{panics: make([]any, n)}
+	join.wg.Add(n)
+	for id := 0; id < n; id++ {
+		go func(id int) {
+			defer join.wg.Done()
+			runMember(workItem{tc: &ThreadContext{id: id, team: t}, body: body, join: join})
+		}(id)
+	}
+	join.wg.Wait()
+	join.rethrow()
+}
+
 // TestParallelSpawnMatchesParallel pins that the spawn-per-region baseline
 // and the pooled dispatcher implement the same construct: distinct,
 // complete thread ids and a full join.
@@ -157,8 +188,8 @@ func TestTeamSizeRule(t *testing.T) {
 	}
 }
 
-// The region_launch_ns comparison: what a region launch costs through the
-// pooled dispatcher vs a fresh goroutine set per region.
+// What a region launch costs through the pooled dispatcher vs a fresh
+// goroutine set per region.
 func benchRegionLaunch(b *testing.B, launch func(int, func(*ThreadContext))) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

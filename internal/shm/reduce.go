@@ -120,8 +120,8 @@ func foldRange[T number](op ReduceOp, p T, lo, hi int, body func(i int) T) T {
 // mutex, no atomic, and, because the slots are padded to 64 bytes, not even a
 // cache line. This is the strategy the reduction patternlet teaches; the
 // gate's shm-exemplars-t2 workload times it through TrapezoidShared, and
-// BENCH_shm.json (reduce_ns_per_iter) sets it against the AtomicFloat64
-// CAS-retry alternative.
+// BenchmarkReduceTypedFloat64 sets it against the AtomicFloat64 CAS-retry
+// alternative (BenchmarkReduceAtomicFloat64).
 //
 // padded holds one per-thread partial, padded so adjacent threads' writes
 // cannot false-share.

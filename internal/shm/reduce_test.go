@@ -165,7 +165,7 @@ func TestParallelReduceRegionLevel(t *testing.T) {
 	}
 }
 
-// The reduce_ns_per_iter comparison for BENCH_shm.json: the typed fast path
+// The per-iteration cost of a reduction: the typed fast path
 // (register accumulation + one padded-slot write per chunk) against the
 // pre-existing strategy of one AtomicFloat64 CAS-retry Add per iteration.
 const reduceBenchN = 1 << 15

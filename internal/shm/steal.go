@@ -30,8 +30,8 @@ const (
 	// steal-half balancing.
 	LoopWorkStealing LoopEngine = iota
 	// LoopSharedCounter is the seed implementation — one shared atomic
-	// iteration counter — kept selectable as the measured baseline for
-	// BENCH_shm.json's chunk_handout_ns and for the schedule-parity tests.
+	// iteration counter — kept selectable as the baseline of the
+	// BenchmarkChunkHandout* pairs and for the schedule-parity tests.
 	LoopSharedCounter
 )
 

@@ -47,7 +47,8 @@ go test -race -timeout 120s -count=50 \
 # The recovery suite (ULFM-style Revoke/Agree/Shrink, checkpoint-restart,
 # the randomized kill-rank soak) gets its own fresh -count=1 race pass:
 # recovery correctness is precisely about failure/operation races, so a
-# cached pass proves nothing.
+# cached pass proves nothing. TestWithRecovery* includes the row that counts
+# the frames an unused recovery world sends: the plain world's, no others.
 go test -race -timeout 180s -count=1 \
   -run 'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution' \
   ./internal/mpi/
@@ -74,6 +75,8 @@ test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go 
 # receives posted ahead of their await, operations that read for themselves),
 # the TCP read lease, the ownership rule on every transport in both orders for
 # Send and the exchange step, posting order, non-overtaking. Twenty fresh runs.
+# (The allocation counts among them skip under the race detector; tier-1's
+# plain `go test ./...` is where they run.)
 go test -race -timeout 300s -count=20 \
   -run 'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
   ./internal/mpi/
@@ -124,24 +127,6 @@ go test -race -timeout 180s -count=1 \
   ./internal/mpi/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
 
-# The recovery machinery must be free when unused: interleaved best-of-5
-# ping-pongs, plain world vs inert WithRecovery world, pinned at <= 2%.
-go run ./cmd/benchlab -recoverpin
-
-# Resilient sessions must stay close to free too: wire v2 (sequence
-# numbers + replay buffer + CRC32C) vs plain typed framing on a 1 MiB TCP
-# ping-pong, pinned at <= 5%.
-go run ./cmd/benchlab -sessionpin
-
-# Vector/framing benchmark smoke: fewest sizes, one round, no pin
-# enforcement — proves the -vecbench harness itself still runs end to end
-# without paying the full sweep.
-go run ./cmd/benchlab -vecbench-quick -mpibench-out /tmp/BENCH_vec_smoke.json
-
-# Shm-transport benchmark smoke, same idea: two sizes, one round, one world
-# size, pins reported but not enforced.
-go run ./cmd/benchlab -shmtbench-quick -mpibench-out /tmp/BENCH_shmt_smoke.json
-
 # The topology-aware layer: hierarchical collective parity (every two-level
 # collective element-equal to its flat counterpart across world sizes,
 # topologies, and transports, including kill-rank and deadline mid-collective)
@@ -152,11 +137,6 @@ go run ./cmd/benchlab -shmtbench-quick -mpibench-out /tmp/BENCH_shmt_smoke.json
 go test -race -timeout 180s -count=1 \
   -run 'TestHier|TestNonblocking|TestOverlap' \
   ./internal/mpi/ ./internal/exemplars/forestfire/
-
-# Hierarchical benchmark smoke: fewest sizes, one round, no pin enforcement —
-# proves the -hierbench harness (modeled 2-node Beowulf platform, flat vs
-# two-level, forestfire overlap) still runs end to end.
-go run ./cmd/benchlab -hierbench-quick -mpibench-out /tmp/BENCH_hier_smoke.json
 
 # The one-sided layer and the irregular exchange: window epochs (Put/Get/
 # Accumulate under Fence, passive-target Lock/Unlock), all three window data
@@ -170,24 +150,15 @@ go test -race -timeout 180s -count=1 \
   -run 'TestWin|TestShmWinReclamation|TestKillRankMidWinEpoch|TestAlltoallv|TestKillRankMidAlltoallv' \
   ./internal/mpi/
 
-# RMA benchmark smoke: one size, one round, pins reported but not enforced —
-# proves the -rmabench harness (batched Put epochs vs the two-sided epoch,
-# naive-loop comparisons, PageRank scaling) still runs end to end.
-go run ./cmd/benchlab -rmabench-quick -mpibench-out /tmp/BENCH_rma_smoke.json
-
 # The scheduler service: gang placement, per-tenant fairness, quotas and
 # backpressure, the retry/quarantine supervisor, heartbeat-driven node death,
 # elastic shrink, drain/close, and the HTTP API — fresh under the race
-# detector. The suite includes the chaos load test (a node killed mid-load)
-# whose acceptance invariant is every admitted job terminal and zero lost.
+# detector. The suite includes the chaos load test (a node killed mid-load,
+# in process and over HTTP under a 429 storm) whose acceptance invariant is
+# every admitted job terminal and zero lost.
 go test -race -timeout 180s -count=1 ./internal/sched/
 
-# Scheduler load-test smoke: fewer jobs through the real loopback HTTP API,
-# steady + chaos phases; the zero-lost-jobs pin is enforced even in quick
-# mode because it is an invariant, not a performance number.
-go run ./cmd/benchlab -schedbench-quick -mpibench-out /tmp/BENCH_sched_smoke.json
-
 # Benchmark smoke pass: one iteration of every benchmark, so a refactor that
-# breaks a benchmark body (the BENCH_shm.json / BENCH_mpi.json inputs) fails
-# the gate instead of being discovered at regeneration time.
+# breaks a benchmark body fails the gate instead of being discovered when
+# someone next profiles with it.
 go test -run '^$' -bench . -benchtime 1x -timeout 300s ./internal/shm/ ./internal/exemplars/...

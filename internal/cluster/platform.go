@@ -111,8 +111,8 @@ func Chameleon(nodes, coresPerNode int) Platform {
 		coresPerNode = 16
 	}
 	return Platform{
-		Name:             "Chameleon cluster",
-		Description:      "cloud testbed cluster reached through a Jupyter notebook",
+		Name:               "Chameleon cluster",
+		Description:        "cloud testbed cluster reached through a Jupyter notebook",
 		Nodes:              nodes,
 		CoresPerNode:       coresPerNode,
 		InterNodeLatency:   50 * time.Microsecond,
@@ -132,8 +132,8 @@ func PiCluster(nodes int) Platform {
 		nodes = 4
 	}
 	return Platform{
-		Name:             "Raspberry Pi Beowulf cluster",
-		Description:      "student-built cluster of 4-core Pis on Fast Ethernet",
+		Name:               "Raspberry Pi Beowulf cluster",
+		Description:        "student-built cluster of 4-core Pis on Fast Ethernet",
 		Nodes:              nodes,
 		CoresPerNode:       4,
 		InterNodeLatency:   200 * time.Microsecond,

@@ -11,6 +11,26 @@ import (
 
 var errDeliberate = errors.New("deliberate worker failure")
 
+// dialRank joins the hub at addr by hand as the given rank — a worker's
+// hello, then the hub's first frame, returned with the connection — for
+// tests whose worker then misbehaves as JoinTCP cannot.
+func dialRank(t *testing.T, addr string, rank int) (net.Conn, frame) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := newWireWriter(conn).writeHello(hello{Rank: rank, Wire: wireVersion2}); err != nil {
+		t.Fatal(err)
+	}
+	start, _, err := newWireReader(conn).readFrame()
+	if err != nil {
+		t.Fatalf("reading start frame: %v", err)
+	}
+	return conn, start
+}
+
 // TestHubSurvivesWorkerCrash: a worker that drops its connection without
 // reporting done must fail the job cleanly rather than hang it.
 func TestHubSurvivesWorkerCrash(t *testing.T) {
@@ -34,17 +54,7 @@ func TestHubSurvivesWorkerCrash(t *testing.T) {
 	// for the start frame proves the hub admitted the rank — deterministic,
 	// unlike a sleep — so the close below is unambiguously a post-admission
 	// crash rather than a failed handshake.
-	conn, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn).Encode(hello{Rank: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var start frame
-	if err := gob.NewDecoder(conn).Decode(&start); err != nil {
-		t.Fatalf("reading start frame: %v", err)
-	}
+	conn, start := dialRank(t, hub.Addr(), 1)
 	if start.Tag != tagStart {
 		t.Fatalf("first frame tag = %d, want start (%d)", start.Tag, tagStart)
 	}
@@ -78,7 +88,8 @@ func TestRunTCPWorkerErrorSurfaces(t *testing.T) {
 }
 
 // TestHubInvalidRankHandshake: a worker announcing an out-of-range rank
-// fails the job with a clear error.
+// fails the job with a clear error. The hello is a bare one (Wire 0): the
+// hub checks the rank before the wire version.
 func TestHubInvalidRankHandshake(t *testing.T) {
 	hub, err := StartHub("127.0.0.1:0", 2)
 	if err != nil {

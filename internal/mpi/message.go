@@ -110,7 +110,7 @@ func (s Status) String() string {
 // payload can take. Val carries a typed in-memory value (flagged by HasVal);
 // a slice in it is borrowed from the sender (see borrowed). Data with a
 // non-zero Raw carries the raw little-endian encoding of a whitelisted
-// slice (rawcodec.go), produced and consumed by the v1 TCP framing; the
+// slice (rawcodec.go), produced and consumed by the TCP framing; the
 // buffer is pooled, so consumers release it via decodeInto or release.
 type frame struct {
 	Ctx    int64 // communicator context id

@@ -188,7 +188,7 @@ func TestCorruptFaultWithoutSuspicionSurfaces(t *testing.T) {
 
 // TestDelayedRankNeverDeclaredFailed: a rank slowed by FaultDelay — but
 // still connected and answering heartbeats — must never be promoted to
-// failed, on both the typed and the legacy gob wire. Suspicion and
+// failed, with typed and with gob payloads. Suspicion and
 // heartbeat react to broken connections and dead processes, not to slowness;
 // that is WithDeadline's job.
 func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
@@ -197,7 +197,7 @@ func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
 		opt  Option
 	}{
 		{"typed", func(*config) {}},
-		{"gob", withWireLegacy()},
+		{"gob", WithSerialization()},
 	}
 	for _, wire := range wires {
 		wire := wire

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Resilient TCP sessions. A wire-v2 connection is a *session*: every frame a
+// Resilient TCP sessions. A TCP connection is a *session*: every frame a
 // side sends carries a monotonically increasing sequence number, the receiver
 // periodically acknowledges the highest sequence it has accepted, and the
 // sender keeps the encoded bytes of every unacknowledged frame in a bounded

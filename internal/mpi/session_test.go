@@ -133,20 +133,20 @@ func TestRecvSessionDupAndAckCadence(t *testing.T) {
 	}
 }
 
-// TestWireCRCDetectsBitFlip: a v2 raw frame with one payload bit flipped in
+// TestWireCRCDetectsBitFlip: a raw frame with one payload bit flipped in
 // flight must surface as *CorruptFrameError naming the frame, not as silent
 // data corruption or a generic decode failure.
 func TestWireCRCDetectsBitFlip(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion2)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1, rd.v2 = true, true
 
 	payload := []float64{1, 2, 3, 4}
 	f := frame{Ctx: 1, Src: 0, WSrc: 0, Dst: 1, Tag: 5, Val: payload, HasVal: true}
 
 	// Clean round trip first: the CRC must accept what the writer produced.
-	buf, err := w.encodeFrame(f, 1)
+	kind, n := rawShape(f)
+	buf, err := w.encodeFrame(f, 1, kind, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestWireCRCDetectsBitFlip(t *testing.T) {
 
 	// Same frame with the corruption armed: the reader must detect it.
 	w.corruptNext = true
-	buf, err = w.encodeFrame(f, 2)
+	buf, err = w.encodeFrame(f, 2, kind, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,8 @@ func TestWireCRCDetectsBitFlip(t *testing.T) {
 // verifies the same CRC as the captured path.
 func TestWireCRCDetectsBitFlipDirect(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion2)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1, rd.v2 = true, true
 
 	payload := make([]float64, 64<<10/8*3) // 3x replayFrameMax: always streamed
 	for i := range payload {
@@ -206,7 +205,8 @@ func TestWireCRCDetectsBitFlipDirect(t *testing.T) {
 	}
 	f := frame{Ctx: 1, Src: 1, WSrc: 1, Dst: 0, Tag: 9, Val: payload, HasVal: true}
 
-	if err := w.writeFrameDirect(f, 7); err != nil {
+	kind, n := rawShape(f)
+	if err := w.writeFrameDirect(f, 7, kind, n); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.flush(); err != nil {
@@ -219,7 +219,7 @@ func TestWireCRCDetectsBitFlipDirect(t *testing.T) {
 	g.release()
 
 	w.corruptNext = true
-	if err := w.writeFrameDirect(f, 8); err != nil {
+	if err := w.writeFrameDirect(f, 8, kind, n); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.flush(); err != nil {

@@ -20,14 +20,13 @@ import (
 // the role of the interconnect: it preserves per-connection FIFO order, so
 // the non-overtaking guarantee carries over from the in-process transport.
 //
-// Wire protocol, per connection. The stream opens with a gob hello carrying
-// the worker's wire version; each direction is then framed at the version
-// the worker announced (see wire.go): version 0 is the original pure gob
-// stream, version 1 adds kind-byte framing with raw little-endian payloads
-// for the whitelist, and version 2 — the default — turns the connection into
-// a resumable *session* (session.go): every frame carries a sequence number,
-// raw frames carry a CRC32C, receivers ack cumulatively, and senders keep
-// unacknowledged frames in a bounded replay buffer. Message sequence:
+// Wire protocol, per connection. The stream opens with a gob hello naming the
+// rank and the wire version, which the hub checks; from there on both
+// directions carry the one frame format of wire.go, which makes the
+// connection a resumable *session* (session.go): every frame carries a
+// sequence number, raw frames carry a CRC32C, receivers ack cumulatively, and
+// senders keep unacknowledged frames in a bounded replay buffer. Message
+// sequence:
 //
 //	hello{Rank, Wire}      worker -> hub, once, identifies the rank
 //	frame{Tag: tagStart}   hub -> worker, once, after all ranks joined;
@@ -54,10 +53,10 @@ import (
 //	frame{Dst: ctrlDst, Tag: tagRevoke, Ctx: c} worker -> hub, context c revoked
 //	frame{Tag: tagRevoke, Ctx: c}           hub -> worker, revoke broadcast
 //
-// Resilient sessions (HubSuspicion, wire v2) change what a broken connection
-// means. When a worker's connection breaks — on either side — the hub marks
-// the rank *suspected* (not failed), parks its frames in the replay buffer,
-// and arms a grace timer; the worker redials with hello{Resume: true, Ack}
+// Resilient sessions (HubSuspicion) change what a broken connection means.
+// When a worker's connection breaks — on either side — the hub marks the
+// rank *suspected* (not failed), parks its frames in the replay buffer, and
+// arms a grace timer; the worker redials with hello{Resume: true, Ack}
 // carrying the highest sequence it received. The hub replies with a 9-byte
 // raw status (accepted flag + its own receive sequence) and both sides
 // retransmit their unacknowledged tails. Only grace-window expiry (or a
@@ -88,11 +87,9 @@ const (
 
 type hello struct {
 	Rank int
-	// Wire announces the highest framing version the worker speaks: 0 for
-	// the original pure-gob stream, 1 for kind-byte framing, 2 for resumable
-	// sessions. The hub answers in kind — each side of the connection is
-	// framed at the version the worker announced, so mixed worlds
-	// interoperate.
+	// Wire names the frame format the worker speaks (wire.go): wireVersion2,
+	// or the hub refuses the connection. Every worker is launched from the
+	// launcher's own binary, so another value is a program from another tree.
 	Wire int
 	// Resume marks a session-resume dial: the worker's original connection
 	// broke and it is redialing within the grace window. Ack carries the
@@ -172,9 +169,8 @@ func HubHeartbeat(interval time.Duration) HubOption {
 // frames park in the replay buffer while the worker redials and resumes
 // from the last acknowledged sequence — and only if the grace window
 // expires without a successful resume is the rank promoted to failed
-// (recovery hubs) or the world revoked (plain hubs). Requires wire v2
-// workers (the default); legacy connections fail immediately as before.
-// Zero (the default) disables suspicion: any break is instantly fatal.
+// (recovery hubs) or the world revoked (plain hubs). Zero (the default)
+// disables suspicion: any break is instantly fatal.
 func HubSuspicion(d time.Duration) HubOption {
 	return func(o *hubOptions) { o.suspicion = d }
 }
@@ -215,14 +211,6 @@ func WithTCPNoDelay(enabled bool) Option {
 		b := enabled
 		c.noDelay = &b
 	}
-}
-
-// withWireLegacy forces the worker to speak the v0 pure-gob wire, as an
-// old binary would. Unexported: real programs have no reason to downgrade,
-// but the interop tests use it to exercise the hub's version-mismatch path
-// (raw frames converted back to gob for legacy destinations).
-func withWireLegacy() Option {
-	return func(c *config) { c.wireLegacy = true }
 }
 
 // errHubConnDead marks a send into a hub connection that has been retired
@@ -272,14 +260,13 @@ type hubAgree struct {
 }
 
 // hubConn is the hub's half of one worker's session: the connection, the
-// framing layers, and (wire v2) the send/receive session state. mu guards
+// framing layers, and the send/receive session state. mu guards
 // everything except doneCounted, which h.mu guards (the done count and the
 // per-conn flag must change atomically together). Lock order: h.mu may be
 // taken before hc.mu, never the reverse.
 type hubConn struct {
 	h    *Hub
 	rank int
-	wire int
 
 	// resumeMu serializes resume attempts for this rank: two racing redials
 	// must not both swap the connection.
@@ -307,17 +294,14 @@ func (hc *hubConn) send(f frame) error {
 	return hc.sendLocked(f)
 }
 
-// sendLocked frames one outbound frame at the worker's wire version. On a
-// v2 session the frame is sequenced and captured for replay, or parked while
-// the connection is down (wireWriter.transmit); a write error under
-// suspicion-eligible conditions suspends the connection (the frame is
-// already safe in the replay buffer) instead of surfacing the error.
+// sendLocked puts one outbound frame on the session: sequenced and captured
+// for replay, or parked while the connection is down (wireWriter.transmit);
+// a write error under suspicion-eligible conditions suspends the connection
+// (the frame is already safe in the replay buffer) instead of surfacing the
+// error.
 func (hc *hubConn) sendLocked(f frame) error {
 	if hc.dead {
 		return errHubConnDead
-	}
-	if hc.wire < wireVersion2 {
-		return hc.w.writeFrame(f)
 	}
 	werr, err := hc.w.transmit(f, hc.suspended)
 	if werr != nil {
@@ -329,7 +313,7 @@ func (hc *hubConn) sendLocked(f frame) error {
 // canSuspendLocked reports whether this connection's breaks are absorbed by
 // the suspicion machinery rather than being immediately fatal.
 func (hc *hubConn) canSuspendLocked() bool {
-	return hc.h.opts.suspicion > 0 && hc.wire >= wireVersion2 && hc.h.started.Load()
+	return hc.h.opts.suspicion > 0 && hc.h.started.Load()
 }
 
 // streamBrokenLocked handles a write error: suspend if the session can
@@ -452,22 +436,17 @@ func (h *Hub) admit(conn net.Conn) {
 	rd := newWireReader(conn)
 	hi, err := rd.readHello()
 	if err != nil {
-		h.mu.Lock()
-		complete := h.complete
-		h.mu.Unlock()
-		if complete {
-			// A stray dial into a formed world (a port scanner, a confused
-			// client) must not take a healthy job down.
-			conn.Close()
-			return
-		}
-		h.fail(fmt.Errorf("mpi: hub handshake: %w", err))
-		conn.Close()
+		h.refuse(conn, fmt.Errorf("mpi: hub handshake: %w", err))
 		return
 	}
 	if hi.Rank < 0 || hi.Rank >= h.np {
 		h.fail(fmt.Errorf("mpi: hub: worker announced invalid rank %d", hi.Rank))
 		conn.Close()
+		return
+	}
+	if hi.Wire != wireVersion2 {
+		h.refuse(conn, fmt.Errorf("mpi: hub: rank %d announced wire version %d, this hub speaks version %d only",
+			hi.Rank, hi.Wire, wireVersion2))
 		return
 	}
 	if hi.Resume {
@@ -479,26 +458,8 @@ func (h *Hub) admit(conn net.Conn) {
 		return
 	}
 
-	// First-time registration. Frame each direction at the worker's version.
-	rd.v1 = hi.Wire >= wireVersion
-	rd.v2 = hi.Wire >= wireVersion2
-	hc := &hubConn{
-		h:          h,
-		rank:       hi.Rank,
-		wire:       hi.Wire,
-		conn:       conn,
-		w:          newWireWriter(conn, hi.Wire),
-		rd:         rd,
-		readerDown: make(chan struct{}),
-	}
-	if rd.v2 {
-		hc.w.sess = &hc.sendq
-		rd.onAck = func(ack uint64) {
-			hc.mu.Lock()
-			hc.sendq.trim(ack)
-			hc.mu.Unlock()
-		}
-	}
+	// First-time registration.
+	hc := h.newHubConn(hi.Rank, conn, rd)
 	h.mu.Lock()
 	if _, dup := h.conns[hi.Rank]; dup {
 		h.mu.Unlock()
@@ -552,6 +513,33 @@ func (h *Hub) admit(conn net.Conn) {
 	h.route(hc, conn, hc.readerDown)
 }
 
+// refuse turns away a connection whose hello cannot be honoured. While the
+// world is forming that fails the job; a stray dial into a formed world (a
+// port scanner, a confused client, a program from another tree) must not
+// take a healthy job down, and is closed and ignored.
+func (h *Hub) refuse(conn net.Conn, err error) {
+	h.mu.Lock()
+	complete := h.complete
+	h.mu.Unlock()
+	if !complete {
+		h.fail(err)
+	}
+	conn.Close()
+}
+
+// newHubConn builds the hub's half of a rank's session on conn, whose hello
+// rd has consumed: a fresh writer and send session, acks trimming it.
+func (h *Hub) newHubConn(rank int, conn net.Conn, rd *wireReader) *hubConn {
+	hc := &hubConn{h: h, rank: rank, conn: conn, w: newWireWriter(conn), rd: rd, readerDown: make(chan struct{})}
+	hc.w.sess = &hc.sendq
+	rd.onAck = func(ack uint64) {
+		hc.mu.Lock()
+		hc.sendq.trim(ack)
+		hc.mu.Unlock()
+	}
+	return hc
+}
+
 // resumeWorker handles a session-resume dial: validate, park the old reader,
 // exchange acknowledged sequences, swap the connection in, and retransmit
 // the unacknowledged tail. The reply to the worker is 9 raw bytes — a status
@@ -566,7 +554,7 @@ func (h *Hub) resumeWorker(conn net.Conn, hi hello) {
 	h.mu.Lock()
 	hc := h.conns[hi.Rank]
 	h.mu.Unlock()
-	if hc == nil || hc.wire < wireVersion2 || h.opts.suspicion <= 0 {
+	if hc == nil || h.opts.suspicion <= 0 {
 		refuse()
 		return
 	}
@@ -699,25 +687,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		}
 	}
 
-	rd.v1 = hi.Wire >= wireVersion
-	rd.v2 = hi.Wire >= wireVersion2
-	hc := &hubConn{
-		h:          h,
-		rank:       hi.Rank,
-		wire:       hi.Wire,
-		conn:       conn,
-		w:          newWireWriter(conn, hi.Wire),
-		rd:         rd,
-		readerDown: make(chan struct{}),
-	}
-	if rd.v2 {
-		hc.w.sess = &hc.sendq
-		rd.onAck = func(ack uint64) {
-			hc.mu.Lock()
-			hc.sendq.trim(ack)
-			hc.mu.Unlock()
-		}
-	}
+	hc := h.newHubConn(hi.Rank, conn, rd)
 
 	h.mu.Lock()
 	// Done-accounting: the slot must be counted exactly once when the world
@@ -824,11 +794,10 @@ func (h *Hub) heartbeatLoop() {
 }
 
 // route forwards every frame read from one worker connection until the
-// worker reports done or the connection breaks. Sequenced (v2) frames are
-// dup-suppressed and acknowledged through the receive session; raw frames
-// are forwarded verbatim to capable destinations and converted back to gob
-// for legacy ones. down is closed on return so a resume can safely reuse
-// the wireReader.
+// worker reports done or the connection breaks. Frames are dup-suppressed
+// and acknowledged through the receive session; raw frames are forwarded
+// verbatim. down is closed on return so a resume can safely reuse the
+// wireReader.
 func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 	defer close(down)
 	rd := hc.rd
@@ -855,26 +824,24 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 			}
 			released = true
 		}
-		if hc.wire >= wireVersion2 && seq > 0 {
-			hc.mu.Lock()
-			if hc.dead || hc.conn != conn {
-				// The session moved on (resume swapped the connection, or the
-				// rank was retired) while this frame was in flight.
-				hc.mu.Unlock()
-				f.release()
-				return
-			}
-			dup, ackNow := hc.recvq.note(seq)
-			if dup {
-				hc.mu.Unlock()
-				f.release()
-				continue
-			}
-			if ackNow && !hc.suspended {
-				_ = hc.w.writeAck(hc.recvq.seqIn)
-			}
+		hc.mu.Lock()
+		if hc.dead || hc.conn != conn {
+			// The session moved on (resume swapped the connection, or the
+			// rank was retired) while this frame was in flight.
 			hc.mu.Unlock()
+			f.release()
+			return
 		}
+		dup, ackNow := hc.recvq.note(seq)
+		if dup {
+			hc.mu.Unlock()
+			f.release()
+			continue
+		}
+		if ackNow && !hc.suspended {
+			_ = hc.w.writeAck(hc.recvq.seqIn)
+		}
+		hc.mu.Unlock()
 		if f.Dst == ctrlDst {
 			switch f.Tag {
 			case tagDone:
@@ -883,7 +850,7 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 				// until the replay buffer clears — then retire the session so
 				// its connection teardown is not mistaken for a failure.
 				hc.mu.Lock()
-				if hc.wire >= wireVersion2 && !hc.dead && !hc.suspended && hc.conn == conn {
+				if !hc.dead && !hc.suspended && hc.conn == conn {
 					_ = hc.w.writeAck(hc.recvq.seqIn)
 				}
 				hc.retireLocked()
@@ -1266,15 +1233,14 @@ const (
 )
 
 // tcpTransport is one rank's side of the TCP world: the hub connection, the
-// framing layers, and — on wire v2 — the session state that lets a broken
-// connection be redialed and resumed instead of killing the rank. mu guards
+// framing layers, and the session state that lets a broken connection be
+// redialed and resumed instead of killing the rank. mu guards
 // all mutable state but the read lease (lease.go), which says who reads the
 // connection; cond wakes the reader (parked during reconnects) and anyone
 // waiting for the reader to park.
 type tcpTransport struct {
 	addr    string
 	rank    int
-	wire    int
 	noDelay *bool
 
 	// What the reader dispatches to (serve), and the fallback reader's exit.
@@ -1299,57 +1265,46 @@ type tcpTransport struct {
 	recv       recvSession
 }
 
-func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bool) *tcpTransport {
+func newTCPTransport(addr string, rank int, conn net.Conn, noDelay *bool) *tcpTransport {
 	t := &tcpTransport{
 		addr:    addr,
 		rank:    rank,
-		wire:    wire,
 		noDelay: noDelay,
 		conn:    conn,
-		w:       newWireWriter(conn, wire),
+		w:       newWireWriter(conn),
 		rd:      newWireReader(conn),
 		lease:   readLease{quiet: leaseQuiet, nudge: make(chan struct{}, 1)},
 	}
 	t.cond = sync.NewCond(&t.mu)
-	t.rd.v1 = wire >= wireVersion
-	t.rd.v2 = wire >= wireVersion2
-	if t.rd.v2 {
-		t.w.sess = &t.send
-		t.rd.onAck = func(ack uint64) {
-			t.mu.Lock()
-			t.send.trim(ack)
-			if len(t.send.replay) == 0 {
-				t.cond.Broadcast() // a drain may be waiting for the tail to clear
-			}
-			t.mu.Unlock()
+	t.w.sess = &t.send
+	t.rd.onAck = func(ack uint64) {
+		t.mu.Lock()
+		t.send.trim(ack)
+		if len(t.send.replay) == 0 {
+			t.cond.Broadcast() // a drain may be waiting for the tail to clear
 		}
-		t.rd.land = func(f frame, n int) (into []byte) {
-			t.claimed, into = t.box.claim(&f, n)
-			return into
-		}
+		t.mu.Unlock()
+	}
+	t.rd.land = func(f frame, n int) (into []byte) {
+		t.claimed, into = t.box.claim(&f, n)
+		return into
 	}
 	return t
 }
 
-// Send frames one outbound frame. On a v2 session the frame is sequenced
-// and captured for replay, or parked while the transport redials
-// (wireWriter.transmit); a write error with a grace window configured
-// moves the transport into reconnection (the frame is safe in the replay
-// buffer) instead of surfacing the error. writeFrame and friends serialize
-// typed payloads on the spot, so frame.Val is fully consumed by the time
-// Send returns (the borrow rule, frame.borrowed).
+// Send puts one outbound frame on the session: sequenced and captured for
+// replay, or parked while the transport redials (wireWriter.transmit); a
+// write error with a grace window configured moves the transport into
+// reconnection (the frame is safe in the replay buffer) instead of surfacing
+// the error. transmit serializes typed payloads on the spot, so frame.Val is
+// fully consumed by the time Send returns (the borrow rule, frame.borrowed).
 func (t *tcpTransport) Send(f frame) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state == tcpDead {
 		return fmt.Errorf("mpi: tcp send: %w", t.deadErr)
 	}
-	var werr, err error
-	if t.wire < wireVersion2 {
-		werr = t.w.writeFrame(f)
-	} else {
-		werr, err = t.w.transmit(f, t.state == tcpReconnecting)
-	}
+	werr, err := t.w.transmit(f, t.state == tcpReconnecting)
 	if werr == nil {
 		return err
 	}
@@ -1367,8 +1322,8 @@ func (t *tcpTransport) Send(f frame) error {
 // receive (wake its waiter's wake-up slot) waits for the frame's first byte
 // interruptibly and returns errReadInterrupted, with nothing consumed, when a
 // wake-up comes first or the connection is being redialed. Read errors from
-// torn-down connections are discarded by the generation counter. Sequenced
-// frames are dup-suppressed and acknowledged through the receive session.
+// torn-down connections are discarded by the generation counter. Frames are
+// dup-suppressed and acknowledged through the receive session.
 //
 // A streamed frame whose payload was read straight into the receive posted
 // for it (rd.land) is returned with that receive, still claimed, for dispatch
@@ -1423,8 +1378,7 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, *waiter, error) {
 				t.mu.Unlock()
 				continue
 			}
-			if t.wire >= wireVersion2 && t.grace > 0 &&
-				!(t.closing && len(t.send.replay) == 0) {
+			if t.grace > 0 && !(t.closing && len(t.send.replay) == 0) {
 				// Not worth resuming once the rank is done and its tail is
 				// acknowledged: the hub retiring the session closes the
 				// connection, and that EOF is teardown, not a break.
@@ -1443,16 +1397,14 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, *waiter, error) {
 			t.drop(f, claimed)
 			continue
 		}
-		if t.wire >= wireVersion2 && seq > 0 {
-			dup, ackNow := t.recv.note(seq)
-			if dup {
-				t.mu.Unlock()
-				t.drop(f, claimed)
-				continue
-			}
-			if ackNow && t.state == tcpActive {
-				_ = t.w.writeAck(t.recv.seqIn)
-			}
+		dup, ackNow := t.recv.note(seq)
+		if dup {
+			t.mu.Unlock()
+			t.drop(f, claimed)
+			continue
+		}
+		if ackNow && t.state == tcpActive {
+			_ = t.w.writeAck(t.recv.seqIn)
 		}
 		t.mu.Unlock()
 		return f, claimed, nil
@@ -1540,7 +1492,7 @@ func (t *tcpTransport) reconnect(cause error) {
 		// A fresh one-shot encoder for the resume hello: the hub reads it
 		// with a fresh decoder, so the session's persistent gob streams —
 		// which must survive the swap byte-exact — are never touched.
-		if err := gob.NewEncoder(conn).Encode(hello{Rank: t.rank, Wire: t.wire, Resume: true, Ack: ack}); err != nil {
+		if err := gob.NewEncoder(conn).Encode(hello{Rank: t.rank, Wire: wireVersion2, Resume: true, Ack: ack}); err != nil {
 			conn.Close()
 			time.Sleep(backoff)
 			continue
@@ -1636,7 +1588,7 @@ func (t *tcpTransport) severConnection() {
 func (t *tcpTransport) corruptNextFrame() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.wire < wireVersion2 || t.state == tcpDead {
+	if t.state == tcpDead {
 		return false
 	}
 	t.w.corruptNext = true
@@ -1659,9 +1611,6 @@ func (t *tcpTransport) drain() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closing = true
-	if t.wire < wireVersion2 {
-		return
-	}
 	t.lease.wantFallback() // nobody is receiving: the acks are the fallback's to read, now
 	timedOut := false
 	timer := time.AfterFunc(t.grace+time.Second, func() {
@@ -1788,11 +1737,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 			}
 		}
 	}
-	wireVer := wireVersion2
-	if cfg.wireLegacy {
-		wireVer = 0
-	}
-	t := newTCPTransport(addr, rank, conn, wireVer, cfg.noDelay)
+	t := newTCPTransport(addr, rank, conn, cfg.noDelay)
 	if cfg.leaseQuiet > 0 {
 		t.lease.quiet = cfg.leaseQuiet
 	}
@@ -1816,7 +1761,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	}
 	defer data.Close()
 
-	if err := t.w.writeHello(hello{Rank: rank, Wire: wireVer, Respawn: respawn}); err != nil {
+	if err := t.w.writeHello(hello{Rank: rank, Wire: wireVersion2, Respawn: respawn}); err != nil {
 		return fmt.Errorf("mpi: hello to hub: %w", err)
 	}
 
@@ -1854,7 +1799,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		// is for a world that never formed.
 		_ = os.Remove(segPath)
 	}
-	if si.SuspicionNs > 0 && wireVer >= wireVersion2 {
+	if si.SuspicionNs > 0 {
 		// Arm session resumption: from here on a broken connection is a
 		// reconnect-and-resume episode, not a death sentence.
 		t.mu.Lock()
@@ -1885,7 +1830,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		names:     names,
 		gate:      cfg.gate,
 		epoch:     time.Now(),
-		wire:      !cfg.serializeAll, // raw-encodable slices reach Send uncopied; every wire version encodes them there
+		wire:      !cfg.serializeAll, // raw-encodable slices reach Send uncopied; transmit encodes them there
 		deadline:  cfg.deadline,
 		faults:    cfg.faultT,
 		nodeOf:    cfg.nodeOf,

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -209,18 +208,7 @@ func TestHubHeartbeatDetectsSilentWorker(t *testing.T) {
 	}
 	defer hub.Close()
 
-	conn, err := net.Dial("tcp", hub.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{Rank: 0}); err != nil {
-		t.Fatal(err)
-	}
-	var start frame
-	if err := gob.NewDecoder(conn).Decode(&start); err != nil {
-		t.Fatal(err)
-	}
+	_, start := dialRank(t, hub.Addr(), 0)
 	if start.Tag != tagStart {
 		t.Fatalf("first frame tag = %d, want start", start.Tag)
 	}

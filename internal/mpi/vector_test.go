@@ -10,8 +10,8 @@ import (
 // element-equal to its scalar counterpart — across world sizes (including
 // non-powers-of-two, which exercise the ring's remainder segments), payload
 // sizes straddling the algorithm threshold, and every transport
-// configuration (local fast path, forced serialization, TCP v1 framing,
-// TCP legacy gob). All test data is integer-valued, so elementwise sums are
+// configuration (local fast path, forced serialization, TCP with raw and
+// with gob payloads). All test data is integer-valued, so elementwise sums are
 // exact regardless of reduction order and "element-equal" is well-defined
 // even for float64 payloads.
 
@@ -24,8 +24,8 @@ func parityRunners() map[string]func(np int, main func(c *Comm) error, opts ...O
 			return Run(np, main, append(opts, WithSerialization())...)
 		},
 		"tcp": RunTCP,
-		"tcp-legacy": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return RunTCP(np, main, append(opts, withWireLegacy())...)
+		"tcp-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
+			return RunTCP(np, main, append(opts, WithSerialization())...)
 		},
 	}
 }
@@ -67,7 +67,7 @@ func TestVectorCollectiveParity(t *testing.T) {
 	}
 	for name, runner := range runners {
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-legacy" {
+			if name == "tcp" || name == "tcp-gob" {
 				t.Parallel()
 			}
 			for _, np := range nps {

@@ -104,7 +104,7 @@ func TestWinPutGetAccumulate(t *testing.T) {
 	for name, runner := range winRunners() {
 		name, runner := name, runner
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-legacy" {
+			if name == "tcp" || name == "tcp-gob" {
 				t.Parallel()
 			}
 			for _, np := range []int{1, 2, 3, 4} {

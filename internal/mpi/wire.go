@@ -14,28 +14,23 @@ import (
 // le abbreviates the byte order every raw header and payload uses.
 var le = binary.LittleEndian
 
-// Typed binary framing for the TCP transport. Version 0 of the wire — what
-// PR 1 shipped — was a bare gob stream: every frame, whatever its payload,
-// went through gob's reflective encoder and straight to an unbuffered
-// connection write. Version 1 keeps the gob stream (it is still the fallback
-// for every non-whitelisted payload and every control frame) but frames it:
-// each message starts with a one-byte kind, either
+// The wire format of the TCP transport: what a connection between a rank and
+// the hub carries once the hello has crossed it. Every message starts with a
+// one-byte kind and a uint64, little-endian like everything raw:
 //
-//	kindGob  followed by one gob-encoded frame, or
-//	kindRaw  followed by a fixed little-endian header and the payload's
-//	         element storage verbatim (see rawcodec.go):
+//	kindGob  seq | one gob-encoded frame
+//	kindRaw  seq | header | crc32c uint32 | payload bytes
+//	kindAck  ack                             (not sequenced, never replayed)
 //
-//	         Ctx int64 | Src int32 | WSrc int32 | Dst int32 | Tag int32 |
-//	         raw kind byte | payload length uint32 | payload bytes
+//	header:  Ctx int64 | Src int32 | WSrc int32 | Dst int32 | Tag int32 |
+//	         raw kind byte | payload length uint32
 //
-// Version 2 turns the connection into a resumable *session* (session.go):
-// every data frame carries a uint64 sequence number between the kind byte
-// and the body, raw frames append a CRC32C to the header, and a third kind —
-// kindAck — carries the receiver's cumulative acknowledgement:
-//
-//	kindGob  seq uint64 | one gob-encoded frame
-//	kindRaw  seq uint64 | v1 header | crc32c uint32 | payload bytes
-//	kindAck  ack uint64                      (not sequenced, never replayed)
+// A raw frame carries a whitelisted slice's element storage verbatim (see
+// rawcodec.go); gob is the payload encoding of every other value and of every
+// control frame. seq numbers the data frames of a resumable *session*
+// (session.go) and kindAck carries the receiver's cumulative acknowledgement.
+// hello.Wire announces this format as wireVersion2, the one version the hub
+// admits.
 //
 // The CRC covers the fixed header plus the payload — in full for payloads up
 // to 2*crcWindow, and the first and last crcWindow bytes for larger ones. A
@@ -47,39 +42,31 @@ var le = binary.LittleEndian
 // which the session layer treats like a broken connection: tear down,
 // resume, retransmit the clean captured copy.
 //
-// Interleaving raw bytes with a live gob stream is safe because the decoder
+// Raw bytes and a live gob stream share a connection because the decoder
 // reads from a *bufio.Reader: gob consumes exactly one message's bytes via
 // the io.ByteReader interface and never reads ahead, so the next byte after
-// a gob message is always ours to interpret as the next kind. Both ends of a
-// connection agree on the version in the hello exchange; a peer that never
-// announced v1 gets a pure gob stream, with raw frames converted back to gob
-// before forwarding (the version-mismatch path).
+// a gob message is always ours to interpret as the next kind.
 //
-// Writes go through a bufio.Writer flushed once per frame: a gob frame used
-// to cost one syscall per internal gob segment (type descriptor, then
-// value); now every frame — header, payload, all of it — leaves in one
-// write. Heartbeat and control frames take the same writeFrame path, so they
-// flush promptly by construction.
-const (
-	wireVersion  = 1 // kind-byte framing
-	wireVersion2 = 2 // + sequence numbers, CRC32C, resumable sessions
-)
+// Writes go through a bufio.Writer flushed once per frame, so every frame —
+// header, payload, all of it — leaves in one write; heartbeat and control
+// frames take the same path and flush promptly by construction.
+const wireVersion2 = 2
 
 const (
 	kindGob byte = 0x67 // 'g'
 	kindRaw byte = 0x72 // 'r'
-	kindAck byte = 0x61 // 'a' (v2 only)
+	kindAck byte = 0x61 // 'a'
 )
 
-// rawHeaderLen is the fixed header that follows a kindRaw byte.
+// rawHeaderLen is the fixed header of a kindRaw frame.
 const rawHeaderLen = 8 + 4 + 4 + 4 + 4 + 1 + 4
 
 const (
 	seqLen = 8
 	crcLen = 4
-	// v2RawPrefixLen is everything before a v2 raw frame's payload.
+	// v2RawPrefixLen is everything before a raw frame's payload.
 	v2RawPrefixLen = 1 + seqLen + rawHeaderLen + crcLen
-	// v2GobPrefixLen is everything before a v2 gob frame's encoded bytes.
+	// v2GobPrefixLen is everything before a gob frame's encoded bytes.
 	v2GobPrefixLen = 1 + seqLen
 )
 
@@ -111,24 +98,19 @@ const maxRawFrame = 1 << 30
 // connection.
 const wireBufSize = 64 << 10
 
-// wireWriter is the sending half of one connection: a buffered writer with
-// a persistent gob encoder layered on top, flushed once per frame.
-//
-// A v2 writer's gob encoder targets gobBuf instead of the connection, so the
-// session layer can capture a frame's exact bytes for replay — the encoder
-// (and its type-descriptor state) survives connection swaps, which is what
-// makes resuming a half-spoken gob stream on a fresh TCP connection sound.
+// wireWriter is the sending half of one connection: a buffered writer,
+// flushed once per frame, and a persistent gob encoder. The encoder targets
+// gobBuf, never the connection, so the session layer can capture a frame's
+// exact bytes for replay — the encoder (and its type-descriptor state)
+// survives connection swaps, which is what makes resuming a half-spoken gob
+// stream on a fresh TCP connection sound.
 type wireWriter struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-	v1  bool // peer understands kind-byte framing
-	v2  bool // peer speaks sessions (seq + CRC + ack)
-	hdr [1 + rawHeaderLen]byte
-
-	gobBuf bytes.Buffer // v2: per-frame gob staging
-	hdr2   [v2RawPrefixLen]byte
-	ack    [1 + seqLen]byte // writeAck's scratch: a local would escape through Write
-	sess   *sendSession     // v2: where encodeFrame's buffers come from and go back to; nil in tests
+	bw     *bufio.Writer
+	enc    *gob.Encoder
+	gobBuf bytes.Buffer         // per-frame gob staging
+	hdr    [v2RawPrefixLen]byte // writeFrameDirect's scratch
+	ack    [1 + seqLen]byte     // writeAck's scratch: a local would escape through Write
+	sess   *sendSession         // where transmit's sequences and buffers come from and go back to
 
 	// corruptNext makes the next raw frame leave the writer with one payload
 	// bit flipped — on the wire only, never in the captured replay copy. The
@@ -136,176 +118,67 @@ type wireWriter struct {
 	corruptNext bool
 }
 
-func newWireWriter(w io.Writer, ver int) *wireWriter {
-	bw := bufio.NewWriterSize(w, wireBufSize)
-	ww := &wireWriter{bw: bw, v1: ver >= wireVersion, v2: ver >= wireVersion2}
-	if ww.v2 {
-		ww.enc = gob.NewEncoder(&ww.gobBuf)
-	} else {
-		ww.enc = gob.NewEncoder(bw)
-	}
+func newWireWriter(w io.Writer) *wireWriter {
+	ww := &wireWriter{bw: bufio.NewWriterSize(w, wireBufSize)}
+	ww.enc = gob.NewEncoder(&ww.gobBuf)
 	return ww
 }
 
 // resetConn points the buffered writer at a new connection after a session
-// resume. The gob encoder's state is unaffected (v2 encoders never write to
-// the connection directly).
+// resume. The gob encoder's state is unaffected.
 func (w *wireWriter) resetConn(c io.Writer) { w.bw.Reset(c) }
 
 func (w *wireWriter) flush() error { return w.bw.Flush() }
 
-// writeHello sends the connection's opening handshake (no kind byte: the
-// hello predates the version agreement by definition).
+// writeHello sends the connection's opening handshake: a bare gob value, no
+// kind byte and no sequence (the session starts after it).
 func (w *wireWriter) writeHello(hi hello) error {
 	if err := w.enc.Encode(hi); err != nil {
 		return err
 	}
-	if w.v2 {
-		if _, err := w.bw.Write(w.gobBuf.Bytes()); err != nil {
-			return err
-		}
-		w.gobBuf.Reset()
-	}
-	return w.bw.Flush()
-}
-
-// writeFrame sends one frame and flushes it to the connection — the v0/v1
-// path. v2 connections go through encodeFrame/writeEncoded (captured) or
-// writeFrameDirect (streamed) so the session layer owns replay. Typed
-// payloads (frame.Val) that are raw-encodable travel as kindRaw; everything
-// else is gob-encoded here — including typed payloads outside the raw
-// whitelist, so an in-memory value can never leak onto the wire unencoded.
-// When the peer is a legacy gob-only connection, raw frames being forwarded
-// are converted back to their gob form first.
-func (w *wireWriter) writeFrame(f frame) error {
-	if w.v1 {
-		if kind, payload, scratch, ok := rawPayload(f); ok {
-			w.putHeader(f, kind, len(payload))
-			_, err := w.bw.Write(w.hdr[:])
-			if err == nil {
-				_, err = w.bw.Write(payload)
-			}
-			putWireBuf(scratch)
-			if err != nil {
-				return err
-			}
-			return w.bw.Flush()
-		}
-	}
-	if f.HasVal {
-		data, err := encodeValue(f.Val)
-		if err != nil {
-			return err
-		}
-		f.Data, f.Val, f.HasVal = data, nil, false
-	}
-	if f.Raw != rawNone {
-		// Legacy peer: materialize the raw payload and re-encode as gob, so
-		// the version-mismatch path sees exactly what version 0 would have.
-		v, err := rawDecode(f.Raw, f.Data)
-		if err != nil {
-			return err
-		}
-		data, err := encodeValue(v)
-		if err != nil {
-			return err
-		}
-		f.Data, f.Raw = data, rawNone
-	}
-	if w.v1 {
-		if err := w.bw.WriteByte(kindGob); err != nil {
-			return err
-		}
-	}
-	if err := w.enc.Encode(f); err != nil {
+	_, err := w.bw.Write(w.gobBuf.Bytes())
+	w.gobBuf.Reset()
+	if err != nil {
 		return err
 	}
 	return w.bw.Flush()
 }
 
-// rawPayload returns the wire kind and the payload bytes of a frame that
-// travels as kindRaw, or ok false for one that gob-encodes. A payload being
-// forwarded (the hub's routing path) is f.Data as it is. A typed value is its
-// own backing array on layout-compatible platforms — sends are synchronous on
-// the caller's goroutine and the write completes before Send returns, so the
-// wire never reads the slice after the caller regains control. Elsewhere (and
-// for []bool, whose storage is not the wire format) the elements are encoded
-// into a pooled scratch, which the caller returns with putWireBuf once the
-// payload is written, so a steady-state send loop allocates nothing either
-// way.
-func rawPayload(f frame) (kind byte, payload, scratch []byte, ok bool) {
+// rawShape decides how a frame travels, once per frame: as kindRaw, with the
+// element kind and the n payload bytes it reports, or — rawNone — gob-encoded.
+// A payload being forwarded (the hub's routing path) is f.Data as it is; a
+// typed value (f.Val) travels raw when it is on the whitelist and its
+// addressing fits the header. Everything else is gob-encoded, typed values
+// outside the whitelist included, so an in-memory value can never leak onto
+// the wire unencoded.
+func rawShape(f frame) (kind byte, n int) {
 	if f.Raw != rawNone {
-		return f.Raw, f.Data, nil, true
+		return f.Raw, len(f.Data)
 	}
-	if !f.HasVal || !headerRanksFit(f) {
-		return 0, nil, nil, false
-	}
-	if kind, ok = rawKindOf(f.Val); !ok {
-		return 0, nil, nil, false
-	}
-	if payload, ok = rawBytesView(f.Val); !ok {
-		scratch = getWireBuf(rawSizeOf(f.Val))
-		rawEncode(scratch, f.Val)
-		payload = scratch
-	}
-	return kind, payload, scratch, true
-}
-
-func (w *wireWriter) putHeader(f frame, kind byte, payloadLen int) {
-	h := w.hdr[:]
-	h[0] = kindRaw
-	putRawCore(h[1:], f, kind, payloadLen)
-}
-
-// putRawCore fills the fixed rawHeaderLen-byte header (addressing, raw kind,
-// payload length) shared by the v1 and v2 layouts.
-func putRawCore(h []byte, f frame, kind byte, payloadLen int) {
-	le.PutUint64(h[0:], uint64(f.Ctx))
-	le.PutUint32(h[8:], uint32(int32(f.Src)))
-	le.PutUint32(h[12:], uint32(int32(f.WSrc)))
-	le.PutUint32(h[16:], uint32(int32(f.Dst)))
-	le.PutUint32(h[20:], uint32(int32(f.Tag)))
-	h[24] = kind
-	le.PutUint32(h[25:], uint32(payloadLen))
-}
-
-// rawPayloadSize reports the raw-encoded payload length for a frame that
-// would travel as kindRaw, or -1 for frames that gob-encode.
-func rawPayloadSize(f frame) int {
-	if f.HasVal && headerRanksFit(f) {
-		if _, ok := rawKindOf(f.Val); ok {
-			return rawSizeOf(f.Val)
-		}
-	}
-	if f.Raw != rawNone {
-		return len(f.Data)
-	}
-	return -1
-}
-
-// encodeFrame renders one v2 frame — kind byte, sequence, header, CRC,
-// payload — into a pooled buffer and returns it. The caller (the session
-// layer) owns the buffer: it is written with writeEncoded, kept for replay,
-// and released once the peer acks past seq (sendSession.trim).
-func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 	if f.HasVal && headerRanksFit(f) {
 		if kind, ok := rawKindOf(f.Val); ok {
-			n := rawSizeOf(f.Val)
-			buf := w.sess.frameBuf(v2RawPrefixLen + n)
-			if view, ok := rawBytesView(f.Val); ok {
-				copy(buf[v2RawPrefixLen:], view)
-			} else {
-				rawEncode(buf[v2RawPrefixLen:], f.Val)
-			}
-			putV2RawPrefix(buf, f, kind, seq, n)
-			return buf, nil
+			return kind, rawSizeOf(f.Val)
 		}
 	}
-	if f.Raw != rawNone {
-		n := len(f.Data)
+	return rawNone, 0
+}
+
+// encodeFrame renders one frame — kind byte, sequence, header, CRC, payload;
+// kind and n are rawShape's — into a pooled buffer and returns it. The caller
+// (the session layer) owns the buffer: it is written with writeEncoded, kept
+// for replay, and released once the peer acks past seq (sendSession.trim).
+func (w *wireWriter) encodeFrame(f frame, seq uint64, kind byte, n int) ([]byte, error) {
+	if kind != rawNone {
 		buf := w.sess.frameBuf(v2RawPrefixLen + n)
-		copy(buf[v2RawPrefixLen:], f.Data)
-		putV2RawPrefix(buf, f, f.Raw, seq, n)
+		payload := buf[v2RawPrefixLen:]
+		if f.Raw != rawNone {
+			copy(payload, f.Data)
+		} else if view, ok := rawBytesView(f.Val); ok {
+			copy(payload, view)
+		} else {
+			rawEncode(payload, f.Val)
+		}
+		putRawPrefix(buf, f, kind, seq, payload)
 		return buf, nil
 	}
 	if f.HasVal {
@@ -328,7 +201,7 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// transmit puts one frame on a v2 session: sequenced, then captured for
+// transmit puts one frame on the session: sequenced, then captured for
 // replay and written, or — a raw payload over replayFrameMax — streamed from
 // where it lies (the zero-copy path) with its sequence recorded as a replay
 // gap, and captured after the fact only if the write broke: the payload is
@@ -340,9 +213,10 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 	s := w.sess
 	seq := s.nextSeq()
-	stream := !parked && rawPayloadSize(f) > replayFrameMax
+	kind, n := rawShape(f)
+	stream := !parked && n > replayFrameMax
 	if stream {
-		if werr = w.writeFrameDirect(f, seq); werr == nil {
+		if werr = w.writeFrameDirect(f, seq, kind, n); werr == nil {
 			werr = w.flush()
 		}
 		if werr == nil {
@@ -350,11 +224,7 @@ func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 			return nil, nil
 		}
 	}
-	buf, err := w.encodeFrame(f, seq)
-	if err != nil && stream {
-		s.gap(seq)
-		return werr, nil
-	}
+	buf, err := w.encodeFrame(f, seq, kind, n)
 	if err != nil {
 		return nil, err
 	}
@@ -369,18 +239,24 @@ func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 	return werr, nil
 }
 
-// putV2RawPrefix fills a captured v2 raw frame's prefix in place; the
-// payload must already be at buf[v2RawPrefixLen:].
-func putV2RawPrefix(buf []byte, f frame, kind byte, seq uint64, n int) {
-	buf[0] = kindRaw
-	le.PutUint64(buf[1:], seq)
-	h := buf[1+seqLen:]
-	putRawCore(h, f, kind, n)
-	crc := payloadCRC(h[:rawHeaderLen], buf[v2RawPrefixLen:])
-	le.PutUint32(h[rawHeaderLen:], crc)
+// putRawPrefix fills a raw frame's v2RawPrefixLen bytes — kind, sequence,
+// header (addressing, element kind, payload length) and the CRC over header
+// and payload — at the front of h.
+func putRawPrefix(h []byte, f frame, kind byte, seq uint64, payload []byte) {
+	h[0] = kindRaw
+	le.PutUint64(h[1:], seq)
+	h = h[1+seqLen:]
+	le.PutUint64(h[0:], uint64(f.Ctx))
+	le.PutUint32(h[8:], uint32(int32(f.Src)))
+	le.PutUint32(h[12:], uint32(int32(f.WSrc)))
+	le.PutUint32(h[16:], uint32(int32(f.Dst)))
+	le.PutUint32(h[20:], uint32(int32(f.Tag)))
+	h[24] = kind
+	le.PutUint32(h[25:], uint32(len(payload)))
+	le.PutUint32(h[rawHeaderLen:], payloadCRC(h[:rawHeaderLen], payload))
 }
 
-// writeEncoded puts one captured v2 frame on the wire, without flushing. An
+// writeEncoded puts one captured frame on the wire, without flushing. An
 // armed corruption flips the last payload byte's low bit in transit — the
 // captured copy stays pristine, which is exactly what lets the retransmit
 // after the CRC failure deliver clean bytes.
@@ -396,22 +272,26 @@ func (w *wireWriter) writeEncoded(buf []byte) error {
 	return err
 }
 
-// writeFrameDirect streams one large raw v2 frame without capturing it: the
-// payload goes straight from the caller's backing array (or a pooled
-// scratch), exactly like the v1 fast path. The caller records the sequence
-// as a replay gap. Does not flush.
-func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
-	kind, payload, scratch, ok := rawPayload(f)
-	if !ok {
-		return fmt.Errorf("mpi: writeFrameDirect on a non-raw frame (tag %d)", f.Tag)
+// writeFrameDirect streams one large raw frame (kind and n are rawShape's)
+// without capturing it: the payload goes straight from where it lies — a
+// forwarded buffer, or a typed value's own backing array where that is the
+// wire encoding. Sends are synchronous on the caller's goroutine and the
+// write completes before Send returns, so the wire never reads the slice
+// after the caller regains control. Elsewhere (and for []bool, whose storage
+// is not the wire format) the elements are encoded into a pooled scratch.
+// The caller records the sequence as a replay gap. Does not flush.
+func (w *wireWriter) writeFrameDirect(f frame, seq uint64, kind byte, n int) error {
+	payload, scratch := f.Data, []byte(nil)
+	if f.Raw == rawNone {
+		var ok bool
+		if payload, ok = rawBytesView(f.Val); !ok {
+			scratch = getWireBuf(n)
+			rawEncode(scratch, f.Val)
+			payload = scratch
+		}
 	}
-	h := w.hdr2[:]
-	h[0] = kindRaw
-	le.PutUint64(h[1:], seq)
-	core := h[1+seqLen:]
-	putRawCore(core, f, kind, len(payload))
-	le.PutUint32(core[rawHeaderLen:], payloadCRC(core[:rawHeaderLen], payload))
-	_, err := w.bw.Write(h)
+	putRawPrefix(w.hdr[:], f, kind, seq, payload)
+	_, err := w.bw.Write(w.hdr[:])
 	if err == nil && len(payload) > 0 {
 		if w.corruptNext {
 			w.corruptNext = false
@@ -448,21 +328,19 @@ func headerRanksFit(f frame) bool {
 func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 // wireReader is the receiving half: a buffered reader with a persistent gob
-// decoder, demultiplexing kind bytes when the peer speaks v1 and sequence
-// numbers, CRCs, and acks when it speaks v2.
+// decoder, demultiplexing kind bytes, reading each frame's sequence number
+// and checking raw frames' CRCs.
 type wireReader struct {
 	br  *bufio.Reader
 	dec *gob.Decoder
-	v1  bool
-	v2  bool
 	hdr [rawHeaderLen + crcLen]byte
 	seq [seqLen]byte // readFrame's scratch: a local would escape through io.ReadFull, once per frame
 
-	// onAck receives the peer's cumulative acks (v2); the session layer uses
-	// it to trim the replay buffer. Called from the reading goroutine.
+	// onAck receives the peer's cumulative acks; the session layer uses it to
+	// trim the replay buffer. Called from the reading goroutine.
 	onAck func(uint64)
 
-	// land, where set (a rank's v2 reader; never the hub's), is shown the
+	// land, where set (a rank's reader; never the hub's), is shown the
 	// header of a streamed raw frame — n payload bytes, more than
 	// replayFrameMax, still unread — and may return the n bytes of storage
 	// they are to be read into: the destination of the receive that waits for
@@ -488,38 +366,28 @@ func (r *wireReader) readHello() (hello, error) {
 	return hi, err
 }
 
-// readFrame reads one frame, returning its sequence number (0 on pre-v2
-// streams). Raw payloads are read into a pooled buffer (frame.Data, flagged by
-// frame.Raw) that the consumer returns via frame.release or decodeInto, or
-// into the receive that waits for them (readRawBody, frame.landed). Acks
-// are consumed internally via onAck. A CRC mismatch returns
-// *CorruptFrameError; the stream position is past the frame, but the session
-// layer tears the connection down rather than trusting anything after it.
+// readFrame reads one frame, returning its sequence number. Raw payloads are
+// read into a pooled buffer (frame.Data, flagged by frame.Raw) that the
+// consumer returns via frame.release or decodeInto, or into the receive that
+// waits for them (readRawBody, frame.landed). Acks are consumed internally
+// via onAck. A CRC mismatch returns *CorruptFrameError; the stream position is
+// past the frame, but the session layer tears the connection down rather than
+// trusting anything after it.
 func (r *wireReader) readFrame() (frame, uint64, error) {
-	if !r.v1 {
-		var f frame
-		err := r.dec.Decode(&f)
-		return f, 0, err
-	}
 	for {
 		kind, err := r.br.ReadByte()
 		if err != nil {
 			return frame{}, 0, err
 		}
-		var seq uint64
-		if r.v2 {
-			if _, err := io.ReadFull(r.br, r.seq[:]); err != nil {
-				return frame{}, 0, err
-			}
-			seq = le.Uint64(r.seq[:])
-			if kind == kindAck {
-				if r.onAck != nil {
-					r.onAck(seq)
-				}
-				continue
-			}
+		if _, err := io.ReadFull(r.br, r.seq[:]); err != nil {
+			return frame{}, 0, err
 		}
+		seq := le.Uint64(r.seq[:])
 		switch kind {
+		case kindAck:
+			if r.onAck != nil {
+				r.onAck(seq)
+			}
 		case kindGob:
 			var f frame
 			err := r.dec.Decode(&f)
@@ -533,25 +401,21 @@ func (r *wireReader) readFrame() (frame, uint64, error) {
 	}
 }
 
-// readRawBody reads a raw frame's header (+CRC on v2) and payload: into a
-// pooled buffer, or — a streamed frame that land found a receive for —
-// straight into that receive's destination, which f.Data then views and
-// f.landed marks as nothing to decode and nothing to release. The CRC is
-// checked over the bytes where they lie; after an error the caller gives
-// the claimed receive back.
+// readRawBody reads a raw frame's header, CRC and payload: into a pooled
+// buffer, or — a streamed frame that land found a receive for — straight
+// into that receive's destination, which f.Data then views and f.landed
+// marks as nothing to decode and nothing to release. The CRC is checked over
+// the bytes where they lie; after an error the caller gives the claimed
+// receive back.
 func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 	// The raw branch keeps its frame variable to itself: sharing one
 	// across the gob branches would let Decode's &f force a heap
 	// allocation here too, breaking the zero-alloc receive loop.
 	var f frame
-	hlen := rawHeaderLen
-	if r.v2 {
-		hlen += crcLen
-	}
-	if _, err := io.ReadFull(r.br, r.hdr[:hlen]); err != nil {
+	h := r.hdr[:]
+	if _, err := io.ReadFull(r.br, h); err != nil {
 		return f, err
 	}
-	h := r.hdr[:]
 	n := int(le.Uint32(h[25:]))
 	if n > maxRawFrame {
 		return f, fmt.Errorf("mpi: raw frame announces %d payload bytes (corrupt stream?)", n)
@@ -571,7 +435,7 @@ func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 		payload = getWireBuf(n)
 	}
 	_, err := io.ReadFull(r.br, payload)
-	if err == nil && r.v2 {
+	if err == nil {
 		want := le.Uint32(h[rawHeaderLen:])
 		if got := payloadCRC(h[:rawHeaderLen], payload); got != want {
 			err = &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}

@@ -2,16 +2,43 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
+	"time"
 )
 
-// Wire-layer tests: the raw codec's round trips, kind-byte framing
-// interleaved with a live gob stream, the version-mismatch conversions, and
-// the allocation discipline the pooled buffers buy.
+// Wire-layer tests: the raw codec's round trips, raw frames interleaved with
+// a live gob stream, the one decoder under arbitrary bytes, the refusal of
+// any other wire version, and the allocation discipline the pooled buffers
+// buy.
+
+// sessionWriter is a wireWriter on w with a fresh session: what transmit
+// needs.
+func sessionWriter(w io.Writer) *wireWriter {
+	ww := newWireWriter(w)
+	ww.sess = &sendSession{}
+	return ww
+}
+
+// readSeq reads the next frame and checks it arrived as sequence want.
+func readSeq(t *testing.T, rd *wireReader, want uint64) frame {
+	t.Helper()
+	f, seq, err := rd.readFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != want {
+		t.Fatalf("frame arrived as sequence %d, want %d", seq, want)
+	}
+	return f
+}
 
 func TestRawCodecRoundTrip(t *testing.T) {
 	cases := []any{
@@ -81,9 +108,8 @@ func TestRawDecodeIntoReusesBacking(t *testing.T) {
 // a connection with control traffic.
 func TestWireInterleavedFrames(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion)
+	w := sessionWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1 = true
 
 	floats := []float64{3.14, -2.71, 1e9}
 	ints := []int{5, -6, 7}
@@ -97,24 +123,18 @@ func TestWireInterleavedFrames(t *testing.T) {
 		{Ctx: 1, Src: 0, Dst: 1, Tag: 6, Val: []string{"s"}, HasVal: true}, // gob: typed but not raw-encodable
 	}
 	for _, f := range frames {
-		if err := w.writeFrame(f); err != nil {
-			t.Fatal(err)
+		if werr, err := w.transmit(f, false); werr != nil || err != nil {
+			t.Fatal(werr, err)
 		}
 	}
 
 	var s string
-	f0, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f0 := readSeq(t, rd, 1)
 	if err := f0.decodeInto(&s); err != nil || s != "control" {
 		t.Fatalf("frame 0: %q, %v", s, err)
 	}
 
-	f1, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1 := readSeq(t, rd, 2)
 	if f1.Raw != rawFloat64 || f1.Tag != 4 || f1.Src != 0 {
 		t.Fatalf("frame 1 header: %+v", f1)
 	}
@@ -123,10 +143,7 @@ func TestWireInterleavedFrames(t *testing.T) {
 		t.Fatalf("frame 1: %v, %v", gotF, err)
 	}
 
-	f2, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := readSeq(t, rd, 3)
 	if f2.Raw != rawInt || f2.Src != 2 || f2.Tag != 5 {
 		t.Fatalf("frame 2 header: %+v", f2)
 	}
@@ -135,10 +152,7 @@ func TestWireInterleavedFrames(t *testing.T) {
 		t.Fatalf("frame 2: %v, %v", gotI, err)
 	}
 
-	f3, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f3 := readSeq(t, rd, 4)
 	var gotS []string
 	if err := f3.decodeInto(&gotS); err != nil || !reflect.DeepEqual(gotS, []string{"s"}) {
 		t.Fatalf("frame 3: %v, %v", gotS, err)
@@ -150,18 +164,14 @@ func TestWireInterleavedFrames(t *testing.T) {
 // numeric conversion rules — rather than erroring or bit-casting.
 func TestWireMismatchFallsBackToGob(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion)
+	w := sessionWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1 = true
 
 	sent := []float64{1, 2.5, -3} // exactly representable in float32
-	if err := w.writeFrame(frame{Ctx: 1, Tag: 1, Val: sent, HasVal: true}); err != nil {
-		t.Fatal(err)
+	if werr, err := w.transmit(frame{Ctx: 1, Tag: 1, Val: sent, HasVal: true}, false); werr != nil || err != nil {
+		t.Fatal(werr, err)
 	}
-	f, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := readSeq(t, rd, 1)
 	var got []float32
 	if err := f.decodeInto(&got); err != nil {
 		t.Fatal(err)
@@ -171,51 +181,22 @@ func TestWireMismatchFallsBackToGob(t *testing.T) {
 	}
 }
 
-// TestWireLegacyWriterConverts: a raw payload forwarded toward a v0 peer is
-// re-encoded as plain gob — the hub's version-mismatch path — and an
-// unframed reader consumes it.
-func TestWireLegacyWriterConverts(t *testing.T) {
-	var conn bytes.Buffer
-	w := newWireWriter(&conn, 0) // legacy peer: no kind bytes on this stream
-	rd := newWireReader(&conn)   // rd.v1 stays false
-
-	ints := []int{9, 8, -7}
-	raw := make([]byte, rawSizeOf(ints))
-	rawEncode(raw, ints)
-	if err := w.writeFrame(frame{Ctx: 2, Src: 1, Dst: 0, Tag: 9, Data: raw, Raw: rawInt}); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Raw != rawNone {
-		t.Fatalf("legacy stream carried a raw frame: %+v", f)
-	}
-	var got []int
-	if err := f.decodeInto(&got); err != nil || !reflect.DeepEqual(got, ints) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
 // TestWireRawSendZeroAlloc pins the acceptance bar for the typed TCP path:
 // once the buffer freelist is warm, a steady-state send+receive of a
 // whitelisted slice allocates zero amortized heap bytes per message. The
 // loopback is a real OS pipe, so the measured path is the production one:
-// bufio flush, kind demultiplex, pooled payload buffer, in-place decode. It
-// holds on wire v1 and on wire v2, the default, where the sender is the
-// session's captured path (encode into a pooled buffer, write, release on
-// ack) and the reader also takes a sequence number and checks a CRC.
+// bufio flush, kind demultiplex, pooled payload buffer, in-place decode. The
+// sender is the session's captured path (the raw decision, encode into a
+// pooled buffer, write, release on ack) and the reader takes a sequence
+// number and checks a CRC.
 func TestWireRawSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by race-detector instrumentation")
 	}
-	for _, ver := range []int{wireVersion, wireVersion2} {
-		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) { testWireRawSendZeroAlloc(t, ver) })
-	}
+	t.Run("v2", testWireRawSendZeroAlloc)
 }
 
-func testWireRawSendZeroAlloc(t *testing.T, ver int) {
+func testWireRawSendZeroAlloc(t *testing.T) {
 	// Earlier tests leave arbitrary-sized buffers in the freelist; steady
 	// state for THIS message size starts from an empty pool plus warm-up.
 	for {
@@ -233,9 +214,8 @@ func testWireRawSendZeroAlloc(t *testing.T, ver int) {
 	defer pr.Close()
 	defer pw.Close()
 
-	w := newWireWriter(pw, ver)
+	w := newWireWriter(pw)
 	rd := newWireReader(pr)
-	rd.v1, rd.v2 = true, ver >= wireVersion2
 
 	const elems = 4096 // 32 KiB payload: fits the pipe buffer, so one
 	// goroutine can drive both ends without deadlock.
@@ -251,11 +231,9 @@ func testWireRawSendZeroAlloc(t *testing.T, ver int) {
 	var loopErr error
 	var seq uint64
 	send := func() error {
-		if ver < wireVersion2 {
-			return w.writeFrame(f)
-		}
 		seq++
-		buf, err := w.encodeFrame(f, seq)
+		kind, n := rawShape(f)
+		buf, err := w.encodeFrame(f, seq, kind, n)
 		if err != nil {
 			return err
 		}
@@ -271,7 +249,7 @@ func testWireRawSendZeroAlloc(t *testing.T, ver int) {
 			return
 		}
 		g, got, err := rd.readFrame()
-		if err == nil && ver >= wireVersion2 && got != seq {
+		if err == nil && got != seq {
 			err = fmt.Errorf("frame %d arrived as sequence %d", seq, got)
 		}
 		if err != nil {
@@ -302,59 +280,206 @@ func testWireRawSendZeroAlloc(t *testing.T, ver int) {
 	}
 }
 
-// TestMixedVersionWorld: one v1 rank and one legacy (v0) rank share a hub.
-// Typed slices must flow both ways — the hub converting raw frames to gob
-// for the legacy destination — and a collective must complete across the
-// version boundary.
+// TestMixedVersionWorld: the hub speaks one wire version and checks the one a
+// hello announces. A worker announcing another — here a bare gob hello with
+// Wire 0 — fails a world that is still forming, with an error naming the
+// rank and both versions that reaches every rank already joined; dialed into
+// a formed world it is a stray connection, closed and ignored.
 func TestMixedVersionWorld(t *testing.T) {
-	hub, err := StartHub("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-
-	main := func(c *Comm) error {
-		mine := []float64{float64(c.Rank()), 1, 2}
-		if err := c.Send(1-c.Rank(), 3, mine); err != nil {
-			return err
-		}
-		var theirs []float64
-		if _, err := c.Recv(1-c.Rank(), 3, &theirs); err != nil {
-			return err
-		}
-		if want := []float64{float64(1 - c.Rank()), 1, 2}; !reflect.DeepEqual(theirs, want) {
-			return fmt.Errorf("rank %d received %v, want %v", c.Rank(), theirs, want)
-		}
-		got, err := AllreduceSlice(c, []float64{1, 2, 3}, func(a, b float64) float64 { return a + b })
+	const refusal = "rank 1 announced wire version 0, this hub speaks version 2 only"
+	dialV0 := func(t *testing.T, hub *Hub) net.Conn {
+		conn, err := net.Dial("tcp", hub.Addr())
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if want := []float64{2, 4, 6}; !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("rank %d reduced %v, want %v", c.Rank(), got, want)
+		t.Cleanup(func() { conn.Close() })
+		if err := gob.NewEncoder(conn).Encode(hello{Rank: 1, Wire: 0}); err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		return conn
 	}
 
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errs[0] = JoinTCP(hub.Addr(), 0, 2, main) // speaks v1
-	}()
-	go func() {
-		defer wg.Done()
-		errs[1] = JoinTCP(hub.Addr(), 1, 2, main, withWireLegacy()) // speaks v0
-	}()
-	wg.Wait()
-	if err := hub.Wait(); err != nil {
-		t.Fatalf("hub: %v", err)
-	}
-	for rank, err := range errs {
+	t.Run("forming", func(t *testing.T) {
+		hub, err := StartHub("127.0.0.1:0", 2)
 		if err != nil {
-			t.Errorf("rank %d: %v", rank, err)
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		joined := make(chan error, 1)
+		go func() {
+			joined <- JoinTCP(hub.Addr(), 0, 2, func(c *Comm) error { return nil })
+		}()
+		// Rank 0 is admitted first, so the abort has someone to reach.
+		admitted := false
+		for i := 0; i < 5000 && !admitted; i++ {
+			time.Sleep(time.Millisecond)
+			hub.mu.Lock()
+			_, admitted = hub.conns[0]
+			hub.mu.Unlock()
+		}
+		if !admitted {
+			t.Fatal("rank 0 not admitted within 5 s")
+		}
+		dialV0(t, hub)
+		err = runWithWatchdog(t, 10*time.Second, hub.Wait)
+		if err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Fatalf("hub.Wait = %v, want %q", err, refusal)
+		}
+		err = runWithWatchdog(t, 10*time.Second, func() error { return <-joined })
+		if !errors.Is(err, ErrWorldAborted) || !strings.Contains(err.Error(), refusal) {
+			t.Fatalf("joined rank 0 got %v, want the world aborted with %q", err, refusal)
+		}
+	})
+
+	t.Run("formed", func(t *testing.T) {
+		hub, err := StartHub("127.0.0.1:0", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		formed, release := make(chan struct{}), make(chan struct{})
+		errs := make(chan error, 2)
+		for rank := 0; rank < 2; rank++ {
+			go func(rank int) {
+				errs <- JoinTCP(hub.Addr(), rank, 2, func(c *Comm) error {
+					if rank == 1 {
+						close(formed)
+					}
+					<-release
+					return c.Barrier()
+				})
+			}(rank)
+		}
+		err = runWithWatchdog(t, 10*time.Second, func() error {
+			<-formed
+			conn := dialV0(t, hub)
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				return fmt.Errorf("stray v0 dial read %d bytes, %v; want the hub to close it unanswered", n, err)
+			}
+			close(release)
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil {
+					return err
+				}
+			}
+			return hub.Wait()
+		})
+		if err != nil {
+			t.Fatalf("a stray v0 dial disturbed a formed world: %v", err)
+		}
+	})
+}
+
+// FuzzWireReadFrame: the one decoder under arbitrary bytes. readFrame never
+// panics and returns an error or a frame carrying what its header announced;
+// and a clean raw frame with one bit (flip picks it) of its header, its CRC
+// or its CRC-covered payload flipped is an error — *CorruptFrameError while
+// the length field is intact — never a frame with other contents. The seeds
+// are real transmit output and damaged copies of it.
+func FuzzWireReadFrame(f *testing.F) {
+	wire := func(send func(w *wireWriter) error) []byte {
+		var conn bytes.Buffer
+		if err := send(sessionWriter(&conn)); err != nil {
+			f.Fatal(err)
+		}
+		return conn.Bytes()
+	}
+	transmit := func(fr frame) []byte {
+		return wire(func(w *wireWriter) error {
+			werr, err := w.transmit(fr, false)
+			if werr != nil {
+				return werr
+			}
+			return err
+		})
+	}
+	damaged := func(b []byte, at int, x byte) []byte {
+		b = append([]byte(nil), b...)
+		b[at] ^= x
+		return b
+	}
+	const lenAt = 1 + seqLen + 25 // the header's payload-length field
+	small := transmit(frame{Ctx: 1, Src: 0, Dst: 1, Tag: 3, Val: []float64{3.14}, HasVal: true})
+	streamed := transmit(frame{Ctx: 1, Src: 1, WSrc: 1, Dst: 0, Tag: 4, Val: make([]int64, replayFrameMax/8+1), HasVal: true})
+	ack := wire(func(w *wireWriter) error { return w.writeAck(7) })
+	tooLong := append([]byte(nil), small...)
+	le.PutUint32(tooLong[lenAt:], maxRawFrame+1)
+	for _, seed := range [][]byte{
+		small, streamed, ack, append(ack, small...),
+		transmit(frame{Dst: ctrlDst, Tag: tagDone}), // a gob control frame
+		small[:20], small[:len(small)-3], // truncated header, truncated payload
+		damaged(small, v2RawPrefixLen-1, 0x10), // a flipped CRC byte
+		damaged(small, 0, 0x01),                // an unknown kind byte
+		tooLong,
+	} {
+		f.Add(seed, uint(0))
+	}
+	for _, seed := range [][]byte{small, streamed} {
+		// One flip each in the addressing, the raw kind, the length (down,
+		// then up), the CRC, and the payload's first and last bits.
+		last := uint(8*(len(seed)-1-seqLen)) - 1
+		for _, bit := range []uint{3, 8*20 + 1, 8 * 24, 8*25 + 3, 8*25 + 12, 8*rawHeaderLen + 31, 8 * (rawHeaderLen + crcLen), last} {
+			f.Add(seed, bit)
 		}
 	}
+
+	// first skips the acks a stream opens with, as readFrame does, and reports
+	// the payload length the frame after them announces: -1 if it is not a
+	// raw frame with its prefix complete.
+	first := func(data []byte) (rest []byte, n int) {
+		for len(data) >= 1+seqLen && data[0] == kindAck {
+			data = data[1+seqLen:]
+		}
+		if len(data) < v2RawPrefixLen || data[0] != kindRaw {
+			return data, -1
+		}
+		return data, int(le.Uint32(data[lenAt:]))
+	}
+	// read runs readFrame over data, unless a raw frame in it announces more
+	// than the fuzzer should be made to allocate (the reader believes a
+	// length up to maxRawFrame), and checks a raw frame carries what it
+	// announced: n bytes.
+	read := func(t *testing.T, data []byte) (n int, err error) {
+		if _, n = first(data); n > 4<<20 && n <= maxRawFrame {
+			t.Skip("announces more than the fuzzer should allocate")
+		}
+		fr, _, err := newWireReader(bytes.NewReader(data)).readFrame()
+		if err != nil {
+			return n, err
+		}
+		fr.release()
+		if n >= 0 && len(fr.Data) != n {
+			t.Fatalf("raw frame announced %d payload bytes, carries %d", n, len(fr.Data))
+		}
+		return n, nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte, flip uint) {
+		n, err := read(t, data)
+		if err != nil || n < 0 {
+			return
+		}
+		// A clean raw frame. Flip one of the bits its CRC covers, or of the
+		// CRC: the header, then the CRC, then the payload's two windows.
+		clean, _ := first(data)
+		covered := rawHeaderLen + crcLen + n
+		if n > 2*crcWindow {
+			covered -= n - 2*crcWindow
+		}
+		bit := int(flip % uint(8*covered))
+		at := 1 + seqLen + bit/8
+		if n > 2*crcWindow && at >= v2RawPrefixLen+crcWindow {
+			at += n - 2*crcWindow
+		}
+		_, err = read(t, damaged(clean[:v2RawPrefixLen+n], at, 1<<(bit%8)))
+		if err == nil {
+			t.Fatalf("bit %d of byte %d flipped and the frame was accepted", bit%8, at)
+		}
+		var cerr *CorruptFrameError
+		if lengthIntact := at < lenAt || at >= lenAt+4; lengthIntact && !errors.As(err, &cerr) {
+			t.Fatalf("bit %d of byte %d flipped: %v, want *CorruptFrameError", bit%8, at, err)
+		}
+	})
 }
 
 // TestWithTCPNoDelay: the knob must be accepted in both positions and leave

@@ -82,7 +82,6 @@ type config struct {
 	dialRetry    time.Duration             // JoinTCP dial budget; 0 = default, <0 = single attempt
 	hubOpts      []HubOption               // consumed by RunTCP's internal hub
 	noDelay      *bool                     // WithTCPNoDelay; nil leaves the platform default
-	wireLegacy   bool                      // force the v0 pure-gob TCP wire (tests/ablation)
 	leaseQuiet   time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
 	wrap         func(Transport) Transport // test hook: outermost decoration
 

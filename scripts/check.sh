@@ -33,7 +33,7 @@ go test -race -timeout 300s ./...
 # hardening) once more under a tighter timeout: these tests exist to prove
 # failures terminate promptly, so hold them to a prompter standard.
 go test -race -timeout 120s -count=1 \
-  -run 'TestRunRankFailure|TestRunPanic|TestAbort|TestSendAfterAbort|TestJoinTCPAbort|TestLowest|TestDeadline|TestFault|TestEmptyFaultPlan|TestHub|TestDialRetry|TestGarbage|TestRunTCP' \
+  -run 'TestRunRankFailure|TestRunPanic|TestAbort|TestSendAfterAbort|TestJoinTCPAbort|TestLowest|TestDeadline|TestFault|TestEmptyFaultPlan|TestHub|TestDialRetry|TestGarbage|TestRunTCP|TestMixedVersion' \
   ./internal/mpi/
 
 # World formation must not race the start broadcast against routed traffic:
@@ -63,10 +63,8 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 # transports and demand bit-equal results.
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 
-# The packages the shm-exemplars-t2 gate workload times, and the files under
-# the pingpong, pagerank and TCP ones, are held to gofmt as well (`go vet
-# ./...` above already covers them): any name printed fails.
-test -z "$(cd internal && gofmt -l shm exemplars mpi/mailbox.go mpi/fastpath.go mpi/comm.go mpi/transport.go mpi/message.go mpi/tcp.go mpi/lease.go mpi/wire.go mpi/session.go mpi/rawcodec.go mpi/vectorrecv.go mpi/alltoallv.go mpi/request.go)"
+# The whole tree is held to gofmt: any name printed fails.
+test -z "$(gofmt -l .)"
 
 # Receive matching: the posted/unexpected-queue mailbox against its one-list
 # reference model under seeded random scripts (several goroutines blocked on

@@ -3,11 +3,14 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
 	"time"
 )
 
 // Resilient TCP sessions. A TCP connection is a *session*: every frame a
-// side sends carries a monotonically increasing sequence number, the receiver
+// side sends carries a sequence number one above the last, the receiver
 // periodically acknowledges the highest sequence it has accepted, and the
 // sender keeps the encoded bytes of every unacknowledged frame in a bounded
 // replay buffer. When the connection underneath breaks — a NAT timeout, a
@@ -16,6 +19,13 @@ import (
 // from the peer's acknowledged sequence, retransmitting the tail. A transient
 // disconnect is therefore invisible to the program; only grace-window expiry
 // (or a replay gap, see below) promotes a suspected rank to failed.
+//
+// Numbers from the wire are checked before they are believed: a frame must
+// carry the sequence after the last one accepted (or an earlier one, a
+// duplicate a retransmitted tail overlaps), and an ack must not pass the last
+// sequence sent. Anything else — a frame lost, a number damaged where no CRC
+// covers it — breaks the connection like a failed read, so a resumable
+// session heals it by retransmission and any other surfaces it as an error.
 //
 // The replay buffer is bounded two ways. Frames larger than replayFrameMax
 // are streamed to the wire without being captured (capturing a 1 MiB payload
@@ -84,8 +94,189 @@ type replayEntry struct {
 	buf []byte
 }
 
+// Session states, the same three at both ends.
+const (
+	sessActive = iota // connection up, frames flowing
+	sessParked        // connection down, a resume pending: frames park in the replay buffer
+	sessDead          // over for good: nothing is sent again
+)
+
+// session is one end of a resumable connection, the same code at the hub
+// (hubConn) and at a rank (tcpTransport): the connection, its framing layers,
+// both halves of the sequence bookkeeping and the state. mu guards it all,
+// cond is broadcast when the state changes or the replay buffer empties, and
+// end is the policy the owner does not share with the other end.
+type session struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	conn    net.Conn
+	w       *wireWriter
+	rd      *wireReader
+	send    sendSession
+	recv    recvSession
+	state   int
+	deadErr error // why the session died
+	end     sessionEnd
+}
+
+// sessionEnd is what tells a session's two ends apart: the hub arms a grace
+// timer and starts a route loop, a rank redials and wakes its reader. Each
+// method runs with the session's mu held.
+type sessionEnd interface {
+	// broken is told that the connection under the active session broke
+	// with cause. It arms a resume and reports true, or reports false: the
+	// break is then the caller's error, and the session is left as it is
+	// (the hub's route loop settles the rank) or retired (a rank's).
+	broken(cause error) bool
+	// resumed starts reading conn, just swapped in, before the tail is
+	// retransmitted: the peer is retransmitting its own at the same time, and
+	// draining it keeps the kernel buffers from filling in both directions.
+	resumed(conn net.Conn)
+	// retired lets go of what the end holds for a session that is over.
+	retired()
+}
+
+// init starts the session on conn, read through rd (the hub's has consumed
+// the hello already).
+func (s *session) init(conn net.Conn, rd *wireReader, end sessionEnd) {
+	s.conn, s.w, s.rd, s.end = conn, newWireWriter(conn), rd, end
+	s.cond.L = &s.mu
+	s.w.sess = &s.send
+	rd.onAck = s.acked
+}
+
+// sendFrame puts one outbound frame on the session: sequenced and captured
+// for replay, or parked while the connection is down (wireWriter.transmit).
+// A write error parks the session when its end can resume it — the frame is
+// safe in the replay buffer — and is returned otherwise.
+func (s *session) sendFrame(f frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state == sessDead {
+		return fmt.Errorf("mpi: tcp send: %w", s.deadErr)
+	}
+	werr, err := s.w.transmit(f, s.state == sessParked)
+	if werr != nil && s.brokenLocked(werr) != nil {
+		return fmt.Errorf("mpi: tcp send: %w", werr)
+	}
+	return err
+}
+
+// acceptLocked folds in the sequence of a frame read from the connection in
+// use and reports whether the frame is new; a duplicate is dropped. A
+// sequence past the next one is an error: a frame went missing, or this
+// number was damaged. Every ackEvery frames the session acknowledges, while
+// the connection is up.
+func (s *session) acceptLocked(seq uint64) (bool, error) {
+	if seq > s.recv.seqIn+1 {
+		return false, fmt.Errorf("mpi: frame sequence %d arrived after %d (a frame lost or a damaged number)", seq, s.recv.seqIn)
+	}
+	dup, ackNow := s.recv.note(seq)
+	if ackNow && s.state == sessActive {
+		_ = s.w.writeAck(s.recv.seqIn) // a lost ack only trims the peer's buffer later
+	}
+	return !dup, nil
+}
+
+// acked takes the peer's cumulative ack from the reading goroutine: the
+// frames it covers leave the replay buffer. An ack past the last sequence
+// sent is an error, not leave to drop frames the peer never had.
+func (s *session) acked(ack uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ack > s.send.seqOut {
+		return fmt.Errorf("mpi: peer acknowledged sequence %d, only %d sent", ack, s.send.seqOut)
+	}
+	s.send.trim(ack)
+	if len(s.send.replay) == 0 {
+		s.cond.Broadcast() // a drain may be waiting for the tail to clear
+	}
+	return nil
+}
+
+// brokenLocked handles the connection under an active session breaking
+// with cause: the socket is closed, so both the local reader and the peer
+// see the break promptly, and the session parks, if its end can resume it.
+// Otherwise it returns cause (sessionEnd.broken).
+func (s *session) brokenLocked(cause error) error {
+	if s.state != sessActive {
+		return nil
+	}
+	if !s.end.broken(cause) {
+		return cause
+	}
+	s.state = sessParked
+	s.conn.Close()
+	return nil
+}
+
+// resumeLocked moves a parked session onto conn and retransmits tail, what
+// the peer has not acknowledged (sendSession.pending). The buffered layers
+// switch connections, the gob streams keep their state, and the peer's
+// retransmission is read while ours goes out. A broken retransmission breaks
+// the new connection like any other write and is returned.
+func (s *session) resumeLocked(conn net.Conn, tail []replayEntry) error {
+	s.conn = conn
+	s.w.resetConn(conn)
+	s.rd.resetConn(conn)
+	s.recv.sinceAck = 0
+	s.state = sessActive
+	s.end.resumed(conn)
+	s.cond.Broadcast()
+	var werr error
+	for _, e := range tail {
+		if werr = s.w.writeEncoded(e.buf); werr != nil {
+			break
+		}
+	}
+	if werr == nil {
+		werr = s.w.flush()
+	}
+	if werr != nil {
+		s.brokenLocked(werr)
+	}
+	return werr
+}
+
+// retireLocked ends the session for good with cause: its replay buffer is
+// released and nothing goes out on it again. Idempotent.
+func (s *session) retireLocked(cause error) {
+	if s.state == sessDead {
+		return
+	}
+	s.state, s.deadErr = sessDead, cause
+	s.send.drop()
+	s.end.retired()
+	s.cond.Broadcast()
+}
+
+// writeVerdict sends the hub's reply to a resume hello, 9 raw bytes outside
+// the framed session (the hello came on a fresh encoder too): a status byte,
+// 1 for accepted, and the hub's highest received sequence. A refusal is all
+// zeros.
+func writeVerdict(conn net.Conn, ok bool, seqIn uint64) error {
+	var b [1 + seqLen]byte
+	if ok {
+		b[0] = 1
+		le.PutUint64(b[1:], seqIn)
+	}
+	_, err := conn.Write(b[:])
+	return err
+}
+
+// readVerdict waits up to resumeReplyTimeout for the hub's verdict.
+func readVerdict(conn net.Conn) (ok bool, hubAck uint64, err error) {
+	var b [1 + seqLen]byte
+	_ = conn.SetReadDeadline(time.Now().Add(resumeReplyTimeout)) // a failure leaves ReadFull to report the connection
+	if _, err := io.ReadFull(conn, b[:]); err != nil {
+		return false, 0, err
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return b[0] != 0, le.Uint64(b[1:]), nil
+}
+
 // sendSession is the sending half of a session: sequence assignment plus the
-// replay buffer. The owner (hubConn or tcpTransport) serializes access.
+// replay buffer.
 type sendSession struct {
 	seqOut      uint64 // last sequence assigned
 	gapSeq      uint64 // newest sequence NOT in the replay buffer (0 = none)
@@ -162,10 +353,11 @@ func (s *sendSession) trim(ack uint64) {
 }
 
 // pending trims through the peer's acknowledged sequence and returns the
-// frames to retransmit, oldest first. It reports false when a gap makes the
-// resume impossible (the peer is missing a frame that was never captured).
+// frames to retransmit, oldest first. It reports false when the resume is
+// impossible: a gap (the peer is missing a frame that was never captured), or
+// an ack past the last sequence sent.
 func (s *sendSession) pending(peerAck uint64) ([]replayEntry, bool) {
-	if peerAck < s.gapSeq {
+	if peerAck < s.gapSeq || peerAck > s.seqOut {
 		return nil, false
 	}
 	s.trim(peerAck)
@@ -187,9 +379,10 @@ type recvSession struct {
 	sinceAck int
 }
 
-// note folds one received sequence in. dup means the frame was already
-// delivered before the resume and must be discarded; ackNow means the
-// receiver should send a cumulative ack.
+// note folds one received sequence in, at most one past seqIn (the caller,
+// session.acceptLocked, checks). dup means the frame was already delivered
+// before the resume and must be discarded; ackNow means the receiver should
+// send a cumulative ack.
 func (rs *recvSession) note(seq uint64) (dup, ackNow bool) {
 	if seq <= rs.seqIn {
 		return true, false

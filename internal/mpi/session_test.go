@@ -3,7 +3,11 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"testing"
+	"time"
 )
 
 // Session-layer unit tests: sequence assignment, the bounded replay buffer
@@ -131,6 +135,190 @@ func TestRecvSessionDupAndAckCadence(t *testing.T) {
 	if dup, _ := rs.note(rs.seqIn + 1); dup {
 		t.Fatal("first fresh frame after the replayed tail flagged duplicate")
 	}
+}
+
+// byteConn is enough of a connection for a session's accept path: reads
+// come from r, writes go nowhere.
+type byteConn struct {
+	net.Conn // nil: nothing else is called
+	r        io.Reader
+}
+
+func (c byteConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (byteConn) Write(p []byte) (int, error)  { return len(p), nil }
+func (byteConn) Close() error                 { return nil }
+
+// inertEnd resumes nothing: every break is the caller's error.
+type inertEnd struct{}
+
+func (inertEnd) broken(error) bool { return false }
+func (inertEnd) resumed(net.Conn)  {}
+func (inertEnd) retired()          {}
+
+// testSession is a session reading r that has sent sent frames.
+func testSession(t testing.TB, r io.Reader, sent int) *session {
+	s := new(session)
+	c := byteConn{r: r}
+	s.init(c, newWireReader(c), inertEnd{})
+	for i := 0; i < sent; i++ {
+		if werr, err := s.w.transmit(frame{Tag: tagPing}, false); werr != nil || err != nil {
+			t.Fatal(werr, err)
+		}
+	}
+	return s
+}
+
+// TestRecvSessionRejectsSkipsAndFutureAcks: a sequence is believed only when
+// it is the next one (or a duplicate, dropped), and an ack only when it does
+// not pass what was sent; a resume from such an ack is refused too.
+func TestRecvSessionRejectsSkipsAndFutureAcks(t *testing.T) {
+	s := testSession(t, nil, 2)
+	for _, seq := range []uint64{1, 2} {
+		if fresh, err := s.acceptLocked(seq); !fresh || err != nil {
+			t.Fatalf("seq %d: fresh %v, %v", seq, fresh, err)
+		}
+	}
+	if fresh, err := s.acceptLocked(4); fresh || err == nil || s.recv.seqIn != 2 {
+		t.Fatalf("seq 4 after 2: fresh %v, %v, seqIn %d; want an error and seqIn 2", fresh, err, s.recv.seqIn)
+	}
+	if fresh, err := s.acceptLocked(2); fresh || err != nil {
+		t.Fatalf("replayed seq 2: fresh %v, %v; want a dropped duplicate", fresh, err)
+	}
+	if err := s.acked(3); err == nil || len(s.send.replay) != 2 {
+		t.Fatalf("ack 3 of 2 sent: %v, %d frames left; want an error and both frames kept", err, len(s.send.replay))
+	}
+	if _, ok := s.send.pending(1000); ok {
+		t.Fatal("a resume from ack 1000 of 2 sent was allowed")
+	}
+	if tail, ok := s.send.pending(1); !ok || len(tail) != 1 || tail[0].seq != 2 {
+		t.Fatalf("resume from ack 1: %v, %+v; want frame 2", ok, tail)
+	}
+}
+
+// TestSessionUnencodableFrameTakesNoSequence: a payload gob refuses leaves no
+// hole in the sequence, which the receiver would take for a lost frame.
+func TestSessionUnencodableFrameTakesNoSequence(t *testing.T) {
+	var conn bytes.Buffer
+	w := sessionWriter(&conn)
+	if werr, err := w.transmit(frame{Tag: 1, Val: make(chan int), HasVal: true}, false); werr != nil || err == nil {
+		t.Fatalf("transmit of a chan: %v, %v; want an encoding error", werr, err)
+	}
+	if werr, err := w.transmit(frame{Tag: 2, Val: []float64{2}, HasVal: true}, false); werr != nil || err != nil {
+		t.Fatal(werr, err)
+	}
+	g := readSeq(t, newWireReader(&conn), 1)
+	g.release()
+}
+
+// TestSessionUnencodableSendUnderSuspicion: a rank's transport refuses a frame
+// it cannot encode with the encoding error, and the next message still
+// arrives — a resumable session does not take the refused frame for a lost
+// one and resume forever.
+func TestSessionUnencodableSendUnderSuspicion(t *testing.T) {
+	_, want := encodeValue(make(chan int))
+	var sendErr error
+	err := runWithWatchdog(t, 30*time.Second, func() error {
+		return RunTCP(2, func(c *Comm) error {
+			if c.Rank() == 0 {
+				sendErr = tcpOf(c).Send(frame{Ctx: c.ctx, Dst: 1, Tag: 1, Val: make(chan int), HasVal: true})
+				return c.Send(1, 2, []int64{7})
+			}
+			var got []int64
+			if _, err := c.Recv(0, 2, &got); err != nil {
+				return err
+			}
+			if len(got) != 1 || got[0] != 7 {
+				return fmt.Errorf("received %v, want [7]", got)
+			}
+			return nil
+		}, WithHubOptions(HubSuspicion(5*time.Second)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sendErr == nil || sendErr.Error() != want.Error() {
+		t.Fatalf("Send of a chan returned %v, want %v", sendErr, want)
+	}
+}
+
+// sessionFrames is what transmit puts on a connection for a session's frames
+// 1 to 5, one slice each: raw frames but for 2 and 5, gob.
+func sessionFrames(f *testing.F) [][]byte {
+	var conn bytes.Buffer
+	w := sessionWriter(&conn)
+	var out [][]byte
+	for i := 1; i <= 5; i++ {
+		fr := frame{Ctx: 1, Dst: 1, Tag: i, Val: []int64{int64(i)}, HasVal: true}
+		if i == 2 || i == 5 {
+			fr.Val = fmt.Sprint(i)
+		}
+		if werr, err := w.transmit(fr, false); werr != nil || err != nil {
+			f.Fatal(werr, err)
+		}
+		out = append(out, bytes.Clone(conn.Bytes()))
+		conn.Reset()
+	}
+	return out
+}
+
+// FuzzSessionReceive: arbitrary bytes through a wireReader into the accept
+// path of a session that has sent five frames. It never panics, the frames it
+// accepts carry sequences 1, 2, … each once, and an ack past the five sent
+// ends the read. The seeds are real transmit output: clean, with a frame
+// replayed, with one skipped, with an ack from the future, and with a flipped
+// sequence bit in a raw frame (the CRC's) and in a gob frame (the
+// contiguity check's).
+func FuzzSessionReceive(f *testing.F) {
+	fr := sessionFrames(f)
+	ack := func(n uint64) []byte {
+		b := []byte{kindAck, 0, 0, 0, 0, 0, 0, 0, 0}
+		le.PutUint64(b[1:], n)
+		return b
+	}
+	flip := func(b []byte, at int) []byte {
+		b = bytes.Clone(b)
+		b[at] ^= 0x01
+		return b
+	}
+	for _, seed := range [][][]byte{
+		{fr[0], fr[1], ack(3), fr[2], fr[3], fr[4]},
+		{fr[0], fr[1], fr[2], fr[2], fr[3], fr[4]},
+		{fr[0], fr[1], fr[3], fr[4]},
+		{fr[0], fr[1], ack(6), fr[2]},
+		{fr[0], fr[1], flip(fr[2], 2), fr[3], fr[4]},
+		{fr[0], flip(fr[1], 2), fr[2], fr[3], fr[4]},
+	} {
+		f.Add(bytes.Join(seed, nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := testSession(t, bytes.NewReader(data), 5)
+		future, acked := false, s.rd.onAck
+		s.rd.onAck = func(a uint64) error {
+			future = a > s.send.seqOut
+			return acked(a)
+		}
+		var last uint64
+		for {
+			g, seq, err := s.rd.readFrame()
+			if future && err == nil {
+				t.Fatalf("an ack past the %d frames sent was believed", s.send.seqOut)
+			}
+			if err != nil {
+				return
+			}
+			g.release()
+			fresh, err := s.acceptLocked(seq)
+			if err != nil {
+				return
+			}
+			if fresh {
+				if seq != last+1 {
+					t.Fatalf("accepted sequence %d after %d", seq, last)
+				}
+				last = seq
+			}
+		}
+	})
 }
 
 // TestWireCRCDetectsBitFlip: a raw frame with one payload bit flipped in

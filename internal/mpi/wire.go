@@ -32,13 +32,14 @@ var le = binary.LittleEndian
 // hello.Wire announces this format as wireVersion2, the one version the hub
 // admits.
 //
-// The CRC covers the fixed header plus the payload — in full for payloads up
-// to 2*crcWindow, and the first and last crcWindow bytes for larger ones. A
-// bounded window keeps the integrity check off the large-message critical
-// path (a full CRC over a 1 MiB payload costs ~25% of the ping-pong; the
-// windows cost ~3%) while still catching header corruption, truncation, and
-// bit flips near either end; the gate's stream-1MiB-tcp row times the
-// result. Corruption detected by the reader surfaces as *CorruptFrameError,
+// The CRC covers the sequence number, the fixed header and the payload — the
+// payload in full up to 2*crcWindow bytes, and its first and last crcWindow
+// bytes when larger. A bounded window keeps the integrity check off the
+// large-message critical path (a full CRC over a 1 MiB payload costs ~25% of
+// the ping-pong; the windows cost ~3%) while still catching header and
+// sequence corruption, truncation, and bit flips near either end; the gate's
+// stream-1MiB-tcp row times the result. Corruption detected by the reader
+// surfaces as *CorruptFrameError,
 // which the session layer treats like a broken connection: tear down,
 // resume, retransmit the clean captured copy.
 //
@@ -78,8 +79,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // are covered in full; larger ones contribute their first and last window.
 const crcWindow = 64 << 10
 
-// payloadCRC computes a frame's checksum over its fixed header and the
-// bounded payload coverage.
+// payloadCRC computes a frame's checksum over its sequence number and fixed
+// header (hdr, contiguous) and the bounded payload coverage.
 func payloadCRC(hdr, payload []byte) uint32 {
 	c := crc32.Update(0, crcTable, hdr)
 	if len(payload) <= 2*crcWindow {
@@ -92,6 +93,12 @@ func payloadCRC(hdr, payload []byte) uint32 {
 // maxRawFrame bounds the payload length a reader will believe: a corrupted
 // or adversarial stream must produce an error, not a giant allocation.
 const maxRawFrame = 1 << 30
+
+// eagerRawPayload is the longest payload the reader allocates on its
+// header's word alone. A longer one is read into a buffer that grows with the
+// bytes that actually arrive, so a damaged or hostile length costs what was
+// sent, not what was announced.
+const eagerRawPayload = 4 << 20
 
 // wireBufSize sizes the bufio layers: large enough that a small frame plus
 // its header coalesces into one write, small enough to be cheap per
@@ -201,21 +208,21 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64, kind byte, n int) ([]byte,
 	return buf, nil
 }
 
-// transmit puts one frame on the session: sequenced, then captured for
-// replay and written, or — a raw payload over replayFrameMax — streamed from
-// where it lies (the zero-copy path) with its sequence recorded as a replay
-// gap, and captured after the fact only if the write broke: the payload is
-// still intact, so the resume is not doomed by the very frame that broke it.
-// With the connection down (parked) the frame is captured for the resume and
-// nothing is written. A write error comes back apart from any other: the
-// frame is then in the replay buffer, and the session's owner decides between
-// a resume and the end.
+// transmit puts one frame on the session: encoded, sequenced, then captured
+// for replay and written, or — a raw payload over replayFrameMax — streamed
+// from where it lies (the zero-copy path) with its sequence recorded as a
+// replay gap, and captured after the fact only if the write broke: the
+// payload is still intact, so the resume is not doomed by the very frame that
+// broke it. With the connection down (parked) the frame is captured for the
+// resume and nothing is written. A write error comes back apart from any
+// other: the frame is then in the replay buffer, and the session decides
+// between a resume and the end. A frame that cannot be encoded takes no
+// sequence number: the receiver would read the hole as a lost frame.
 func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 	s := w.sess
-	seq := s.nextSeq()
 	kind, n := rawShape(f)
-	stream := !parked && n > replayFrameMax
-	if stream {
+	if !parked && n > replayFrameMax {
+		seq := s.nextSeq() // raw: nothing to fail in the encoding
 		if werr = w.writeFrameDirect(f, seq, kind, n); werr == nil {
 			werr = w.flush()
 		}
@@ -223,12 +230,16 @@ func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 			s.gap(seq)
 			return nil, nil
 		}
+		buf, _ := w.encodeFrame(f, seq, kind, n)
+		s.record(seq, buf)
+		return werr, nil
 	}
-	buf, err := w.encodeFrame(f, seq, kind, n)
+	buf, err := w.encodeFrame(f, s.seqOut+1, kind, n)
 	if err != nil {
 		return nil, err
 	}
-	if !parked && !stream {
+	seq := s.nextSeq()
+	if !parked {
 		if werr = w.writeEncoded(buf); werr == nil {
 			werr = w.flush()
 		}
@@ -240,11 +251,12 @@ func (w *wireWriter) transmit(f frame, parked bool) (werr, err error) {
 }
 
 // putRawPrefix fills a raw frame's v2RawPrefixLen bytes — kind, sequence,
-// header (addressing, element kind, payload length) and the CRC over header
-// and payload — at the front of h.
+// header (addressing, element kind, payload length) and the CRC over
+// sequence, header and payload — at the front of h.
 func putRawPrefix(h []byte, f frame, kind byte, seq uint64, payload []byte) {
 	h[0] = kindRaw
 	le.PutUint64(h[1:], seq)
+	covered := h[1 : 1+seqLen+rawHeaderLen]
 	h = h[1+seqLen:]
 	le.PutUint64(h[0:], uint64(f.Ctx))
 	le.PutUint32(h[8:], uint32(int32(f.Src)))
@@ -253,7 +265,7 @@ func putRawPrefix(h []byte, f frame, kind byte, seq uint64, payload []byte) {
 	le.PutUint32(h[20:], uint32(int32(f.Tag)))
 	h[24] = kind
 	le.PutUint32(h[25:], uint32(len(payload)))
-	le.PutUint32(h[rawHeaderLen:], payloadCRC(h[:rawHeaderLen], payload))
+	le.PutUint32(h[rawHeaderLen:], payloadCRC(covered, payload))
 }
 
 // writeEncoded puts one captured frame on the wire, without flushing. An
@@ -333,12 +345,15 @@ func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 type wireReader struct {
 	br  *bufio.Reader
 	dec *gob.Decoder
-	hdr [rawHeaderLen + crcLen]byte
-	seq [seqLen]byte // readFrame's scratch: a local would escape through io.ReadFull, once per frame
+	// hdr is readFrame's scratch, a sequence number and a raw header with its
+	// CRC, contiguous as the CRC covers them: a local would escape through
+	// io.ReadFull, once per frame.
+	hdr [seqLen + rawHeaderLen + crcLen]byte
 
 	// onAck receives the peer's cumulative acks; the session layer uses it to
-	// trim the replay buffer. Called from the reading goroutine.
-	onAck func(uint64)
+	// trim the replay buffer, and an error it returns ends readFrame. Called
+	// from the reading goroutine.
+	onAck func(uint64) error
 
 	// land, where set (a rank's reader; never the hub's), is shown the
 	// header of a streamed raw frame — n payload bytes, more than
@@ -379,14 +394,16 @@ func (r *wireReader) readFrame() (frame, uint64, error) {
 		if err != nil {
 			return frame{}, 0, err
 		}
-		if _, err := io.ReadFull(r.br, r.seq[:]); err != nil {
+		if _, err := io.ReadFull(r.br, r.hdr[:seqLen]); err != nil {
 			return frame{}, 0, err
 		}
-		seq := le.Uint64(r.seq[:])
+		seq := le.Uint64(r.hdr[:])
 		switch kind {
 		case kindAck:
 			if r.onAck != nil {
-				r.onAck(seq)
+				if err := r.onAck(seq); err != nil {
+					return frame{}, seq, err
+				}
 			}
 		case kindGob:
 			var f frame
@@ -412,7 +429,7 @@ func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 	// across the gob branches would let Decode's &f force a heap
 	// allocation here too, breaking the zero-alloc receive loop.
 	var f frame
-	h := r.hdr[:]
+	h := r.hdr[seqLen:]
 	if _, err := io.ReadFull(r.br, h); err != nil {
 		return f, err
 	}
@@ -431,13 +448,20 @@ func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 		payload = r.land(f, n)
 	}
 	landed := payload != nil
-	if !landed {
-		payload = getWireBuf(n)
+	var err error
+	if !landed && n > eagerRawPayload {
+		var b bytes.Buffer // grows with what arrives
+		_, err = io.CopyN(&b, r.br, int64(n))
+		payload = b.Bytes()
+	} else {
+		if !landed {
+			payload = getWireBuf(n)
+		}
+		_, err = io.ReadFull(r.br, payload)
 	}
-	_, err := io.ReadFull(r.br, payload)
 	if err == nil {
 		want := le.Uint32(h[rawHeaderLen:])
-		if got := payloadCRC(h[:rawHeaderLen], payload); got != want {
+		if got := payloadCRC(r.hdr[:seqLen+rawHeaderLen], payload); got != want {
 			err = &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}
 		}
 	}

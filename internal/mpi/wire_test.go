@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -280,6 +281,33 @@ func testWireRawSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWireAnnouncedLengthCostsWhatArrived: a raw header announcing the
+// longest payload the reader believes, followed by ten bytes and the end of
+// the stream, is an error that allocates about what arrived — not the
+// gigabyte announced.
+func TestWireAnnouncedLengthCostsWhatArrived(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race-detector instrumentation")
+	}
+	var conn bytes.Buffer
+	w := sessionWriter(&conn)
+	if werr, err := w.transmit(frame{Ctx: 1, Dst: 1, Tag: 5, Val: make([]byte, 10), HasVal: true}, false); werr != nil || err != nil {
+		t.Fatal(werr, err)
+	}
+	data := conn.Bytes()
+	le.PutUint32(data[1+seqLen+25:], maxRawFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := newWireReader(bytes.NewReader(data)).readFrame()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a payload cut short after 10 of its announced bytes was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading 10 of %d announced payload bytes allocated %d bytes, want < 1 MiB", maxRawFrame, got)
+	}
+}
+
 // TestMixedVersionWorld: the hub speaks one wire version and checks the one a
 // hello announces. A worker announcing another — here a bare gob hello with
 // Wire 0 — fails a world that is still forming, with an error naming the
@@ -373,10 +401,11 @@ func TestMixedVersionWorld(t *testing.T) {
 
 // FuzzWireReadFrame: the one decoder under arbitrary bytes. readFrame never
 // panics and returns an error or a frame carrying what its header announced;
-// and a clean raw frame with one bit (flip picks it) of its header, its CRC
-// or its CRC-covered payload flipped is an error — *CorruptFrameError while
-// the length field is intact — never a frame with other contents. The seeds
-// are real transmit output and damaged copies of it.
+// and a clean raw frame with one bit (flip picks it) of its sequence number,
+// its header, its CRC or its CRC-covered payload flipped is an error —
+// *CorruptFrameError while the length field is intact — never a frame with
+// other contents. The seeds are real transmit output and damaged copies of
+// it.
 func FuzzWireReadFrame(f *testing.F) {
 	wire := func(send func(w *wireWriter) error) []byte {
 		var conn bytes.Buffer
@@ -405,6 +434,10 @@ func FuzzWireReadFrame(f *testing.F) {
 	ack := wire(func(w *wireWriter) error { return w.writeAck(7) })
 	tooLong := append([]byte(nil), small...)
 	le.PutUint32(tooLong[lenAt:], maxRawFrame+1)
+	// The longest length the reader believes, over ten bytes of payload: it
+	// must cost what arrived, not a gigabyte.
+	announced := transmit(frame{Ctx: 1, Dst: 1, Tag: 5, Val: make([]byte, 10), HasVal: true})
+	le.PutUint32(announced[lenAt:], maxRawFrame)
 	for _, seed := range [][]byte{
 		small, streamed, ack, append(ack, small...),
 		transmit(frame{Dst: ctrlDst, Tag: tagDone}), // a gob control frame
@@ -417,12 +450,15 @@ func FuzzWireReadFrame(f *testing.F) {
 	}
 	for _, seed := range [][]byte{small, streamed} {
 		// One flip each in the addressing, the raw kind, the length (down,
-		// then up), the CRC, and the payload's first and last bits.
-		last := uint(8*(len(seed)-1-seqLen)) - 1
-		for _, bit := range []uint{3, 8*20 + 1, 8 * 24, 8*25 + 3, 8*25 + 12, 8*rawHeaderLen + 31, 8 * (rawHeaderLen + crcLen), last} {
+		// then up), the CRC, the payload's first and last bits, and the
+		// sequence number's first and ninth.
+		const h = 8 * seqLen // the header's first bit
+		last := uint(8*(len(seed)-1)) - 1
+		for _, bit := range []uint{h + 3, h + 8*20 + 1, h + 8*24, h + 8*25 + 3, h + 8*25 + 12, h + 8*rawHeaderLen + 31, h + 8*(rawHeaderLen+crcLen), last, 0, 8} {
 			f.Add(seed, bit)
 		}
 	}
+	f.Add(announced, uint(0))
 
 	// first skips the acks a stream opens with, as readFrame does, and reports
 	// the payload length the frame after them announces: -1 if it is not a
@@ -436,14 +472,10 @@ func FuzzWireReadFrame(f *testing.F) {
 		}
 		return data, int(le.Uint32(data[lenAt:]))
 	}
-	// read runs readFrame over data, unless a raw frame in it announces more
-	// than the fuzzer should be made to allocate (the reader believes a
-	// length up to maxRawFrame), and checks a raw frame carries what it
+	// read runs readFrame over data and checks a raw frame carries what it
 	// announced: n bytes.
 	read := func(t *testing.T, data []byte) (n int, err error) {
-		if _, n = first(data); n > 4<<20 && n <= maxRawFrame {
-			t.Skip("announces more than the fuzzer should allocate")
-		}
+		_, n = first(data)
 		fr, _, err := newWireReader(bytes.NewReader(data)).readFrame()
 		if err != nil {
 			return n, err
@@ -460,14 +492,15 @@ func FuzzWireReadFrame(f *testing.F) {
 			return
 		}
 		// A clean raw frame. Flip one of the bits its CRC covers, or of the
-		// CRC: the header, then the CRC, then the payload's two windows.
+		// CRC: the sequence number and the header, then the CRC, then the
+		// payload's two windows.
 		clean, _ := first(data)
-		covered := rawHeaderLen + crcLen + n
+		covered := seqLen + rawHeaderLen + crcLen + n
 		if n > 2*crcWindow {
 			covered -= n - 2*crcWindow
 		}
 		bit := int(flip % uint(8*covered))
-		at := 1 + seqLen + bit/8
+		at := 1 + bit/8
 		if n > 2*crcWindow && at >= v2RawPrefixLen+crcWindow {
 			at += n - 2*crcWindow
 		}
@@ -480,30 +513,4 @@ func FuzzWireReadFrame(f *testing.F) {
 			t.Fatalf("bit %d of byte %d flipped: %v, want *CorruptFrameError", bit%8, at, err)
 		}
 	})
-}
-
-// TestWithTCPNoDelay: the knob must be accepted in both positions and leave
-// message semantics untouched; a disabled-Nagle world still delivers typed
-// payloads intact.
-func TestWithTCPNoDelay(t *testing.T) {
-	for _, enabled := range []bool{true, false} {
-		t.Run(fmt.Sprintf("%v", enabled), func(t *testing.T) {
-			err := RunTCP(2, func(c *Comm) error {
-				if c.Rank() == 0 {
-					return c.Send(1, 1, []int32{1, 2, 3})
-				}
-				var got []int32
-				if _, err := c.Recv(0, 1, &got); err != nil {
-					return err
-				}
-				if !reflect.DeepEqual(got, []int32{1, 2, 3}) {
-					return fmt.Errorf("got %v", got)
-				}
-				return nil
-			}, WithTCPNoDelay(enabled))
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }

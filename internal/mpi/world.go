@@ -81,7 +81,6 @@ type config struct {
 	respawn      bool                      // relaunch failed ranks into their old slots
 	dialRetry    time.Duration             // JoinTCP dial budget; 0 = default, <0 = single attempt
 	hubOpts      []HubOption               // consumed by RunTCP's internal hub
-	noDelay      *bool                     // WithTCPNoDelay; nil leaves the platform default
 	leaseQuiet   time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
 	wrap         func(Transport) Transport // test hook: outermost decoration
 

@@ -124,6 +124,10 @@ go test -race -timeout 180s -count=1 \
   -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
+# The wire decoder and the session's accept path above it under arbitrary
+# bytes, a few seconds each beyond their seeds (which every `go test` runs).
+go test -run '^$' -fuzz '^FuzzWireReadFrame$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
+go test -run '^$' -fuzz '^FuzzSessionReceive$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 
 # The topology-aware layer: hierarchical collective parity (every two-level
 # collective element-equal to its flat counterpart across world sizes,

@@ -22,11 +22,10 @@
 // -transport shm is procs with a faster data plane: the launcher also
 // creates a shared-memory segment (under /dev/shm when available) and the
 // worker processes exchange user and collective messages through mmap-backed
-// rings — eagerly for small payloads, via staged rendezvous blocks above the
-// threshold — while formation, heartbeats, aborts, and recovery still ride
-// the hub. A rank that cannot map the segment (a remote host, say) falls
-// back to TCP for its pairs; -shm-eager moves the eager/rendezvous protocol
-// crossover (bytes; 0 forces rendezvous for every message).
+// rings — eagerly up to 16 KiB, via staged rendezvous blocks above it —
+// while formation, heartbeats, aborts, and recovery still ride the hub. A
+// rank that cannot map the segment (a remote host, say) falls back to TCP
+// for its pairs.
 //
 // With -recover the world runs in survive-and-continue mode (ULFM-style):
 // the forestfire and drugdesign programs switch to their checkpoint-restart
@@ -104,7 +103,6 @@ const (
 	envKillRank  = "MPIRUN_KILL_RANK"
 	envKillAfter = "MPIRUN_KILL_AFTER"
 	envShmSeg    = "MPIRUN_SHM"
-	envShmEager  = "MPIRUN_SHM_EAGER"
 	envTopology  = "MPIRUN_TOPOLOGY"
 	envHier      = "MPIRUN_HIER"
 )
@@ -158,13 +156,12 @@ func main() {
 		ckptEvery   = flag.Int("ckpt-every", 5, "checkpoint frequency for -recover (steps for forestfire, results for drugdesign)")
 		killRank    = flag.Int("kill-rank", -1, "fault injection: kill this rank (requires -recover to survive it)")
 		killAfter   = flag.Int("kill-after", 0, "fault injection: let the victim's first N sends through before the kill")
-		shmEager    = flag.Int("shm-eager", -1, "shm transport: largest payload (bytes) sent eagerly through the ring; larger payloads rendezvous through staged blocks (0 forces rendezvous, -1 keeps the default)")
 		topology    = flag.String("topology", "", "model an NxM cluster: place the np ranks blockwise on N nodes of M slots each, enabling topology-aware two-level collectives (mutually exclusive with -platform)")
 		hier        = flag.String("hier", "auto", "hierarchical collective selection: auto (two-level when the topology is multi-node with co-located ranks), on, or off")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mpirun -np N [-platform P] [-transport local|tcp|procs|shm] [-topology NxM] [-hier auto|on|off] [-deadline D] [-shm-eager B] [-suspicion D] [-recover|-respawn [-kill-rank R]] <program>")
+		fmt.Fprintln(os.Stderr, "usage: mpirun -np N [-platform P] [-transport local|tcp|procs|shm] [-topology NxM] [-hier auto|on|off] [-deadline D] [-suspicion D] [-recover|-respawn [-kill-rank R]] <program>")
 		os.Exit(exitUsage)
 	}
 	prog := flag.Arg(0)
@@ -221,7 +218,7 @@ func main() {
 	switch {
 	case *recoverFlag || *respawnFlag:
 		if *transport == "procs" || *transport == "shm" {
-			exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, *transport == "shm", *shmEager, *topology, *hier, procsRecovery{
+			exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, *transport == "shm", *topology, *hier, procsRecovery{
 				on:        true,
 				respawn:   *respawnFlag,
 				ckptDir:   *ckptDir,
@@ -280,9 +277,9 @@ func main() {
 		}
 		exitOn(mpi.RunTCP(*np, body, opts...))
 	case "procs":
-		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, false, *shmEager, *topology, *hier, procsRecovery{}))
+		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, false, *topology, *hier, procsRecovery{}))
 	case "shm":
-		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, true, *shmEager, *topology, *hier, procsRecovery{}))
+		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, true, *topology, *hier, procsRecovery{}))
 	default:
 		fmt.Fprintf(os.Stderr, "mpirun: unknown transport %q\n", *transport)
 		os.Exit(exitUsage)
@@ -581,7 +578,7 @@ type procsRecovery struct {
 // the workers map as their data plane (-transport shm); the hub and its
 // formation timeout work exactly as for procs, so a rank that never starts
 // still fails the job fast with the missing rank named (exit code 4).
-func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duration, shm bool, shmEager int, topo, hier string, rec procsRecovery) error {
+func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duration, shm bool, topo, hier string, rec procsRecovery) error {
 	segPath := ""
 	if shm {
 		seg, err := mpi.CreateShmSegment("", np)
@@ -636,10 +633,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 			cmd.Env = append(cmd.Env, envHier+"="+hier)
 		}
 		if segPath != "" && !rejoin {
-			cmd.Env = append(cmd.Env,
-				envShmSeg+"="+segPath,
-				envShmEager+"="+strconv.Itoa(shmEager),
-			)
+			cmd.Env = append(cmd.Env, envShmSeg+"="+segPath)
 		}
 		if rec.on {
 			mode := envRecover
@@ -820,9 +814,6 @@ func workerMode() error {
 		return mpi.RejoinTCP(os.Getenv(envHub), rank, np, body, opts...)
 	}
 	if seg := os.Getenv(envShmSeg); seg != "" {
-		if eager, eerr := strconv.Atoi(os.Getenv(envShmEager)); eerr == nil && eager >= 0 {
-			mpi.SetShmTuning(mpi.ShmTuning{EagerMax: eager})
-		}
 		return mpi.JoinShm(os.Getenv(envHub), seg, rank, np, body, opts...)
 	}
 	return mpi.JoinTCP(os.Getenv(envHub), rank, np, body, opts...)

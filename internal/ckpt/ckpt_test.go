@@ -253,6 +253,39 @@ func TestLoadLatestAllVersionsCorrupt(t *testing.T) {
 	}
 }
 
+// TestManifestNPMatchesCRCs: a manifest naming more shards than CRCs is
+// corrupt. Both shard files exist and are empty, so shard 0 verifies against
+// CRC 0 and a restore that believed NP would index CRCs[1].
+func TestManifestNPMatchesCRCs(t *testing.T) {
+	s, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []byte(`{"Version":1,"NP":2,"CRCs":[0]}`)
+	for _, path := range []string{s.manifestPath(), s.versionManifestPath(1), s.shardPath(1, 0), s.shardPath(1, 1)} {
+		data := bad
+		if strings.Contains(path, ".s") {
+			data = nil
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = mpi.Run(1, func(c *mpi.Comm) error {
+		_, _, _, err := LoadLatest(c, s)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "manifest corrupt") {
+		t.Fatalf("LoadLatest: err = %v, want manifest corrupt", err)
+	}
+	if _, _, err := s.Latest(); err == nil || !strings.Contains(err.Error(), "manifest corrupt") {
+		t.Fatalf("Latest: err = %v, want manifest corrupt", err)
+	}
+	if ms, err := s.Manifests(); err != nil || len(ms) != 0 {
+		t.Fatalf("Manifests = %+v, %v: want the corrupt manifest skipped", ms, err)
+	}
+}
+
 func TestCollectiveSaveLoad(t *testing.T) {
 	store := NewMemStore()
 	const np = 4
@@ -433,4 +466,50 @@ func TestNamespaceConcurrentJobs(t *testing.T) {
 			t.Errorf("job %d: Latest = v%d ok=%v err=%v, want v%d", j, m.Version, ok, err, versions)
 		}
 	}
+}
+
+// FuzzManifest feeds arbitrary bytes to a FileStore as both its MANIFEST and
+// a per-version manifest. Latest and Manifests must never panic, and every
+// manifest they return must carry one CRC per shard, so verifying it never
+// indexes past CRCs.
+func FuzzManifest(f *testing.F) {
+	seed, err := NewFileStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.Commit(Manifest{Version: 3, NP: 2, CRCs: []uint32{Checksum([]byte("a")), Checksum(nil)}}); err != nil {
+		f.Fatal(err)
+	}
+	committed, err := os.ReadFile(seed.manifestPath())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(committed)
+	f.Add([]byte(`{"Version":1,"NP":2,"CRCs":[0]}`))
+	f.Add([]byte(`{"Version":1,"NP":-1,"CRCs":null}`))
+	s, err := NewFileStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{s.manifestPath(), s.versionManifestPath(1)} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []Manifest
+		if m, ok, err := s.Latest(); err == nil && ok {
+			got = append(got, m)
+		}
+		ms, err := s.Manifests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range append(got, ms...) {
+			if m.NP < 0 || len(m.CRCs) != m.NP {
+				t.Fatalf("returned manifest %+v breaks NP == len(CRCs)", m)
+			}
+			_, _ = readVersion(s, m)
+		}
+	})
 }

@@ -78,20 +78,22 @@ func Save(c *mpi.Comm, store Store, shard []byte) (int, error) {
 	return version, nil
 }
 
-// verifyVersion reads every shard of a committed version back and checks
-// it against the manifest CRC, reporting the first mismatch.
-func verifyVersion(store Store, m Manifest) error {
-	for s := 0; s < m.NP; s++ {
+// readVersion reads every shard of a committed version back and checks it
+// against the manifest CRC, reporting the first mismatch.
+func readVersion(store Store, m Manifest) ([][]byte, error) {
+	shards := make([][]byte, m.NP)
+	for s := range shards {
 		data, err := store.ReadShard(m.Version, s)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if got := Checksum(data); got != m.CRCs[s] {
-			return fmt.Errorf(
+			return nil, fmt.Errorf(
 				"ckpt: version %d shard %d corrupt: crc %08x, manifest says %08x", m.Version, s, got, m.CRCs[s])
 		}
+		shards[s] = data
 	}
-	return nil
+	return shards, nil
 }
 
 // fallbackVersion walks older committed manifests, newest first, and
@@ -110,7 +112,7 @@ func fallbackVersion(store Store, bad Manifest, cause error) (Manifest, error) {
 		if m.Version >= bad.Version {
 			continue
 		}
-		if verifyVersion(store, m) == nil {
+		if _, err := readVersion(store, m); err == nil {
 			return m, nil
 		}
 	}
@@ -138,7 +140,7 @@ func LoadLatest(c *mpi.Comm, store Store) (Manifest, [][]byte, bool, error) {
 			return Manifest{}, nil, false, err
 		}
 		if ok {
-			if verr := verifyVersion(store, m); verr != nil {
+			if _, verr := readVersion(store, m); verr != nil {
 				if m, err = fallbackVersion(store, m, verr); err != nil {
 					return Manifest{}, nil, false, err
 				}
@@ -153,20 +155,11 @@ func LoadLatest(c *mpi.Comm, store Store) (Manifest, [][]byte, bool, error) {
 	if !l.OK {
 		return Manifest{}, nil, false, nil
 	}
-	m := l.M
-	shards := make([][]byte, m.NP)
-	for s := 0; s < m.NP; s++ {
-		data, err := store.ReadShard(m.Version, s)
-		if err != nil {
-			return Manifest{}, nil, false, err
-		}
-		if got := Checksum(data); got != m.CRCs[s] {
-			return Manifest{}, nil, false, fmt.Errorf(
-				"ckpt: version %d shard %d corrupt: crc %08x, manifest says %08x", m.Version, s, got, m.CRCs[s])
-		}
-		shards[s] = data
+	shards, err := readVersion(store, l.M)
+	if err != nil {
+		return Manifest{}, nil, false, err
 	}
-	return m, shards, true, nil
+	return l.M, shards, true, nil
 }
 
 // SaveLocal commits a single-shard version from one rank, no collective

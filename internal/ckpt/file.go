@@ -172,16 +172,27 @@ func (s *FileStore) Latest() (Manifest, bool, error) {
 	if err != nil {
 		return Manifest{}, false, fmt.Errorf("ckpt: %w", err)
 	}
+	m, err := parseManifest(data)
+	return m, err == nil, err
+}
+
+// parseManifest decodes a manifest file and checks that it names one CRC per
+// shard: restoring reads CRCs[s] for every s < NP and sizes its shard list by
+// NP, so a file that breaks the rule must not get that far.
+func parseManifest(data []byte) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, false, fmt.Errorf("ckpt: manifest corrupt: %w", err)
+		return Manifest{}, fmt.Errorf("ckpt: manifest corrupt: %w", err)
 	}
-	return m, true, nil
+	if m.NP < 0 || len(m.CRCs) != m.NP {
+		return Manifest{}, fmt.Errorf("ckpt: manifest corrupt: NP %d with %d CRCs", m.NP, len(m.CRCs))
+	}
+	return m, nil
 }
 
 // Manifests returns every committed manifest still present in the
-// directory, newest first. Unparseable per-version files are skipped —
-// they are exactly the rot this history exists to route around.
+// directory, newest first. Unparseable or inconsistent per-version files are
+// skipped — they are exactly the rot this history exists to route around.
 func (s *FileStore) Manifests() ([]Manifest, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -193,14 +204,9 @@ func (s *FileStore) Manifests() ([]Manifest, error) {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
+		if m, perr := parseManifest(data); err == nil && perr == nil {
+			out = append(out, m)
 		}
-		var m Manifest
-		if json.Unmarshal(data, &m) != nil {
-			continue
-		}
-		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Version > out[j].Version })
 	return out, nil

@@ -99,7 +99,7 @@ func checkAlltoallv(c *Comm, counts func(origin, dest int) int) error {
 }
 
 func TestAlltoallvParity(t *testing.T) {
-	for name, runner := range winRunners() {
+	for name, runner := range parityRunners() {
 		name, runner := name, runner
 		t.Run(name, func(t *testing.T) {
 			if name == "tcp" || name == "tcp-gob" {

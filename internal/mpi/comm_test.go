@@ -224,6 +224,41 @@ func TestRecvValidation(t *testing.T) {
 	}
 }
 
+// TestReservedTagsDistinct lists every tag the runtime reserves — the
+// receive wildcard, the collectives' -2..-22 block, the hub's control tags
+// and the 8-tag band of each of the first 16 windows — and demands that no
+// two coincide and none is a user tag.
+func TestReservedTagsDistinct(t *testing.T) {
+	tags := map[string]int{
+		"AnyTag": AnyTag, "tagBarrier": tagBarrier, "tagBcast": tagBcast,
+		"tagReduce": tagReduce, "tagScatter": tagScatter, "tagGather": tagGather, "tagScan": tagScan,
+		"tagSplit": tagSplit, "tagAll": tagAll, "tagExscan": tagExscan,
+		"tagRedScat": tagRedScat, "tagDissem": tagDissem, "tagAllgat": tagAllgat,
+		"tagVecRed": tagVecRed, "tagVecAg": tagVecAg, "tagVecBcast": tagVecBcast,
+		"tagVecGat": tagVecGat, "tagVecScat": tagVecScat, "tagHier": tagHier,
+		"tagA2Av": tagA2Av, "tagA2AvGat": tagA2AvGat, "tagA2AvScat": tagA2AvScat,
+		"tagStart": tagStart, "tagDone": tagDone, "tagAbort": tagAbort,
+		"tagPing": tagPing, "tagPong": tagPong, "tagFailed": tagFailed,
+		"tagAgreeReq": tagAgreeReq, "tagAgreeResp": tagAgreeResp,
+		"tagRevoke": tagRevoke, "tagRejoin": tagRejoin,
+	}
+	for seq := 0; seq < 16; seq++ {
+		for k := 0; k < 8; k++ {
+			tags[fmt.Sprintf("window %d tag %d", seq, k)] = tagWinBase - 8*seq - k
+		}
+	}
+	owner := make(map[int]string, len(tags))
+	for name, tag := range tags {
+		if tag >= 0 {
+			t.Errorf("%s = %d is a user tag", name, tag)
+		}
+		if prev, ok := owner[tag]; ok {
+			t.Errorf("%s and %s share tag %d", prev, name, tag)
+		}
+		owner[tag] = name
+	}
+}
+
 func TestSendrecvRingExchange(t *testing.T) {
 	const np = 5
 	err := Run(np, func(c *Comm) error {

@@ -23,7 +23,7 @@ const (
 	tagScan    = -7
 	tagSplit   = -8
 	tagAll     = -9
-	tagAllgat  = -13 // ring Allgather (-10..-12 live in collective2.go)
+	tagAllgat  = -13 // ring Allgather (-10..-12 live in collective.go)
 )
 
 // ErrInvalidRank is returned when a destination or source rank is outside

@@ -12,8 +12,10 @@ import (
 // messages travel as typed in-memory payloads (local fast path), as gob
 // bytes through the same mailboxes (WithSerialization), over real TCP
 // sockets through the hub, or through mmap-backed shared-memory rings
-// (RunShm, in eager and forced-rendezvous tunings). Each scenario below
-// runs under every mode and the per-rank results are compared structurally.
+// (RunShm). Each scenario below runs under every mode and the per-rank
+// results are compared structurally. Its payloads are small, so on shm they
+// travel eagerly; the rendezvous and chunked protocols are reached by size
+// in shmtransport_test.go and the vector parity sweep.
 
 type parityMode struct {
 	name string
@@ -31,14 +33,6 @@ func parityModes() []parityMode {
 		modes = append(modes,
 			parityMode{name: "shm", run: RunShm},
 			parityMode{name: "shm-serialized", run: RunShm, opts: []Option{WithSerialization()}},
-			// EagerMax 0 forces every payload through the rendezvous
-			// (staged large-message) path, the protocol branch the default
-			// tuning only reaches above 16 KiB.
-			parityMode{name: "shm-rendezvous", run: func(np int, main func(c *Comm) error, opts ...Option) error {
-				prev := SetShmTuning(ShmTuning{EagerMax: 0})
-				defer SetShmTuning(prev)
-				return RunShm(np, main, opts...)
-			}},
 		)
 	}
 	return modes

@@ -16,7 +16,7 @@ import (
 // that mapped the same segment travel through that pair's SPSC ring instead
 // of two socket hops, with an eager/rendezvous split:
 //
-//   - eager: payloads up to ShmTuning.EagerMax are copied straight into the
+//   - eager: payloads up to shmEagerMax (16 KiB) are copied straight into the
 //     message ring record; the receiver copies them out into a pooled
 //     buffer. Two copies, but both are ring-local and the record is gone as
 //     soon as the consumer advances.
@@ -38,60 +38,21 @@ import (
 //
 // Progress is futex-free polling with bounded spin-then-park: both blocked
 // producers and the consumer goroutine spin with runtime.Gosched for
-// ShmTuning.SpinIters iterations, then sleep with exponential backoff
-// capped at ShmTuning.MaxPark — cheap when traffic is hot, near-idle when
-// it is not, and safe on a single-core host because every spin yields.
+// shmSpinIters iterations, then sleep with exponential backoff capped at
+// shmMaxPark — cheap when traffic is hot, near-idle when it is not, and
+// safe on a single-core host because every spin yields.
 
-// ShmTuning controls the shared-memory transport's protocol switches. Zero
-// values select the defaults (except EagerMax, where 0 is meaningful: every
-// payload takes the rendezvous path).
-type ShmTuning struct {
-	// EagerMax is the largest payload (bytes) copied eagerly into the
-	// message ring; anything larger is staged in the large-message region
-	// via rendezvous. It is additionally capped at a quarter of the ring so
-	// several eager messages always fit in flight.
-	EagerMax int
-	// SpinIters bounds how many yield-spins a blocked producer or the poll
-	// loop burns before parking.
-	SpinIters int
-	// MaxPark caps the parked sleep between polls once spinning gives up.
-	MaxPark time.Duration
-}
-
-var defaultShmTuning = ShmTuning{
-	EagerMax:  16 << 10,
-	SpinIters: 256,
-	MaxPark:   200 * time.Microsecond,
-}
-
-var shmTuningPtr atomic.Pointer[ShmTuning]
-
-// SetShmTuning installs new shared-memory transport tuning and returns the
-// previous values, so benchmarks and tests can restore them. Negative
-// fields and a zero SpinIters/MaxPark select the defaults; EagerMax 0 is
-// honored (pure rendezvous). Safe to call concurrently with running worlds;
-// in-flight messages finish under whichever tuning they started with.
-func SetShmTuning(t ShmTuning) ShmTuning {
-	prev := shmTuningVal()
-	if t.EagerMax < 0 {
-		t.EagerMax = defaultShmTuning.EagerMax
-	}
-	if t.SpinIters <= 0 {
-		t.SpinIters = defaultShmTuning.SpinIters
-	}
-	if t.MaxPark <= 0 {
-		t.MaxPark = defaultShmTuning.MaxPark
-	}
-	shmTuningPtr.Store(&t)
-	return prev
-}
-
-func shmTuningVal() ShmTuning {
-	if p := shmTuningPtr.Load(); p != nil {
-		return *p
-	}
-	return defaultShmTuning
-}
+// The transport's protocol constants. shmEagerMax is the largest payload
+// (bytes) copied eagerly into the message ring (further capped at a quarter
+// of the ring so several eager messages always fit in flight); anything
+// larger is staged in the large-message region. shmSpinIters bounds the
+// yield-spins a blocked producer or the poll loop burns before parking, and
+// shmMaxPark caps the parked sleep between polls once spinning gives up.
+const (
+	shmEagerMax  = 16 << 10
+	shmSpinIters = 256
+	shmMaxPark   = 200 * time.Microsecond
+)
 
 // Message-ring record layout. Every record is 8-aligned and starts with its
 // total size; a size of shmWrapMark tells the consumer the producer skipped
@@ -348,12 +309,7 @@ func (t *shmTransport) sendRing(p *shmSendPair, f frame) error {
 		paylen = rawSizeOf(val)
 	}
 
-	tun := shmTuningVal()
-	eagerMax := tun.EagerMax
-	if lim := int(t.seg.ringCap/4) - shmRecHdrSize; eagerMax > lim {
-		eagerMax = lim
-	}
-	if paylen <= eagerMax {
+	if paylen <= min(shmEagerMax, int(t.seg.ringCap/4)-shmRecHdrSize) {
 		return t.sendEager(p, f, kind, val, data, paylen)
 	}
 	if paylen <= t.maxBlockPayload() {
@@ -644,19 +600,13 @@ func (t *shmTransport) sendWait(p *shmSendPair, dst int, spins *int, park *time.
 			return errShmDrop
 		}
 	}
-	tun := shmTuningVal()
 	*spins++
-	if *spins < tun.SpinIters {
+	if *spins < shmSpinIters {
 		runtime.Gosched()
 		return nil
 	}
 	time.Sleep(*park)
-	if *park < tun.MaxPark {
-		*park *= 2
-		if *park > tun.MaxPark {
-			*park = tun.MaxPark
-		}
-	}
+	*park = min(*park*2, shmMaxPark)
 	return nil
 }
 
@@ -679,19 +629,13 @@ func (t *shmTransport) pollLoop() {
 			park = time.Microsecond
 			continue
 		}
-		tun := shmTuningVal()
 		spins++
-		if spins < tun.SpinIters {
+		if spins < shmSpinIters {
 			runtime.Gosched()
 			continue
 		}
 		time.Sleep(park)
-		if park < tun.MaxPark {
-			park *= 2
-			if park > tun.MaxPark {
-				park = tun.MaxPark
-			}
-		}
+		park = min(park*2, shmMaxPark)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // The shared-memory transport's own suite: protocol selection (eager vs
-// rendezvous vs chunked), the tuning crossover, FIFO across mixed sizes,
+// rendezvous vs chunked), the byte-exact crossovers, FIFO across mixed sizes,
 // gob payloads, segment validation, host-mismatch fallback, and formation
 // timeout. Behavioral parity with the other transports lives in
 // parity_test.go and vector_test.go; failure semantics in shmfail_test.go.
@@ -115,97 +116,122 @@ func TestShmProtocolSelection(t *testing.T) {
 	}
 }
 
-// TestShmEagerRendezvousCrossover: SetShmTuning's EagerMax is the protocol
-// switch — the same two sends land on opposite sides of a lowered ceiling,
-// with exact counter deltas on the sending endpoint.
+// TestShmEagerRendezvousCrossover: payload size alone picks the protocol,
+// to the byte. A []byte of 16 KiB (shmEagerMax) travels eagerly and one byte
+// more rendezvous through a staged block; a block of maxBlockPayload bytes is
+// still staged whole and one byte more is chunked. Raw floats and gob-encoded
+// values cross the same line. Every payload is delivered once into a receive
+// posted ahead and once from the unexpected queue, intact, and each send moves
+// the sender's counters by exactly one, in the protocol named.
 func TestShmEagerRendezvousCrossover(t *testing.T) {
 	skipNoShm(t)
 	obs := observeShm(t)
-	prev := SetShmTuning(ShmTuning{EagerMax: 512})
-	defer SetShmTuning(prev)
 
-	below := make([]float64, 32)  // 256 B <= 512: eager
-	above := make([]float64, 512) // 4 KiB > 512: rendezvous
-	var d shmTransportStats
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+		return b
+	}
+	strs := make([]string, 64) // ~32 KiB once gob-encoded
+	for i := range strs {
+		strs[i] = strings.Repeat(string(rune('a'+i%26)), 512)
+	}
+	blockMax := int(defaultShmLargeCap)/2 - 2*shmBlkHdrSize
+	eager, rdv, chunked := shmTransportStats{Eager: 1}, shmTransportStats{Rendezvous: 1}, shmTransportStats{Chunked: 1}
+	cases := []struct {
+		name string
+		v    any
+		want shmTransportStats
+	}{
+		{"bytes 16 KiB", bytesOf(16 << 10), eager},
+		{"bytes 16 KiB+1", bytesOf(16<<10 + 1), rdv},
+		{"floats 2048", make([]float64, 2048), eager},
+		{"floats 2049", make([]float64, 2049), rdv},
+		{"gob small", strs[:2], eager},
+		{"gob 32 KiB", strs, rdv},
+		{"bytes block max", bytesOf(blockMax), rdv},
+		{"bytes block max+1", bytesOf(blockMax + 1), chunked},
+	}
+	const ready, sent = 100, 101
 
-	err := runWithWatchdog(t, 15*time.Second, func() error {
+	err := runWithWatchdog(t, 30*time.Second, func() error {
 		return RunShm(2, func(c *Comm) error {
 			if c.Rank() == 0 {
-				s0 := obs.get(0).statsSnapshot()
-				if err := c.Send(1, 1, below); err != nil {
-					return err
-				}
-				if err := c.Send(1, 2, above); err != nil {
-					return err
-				}
-				if _, err := c.Recv(1, 3, nil); err != nil {
-					return err
-				}
-				s1 := obs.get(0).statsSnapshot()
-				d = shmTransportStats{
-					Eager:      s1.Eager - s0.Eager,
-					Rendezvous: s1.Rendezvous - s0.Rendezvous,
-					Chunked:    s1.Chunked - s0.Chunked,
+				for _, posted := range []bool{true, false} {
+					if posted {
+						if _, err := c.Recv(1, ready, nil); err != nil {
+							return err
+						}
+					}
+					for i, tc := range cases {
+						s0 := obs.get(0).statsSnapshot()
+						if err := c.Send(1, i, tc.v); err != nil {
+							return err
+						}
+						s1 := obs.get(0).statsSnapshot()
+						d := shmTransportStats{
+							Eager:      s1.Eager - s0.Eager,
+							Rendezvous: s1.Rendezvous - s0.Rendezvous,
+							Chunked:    s1.Chunked - s0.Chunked,
+						}
+						if d != tc.want {
+							return fmt.Errorf("%s (posted=%v): counter deltas %+v, want %+v", tc.name, posted, d, tc.want)
+						}
+						if err := c.Send(1, sent, true); err != nil {
+							return err
+						}
+					}
+					if _, err := c.Recv(1, ready, nil); err != nil { // all received
+						return err
+					}
 				}
 				return nil
 			}
-			var a, b []float64
-			if _, err := c.Recv(0, 1, &a); err != nil {
-				return err
+			for _, posted := range []bool{true, false} {
+				dsts := make([]reflect.Value, len(cases))
+				reqs := make([]*Request, len(cases))
+				for i, tc := range cases {
+					dsts[i] = reflect.New(reflect.TypeOf(tc.v))
+					if posted {
+						reqs[i] = c.Irecv(0, i, dsts[i].Interface())
+					}
+				}
+				if posted {
+					if err := c.Send(0, ready, true); err != nil {
+						return err
+					}
+				}
+				// Per-pair FIFO: once a payload's marker is in, the payload
+				// has been delivered, to its posted receive or to the
+				// unexpected queue. Unexpected ones are taken one at a
+				// time: a staged block held there keeps its space, and the
+				// largest leaves no room for the next.
+				for i, tc := range cases {
+					if _, err := c.Recv(0, sent, nil); err != nil {
+						return err
+					}
+					if posted {
+						if _, err := reqs[i].Wait(); err != nil {
+							return err
+						}
+					} else if _, err := c.Recv(0, i, dsts[i].Interface()); err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(dsts[i].Elem().Interface(), tc.v) {
+						return fmt.Errorf("%s (posted=%v): payload corrupted", tc.name, posted)
+					}
+				}
+				if err := c.Send(0, ready, true); err != nil {
+					return err
+				}
 			}
-			if _, err := c.Recv(0, 2, &b); err != nil {
-				return err
-			}
-			if len(a) != len(below) || len(b) != len(above) {
-				return fmt.Errorf("lengths %d/%d, want %d/%d", len(a), len(b), len(below), len(above))
-			}
-			return c.Send(0, 3, "ok")
+			return nil
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.Eager != 1 || d.Rendezvous != 1 || d.Chunked != 0 {
-		t.Fatalf("deltas %+v, want exactly one eager and one rendezvous send", d)
-	}
-}
-
-// TestShmPureRendezvousTuning: EagerMax 0 is honored — every payload, even
-// a lone int, takes the staged rendezvous path.
-func TestShmPureRendezvousTuning(t *testing.T) {
-	skipNoShm(t)
-	obs := observeShm(t)
-	prev := SetShmTuning(ShmTuning{EagerMax: 0})
-	defer SetShmTuning(prev)
-
-	var snap shmTransportStats
-	err := runWithWatchdog(t, 15*time.Second, func() error {
-		return RunShm(2, func(c *Comm) error {
-			if c.Rank() == 0 {
-				if err := c.Send(1, 1, 42); err != nil {
-					return err
-				}
-				if _, err := c.Recv(1, 2, nil); err != nil {
-					return err
-				}
-				snap = obs.get(0).statsSnapshot()
-				return nil
-			}
-			var v int
-			if _, err := c.Recv(0, 1, &v); err != nil {
-				return err
-			}
-			if v != 42 {
-				return fmt.Errorf("got %d, want 42", v)
-			}
-			return c.Send(0, 2, "ok")
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Eager != 0 || snap.Rendezvous == 0 {
-		t.Fatalf("stats %+v: EagerMax 0 must force rendezvous for every send", snap)
 	}
 }
 

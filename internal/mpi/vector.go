@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Vector collectives: the large-payload counterparts of the scalar
@@ -26,10 +25,9 @@ import (
 //     one backing array, instead of boxing elements (or rows) into
 //     per-element messages.
 //
-// Payloads below a tunable element-count threshold take the scalar
+// Payloads of at most vectorThreshold (1024) elements take the scalar
 // algorithms unchanged — at small sizes the ring's extra rounds cost more
-// latency than its bandwidth discipline saves. SetCollectiveTuning exposes
-// the threshold (and the Bcast chunk size) for the ablation benchmarks.
+// latency than its bandwidth discipline saves.
 //
 // Everything is built on the same reserved-tag point-to-point layer as the
 // scalar collectives, so the failure model carries over unchanged: a rank
@@ -39,7 +37,7 @@ import (
 // collective's tag.
 
 // Reserved tags for the vector collectives (-2..-13 live in message.go and
-// collective2.go).
+// collective.go).
 const (
 	tagVecRed   = -14 // ring reduce-scatter + ReduceSlice's segment gather
 	tagVecAg    = -15 // ring allgather (segment and block variants)
@@ -48,57 +46,18 @@ const (
 	tagVecScat  = -18 // ScatterSlice blocks
 )
 
-// CollectiveTuning controls where the vector collectives switch algorithms.
-type CollectiveTuning struct {
-	// VectorThreshold is the element count at or below which AllreduceSlice,
-	// ReduceSlice, and BcastSlice use the scalar whole-slice algorithms: one
-	// tree message per hop instead of ring rounds or chunk streams. Above
-	// it, the bandwidth-optimal paths engage.
-	VectorThreshold int
-	// BcastChunk is BcastSlice's pipeline segment size, in elements.
-	// Smaller chunks fill the tree faster but pay more per-message
-	// overhead; larger chunks amortize framing but serialize the levels.
-	BcastChunk int
-}
-
-// defaultCollectiveTuning: the threshold sits where ring-round latency and
-// per-hop bandwidth break even for 8-byte elements on the measured
-// transports; the chunk is large enough that framing overhead is noise and
-// small enough that a 3-level tree streams.
-var defaultCollectiveTuning = CollectiveTuning{
-	VectorThreshold: 1024,
-	BcastChunk:      8192,
-}
-
-var collectiveTuningPtr atomic.Pointer[CollectiveTuning]
-
-// collectiveTuning reads the active tuning.
-func collectiveTuning() CollectiveTuning {
-	if p := collectiveTuningPtr.Load(); p != nil {
-		return *p
-	}
-	return defaultCollectiveTuning
-}
-
-// SetCollectiveTuning installs new vector-collective tuning process-wide and
-// returns the previous values, so benchmarks and tests can force either
-// algorithm family and restore the default afterwards. A nonpositive
-// BcastChunk resets it to the default; a negative threshold is clamped to 0
-// (vector algorithms for every non-empty payload). Like MPI's collective
-// ordering rule, changing tuning concurrently with in-flight collectives is
-// the caller's race to avoid: all ranks must observe the same tuning for
-// the same call.
-func SetCollectiveTuning(t CollectiveTuning) CollectiveTuning {
-	prev := collectiveTuning()
-	if t.VectorThreshold < 0 {
-		t.VectorThreshold = 0
-	}
-	if t.BcastChunk < 1 {
-		t.BcastChunk = defaultCollectiveTuning.BcastChunk
-	}
-	collectiveTuningPtr.Store(&t)
-	return prev
-}
+// vectorThreshold is the element count at or below which AllreduceSlice,
+// ReduceSlice and BcastSlice take the scalar whole-slice algorithms: one
+// tree message per hop instead of ring rounds or chunk streams. It sits
+// where ring-round latency and per-hop bandwidth break even for 8-byte
+// elements on the measured transports. bcastChunk is BcastSlice's pipeline
+// segment, in elements: large enough that framing overhead is noise, small
+// enough that a 3-level tree streams. Both are constants, so every rank of
+// every world takes the same path for the same call.
+const (
+	vectorThreshold = 1024
+	bcastChunk      = 8192
+)
 
 // sliceReduce lifts an element combine to a whole-slice combine for the
 // scalar fallback paths. It folds b into a in place — a is always the
@@ -240,7 +199,7 @@ func opFold[T Number](op Op) vecFold[T] {
 // with other algorithms holds only for order-insensitive data (integers,
 // exactly-representable sums).
 //
-// Above the tuning threshold it runs a reduce-scatter followed by an
+// Above vectorThreshold it runs a reduce-scatter followed by an
 // allgather (Rabenseifner): each rank moves 2·(n−1)/n of the payload in
 // total, against the log n full payloads of the scalar tree — the difference
 // between latency-bound and bandwidth-bound regimes. Power-of-two worlds use
@@ -264,7 +223,7 @@ func AllreduceSliceOp[T Number](c *Comm, v []T, op Op) ([]T, error) {
 // below-threshold whole-slice tree, fold the vector reduce-scatter.
 func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
 	n := c.Size()
-	if n == 1 || len(v) <= collectiveTuning().VectorThreshold {
+	if n == 1 || len(v) <= vectorThreshold {
 		// These paths hand a mutable copy of v onward (or back to the
 		// caller). make+copy rather than append into a fresh slice lets the
 		// runtime skip zeroing the backing array before the copy lands.
@@ -308,7 +267,7 @@ func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo 
 
 // ReduceSlice combines every rank's v elementwise and delivers the full
 // result to root (nil at the other ranks): MPI_Reduce over a vector. Above
-// the tuning threshold it runs the ring reduce-scatter and then gathers the
+// vectorThreshold it runs the ring reduce-scatter and then gathers the
 // reduced segments at root — the same 2·(n−1)/n send volume per rank as
 // AllreduceSlice on the scatter half, with only root paying the gather's
 // receive volume.
@@ -327,7 +286,7 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 		return nil, err
 	}
 	n := c.Size()
-	if n == 1 || len(v) <= collectiveTuning().VectorThreshold {
+	if n == 1 || len(v) <= vectorThreshold {
 		acc := make([]T, len(v))
 		copy(acc, v)
 		if n == 1 {
@@ -545,8 +504,8 @@ func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 // binomial tree, and every interior rank forwards chunk i to its children
 // before receiving chunk i+1 — so the tree's depth overlaps with
 // transmission instead of multiplying it, turning O(depth · bytes) into
-// O(depth · chunk + bytes) per link. Payloads at or below the tuning
-// threshold take the scalar tree whole.
+// O(depth · chunk + bytes) per link. Payloads at or below vectorThreshold
+// take the scalar tree whole.
 func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
@@ -560,7 +519,6 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	if h := c.hier(); h != nil {
 		return hierBcastSlice(c, h, v, root)
 	}
-	tun := collectiveTuning()
 	vrank := toVirtual(c.rank, root, size)
 	kids := treeChildren(vrank, size)
 
@@ -583,7 +541,7 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 		}
 	}
 
-	if n <= tun.VectorThreshold {
+	if n <= vectorThreshold {
 		// Small payload: one whole-slice message per tree edge.
 		buf := v
 		if vrank != 0 {
@@ -603,13 +561,12 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 		return buf, nil
 	}
 
-	chunk := tun.BcastChunk
 	buf := v
 	if vrank != 0 {
 		buf = make([]T, n)
 	}
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
+	for lo := 0; lo < n; lo += bcastChunk {
+		hi := min(lo+bcastChunk, n)
 		if vrank != 0 {
 			if err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], "mpi: BcastSlice: got chunk of %[2]d elements, want %[3]d"); err != nil {
 				return nil, err

@@ -16,9 +16,9 @@ import (
 // even for float64 payloads.
 
 // parityRunners enumerates the transport configurations the parity property
-// must hold on.
+// must hold on, shm included on platforms that support it.
 func parityRunners() map[string]func(np int, main func(c *Comm) error, opts ...Option) error {
-	return map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
+	runners := map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
 		"local": Run,
 		"local-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
 			return Run(np, main, append(opts, WithSerialization())...)
@@ -28,50 +28,23 @@ func parityRunners() map[string]func(np int, main func(c *Comm) error, opts ...O
 			return RunTCP(np, main, append(opts, WithSerialization())...)
 		},
 	}
+	if shmSupported {
+		runners["shm"] = RunShm
+	}
+	return runners
 }
 
-// shmParityRunners adds the shared-memory transport configurations on
-// platforms that support it: default tuning (the size sweep stays eager) and
-// a low eager ceiling so the same sweep straddles the eager/rendezvous
-// protocol crossover mid-run.
-func shmParityRunners() map[string]func(np int, main func(c *Comm) error, opts ...Option) error {
-	if !shmSupported {
-		return nil
-	}
-	return map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
-		"shm": RunShm,
-		"shm-rdv": func(np int, main func(c *Comm) error, opts ...Option) error {
-			prev := SetShmTuning(ShmTuning{EagerMax: 256})
-			defer SetShmTuning(prev)
-			return RunShm(np, main, opts...)
-		},
-	}
-}
-
-// straddleTuning pins the threshold and chunk low so the size sweep crosses
-// both algorithm families cheaply; the chunk deliberately does not divide
-// the vector sizes, exercising the short tail chunk.
-var straddleTuning = CollectiveTuning{VectorThreshold: 64, BcastChunk: 48}
-
+// TestVectorCollectiveParity sweeps sizes on both sides of vectorThreshold
+// (1024 elements) and one that spans a full bcastChunk (8192) plus a short
+// tail. On shm the two largest cross the 16 KiB eager ceiling, so the sweep
+// also runs rendezvous mid-world.
 func TestVectorCollectiveParity(t *testing.T) {
-	prev := SetCollectiveTuning(straddleTuning)
-	defer SetCollectiveTuning(prev)
-
-	sizes := []int{0, 1, 3, 63, 64, 65, 200, 1000}
+	sizes := []int{0, 1, 3, 1024, 1025, 8195}
 	nps := []int{1, 2, 3, 4, 8}
-	runners := parityRunners()
-	// The shm runners mutate global shm tuning, so they run sequentially;
-	// sequential subtests finish before the parallel tcp ones resume.
-	for name, runner := range shmParityRunners() {
-		runners[name] = runner
-	}
-	for name, runner := range runners {
+	for name, runner := range parityRunners() {
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-gob" {
-				t.Parallel()
-			}
+			t.Parallel()
 			for _, np := range nps {
-				np := np
 				t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
 					for _, sz := range sizes {
 						if err := runner(np, func(c *Comm) error {
@@ -229,10 +202,8 @@ func flatten(blocks [][]float64) []float64 {
 // other heavily used whitelisted element type, and the one the forestfire
 // halo rides on.
 func TestVectorParityInts(t *testing.T) {
-	prev := SetCollectiveTuning(straddleTuning)
-	defer SetCollectiveTuning(prev)
 	for _, np := range []int{1, 3, 4} {
-		for _, sz := range []int{5, 64, 257} {
+		for _, sz := range []int{5, 1024, 1025, 2051} {
 			err := Run(np, func(c *Comm) error {
 				v := make([]int, sz)
 				for i := range v {
@@ -268,9 +239,6 @@ func TestVectorParityInts(t *testing.T) {
 // it, and a fold that ever read those untouched zeros would corrupt exactly
 // Max over negative inputs or Prod over anything.
 func TestVectorOpParity(t *testing.T) {
-	prev := SetCollectiveTuning(CollectiveTuning{VectorThreshold: 16, BcastChunk: 48})
-	defer SetCollectiveTuning(prev)
-
 	runners := map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
 		"local": Run,
 		"local-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
@@ -285,7 +253,7 @@ func TestVectorOpParity(t *testing.T) {
 	for name, runner := range runners {
 		t.Run(name, func(t *testing.T) {
 			for _, np := range []int{3, 4} {
-				for _, sz := range []int{65, 200} {
+				for _, sz := range []int{1025, 2050} {
 					err := runner(np, func(c *Comm) error {
 						v := make([]float64, sz)
 						for i := range v {
@@ -329,13 +297,13 @@ func TestVectorOpParity(t *testing.T) {
 	}
 }
 
-// TestVectorThresholdFallback pins the algorithm switch: at or below the
-// threshold AllreduceSlice must produce no vector traffic (it defers to the
-// scalar tree); above it, power-of-two worlds take recursive halving/doubling
-// (n·log2(n) messages per phase) and the rest take the ring (n·(n−1)).
+// TestVectorThresholdFallback pins the algorithm switches at their exact
+// sizes. At 1024 elements (vectorThreshold) AllreduceSlice produces no
+// vector traffic (it defers to the scalar tree); at 1025, power-of-two worlds
+// take recursive halving/doubling (n·log2(n) messages per phase) and the rest
+// take the ring (n·(n−1)). BcastSlice sends one length header and then
+// ⌈size/8192⌉ chunks (bcastChunk) down each tree edge: 2 at 16384, 3 at 16385.
 func TestVectorThresholdFallback(t *testing.T) {
-	prev := SetCollectiveTuning(CollectiveTuning{VectorThreshold: 100, BcastChunk: 64})
-	defer SetCollectiveTuning(prev)
 	sum := func(a, b float64) float64 { return a + b }
 
 	for _, tc := range []struct {
@@ -344,9 +312,9 @@ func TestVectorThresholdFallback(t *testing.T) {
 		wantVec   int // messages under each vector tag
 		wantScala bool
 	}{
-		{np: 4, size: 100, wantVec: 0, wantScala: true},
-		{np: 4, size: 101, wantVec: 4 * 2, wantScala: false}, // halving/doubling: log2(4) per rank
-		{np: 3, size: 101, wantVec: 3 * 2, wantScala: false}, // ring: n−1 per rank
+		{np: 4, size: 1024, wantVec: 0, wantScala: true},
+		{np: 4, size: 1025, wantVec: 4 * 2, wantScala: false}, // halving/doubling: log2(4) per rank
+		{np: 3, size: 1025, wantVec: 3 * 2, wantScala: false}, // ring: n−1 per rank
 	} {
 		mc := NewMessageCounter()
 		err := Run(tc.np, func(c *Comm) error {
@@ -367,23 +335,26 @@ func TestVectorThresholdFallback(t *testing.T) {
 			t.Errorf("np %d size %d: scalar tree used = %v, want %v", tc.np, tc.size, scalarUsed, tc.wantScala)
 		}
 	}
-}
 
-// TestSetCollectiveTuning pins the knob's contract: it returns the previous
-// tuning and sanitizes nonsensical values.
-func TestSetCollectiveTuning(t *testing.T) {
-	orig := SetCollectiveTuning(CollectiveTuning{VectorThreshold: 7, BcastChunk: 9})
-	defer SetCollectiveTuning(orig)
-	got := SetCollectiveTuning(CollectiveTuning{VectorThreshold: -5, BcastChunk: 0})
-	if got.VectorThreshold != 7 || got.BcastChunk != 9 {
-		t.Errorf("previous tuning = %+v, want {7 9}", got)
-	}
-	cur := collectiveTuning()
-	if cur.VectorThreshold != 0 {
-		t.Errorf("negative threshold clamped to %d, want 0", cur.VectorThreshold)
-	}
-	if cur.BcastChunk != defaultCollectiveTuning.BcastChunk {
-		t.Errorf("nonpositive chunk reset to %d, want default %d", cur.BcastChunk, defaultCollectiveTuning.BcastChunk)
+	for _, tc := range []struct{ size, wantMsgs int }{
+		{size: 1024, wantMsgs: 2},  // header + the whole slice
+		{size: 16384, wantMsgs: 3}, // header + 2 full chunks
+		{size: 16385, wantMsgs: 4}, // header + 2 full chunks + a 1-element tail
+	} {
+		mc := NewMessageCounter()
+		err := Run(2, func(c *Comm) error {
+			got, err := BcastSlice(c, make([]float64, tc.size), 0)
+			if err == nil && len(got) != tc.size {
+				err = fmt.Errorf("rank %d got %d elements, want %d", c.Rank(), len(got), tc.size)
+			}
+			return err
+		}, WithCounter(mc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mc.Tag(tagVecBcast); got != tc.wantMsgs {
+			t.Errorf("BcastSlice size %d: %d messages, want %d", tc.size, got, tc.wantMsgs)
+		}
 	}
 }
 

@@ -23,12 +23,9 @@ import (
 // survivor still deep in the ring protocol out with a Revoked
 // *RankFailedError.
 func TestKillRankMidAllreduceSlice(t *testing.T) {
-	prev := SetCollectiveTuning(CollectiveTuning{VectorThreshold: 64, BcastChunk: 48})
-	defer SetCollectiveTuning(prev)
-
 	const np = 4
 	const victim = 2
-	const size = 2048 // far above the threshold: the ring path is engaged
+	const size = 2048 // above vectorThreshold: the ring path is engaged
 	plan := FaultPlan{
 		Seed:  7,
 		Rules: []FaultRule{{Src: victim, Dst: AnySource, Tag: tagVecRed, SkipFirst: 1, Action: FaultKillRank}},
@@ -83,19 +80,16 @@ func TestKillRankMidAllreduceSlice(t *testing.T) {
 // WithDeadline must convert the stall into the world's single *DeadlineError,
 // whose blocked-operation snapshot names a Recv under the pipeline's tag.
 func TestDeadlineMidPipelinedBcastSlice(t *testing.T) {
-	prev := SetCollectiveTuning(CollectiveTuning{VectorThreshold: 8, BcastChunk: 16})
-	defer SetCollectiveTuning(prev)
-
 	const np = 4
-	const size = 200 // 13 chunks of 16
+	const size = 8195 // one bcastChunk of 8192 and a 3-element tail
 	// Root's tagVecBcast stream to its two tree kids interleaves as header→1,
-	// header→2, then chunk→1, chunk→2 per chunk: 2 + 13·2 = 28 frames.
-	// Dropping the 28th — the final chunk into leaf rank 2 — leaves that rank
+	// header→2, then chunk→1, chunk→2 per chunk: 2 + 2·2 = 6 frames.
+	// Dropping the 6th — the tail chunk into leaf rank 2 — leaves that rank
 	// blocked forever on a receive nothing will ever satisfy. (Dropping a
 	// mid-stream chunk is detected as a length-mismatch protocol error
 	// instead, because the FIFO shifts a later chunk into the gap.)
 	plan := FaultPlan{
-		Rules: []FaultRule{{Src: 0, Dst: AnySource, Tag: tagVecBcast, SkipFirst: 27, Count: 1, Action: FaultDrop}},
+		Rules: []FaultRule{{Src: 0, Dst: AnySource, Tag: tagVecBcast, SkipFirst: 5, Count: 1, Action: FaultDrop}},
 	}
 	for _, tc := range []struct {
 		name string

@@ -14,16 +14,6 @@ import (
 // are proven observationally identical, the same parity discipline the
 // collectives follow.
 
-// winRunners enumerates the transport configurations, reusing the parity
-// harness's launchers.
-func winRunners() map[string]func(np int, main func(c *Comm) error, opts ...Option) error {
-	runners := parityRunners()
-	for name, r := range shmParityRunners() {
-		runners[name] = r
-	}
-	return runners
-}
-
 // checkWinEpoch drives one fence-delimited cycle of all three ops and
 // verifies every rank's exposed memory afterwards.
 func checkWinEpoch(c *Comm, n int) error {
@@ -101,7 +91,7 @@ func checkWinEpoch(c *Comm, n int) error {
 }
 
 func TestWinPutGetAccumulate(t *testing.T) {
-	for name, runner := range winRunners() {
+	for name, runner := range parityRunners() {
 		name, runner := name, runner
 		t.Run(name, func(t *testing.T) {
 			if name == "tcp" || name == "tcp-gob" {

@@ -74,7 +74,7 @@ func BenchmarkScheduleOverheadDynamic(b *testing.B) { benchScheduleOverhead(b, D
 func BenchmarkScheduleOverheadGuided(b *testing.B)  { benchScheduleOverhead(b, Guided(1)) }
 
 // Guided-schedule CAS contention: many threads racing for tiny chunks of an
-// empty loop, the worst case for the claim loop in forRanges. The guided
+// empty loop, the worst case for the claim loop in shareLoop. The guided
 // grab shrinks toward minChunk=1 near the end of the iteration space, so
 // every thread hammers the shared counter at once; the Gosched on CAS
 // failure is what keeps 8- and 16-thread teams from serializing on the

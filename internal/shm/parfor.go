@@ -61,10 +61,20 @@ func (tc *ThreadContext) forRanges(n int, sched Schedule, chunk func(lo, hi int)
 		for start := tc.id * size; start < n; start += tc.team.size * size {
 			chunk(start, min(start+size, n))
 		}
-	case ScheduleDynamic:
-		size := sched.normalizedChunk()
-		ls := tc.team.loopEnter(n)
-		if ls.engine == LoopWorkStealing {
+	case ScheduleDynamic, ScheduleGuided:
+		tc.shareLoop(tc.team.loopEnter(n), n, sched, chunk)
+	default:
+		panic("shm: unknown schedule kind")
+	}
+}
+
+// shareLoop claims this thread's chunks of a Dynamic or Guided loop from the
+// construct's shared state: work-stealing when ls carries deques, the shared
+// counter otherwise.
+func (tc *ThreadContext) shareLoop(ls *loopState, n int, sched Schedule, chunk func(lo, hi int)) {
+	size := sched.normalizedChunk()
+	if sched.Kind == ScheduleDynamic {
+		if ls.deques != nil {
 			tc.stealLoop(ls, size, nil, chunk)
 			return
 		}
@@ -75,39 +85,34 @@ func (tc *ThreadContext) forRanges(n int, sched Schedule, chunk func(lo, hi int)
 			}
 			chunk(start, min(start+size, n))
 		}
-	case ScheduleGuided:
-		minChunk := sched.normalizedChunk()
-		ls := tc.team.loopEnter(n)
-		if ls.engine == LoopWorkStealing {
-			// Per-thread guided: each claim halves the thread's own
-			// remaining range (threads=1 in the guidedChunk formula, since
-			// the range is private), floored at minChunk. The steal-half
-			// balancing plays the role the shrinking global chunk played.
-			tc.stealLoop(ls, 0, func(remaining int) int {
-				return guidedChunk(remaining, 1, minChunk)
-			}, chunk)
+	}
+	if ls.deques != nil {
+		// Per-thread guided: each claim halves the thread's own remaining
+		// range (threads=1 in the guidedChunk formula, since the range is
+		// private), floored at the minimum chunk. The steal-half balancing
+		// plays the role the shrinking global chunk played.
+		tc.stealLoop(ls, 0, func(remaining int) int {
+			return guidedChunk(remaining, 1, size)
+		}, chunk)
+		return
+	}
+	// Guided over a shared counter: each grab takes a chunk sized by
+	// guidedChunk. Claim optimistically with a CAS loop.
+	ctr := &ls.counter
+	for {
+		cur := ctr.Load()
+		if int(cur) >= n {
 			return
 		}
-		// Guided over a shared counter: each grab takes a chunk sized by
-		// guidedChunk. Claim optimistically with a CAS loop.
-		ctr := &ls.counter
-		for {
-			cur := ctr.Load()
-			if int(cur) >= n {
-				return
-			}
-			size := guidedChunk(n-int(cur), tc.team.size, minChunk)
-			if ctr.CompareAndSwap(cur, cur+int64(size)) {
-				chunk(int(cur), int(cur)+size)
-				continue
-			}
-			// CAS lost: another thread advanced the counter. Yield instead
-			// of immediately re-contending — with 8+ threads on a tiny
-			// minChunk, tight respins serialize on the cache line and burn
-			// cycles the winner could use to run its chunk.
-			runtime.Gosched()
+		grab := guidedChunk(n-int(cur), tc.team.size, size)
+		if ctr.CompareAndSwap(cur, cur+int64(grab)) {
+			chunk(int(cur), int(cur)+grab)
+			continue
 		}
-	default:
-		panic("shm: unknown schedule kind")
+		// CAS lost: another thread advanced the counter. Yield instead of
+		// immediately re-contending — with 8+ threads on a tiny minimum
+		// chunk, tight respins serialize on the cache line and burn cycles
+		// the winner could use to run its chunk.
+		runtime.Gosched()
 	}
 }

@@ -19,8 +19,8 @@ const (
 	ScheduleStaticCyclic
 	// ScheduleDynamic hands out chunks first-come first-served, the
 	// analogue of schedule(dynamic, chunk): each thread carves them off its
-	// own block and steals from the others once that is drained (or, under
-	// LoopSharedCounter, all threads claim from one shared counter).
+	// own block and steals from the others once that is drained (or, for a
+	// loop of 2^31 or more iterations, all claim from one shared counter).
 	ScheduleDynamic
 	// ScheduleGuided hands out exponentially shrinking chunks, the
 	// analogue of schedule(guided, chunk); chunk is the minimum size.

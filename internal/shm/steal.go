@@ -20,30 +20,8 @@ import "sync/atomic"
 // and the word describes the range completely (no ABA hazard: every
 // transition derives the new range from the observed one, and a range is
 // only ever stored into a deque by the thread that exclusively claimed it).
-// Loops of 2^31 or more iterations fall back to the shared-counter engine.
-
-// LoopEngine selects how the Dynamic and Guided schedules hand out chunks.
-type LoopEngine int32
-
-const (
-	// LoopWorkStealing (the default) uses per-thread ranges with
-	// steal-half balancing.
-	LoopWorkStealing LoopEngine = iota
-	// LoopSharedCounter is the seed implementation — one shared atomic
-	// iteration counter — kept selectable as the baseline of the
-	// BenchmarkChunkHandout* pairs and for the schedule-parity tests.
-	LoopSharedCounter
-)
-
-var loopEngine atomic.Int32
-
-// SetLoopEngine selects the chunk-handout engine for subsequent Dynamic and
-// Guided loops. It exists for the benchmarking study's ablation (stealing
-// vs shared counter); programs have no reason to change the default.
-func SetLoopEngine(e LoopEngine) { loopEngine.Store(int32(e)) }
-
-// CurrentLoopEngine reports the engine Dynamic and Guided loops will use.
-func CurrentLoopEngine() LoopEngine { return LoopEngine(loopEngine.Load()) }
+// Loops of 2^31 or more iterations, which the packed ranges cannot
+// represent, take the seed's shared-counter engine instead.
 
 // maxStealIters is the largest loop bound the packed 32-bit ranges can
 // represent.
@@ -137,9 +115,8 @@ func (d *stealDeque) steal() (lo, hi int, ok bool) {
 // implicit barrier at the end of For guarantees no two constructs are
 // active at once within a team.
 type loopState struct {
-	engine   LoopEngine
 	counter  atomic.Int64 // shared-counter engine
-	deques   []stealDeque // work-stealing engine, one per thread
+	deques   []stealDeque // work-stealing engine, one per thread; nil selects the counter
 	arrivals int          // guarded by team.mu
 	done     bool         // guarded by team.mu
 }
@@ -152,18 +129,10 @@ func (t *team) loopEnter(n int) *loopState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.loop == nil || t.loop.done {
-		ls := &loopState{engine: CurrentLoopEngine()}
-		if n >= maxStealIters {
-			ls.engine = LoopSharedCounter
+		t.loop = &loopState{}
+		if n < maxStealIters {
+			t.loop.deques = stealDeques(n, t.size)
 		}
-		if ls.engine == LoopWorkStealing {
-			ls.deques = make([]stealDeque, t.size)
-			for id := range ls.deques {
-				lo, hi := staticRange(n, id, t.size)
-				ls.deques[id].bounds.Store(packRange(lo, hi))
-			}
-		}
-		t.loop = ls
 	}
 	t.loop.arrivals++
 	if t.loop.arrivals == t.size {
@@ -172,6 +141,17 @@ func (t *team) loopEnter(n int) *loopState {
 		t.loop.done = true
 	}
 	return t.loop
+}
+
+// stealDeques seeds one deque per thread with the block the static schedule
+// would give it.
+func stealDeques(n, threads int) []stealDeque {
+	deques := make([]stealDeque, threads)
+	for id := range deques {
+		lo, hi := staticRange(n, id, threads)
+		deques[id].bounds.Store(packRange(lo, hi))
+	}
+	return deques
 }
 
 // stealLoop calls chunk once per range claimed work-stealing style: drain the

@@ -2,15 +2,80 @@ package shm
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-func TestWorkStealingIsTheDefaultEngine(t *testing.T) {
-	if CurrentLoopEngine() != LoopWorkStealing {
-		t.Fatalf("default loop engine = %v, want LoopWorkStealing", CurrentLoopEngine())
+// engines builds one loop's shared state under each chunk-handout engine, so
+// a test can drive both on the same input.
+var engines = []struct {
+	name  string
+	state func(n, threads int) *loopState
+}{
+	{"stealing", func(n, threads int) *loopState { return &loopState{deques: stealDeques(n, threads)} }},
+	{"counter", func(int, int) *loopState { return &loopState{} }},
+}
+
+// handedOut runs one loop on a team of nt threads and returns every chunk
+// handed out, sorted by lower bound. A nil state lets the team pick the
+// engine as a program's loop does; otherwise the Dynamic and Guided
+// schedules share the loop state it builds.
+func handedOut(nt, n int, sched Schedule, state func(n, threads int) *loopState) [][2]int {
+	var ls *loopState
+	if state != nil && (sched.Kind == ScheduleDynamic || sched.Kind == ScheduleGuided) {
+		ls = state(n, nt)
+	}
+	var mu sync.Mutex
+	var chunks [][2]int
+	Parallel(nt, func(tc *ThreadContext) {
+		record := func(lo, hi int) {
+			mu.Lock()
+			chunks = append(chunks, [2]int{lo, hi})
+			mu.Unlock()
+		}
+		if ls != nil {
+			tc.shareLoop(ls, n, sched, record)
+		} else {
+			tc.forRanges(n, sched, record)
+		}
+	})
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
+	return chunks
+}
+
+// tiles reports whether chunks are non-empty and cover [0, n) exactly once.
+func tiles(chunks [][2]int, n int) bool {
+	next := 0
+	for _, c := range chunks {
+		if c[0] != next || c[1] <= c[0] {
+			return false
+		}
+		next = c[1]
+	}
+	return next == n
+}
+
+// TestLoopEngineFollowsLoopSize: the loop bound alone picks the engine. On
+// two threads a Dynamic(4) loop of 10 iterations is cut at the static block
+// boundary 5 only by the stealing engine; the shared counter hands out
+// [0,4) [4,8) [8,10). A loop of 2^31 iterations, which the packed ranges
+// cannot hold, takes the counter: on three threads its 2^29-sized chunks
+// stay aligned, where stealing would cut them at the thirds.
+func TestLoopEngineFollowsLoopSize(t *testing.T) {
+	const big = maxStealIters
+	counter := [][2]int{{0, 4}, {4, 8}, {8, 10}}
+	if got := handedOut(2, 10, Dynamic(4), nil); !tiles(got, 10) || reflect.DeepEqual(got, counter) {
+		t.Errorf("10 iterations on 2 threads: chunks %v, want the stealing engine's cut at 5", got)
+	}
+	var aligned [][2]int
+	for lo := 0; lo < big; lo += 1 << 29 {
+		aligned = append(aligned, [2]int{lo, lo + 1<<29})
+	}
+	if got := handedOut(3, big, Dynamic(1<<29), nil); !reflect.DeepEqual(got, aligned) {
+		t.Errorf("2^31 iterations on 3 threads: chunks %v, want the shared counter's %v", got, aligned)
 	}
 }
 
@@ -91,31 +156,17 @@ func TestGuidedChunkFloorProperty(t *testing.T) {
 }
 
 // TestGuidedScheduleNeverHandsOutSubMinChunks runs real guided loops on
-// both engines and checks the per-claim chunk sizes the schedule produced.
-// Chunk boundaries are recovered by recording each claim's size through a
-// wrapper body.
+// both engines and checks every index is handed out exactly once.
 func TestGuidedScheduleNeverHandsOutSubMinChunks(t *testing.T) {
-	for _, engine := range []LoopEngine{LoopWorkStealing, LoopSharedCounter} {
-		SetLoopEngine(engine)
+	for _, e := range engines {
 		for _, min := range []int{2, 3, 5} {
 			for _, n := range []int{1, 7, 50, 257} {
-				counts := make([]int, n)
-				var mu sync.Mutex
-				ParallelFor(4, n, Guided(min), func(i int) {
-					mu.Lock()
-					counts[i]++
-					mu.Unlock()
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("engine=%v min=%d n=%d: index %d ran %d times",
-							engine, min, n, i, c)
-					}
+				if got := handedOut(4, n, Guided(min), e.state); !tiles(got, n) {
+					t.Fatalf("engine=%s min=%d n=%d: chunks %v do not tile [0,%d)", e.name, min, n, got, n)
 				}
 			}
 		}
 	}
-	SetLoopEngine(LoopWorkStealing)
 }
 
 // TestScheduleParityProperty is the randomized schedule-parity pin: for
@@ -123,28 +174,17 @@ func TestGuidedScheduleNeverHandsOutSubMinChunks(t *testing.T) {
 // cyclic, dynamic, guided — covers every index exactly once under BOTH
 // chunk-handout engines (work-stealing and the shared-counter baseline).
 func TestScheduleParityProperty(t *testing.T) {
-	defer SetLoopEngine(LoopWorkStealing)
 	prop := func(threadsRaw, nRaw, chunkRaw uint8, engineRaw bool) bool {
 		threads := int(threadsRaw%8) + 1
 		n := int(nRaw % 250)
 		chunk := int(chunkRaw % 9)
-		engine := LoopWorkStealing
+		e := engines[0]
 		if engineRaw {
-			engine = LoopSharedCounter
+			e = engines[1]
 		}
-		SetLoopEngine(engine)
 		for kind := ScheduleStatic; kind <= ScheduleGuided; kind++ {
-			counts := make([]int, n)
-			var mu sync.Mutex
-			ParallelFor(threads, n, Schedule{Kind: kind, Chunk: chunk}, func(i int) {
-				mu.Lock()
-				counts[i]++
-				mu.Unlock()
-			})
-			for _, c := range counts {
-				if c != 1 {
-					return false
-				}
+			if !tiles(handedOut(threads, n, Schedule{Kind: kind, Chunk: chunk}, e.state), n) {
+				return false
 			}
 		}
 		return true
@@ -152,22 +192,6 @@ func TestScheduleParityProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// handedOut runs one loop through the engine on a team of nt threads and
-// returns every chunk forRanges handed out, sorted by lower bound.
-func handedOut(nt, n int, sched Schedule) [][2]int {
-	var mu sync.Mutex
-	var chunks [][2]int
-	Parallel(nt, func(tc *ThreadContext) {
-		tc.forRanges(n, sched, func(lo, hi int) {
-			mu.Lock()
-			chunks = append(chunks, [2]int{lo, hi})
-			mu.Unlock()
-		})
-	})
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
-	return chunks
 }
 
 // TestChunkHandOutProperty is the chunk-level form of the parity pin: for
@@ -181,16 +205,14 @@ func handedOut(nt, n int, sched Schedule) [][2]int {
 // holds per range, so it is asserted on a one-thread team, where the loop is
 // one range.
 func TestChunkHandOutProperty(t *testing.T) {
-	defer SetLoopEngine(LoopWorkStealing)
 	scheds := []Schedule{Static(), ChunksOf1(), StaticChunk(3), Dynamic(1), Dynamic(4), Guided(1), Guided(3)}
-	for _, engine := range []LoopEngine{LoopWorkStealing, LoopSharedCounter} {
-		SetLoopEngine(engine)
+	for _, e := range engines {
 		for _, sched := range scheds {
 			for nt := 1; nt <= 5; nt++ {
 				for _, n := range []int{0, 1, 7, 64, 1001} {
-					chunks := handedOut(nt, n, sched)
-					label := fmt.Sprintf("engine=%d %v(%d) nt=%d n=%d", engine, sched.Kind, sched.Chunk, nt, n)
-					oneRange := engine == LoopSharedCounter || nt == 1
+					chunks := handedOut(nt, n, sched, e.state)
+					label := fmt.Sprintf("engine=%s %v(%d) nt=%d n=%d", e.name, sched.Kind, sched.Chunk, nt, n)
+					oneRange := e.name == "counter" || nt == 1
 					next := 0
 					for _, c := range chunks {
 						if c[0] != next || c[1] <= c[0] {
@@ -315,21 +337,20 @@ func TestStealLoopBalancesImbalancedWork(t *testing.T) {
 
 // The chunk_handout_ns comparison: per-iteration cost of an empty
 // Dynamic(1) loop under each engine at several team widths.
-func benchChunkHandout(b *testing.B, threads int, engine LoopEngine) {
-	SetLoopEngine(engine)
-	defer SetLoopEngine(LoopWorkStealing)
+func benchChunkHandout(b *testing.B, threads int, state func(n, threads int) *loopState) {
 	const n = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		ls := state(n, threads)
 		Parallel(threads, func(tc *ThreadContext) {
-			tc.For(n, Dynamic(1), func(int) {})
+			tc.shareLoop(ls, n, Dynamic(1), func(int, int) {})
 		})
 	}
 }
 
-func BenchmarkChunkHandoutStealing2T(b *testing.B)  { benchChunkHandout(b, 2, LoopWorkStealing) }
-func BenchmarkChunkHandoutCounter2T(b *testing.B)   { benchChunkHandout(b, 2, LoopSharedCounter) }
-func BenchmarkChunkHandoutStealing8T(b *testing.B)  { benchChunkHandout(b, 8, LoopWorkStealing) }
-func BenchmarkChunkHandoutCounter8T(b *testing.B)   { benchChunkHandout(b, 8, LoopSharedCounter) }
-func BenchmarkChunkHandoutStealing16T(b *testing.B) { benchChunkHandout(b, 16, LoopWorkStealing) }
-func BenchmarkChunkHandoutCounter16T(b *testing.B)  { benchChunkHandout(b, 16, LoopSharedCounter) }
+func BenchmarkChunkHandoutStealing2T(b *testing.B)  { benchChunkHandout(b, 2, engines[0].state) }
+func BenchmarkChunkHandoutCounter2T(b *testing.B)   { benchChunkHandout(b, 2, engines[1].state) }
+func BenchmarkChunkHandoutStealing8T(b *testing.B)  { benchChunkHandout(b, 8, engines[0].state) }
+func BenchmarkChunkHandoutCounter8T(b *testing.B)   { benchChunkHandout(b, 8, engines[1].state) }
+func BenchmarkChunkHandoutStealing16T(b *testing.B) { benchChunkHandout(b, 16, engines[0].state) }
+func BenchmarkChunkHandoutCounter16T(b *testing.B)  { benchChunkHandout(b, 16, engines[1].state) }

@@ -91,7 +91,7 @@ go test -race -timeout 300s -count=30 \
 
 # The vector data plane: the parity property (every *Slice collective
 # element-equal to its scalar counterpart across world sizes, threshold
-# straddles, and all four transport configurations) plus the vector failure
+# straddles, and all five transport configurations) plus the vector failure
 # suite (kill-rank mid-AllreduceSlice, deadline mid-pipelined BcastSlice),
 # fresh under the race detector — the halving/doubling exchanges and the
 # pipelined chunk forwarding are new concurrency surface.
@@ -124,10 +124,11 @@ go test -race -timeout 180s -count=1 \
   -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
-# The wire decoder and the session's accept path above it under arbitrary
-# bytes, a few seconds each beyond their seeds (which every `go test` runs).
+# The wire decoder, the session's accept path above it and the ckpt manifest
+# loader under arbitrary bytes, 10 s each beyond the seeds `go test` runs.
 go test -run '^$' -fuzz '^FuzzWireReadFrame$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzSessionReceive$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
+go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/ckpt
 
 # The topology-aware layer: hierarchical collective parity (every two-level
 # collective element-equal to its flat counterpart across world sizes,

@@ -40,19 +40,24 @@ func Trapezoid(f Func, a, b float64, n int) (float64, error) {
 	return sum * h, nil
 }
 
-// TrapezoidShared is the shared-memory parallelization: the interior points
-// are a parallel loop with a sum reduction — precisely the OpenMP exemplar's
-// "#pragma omp parallel for reduction(+:sum)".
+// TrapezoidShared is the OpenMP exemplar's "#pragma omp parallel for
+// schedule(static) reduction(+:sum)" in its static-schedule lowering: each
+// thread of a team no wider than the n-1 interior points sums its block in a
+// local, one call of f a point, and the partials fold in thread order.
 func TrapezoidShared(f Func, a, b float64, n, numThreads int) (float64, error) {
-	if n < 1 {
-		return 0, ErrBadInterval
+	if n < 2 {
+		return Trapezoid(f, a, b, n) // no interior point to share, or ErrBadInterval
 	}
 	h := (b - a) / float64(n)
-	sum := shm.ParallelForReduceFloat64(numThreads, n-1, shm.Static(), shm.OpSum, func(i int) float64 {
-		return f(a + float64(i+1)*h)
+	sum := shm.ParallelReduceFloat64(min(shm.TeamSize(numThreads), n-1), shm.OpSum, func(tc *shm.ThreadContext) float64 {
+		lo, hi := blockRange(n-1, tc.ThreadNum(), tc.NumThreads())
+		part := 0.0
+		for i := lo; i < hi; i++ {
+			part += f(a + float64(i+1)*h)
+		}
+		return part
 	})
-	sum += (f(a) + f(b)) / 2
-	return sum * h, nil
+	return (sum + (f(a)+f(b))/2) * h, nil
 }
 
 // TrapezoidMPI is the message-passing parallelization: each rank integrates

@@ -43,21 +43,32 @@ func TestTrapezoidBadN(t *testing.T) {
 	}
 }
 
+// The small n cover no interior point (n = 1), fewer interior points than
+// threads, and the default team (threads = 0).
 func TestTrapezoidSharedMatchesSequential(t *testing.T) {
-	const n = 100_000
-	want, err := Trapezoid(QuarterCircle, 0, 1, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		got, err := TrapezoidShared(QuarterCircle, 0, 1, n, threads)
+	for _, n := range []int{1, 2, 3, 7, 100_000} {
+		want, err := Trapezoid(QuarterCircle, 0, 1, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Summation order differs between thread counts, so allow
-		// floating-point slack proportional to the result.
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("threads=%d: %v vs sequential %v", threads, got, want)
+		for _, threads := range []int{0, 1, 2, 4, 8} {
+			got, err := TrapezoidShared(QuarterCircle, 0, 1, n, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Up to one interior point there is one addition, whose order
+			// cannot matter; beyond it the summation order differs between
+			// thread counts, so allow floating-point slack.
+			tol := 1e-12
+			switch {
+			case n <= 2:
+				tol = 0
+			case n > 7:
+				tol = 1e-9
+			}
+			if math.Abs(got-want) > tol {
+				t.Fatalf("n=%d threads=%d: %v vs sequential %v", n, threads, got, want)
+			}
 		}
 	}
 }

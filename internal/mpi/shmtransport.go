@@ -640,7 +640,8 @@ func (t *shmTransport) pollLoop() {
 }
 
 // pollPair consumes at most one record from the src ring, reporting whether
-// it consumed anything.
+// it consumed anything. A record it cannot trust aborts the world and stops
+// the poll loop, leaving the record where it is.
 func (t *shmTransport) pollPair(src int) bool {
 	p := &t.in[src]
 	head := p.msgHead.Load()
@@ -655,22 +656,38 @@ func (t *shmTransport) pollPair(src int) bool {
 		p.msgHead.Store(head + (ringCap - off))
 		return true
 	}
+	var (
+		f    frame
+		done bool
+		err  error
+	)
 	if uint64(size) < shmRecHdrSize || uint64(size) > ringCap-off {
+		err = fmt.Errorf("size %d", size)
+	} else {
+		f, done, err = t.handleRecord(p, p.ring[off:off+uint64(size)])
+	}
+	if err != nil {
 		if w := t.world.Load(); w != nil {
-			w.abort(fmt.Errorf("mpi: rank %d: shm ring from rank %d corrupt (record size %d at offset %d)", t.rank, src, size, off))
+			w.abort(fmt.Errorf("mpi: rank %d: shm ring from rank %d corrupt (record at offset %d: %v)", t.rank, src, off, err))
 		}
 		t.stopped.Store(true)
 		return false
 	}
-	t.handleRecord(p, p.ring[off:off+uint64(size)])
+	if done {
+		t.box.deliver(f)
+	}
 	// Release after the eager payload is copied out: the store hands the
 	// bytes back to the producer.
 	p.msgHead.Store(head + uint64(size))
 	return true
 }
 
-// handleRecord decodes one ring record into a frame and delivers it.
-func (t *shmTransport) handleRecord(p *shmRecvPair, rec []byte) {
+// handleRecord decodes one ring record. It returns the frame of the message
+// the record completes, with done set (an eager or rendezvous record, a
+// chunked message's last chunk), or an error naming the first field the
+// peer wrote that does not hold together. Nothing a field locates is read,
+// allocated or freed before the field is checked.
+func (t *shmTransport) handleRecord(p *shmRecvPair, rec []byte) (frame, bool, error) {
 	kind := rec[4]
 	flags := rec[5]
 	paylen := uint64(le.Uint32(rec[20:]))
@@ -684,9 +701,10 @@ func (t *shmTransport) handleRecord(p *shmRecvPair, rec []byte) {
 	body := rec[shmRecHdrSize:]
 	switch {
 	case flags&shmFlagLarge != 0:
-		blkOff := le.Uint64(body)
-		data := p.large[blkOff+shmBlkHdrSize : blkOff+shmBlkHdrSize+paylen]
-		state := shmAtU32(p.large, blkOff+4)
+		data, state, err := shmBlock(p.large, body, paylen)
+		if err != nil {
+			return f, false, err
+		}
 		if kind == rawNone {
 			// Gob payloads are decoded lazily by the receiver, possibly
 			// after more sends recycle the region — copy out and free now.
@@ -706,64 +724,82 @@ func (t *shmTransport) handleRecord(p *shmRecvPair, rec []byte) {
 				t.liveBlocks.Add(-1)
 			}
 		}
+		return f, true, nil
 	case flags&shmFlagChunkFirst != 0:
+		if len(body) < 8 {
+			return f, false, fmt.Errorf("%d-byte chunk descriptor", len(body))
+		}
 		total := le.Uint64(body)
-		blkOff := le.Uint64(body[8:])
+		if total < paylen || total > maxRawFrame {
+			return f, false, fmt.Errorf("chunked message of %d bytes opening with a %d-byte chunk", total, paylen)
+		}
+		data, state, err := shmBlock(p.large, body[8:], paylen)
+		if err != nil {
+			return f, false, err
+		}
 		var buf []byte
 		if kind != rawNone {
 			buf = getWireBuf(int(total))
 		} else {
 			buf = make([]byte, total)
 		}
-		copy(buf, p.large[blkOff+shmBlkHdrSize:blkOff+shmBlkHdrSize+paylen])
-		shmAtU32(p.large, blkOff+4).Store(shmBlkFreed)
+		copy(buf, data)
+		state.Store(shmBlkFreed)
 		p.asm = &shmAssembly{f: f, kind: kind, buf: buf, fill: int(paylen)}
-		t.finishAssembly(p)
 	case flags&shmFlagChunkNext != 0:
+		data, state, err := shmBlock(p.large, body, paylen)
+		if err != nil {
+			return f, false, err
+		}
 		a := p.asm
-		blkOff := le.Uint64(body)
 		if a == nil || a.fill+int(paylen) > len(a.buf) {
-			shmAtU32(p.large, blkOff+4).Store(shmBlkFreed)
-			return // orphan chunk (sender gave up mid-message); drop
+			state.Store(shmBlkFreed)
+			return f, false, nil // orphan chunk (sender gave up mid-message); drop
 		}
-		copy(a.buf[a.fill:], p.large[blkOff+shmBlkHdrSize:blkOff+shmBlkHdrSize+paylen])
-		shmAtU32(p.large, blkOff+4).Store(shmBlkFreed)
+		copy(a.buf[a.fill:], data)
+		state.Store(shmBlkFreed)
 		a.fill += int(paylen)
-		t.finishAssembly(p)
 	default: // eager
-		if kind == rawNone {
-			buf := make([]byte, paylen)
-			copy(buf, body[:paylen])
-			f.Data = buf
-		} else {
-			buf := getWireBuf(int(paylen))
-			copy(buf, body[:paylen])
-			f.Data = buf
-			f.Raw = kind
+		if paylen > uint64(len(body)) {
+			return f, false, fmt.Errorf("eager payload of %d bytes in a %d-byte record", paylen, len(rec))
 		}
-		t.box.deliver(f)
-		return
+		if kind == rawNone {
+			f.Data = make([]byte, paylen)
+		} else {
+			f.Data, f.Raw = getWireBuf(int(paylen)), kind
+		}
+		copy(f.Data, body[:paylen])
+		return f, true, nil
 	}
-	if flags&shmFlagLarge != 0 {
-		t.box.deliver(f)
-	}
+	f, done := p.finishAssembly()
+	return f, done, nil
 }
 
-// finishAssembly delivers a chunked message once every byte has arrived.
-func (t *shmTransport) finishAssembly(p *shmRecvPair) {
+// shmBlock resolves the staged block a descriptor body's first word names:
+// its payload bytes and its state word. The offset must be 16-aligned, as
+// allocBlock hands them out, and the block's header plus paylen must fit in
+// the region.
+func shmBlock(large, body []byte, paylen uint64) ([]byte, *atomic.Uint32, error) {
+	if len(body) < 8 {
+		return nil, nil, fmt.Errorf("%d-byte block descriptor", len(body))
+	}
+	off := le.Uint64(body)
+	if off%16 != 0 || off > uint64(len(large)) || uint64(len(large))-off < shmBlkHdrSize+paylen {
+		return nil, nil, fmt.Errorf("%d-byte block at large-region offset %d", shmBlkHdrSize+paylen, off)
+	}
+	return large[off+shmBlkHdrSize : off+shmBlkHdrSize+paylen], shmAtU32(large, off+4), nil
+}
+
+// finishAssembly hands back the chunked message once every byte has arrived.
+func (p *shmRecvPair) finishAssembly() (frame, bool) {
 	a := p.asm
-	if a == nil || a.fill < len(a.buf) {
-		return
+	if a.fill < len(a.buf) {
+		return frame{}, false
 	}
 	f := a.f
-	if a.kind == rawNone {
-		f.Data = a.buf
-	} else {
-		f.Data = a.buf
-		f.Raw = a.kind // pooled buffer: the normal release path recycles it
-	}
+	f.Data, f.Raw = a.buf, a.kind // a raw kind's buffer is pooled: the normal release path recycles it
 	p.asm = nil
-	t.box.deliver(f)
+	return f, true
 }
 
 // peerFailed reclaims the outbound pair to a failed rank: the pair is

@@ -118,9 +118,9 @@ func foldRange[T number](op ReduceOp, p T, lo, hi int, body func(i int) T) T {
 // cache-line-padded slot once per chunk; the caller folds the slots serially,
 // in thread order, after the join. Nothing is shared while the loop runs — no
 // mutex, no atomic, and, because the slots are padded to 64 bytes, not even a
-// cache line. This is the strategy the reduction patternlet teaches; the
-// gate's shm-exemplars-t2 workload times it through TrapezoidShared, and
-// BenchmarkReduceTypedFloat64 sets it against the AtomicFloat64 CAS-retry
+// cache line. This is the strategy the reduction patternlet teaches, and the
+// patternlet runs it through ParallelForReduceInt64;
+// BenchmarkReduceTypedFloat64 times it against the AtomicFloat64 CAS-retry
 // alternative (BenchmarkReduceAtomicFloat64).
 //
 // padded holds one per-thread partial, padded so adjacent threads' writes

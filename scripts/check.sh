@@ -124,10 +124,12 @@ go test -race -timeout 180s -count=1 \
   -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
-# The wire decoder, the session's accept path above it and the ckpt manifest
-# loader under arbitrary bytes, 10 s each beyond the seeds `go test` runs.
+# The wire decoder, the session's accept path above it, the shm record decoder
+# and the ckpt manifest loader under arbitrary bytes, 10 s each beyond the
+# seeds `go test` runs.
 go test -run '^$' -fuzz '^FuzzWireReadFrame$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzSessionReceive$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
+go test -run '^$' -fuzz '^FuzzShmRecord$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/ckpt
 
 # The topology-aware layer: hierarchical collective parity (every two-level

@@ -78,9 +78,13 @@ func runDDRecoverTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) 
 	}
 }
 
-func ddKillPlan(victim, skipFirst int) *mpi.FaultPlan {
+// tagBcast is the runtime's reserved tag for Bcast's tree: a kill armed on
+// it fires while the victim forwards the closing broadcast.
+const tagBcast = -3
+
+func ddKillPlan(victim, tag, skipFirst int) *mpi.FaultPlan {
 	return &mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{{
-		Src: victim, Dst: mpi.AnySource, Tag: mpi.AnyTag,
+		Src: victim, Dst: mpi.AnySource, Tag: tag,
 		SkipFirst: skipFirst,
 		Action:    mpi.FaultKillRank,
 	}}}
@@ -95,15 +99,20 @@ func TestMasterWorkerRecoverKills(t *testing.T) {
 		name   string
 		np     int
 		victim int
+		tag    int
 		skip   int
 		every  int
 		solo   int
 	}{
-		{"worker-before-first-checkpoint", 4, 2, 0, 10, 0},
+		{"worker-before-first-checkpoint", 4, 2, mpi.AnyTag, 0, 10, 0},
 		// 16 results in: only a worker serving alone is sure to get that far.
-		{"worker-mid-queue", 4, 3, 15, 5, 3},
-		{"master-dies", 4, 0, 9, 4, 0},
-		{"master-dies-late", 5, 0, 60, 8, 0},
+		{"worker-mid-queue", 4, 3, mpi.AnyTag, 15, 5, 3},
+		{"master-dies", 4, 0, mpi.AnyTag, 9, 4, 0},
+		{"master-dies-late", 5, 0, mpi.AnyTag, 60, 8, 0},
+		// Rank 1 dies forwarding the closing Bcast to rank 3: ranks 0, 2 and
+		// 3 return, and rank 4, which never gets the result, shrinks past
+		// them (they departed) and finishes from the final checkpoint.
+		{"bcast-forwarder-dies", 5, 1, tagBcast, 0, 6, 0},
 	}
 	launchers := []struct {
 		name string
@@ -118,7 +127,7 @@ func TestMasterWorkerRecoverKills(t *testing.T) {
 			for _, tc := range cases {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					runDDRecoverTrial(t, l.run, tc.np, ddKillPlan(tc.victim, tc.skip), tc.every, tc.solo)
+					runDDRecoverTrial(t, l.run, tc.np, ddKillPlan(tc.victim, tc.tag, tc.skip), tc.every, tc.solo)
 				})
 			}
 		})
@@ -234,5 +243,5 @@ func TestMasterWorkerRecoverTwoWorkersDie(t *testing.T) {
 func TestMasterWorkerRecoverShrinkToOne(t *testing.T) {
 	// np=2 and the worker dies: the master finishes the queue alone via
 	// the sequential path.
-	runDDRecoverTrial(t, mpi.Run, 2, ddKillPlan(1, 7), 10, 0)
+	runDDRecoverTrial(t, mpi.Run, 2, ddKillPlan(1, mpi.AnyTag, 7), 10, 0)
 }

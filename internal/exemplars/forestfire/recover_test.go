@@ -65,9 +65,13 @@ func runRecoverTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) er
 	}
 }
 
-func killPlan(victim, skipFirst int) *mpi.FaultPlan {
+// tagBcast is the runtime's reserved tag for Bcast's tree, which Allreduce
+// and the checkpoint collectives end with.
+const tagBcast = -3
+
+func killPlan(victim, tag, skipFirst int) *mpi.FaultPlan {
 	return &mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{{
-		Src: victim, Dst: mpi.AnySource, Tag: mpi.AnyTag,
+		Src: victim, Dst: mpi.AnySource, Tag: tag,
 		SkipFirst: skipFirst,
 		Action:    mpi.FaultKillRank,
 	}}}
@@ -83,13 +87,17 @@ func TestDomainRecoverKillRank(t *testing.T) {
 		name   string
 		np     int
 		victim int
+		tag    int
 		skip   int
 		every  int
 	}{
-		{"before-first-checkpoint", 4, 2, 0, 3},
-		{"mid-run", 4, 1, 25, 2},
-		{"rank0-dies", 4, 0, 12, 2},
-		{"np5-late", 5, 3, 40, 4},
+		{"before-first-checkpoint", 4, 2, mpi.AnyTag, 0, 3},
+		{"mid-run", 4, 1, mpi.AnyTag, 25, 2},
+		{"rank0-dies", 4, 0, mpi.AnyTag, 12, 2},
+		{"np5-late", 5, 3, mpi.AnyTag, 40, 4},
+		// Rank 1 dies on its first forward down a Bcast tree, early in the
+		// run, while its subtree waits for it.
+		{"bcast-forwarder-dies", 5, 1, tagBcast, 0, 6},
 	}
 	launchers := []struct {
 		name string
@@ -104,7 +112,7 @@ func TestDomainRecoverKillRank(t *testing.T) {
 			for _, tc := range cases {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					runRecoverTrial(t, l.run, tc.np, killPlan(tc.victim, tc.skip), tc.every)
+					runRecoverTrial(t, l.run, tc.np, killPlan(tc.victim, tc.tag, tc.skip), tc.every)
 				})
 			}
 		})

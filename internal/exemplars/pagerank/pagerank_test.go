@@ -238,9 +238,10 @@ func TestPageRankRecover(t *testing.T) {
 	g := Gen(300, 5, 7)
 	const damping, iters, every = 0.85, 24, 6
 	want := PageRankSeq(g, damping, iters)
-	kill := func(victim, skip int) *mpi.FaultPlan {
+	const tagBcast = -3 // the runtime's reserved tag for Bcast's tree
+	kill := func(victim, tag, skip int) *mpi.FaultPlan {
 		return &mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{{
-			Src: victim, Dst: mpi.AnySource, Tag: mpi.AnyTag,
+			Src: victim, Dst: mpi.AnySource, Tag: tag,
 			SkipFirst: skip, Action: mpi.FaultKillRank,
 		}}}
 	}
@@ -250,9 +251,12 @@ func TestPageRankRecover(t *testing.T) {
 		plan *mpi.FaultPlan
 	}{
 		{"no-failure", 4, nil},
-		{"before-first-checkpoint", 4, kill(2, 3)},
-		{"mid-run", 4, kill(1, 100)},
-		{"rank0-dies", 4, kill(0, 120)},
+		{"before-first-checkpoint", 4, kill(2, mpi.AnyTag, 3)},
+		{"mid-run", 4, kill(1, mpi.AnyTag, 100)},
+		{"rank0-dies", 4, kill(0, mpi.AnyTag, 120)},
+		// Rank 1 dies on its first forward down a Bcast tree, early in the
+		// run, while its subtree waits for it.
+		{"bcast-forwarder-dies", 5, kill(1, tagBcast, 0)},
 	}
 	launchers := []struct {
 		name string

@@ -2,257 +2,297 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"math/bits"
 )
 
-// Fault-tolerant agreement and communicator shrinking. Agree must terminate
-// with one consistent answer even when failures race the protocol — the
-// property that makes ULFM's MPIX_Comm_agree the hard primitive. The
-// runtime sidesteps the unbounded-consensus trap by making the launcher
-// layer the coordinator: in-process worlds decide in a shared engine that
-// re-evaluates every open instance whenever a failure lands, and TCP worlds
-// delegate the same decision to the hub, which observes failures firsthand
-// (failure reports and dropped connections). Either way the decision rule
-// is identical: an instance decides once every live member has contributed,
-// and the decided value is the union of the contributed failure masks with
-// the coordinator's own view of the failed members — so a rank that dies
+// Fault-tolerant agreement and communicator shrinking: ULFM's
+// MPIX_Comm_agree with the launcher layer as the coordinator. Agree must
+// terminate with one consistent answer even when failures race the protocol
+// — the property that makes it the hard primitive — and a coordinator that
+// observes failures firsthand sidesteps the unbounded-consensus trap. There
+// are two coordinators, and they share everything but their lock: the
+// recoveryState an in-process world's ranks share, and the hub of a TCP
+// world (failure reports, dropped connections and done frames all reach it).
+// Each holds one membership value and applies one rule, decide, to its open
+// instances whenever a contribution, a failure or a departure lands; a TCP
+// worker only waits for the hub's decision. A rejoin bumps the membership
+// epoch and, in the same critical section, fails every open instance of an
+// older epoch, whose member list describes a world that no longer exists.
+// DESIGN.md §5, "Who decides an agreement", has the rules.
+
+// membership is who is in the world: an epoch, bumped by each rejoin, and
+// per world rank one of three states — live (no bit set), failed, or
+// departed. Its methods are the only transitions, and each reports whether
+// it changed anything.
+type membership struct {
+	epoch    int
+	failed   uint64                // main failed, or its connection was lost
+	departed uint64                // main returned nil: final
+	rejoined [maxRecoveryRanks]int // epoch of each rank's last rejoin
+}
+
+// fail marks a live rank failed, as decided at epoch. A failure decided
+// before the rank's last rejoin is stale — a notice that lost its race with
+// the rejoin — and changes nothing; so does failing a departed rank.
+func (m *membership) fail(rank, epoch int) bool {
+	bit := uint64(1) << uint(rank)
+	if (m.failed|m.departed)&bit != 0 || m.rejoined[rank] > epoch {
+		return false
+	}
+	m.failed |= bit
+	return true
+}
+
+// depart marks a live rank departed.
+func (m *membership) depart(rank int) bool {
+	bit := uint64(1) << uint(rank)
+	if (m.failed|m.departed)&bit != 0 {
+		return false
+	}
+	m.departed |= bit
+	return true
+}
+
+// rejoin returns a respawned rank to live at epoch. A rejoin at an epoch the
+// membership has already reached has been applied, and changes nothing.
+func (m *membership) rejoin(rank, epoch int) bool {
+	if epoch <= m.epoch {
+		return false
+	}
+	m.epoch = epoch
+	m.failed &^= 1 << uint(rank)
+	m.rejoined[rank] = epoch
+	return true
+}
+
+// rankMask is the bitmask form of a set of world ranks.
+func rankMask(ranks []int) uint64 {
+	var mask uint64
+	for _, r := range ranks {
+		mask |= 1 << uint(r)
+	}
+	return mask
+}
+
+// maskRanks lists the world ranks of a bitmask, ascending.
+func maskRanks(mask uint64) []int {
+	out := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
+	}
+	return out
+}
+
+// decide is the agreement rule, the one both coordinators run. An instance
+// of an epoch older than the membership's never decides: a rejoin fails it.
+// Otherwise it is ready once every member has contributed, failed or
+// departed, and the decided mask names every member that is not live plus
+// every rank a contribution names failed — so a member that dies or returns
 // mid-agreement is folded into the answer instead of stalling it.
+func decide(key agreeKey, members []int, contributions map[int]uint64, m *membership) (mask uint64, ready bool) {
+	if key.epoch < m.epoch {
+		return 0, false
+	}
+	out := m.failed | m.departed
+	for _, r := range members {
+		bit := uint64(1) << uint(r)
+		if out&bit != 0 {
+			mask |= bit
+		} else if _, ok := contributions[r]; !ok {
+			return 0, false
+		}
+	}
+	for _, c := range contributions {
+		mask |= c
+	}
+	return mask, true
+}
 
 // agreeKey identifies one agreement instance: all members of a communicator
 // call Agree in the same order (it is collective), so (context, call
 // sequence) names the same instance on every member with no negotiation.
+// The epoch is the communicator's: it says which membership the member list
+// describes.
 type agreeKey struct {
-	ctx int64
-	seq uint64
-}
-
-// agreeOutcome is what a waiting member receives when its instance decides.
-type agreeOutcome struct {
-	mask uint64
-	err  error
+	ctx   int64
+	seq   uint64
+	epoch int
 }
 
 // agreeReq is the wire form of one member's contribution (worker -> hub).
 type agreeReq struct {
 	Ctx     int64
 	Seq     uint64
+	Epoch   int
 	Rank    int   // contributing world rank
 	Members []int // world ranks of the communicator
 	Mask    uint64
 }
 
-// agreeResp is the decided value (hub -> worker).
+// agreeResp is the decided value (hub -> worker), with the members in it
+// that departed: a worker learns of departures only here.
 type agreeResp struct {
-	Ctx  int64
-	Seq  uint64
-	Mask uint64
+	Ctx      int64
+	Seq      uint64
+	Epoch    int
+	Mask     uint64
+	Departed uint64
 }
 
-// agreeInst is one open agreement instance in the local engine.
+// agreeInst is one open agreement instance. A coordinator collects the
+// contributions in arrived; a member waiting for the decision blocks on
+// done, closed once mask or err is set.
 type agreeInst struct {
-	members  []int
-	arrived  map[int]uint64 // member world rank -> contributed mask
-	done     chan struct{}
-	decided  bool
-	decision uint64
-	err      error // set when the instance was interrupted (membership change)
+	members []int
+	arrived map[int]uint64
+	done    chan struct{}
+	mask    uint64
+	err     error
 }
 
-// agreeEngine coordinates agreement for in-process worlds: one instance per
-// World, shared by all rank goroutines.
-type agreeEngine struct {
-	r *recoveryState
-
-	mu    sync.Mutex
-	insts map[agreeKey]*agreeInst
-	down  error
+// release hands the instance's waiter its outcome.
+func (inst *agreeInst) release(mask uint64, err error) {
+	inst.mask, inst.err = mask, err
+	close(inst.done)
 }
 
-func newAgreeEngine(r *recoveryState) *agreeEngine {
-	return &agreeEngine{r: r, insts: make(map[agreeKey]*agreeInst)}
-}
+// agreements are the open instances of one coordinator, or a TCP worker's
+// waiters; the owner's lock guards them.
+type agreements map[agreeKey]*agreeInst
 
-// agree contributes self's mask to the keyed instance and blocks until it
-// decides. The instance decides as soon as every live member has
-// contributed; members that fail before contributing are excluded by
-// reevaluate, so the protocol cannot stall on the very failure it is
-// agreeing about.
-func (e *agreeEngine) agree(key agreeKey, members []int, self int, mask uint64) (uint64, error) {
-	e.mu.Lock()
-	if e.down != nil {
-		err := e.down
-		e.mu.Unlock()
-		return 0, err
-	}
-	inst := e.insts[key]
+// open returns the keyed instance, creating it if need be.
+func (as agreements) open(key agreeKey, members []int) *agreeInst {
+	inst := as[key]
 	if inst == nil {
 		inst = &agreeInst{
 			members: append([]int(nil), members...),
 			arrived: make(map[int]uint64),
 			done:    make(chan struct{}),
 		}
-		e.insts[key] = inst
+		as[key] = inst
 	}
-	inst.arrived[self] = mask
-	e.evaluateLocked(key, inst)
-	e.mu.Unlock()
-
-	<-inst.done
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !inst.decided {
-		if inst.err != nil {
-			return 0, inst.err
-		}
-		return 0, e.down
-	}
-	return inst.decision, nil
+	return inst
 }
 
-// evaluateLocked decides the instance if every live member has contributed.
-// Caller holds e.mu. On decision the instance is removed from the map —
-// every member still waiting holds its pointer, and no further arrivals are
-// possible (failed members never call agree).
-func (e *agreeEngine) evaluateLocked(key agreeKey, inst *agreeInst) {
-	if inst.decided {
-		return
-	}
-	failedMask := e.r.maskSnapshot()
-	decision := uint64(0)
-	for _, m := range inst.members {
-		bit := uint64(1) << uint(m)
-		if failedMask&bit != 0 {
-			decision |= bit
-			continue
-		}
-		if _, ok := inst.arrived[m]; !ok {
-			return // a live member has not arrived yet
-		}
-	}
-	for _, contributed := range inst.arrived {
-		decision |= contributed
-	}
-	inst.decided, inst.decision = true, decision
-	delete(e.insts, key)
-	close(inst.done)
-}
-
-// reevaluate re-runs the decision rule on every open instance; called after
-// each failure so instances waiting on a just-failed member decide.
-func (e *agreeEngine) reevaluate() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for key, inst := range e.insts {
-		e.evaluateLocked(key, inst)
-	}
-}
-
-// interrupt releases every open instance with err without latching the
-// engine down: a world-membership change (a rank rejoined at full width)
-// invalidates in-flight agreements — their member lists describe the old
-// epoch — but the engine itself stays healthy for the retries.
-func (e *agreeEngine) interrupt(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for key, inst := range e.insts {
-		delete(e.insts, key)
-		if !inst.decided {
-			inst.err = err
-			close(inst.done)
+// settle applies decide to every open instance and passes each one that is
+// ready to decided, after forgetting it: no further contribution can come.
+func (as agreements) settle(m *membership, decided func(agreeKey, *agreeInst, uint64)) {
+	for key, inst := range as {
+		if mask, ok := decide(key, inst.members, inst.arrived, m); ok {
+			delete(as, key)
+			decided(key, inst, mask)
 		}
 	}
 }
 
-// fail releases every open instance with err: the world aborted outright.
-func (e *agreeEngine) fail(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.down == nil {
-		e.down = err
-	}
-	for key, inst := range e.insts {
-		delete(e.insts, key)
-		if !inst.decided {
-			close(inst.done)
+// dropOlder forgets every instance of an epoch older than epoch, releasing
+// its waiter with err.
+func (as agreements) dropOlder(epoch int, err error) {
+	for key, inst := range as {
+		if key.epoch < epoch {
+			delete(as, key)
+			inst.release(0, err)
 		}
 	}
 }
 
-// tcpAgree is the worker half of hub-coordinated agreement: register a
-// waiter, send the contribution, block for the hub's decision (delivered by
-// whoever reads the hub connection: this wait is not on the mailbox, so that
-// is the transport's fallback reader).
-func (r *recoveryState) tcpAgree(key agreeKey, members []int, self int, mask uint64) (uint64, error) {
-	ch := make(chan agreeOutcome, 1)
+// agree contributes self's view of the failed members to the keyed instance
+// and blocks until it decides. An in-process world decides here, against
+// the membership its ranks share; a TCP worker sends its contribution to the
+// hub and waits for deliverDecision.
+func (r *recoveryState) agree(key agreeKey, members []int, self int) (uint64, error) {
 	r.mu.Lock()
 	if r.downErr != nil {
 		err := r.downErr
 		r.mu.Unlock()
 		return 0, err
 	}
-	r.waiters[key] = ch
+	if key.epoch < r.m.epoch {
+		r.mu.Unlock()
+		return 0, &RankFailedError{} // membership changed: re-form and retry
+	}
+	mask := r.m.failed & rankMask(members)
+	inst := r.insts.open(key, members)
+	inst.arrived[self] = mask
+	r.settleLocked()
 	r.mu.Unlock()
-	data, err := encodeValue(agreeReq{Ctx: key.ctx, Seq: key.seq, Rank: self, Members: members, Mask: mask})
-	if err != nil {
-		return 0, err
+	if r.ctrlSend != nil {
+		data, err := encodeValue(agreeReq{Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Rank: self, Members: members, Mask: mask})
+		if err == nil {
+			err = r.ctrlSend(frame{Dst: ctrlDst, Tag: tagAgreeReq, Data: data})
+		}
+		if err != nil {
+			return 0, err
+		}
 	}
-	if err := r.ctrlSend(frame{Dst: ctrlDst, Tag: tagAgreeReq, Data: data}); err != nil {
-		return 0, err
-	}
-	out := <-ch
-	return out.mask, out.err
+	<-inst.done
+	return inst.mask, inst.err
 }
 
-// deliverDecision hands a hub agreement response to its waiter.
+// settleLocked decides what the membership now lets decide. Only an
+// in-process world decides locally: a TCP worker's instances wait for the
+// hub. Caller holds r.mu.
+func (r *recoveryState) settleLocked() {
+	if r.ctrlSend == nil {
+		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64) { inst.release(mask, nil) })
+	}
+}
+
+// deliverDecision hands the hub's decision to its waiter, after recording
+// what it says: the departures it names, and failures this process has not
+// heard of yet (raced notices), so local checks agree with the agreed view
+// before anyone acts on it.
 func (r *recoveryState) deliverDecision(resp agreeResp) {
-	key := agreeKey{ctx: resp.Ctx, seq: resp.Seq}
+	key := agreeKey{ctx: resp.Ctx, seq: resp.Seq, epoch: resp.Epoch}
 	r.mu.Lock()
-	ch := r.waiters[key]
-	delete(r.waiters, key)
+	inst := r.insts[key]
+	delete(r.insts, key)
+	for _, rank := range maskRanks(resp.Departed) {
+		r.m.depart(rank)
+	}
 	r.mu.Unlock()
-	if ch != nil {
-		ch <- agreeOutcome{mask: resp.Mask}
+	for _, rank := range maskRanks(resp.Mask &^ resp.Departed) {
+		r.world.rankFailed(rank, resp.Epoch, fmt.Errorf("%w: rank %d (agreed)", ErrRankFailed, rank))
+	}
+	if inst != nil {
+		inst.release(resp.Mask, nil)
 	}
 }
 
-// agreeCall dispatches to the engine (Run) or the hub (TCP).
-func (w *World) agreeCall(key agreeKey, members []int, self int, mask uint64) (uint64, error) {
-	r := w.recov
-	if r.engine != nil {
-		return r.engine.agree(key, members, self, mask)
+// abortPending fails every outstanding agreement when the world aborts
+// outright (explicit abort, deadline breach): recovery does not survive a
+// revoked world.
+func (r *recoveryState) abortPending(err error) {
+	r.mu.Lock()
+	if r.downErr == nil {
+		r.downErr = err
 	}
-	return r.tcpAgree(key, members, self, mask)
+	r.insts.dropOlder(math.MaxInt, err) // every epoch is older
+	r.mu.Unlock()
+	r.restoreCond.Broadcast() // Restored callers observe downErr and bail
 }
 
-// Agree performs fault-tolerant agreement on the communicator's failed
-// members (MPIX_Comm_agree specialized to the failure bitmap): every
-// surviving member receives the identical sorted set of failed
-// communicator-local ranks, even when failures race the protocol — a
-// member that dies mid-agreement is folded into the decided set rather
-// than stalling it. Collective over the surviving members; requires
-// WithRecovery.
+// Agree performs fault-tolerant agreement on the communicator's members
+// that are out (MPIX_Comm_agree specialized to the failure bitmap): every
+// member still taking part receives the identical sorted set of
+// communicator-local ranks that failed or departed, even when failures race
+// the protocol — a member that dies mid-agreement is folded into the decided
+// set rather than stalling it. A departed member is one whose main returned
+// nil: it will never call Agree, so it counts out the way a failed one does,
+// but it is not recorded as failed. Collective over the live members;
+// requires WithRecovery.
 func (c *Comm) Agree() ([]int, error) {
-	w := c.world
-	if w.recov == nil {
+	r := c.world.recov
+	if r == nil {
 		return nil, fmt.Errorf("mpi: Agree requires WithRecovery")
 	}
-	seq := c.agreeSeq
+	key := agreeKey{ctx: c.ctx, seq: c.agreeSeq, epoch: c.epoch}
 	c.agreeSeq++
-	key := agreeKey{ctx: c.ctx, seq: seq}
-	self := c.worldRank(c.rank)
-	mask := uint64(0)
-	localFailed := w.recov.maskSnapshot()
-	for _, wr := range c.ranks {
-		mask |= localFailed & (1 << uint(wr))
-	}
-	decision, err := w.agreeCall(key, c.ranks, self, mask)
+	decision, err := r.agree(key, c.ranks, c.worldRank(c.rank))
 	if err != nil {
 		return nil, err
 	}
-	// The decision may name failures this process has not observed yet
-	// (raced broadcasts on TCP); fold them in so local checks agree with
-	// the agreed view before anyone acts on it.
-	w.recov.adoptFailures(decision, c.ranks, c.epoch)
 	var out []int
 	for i, wr := range c.ranks {
 		if decision&(1<<uint(wr)) != 0 {
@@ -262,12 +302,15 @@ func (c *Comm) Agree() ([]int, error) {
 	return out, nil
 }
 
-// Shrink agrees on the failed members and returns a dense communicator of
-// the survivors (MPIX_Comm_shrink): survivors keep their relative order but
-// are renumbered 0..n-1, and the new communicator has a fresh message
-// context — stale frames addressed to the old, possibly revoked context can
-// never match in it — over which point-to-point and every collective work
-// unchanged. Collective over the surviving members; requires WithRecovery.
+// Shrink agrees on the members that are out and returns a dense
+// communicator of the rest (MPIX_Comm_shrink): survivors keep their relative
+// order but are renumbered 0..n-1, and the new communicator has a fresh
+// message context — stale frames addressed to the old, possibly revoked
+// context can never match in it — over which point-to-point and every
+// collective work unchanged. Failed and departed members are both left out,
+// so the survivors of a failure during a program's closing collective can
+// re-form after their peers have returned. Collective over the live
+// members; requires WithRecovery.
 func (c *Comm) Shrink() (*Comm, error) {
 	// Consume a child-context slot before anything can fail, so members
 	// whose Agree errors and retry still assign identical context ids.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +28,8 @@ import (
 //	                       Data carries a gob startInfo (suspicion grace,
 //	                       membership epoch, failed mask)
 //	frame{...}             either direction, user and collective traffic
-//	frame{Dst: ctrlDst, Tag: tagDone}   worker -> hub, rank finished
+//	frame{Dst: ctrlDst, Tag: tagDone}   worker -> hub, rank finished (under
+//	                                    recovery a live rank departs)
 //	frame{Dst: ctrlDst, Tag: tagAbort}  worker -> hub, rank failed; Data
 //	                                    carries a gob abortInfo
 //	frame{Tag: tagAbort}   hub -> worker, world revoked (broadcast)
@@ -42,6 +42,7 @@ import (
 //	                                        recoverably; Data: gob abortInfo
 //	frame{Tag: tagFailed}                   hub -> worker, a peer failed
 //	                                        (broadcast); Data: gob abortInfo
+//	                                        carrying the hub's epoch
 //	frame{Dst: ctrlDst, Tag: tagAgreeReq}   worker -> hub, agreement
 //	                                        contribution; Data: gob agreeReq
 //	frame{Tag: tagAgreeResp}                hub -> worker, agreement decision;
@@ -113,11 +114,15 @@ type rejoinInfo struct {
 	Epoch int
 }
 
-// abortInfo is the wire form of a world revoke: which rank failed (or -1
-// when the hub itself did) and its error, surviving only as text.
+// abortInfo is the wire form of a world revoke or a rank failure: which rank
+// failed (or -1 when the hub itself did) and its error, surviving only as
+// text. A hub's failure notice also carries the membership epoch the failure
+// was recorded in, so a worker that has already applied a later rejoin of the
+// rank can tell the notice is stale.
 type abortInfo struct {
-	Rank int
-	Msg  string
+	Rank  int
+	Msg   string
+	Epoch int
 }
 
 func (ai abortInfo) err() error {
@@ -205,25 +210,19 @@ type Hub struct {
 	conns    map[int]*hubConn
 	complete bool // all np ranks admitted
 	done     int
-	epoch    int // membership epoch; bumped by each respawn re-admission
 	err      error
 	abortErr error // first rank-reported abort; preferred by Wait
 	lastPong map[int]time.Time
 
-	// Recovery bookkeeping (HubRecovery): which ranks failed recoverably,
-	// and the open agreement instances the hub is coordinating.
-	failedRanks map[int]bool
-	agreements  map[agreeKey]*hubAgree
+	// Recovery bookkeeping (HubRecovery, agree.go): the world's membership,
+	// whose epoch each respawn re-admission bumps, and the open agreement
+	// instances the hub is coordinating.
+	m          membership
+	agreements agreements
 
 	formTimer  *time.Timer
 	finished   chan struct{}
 	finishOnce sync.Once
-}
-
-// hubAgree is one open hub-coordinated agreement instance.
-type hubAgree struct {
-	members []int
-	masks   map[int]uint64 // contributing world rank -> mask
 }
 
 // hubConn is the hub's end of one worker's session. The session's mu guards
@@ -296,14 +295,13 @@ func StartHub(addr string, np int, opts ...HubOption) (*Hub, error) {
 		return nil, fmt.Errorf("mpi: hub listen: %w", err)
 	}
 	h := &Hub{
-		ln:          ln,
-		np:          np,
-		opts:        ho,
-		conns:       make(map[int]*hubConn),
-		failedRanks: make(map[int]bool),
-		agreements:  make(map[agreeKey]*hubAgree),
-		finished:    make(chan struct{}),
-		startDone:   make(chan struct{}),
+		ln:         ln,
+		np:         np,
+		opts:       ho,
+		conns:      make(map[int]*hubConn),
+		agreements: make(agreements),
+		finished:   make(chan struct{}),
+		startDone:  make(chan struct{}),
 	}
 	if ho.formation > 0 {
 		// Assign under the lock: the timer callback (and the shutdown path
@@ -395,7 +393,7 @@ func (h *Hub) admit(conn net.Conn) {
 	}
 	h.conns[hi.Rank] = hc
 	complete := len(h.conns) == h.np
-	epoch := h.epoch
+	epoch := h.m.epoch
 	var all []*hubConn
 	if complete {
 		h.complete = true
@@ -535,10 +533,10 @@ func (h *Hub) resumeWorker(conn net.Conn, hi hello) {
 }
 
 // respawnWorker re-admits a relaunched process into its old slot: the dead
-// incarnation's connection is retired, the rank's failure is cleared, the
-// membership epoch is bumped, survivors learn of the rejoin, and the
-// newcomer gets a start signal carrying the epoch and the remaining failed
-// set.
+// incarnation's connection is retired, the rank rejoins the membership at a
+// new epoch (which drops the agreements of the old one), survivors learn of
+// the rejoin, and the newcomer gets a start signal carrying the epoch and
+// the remaining failed set.
 func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	select {
 	case <-h.finished:
@@ -561,14 +559,14 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		old.conn.Close()
 		old.mu.Unlock()
 	}
-	// Record the failure if nothing else has yet: a kill-and-relaunch can
-	// land the new dial before the old connection's death is observed, and
-	// the survivors must see fail-then-rejoin in that order.
-	h.rankFailed(hi.Rank, "rank replaced by respawn")
-
 	hc := h.newHubConn(hi.Rank, conn, rd)
 
 	h.mu.Lock()
+	// Record the failure if nothing else has yet: a kill-and-relaunch can
+	// land the new dial before the old connection's death is observed, and
+	// the survivors must see fail-then-rejoin in that order.
+	failedAt := h.m.epoch
+	announce := h.m.fail(hi.Rank, failedAt)
 	// Done-accounting: the slot must be counted exactly once when the world
 	// finally winds down. If the dead incarnation was already counted done,
 	// take that count back (the new incarnation will report its own); if it
@@ -578,23 +576,21 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	} else if h.done > 0 {
 		h.done--
 	}
-	delete(h.failedRanks, hi.Rank)
-	h.epoch++
-	epoch := h.epoch
+	h.m.rejoin(hi.Rank, failedAt+1)
+	h.agreements.dropOlder(h.m.epoch, nil)
+	epoch := h.m.epoch
 	h.conns[hi.Rank] = hc
 	if h.lastPong != nil {
 		h.lastPong[hi.Rank] = time.Now()
 	}
-	var mask uint64
-	for r := range h.failedRanks {
-		mask |= 1 << uint(r)
-	}
+	mask := h.m.failed
 	others := h.peersLocked(hi.Rank, true)
 	h.mu.Unlock()
 
-	if data, err := encodeValue(rejoinInfo{Rank: hi.Rank, Epoch: epoch}); err == nil {
-		sendAll(others, frame{Tag: tagRejoin, Data: data})
+	if announce {
+		sendValue(others, tagFailed, abortInfo{Rank: hi.Rank, Msg: "rank replaced by respawn", Epoch: failedAt})
 	}
+	sendValue(others, tagRejoin, rejoinInfo{Rank: hi.Rank, Epoch: epoch})
 	data, err := encodeValue(startInfo{SuspicionNs: int64(h.opts.suspicion), Epoch: epoch, FailedMask: mask})
 	if err != nil {
 		h.fail(fmt.Errorf("mpi: hub respawn start signal: %w", err))
@@ -727,7 +723,11 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 			case tagAbort:
 				h.rankAborted(hc.rank, f.Data)
 			case tagFailed:
-				h.rankFailedHub(hc.rank, f.Data)
+				var info abortInfo
+				if decodeValue(f.Data, &info) != nil {
+					info.Msg = "rank failed (undecodable failure report)"
+				}
+				h.rankFailed(hc, info.Msg)
 			case tagAgreeReq:
 				h.agreeRequest(f.Data)
 			case tagRevoke:
@@ -809,19 +809,16 @@ func (h *Hub) rankLost(hc *hubConn, msg string, err error) {
 		h.fail(err)
 		return
 	}
-	h.rankFailed(hc.rank, msg)
+	h.rankFailed(hc, msg)
 	h.workerDoneConn(hc)
 }
 
-// rankFailed is rankFailedHub for a failure the hub observed itself.
-func (h *Hub) rankFailed(rank int, msg string) {
-	if data, err := encodeValue(abortInfo{Rank: rank, Msg: msg}); err == nil {
-		h.rankFailedHub(rank, data)
-	}
-}
-
 // workerDoneConn counts one connection's slot as finished, exactly once per
-// incarnation; when the last slot reports, the hub shuts the world down.
+// incarnation; when the last slot reports, the hub shuts the world down. A
+// live rank that reports done has returned from main: it departs, and the
+// agreements waiting on it settle without it. (A lost or failed rank is
+// already failed, and an incarnation a respawn replaced no longer holds the
+// slot.)
 func (h *Hub) workerDoneConn(hc *hubConn) {
 	h.mu.Lock()
 	if hc.doneCounted {
@@ -831,91 +828,83 @@ func (h *Hub) workerDoneConn(hc *hubConn) {
 	hc.doneCounted = true
 	h.done++
 	last := h.done == h.np
+	var decided []hubDecision
+	if h.conns[hc.rank] == hc && h.m.depart(hc.rank) {
+		decided = h.settleLocked()
+	}
 	h.mu.Unlock()
+	sendDecisions(decided)
 	if last {
 		h.shutdown()
 	}
 }
 
-// rankFailedHub records a recoverable rank failure, announces it to the
-// survivors (who interrupt their pending operations), and settles any open
-// agreement that was waiting on the failed rank.
-func (h *Hub) rankFailedHub(origin int, payload []byte) {
+// rankFailed records hc's incarnation failed at the current epoch, announces
+// it to the survivors (who interrupt their pending operations), and settles
+// the agreements that were waiting on it. A report from an incarnation a
+// respawn has replaced changes nothing.
+func (h *Hub) rankFailed(hc *hubConn, msg string) {
 	h.mu.Lock()
-	if !h.opts.recovery || h.failedRanks[origin] {
+	if !h.opts.recovery || h.conns[hc.rank] != hc || !h.m.fail(hc.rank, h.m.epoch) {
 		h.mu.Unlock()
 		return
 	}
-	h.failedRanks[origin] = true
-	others := h.peersLocked(origin, true)
+	info := abortInfo{Rank: hc.rank, Msg: msg, Epoch: h.m.epoch}
+	others := h.peersLocked(hc.rank, true)
+	decided := h.settleLocked()
 	h.mu.Unlock()
-	sendAll(others, frame{Tag: tagFailed, Data: payload})
-	h.settleAgreements()
+	sendValue(others, tagFailed, info)
+	sendDecisions(decided)
 }
 
-// agreeRequest folds one worker's agreement contribution in and settles.
+// agreeRequest folds one worker's agreement contribution in and settles. A
+// contribution from an older epoch opens nothing: the worker entered before
+// a rejoin it has not applied yet, and the rejoin notice on its way fails
+// its wait, so it retries at the new epoch.
 func (h *Hub) agreeRequest(payload []byte) {
 	var req agreeReq
 	if err := decodeValue(payload, &req); err != nil {
 		h.fail(fmt.Errorf("mpi: hub: undecodable agreement request: %w", err))
 		return
 	}
+	key := agreeKey{ctx: req.Ctx, seq: req.Seq, epoch: req.Epoch}
 	h.mu.Lock()
-	key := agreeKey{ctx: req.Ctx, seq: req.Seq}
-	a := h.agreements[key]
-	if a == nil {
-		a = &hubAgree{members: req.Members, masks: make(map[int]uint64)}
-		h.agreements[key] = a
+	var decided []hubDecision
+	if key.epoch >= h.m.epoch {
+		h.agreements.open(key, req.Members).arrived[req.Rank] = req.Mask
+		decided = h.settleLocked()
 	}
-	a.masks[req.Rank] = req.Mask
 	h.mu.Unlock()
-	h.settleAgreements()
+	sendDecisions(decided)
 }
 
-// settleAgreements applies the decision rule to every open instance: decide
-// once every live member has contributed, with the decided mask the union
-// of the contributions and the hub's own view of the failed members. The
-// decision goes to every live contributor.
-func (h *Hub) settleAgreements() {
-	type decided struct {
-		conns []*hubConn
-		resp  agreeResp
-	}
-	var out []decided
-	h.mu.Lock()
-	for key, a := range h.agreements {
-		decision := uint64(0)
-		ready := true
-		for _, m := range a.members {
-			if h.failedRanks[m] {
-				decision |= 1 << uint(m)
-				continue
-			}
-			if _, ok := a.masks[m]; !ok {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		for _, mask := range a.masks {
-			decision |= mask
-		}
+// hubDecision is one decided instance and the contributors to send it to.
+type hubDecision struct {
+	conns []*hubConn
+	resp  agreeResp
+}
+
+// settleLocked decides every instance the membership now lets decide; the
+// decision goes to every live contributor. Caller holds h.mu.
+func (h *Hub) settleLocked() []hubDecision {
+	var out []hubDecision
+	h.agreements.settle(&h.m, func(key agreeKey, inst *agreeInst, mask uint64) {
 		var conns []*hubConn
-		for r := range a.masks {
-			if c := h.conns[r]; c != nil && !h.failedRanks[r] {
+		for r := range inst.arrived {
+			if c := h.conns[r]; c != nil && h.m.failed&(1<<uint(r)) == 0 {
 				conns = append(conns, c)
 			}
 		}
-		delete(h.agreements, key)
-		out = append(out, decided{conns: conns, resp: agreeResp{Ctx: key.ctx, Seq: key.seq, Mask: decision}})
-	}
-	h.mu.Unlock()
-	for _, d := range out {
-		if data, err := encodeValue(d.resp); err == nil {
-			sendAll(d.conns, frame{Tag: tagAgreeResp, Data: data})
-		}
+		out = append(out, hubDecision{conns: conns, resp: agreeResp{
+			Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Mask: mask, Departed: mask & h.m.departed,
+		}})
+	})
+	return out
+}
+
+func sendDecisions(ds []hubDecision) {
+	for _, d := range ds {
+		sendValue(d.conns, tagAgreeResp, d.resp)
 	}
 }
 
@@ -933,12 +922,7 @@ func (h *Hub) broadcastRevoke(origin int, ctx int64) {
 func (h *Hub) FailedRanks() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]int, 0, len(h.failedRanks))
-	for r := range h.failedRanks {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
+	return maskRanks(h.m.failed)
 }
 
 // Done returns a channel that is closed when the hub has wound the world
@@ -952,7 +936,7 @@ func (h *Hub) Done() <-chan struct{} { return h.finished }
 func (h *Hub) Epoch() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.epoch
+	return h.m.epoch
 }
 
 // rankAborted records a worker-reported failure and broadcasts the revoke
@@ -999,7 +983,7 @@ func (h *Hub) fail(err error) {
 func (h *Hub) peersLocked(except int, live bool) []*hubConn {
 	out := make([]*hubConn, 0, len(h.conns))
 	for r, c := range h.conns {
-		if r != except && !(live && h.failedRanks[r]) {
+		if r != except && !(live && h.m.failed&(1<<uint(r)) != 0) {
 			out = append(out, c)
 		}
 	}
@@ -1011,6 +995,13 @@ func (h *Hub) peersLocked(except int, live bool) []*hubConn {
 func sendAll(conns []*hubConn, f frame) {
 	for _, c := range conns {
 		_ = c.sendFrame(f)
+	}
+}
+
+// sendValue sends v, gob-encoded, under the control tag to each of conns.
+func sendValue(conns []*hubConn, tag int, v any) {
+	if data, err := encodeValue(v); err == nil {
+		sendAll(conns, frame{Tag: tag, Data: data})
 	}
 }
 

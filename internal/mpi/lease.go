@@ -300,7 +300,7 @@ func (t *tcpTransport) dispatch(f frame, claimed *waiter, n *atomic.Int64) bool 
 	case tagFailed:
 		var info abortInfo
 		if err := decodeValue(f.Data, &info); err == nil && w.recov != nil {
-			w.rankFailed(info.Rank, fmt.Errorf("%w: rank %d: %s", ErrRankFailed, info.Rank, info.Msg))
+			w.rankFailed(info.Rank, info.Epoch, fmt.Errorf("%w: rank %d: %s", ErrRankFailed, info.Rank, info.Msg))
 		}
 	case tagRejoin:
 		var info rejoinInfo

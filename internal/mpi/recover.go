@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,10 +72,10 @@ func WithRecovery() Option {
 	return func(c *config) { c.recovery = true }
 }
 
-// recoveryState is the per-World failure ledger plus the agreement engine
-// binding. In-process worlds (Run) share one instance across all ranks and
-// use the local engine; each JoinTCP process holds its own, synchronized
-// through hub control frames.
+// recoveryState is the per-World failure ledger plus the agreement binding.
+// In-process worlds (Run) share one instance across all ranks and decide
+// agreements in it; each JoinTCP process holds its own, synchronized through
+// hub control frames, and waits in it for the hub's decisions.
 type recoveryState struct {
 	world *World
 
@@ -86,23 +85,20 @@ type recoveryState struct {
 	events      atomic.Uint64
 	failVersion atomic.Uint64 // bumped on failures only; pending ops capture it at start
 
-	mu      sync.Mutex
-	failed  map[int]error // world rank -> its failure (or a remote description)
-	mask    uint64        // bitmask form of failed's keys
-	revoked map[int64]bool
-
-	// epoch counts full-width membership restorations (respawns). Operations
-	// on communicators created in an older epoch fail with a retryable
-	// membership-changed error; Restored hands back a current-epoch
-	// communicator. restoreCond (on mu) wakes Restored callers whenever the
-	// failed set or the epoch changes.
-	epoch       int
+	mu sync.Mutex
+	// m is the world's membership (agree.go). Its epoch counts full-width
+	// restorations (respawns): operations on communicators created in an
+	// older epoch fail with a retryable membership-changed error, and
+	// Restored hands back a current-epoch communicator. restoreCond (on mu)
+	// wakes Restored callers on a rejoin or an abort.
+	m           membership
+	failed      map[int]error // each failed rank's own error, for RankFailedError to unwrap
+	revoked     map[int64]bool
 	restoreCond *sync.Cond
 
-	engine   *agreeEngine      // in-process worlds
 	ctrlSend func(frame) error // TCP worlds: raw control-plane sender to the hub
 	downErr  error             // latched when the world aborts; fails pending agreements
-	waiters  map[agreeKey]chan agreeOutcome
+	insts    agreements        // open instances (in-process) or waiters for the hub (TCP)
 }
 
 func newRecoveryState(w *World) *recoveryState {
@@ -110,36 +106,33 @@ func newRecoveryState(w *World) *recoveryState {
 		world:   w,
 		failed:  make(map[int]error),
 		revoked: make(map[int64]bool),
-		waiters: make(map[agreeKey]chan agreeOutcome),
+		insts:   make(agreements),
 	}
 	r.restoreCond = sync.NewCond(&r.mu)
 	return r
 }
 
-// rankFailed records a failed world rank and interrupts every survivor's
-// pending operations. Safe to call from any goroutine; duplicates are
-// no-ops. cause may be the rank's own error (local observation) or a
-// description built from a control frame (TCP).
-func (w *World) rankFailed(rank int, cause error) {
+// rankFailed records a failed world rank, as decided at epoch (-1: now), and
+// interrupts every survivor's pending operations. Safe to call from any
+// goroutine; duplicates and stale notices are no-ops. cause may be the
+// rank's own error (local observation) or a description built from a control
+// frame (TCP).
+func (w *World) rankFailed(rank, epoch int, cause error) {
 	r := w.recov
 	r.mu.Lock()
-	if _, dup := r.failed[rank]; dup {
+	if epoch < 0 {
+		epoch = r.m.epoch
+	}
+	if !r.m.fail(rank, epoch) {
 		r.mu.Unlock()
 		return
 	}
 	r.failed[rank] = cause
-	r.mask |= 1 << uint(rank)
+	r.settleLocked()
 	r.mu.Unlock()
 	r.failVersion.Add(1)
 	r.events.Add(1)
-	for _, b := range w.boxes {
-		if b != nil {
-			b.poke()
-		}
-	}
-	if r.engine != nil {
-		r.engine.reevaluate()
-	}
+	w.pokeAll()
 	if w.peerFailed != nil {
 		// Transport hook: the shm transport reclaims the failed rank's
 		// outbound staging region and unwedges blocked senders.
@@ -147,45 +140,61 @@ func (w *World) rankFailed(rank int, cause error) {
 	}
 }
 
-// rankRejoined restores a respawned rank to the world's membership and bumps
-// the membership epoch: the failed set forgets the rank, every pending
-// operation is interrupted with a retryable membership-changed error (so no
-// survivor keeps waiting against the old view), and open agreements — whose
-// member lists describe the old epoch — are interrupted for retry. epoch is
-// the coordinator-dictated epoch (the hub's, on TCP) or -1 to auto-increment
-// (in-process worlds, where all ranks share this state).
+// rankRejoined restores a respawned rank to the world's membership at epoch
+// (-1: the next one, for in-process worlds, where all ranks share this
+// state; the hub's, on TCP). In the critical section that bumps the epoch,
+// every open agreement of an older epoch fails with a retryable
+// membership-changed error — its member list describes the old world —
+// before any Restored caller can wake and open the new epoch's. Pending
+// operations on older-epoch communicators are interrupted the same way.
 func (w *World) rankRejoined(rank int, epoch int) {
 	r := w.recov
 	if r == nil {
 		return
 	}
+	cause := &RankFailedError{} // membership changed; nobody failed now
 	r.mu.Lock()
 	if epoch < 0 {
-		r.epoch++
-	} else if epoch > r.epoch {
-		r.epoch = epoch
+		epoch = r.m.epoch + 1
+	}
+	if !r.m.rejoin(rank, epoch) {
+		r.mu.Unlock()
+		return
 	}
 	delete(r.failed, rank)
-	r.mask &^= 1 << uint(rank)
+	r.insts.dropOlder(epoch, cause)
 	r.mu.Unlock()
 	r.failVersion.Add(1)
 	r.events.Add(1)
-	for _, b := range w.boxes {
-		if b != nil {
-			b.poke()
-		}
-	}
+	w.pokeAll()
 	r.restoreCond.Broadcast()
-	cause := &RankFailedError{} // membership changed; nobody failed now
-	if r.engine != nil {
-		r.engine.interrupt(cause)
-	}
-	r.drainWaiters(cause)
 	if w.peerRejoined != nil {
 		// Transport hook: the shm transport pins the pair to the rejoined
 		// rank onto the TCP fallback (the respawned process shares no
 		// segment with the survivors).
 		w.peerRejoined(rank)
+	}
+}
+
+// rankDeparted records that a rank's main returned nil: agreements stop
+// waiting for it, Shrink leaves it out, and Restored can no longer restore
+// the full width. In-process worlds only; the hub records a TCP rank's
+// departure at its done frame.
+func (w *World) rankDeparted(rank int) {
+	r := w.recov
+	r.mu.Lock()
+	if r.m.depart(rank) {
+		r.settleLocked()
+	}
+	r.mu.Unlock()
+}
+
+// pokeAll wakes every blocked receive so it re-checks the recovery state.
+func (w *World) pokeAll() {
+	for _, b := range w.boxes {
+		if b != nil {
+			b.poke()
+		}
 	}
 }
 
@@ -198,15 +207,13 @@ func (r *recoveryState) seedEpoch(epoch int, failedMask uint64) {
 		return
 	}
 	r.mu.Lock()
-	if epoch > r.epoch {
-		r.epoch = epoch
+	if epoch > r.m.epoch {
+		r.m.epoch = epoch
 	}
 	r.mu.Unlock()
 	r.events.Add(1)
-	for rank := 0; rank < maxRecoveryRanks; rank++ {
-		if failedMask&(1<<uint(rank)) != 0 {
-			r.world.rankFailed(rank, fmt.Errorf("%w: rank %d (failed before this process joined)", ErrRankFailed, rank))
-		}
+	for _, rank := range maskRanks(failedMask) {
+		r.world.rankFailed(rank, epoch, fmt.Errorf("%w: rank %d (failed before this process joined)", ErrRankFailed, rank))
 	}
 }
 
@@ -214,19 +221,7 @@ func (r *recoveryState) seedEpoch(epoch int, failedMask uint64) {
 func (r *recoveryState) epochSnapshot() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// drainWaiters releases every hub-agreement waiter with err, without
-// latching the recovery state down (unlike abortPending): the waiters retry.
-func (r *recoveryState) drainWaiters(err error) {
-	r.mu.Lock()
-	waiters := r.waiters
-	r.waiters = make(map[agreeKey]chan agreeOutcome)
-	r.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- agreeOutcome{err: err}
-	}
+	return r.m.epoch
 }
 
 // isFailed reports whether a world rank is in the failed set. Blocked shm
@@ -237,37 +232,13 @@ func (r *recoveryState) isFailed(rank int) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, bad := r.failed[rank]
-	return bad
-}
-
-// failedSnapshot returns the failed world ranks, sorted.
-func (r *recoveryState) failedSnapshot() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.failed))
-	for rank := range r.failed {
-		out = append(out, rank)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// maskSnapshot returns the failed set as a bitmask.
-func (r *recoveryState) maskSnapshot() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mask
+	return r.m.failed&(1<<uint(rank)) != 0
 }
 
 // rfeLocked builds a RankFailedError from the current failed set. Caller
 // holds r.mu.
 func (r *recoveryState) rfeLocked(revoked bool) *RankFailedError {
-	ranks := make([]int, 0, len(r.failed))
-	for rank := range r.failed {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
+	ranks := maskRanks(r.m.failed)
 	var cause error
 	if len(ranks) > 0 {
 		cause = r.failed[ranks[0]]
@@ -295,7 +266,7 @@ func (r *recoveryState) opErr(c *Comm, srcWorld int, startFail uint64) error {
 	if r.ctxRevokedLocked(c.ctx) {
 		return r.rfeLocked(true)
 	}
-	if c.epoch < r.epoch {
+	if c.epoch < r.m.epoch {
 		// The communicator predates a respawn: its view of the membership is
 		// stale even though nobody may be failed right now. Re-form through
 		// Restored. (Checked before the empty-failed shortcut: a rejoin
@@ -305,20 +276,15 @@ func (r *recoveryState) opErr(c *Comm, srcWorld int, startFail uint64) error {
 	if r.failVersion.Load() > startFail {
 		return r.rfeLocked(false)
 	}
-	if len(r.failed) == 0 {
-		return nil
-	}
 	if srcWorld >= 0 {
-		if _, bad := r.failed[srcWorld]; bad {
+		if r.m.failed&(1<<uint(srcWorld)) != 0 {
 			return r.rfeLocked(false)
 		}
 		return nil
 	}
 	// AnySource: any failed member of this communicator poisons the match.
-	for _, wr := range c.ranks {
-		if _, bad := r.failed[wr]; bad {
-			return r.rfeLocked(false)
-		}
+	if r.m.failed&rankMask(c.ranks) != 0 {
+		return r.rfeLocked(false)
 	}
 	return nil
 }
@@ -334,10 +300,7 @@ func (r *recoveryState) sendErr(c *Comm, dstWorld int) error {
 	if r.ctxRevokedLocked(c.ctx) {
 		return r.rfeLocked(true)
 	}
-	if c.epoch < r.epoch {
-		return r.rfeLocked(false)
-	}
-	if _, bad := r.failed[dstWorld]; bad {
+	if c.epoch < r.m.epoch || r.m.failed&(1<<uint(dstWorld)) != 0 {
 		return r.rfeLocked(false)
 	}
 	return nil
@@ -377,59 +340,14 @@ func (w *World) revokeCtx(ctx int64) bool {
 	r.revoked[ctx] = true
 	r.mu.Unlock()
 	r.events.Add(1)
-	for _, b := range w.boxes {
-		if b != nil {
-			b.poke()
-		}
-	}
+	w.pokeAll()
 	return true
 }
 
-// adoptFailures folds an agreed decision into the local failed set: a TCP
-// process may learn of a failure first through the agreement's decided
-// mask, before (or instead of) the hub's failure broadcast reaching it.
-// A decision from a pre-respawn epoch is discarded — resurrecting a failure
-// that a completed rejoin already cleared would wedge the restored world.
-func (r *recoveryState) adoptFailures(decision uint64, members []int, epoch int) {
-	if r.epochSnapshot() > epoch {
-		return
-	}
-	for _, wr := range members {
-		if decision&(1<<uint(wr)) == 0 {
-			continue
-		}
-		r.mu.Lock()
-		_, known := r.failed[wr]
-		r.mu.Unlock()
-		if !known {
-			r.world.rankFailed(wr, fmt.Errorf("%w: rank %d (agreed)", ErrRankFailed, wr))
-		}
-	}
-}
-
-// abortPending fails every outstanding agreement when the world aborts
-// outright (explicit abort, deadline breach): recovery does not survive a
-// revoked world.
-func (r *recoveryState) abortPending(err error) {
-	if r.engine != nil {
-		r.engine.fail(err)
-	}
-	r.mu.Lock()
-	if r.downErr == nil {
-		r.downErr = err
-	}
-	waiters := r.waiters
-	r.waiters = make(map[agreeKey]chan agreeOutcome)
-	r.mu.Unlock()
-	r.restoreCond.Broadcast() // Restored callers observe downErr and bail
-	for _, ch := range waiters {
-		ch <- agreeOutcome{err: err}
-	}
-}
-
-// ErrRestoreTimeout reports that Restored gave up waiting for the world to
-// return to full width: a failed rank was never respawned within the
-// caller's budget. The caller can still Shrink and continue without it.
+// ErrRestoreTimeout reports that Restored gave up on the world returning to
+// full width: a failed rank was never respawned within the caller's budget,
+// or a member departed (its main returned) and never will be. The caller can
+// still Shrink and continue without it.
 var ErrRestoreTimeout = errors.New("mpi: world not restored to full width in time")
 
 // epochCtx derives the message context of an epoch's world communicator.
@@ -486,16 +404,11 @@ func (r *recoveryState) awaitWhole(deadline time.Time) error {
 		if r.downErr != nil {
 			return r.downErr
 		}
-		if len(r.failed) == 0 {
+		if r.m.failed == 0 {
 			return nil
 		}
 		if timedOut {
-			ranks := make([]int, 0, len(r.failed))
-			for rank := range r.failed {
-				ranks = append(ranks, rank)
-			}
-			sort.Ints(ranks)
-			return fmt.Errorf("%w: ranks %v still failed", ErrRestoreTimeout, ranks)
+			return fmt.Errorf("%w: ranks %v still failed", ErrRestoreTimeout, maskRanks(r.m.failed))
 		}
 		r.restoreCond.Wait()
 	}
@@ -512,8 +425,11 @@ func (r *recoveryState) awaitWhole(deadline time.Time) error {
 // fails with the membership-changed error that routes them here — must call
 // it, and all members agree on the restored membership before any returns.
 // timeout bounds the wait for the respawn (zero = wait forever); on expiry
-// the caller gets ErrRestoreTimeout and can fall back to Shrink. Requires
-// WithRecovery.
+// the caller gets ErrRestoreTimeout and can fall back to Shrink. A member
+// that has departed — its main returned nil — can never be waited for: the
+// restored-membership agreement counts it out at once, and every member
+// then returns ErrRestoreTimeout naming the departed ranks, so all of them
+// take the Shrink fallback together. Requires WithRecovery.
 func (c *Comm) Restored(timeout time.Duration) (*Comm, error) {
 	w := c.world
 	r := w.recov
@@ -533,15 +449,23 @@ func (c *Comm) Restored(timeout time.Duration) (*Comm, error) {
 		// Agree on the restored membership: decided-empty means every live
 		// member observed the same full-width world. A failure or a further
 		// respawn racing the agreement surfaces as a retryable error or a
-		// non-empty decision; either way, go around.
-		failed, err := rc.Agree()
+		// non-empty decision; either way, go around. A departure in the
+		// decision is final, and every member reads the same decision, so
+		// all of them give up here together.
+		out, err := rc.Agree()
 		if err != nil {
 			if errors.Is(err, ErrRankFailed) {
 				continue
 			}
 			return nil, err
 		}
-		if len(failed) > 0 || r.epochSnapshot() != epoch {
+		r.mu.Lock()
+		departed := rankMask(out) & r.m.departed // rc is full width: its ranks are world ranks
+		r.mu.Unlock()
+		if departed != 0 {
+			return nil, fmt.Errorf("%w: ranks %v departed", ErrRestoreTimeout, maskRanks(departed))
+		}
+		if len(out) > 0 || r.epochSnapshot() != epoch {
 			continue
 		}
 		return rc, nil
@@ -582,7 +506,7 @@ func (c *Comm) FailedRanks() []int {
 	defer w.recov.mu.Unlock()
 	var out []int
 	for i, wr := range c.ranks {
-		if _, bad := w.recov.failed[wr]; bad {
+		if w.recov.m.failed&(1<<uint(wr)) != 0 {
 			out = append(out, i)
 		}
 	}

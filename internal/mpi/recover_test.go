@@ -173,6 +173,152 @@ func TestAgreeConsistentUnderRacingFailures(t *testing.T) {
 	}
 }
 
+// TestAgreeDecide: the one agreement rule both coordinators run, over every
+// membership state of a member × whether it has contributed. Rank 0 has
+// always contributed; rank 1 is the member under test; rank 2 is outside the
+// communicator.
+func TestAgreeDecide(t *testing.T) {
+	members := []int{0, 1}
+	cases := []struct {
+		name      string
+		state     func(m *membership)
+		arrived   bool
+		keyEpoch  int
+		ready     bool
+		mask      uint64
+		rank0Says uint64 // rank 0's contribution
+	}{
+		{"live arrived", func(*membership) {}, true, 0, true, 0, 0},
+		{"live not arrived", func(*membership) {}, false, 0, false, 0, 0},
+		{"failed arrived", func(m *membership) { m.fail(1, 0) }, true, 0, true, 0b10, 0},
+		{"failed not arrived", func(m *membership) { m.fail(1, 0) }, false, 0, true, 0b10, 0},
+		{"departed arrived", func(m *membership) { m.depart(1) }, true, 0, true, 0b10, 0},
+		{"departed not arrived", func(m *membership) { m.depart(1) }, false, 0, true, 0b10, 0},
+		{"contribution names a failure", func(*membership) {}, true, 0, true, 0b10, 0b10},
+		{"failure outside the communicator", func(m *membership) { m.fail(2, 0) }, true, 0, true, 0, 0},
+		{"rejoined live arrived", func(m *membership) { m.fail(1, 0); m.rejoin(1, 1) }, true, 1, true, 0, 0},
+		{"older-epoch key, all arrived", func(m *membership) { m.rejoin(2, 1) }, true, 0, false, 0, 0},
+		{"older-epoch key, member failed", func(m *membership) { m.rejoin(2, 1); m.fail(1, 1) }, false, 0, false, 0, 0},
+	}
+	for _, tc := range cases {
+		var m membership
+		tc.state(&m)
+		contributions := map[int]uint64{0: tc.rank0Says}
+		if tc.arrived {
+			contributions[1] = 0
+		}
+		mask, ready := decide(agreeKey{epoch: tc.keyEpoch}, members, contributions, &m)
+		if ready != tc.ready || mask != tc.mask {
+			t.Errorf("%s: decide = (%#b, %v), want (%#b, %v)", tc.name, mask, ready, tc.mask, tc.ready)
+		}
+	}
+}
+
+// TestAgreeMembershipTransitions: every transition of the membership value,
+// including the raced failure notice — the hub records a rank failed at
+// epoch E, a respawn re-admits it at E+1, and a worker that receives the
+// rejoin before the failure notice must drop the notice instead of holding a
+// live rank failed in the restored world.
+func TestAgreeMembershipTransitions(t *testing.T) {
+	type step struct {
+		op           string // "fail", "depart", "rejoin"
+		rank, epoch  int
+		wantsChanged bool
+	}
+	cases := []struct {
+		name                   string
+		steps                  []step
+		epoch                  int
+		failed, departed, live []int
+	}{
+		{"fail once", []step{{"fail", 1, 0, true}, {"fail", 1, 0, false}}, 0, []int{1}, nil, []int{0, 2}},
+		{"depart is final", []step{{"depart", 1, 0, true}, {"fail", 1, 0, false}, {"depart", 1, 0, false}}, 0, nil, []int{1}, []int{0, 2}},
+		{"failed stays failed at done", []step{{"fail", 1, 0, true}, {"depart", 1, 0, false}}, 0, []int{1}, nil, []int{0, 2}},
+		{"fail then rejoin", []step{{"fail", 1, 0, true}, {"rejoin", 1, 1, true}}, 1, nil, nil, []int{0, 1, 2}},
+		{"stale notice after rejoin", []step{{"rejoin", 1, 1, true}, {"fail", 1, 0, false}}, 1, nil, nil, []int{0, 1, 2}},
+		{"new failure after rejoin", []step{{"fail", 1, 0, true}, {"rejoin", 1, 1, true}, {"fail", 1, 1, true}}, 1, []int{1}, nil, []int{0, 2}},
+		{"other rank's old notice still counts", []step{{"rejoin", 1, 1, true}, {"fail", 2, 0, true}}, 1, []int{2}, nil, []int{0, 1}},
+		{"rejoin already applied", []step{{"fail", 1, 0, true}, {"rejoin", 2, 1, true}, {"rejoin", 1, 1, false}}, 1, []int{1}, nil, []int{0, 2}},
+	}
+	for _, tc := range cases {
+		var m membership
+		for i, s := range tc.steps {
+			var changed bool
+			switch s.op {
+			case "fail":
+				changed = m.fail(s.rank, s.epoch)
+			case "depart":
+				changed = m.depart(s.rank)
+			case "rejoin":
+				changed = m.rejoin(s.rank, s.epoch)
+			}
+			if changed != s.wantsChanged {
+				t.Errorf("%s: step %d %s(%d, %d) changed = %v, want %v", tc.name, i, s.op, s.rank, s.epoch, changed, s.wantsChanged)
+			}
+		}
+		live := ^(m.failed | m.departed) & 0b111
+		if m.epoch != tc.epoch || m.failed != rankMask(tc.failed) || m.departed != rankMask(tc.departed) || live != rankMask(tc.live) {
+			t.Errorf("%s: epoch %d failed %v departed %v live %v; want epoch %d failed %v departed %v live %v", tc.name,
+				m.epoch, maskRanks(m.failed), maskRanks(m.departed), maskRanks(live), tc.epoch, tc.failed, tc.departed, tc.live)
+		}
+	}
+
+	// The worker applies notices through the same value: a rejoin at epoch 1,
+	// then the hub's notice of the failure it decided at epoch 0.
+	w := &World{np: 3}
+	w.recov = newRecoveryState(w)
+	w.recov.ctrlSend = func(frame) error { return nil }
+	w.rankRejoined(1, 1)
+	w.rankFailed(1, 0, errDeliberate)
+	if got := w.comm(0).FailedRanks(); len(got) != 0 {
+		t.Fatalf("worker holds rank(s) %v failed after a stale notice", got)
+	}
+}
+
+// TestAgreeRejoinFailsOnlyOlderEpochs: a rejoin to epoch E fails the
+// agreement a member entered at epoch E-1 — its member list describes the old
+// world — and never one entered at E, which is the instance the restored
+// world decides. Failing the new-epoch waiter too strands its member: the
+// hub decides that instance for everyone else, and the retry opens a fresh
+// one nobody else joins.
+func TestAgreeRejoinFailsOnlyOlderEpochs(t *testing.T) {
+	w := &World{np: 3}
+	w.recov = newRecoveryState(w)
+	reqs := make(chan []byte, 2)
+	w.recov.ctrlSend = func(f frame) error { reqs <- f.Data; return nil }
+	w.rankRejoined(2, 1) // the world is at epoch 1
+
+	type outcome struct {
+		failed []int
+		err    error
+	}
+	agree := func(epoch int) (<-chan outcome, []byte) {
+		out := make(chan outcome, 1)
+		go func() {
+			failed, err := w.epochComm(w.comm(0), epoch).Agree()
+			out <- outcome{failed, err}
+		}()
+		return out, <-reqs // the contribution is on its way to the hub
+	}
+	old, _ := agree(1)
+	cur, curReq := agree(2)
+	w.rankRejoined(2, 2)
+
+	if o := <-old; !errors.Is(o.err, ErrRankFailed) {
+		t.Fatalf("epoch-1 agreement across the rejoin to epoch 2: got %v, %v; want the membership-changed error", o.failed, o.err)
+	}
+	// The hub decides the epoch-2 instance: echo the contribution back as
+	// its decision (gob matches the fields by name).
+	var resp agreeResp
+	if err := decodeValue(curReq, &resp); err != nil {
+		t.Fatal(err)
+	}
+	w.recov.deliverDecision(resp)
+	if o := <-cur; o.err != nil || len(o.failed) != 0 {
+		t.Fatalf("epoch-2 agreement: got %v, %v; want the hub's empty decision", o.failed, o.err)
+	}
+}
+
 // TestRevokeKicksStragglerOutOfOldComm: a straggler that computed straight
 // through the failure blocks on a receive from a live peer — the failed-set
 // checks alone would never interrupt it. The survivor that detected the

@@ -356,34 +356,56 @@ func TestRespawnRacingKills(t *testing.T) {
 // TestRestoredTimeoutFallsBackToShrink: with plain WithRecovery (no
 // launcher respawning anything) Restored must give up at the deadline with
 // ErrRestoreTimeout, and the survivors can still Shrink and continue — the
-// documented fallback path.
+// documented fallback path. A rank that departed (returned nil) can never be
+// waited for: Restored must give up at once even with no deadline, naming
+// it, and Shrink must leave it out. (The failed row observes the failure
+// before Restored, so no survivor is inside the restore agreement when the
+// other's deadline passes.)
 func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
-	err := runWithWatchdog(t, 30*time.Second, func() error {
-		return Run(3, func(c *Comm) error {
-			if c.Rank() == 2 {
-				return errDeliberate
-			}
-			_, rerr := c.Recv(2, 7, nil)
-			if !errors.Is(rerr, ErrRankFailed) {
-				return fmt.Errorf("want ErrRankFailed, got %v", rerr)
-			}
-			if _, rerr := c.Restored(150 * time.Millisecond); !errors.Is(rerr, ErrRestoreTimeout) {
-				return fmt.Errorf("want ErrRestoreTimeout, got %v", rerr)
-			}
-			if err := c.Revoke(); err != nil {
-				return err
-			}
-			nc, serr := c.Shrink()
-			if serr != nil {
-				return serr
-			}
-			if nc.Size() != 2 {
-				return fmt.Errorf("shrunken size %d, want 2", nc.Size())
-			}
-			return nc.Barrier()
-		}, WithRecovery())
-	})
-	if err != nil {
-		t.Fatalf("timeout-then-shrink should recover, got %v", err)
+	cases := []struct {
+		name    string
+		rank2   error // what rank 2's main returns
+		timeout time.Duration
+		want    string
+	}{
+		{"failed-never-respawned", errDeliberate, 150 * time.Millisecond, "ranks [2] still failed"},
+		{"departed", nil, 0, "ranks [2] departed"},
+	}
+	for _, l := range recoveryLaunchers {
+		for _, tc := range cases {
+			l, tc := l, tc
+			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
+				err := runWithWatchdog(t, 30*time.Second, func() error {
+					return l.run(3, func(c *Comm) error {
+						if c.Rank() == 2 {
+							return tc.rank2
+						}
+						if tc.rank2 != nil {
+							if _, rerr := c.Recv(2, 7, nil); !errors.Is(rerr, ErrRankFailed) {
+								return fmt.Errorf("want ErrRankFailed, got %v", rerr)
+							}
+						}
+						_, rerr := c.Restored(tc.timeout)
+						if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), tc.want) {
+							return fmt.Errorf("want ErrRestoreTimeout naming %q, got %v", tc.want, rerr)
+						}
+						if err := c.Revoke(); err != nil {
+							return err
+						}
+						nc, serr := c.Shrink()
+						if serr != nil {
+							return serr
+						}
+						if nc.Size() != 2 {
+							return fmt.Errorf("shrunken size %d, want 2", nc.Size())
+						}
+						return nc.Barrier()
+					}, WithRecovery())
+				})
+				if err != nil {
+					t.Fatalf("Restored-then-shrink should recover, got %v", err)
+				}
+			})
+		}
 	}
 }

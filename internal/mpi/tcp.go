@@ -570,7 +570,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		// own pending requests), report it to the hub — which notifies the
 		// survivors and settles agreements — and complete the done protocol.
 		// The world lives on without this rank.
-		w.rankFailed(rank, runErr)
+		w.rankFailed(rank, -1, runErr)
 		if data, encErr := encodeValue(abortInfo{Rank: rank, Msg: runErr.Error()}); encErr == nil {
 			_ = t.Send(frame{Dst: ctrlDst, Tag: tagFailed, Data: data})
 		}

@@ -257,7 +257,6 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	}
 	if cfg.recovery {
 		w.recov = newRecoveryState(w)
-		w.recov.engine = newAgreeEngine(w.recov)
 	}
 	defer t.Close()
 
@@ -276,7 +275,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 				// program's Restored + checkpoint-restore path.
 				for attempt := 1; err != nil && !errors.Is(err, ErrWorldAborted) &&
 					attempt <= maxRespawnsPerRank; attempt++ {
-					w.rankFailed(rank, err)
+					w.rankFailed(rank, -1, err)
 					if w.abortErr() != nil {
 						break
 					}
@@ -288,6 +287,10 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 				}
 			}
 			if err == nil {
+				if w.recov != nil {
+					// The rank returned: agreements stop waiting for it.
+					w.rankDeparted(rank)
+				}
 				return
 			}
 			errs[rank] = err
@@ -300,7 +303,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 			if w.recov != nil {
 				// Recovery mode: a failed rank is recorded, survivors are
 				// interrupted with a retryable error, and the world lives on.
-				w.rankFailed(rank, err)
+				w.rankFailed(rank, -1, err)
 				return
 			}
 			w.abort(err)

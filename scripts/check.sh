@@ -49,6 +49,9 @@ go test -race -timeout 120s -count=50 \
 # recovery correctness is precisely about failure/operation races, so a
 # cached pass proves nothing. TestWithRecovery* includes the row that counts
 # the frames an unused recovery world sends: the plain world's, no others.
+# TestAgree* includes the agreement rule's table over every membership state,
+# the membership transitions (a raced failure notice included) and the rule
+# that a rejoin fails only older-epoch agreements.
 go test -race -timeout 180s -count=1 \
   -run 'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution' \
   ./internal/mpi/
@@ -83,8 +86,11 @@ go test -race -timeout 300s -count=20 \
 # armed on the victim's k-th send, and the dynamic queue promised the victim
 # no more than one task (worker-mid-queue injected no failure in ≈ 10 % of
 # package runs; two-workers-die wedged in ≈ 7 % when the 4th send was the
-# forwarded closing broadcast). The victim now serves alone until it dies;
-# 30 fresh runs per gate keep it that way.
+# forwarded closing broadcast). The victim now serves alone until it dies,
+# which still guards that its kill fires; 30 fresh runs per gate keep it
+# that way. The closing-broadcast wedge itself is fixed: ranks that returned
+# are departed, and the survivor's Shrink leaves them out — the
+# bcast-forwarder-dies row kills a forwarder of that broadcast every run.
 go test -race -timeout 300s -count=30 \
   -run 'TestMasterWorkerRecoverKills|TestMasterWorkerRecoverTwoWorkersDie' \
   ./internal/exemplars/drugdesign/
@@ -117,10 +123,13 @@ go test -race -timeout 180s -count=1 -run 'TestShm' ./cmd/mpirun/
 # or surfaced as a CorruptFrameError, never a silently wrong result), and
 # respawn back to full width. The disconnect/corrupt faults run -count=3
 # as a small soak: the reconnect-vs-traffic interleaving is timing-
-# dependent, and a single lucky pass proves nothing about the race.
+# dependent, and a single lucky pass proves nothing about the race. The
+# session/respawn line is the named interleaving-sensitive repeat: ten fresh
+# runs, where a rejoin interrupting the agreement it had just started used
+# to wedge Restored.
 go test -race -timeout 240s -count=3 \
   -run 'TestDisconnectFault|TestCorruptFault' ./internal/mpi/
-go test -race -timeout 180s -count=1 \
+go test -race -timeout 300s -count=10 \
   -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/

@@ -37,12 +37,13 @@
 // With -respawn (mutually exclusive with -recover) a failed rank is instead
 // relaunched into its old slot: the launcher restarts the dead rank (a new
 // goroutine in-process, a new OS process under -transport procs/shm, which
-// rejoins the hub over TCP), the survivors wait in Restored, and the world
-// continues at the ORIGINAL width from the last committed checkpoint. The
-// run exits 0 only if every rank of the full-width world finished; a world
-// that had to degrade to shrink-and-continue exits 3. Each rank is
-// relaunched at most three times before the job falls back to the
-// survivors.
+// rejoins the hub over TCP), the survivors wait in Comm.Recover, and the
+// world continues at the ORIGINAL width from the last committed checkpoint.
+// The run exits 0 only if every rank of the full-width world finished; a
+// world that had to degrade to shrink-and-continue exits 3. Each rank is
+// relaunched at most three times; then it is gone for good (in-process at
+// once, under -transport procs/shm once -join-timeout passes without its
+// rejoin) and the job falls back to the survivors.
 //
 // -topology NxM places the np ranks blockwise on N modeled nodes of M slots
 // each (rank r lands on node r/M) and publishes the placement to the
@@ -119,15 +120,10 @@ const (
 )
 
 // maxRespawns bounds how many times -respawn relaunches one rank before
-// abandoning it to the shrink fallback (mirrors the runtime's own
-// per-rank respawn budget).
+// abandoning it (mirrors the runtime's own per-rank respawn budget). Under
+// -transport procs/shm the hub then marks the rank gone for good once
+// -join-timeout passes without its rejoin, and the survivors shrink.
 const maxRespawns = 3
-
-// respawnRestoreWait is how long survivors wait in Restored for a dead
-// rank's relaunch before degrading to survive-and-continue. Relaunching a
-// process takes milliseconds, so this only delays runs that are about to
-// fall back to the survivors anyway.
-const respawnRestoreWait = 30 * time.Second
 
 // errNotFullWidth marks a -respawn run that finished, but on the shrink
 // fallback rather than at the original width: some rank's relaunch budget
@@ -235,11 +231,10 @@ func main() {
 		}
 		if *respawnFlag {
 			opts = append(opts, mpi.WithRespawn())
-			body, err = respawnBody(prog, store, *ckptEvery, respawnRestoreWait)
 		} else {
 			opts = append(opts, mpi.WithRecovery())
-			body, err = recoverBody(prog, store, *ckptEvery)
 		}
+		body, err = recoverBody(prog, *respawnFlag, store, *ckptEvery)
 	default:
 		body, err = resolveProgram(prog)
 	}
@@ -349,8 +344,15 @@ func chooseStore(dir string) (ckpt.Store, error) {
 	return ckpt.NewFileStore(dir)
 }
 
-// recoverBody maps a program name to its survive-and-continue variant.
-func recoverBody(prog string, store ckpt.Store, every int) (func(c *mpi.Comm) error, error) {
+// recoverBody maps a program name to its checkpoint-restart variant, which
+// recovers through Comm.Recover: the world's option decides whether that
+// shrinks (-recover) or relaunches (-respawn). The printed line counts the
+// ranks as "survivors" under -recover and as the "width" under -respawn.
+func recoverBody(prog string, respawn bool, store ckpt.Store, every int) (func(c *mpi.Comm) error, error) {
+	flagName, label := "-recover", "survivors"
+	if respawn {
+		flagName, label = "-respawn", "width"
+	}
 	switch prog {
 	case "forestfire":
 		return func(c *mpi.Comm) error {
@@ -360,8 +362,8 @@ func recoverBody(prog string, store ckpt.Store, every int) (func(c *mpi.Comm) er
 				return err
 			}
 			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("forest fire %dx%d p=%.2f: burned %.1f%% in %d steps (survivors: %d/%d ranks)\n",
-					rows, cols, prob, 100*res.BurnedFraction, res.Steps, c.Size()-len(c.FailedRanks()), c.Size())
+				fmt.Printf("forest fire %dx%d p=%.2f: burned %.1f%% in %d steps (%s: %d/%d ranks)\n",
+					rows, cols, prob, 100*res.BurnedFraction, res.Steps, label, c.Size()-len(c.FailedRanks()), c.Size())
 			}
 			return nil
 		}, nil
@@ -372,7 +374,7 @@ func recoverBody(prog string, store ckpt.Store, every int) (func(c *mpi.Comm) er
 				return err
 			}
 			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("%s (survivors: %d/%d ranks)\n", res, c.Size()-len(c.FailedRanks()), c.Size())
+				fmt.Printf("%s (%s: %d/%d ranks)\n", res, label, c.Size()-len(c.FailedRanks()), c.Size())
 			}
 			return nil
 		}, nil
@@ -389,53 +391,7 @@ func recoverBody(prog string, store ckpt.Store, every int) (func(c *mpi.Comm) er
 			return nil
 		}, nil
 	default:
-		return nil, fmt.Errorf("-recover supports forestfire, drugdesign, and pagerank, not %q", prog)
-	}
-}
-
-// respawnBody maps a program name to its respawn-recovery variant: the
-// checkpoint-restart body that waits in Restored for a relaunched rank
-// (falling back to shrink only if the relaunch never arrives within wait).
-func respawnBody(prog string, store ckpt.Store, every int, wait time.Duration) (func(c *mpi.Comm) error, error) {
-	switch prog {
-	case "forestfire":
-		return func(c *mpi.Comm) error {
-			const rows, cols, prob, seed = 40, 40, 0.6, 17
-			res, err := forestfire.SimulateDomainRespawn(c, rows, cols, prob, seed, store, every, wait)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("forest fire %dx%d p=%.2f: burned %.1f%% in %d steps (width: %d/%d ranks)\n",
-					rows, cols, prob, 100*res.BurnedFraction, res.Steps, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	case "drugdesign":
-		return func(c *mpi.Comm) error {
-			res, err := drugdesign.MPIMasterWorkerRespawn(c, drugdesign.DefaultParams(), store, every, wait)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("%s (width: %d/%d ranks)\n", res, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	case "pagerank":
-		return func(c *mpi.Comm) error {
-			g, damping, iters := pagerankDefaults()
-			pr, err := pagerank.PageRankRespawn(c, g, damping, iters, store, every, wait)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				printPageRank(g, pr, c.Size()-len(c.FailedRanks()))
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("-respawn supports forestfire, drugdesign, and pagerank, not %q", prog)
+		return nil, fmt.Errorf("%s supports forestfire, drugdesign, and pagerank, not %q", flagName, prog)
 	}
 }
 
@@ -784,15 +740,14 @@ func workerMode() error {
 			return serr
 		}
 		every, _ := strconv.Atoi(os.Getenv(envCkptEvery))
-		if respawnWorld {
-			body, err = respawnBody(os.Getenv(envProg), store, every, respawnRestoreWait)
-			opts = append(opts, mpi.WithRespawn())
-		} else {
-			body, err = recoverBody(os.Getenv(envProg), store, every)
-			opts = append(opts, mpi.WithRecovery())
-		}
+		body, err = recoverBody(os.Getenv(envProg), respawnWorld, store, every)
 		if err != nil {
 			return err
+		}
+		if respawnWorld {
+			opts = append(opts, mpi.WithRespawn())
+		} else {
+			opts = append(opts, mpi.WithRecovery())
 		}
 		if kr, kerr := strconv.Atoi(os.Getenv(envKillRank)); kerr == nil && kr >= 0 {
 			ka, _ := strconv.Atoi(os.Getenv(envKillAfter))

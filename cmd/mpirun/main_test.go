@@ -87,17 +87,28 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestRecoverBodyResolution: only the checkpoint-restart exemplars have
-// survive-and-continue variants; everything else is a launcher error.
+// recovery variants; everything else is a launcher error naming -recover.
 func TestRecoverBodyResolution(t *testing.T) {
+	checkBodyResolution(t, false, "-recover")
+}
+
+// TestRespawnBodyResolution: -respawn resolves the same exemplars through the
+// same table, and its rejection names -respawn.
+func TestRespawnBodyResolution(t *testing.T) {
+	checkBodyResolution(t, true, "-respawn")
+}
+
+func checkBodyResolution(t *testing.T, respawn bool, flagName string) {
+	t.Helper()
 	store := ckpt.NewMemStore()
 	for _, name := range []string{"forestfire", "drugdesign", "pagerank"} {
-		if _, err := recoverBody(name, store, 3); err != nil {
+		if _, err := recoverBody(name, respawn, store, 3); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	for _, name := range []string{"integration", "mpiRing", "noSuchThing"} {
-		if _, err := recoverBody(name, store, 3); err == nil {
-			t.Fatalf("%s: want error, got nil", name)
+		if _, err := recoverBody(name, respawn, store, 3); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Fatalf("%s: want an error naming %s, got %v", name, flagName, err)
 		}
 	}
 }
@@ -107,7 +118,7 @@ func TestRecoverBodyResolution(t *testing.T) {
 // exit-0-on-recovery contract, minus the process boundary.
 func TestRecoverRunEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", store, 3)
+	body, err := recoverBody("forestfire", false, store, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,28 +133,12 @@ func TestRecoverRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRespawnBodyResolution: like -recover, -respawn only has variants for
-// the checkpoint-restart exemplars.
-func TestRespawnBodyResolution(t *testing.T) {
-	store := ckpt.NewMemStore()
-	for _, name := range []string{"forestfire", "drugdesign", "pagerank"} {
-		if _, err := respawnBody(name, store, 3, time.Second); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	for _, name := range []string{"integration", "mpiRing", "noSuchThing"} {
-		if _, err := respawnBody(name, store, 3, time.Second); err == nil {
-			t.Fatalf("%s: want error, got nil", name)
-		}
-	}
-}
-
 // TestRespawnRunEndToEnd: the exact body and verdict mpirun -respawn uses —
 // a seeded one-shot kill, the rank relaunched into its slot, and the
 // full-width check passing — maps to exit 0.
 func TestRespawnRunEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := respawnBody("forestfire", store, 3, 20*time.Second)
+	body, err := recoverBody("forestfire", true, store, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +155,13 @@ func TestRespawnRunEndToEnd(t *testing.T) {
 }
 
 // TestRespawnNotFullWidth: an unlimited kill rule re-kills every relaunch,
-// so the respawn budget runs out and the world finishes on the shrink
-// fallback — which the launcher must report as errNotFullWidth, exit 3,
-// even though the runtime itself reports a recovered (nil-error) run.
+// so the respawn budget runs out, the launcher marks the rank gone for good,
+// and every survivor's Recover shrinks at once — no wait anywhere. The
+// launcher must report that as errNotFullWidth, exit 3, even though the
+// runtime itself reports a recovered (nil-error) run.
 func TestRespawnNotFullWidth(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := respawnBody("forestfire", store, 3, 2*time.Second)
+	body, err := recoverBody("forestfire", true, store, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +397,7 @@ func TestTopologyFlagMatrix(t *testing.T) {
 // the run maps to exit 0.
 func TestShmRecoverEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", store, 3)
+	body, err := recoverBody("forestfire", false, store, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

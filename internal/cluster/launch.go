@@ -33,32 +33,42 @@ func (p Platform) Launch(np int, main func(c *mpi.Comm) error, extra ...mpi.Opti
 	if np < 1 {
 		return fmt.Errorf("cluster: launch needs at least 1 process, got %d", np)
 	}
-	names := make([]string, np)
 	nodes := make([]int, np)
-	for r := 0; r < np; r++ {
+	for r := range nodes {
 		nodes[r] = p.NodeOf(r, np)
-		names[r] = p.Hostname(nodes[r])
 	}
+	opts := append(p.Options(nodes, NewCoreGate(p.TotalCores()).Run), extra...)
+	return mpi.Run(np, main, opts...)
+}
 
+// Options are the runtime options that put ranks on this platform, rank r
+// on node placement[r]: its processor name, the topology, the compute gate
+// (the platform's cores), and the inter-node latency and link model between
+// the placed ranks. Launch builds them for a blockwise placement; the gang
+// scheduler, for the nodes it allocated a job and its shared gate.
+func (p Platform) Options(placement []int, gate func(fn func())) []mpi.Option {
+	names := make([]string, len(placement))
+	for r, node := range placement {
+		names[r] = p.Hostname(node)
+	}
 	opts := []mpi.Option{
 		mpi.WithProcessorNames(names),
-		mpi.WithTopology(nodes),
-		mpi.WithComputeGate(NewCoreGate(p.TotalCores()).Run),
+		mpi.WithTopology(placement),
+		mpi.WithComputeGate(gate),
 	}
 	if p.InterNodeLatency > 0 && p.Nodes > 1 {
 		lat := p.InterNodeLatency
 		opts = append(opts, mpi.WithLatency(func(src, dst int) time.Duration {
-			if nodes[src] != nodes[dst] {
+			if placement[src] != placement[dst] {
 				return lat
 			}
 			return 0
 		}))
 	}
 	if p.InterNodeBandwidth > 0 && p.Nodes > 1 {
-		opts = append(opts, mpi.WithLinkCost(NewLinkModel(nodes, p.Nodes, p.InterNodeBandwidth).Cost))
+		opts = append(opts, mpi.WithLinkCost(NewLinkModel(placement, p.Nodes, p.InterNodeBandwidth).Cost))
 	}
-	opts = append(opts, extra...)
-	return mpi.Run(np, main, opts...)
+	return opts
 }
 
 // CoreGate is a counting semaphore standing in for a platform's cores: at

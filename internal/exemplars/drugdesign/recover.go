@@ -3,7 +3,6 @@ package drugdesign
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/mpi"
@@ -25,65 +24,26 @@ type ddCkpt struct {
 	Scores []int
 }
 
-// MPIMasterWorkerRecover is MPIMasterWorker for recovery-mode worlds
-// (mpi.WithRecovery): the master checkpoints the score table into store
-// every `every` completed results, and on a rank failure every survivor
-// revokes, shrinks, and re-enters — with the (possibly new) master
-// restoring from the last committed checkpoint. Every surviving rank
-// returns the full Result, bit-equal to the failure-free run's.
+// MPIMasterWorkerRecover is MPIMasterWorker for recovery-mode worlds: the
+// master checkpoints the score table into store every `every` completed
+// results, and on a rank failure every member calls Comm.Recover and
+// re-enters, with the (possibly new) master restoring from the last
+// committed checkpoint. Under mpi.WithRecovery the round continues on the
+// shrunk survivors; under mpi.WithRespawn it continues at the ORIGINAL
+// width — a respawned worker simply rejoins the queue, a respawned master
+// restores the score table — unless the dead rank departed or will not come
+// back, when it shrinks. Every rank that finishes returns the full Result,
+// bit-equal to the failure-free run's.
 func MPIMasterWorkerRecover(c *mpi.Comm, p Params, store ckpt.Store, every int) (Result, error) {
 	comm := c
 	for {
 		res, err := masterWorkerCkpt(comm, p, store, every)
-		if err == nil {
-			return res, nil
-		}
 		if !errors.Is(err, mpi.ErrRankFailed) {
+			return res, err
+		}
+		if comm, err = comm.Recover(); err != nil {
 			return Result{}, err
 		}
-		if rerr := comm.Revoke(); rerr != nil {
-			return Result{}, rerr
-		}
-		nc, serr := comm.Shrink()
-		if serr != nil {
-			return Result{}, serr
-		}
-		comm = nc
-	}
-}
-
-// MPIMasterWorkerRespawn is MPIMasterWorkerRecover for respawn-mode
-// worlds (mpi.WithRespawn): a rank failure waits up to `wait` for the
-// launcher to relaunch the dead rank into its old slot and re-enters the
-// master-worker round at the ORIGINAL width — a respawned worker simply
-// rejoins the queue, and a respawned master restores the score table from
-// the shared store, redoing only the work since the last checkpoint. If
-// the rank never comes back, the run degrades to survive-and-continue
-// (revoke, shrink, finish on the survivors). Both paths return the Result
-// bit-equal to the failure-free run's.
-func MPIMasterWorkerRespawn(c *mpi.Comm, p Params, store ckpt.Store, every int, wait time.Duration) (Result, error) {
-	comm := c
-	for {
-		res, err := masterWorkerCkpt(comm, p, store, every)
-		if err == nil {
-			return res, nil
-		}
-		if !errors.Is(err, mpi.ErrRankFailed) {
-			return Result{}, err
-		}
-		nc, rerr := comm.Restored(wait)
-		if rerr != nil {
-			if !errors.Is(rerr, mpi.ErrRestoreTimeout) {
-				return Result{}, rerr
-			}
-			if verr := comm.Revoke(); verr != nil {
-				return Result{}, verr
-			}
-			if nc, rerr = comm.Shrink(); rerr != nil {
-				return Result{}, rerr
-			}
-		}
-		comm = nc
 	}
 }
 

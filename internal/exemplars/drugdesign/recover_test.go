@@ -153,7 +153,7 @@ func runDDRespawnTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) 
 	done := make(chan error, 1)
 	go func() {
 		done <- launch(np, func(c *mpi.Comm) error {
-			got, err := MPIMasterWorkerRespawn(c, p, store, every, 20*time.Second)
+			got, err := MPIMasterWorkerRecover(c, p, store, every)
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@ package forestfire
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/mpi"
@@ -27,66 +26,26 @@ type slabCkpt struct {
 	Burning      []int  // global ids of cells burning at the top of step Step+1
 }
 
-// SimulateDomainRecover is SimulateDomainMPI for recovery-mode worlds
-// (mpi.WithRecovery): it checkpoints every `every` steps into store, and
-// when a rank failure surfaces it revokes the communicator, shrinks to the
-// survivors, re-decomposes the last committed checkpoint over the smaller
-// world, and continues. Every surviving rank returns the identical
-// TrialResult, equal to SimulateHash's for the same arguments.
+// SimulateDomainRecover is SimulateDomainMPI for recovery-mode worlds: it
+// checkpoints every `every` steps into store, and when a rank failure
+// surfaces it calls Comm.Recover, re-decomposes the last committed
+// checkpoint over the world Recover returns, and continues. Under
+// mpi.WithRecovery that world is the shrunk survivors; under mpi.WithRespawn
+// it is the ORIGINAL width, a respawned incarnation entering here fresh and
+// meeting the survivors at the checkpoint restore, unless the dead rank
+// departed or will not come back, when it shrinks. Every rank that finishes
+// returns the identical TrialResult, equal to SimulateHash's for the same
+// arguments.
 func SimulateDomainRecover(c *mpi.Comm, rows, cols int, prob float64, seed int64, store ckpt.Store, every int) (TrialResult, error) {
 	comm := c
 	for {
 		res, err := simulateDomainCkpt(comm, rows, cols, prob, seed, store, every)
-		if err == nil {
-			return res, nil
-		}
 		if !errors.Is(err, mpi.ErrRankFailed) {
+			return res, err
+		}
+		if comm, err = comm.Recover(); err != nil {
 			return TrialResult{}, err
 		}
-		if rerr := comm.Revoke(); rerr != nil {
-			return TrialResult{}, rerr
-		}
-		nc, serr := comm.Shrink()
-		if serr != nil {
-			return TrialResult{}, serr
-		}
-		comm = nc
-	}
-}
-
-// SimulateDomainRespawn is SimulateDomainRecover for respawn-mode worlds
-// (mpi.WithRespawn): instead of shrinking to the survivors, a rank
-// failure waits up to `wait` for the launcher to relaunch the dead rank
-// into its old slot, agrees on the restored membership, and re-enters the
-// simulation at the ORIGINAL width from the last committed checkpoint. A
-// respawned incarnation enters here fresh and meets the survivors at the
-// checkpoint restore. If the dead rank never comes back (restore times
-// out), the run degrades to survive-and-continue: revoke, shrink, and
-// finish on the survivors. Either way the result is bit-identical to
-// SimulateHash's.
-func SimulateDomainRespawn(c *mpi.Comm, rows, cols int, prob float64, seed int64, store ckpt.Store, every int, wait time.Duration) (TrialResult, error) {
-	comm := c
-	for {
-		res, err := simulateDomainCkpt(comm, rows, cols, prob, seed, store, every)
-		if err == nil {
-			return res, nil
-		}
-		if !errors.Is(err, mpi.ErrRankFailed) {
-			return TrialResult{}, err
-		}
-		nc, rerr := comm.Restored(wait)
-		if rerr != nil {
-			if !errors.Is(rerr, mpi.ErrRestoreTimeout) {
-				return TrialResult{}, rerr
-			}
-			if verr := comm.Revoke(); verr != nil {
-				return TrialResult{}, verr
-			}
-			if nc, rerr = comm.Shrink(); rerr != nil {
-				return TrialResult{}, rerr
-			}
-		}
-		comm = nc
 	}
 }
 

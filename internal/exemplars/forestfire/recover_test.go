@@ -136,7 +136,7 @@ func runRespawnTrial(t *testing.T, launch func(np int, main func(c *mpi.Comm) er
 	done := make(chan error, 1)
 	go func() {
 		done <- launch(np, func(c *mpi.Comm) error {
-			got, err := SimulateDomainRespawn(c, rows, cols, prob, seed, store, every, 20*time.Second)
+			got, err := SimulateDomainRecover(c, rows, cols, prob, seed, store, every)
 			if err != nil {
 				return err
 			}

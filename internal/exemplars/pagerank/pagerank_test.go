@@ -233,7 +233,9 @@ func TestBFSMPIBitEqual(t *testing.T) {
 // before the first checkpoint, mid-run, rank 0 itself — on the local, TCP,
 // and shm transports. The survivors' result must still match the
 // sequential oracle: the checkpoint restore plus re-decomposition over the
-// shrunken world preserves the arithmetic up to reassociation.
+// shrunken world preserves the arithmetic up to reassociation. The respawn
+// row kills rank 2 once under mpi.WithRespawn: the same function relaunches
+// it and must end at full width, every rank at the oracle's fixed point.
 func TestPageRankRecover(t *testing.T) {
 	g := Gen(300, 5, 7)
 	const damping, iters, every = 0.85, 24, 6
@@ -245,18 +247,22 @@ func TestPageRankRecover(t *testing.T) {
 			SkipFirst: skip, Action: mpi.FaultKillRank,
 		}}}
 	}
+	once := kill(2, mpi.AnyTag, 100)
+	once.Rules[0].Count = 1
 	cases := []struct {
-		name string
-		np   int
-		plan *mpi.FaultPlan
+		name    string
+		np      int
+		plan    *mpi.FaultPlan
+		respawn bool
 	}{
-		{"no-failure", 4, nil},
-		{"before-first-checkpoint", 4, kill(2, mpi.AnyTag, 3)},
-		{"mid-run", 4, kill(1, mpi.AnyTag, 100)},
-		{"rank0-dies", 4, kill(0, mpi.AnyTag, 120)},
+		{"no-failure", 4, nil, false},
+		{"before-first-checkpoint", 4, kill(2, mpi.AnyTag, 3), false},
+		{"mid-run", 4, kill(1, mpi.AnyTag, 100), false},
+		{"rank0-dies", 4, kill(0, mpi.AnyTag, 120), false},
 		// Rank 1 dies on its first forward down a Bcast tree, early in the
 		// run, while its subtree waits for it.
-		{"bcast-forwarder-dies", 5, kill(1, tagBcast, 0)},
+		{"bcast-forwarder-dies", 5, kill(1, tagBcast, 0), false},
+		{"respawn-one-shot-kill", 4, once, true},
 	}
 	launchers := []struct {
 		name string
@@ -278,7 +284,11 @@ func TestPageRankRecover(t *testing.T) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
 					store := ckpt.NewMemStore()
-					opts := []mpi.Option{mpi.WithRecovery()}
+					rep := &mpi.FaultReport{}
+					opts := []mpi.Option{mpi.WithRecovery(), mpi.WithFaultReport(rep)}
+					if tc.respawn {
+						opts[0] = mpi.WithRespawn()
+					}
 					if tc.plan != nil {
 						opts = append(opts, mpi.WithFaults(*tc.plan))
 					}
@@ -313,7 +323,12 @@ func TestPageRankRecover(t *testing.T) {
 							t.Fatalf("rank %d: recovered result off by %g > %g", rank, d, prTol)
 						}
 					}
-					if tc.plan != nil && len(results) == tc.np {
+					if tc.respawn {
+						if len(results) != tc.np || len(rep.Injected()) != 1 {
+							t.Fatalf("%d of %d ranks finished after %d kills, want full width after one",
+								len(results), tc.np, len(rep.Injected()))
+						}
+					} else if tc.plan != nil && len(results) == tc.np {
 						t.Fatal("fault plan injected no failure: every rank survived")
 					}
 				})

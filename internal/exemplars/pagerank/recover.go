@@ -2,7 +2,6 @@ package pagerank
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/mpi"
@@ -23,61 +22,25 @@ type prCkpt struct {
 	Pr     []float64
 }
 
-// PageRankRecover is PageRankMPI for recovery-mode worlds
-// (mpi.WithRecovery): it checkpoints the rank vector every `every`
-// iterations into store, and when a rank failure surfaces it revokes the
-// communicator, shrinks to the survivors, restores the last committed
-// checkpoint over the smaller world, and continues. The surviving ranks
-// return the same fixed point as a failure-free run, up to floating-point
-// reassociation under the changed partition.
+// PageRankRecover is PageRankMPI for recovery-mode worlds: it checkpoints
+// the rank vector every `every` iterations into store, and when a rank
+// failure surfaces it calls Comm.Recover, restores the last committed
+// checkpoint over the world Recover returns, and continues. Under
+// mpi.WithRecovery that world is the shrunk survivors; under mpi.WithRespawn
+// it is the original width with the dead rank relaunched into its slot (and
+// the shrunk survivors only if the rank departed or will not come back). The
+// ranks return the same fixed point as a failure-free run, up to
+// floating-point reassociation under a changed partition.
 func PageRankRecover(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.Store, every int) ([]float64, error) {
 	comm := c
 	for {
 		pr, err := pageRankCkpt(comm, g, damping, iters, store, every)
-		if err == nil {
-			return pr, nil
-		}
 		if !errors.Is(err, mpi.ErrRankFailed) {
+			return pr, err
+		}
+		if comm, err = comm.Recover(); err != nil {
 			return nil, err
 		}
-		if rerr := comm.Revoke(); rerr != nil {
-			return nil, rerr
-		}
-		nc, serr := comm.Shrink()
-		if serr != nil {
-			return nil, serr
-		}
-		comm = nc
-	}
-}
-
-// PageRankRespawn is PageRankRecover for respawn-mode worlds
-// (mpi.WithRespawn): a rank failure waits up to `wait` for the launcher to
-// relaunch the dead rank into its old slot and re-enters at the original
-// width; if the relaunch never arrives, it degrades to shrink-and-continue.
-func PageRankRespawn(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.Store, every int, wait time.Duration) ([]float64, error) {
-	comm := c
-	for {
-		pr, err := pageRankCkpt(comm, g, damping, iters, store, every)
-		if err == nil {
-			return pr, nil
-		}
-		if !errors.Is(err, mpi.ErrRankFailed) {
-			return nil, err
-		}
-		nc, rerr := comm.Restored(wait)
-		if rerr != nil {
-			if !errors.Is(rerr, mpi.ErrRestoreTimeout) {
-				return nil, rerr
-			}
-			if verr := comm.Revoke(); verr != nil {
-				return nil, verr
-			}
-			if nc, rerr = comm.Shrink(); rerr != nil {
-				return nil, rerr
-			}
-		}
-		comm = nc
 	}
 }
 

@@ -23,12 +23,14 @@ import (
 
 // membership is who is in the world: an epoch, bumped by each rejoin, and
 // per world rank one of three states — live (no bit set), failed, or
-// departed. Its methods are the only transitions, and each reports whether
-// it changed anything.
+// departed — plus the gone-for-good mark on a failed rank that no launcher
+// will bring back. Its methods are the only transitions, and each reports
+// whether it changed anything.
 type membership struct {
 	epoch    int
 	failed   uint64                // main failed, or its connection was lost
 	departed uint64                // main returned nil: final
+	gone     uint64                // failed and never coming back: final
 	rejoined [maxRecoveryRanks]int // epoch of each rank's last rejoin
 }
 
@@ -54,10 +56,22 @@ func (m *membership) depart(rank int) bool {
 	return true
 }
 
+// abandon marks a failed rank gone for good (DESIGN.md §5, "Who decides a
+// rank is gone").
+func (m *membership) abandon(rank int) bool {
+	bit := uint64(1) << uint(rank)
+	if m.failed&^m.gone&bit == 0 {
+		return false
+	}
+	m.gone |= bit
+	return true
+}
+
 // rejoin returns a respawned rank to live at epoch. A rejoin at an epoch the
-// membership has already reached has been applied, and changes nothing.
+// membership has already reached has been applied, and a gone rank is
+// refused; neither changes anything.
 func (m *membership) rejoin(rank, epoch int) bool {
-	if epoch <= m.epoch {
+	if epoch <= m.epoch || m.gone&(1<<uint(rank)) != 0 {
 		return false
 	}
 	m.epoch = epoch
@@ -131,13 +145,15 @@ type agreeReq struct {
 }
 
 // agreeResp is the decided value (hub -> worker), with the members in it
-// that departed: a worker learns of departures only here.
+// that departed or were gone when it was decided: a worker learns of
+// departures only here.
 type agreeResp struct {
 	Ctx      int64
 	Seq      uint64
 	Epoch    int
 	Mask     uint64
 	Departed uint64
+	Gone     uint64
 }
 
 // agreeInst is one open agreement instance. A coordinator collects the
@@ -148,12 +164,13 @@ type agreeInst struct {
 	arrived map[int]uint64
 	done    chan struct{}
 	mask    uint64
+	final   uint64 // the members of mask that departed or are gone for good
 	err     error
 }
 
 // release hands the instance's waiter its outcome.
-func (inst *agreeInst) release(mask uint64, err error) {
-	inst.mask, inst.err = mask, err
+func (inst *agreeInst) release(mask, final uint64, err error) {
+	inst.mask, inst.final, inst.err = mask, final, err
 	close(inst.done)
 }
 
@@ -192,7 +209,7 @@ func (as agreements) dropOlder(epoch int, err error) {
 	for key, inst := range as {
 		if key.epoch < epoch {
 			delete(as, key)
-			inst.release(0, err)
+			inst.release(0, 0, err)
 		}
 	}
 }
@@ -201,33 +218,33 @@ func (as agreements) dropOlder(epoch int, err error) {
 // and blocks until it decides. An in-process world decides here, against
 // the membership its ranks share; a TCP worker sends its contribution to the
 // hub and waits for deliverDecision.
-func (r *recoveryState) agree(key agreeKey, members []int, self int) (uint64, error) {
+func (r *recoveryState) agree(key agreeKey, members []int, self int) (mask, final uint64, err error) {
 	r.mu.Lock()
 	if r.downErr != nil {
 		err := r.downErr
 		r.mu.Unlock()
-		return 0, err
+		return 0, 0, err
 	}
 	if key.epoch < r.m.epoch {
 		r.mu.Unlock()
-		return 0, &RankFailedError{} // membership changed: re-form and retry
+		return 0, 0, &RankFailedError{} // membership changed: re-form and retry
 	}
-	mask := r.m.failed & rankMask(members)
+	seen := r.m.failed & rankMask(members)
 	inst := r.insts.open(key, members)
-	inst.arrived[self] = mask
+	inst.arrived[self] = seen
 	r.settleLocked()
 	r.mu.Unlock()
 	if r.ctrlSend != nil {
-		data, err := encodeValue(agreeReq{Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Rank: self, Members: members, Mask: mask})
+		data, err := encodeValue(agreeReq{Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Rank: self, Members: members, Mask: seen})
 		if err == nil {
 			err = r.ctrlSend(frame{Dst: ctrlDst, Tag: tagAgreeReq, Data: data})
 		}
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	<-inst.done
-	return inst.mask, inst.err
+	return inst.mask, inst.final, inst.err
 }
 
 // settleLocked decides what the membership now lets decide. Only an
@@ -235,14 +252,16 @@ func (r *recoveryState) agree(key agreeKey, members []int, self int) (uint64, er
 // hub. Caller holds r.mu.
 func (r *recoveryState) settleLocked() {
 	if r.ctrlSend == nil {
-		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64) { inst.release(mask, nil) })
+		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64) {
+			inst.release(mask, mask&(r.m.departed|r.m.gone), nil)
+		})
 	}
 }
 
 // deliverDecision hands the hub's decision to its waiter, after recording
-// what it says: the departures it names, and failures this process has not
-// heard of yet (raced notices), so local checks agree with the agreed view
-// before anyone acts on it.
+// what it says: the departures it names, and failures and gone marks this
+// process has not heard of yet (raced notices), so local checks agree with
+// the agreed view before anyone acts on it.
 func (r *recoveryState) deliverDecision(resp agreeResp) {
 	key := agreeKey{ctx: resp.Ctx, seq: resp.Seq, epoch: resp.Epoch}
 	r.mu.Lock()
@@ -255,8 +274,11 @@ func (r *recoveryState) deliverDecision(resp agreeResp) {
 	for _, rank := range maskRanks(resp.Mask &^ resp.Departed) {
 		r.world.rankFailed(rank, resp.Epoch, fmt.Errorf("%w: rank %d (agreed)", ErrRankFailed, rank))
 	}
+	for _, rank := range maskRanks(resp.Gone) {
+		r.world.rankGone(rank)
+	}
 	if inst != nil {
-		inst.release(resp.Mask, nil)
+		inst.release(resp.Mask, resp.Departed|resp.Gone, nil)
 	}
 }
 
@@ -283,13 +305,7 @@ func (r *recoveryState) abortPending(err error) {
 // but it is not recorded as failed. Collective over the live members;
 // requires WithRecovery.
 func (c *Comm) Agree() ([]int, error) {
-	r := c.world.recov
-	if r == nil {
-		return nil, fmt.Errorf("mpi: Agree requires WithRecovery")
-	}
-	key := agreeKey{ctx: c.ctx, seq: c.agreeSeq, epoch: c.epoch}
-	c.agreeSeq++
-	decision, err := r.agree(key, c.ranks, c.worldRank(c.rank))
+	decision, _, err := c.agree()
 	if err != nil {
 		return nil, err
 	}
@@ -300,6 +316,18 @@ func (c *Comm) Agree() ([]int, error) {
 		}
 	}
 	return out, nil
+}
+
+// agree runs c's next agreement: the decided world-rank mask and its final
+// members (agreeInst).
+func (c *Comm) agree() (mask, final uint64, err error) {
+	r := c.world.recov
+	if r == nil {
+		return 0, 0, fmt.Errorf("mpi: Agree requires WithRecovery")
+	}
+	key := agreeKey{ctx: c.ctx, seq: c.agreeSeq, epoch: c.epoch}
+	c.agreeSeq++
+	return r.agree(key, c.ranks, c.worldRank(c.rank))
 }
 
 // Shrink agrees on the members that are out and returns a dense

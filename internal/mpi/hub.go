@@ -67,7 +67,7 @@ import (
 //	                                   (the rank and the new membership epoch)
 //
 // Re-admission bumps the hub's membership epoch; survivors and the newcomer
-// re-form at the original width through Comm.Restored.
+// re-form at the original width through Comm.Recover.
 const (
 	tagStart     = -100
 	tagDone      = -101
@@ -100,11 +100,13 @@ type hello struct {
 
 // startInfo rides in the start frame's Data: the session grace window the
 // hub was configured with, and — for respawned workers — the membership
-// epoch and the hub's view of the still-failed ranks at admission time.
+// epoch and the hub's view of the still-failed ranks (and of those gone for
+// good) at admission time.
 type startInfo struct {
 	SuspicionNs int64
 	Epoch       int
 	FailedMask  uint64
+	GoneMask    uint64
 }
 
 // rejoinInfo rides in a tagRejoin broadcast: which rank was respawned into
@@ -118,11 +120,12 @@ type rejoinInfo struct {
 // failed (or -1 when the hub itself did) and its error, surviving only as
 // text. A hub's failure notice also carries the membership epoch the failure
 // was recorded in, so a worker that has already applied a later rejoin of the
-// rank can tell the notice is stale.
+// rank can tell the notice is stale, and whether the rank is gone for good.
 type abortInfo struct {
 	Rank  int
 	Msg   string
 	Epoch int
+	Gone  bool
 }
 
 func (ai abortInfo) err() error {
@@ -149,8 +152,10 @@ type hubOptions struct {
 // HubFormationTimeout bounds how long the hub waits for the world to form.
 // If the deadline passes before every rank has joined, the job fails with
 // an error wrapping ErrFormationTimeout that lists the missing ranks —
-// instead of waiting forever on a worker that never dialed. Zero (the
-// default) waits indefinitely.
+// instead of waiting forever on a worker that never dialed. On a recovery
+// hub, a failed rank not re-admitted within d is gone for good: Restored
+// gives up on it and its rejoin is refused. Zero (the default) waits
+// indefinitely.
 func HubFormationTimeout(d time.Duration) HubOption {
 	return func(o *hubOptions) { o.formation = d }
 }
@@ -562,6 +567,12 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	hc := h.newHubConn(hi.Rank, conn, rd)
 
 	h.mu.Lock()
+	if h.m.gone&(1<<uint(hi.Rank)) != 0 {
+		// Given up for good: the survivors have shrunk past the rank.
+		h.mu.Unlock()
+		conn.Close()
+		return
+	}
 	// Record the failure if nothing else has yet: a kill-and-relaunch can
 	// land the new dial before the old connection's death is observed, and
 	// the survivors must see fail-then-rejoin in that order.
@@ -583,7 +594,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	if h.lastPong != nil {
 		h.lastPong[hi.Rank] = time.Now()
 	}
-	mask := h.m.failed
+	mask, gone := h.m.failed, h.m.gone
 	others := h.peersLocked(hi.Rank, true)
 	h.mu.Unlock()
 
@@ -591,7 +602,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		sendValue(others, tagFailed, abortInfo{Rank: hi.Rank, Msg: "rank replaced by respawn", Epoch: failedAt})
 	}
 	sendValue(others, tagRejoin, rejoinInfo{Rank: hi.Rank, Epoch: epoch})
-	data, err := encodeValue(startInfo{SuspicionNs: int64(h.opts.suspicion), Epoch: epoch, FailedMask: mask})
+	data, err := encodeValue(startInfo{SuspicionNs: int64(h.opts.suspicion), Epoch: epoch, FailedMask: mask, GoneMask: gone})
 	if err != nil {
 		h.fail(fmt.Errorf("mpi: hub respawn start signal: %w", err))
 		return
@@ -842,15 +853,42 @@ func (h *Hub) workerDoneConn(hc *hubConn) {
 // rankFailed records hc's incarnation failed at the current epoch, announces
 // it to the survivors (who interrupt their pending operations), and settles
 // the agreements that were waiting on it. A report from an incarnation a
-// respawn has replaced changes nothing.
+// respawn has replaced changes nothing. The formation budget (if any) is
+// how long the rank has to be re-admitted.
 func (h *Hub) rankFailed(hc *hubConn, msg string) {
 	h.mu.Lock()
-	if !h.opts.recovery || h.conns[hc.rank] != hc || !h.m.fail(hc.rank, h.m.epoch) {
+	epoch := h.m.epoch
+	if !h.opts.recovery || h.conns[hc.rank] != hc || !h.m.fail(hc.rank, epoch) {
 		h.mu.Unlock()
 		return
 	}
-	info := abortInfo{Rank: hc.rank, Msg: msg, Epoch: h.m.epoch}
-	others := h.peersLocked(hc.rank, true)
+	h.announceLocked(abortInfo{Rank: hc.rank, Msg: msg, Epoch: epoch})
+	if h.opts.formation > 0 {
+		time.AfterFunc(h.opts.formation, func() { h.rankGone(hc.rank, epoch) })
+	}
+}
+
+// rankGone marks a rank failed at epoch since gone for good unless it was
+// re-admitted after that (DESIGN.md §5). since < 0 is runHub giving up,
+// possibly ahead of the last incarnation's own report: fail it if need be.
+func (h *Hub) rankGone(rank, since int) {
+	h.mu.Lock()
+	if since < 0 {
+		since = h.m.epoch
+		h.m.fail(rank, since)
+	}
+	if h.m.rejoined[rank] > since || !h.m.abandon(rank) {
+		h.mu.Unlock()
+		return
+	}
+	h.announceLocked(abortInfo{Rank: rank, Msg: "rank will not come back", Epoch: h.m.epoch, Gone: true})
+}
+
+// announceLocked sends a membership change to the live ranks but the one it
+// names and settles the agreements it lets decide. Called with h.mu held,
+// which it releases.
+func (h *Hub) announceLocked(info abortInfo) {
+	others := h.peersLocked(info.Rank, true)
 	decided := h.settleLocked()
 	h.mu.Unlock()
 	sendValue(others, tagFailed, info)
@@ -896,7 +934,8 @@ func (h *Hub) settleLocked() []hubDecision {
 			}
 		}
 		out = append(out, hubDecision{conns: conns, resp: agreeResp{
-			Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Mask: mask, Departed: mask & h.m.departed,
+			Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Mask: mask,
+			Departed: mask & h.m.departed, Gone: mask & h.m.gone,
 		}})
 	})
 	return out

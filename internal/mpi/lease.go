@@ -301,6 +301,9 @@ func (t *tcpTransport) dispatch(f frame, claimed *waiter, n *atomic.Int64) bool 
 		var info abortInfo
 		if err := decodeValue(f.Data, &info); err == nil && w.recov != nil {
 			w.rankFailed(info.Rank, info.Epoch, fmt.Errorf("%w: rank %d: %s", ErrRankFailed, info.Rank, info.Msg))
+			if info.Gone {
+				w.rankGone(info.Rank)
+			}
 		}
 	case tagRejoin:
 		var info rejoinInfo

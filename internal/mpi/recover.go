@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Survive-and-continue recovery (the opt-in half of the failure model).
@@ -48,7 +47,7 @@ func (e *RankFailedError) Error() string {
 		// A respawn restored the world's membership while the operation was
 		// pending (or the communicator predates the current epoch): nobody is
 		// failed now, but the operation cannot complete against the old view.
-		return "mpi: world membership changed during the operation; re-form with Restored (or Shrink) and retry"
+		return "mpi: world membership changed during the operation; re-form with Recover (or Restored/Shrink) and retry"
 	}
 	what := fmt.Sprintf("mpi: rank(s) %v failed", e.Ranks)
 	if e.Revoked {
@@ -99,14 +98,16 @@ type recoveryState struct {
 	ctrlSend func(frame) error // TCP worlds: raw control-plane sender to the hub
 	downErr  error             // latched when the world aborts; fails pending agreements
 	insts    agreements        // open instances (in-process) or waiters for the hub (TCP)
+	respawn  bool              // WithRespawn: a launcher may bring failed ranks back
 }
 
-func newRecoveryState(w *World) *recoveryState {
+func newRecoveryState(w *World, respawn bool) *recoveryState {
 	r := &recoveryState{
 		world:   w,
 		failed:  make(map[int]error),
 		revoked: make(map[int64]bool),
 		insts:   make(agreements),
+		respawn: respawn,
 	}
 	r.restoreCond = sync.NewCond(&r.mu)
 	return r
@@ -189,6 +190,16 @@ func (w *World) rankDeparted(rank int) {
 	r.mu.Unlock()
 }
 
+// rankGone records that a failed rank will not come back (DESIGN.md §5) and
+// wakes the Restored callers waiting for it.
+func (w *World) rankGone(rank int) {
+	r := w.recov
+	r.mu.Lock()
+	r.m.abandon(rank)
+	r.mu.Unlock()
+	r.restoreCond.Broadcast()
+}
+
 // pokeAll wakes every blocked receive so it re-checks the recovery state.
 func (w *World) pokeAll() {
 	for _, b := range w.boxes {
@@ -200,9 +211,9 @@ func (w *World) pokeAll() {
 
 // seedEpoch installs membership state learned at join time: a respawned TCP
 // worker starts life already in the hub's epoch, with the hub's view of the
-// still-failed ranks. Bumping events arms the recovery checks so operations
-// on pre-epoch communicators are interrupted from the first call.
-func (r *recoveryState) seedEpoch(epoch int, failedMask uint64) {
+// failed and gone ranks. Bumping events arms the recovery checks so
+// operations on pre-epoch communicators are interrupted from the first call.
+func (r *recoveryState) seedEpoch(epoch int, failedMask, goneMask uint64) {
 	if epoch <= 0 && failedMask == 0 {
 		return
 	}
@@ -214,6 +225,9 @@ func (r *recoveryState) seedEpoch(epoch int, failedMask uint64) {
 	r.events.Add(1)
 	for _, rank := range maskRanks(failedMask) {
 		r.world.rankFailed(rank, epoch, fmt.Errorf("%w: rank %d (failed before this process joined)", ErrRankFailed, rank))
+	}
+	for _, rank := range maskRanks(goneMask) {
+		r.world.rankGone(rank)
 	}
 }
 
@@ -344,131 +358,100 @@ func (w *World) revokeCtx(ctx int64) bool {
 	return true
 }
 
-// ErrRestoreTimeout reports that Restored gave up on the world returning to
-// full width: a failed rank was never respawned within the caller's budget,
-// or a member departed (its main returned) and never will be. The caller can
-// still Shrink and continue without it.
-var ErrRestoreTimeout = errors.New("mpi: world not restored to full width in time")
+// ErrRestoreTimeout reports that Restored gave up on the full width: the
+// restore agreement named a member that departed or that the coordinator
+// marked gone for good (DESIGN.md §5), so every member of it gives up
+// together, or the world has no WithRespawn. No member gives up on a clock
+// of its own. Shrink (or Recover) continues without the missing ranks.
+var ErrRestoreTimeout = errors.New("mpi: world not restored to full width")
 
 // epochCtx derives the message context of an epoch's world communicator.
 // User-derived contexts are non-negative (the root is 0 and children are
-// parent*64+seq with seq >= 1), so the negative epoch contexts can never
-// collide with them.
+// parent*64+seq with seq >= 1), so the negative epoch contexts, epoch 0's
+// included, can never collide with them or with their children.
 func epochCtx(epoch int) int64 {
-	if epoch == 0 {
-		return 0
-	}
-	return -(int64(epoch) << 32)
+	return -(int64(epoch) + 1) << 32
 }
 
 // epochComm builds the full-width world communicator of the given epoch for
 // the calling rank. Every rank derives the identical context from the epoch
 // alone, so no negotiation is needed.
 func (w *World) epochComm(c *Comm, epoch int) *Comm {
-	ranks := make([]int, w.np)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return &Comm{
-		world:   w,
-		ctx:     epochCtx(epoch),
-		rank:    c.worldRank(c.rank),
-		ranks:   ranks,
-		nextCtx: 1,
-		epoch:   epoch,
-	}
+	rc := w.comm(c.worldRank(c.rank))
+	rc.ctx, rc.epoch = epochCtx(epoch), epoch
+	return rc
 }
 
-// awaitWhole blocks until the failed set is empty (every failed rank has
-// been respawned), the world aborts, or the deadline passes (zero = wait
-// forever).
-func (r *recoveryState) awaitWhole(deadline time.Time) error {
-	timedOut := false
-	if !deadline.IsZero() {
-		d := time.Until(deadline)
-		if d <= 0 {
-			timedOut = true
-		} else {
-			t := time.AfterFunc(d, func() {
-				r.mu.Lock()
-				timedOut = true
-				r.mu.Unlock()
-				r.restoreCond.Broadcast()
-			})
-			defer t.Stop()
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if r.downErr != nil {
-			return r.downErr
-		}
-		if r.m.failed == 0 {
-			return nil
-		}
-		if timedOut {
-			return fmt.Errorf("%w: ranks %v still failed", ErrRestoreTimeout, maskRanks(r.m.failed))
-		}
-		r.restoreCond.Wait()
-	}
-}
-
-// Restored blocks until the world is back at full width — every failed rank
-// respawned into its old slot — and returns the current epoch's full-width
-// world communicator, over which all operations work unchanged. It is the
-// respawn-mode counterpart of Shrink: where Shrink re-forms the survivors at
-// reduced width, Restored waits for the launcher (mpirun -respawn, or Run/
-// RunTCP with WithRespawn) to relaunch the dead ranks and re-forms at the
-// original width. Collective over all live ranks: every member — including
-// the respawned ones, whose first operation on the stale world communicator
-// fails with the membership-changed error that routes them here — must call
-// it, and all members agree on the restored membership before any returns.
-// timeout bounds the wait for the respawn (zero = wait forever); on expiry
-// the caller gets ErrRestoreTimeout and can fall back to Shrink. A member
-// that has departed — its main returned nil — can never be waited for: the
-// restored-membership agreement counts it out at once, and every member
-// then returns ErrRestoreTimeout naming the departed ranks, so all of them
-// take the Shrink fallback together. Requires WithRecovery.
-func (c *Comm) Restored(timeout time.Duration) (*Comm, error) {
+// Restored blocks until every failed rank is respawned into its old slot
+// and returns the current epoch's full-width world communicator: the
+// respawn-mode counterpart of Shrink. Collective over all live ranks, the
+// respawned ones included, which agree on the restored membership. It has no
+// timeout: when the agreed decision names a member that departed or is gone
+// for good, every member returns ErrRestoreTimeout naming those ranks, with
+// the communicator that decision ran on, to Shrink (as Recover does).
+// Without WithRespawn it returns ErrRestoreTimeout at once.
+func (c *Comm) Restored() (*Comm, error) {
 	w := c.world
 	r := w.recov
 	if r == nil {
 		return nil, fmt.Errorf("mpi: Restored requires WithRecovery")
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
+	if !r.respawn {
+		return nil, fmt.Errorf("%w: no rank is relaunched without WithRespawn", ErrRestoreTimeout)
 	}
 	for {
-		if err := r.awaitWhole(deadline); err != nil {
+		r.mu.Lock()
+		for r.downErr == nil && r.m.failed&^r.m.gone != 0 {
+			r.restoreCond.Wait() // until each failed rank has rejoined or is gone
+		}
+		err, epoch := r.downErr, r.m.epoch
+		r.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
-		epoch := r.epochSnapshot()
 		rc := w.epochComm(c, epoch)
-		// Agree on the restored membership: decided-empty means every live
-		// member observed the same full-width world. A failure or a further
-		// respawn racing the agreement surfaces as a retryable error or a
-		// non-empty decision; either way, go around. A departure in the
-		// decision is final, and every member reads the same decision, so
+		// Decided-empty means every member saw the same full-width world; a
+		// failure or rejoin racing the agreement makes it go around. Departed
+		// and gone members are final in the decision every member reads, so
 		// all of them give up here together.
-		out, err := rc.Agree()
+		out, final, err := rc.agree()
 		if err != nil {
 			if errors.Is(err, ErrRankFailed) {
 				continue
 			}
 			return nil, err
 		}
-		r.mu.Lock()
-		departed := rankMask(out) & r.m.departed // rc is full width: its ranks are world ranks
-		r.mu.Unlock()
-		if departed != 0 {
-			return nil, fmt.Errorf("%w: ranks %v departed", ErrRestoreTimeout, maskRanks(departed))
+		if final != 0 {
+			return rc, fmt.Errorf("%w: ranks %v departed or will not come back", ErrRestoreTimeout, maskRanks(final))
 		}
-		if len(out) > 0 || r.epochSnapshot() != epoch {
+		if out != 0 || r.epochSnapshot() != epoch {
 			continue
 		}
 		return rc, nil
+	}
+}
+
+// Recover is the one call to make after an operation failed with a
+// retryable *RankFailedError; it returns the communicator to continue on.
+// It revokes c, so members blocked in the old protocol fail out to their own
+// Recover, then, under WithRespawn, waits in Restored, shrinking the agreed
+// communicator together if it gives up; under WithRecovery it shrinks c.
+func (c *Comm) Recover() (*Comm, error) {
+	if err := c.Revoke(); err != nil {
+		return nil, err
+	}
+	if !c.world.recov.respawn {
+		return c.Shrink()
+	}
+	for {
+		rc, err := c.Restored()
+		if !errors.Is(err, ErrRestoreTimeout) {
+			return rc, err
+		}
+		// A rejoin racing the shrink fails it at the old epoch: go around.
+		if sc, err := rc.Shrink(); !errors.Is(err, ErrRankFailed) {
+			return sc, err
+		}
 	}
 }
 

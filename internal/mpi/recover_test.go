@@ -194,6 +194,7 @@ func TestAgreeDecide(t *testing.T) {
 		{"failed not arrived", func(m *membership) { m.fail(1, 0) }, false, 0, true, 0b10, 0},
 		{"departed arrived", func(m *membership) { m.depart(1) }, true, 0, true, 0b10, 0},
 		{"departed not arrived", func(m *membership) { m.depart(1) }, false, 0, true, 0b10, 0},
+		{"gone not arrived", func(m *membership) { m.fail(1, 0); m.abandon(1) }, false, 0, true, 0b10, 0},
 		{"contribution names a failure", func(*membership) {}, true, 0, true, 0b10, 0b10},
 		{"failure outside the communicator", func(m *membership) { m.fail(2, 0) }, true, 0, true, 0, 0},
 		{"rejoined live arrived", func(m *membership) { m.fail(1, 0); m.rejoin(1, 1) }, true, 1, true, 0, 0},
@@ -221,7 +222,7 @@ func TestAgreeDecide(t *testing.T) {
 // live rank failed in the restored world.
 func TestAgreeMembershipTransitions(t *testing.T) {
 	type step struct {
-		op           string // "fail", "depart", "rejoin"
+		op           string // "fail", "depart", "rejoin", "abandon"
 		rank, epoch  int
 		wantsChanged bool
 	}
@@ -239,6 +240,8 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 		{"new failure after rejoin", []step{{"fail", 1, 0, true}, {"rejoin", 1, 1, true}, {"fail", 1, 1, true}}, 1, []int{1}, nil, []int{0, 2}},
 		{"other rank's old notice still counts", []step{{"rejoin", 1, 1, true}, {"fail", 2, 0, true}}, 1, []int{2}, nil, []int{0, 1}},
 		{"rejoin already applied", []step{{"fail", 1, 0, true}, {"rejoin", 2, 1, true}, {"rejoin", 1, 1, false}}, 1, []int{1}, nil, []int{0, 2}},
+		{"only a failed rank is abandoned", []step{{"abandon", 1, 0, false}, {"depart", 2, 0, true}, {"abandon", 2, 0, false}}, 0, nil, []int{2}, []int{0, 1}},
+		{"gone refuses rejoin", []step{{"fail", 1, 0, true}, {"abandon", 1, 0, true}, {"abandon", 1, 0, false}, {"rejoin", 1, 1, false}}, 0, []int{1}, nil, []int{0, 2}},
 	}
 	for _, tc := range cases {
 		var m membership
@@ -251,6 +254,8 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 				changed = m.depart(s.rank)
 			case "rejoin":
 				changed = m.rejoin(s.rank, s.epoch)
+			case "abandon":
+				changed = m.abandon(s.rank)
 			}
 			if changed != s.wantsChanged {
 				t.Errorf("%s: step %d %s(%d, %d) changed = %v, want %v", tc.name, i, s.op, s.rank, s.epoch, changed, s.wantsChanged)
@@ -266,7 +271,7 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 	// The worker applies notices through the same value: a rejoin at epoch 1,
 	// then the hub's notice of the failure it decided at epoch 0.
 	w := &World{np: 3}
-	w.recov = newRecoveryState(w)
+	w.recov = newRecoveryState(w, false)
 	w.recov.ctrlSend = func(frame) error { return nil }
 	w.rankRejoined(1, 1)
 	w.rankFailed(1, 0, errDeliberate)
@@ -283,7 +288,7 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 // one nobody else joins.
 func TestAgreeRejoinFailsOnlyOlderEpochs(t *testing.T) {
 	w := &World{np: 3}
-	w.recov = newRecoveryState(w)
+	w.recov = newRecoveryState(w, false)
 	reqs := make(chan []byte, 2)
 	w.recov.ctrlSend = func(f frame) error { reqs <- f.Data; return nil }
 	w.rankRejoined(2, 1) // the world is at epoch 1

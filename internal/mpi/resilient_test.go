@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -274,7 +275,7 @@ func TestRespawnRestoresFullWidth(t *testing.T) {
 							if !errors.Is(err, ErrRankFailed) {
 								return err // this incarnation was killed
 							}
-							nc, rerr := comm.Restored(20 * time.Second)
+							nc, rerr := comm.Restored()
 							if rerr != nil {
 								return rerr
 							}
@@ -330,7 +331,7 @@ func TestRespawnRacingKills(t *testing.T) {
 							if !errors.Is(err, ErrRankFailed) {
 								return err
 							}
-							nc, rerr := comm.Restored(30 * time.Second)
+							nc, rerr := comm.Restored()
 							if rerr != nil {
 								return rerr
 							}
@@ -353,59 +354,210 @@ func TestRespawnRacingKills(t *testing.T) {
 	}
 }
 
-// TestRestoredTimeoutFallsBackToShrink: with plain WithRecovery (no
-// launcher respawning anything) Restored must give up at the deadline with
-// ErrRestoreTimeout, and the survivors can still Shrink and continue — the
-// documented fallback path. A rank that departed (returned nil) can never be
-// waited for: Restored must give up at once even with no deadline, naming
-// it, and Shrink must leave it out. (The failed row observes the failure
-// before Restored, so no survivor is inside the restore agreement when the
-// other's deadline passes.)
+// TestRestoredTimeoutFallsBackToShrink: Restored has no timeout, and the
+// members give up on the full width together, never one alone:
+//   - failed-never-respawned: a WithRecovery world relaunches nobody, so
+//     Restored refuses at once, entering no agreement — rank 2 is held alive
+//     until both survivors have been refused, and an agreement would wait
+//     for it;
+//   - departed: rank 2's main returns nil, and the restore agreement counts
+//     it out;
+//   - abandoned: rank 2 fails on every incarnation until the launcher's
+//     relaunches are spent, and the coordinator marks it gone for good.
+//
+// Each survivor gets ErrRestoreTimeout naming why, then Recover shrinks both
+// to width 2.
 func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 	cases := []struct {
-		name    string
-		rank2   error // what rank 2's main returns
-		timeout time.Duration
-		want    string
+		name  string
+		opt   Option
+		rank2 error // what rank 2's main returns
+		want  string
 	}{
-		{"failed-never-respawned", errDeliberate, 150 * time.Millisecond, "ranks [2] still failed"},
-		{"departed", nil, 0, "ranks [2] departed"},
+		{"failed-never-respawned", WithRecovery(), errDeliberate, "without WithRespawn"},
+		{"departed", WithRespawn(), nil, "ranks [2] departed"},
+		{"abandoned", WithRespawn(), errDeliberate, "ranks [2] departed or will not come back"},
 	}
-	for _, l := range recoveryLaunchers {
+	for _, l := range respawnLaunchers {
 		for _, tc := range cases {
 			l, tc := l, tc
 			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
+				var refused sync.WaitGroup
+				refused.Add(2)
 				err := runWithWatchdog(t, 30*time.Second, func() error {
 					return l.run(3, func(c *Comm) error {
 						if c.Rank() == 2 {
+							if tc.name == "failed-never-respawned" {
+								refused.Wait()
+							}
 							return tc.rank2
 						}
-						if tc.rank2 != nil {
-							if _, rerr := c.Recv(2, 7, nil); !errors.Is(rerr, ErrRankFailed) {
-								return fmt.Errorf("want ErrRankFailed, got %v", rerr)
-							}
-						}
-						_, rerr := c.Restored(tc.timeout)
+						_, rerr := c.Restored()
+						refused.Done()
 						if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), tc.want) {
 							return fmt.Errorf("want ErrRestoreTimeout naming %q, got %v", tc.want, rerr)
 						}
-						if err := c.Revoke(); err != nil {
+						nc, err := c.Recover()
+						if err != nil {
 							return err
 						}
-						nc, serr := c.Shrink()
-						if serr != nil {
-							return serr
-						}
 						if nc.Size() != 2 {
-							return fmt.Errorf("shrunken size %d, want 2", nc.Size())
+							return fmt.Errorf("recovered width %d, want 2", nc.Size())
 						}
 						return nc.Barrier()
-					}, WithRecovery())
+					}, tc.opt)
 				})
 				if err != nil {
 					t.Fatalf("Restored-then-shrink should recover, got %v", err)
 				}
 			})
 		}
+	}
+}
+
+// TestRecoverWidth: Recover is the one recovery call of both world kinds.
+// Rank 2 fails once (relaunched where the world respawns), fails on every
+// incarnation until it is gone for good, or departs; every member that
+// finishes returns the same width from Recover, and an allreduce over the
+// returned communicator counts exactly that many members.
+func TestRecoverWidth(t *testing.T) {
+	const np = 4
+	modes := []struct {
+		name       string
+		opt        Option
+		relaunched int // width when rank 2 fails once
+	}{
+		{"recovery", WithRecovery(), np - 1},
+		{"respawn", WithRespawn(), np},
+	}
+	scenarios := []struct {
+		name  string
+		rank2 func(incarnation int32) (returns bool, err error)
+	}{
+		{"relaunched", func(n int32) (bool, error) { return n == 0, errDeliberate }},
+		{"gone", func(int32) (bool, error) { return true, errDeliberate }},
+		{"departed", func(int32) (bool, error) { return true, nil }},
+	}
+	sum := func(a, b int) int { return a + b }
+	for _, l := range respawnLaunchers {
+		for _, mode := range modes {
+			for _, sc := range scenarios {
+				l, mode, sc := l, mode, sc
+				want := np - 1
+				if sc.name == "relaunched" {
+					want = mode.relaunched
+				}
+				t.Run(l.name+"/"+mode.name+"/"+sc.name, func(t *testing.T) {
+					var incarnations atomic.Int32
+					var mu sync.Mutex
+					widths := map[int]int{}
+					err := runWithWatchdog(t, 30*time.Second, func() error {
+						return l.run(np, func(c *Comm) error {
+							if c.Rank() == 2 {
+								if returns, err := sc.rank2(incarnations.Add(1) - 1); returns {
+									return err
+								}
+							}
+							nc, err := c.Recover()
+							if err != nil {
+								return err
+							}
+							got, err := Allreduce(nc, 1, sum)
+							if err != nil {
+								return err
+							}
+							if got != nc.Size() {
+								return fmt.Errorf("allreduce over width %d counted %d", nc.Size(), got)
+							}
+							mu.Lock()
+							widths[c.Rank()] = nc.Size()
+							mu.Unlock()
+							return nil
+						}, mode.opt)
+					})
+					if err != nil {
+						t.Fatalf("recovered run should succeed, got %v", err)
+					}
+					if len(widths) != want {
+						t.Fatalf("%d members finished, want %d: %v", len(widths), want, widths)
+					}
+					for r, w := range widths {
+						if w != want {
+							t.Errorf("rank %d: Recover returned width %d, want %d", r, w, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestHubGoneAfterFormationBudget: the hub's own rule for launchers outside
+// the package. A respawn world on a hub with a short formation budget loses
+// rank 2, and nothing relaunches it. The survivors wait in Restored with no
+// deadline; once the budget has passed, the hub marks rank 2 gone for good
+// and both give up in the same agreement. A rejoin arriving after that is
+// refused, leaving the epoch and the failed set as they were, and the
+// survivors finish at width 2.
+func TestHubGoneAfterFormationBudget(t *testing.T) {
+	const np = 3
+	hub, err := StartHub("127.0.0.1:0", np, HubRecovery(), HubFormationTimeout(300*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	var gaveUp sync.WaitGroup
+	gaveUp.Add(2)
+	rejoinTried := make(chan struct{})
+	body := func(c *Comm) error {
+		if c.Rank() == 2 {
+			return errDeliberate
+		}
+		_, rerr := c.Restored()
+		gaveUp.Done()
+		if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), "ranks [2]") {
+			return fmt.Errorf("want ErrRestoreTimeout naming rank 2, got %v", rerr)
+		}
+		<-rejoinTried
+		nc, err := c.Recover()
+		if err != nil {
+			return err
+		}
+		if nc.Size() != 2 {
+			return fmt.Errorf("recovered width %d, want 2", nc.Size())
+		}
+		return nc.Barrier()
+	}
+	errs := make(chan error, np)
+	for r := 0; r < np; r++ {
+		go func(r int) { errs <- JoinTCP(hub.Addr(), r, np, body, WithRespawn()) }(r)
+	}
+	err = runWithWatchdog(t, 30*time.Second, func() error {
+		gaveUp.Wait()
+		ran := false
+		rerr := RejoinTCP(hub.Addr(), 2, np, func(*Comm) error { ran = true; return nil }, WithRespawn())
+		if rerr == nil || ran {
+			return fmt.Errorf("rejoin of a gone rank admitted (ran %v, err %v)", ran, rerr)
+		}
+		if e, failed := hub.Epoch(), hub.FailedRanks(); e != 0 || !reflect.DeepEqual(failed, []int{2}) {
+			return fmt.Errorf("refused rejoin moved the hub: epoch %d, failed %v", e, failed)
+		}
+		close(rejoinTried)
+		var failures int
+		for r := 0; r < np; r++ {
+			if err := <-errs; err != nil {
+				if !errors.Is(err, errDeliberate) {
+					return err
+				}
+				failures++
+			}
+		}
+		if failures != 1 {
+			return fmt.Errorf("%d ranks failed, want rank 2 alone", failures)
+		}
+		return hub.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

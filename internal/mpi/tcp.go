@@ -385,7 +385,7 @@ func JoinTCP(addr string, rank, np int, main func(c *Comm) error, opts ...Option
 // rank into its old slot at the original world width, bumps the membership
 // epoch, and announces the rejoin to the survivors. The respawned main
 // starts from the beginning; its first operation fails with the retryable
-// membership-changed error, which routes it into the program's Restored +
+// membership-changed error, which routes it into the program's Recover +
 // checkpoint-restore path, exactly like the survivors. Requires WithRecovery
 // (or WithRespawn) here and HubRecovery on the hub.
 func RejoinTCP(addr string, rank, np int, main func(c *Comm) error, opts ...Option) error {
@@ -491,37 +491,11 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		t.mu.Unlock()
 	}
 
-	host, herr := os.Hostname()
-	if herr != nil || host == "" {
-		host = "localhost"
-	}
-	names := make([]string, np)
-	for i := range names {
-		if i < len(cfg.names) && cfg.names[i] != "" {
-			names[i] = cfg.names[i]
-		} else {
-			names[i] = host
-		}
-	}
 	boxes := make([]*mailbox, np)
 	boxes[rank] = box
-
-	transport := cfg.wrapTransport(data)
-	w := &World{
-		np:        np,
-		transport: transport,
-		boxes:     boxes,
-		names:     names,
-		gate:      cfg.gate,
-		epoch:     time.Now(),
-		wire:      !cfg.serializeAll, // raw-encodable slices reach Send uncopied; transmit encodes them there
-		deadline:  cfg.deadline,
-		faults:    cfg.faultT,
-		nodeOf:    cfg.nodeOf,
-		hierMode:  cfg.hierMode,
-	}
-	if cfg.recovery {
-		w.recov = newRecoveryState(w)
+	w := cfg.newWorld(np, data, boxes)
+	w.wire = !cfg.serializeAll // raw-encodable slices reach Send uncopied; transmit encodes them there
+	if w.recov != nil {
 		// Control frames bypass the decorated transport: a fault plan that
 		// killed this rank must not also sever its recovery reporting.
 		w.recov.ctrlSend = t.Send
@@ -529,7 +503,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		// epoch, carrying the hub's view of the still-failed ranks: its very
 		// first operation on the stale world communicator must be interrupted
 		// into the Restored path.
-		w.recov.seedEpoch(si.Epoch, si.FailedMask)
+		w.recov.seedEpoch(si.Epoch, si.FailedMask, si.GoneMask)
 	}
 	if shmT != nil {
 		shmT.bind(w, box)
@@ -641,6 +615,9 @@ func runHub(np int, segPath string, main func(c *Comm) error, opts ...Option) er
 					default:
 					}
 					err = joinHub(hub.Addr(), "", rank, np, true, main, opts...)
+				}
+				if err != nil && !errors.Is(err, ErrWorldAborted) {
+					hub.rankGone(rank, -1) // the relaunches are spent
 				}
 			}
 			errs[rank] = err

@@ -118,6 +118,38 @@ func (c *config) wrapTransport(t Transport) Transport {
 	return t
 }
 
+// newWorld builds a launcher's World over transport t (decorated here) and
+// the mailboxes this process holds.
+func (c *config) newWorld(np int, t Transport, boxes []*mailbox) *World {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "localhost"
+	}
+	names := make([]string, np)
+	for i := range names {
+		names[i] = host
+		if i < len(c.names) && c.names[i] != "" {
+			names[i] = c.names[i]
+		}
+	}
+	w := &World{
+		np:        np,
+		transport: c.wrapTransport(t),
+		boxes:     boxes,
+		names:     names,
+		gate:      c.gate,
+		epoch:     time.Now(),
+		deadline:  c.deadline,
+		faults:    c.faultT,
+		nodeOf:    c.nodeOf,
+		hierMode:  c.hierMode,
+	}
+	if c.recovery {
+		w.recov = newRecoveryState(w, c.respawn)
+	}
+	return w
+}
+
 // WithProcessorNames assigns each world rank the processor (host) name it
 // reports from ProcessorName. Missing entries fall back to the OS hostname.
 // The cluster package uses this to place ranks on modeled nodes.
@@ -177,19 +209,19 @@ func WithComputeGate(gate func(fn func())) Option {
 
 // maxRespawnsPerRank bounds how many times the launcher relaunches one
 // rank before giving up on it: a rank that dies deterministically on every
-// attempt must eventually be abandoned to the shrink path rather than
-// respawned forever.
+// attempt must eventually be marked gone for good, which sends the
+// survivors down the shrink path, rather than respawned forever.
 const maxRespawnsPerRank = 3
 
 // WithRespawn opts the world into respawn recovery (implies WithRecovery):
 // a rank that fails is relaunched into its old slot — same rank number, at
-// the original world width — and the survivors re-form through
-// Comm.Restored instead of Shrink. The launcher (Run, RunTCP, RunShm, or
-// mpirun -respawn) supervises the relaunching; each rank is retried at most
-// maxRespawnsPerRank times. The respawned rank starts main from the
-// beginning: its first operation fails with the retryable membership-changed
-// error, which routes it into the program's recovery path (Restored +
-// checkpoint restore), exactly like the survivors.
+// the original world width — and Comm.Recover re-forms the world through
+// Restored instead of Shrink. The launcher (Run, RunTCP, RunShm, or mpirun
+// -respawn) relaunches each rank at most maxRespawnsPerRank times, then
+// marks it gone for good and every member's Recover shrinks without it. The
+// respawned rank starts main from the beginning: its first operation fails
+// with the retryable membership-changed error, which routes it into the
+// program's recovery path (Recover + checkpoint restore) like the others.
 func WithRespawn() Option {
 	return func(c *config) {
 		c.recovery = true
@@ -228,36 +260,8 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	t.latency = cfg.latency
 	t.linkCost = cfg.linkCost
 
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "localhost"
-	}
-	names := make([]string, np)
-	for i := range names {
-		if i < len(cfg.names) && cfg.names[i] != "" {
-			names[i] = cfg.names[i]
-		} else {
-			names[i] = host
-		}
-	}
-
-	transport := cfg.wrapTransport(t)
-	w := &World{
-		np:        np,
-		transport: transport,
-		boxes:     t.boxes,
-		names:     names,
-		gate:      cfg.gate,
-		epoch:     time.Now(),
-		typed:     !cfg.serializeAll,
-		deadline:  cfg.deadline,
-		faults:    cfg.faultT,
-		nodeOf:    cfg.nodeOf,
-		hierMode:  cfg.hierMode,
-	}
-	if cfg.recovery {
-		w.recov = newRecoveryState(w)
-	}
+	w := cfg.newWorld(np, t, t.boxes)
+	w.typed = !cfg.serializeAll
 	defer t.Close()
 
 	errs := make([]error, np)
@@ -272,7 +276,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 				// survivors), clear any injected kill, restore the rank to
 				// the membership, and relaunch main into the same slot. The
 				// relaunched rank's first operation routes it into the
-				// program's Restored + checkpoint-restore path.
+				// program's Recover + checkpoint-restore path.
 				for attempt := 1; err != nil && !errors.Is(err, ErrWorldAborted) &&
 					attempt <= maxRespawnsPerRank; attempt++ {
 					w.rankFailed(rank, -1, err)
@@ -303,7 +307,11 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 			if w.recov != nil {
 				// Recovery mode: a failed rank is recorded, survivors are
 				// interrupted with a retryable error, and the world lives on.
+				// Under respawn the relaunches are spent: it is gone for good.
 				w.rankFailed(rank, -1, err)
+				if cfg.respawn {
+					w.rankGone(rank)
+				}
 				return
 			}
 			w.abort(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/mpi"
 )
 
@@ -46,40 +45,16 @@ func (s *Scheduler) jobCkptStore(id string) ckpt.Store {
 	return ckpt.NewMemStore()
 }
 
-// runOptions assembles the mpi options of one run: the placement's
-// processor names and topology, the shared core gate (all jobs contend
-// for the platform's real cores), the platform's inter-node latency and
-// bandwidth applied to this placement, the per-op deadline, and the
-// job's fault plan and recovery mode.
+// runOptions assembles the mpi options of one run: the platform's options
+// for this placement (cluster's Platform.Options, with the shared core gate:
+// all jobs contend for the platform's real cores), the per-op deadline, and
+// the job's fault plan and recovery mode.
 func (s *Scheduler) runOptions(spec JobSpec, width int, placement []int) ([]mpi.Option, *mpi.FaultReport) {
-	p := s.cfg.Platform
-	names := make([]string, width)
-	for r := 0; r < width; r++ {
-		names[r] = p.Hostname(placement[r])
-	}
 	opDeadline := spec.OpDeadline
 	if opDeadline <= 0 {
 		opDeadline = s.cfg.DefaultOpDeadline
 	}
-	opts := []mpi.Option{
-		mpi.WithProcessorNames(names),
-		mpi.WithTopology(placement),
-		mpi.WithComputeGate(s.gate.Run),
-		mpi.WithDeadline(opDeadline),
-	}
-	if p.InterNodeLatency > 0 && p.Nodes > 1 {
-		lat := p.InterNodeLatency
-		nodes := placement
-		opts = append(opts, mpi.WithLatency(func(src, dst int) time.Duration {
-			if nodes[src] != nodes[dst] {
-				return lat
-			}
-			return 0
-		}))
-	}
-	if p.InterNodeBandwidth > 0 && p.Nodes > 1 {
-		opts = append(opts, mpi.WithLinkCost(cluster.NewLinkModel(placement, p.Nodes, p.InterNodeBandwidth).Cost))
-	}
+	opts := append(s.cfg.Platform.Options(placement, s.gate.Run), mpi.WithDeadline(opDeadline))
 	var rep *mpi.FaultReport
 	if spec.KillRank != nil && *spec.KillRank < width {
 		rep = &mpi.FaultReport{}

@@ -123,15 +123,24 @@ go test -race -timeout 180s -count=1 -run 'TestShm' ./cmd/mpirun/
 # or surfaced as a CorruptFrameError, never a silently wrong result), and
 # respawn back to full width. The disconnect/corrupt faults run -count=3
 # as a small soak: the reconnect-vs-traffic interleaving is timing-
-# dependent, and a single lucky pass proves nothing about the race. The
-# session/respawn line is the named interleaving-sensitive repeat: ten fresh
-# runs, where a rejoin interrupting the agreement it had just started used
-# to wedge Restored.
+# dependent, and a single lucky pass proves nothing about the race.
+# Recovery has no timer: Restored waits until each failed rank rejoins or
+# the coordinator marks it gone for good, and every member gives up in the
+# same agreement. The session/respawn line is the named interleaving-
+# sensitive repeat, ten fresh runs: a rejoin racing the agreement it
+# interrupts, a rank whose relaunches run out while the survivors already
+# wait (TestRestored's abandoned row, which wedged when a member could give
+# up alone), and Recover's width over relaunched, gone and departed ranks.
+# The exemplars' full-width respawn runs repeat five times on top of the
+# whole-exemplars pass.
 go test -race -timeout 240s -count=3 \
   -run 'TestDisconnectFault|TestCorruptFault' ./internal/mpi/
 go test -race -timeout 300s -count=10 \
-  -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestDisconnectWithoutSuspicion' \
+  -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestRecoverWidth|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
+go test -race -timeout 300s -count=5 \
+  -run 'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth' \
+  ./internal/exemplars/drugdesign/ ./internal/exemplars/forestfire/
 go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
 # The wire decoder, the session's accept path above it, the shm record decoder
 # and the ckpt manifest loader under arbitrary bytes, 10 s each beyond the

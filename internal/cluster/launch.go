@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/mpi"
 )
 
 // Launch runs main as an np-rank SPMD program on this platform: the
 // mpirun-equivalent the notebook's "!mpirun -np 4" cells and the benchmark
-// harness call into. Three platform effects are applied:
+// harness call into. Four platform effects are applied:
 //
 //   - Placement: each rank is placed on a node and reports that node's
 //     hostname from ProcessorName.
@@ -17,9 +16,9 @@ import (
 //     count gates Comm.Compute, so on the unicore Colab VM four ranks
 //     interleave their computation rather than overlapping it.
 //   - Network: messages between ranks on different nodes pay the platform's
-//     inter-node latency, and — when the platform models finite bandwidth —
-//     hold their node-pair link for the transmission time (LinkModel), so
-//     concurrent cross-node transfers contend.
+//     inter-node latency plus, when the platform models finite bandwidth,
+//     their bytes' transmission time on their node-pair link, which they
+//     share with every other transfer crossing it (mpi.WithNetwork).
 //   - Topology: the placement is published to the runtime (WithTopology),
 //     which is what lets the collectives select their two-level
 //     hierarchical schedules on multi-node platforms.
@@ -43,9 +42,9 @@ func (p Platform) Launch(np int, main func(c *mpi.Comm) error, extra ...mpi.Opti
 
 // Options are the runtime options that put ranks on this platform, rank r
 // on node placement[r]: its processor name, the topology, the compute gate
-// (the platform's cores), and the inter-node latency and link model between
-// the placed ranks. Launch builds them for a blockwise placement; the gang
-// scheduler, for the nodes it allocated a job and its shared gate.
+// (the platform's cores), and the network between the nodes (the inter-node
+// latency and bandwidth). Launch builds them for a blockwise placement; the
+// gang scheduler, for the nodes it allocated a job and its shared gate.
 func (p Platform) Options(placement []int, gate func(fn func())) []mpi.Option {
 	names := make([]string, len(placement))
 	for r, node := range placement {
@@ -56,17 +55,8 @@ func (p Platform) Options(placement []int, gate func(fn func())) []mpi.Option {
 		mpi.WithTopology(placement),
 		mpi.WithComputeGate(gate),
 	}
-	if p.InterNodeLatency > 0 && p.Nodes > 1 {
-		lat := p.InterNodeLatency
-		opts = append(opts, mpi.WithLatency(func(src, dst int) time.Duration {
-			if placement[src] != placement[dst] {
-				return lat
-			}
-			return 0
-		}))
-	}
-	if p.InterNodeBandwidth > 0 && p.Nodes > 1 {
-		opts = append(opts, mpi.WithLinkCost(NewLinkModel(placement, p.Nodes, p.InterNodeBandwidth).Cost))
+	if p.Nodes > 1 {
+		opts = append(opts, mpi.WithNetwork(p.InterNodeLatency, p.InterNodeBandwidth))
 	}
 	return opts
 }

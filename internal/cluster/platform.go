@@ -37,8 +37,9 @@ type Platform struct {
 	InterNodeLatency time.Duration
 	// InterNodeBandwidth is each directed node-pair link's bandwidth in
 	// bytes per second; zero means latency-only (infinite bandwidth).
-	// Messages crossing a node boundary hold their link for bytes/bandwidth,
-	// so concurrent transfers over the same node pair contend (LinkModel).
+	// Messages crossing a node boundary occupy their link for
+	// bytes/bandwidth, so concurrent transfers over the same node pair
+	// queue behind each other (mpi.WithNetwork).
 	InterNodeBandwidth float64
 	// HostnamePattern formats a node index into the hostname ranks report
 	// from ProcessorName; %d receives the node index. A pattern without

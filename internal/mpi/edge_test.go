@@ -68,7 +68,7 @@ func TestNilPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunWithLatencyOption(t *testing.T) {
+func TestRunWithNetworkOption(t *testing.T) {
 	const msgs = 10
 	lat := 2 * time.Millisecond
 	start := time.Now()
@@ -93,12 +93,12 @@ func TestRunWithLatencyOption(t *testing.T) {
 			}
 		}
 		return nil
-	}, WithLatency(func(src, dst int) time.Duration { return lat }))
+	}, WithTopology([]int{0, 1}), WithNetwork(lat, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 2*msgs*lat {
-		t.Fatalf("latency option ignored: %v elapsed, want >= %v", elapsed, 2*msgs*lat)
+		t.Fatalf("network option ignored: %v elapsed, want >= %v", elapsed, 2*msgs*lat)
 	}
 }
 

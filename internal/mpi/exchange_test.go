@@ -96,7 +96,7 @@ func TestExchangeHandsItsBlockBack(t *testing.T) {
 	modes := []parityMode{
 		{name: "local", run: Run},
 		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
-		{name: "local-latency", run: Run, opts: []Option{WithLatency(func(src, dst int) time.Duration { return 20 * time.Microsecond })}},
+		{name: "local-latency", run: Run, opts: []Option{WithTopology([]int{0, 1}), WithNetwork(20*time.Microsecond, 0)}},
 		{name: "tcp", run: RunTCP},
 	}
 	if shmSupported {

@@ -23,8 +23,8 @@ const (
 	// FaultDrop discards the frame; the send succeeds, the receiver waits
 	// forever — the fault class the deadline machinery exists for.
 	FaultDrop FaultAction = iota + 1
-	// FaultDelay sleeps on the sender before delivery, like WithLatency but
-	// targeted. Delaying on the sending goroutine preserves per-pair FIFO.
+	// FaultDelay sleeps on the sender before delivery, a targeted latency.
+	// Delaying on the sending goroutine preserves per-pair FIFO.
 	FaultDelay
 	// FaultDuplicate delivers the frame twice. Protocols that count
 	// messages (barriers, rings) surface the duplicate as a clean protocol
@@ -318,7 +318,7 @@ func (t *faultTransport) Send(f frame) error {
 		return t.inner.Send(f)
 	case FaultDelay:
 		if delay > 0 {
-			time.Sleep(delay) // on the sender, like WithLatency: FIFO-safe
+			time.Sleep(delay) // on the sender: FIFO-safe
 		}
 		return t.inner.Send(f)
 	case FaultDuplicate:

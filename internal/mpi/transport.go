@@ -28,156 +28,161 @@ type Transport interface {
 // localTransport routes frames through in-memory mailboxes: all ranks are
 // goroutines of one process, the analogue of running mpirun on one node.
 //
-// Without a cost model (latency and linkCost both nil — every plain world)
 // Send delivers straight to the destination mailbox, which copies a borrowed
-// payload to where it is going. With a model installed, Send enqueues a
-// private copy onto a per-(sender, receiver) delivery queue drained by one
-// goroutine per pair, which pays the modeled cost and then delivers. The
-// single goroutine per ordered pair is what
-// preserves per-pair FIFO (pinned by TestLatencyPreservesPerPairFIFO) while
-// keeping Send properly buffered: a sender is never blocked by the modeled
-// network, and — unlike the old sleep-on-the-sender's-goroutine scheme — a
-// slow send to one rank no longer delays the sender's unrelated sends to
-// other ranks, so modeled worlds can genuinely overlap communication with
-// computation (the property the nonblocking collectives and the forestfire
-// overlap benchmark measure).
+// payload to where it is going, unless WithNetwork models the link the frame
+// crosses. Such a frame is priced once, at Send (link.price), takes a
+// private copy and joins its link's queue; one goroutine per link delivers
+// the queue's frames as they fall due. Every frame of a rank pair crosses
+// the same link and a link's due times only grow, so per-pair FIFO holds
+// (TestLatencyPreservesPerPairFIFO) while frames in flight overlap their
+// latency, and a sender is never blocked by the modeled network.
 type localTransport struct {
 	boxes []*mailbox
-	// latency, if set, is consulted on every delivery to simulate a fixed
-	// per-message network delay between ranks (see WithLatency).
-	latency func(src, dst int) time.Duration
-	// linkCost, if set, is consulted with the payload size before each
-	// delivery and may block — the hook the cluster package's contended
-	// link model hangs bandwidth serialization on (see WithLinkCost).
-	linkCost func(src, dst, bytes int)
+	// nodeOf, latency and bandwidth are the modeled network (WithNetwork):
+	// ranks beyond nodeOf sit on node 0.
+	nodeOf    []int
+	latency   time.Duration
+	bandwidth float64
 
-	mu     sync.Mutex
-	pairs  map[pairKey]*pairQueue
-	closed bool
+	mu       sync.Mutex
+	links    map[[2]int]*link // by (source node, destination node)
+	done     chan struct{}    // closed by Close; the link goroutines exit
+	draining sync.WaitGroup   // the link goroutines; Close waits for them
 }
 
-type pairKey struct{ src, dst int }
-
-// pairQueue is one ordered (sender, receiver) pair's in-flight frames.
-type pairQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []frame
-	closed bool
+// link is one directed node pair's queue of priced frames.
+type link struct {
+	mu        sync.Mutex
+	latency   time.Duration
+	bandwidth float64   // bytes per second; <= 0 is infinite
+	free      time.Time // when the link has sent every queued byte
+	q         []queuedFrame
+	wake      chan struct{} // capacity 1: the queue has grown
 }
 
-func newPairQueue() *pairQueue {
-	p := &pairQueue{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+type queuedFrame struct {
+	f   frame
+	due time.Time
 }
 
-// enqueue takes a private copy of a borrowed payload first: the frame is
-// delivered after the Send that brought it has returned.
-func (p *pairQueue) enqueue(f frame) {
-	f.settle(nil)
-	p.mu.Lock()
-	p.q = append(p.q, f)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// next blocks for the pair's next frame; ok=false once the transport is
-// closed (remaining frames are dropped — every rank's main has returned, so
-// nothing can observe them, and paying their modeled cost would only delay
-// goroutine exit).
-func (p *pairQueue) next() (frame, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.q) == 0 && !p.closed {
-		p.cond.Wait()
+// price returns when a frame of bytes sent at now is due at the far end:
+// after the link has sent what is ahead of it and then these bytes, plus
+// the latency. Called with l.mu held, so push order is due order.
+func (l *link) price(now time.Time, bytes int) time.Time {
+	if l.free.Before(now) {
+		l.free = now
 	}
-	if p.closed {
-		return frame{}, false
+	if l.bandwidth > 0 {
+		l.free = l.free.Add(time.Duration(float64(bytes) * float64(time.Second) / l.bandwidth))
 	}
-	f := p.q[0]
-	p.q = p.q[1:]
-	return f, true
-}
-
-func (p *pairQueue) close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
+	return l.free.Add(l.latency)
 }
 
 func newLocalTransport(np int) *localTransport {
-	t := &localTransport{boxes: make([]*mailbox, np)}
+	t := &localTransport{boxes: make([]*mailbox, np), done: make(chan struct{})}
 	for i := range t.boxes {
 		t.boxes[i] = newMailbox()
 	}
 	return t
 }
 
-// Send delivers f to its destination mailbox — directly when no cost model
-// is installed, via the pair's delivery goroutine otherwise.
+// Send delivers f to its destination mailbox, directly or through the
+// queue of the modeled link it crosses.
 func (t *localTransport) Send(f frame) error {
 	if f.Dst < 0 || f.Dst >= len(t.boxes) {
 		return ErrInvalidRank
 	}
-	if t.latency == nil && t.linkCost == nil {
+	l := t.link(f.WSrc, f.Dst)
+	if l == nil {
 		t.boxes[f.Dst].deliver(f)
 		return nil
 	}
-	t.pair(f.WSrc, f.Dst).enqueue(f)
+	f.settle(nil) // delivered after this Send returns
+	now := time.Now()
+	l.mu.Lock()
+	l.q = append(l.q, queuedFrame{f, l.price(now, f.payloadSize())})
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 	return nil
 }
 
-// pair returns the (src, dst) delivery queue, creating it and its drainer
-// goroutine on first use.
-func (t *localTransport) pair(src, dst int) *pairQueue {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pairs == nil {
-		t.pairs = make(map[pairKey]*pairQueue)
+func (t *localTransport) node(rank int) int {
+	if rank >= 0 && rank < len(t.nodeOf) {
+		return t.nodeOf[rank]
 	}
-	k := pairKey{src, dst}
-	p := t.pairs[k]
-	if p == nil {
-		p = newPairQueue()
-		if t.closed {
-			p.closed = true
-		}
-		t.pairs[k] = p
-		go t.deliverPair(src, dst, p)
-	}
-	return p
+	return 0
 }
 
-// deliverPair drains one pair's queue in order, paying the modeled cost per
-// frame before appending to the destination mailbox.
-func (t *localTransport) deliverPair(src, dst int, p *pairQueue) {
+// link returns the modeled link from src's node to dst's, creating it and
+// its delivery goroutine on first use; nil when no network is modeled, both
+// ranks share a node or the transport is closed.
+func (t *localTransport) link(src, dst int) *link {
+	if t.latency <= 0 && t.bandwidth <= 0 {
+		return nil
+	}
+	sn, dn := t.node(src), t.node(dst)
+	if sn == dn {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	select {
+	case <-t.done:
+		return nil
+	default:
+	}
+	if t.links == nil {
+		t.links = make(map[[2]int]*link)
+	}
+	l := t.links[[2]int{sn, dn}]
+	if l == nil {
+		l = &link{latency: t.latency, bandwidth: t.bandwidth, wake: make(chan struct{}, 1)}
+		t.links[[2]int{sn, dn}] = l
+		t.draining.Add(1)
+		go t.deliverLink(l)
+	}
+	return l
+}
+
+// deliverLink delivers l's frames in queue order, each once it is due. The
+// wait for the head frame is the network model's only sleep; frames still
+// queued at Close are dropped, as every rank's main has returned.
+func (t *localTransport) deliverLink(l *link) {
+	defer t.draining.Done()
 	for {
-		f, ok := p.next()
-		if !ok {
-			return
-		}
-		if t.linkCost != nil {
-			t.linkCost(src, dst, f.payloadSize())
-		}
-		if t.latency != nil {
-			if d := t.latency(src, dst); d > 0 {
-				time.Sleep(d)
+		l.mu.Lock()
+		if len(l.q) == 0 {
+			l.mu.Unlock()
+			select {
+			case <-l.wake:
+				continue
+			case <-t.done:
+				return
 			}
 		}
-		t.boxes[dst].deliver(f)
+		head := l.q[0]
+		l.q[0] = queuedFrame{}
+		l.q = l.q[1:]
+		l.mu.Unlock()
+		if wait := time.Until(head.due); wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-t.done:
+				return
+			}
+		}
+		t.boxes[head.f.Dst].deliver(head.f)
 	}
 }
 
 func (t *localTransport) Close() error {
 	t.mu.Lock()
-	t.closed = true
-	pairs := t.pairs
+	close(t.done)
 	t.mu.Unlock()
-	for _, p := range pairs {
-		p.close()
-	}
+	t.draining.Wait()
 	for _, b := range t.boxes {
 		b.close()
 	}

@@ -67,8 +67,8 @@ type Option func(*config)
 
 type config struct {
 	names        []string
-	latency      func(src, dst int) time.Duration
-	linkCost     func(src, dst, bytes int)
+	latency      time.Duration // WithNetwork
+	bandwidth    float64
 	nodeOf       []int
 	hierMode     HierMode
 	gate         func(fn func())
@@ -157,23 +157,15 @@ func WithProcessorNames(names []string) Option {
 	return func(c *config) { c.names = names }
 }
 
-// WithLatency imposes an artificial delay on every message between a pair of
-// world ranks, as computed by d. The cluster package uses this to model
-// inter-node network cost on multi-node platforms.
-func WithLatency(d func(src, dst int) time.Duration) Option {
-	return func(c *config) { c.latency = d }
-}
-
-// WithLinkCost installs a byte-aware cost model consulted once per message
-// on the local transport, with the sender and receiver world ranks and the
-// payload size. Unlike WithLatency's fixed per-message delay, fn may block —
-// the cluster package uses a per-link mutex held for bytes/bandwidth to
-// model serialization on a shared inter-node link, which is exactly the
-// contention hierarchical collectives exist to avoid. fn runs on a per-pair
-// delivery goroutine, so it delays only messages of that sender/receiver
-// pair (per-pair FIFO is preserved; unrelated traffic proceeds).
-func WithLinkCost(fn func(src, dst, bytes int)) Option {
-	return func(c *config) { c.linkCost = fn }
+// WithNetwork models the network between the nodes of WithTopology's
+// placement: a frame between ranks on different nodes is due latency after
+// its link, one per directed node pair, has sent the bytes ahead of it and
+// its own at bandwidth bytes per second. A bandwidth of zero or less is
+// infinite. Frames within a node are free. The cluster package installs
+// its platforms' inter-node latency and bandwidth through it. Only Run's
+// local transport models the network; TCP and shm worlds ignore it.
+func WithNetwork(latency time.Duration, bandwidth float64) Option {
+	return func(c *config) { c.latency, c.bandwidth = latency, bandwidth }
 }
 
 // WithTopology assigns world rank r to modeled node nodeOf[r], overriding
@@ -257,8 +249,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	}
 
 	t := newLocalTransport(np)
-	t.latency = cfg.latency
-	t.linkCost = cfg.linkCost
+	t.nodeOf, t.latency, t.bandwidth = cfg.nodeOf, cfg.latency, cfg.bandwidth
 
 	w := cfg.newWorld(np, t, t.boxes)
 	w.typed = !cfg.serializeAll

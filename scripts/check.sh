@@ -75,11 +75,13 @@ test -z "$(gofmt -l .)"
 # reads lost after the claim, revoke racing a hand-over, recall racing a take,
 # receives posted ahead of their await, operations that read for themselves),
 # the TCP read lease, the ownership rule on every transport in both orders for
-# Send and the exchange step, posting order, non-overtaking. Twenty fresh runs.
+# Send and the exchange step, posting order, non-overtaking, per-pair FIFO
+# across a modeled link, and the link's pricing rule and overlapped burst
+# latency. Twenty fresh runs.
 # (The allocation counts among them skip under the race detector; tier-1's
 # plain `go test ./...` is where they run.)
 go test -race -timeout 300s -count=20 \
-  -run 'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO' \
+  -run 'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO|TestNetworkPricingRule|TestNetworkBurstOverlapsLatency' \
   ./internal/mpi/
 
 # The master-worker kill tests used to pass by scheduling luck: a kill is
@@ -155,8 +157,8 @@ go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 10s -fuzzminimizetime 1s -par
 # topologies, and transports, including kill-rank and deadline mid-collective)
 # plus the nonblocking progress engine (post-order, overlap with blocking
 # traffic, Test polling, abort/deadline/kill through Wait), fresh under the
-# race detector — the engine's drain goroutine and the async per-pair
-# delivery queues are new concurrency surface.
+# race detector — the engine's drain goroutine, and on modeled platforms the
+# goroutine that delivers each node-pair link's queue, run beside the ranks.
 go test -race -timeout 180s -count=1 \
   -run 'TestHier|TestNonblocking|TestOverlap' \
   ./internal/mpi/ ./internal/exemplars/forestfire/

@@ -247,27 +247,6 @@ func BenchmarkAblationScheduleCyclic(b *testing.B)  { benchAblationSchedule(b, s
 func BenchmarkAblationScheduleDynamic(b *testing.B) { benchAblationSchedule(b, shm.Dynamic(1)) }
 func BenchmarkAblationScheduleGuided(b *testing.B)  { benchAblationSchedule(b, shm.Guided(1)) }
 
-// Reduce-algorithm ablation: linear vs binary-tree reduce at np=32.
-func benchAblationReduce(b *testing.B, algo mpi.ReduceAlgorithm) {
-	const np = 32
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(np, func(c *mpi.Comm) error {
-			for round := 0; round < 8; round++ {
-				if _, err := mpi.ReduceWith(c, c.Rank()+round, mpi.Combine[int](mpi.Sum), 0, algo); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationReduceAlgoLinear(b *testing.B) { benchAblationReduce(b, mpi.ReduceLinear) }
-func BenchmarkAblationReduceAlgoTree(b *testing.B)   { benchAblationReduce(b, mpi.ReduceTree) }
-
 // Transport ablation: the same ping-pong over in-process mailboxes vs
 // loopback TCP through the hub.
 func benchAblationTransport(b *testing.B, run func(int, func(c *mpi.Comm) error, ...mpi.Option) error) {
@@ -409,29 +388,6 @@ func BenchmarkStatsPairedTTest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Barrier-algorithm ablation: linear gather-release vs dissemination at np=32.
-func benchAblationBarrier(b *testing.B, algo mpi.BarrierAlgorithm) {
-	const np = 32
-	for i := 0; i < b.N; i++ {
-		err := mpi.Run(np, func(c *mpi.Comm) error {
-			for round := 0; round < 8; round++ {
-				if err := c.BarrierWith(algo); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationBarrierLinear(b *testing.B) { benchAblationBarrier(b, mpi.BarrierLinear) }
-func BenchmarkAblationBarrierDissemination(b *testing.B) {
-	benchAblationBarrier(b, mpi.BarrierDissemination)
 }
 
 // Fire parallelization-strategy ablation: independent Monte Carlo trials

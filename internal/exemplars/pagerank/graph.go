@@ -11,7 +11,7 @@
 // identical graph from (n, avgDeg, seed) and a partitioned run needs no
 // input distribution step. The generator is deliberately skewed — a slice of
 // hub vertices receives most edges, some vertices are dangling (no out
-// edges) — so the exchange is irregular and the dangling-mass AllreduceSlice
+// edges) — so the exchange is irregular and the dangling-mass AllreduceSliceOp
 // is load-bearing.
 package pagerank
 

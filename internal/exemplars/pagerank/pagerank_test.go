@@ -90,26 +90,15 @@ func vectorSum(v []float64) float64 {
 	return s
 }
 
-var prLaunchers = func() []struct {
+type prLauncher struct {
 	name string
 	run  func(np int, main func(c *mpi.Comm) error, opts ...mpi.Option) error
-	opts []mpi.Option
-} {
-	ls := []struct {
-		name string
-		run  func(np int, main func(c *mpi.Comm) error, opts ...mpi.Option) error
-		opts []mpi.Option
-	}{
-		{"local", mpi.Run, nil},
-		{"local-serialized", mpi.Run, []mpi.Option{mpi.WithSerialization()}},
-		{"tcp", mpi.RunTCP, nil},
-	}
+}
+
+var prLaunchers = func() []prLauncher {
+	ls := []prLauncher{{"local", mpi.Run}, {"tcp", mpi.RunTCP}}
 	if mpi.ShmSupported() {
-		ls = append(ls, struct {
-			name string
-			run  func(np int, main func(c *mpi.Comm) error, opts ...mpi.Option) error
-			opts []mpi.Option
-		}{"shm", mpi.RunShm, nil})
+		ls = append(ls, prLauncher{"shm", mpi.RunShm})
 	}
 	return ls
 }()
@@ -131,7 +120,7 @@ func TestPageRankMPIMatchesSeq(t *testing.T) {
 						t.Errorf("np=%d rank=%d: max |Δ| = %g > %g", np, c.Rank(), d, prTol)
 					}
 					return nil
-				}, l.opts...)
+				})
 				if err != nil {
 					t.Fatalf("np=%d: %v", np, err)
 				}
@@ -157,7 +146,7 @@ func TestPageRankRMAMatchesSeq(t *testing.T) {
 						t.Errorf("np=%d rank=%d: max |Δ| = %g > %g", np, c.Rank(), d, prTol)
 					}
 					return nil
-				}, l.opts...)
+				})
 				if err != nil {
 					t.Fatalf("np=%d: %v", np, err)
 				}
@@ -220,7 +209,7 @@ func TestBFSMPIBitEqual(t *testing.T) {
 						}
 					}
 					return nil
-				}, l.opts...)
+				})
 				if err != nil {
 					t.Fatalf("np=%d: %v", np, err)
 				}

@@ -62,7 +62,7 @@ func (w *World) abort(cause error) {
 	}
 	if w.recov != nil {
 		// Recovery does not survive a revoked world: release every blocked
-		// agreement with the abort error so no Agree caller hangs.
+		// agreement with the abort error so no agreeing member hangs.
 		w.recov.abortPending(err)
 	}
 }
@@ -95,13 +95,13 @@ func (w *World) abortErr() error {
 	return &abortError{cause: w.abortCause}
 }
 
-// BlockedOp describes one rank's blocked receive or probe, as reported in a
+// BlockedOp describes one rank's blocked receive, as reported in a
 // DeadlineError: the deadlock-diagnosis unit. Rank is a world rank; Src and
 // Tag are what the operation is matching on (communicator-local source,
 // AnySource/AnyTag for wildcards) within communicator context Ctx.
 type BlockedOp struct {
 	Rank   int
-	Op     string // "Recv" or "Probe"
+	Op     string // the blocked operation: "Recv"
 	Ctx    int64
 	Src    int
 	Tag    int
@@ -121,14 +121,14 @@ func wildcardStr(v, wildcard int, name string) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// DeadlineError reports a receive or probe that outlived the WithDeadline
+// DeadlineError reports a receive that outlived the WithDeadline
 // budget, together with a snapshot of every operation blocked in this
 // process at that moment — for in-process worlds (Run) that is the full
 // who-waits-on-whom picture, the readable form of a deadlock. It matches
 // ErrDeadlineExceeded under errors.Is.
 type DeadlineError struct {
 	Rank    int    // world rank whose operation timed out
-	Op      string // "Recv" or "Probe"
+	Op      string // the blocked operation: "Recv"
 	Ctx     int64
 	Src     int
 	Tag     int
@@ -156,7 +156,7 @@ func (e *DeadlineError) Is(target error) bool {
 	return target == ErrDeadlineExceeded || target == context.DeadlineExceeded
 }
 
-// WithDeadline bounds every blocking receive and probe in the world by d. A
+// WithDeadline bounds every blocking receive in the world by d. A
 // stuck operation fails with a *DeadlineError naming every blocked rank and
 // its pending (src, tag) — and the first breach revokes the world, so its
 // peers unblock with ErrWorldAborted rather than each burning a full
@@ -168,7 +168,7 @@ func WithDeadline(d time.Duration) Option {
 	return func(c *config) { c.deadline = d }
 }
 
-// blockedOps snapshots every blocked receive/probe across the mailboxes
+// blockedOps snapshots every blocked receive across the mailboxes
 // this process holds, ordered by rank. In a JoinTCP world only the local
 // rank's mailbox exists, so the report covers just that rank; in-process
 // worlds see all ranks.

@@ -103,8 +103,7 @@ func TestAbortUnblocksCollectives(t *testing.T) {
 
 // TestAbortParityAcrossTransports: the revoke contract — ErrWorldAborted
 // identity, originating error in the chain, failing rank named — holds
-// verbatim on the typed local transport, the forced-serialization path, and
-// the TCP transport.
+// verbatim on the typed local transport and the TCP transport.
 func TestAbortParityAcrossTransports(t *testing.T) {
 	main := func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -119,7 +118,6 @@ func TestAbortParityAcrossTransports(t *testing.T) {
 		wrapped bool // errors.Is can reach the sentinel through the chain
 	}{
 		{"local-fast", func() error { return Run(3, main) }, true},
-		{"local-serialized", func() error { return Run(3, main, WithSerialization()) }, true},
 		{"tcp", func() error { return RunTCP(3, main) }, true},
 	}
 	for _, tc := range cases {

@@ -7,7 +7,7 @@ import (
 )
 
 // Fault-tolerant agreement and communicator shrinking: ULFM's
-// MPIX_Comm_agree with the launcher layer as the coordinator. Agree must
+// MPIX_Comm_agree with the launcher layer as the coordinator. agree must
 // terminate with one consistent answer even when failures race the protocol
 // — the property that makes it the hard primitive — and a coordinator that
 // observes failures firsthand sidesteps the unbounded-consensus trap. There
@@ -124,7 +124,7 @@ func decide(key agreeKey, members []int, contributions map[int]uint64, m *member
 }
 
 // agreeKey identifies one agreement instance: all members of a communicator
-// call Agree in the same order (it is collective), so (context, call
+// agree in the same order (it is collective), so (context, call
 // sequence) names the same instance on every member with no negotiation.
 // The epoch is the communicator's: it says which membership the member list
 // describes.
@@ -292,45 +292,29 @@ func (r *recoveryState) abortPending(err error) {
 	}
 	r.insts.dropOlder(math.MaxInt, err) // every epoch is older
 	r.mu.Unlock()
-	r.restoreCond.Broadcast() // Restored callers observe downErr and bail
+	r.restoreCond.Broadcast() // restored callers observe downErr and bail
 }
 
-// Agree performs fault-tolerant agreement on the communicator's members
-// that are out (MPIX_Comm_agree specialized to the failure bitmap): every
-// member still taking part receives the identical sorted set of
-// communicator-local ranks that failed or departed, even when failures race
-// the protocol — a member that dies mid-agreement is folded into the decided
-// set rather than stalling it. A departed member is one whose main returned
-// nil: it will never call Agree, so it counts out the way a failed one does,
-// but it is not recorded as failed. Collective over the live members;
-// requires WithRecovery.
-func (c *Comm) Agree() ([]int, error) {
-	decision, _, err := c.agree()
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for i, wr := range c.ranks {
-		if decision&(1<<uint(wr)) != 0 {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-// agree runs c's next agreement: the decided world-rank mask and its final
-// members (agreeInst).
+// agree runs c's next agreement on the members that are out
+// (MPIX_Comm_agree specialized to the failure bitmap): every member still
+// taking part receives the identical mask of world ranks that failed or
+// departed, even when failures race the protocol — a member that dies
+// mid-agreement is folded into the decision rather than stalling it. A
+// departed member is one whose main returned nil: it will never agree, so
+// it counts out the way a failed one does, but it is not recorded as
+// failed. It also returns the instance's final members (agreeInst).
+// Collective over the live members; requires WithRecovery.
 func (c *Comm) agree() (mask, final uint64, err error) {
 	r := c.world.recov
 	if r == nil {
-		return 0, 0, fmt.Errorf("mpi: Agree requires WithRecovery")
+		return 0, 0, fmt.Errorf("mpi: Recover requires WithRecovery")
 	}
 	key := agreeKey{ctx: c.ctx, seq: c.agreeSeq, epoch: c.epoch}
 	c.agreeSeq++
 	return r.agree(key, c.ranks, c.worldRank(c.rank))
 }
 
-// Shrink agrees on the members that are out and returns a dense
+// shrink agrees on the members that are out and returns a dense
 // communicator of the rest (MPIX_Comm_shrink): survivors keep their relative
 // order but are renumbered 0..n-1, and the new communicator has a fresh
 // message context — stale frames addressed to the old, possibly revoked
@@ -339,26 +323,22 @@ func (c *Comm) agree() (mask, final uint64, err error) {
 // so the survivors of a failure during a program's closing collective can
 // re-form after their peers have returned. Collective over the live
 // members; requires WithRecovery.
-func (c *Comm) Shrink() (*Comm, error) {
+func (c *Comm) shrink() (*Comm, error) {
 	// Consume a child-context slot before anything can fail, so members
-	// whose Agree errors and retry still assign identical context ids.
+	// whose agreement errors and retry still assign identical context ids.
 	seq := c.nextCtx
 	c.nextCtx++
 	if seq > maxSplitsPerComm {
-		return nil, fmt.Errorf("mpi: more than %d Split/Dup/Shrink calls on one communicator", maxSplitsPerComm)
+		return nil, fmt.Errorf("mpi: more than %d Split/shrink calls on one communicator", maxSplitsPerComm)
 	}
-	failed, err := c.Agree()
+	out, _, err := c.agree()
 	if err != nil {
 		return nil, err
 	}
-	failedSet := make(map[int]bool, len(failed))
-	for _, r := range failed {
-		failedSet[r] = true
-	}
-	ranks := make([]int, 0, len(c.ranks)-len(failed))
+	ranks := make([]int, 0, len(c.ranks))
 	newRank := -1
 	for i, wr := range c.ranks {
-		if failedSet[i] {
+		if out&(1<<uint(wr)) != 0 {
 			continue
 		}
 		if i == c.rank {
@@ -367,7 +347,7 @@ func (c *Comm) Shrink() (*Comm, error) {
 		ranks = append(ranks, wr)
 	}
 	if newRank < 0 {
-		return nil, fmt.Errorf("mpi: Shrink: calling rank %d is in the agreed failed set", c.rank)
+		return nil, fmt.Errorf("mpi: shrink: calling rank %d is in the agreed failed set", c.rank)
 	}
 	return &Comm{
 		world:   c.world,

@@ -102,7 +102,7 @@ func TestAlltoallvParity(t *testing.T) {
 	for name, runner := range parityRunners() {
 		name, runner := name, runner
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-gob" {
+			if name == "tcp" {
 				t.Parallel()
 			}
 			for _, np := range []int{1, 2, 3, 4, 8} {
@@ -165,7 +165,6 @@ func TestAlltoallvGobElements(t *testing.T) {
 func TestAlltoallvHier(t *testing.T) {
 	launchers := []parityMode{
 		{name: "local", run: Run},
-		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
 		{name: "tcp", run: RunTCP},
 	}
 	if shmSupported {
@@ -253,7 +252,7 @@ func TestKillRankMidAlltoallv(t *testing.T) {
 					if aerr == nil {
 						return fmt.Errorf("survivor %d: exchange succeeded with a dead peer", c.Rank())
 					}
-					return c.Revoke()
+					return c.revoke()
 				}, WithFaults(plan), WithRecovery())
 			})
 			if err != nil {

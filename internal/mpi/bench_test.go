@@ -163,10 +163,9 @@ func BenchmarkCommSplit(b *testing.B) {
 	}
 }
 
-// The fast-path acceptance benchmarks: the same []float64 ping-pong through
-// the typed fast path and through the forced-gob path, the parity suites'
-// reference.
-func benchPingPongFloats(b *testing.B, opts ...Option) {
+// BenchmarkPingPongFloat64SliceFast: a 128-element []float64 ping-pong
+// through the typed fast path.
+func BenchmarkPingPongFloat64SliceFast(b *testing.B) {
 	payload := make([]float64, 128)
 	for i := range payload {
 		payload[i] = float64(i)
@@ -185,17 +184,9 @@ func benchPingPongFloats(b *testing.B, opts ...Option) {
 				}
 			}
 			b.StopTimer()
-			return c.Send(1, 1, true) // stop marker
+			return nil
 		}
-		for {
-			st, err := c.Probe(0, AnyTag)
-			if err != nil {
-				return err
-			}
-			if st.Tag == 1 {
-				_, err := c.Recv(0, 1, nil)
-				return err
-			}
+		for i := 0; i < b.N; i++ {
 			var in []float64
 			if _, err := c.Recv(0, 0, &in); err != nil {
 				return err
@@ -204,19 +195,17 @@ func benchPingPongFloats(b *testing.B, opts ...Option) {
 				return err
 			}
 		}
-	}, opts...)
+		return nil
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 }
 
-func BenchmarkPingPongFloat64SliceFast(b *testing.B) { benchPingPongFloats(b) }
-func BenchmarkPingPongFloat64SliceGob(b *testing.B)  { benchPingPongFloats(b, WithSerialization()) }
-
 // benchCollective times one collective per iteration with every rank
 // looping; collectives synchronize the ranks, so rank 0's timer covers the
 // steady-state cost.
-func benchCollective(b *testing.B, np int, op func(c *Comm) error, opts ...Option) {
+func benchCollective(b *testing.B, np int, op func(c *Comm) error) {
 	err := Run(np, func(c *Comm) error {
 		if c.Rank() == 0 {
 			b.ResetTimer()
@@ -230,7 +219,7 @@ func benchCollective(b *testing.B, np int, op func(c *Comm) error, opts ...Optio
 			b.StopTimer()
 		}
 		return nil
-	}, opts...)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,19 +232,8 @@ func BenchmarkAllreduceNP8(b *testing.B) {
 	})
 }
 
-func BenchmarkAllreduceNP8Gob(b *testing.B) {
-	benchCollective(b, 8, func(c *Comm) error {
-		_, err := Allreduce(c, float64(c.Rank()), Combine[float64](Sum))
-		return err
-	}, WithSerialization())
-}
-
 func BenchmarkBarrierNP8(b *testing.B) {
 	benchCollective(b, 8, func(c *Comm) error { return c.Barrier() })
-}
-
-func BenchmarkBarrierLinearNP8(b *testing.B) {
-	benchCollective(b, 8, func(c *Comm) error { return c.BarrierWith(BarrierLinear) })
 }
 
 func BenchmarkGobEncodeDecodeRoundTrip(b *testing.B) {

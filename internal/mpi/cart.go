@@ -43,17 +43,14 @@ func NewCart(c *Comm, dims []int, periodic []bool) (*Cart, error) {
 	}, nil
 }
 
-// Dims returns the grid shape.
-func (ct *Cart) Dims() []int { return append([]int(nil), ct.dims...) }
-
 // Comm returns the underlying communicator.
 func (ct *Cart) Comm() *Comm { return ct.comm }
 
-// Coords returns the calling rank's coordinates: MPI_Cart_coords.
-func (ct *Cart) Coords() []int { return ct.CoordsOf(ct.comm.Rank()) }
+// coords returns the calling rank's coordinates: MPI_Cart_coords.
+func (ct *Cart) coords() []int { return ct.coordsOf(ct.comm.Rank()) }
 
-// CoordsOf returns any rank's coordinates.
-func (ct *Cart) CoordsOf(rank int) []int {
+// coordsOf returns any rank's coordinates.
+func (ct *Cart) coordsOf(rank int) []int {
 	coords := make([]int, len(ct.dims))
 	for d := len(ct.dims) - 1; d >= 0; d-- {
 		coords[d] = rank % ct.dims[d]
@@ -62,10 +59,10 @@ func (ct *Cart) CoordsOf(rank int) []int {
 	return coords
 }
 
-// RankOf returns the rank at the given coordinates: MPI_Cart_rank. It
+// rankOf returns the rank at the given coordinates: MPI_Cart_rank. It
 // returns -1 for coordinates that fall outside a non-periodic dimension
 // (the MPI_PROC_NULL case); periodic dimensions wrap.
-func (ct *Cart) RankOf(coords []int) int {
+func (ct *Cart) rankOf(coords []int) int {
 	if len(coords) != len(ct.dims) {
 		return -1
 	}
@@ -85,19 +82,19 @@ func (ct *Cart) RankOf(coords []int) int {
 // MPI_PROC_NULL.
 const ProcNull = -1
 
-// Shift returns the ranks of the neighbours displacement steps down and up
+// shift returns the ranks of the neighbours displacement steps down and up
 // dimension dim: MPI_Cart_shift. Missing neighbours (at a non-periodic
 // edge) are ProcNull.
-func (ct *Cart) Shift(dim, displacement int) (source, dest int, err error) {
+func (ct *Cart) shift(dim, displacement int) (source, dest int, err error) {
 	if dim < 0 || dim >= len(ct.dims) {
 		return ProcNull, ProcNull, fmt.Errorf("mpi: cartesian dimension %d out of range", dim)
 	}
-	coords := ct.Coords()
+	coords := ct.coords()
 	down := append([]int(nil), coords...)
 	up := append([]int(nil), coords...)
 	down[dim] -= displacement
 	up[dim] += displacement
-	return ct.RankOf(down), ct.RankOf(up), nil
+	return ct.rankOf(down), ct.rankOf(up), nil
 }
 
 // SendrecvShift exchanges values with the two neighbours along a
@@ -107,7 +104,7 @@ func (ct *Cart) Shift(dim, displacement int) (source, dest int, err error) {
 // Missing neighbours are skipped and leave the corresponding pointer
 // untouched; hasUp/hasDown report what arrived.
 func (ct *Cart) SendrecvShift(dim, tag int, sendDown, sendUp any, fromDown, fromUp any) (hasDown, hasUp bool, err error) {
-	down, up, err := ct.Shift(dim, 1)
+	down, up, err := ct.shift(dim, 1)
 	if err != nil {
 		return false, false, err
 	}
@@ -123,17 +120,19 @@ func (ct *Cart) SendrecvShift(dim, tag int, sendDown, sendUp any, fromDown, from
 			return false, false, err
 		}
 	}
-	if down != ProcNull {
-		if _, err := ct.comm.Recv(down, tag, fromDown); err != nil {
-			return false, false, err
-		}
-		hasDown = true
-	}
+	// Receive from up first: on a periodic ring of one or two ranks both
+	// neighbours are one rank, and its first frame is its down value.
 	if up != ProcNull {
 		if _, err := ct.comm.Recv(up, tag, fromUp); err != nil {
-			return hasDown, false, err
+			return false, false, err
 		}
 		hasUp = true
+	}
+	if down != ProcNull {
+		if _, err := ct.comm.Recv(down, tag, fromDown); err != nil {
+			return false, hasUp, err
+		}
+		hasDown = true
 	}
 	return hasDown, hasUp, nil
 }

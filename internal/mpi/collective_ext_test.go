@@ -6,105 +6,12 @@ import (
 	"testing"
 )
 
-func TestExscanExclusivePrefix(t *testing.T) {
-	for _, np := range worldSizes {
-		err := Run(np, func(c *Comm) error {
-			got, ok, err := Exscan(c, c.Rank()+1, Combine[int](Sum))
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				if ok {
-					return fmt.Errorf("rank 0 reported a defined exscan value")
-				}
-				return nil
-			}
-			if !ok {
-				return fmt.Errorf("rank %d reported undefined exscan", c.Rank())
-			}
-			want := c.Rank() * (c.Rank() + 1) / 2 // 1+2+...+rank
-			if got != want {
-				return fmt.Errorf("rank %d exscan = %d, want %d", c.Rank(), got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-	}
-}
-
-func TestExscanConsistentWithScan(t *testing.T) {
-	// scan(i) = exscan(i) ⊕ v(i) for every rank > 0.
-	err := Run(6, func(c *Comm) error {
-		v := (c.Rank() + 2) * 3
-		inc, err := Scan(c, v, Combine[int](Sum))
-		if err != nil {
-			return err
-		}
-		exc, ok, err := Exscan(c, v, Combine[int](Sum))
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if inc != v {
-				return fmt.Errorf("rank 0 scan = %d, want own value %d", inc, v)
-			}
-			return nil
-		}
-		if !ok || exc+v != inc {
-			return fmt.Errorf("rank %d: exscan %d + v %d != scan %d", c.Rank(), exc, v, inc)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	for _, np := range worldSizes {
-		err := Run(np, func(c *Comm) error {
-			// Rank r contributes items[j] = r*10 + j; element j reduces to
-			// sum over r of (r*10 + j) = 10*np(np-1)/2 + np*j.
-			items := make([]int, np)
-			for j := range items {
-				items[j] = c.Rank()*10 + j
-			}
-			got, err := ReduceScatterBlock(c, items, Combine[int](Sum))
-			if err != nil {
-				return err
-			}
-			want := 10*np*(np-1)/2 + np*c.Rank()
-			if got != want {
-				return fmt.Errorf("rank %d got %d, want %d", c.Rank(), got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-	}
-}
-
-func TestReduceScatterBlockWrongLength(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		if _, err := ReduceScatterBlock(c, []int{1, 2}, Combine[int](Sum)); err == nil {
-			return fmt.Errorf("wrong length accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDisseminationBarrier(t *testing.T) {
 	for _, np := range worldSizes {
 		var arrived atomic.Int64
 		err := Run(np, func(c *Comm) error {
 			arrived.Add(1)
-			if err := c.BarrierWith(BarrierDissemination); err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
 			if got := arrived.Load(); got != int64(np) {
@@ -121,21 +28,9 @@ func TestDisseminationBarrier(t *testing.T) {
 func TestConsecutiveDisseminationBarriers(t *testing.T) {
 	err := Run(5, func(c *Comm) error {
 		for i := 0; i < 20; i++ {
-			if err := c.BarrierWith(BarrierDissemination); err != nil {
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierWithUnknownAlgorithm(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		if err := c.BarrierWith(BarrierAlgorithm(9)); err == nil {
-			return fmt.Errorf("unknown algorithm accepted")
 		}
 		return nil
 	})

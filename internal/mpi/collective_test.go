@@ -91,27 +91,25 @@ func TestBcastStruct(t *testing.T) {
 	}
 }
 
-func TestReduceSumBothAlgorithmsAllRoots(t *testing.T) {
+func TestReduceSumAllRoots(t *testing.T) {
 	for _, np := range worldSizes {
 		want := np * (np - 1) / 2
 		for root := 0; root < np; root++ {
-			for _, algo := range []ReduceAlgorithm{ReduceLinear, ReduceTree} {
-				err := Run(np, func(c *Comm) error {
-					got, err := ReduceWith(c, c.Rank(), Combine[int](Sum), root, algo)
-					if err != nil {
-						return err
-					}
-					if c.Rank() == root && got != want {
-						return fmt.Errorf("root got %d, want %d", got, want)
-					}
-					if c.Rank() != root && got != 0 {
-						return fmt.Errorf("non-root rank %d got %d, want zero value", c.Rank(), got)
-					}
-					return nil
-				})
+			err := Run(np, func(c *Comm) error {
+				got, err := Reduce(c, c.Rank(), Combine[int](Sum), root)
 				if err != nil {
-					t.Fatalf("np=%d root=%d algo=%d: %v", np, root, algo, err)
+					return err
 				}
+				if c.Rank() == root && got != want {
+					return fmt.Errorf("root got %d, want %d", got, want)
+				}
+				if c.Rank() != root && got != 0 {
+					return fmt.Errorf("non-root rank %d got %d, want zero value", c.Rank(), got)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("np=%d root=%d: %v", np, root, err)
 			}
 		}
 	}
@@ -272,68 +270,11 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-func TestAlltoallTransposes(t *testing.T) {
-	for _, np := range worldSizes {
-		err := Run(np, func(c *Comm) error {
-			items := make([]int, np)
-			for j := range items {
-				items[j] = c.Rank()*100 + j
-			}
-			got, err := Alltoall(c, items)
-			if err != nil {
-				return err
-			}
-			for i, v := range got {
-				// Rank i sent us its element at our index.
-				if want := i*100 + c.Rank(); v != want {
-					return fmt.Errorf("rank %d got[%d] = %d, want %d", c.Rank(), i, v, want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-	}
-}
-
-func TestAlltoallWrongLength(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		if _, err := Alltoall(c, []int{1, 2}); err == nil {
-			return errors.New("Alltoall with wrong length succeeded")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanInclusivePrefix(t *testing.T) {
-	for _, np := range worldSizes {
-		err := Run(np, func(c *Comm) error {
-			got, err := Scan(c, c.Rank()+1, Combine[int](Sum))
-			if err != nil {
-				return err
-			}
-			want := (c.Rank() + 1) * (c.Rank() + 2) / 2
-			if got != want {
-				return fmt.Errorf("rank %d scan = %d, want %d", c.Rank(), got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-	}
-}
-
 // TestReducePropertyMatchesSequential: for arbitrary integer inputs and any
-// world size, both reduce algorithms agree with a sequential fold.
+// world size, Reduce agrees with a sequential fold.
 func TestReducePropertyMatchesSequential(t *testing.T) {
-	prop := func(vals []int64, npRaw, algoRaw uint8) bool {
+	prop := func(vals []int64, npRaw uint8) bool {
 		np := int(npRaw%6) + 1
-		algo := ReduceAlgorithm(algoRaw % 2)
 		if len(vals) < np {
 			return true
 		}
@@ -344,7 +285,7 @@ func TestReducePropertyMatchesSequential(t *testing.T) {
 		var mu sync.Mutex
 		var got int64
 		err := Run(np, func(c *Comm) error {
-			v, err := ReduceWith(c, vals[c.Rank()], Combine[int64](Sum), 0, algo)
+			v, err := Reduce(c, vals[c.Rank()], Combine[int64](Sum), 0)
 			if err != nil {
 				return err
 			}

@@ -8,21 +8,20 @@ import (
 
 // Comm is one rank's handle on a communicator: a group of ranks with an
 // isolated message namespace. The world communicator covers all ranks of a
-// Run; Split and Dup derive smaller or duplicate groups, as in
-// MPI_Comm_split / MPI_Comm_dup.
+// Run; Split derives smaller groups, as in MPI_Comm_split.
 type Comm struct {
 	world *World
 	ctx   int64
 	rank  int   // this process's rank within the communicator
 	ranks []int // world rank of each communicator rank
 
-	// nextCtx numbers the Split/Dup/Shrink calls made on this communicator.
+	// nextCtx numbers the Split/shrink calls made on this communicator.
 	// All members make collective calls in the same order (an MPI
 	// requirement), so the sequence — and therefore each derived context
 	// id — is identical on every member without any extra communication.
 	nextCtx int64
 
-	// agreeSeq numbers the Agree calls the same way, identifying each
+	// agreeSeq numbers the agreements the same way, identifying each
 	// agreement instance consistently across members.
 	agreeSeq uint64
 
@@ -36,7 +35,7 @@ type Comm struct {
 	// Respawn recovery bumps the world's epoch each time a failed rank
 	// rejoins at full width; operations on communicators from an older
 	// epoch fail with a retryable membership-changed error until the caller
-	// re-forms through Comm.Restored (which returns a current-epoch
+	// re-forms through Comm.Recover (which returns a current-epoch
 	// communicator). Zero for every communicator of a never-respawned world.
 	epoch int
 
@@ -129,9 +128,9 @@ func (c *Comm) checkRank(r int) error {
 }
 
 // sendValue routes v to a communicator-local rank under an arbitrary
-// (possibly reserved) tag. On a typed world (local transport, serialization
-// not forced) whitelisted values travel in memory and never touch gob, and a
-// wire world (TCP, shm) takes raw-encodable slices the same way; everything
+// (possibly reserved) tag. On a typed world (local transport) whitelisted
+// values travel in memory and never touch gob, and a wire world (TCP, shm)
+// takes raw-encodable slices the same way; everything
 // else is gob-encoded here, before the transport sees it. A slice is lent,
 // not copied: whichever transport carries the frame has read its elements by
 // the time Send returns (frame.borrowed), so the caller may overwrite v at
@@ -161,7 +160,7 @@ func (c *Comm) send(dest, tag int, v any, lend bool) error {
 	if c.world.typed {
 		f.borrowed, f.HasVal = typedValue(v)
 		f.lent = lend && f.borrowed
-	} else if c.world.wire {
+	} else {
 		_, f.HasVal = rawKindOf(v)
 		f.borrowed = f.HasVal
 	}
@@ -177,7 +176,7 @@ func (c *Comm) send(dest, tag int, v any, lend bool) error {
 	return c.world.transport.Send(f)
 }
 
-// waitFrame is the blocking core under Recv and Probe: it applies the
+// waitFrame is the blocking core under every receive: it applies the
 // world's deadline (if any) and, on expiry, converts the stall into the
 // world's single deadline report via deadlineFired. Under WithRecovery it
 // also installs the interruption check: a rank failure or revoke observed
@@ -187,7 +186,7 @@ func (c *Comm) send(dest, tag int, v any, lend bool) error {
 // at is nil for the whole wait. An exchange step and Irecv run a receive's
 // halves apart: with *at nil it is posted (mailbox.post) and left in *at
 // unless it is over already; with *at posted it is awaited.
-func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *frame, at **waiter) (err error) {
+func (c *Comm) waitFrame(op string, source, tag int, dst any, out *frame, at **waiter) (err error) {
 	w, srcWorld := c.world, -1
 	if source != AnySource {
 		if err = c.checkRank(source); err != nil {
@@ -203,7 +202,7 @@ func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *fra
 	onTimeout := func() error { return w.deadlineFired(c.worldRank(c.rank), op, c.ctx, source, tag) }
 	switch m := c.mailbox(); {
 	case at == nil:
-		return m.wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, pop, dst, out)
+		return m.wait(op, c.ctx, source, tag, w.deadline, onTimeout, check, dst, out)
 	case *at == nil:
 		*at, err = m.post(op, c.ctx, source, tag, w.deadline, dst, out)
 		return err
@@ -217,7 +216,7 @@ func (c *Comm) waitFrame(op string, source, tag int, pop bool, dst any, out *fra
 // its Status.
 func (c *Comm) recv(source, tag int, v any) (Status, error) {
 	var f frame
-	err := c.waitFrame("Recv", source, tag, true, v, &f, nil)
+	err := c.waitFrame("Recv", source, tag, v, &f, nil)
 	return f.receivedInto(v, err)
 }
 
@@ -249,13 +248,13 @@ func (c *Comm) exchange(dest, sendTag int, sendVal any, source, recvTag int, v a
 	}
 	var f frame
 	var w *waiter
-	err := c.waitFrame("Recv", source, recvTag, true, v, &f, &w)
+	err := c.waitFrame("Recv", source, recvTag, v, &f, &w)
 	if err != nil {
 		return Status{}, err
 	}
 	lend := c.world.typed // every mailbox is in this process, the destination's too
 	if err = c.send(dest, sendTag, sendVal, lend); err == nil && w != nil {
-		err = c.waitFrame("Recv", source, recvTag, true, v, &f, &w)
+		err = c.waitFrame("Recv", source, recvTag, v, &f, &w)
 	} else if w != nil {
 		c.mailbox().withdraw(w)
 	} else if err != nil {
@@ -305,21 +304,4 @@ func (c *Comm) Sendrecv(dest, sendTag int, sendVal any, source, recvTag int, rec
 		return Status{}, fmt.Errorf("%w: receive tag %d", ErrInvalidTag, recvTag)
 	}
 	return c.exchange(dest, sendTag, sendVal, source, recvTag, recvPtr)
-}
-
-// Probe blocks until a message matching (source, tag) is available and
-// reports its Status without receiving it: MPI_Probe. Like Recv, it fails
-// with ErrWorldAborted on a revoked world and honours WithDeadline.
-func (c *Comm) Probe(source, tag int) (Status, error) {
-	var f frame
-	if err := c.waitFrame("Probe", source, tag, false, nil, &f, nil); err != nil {
-		return Status{}, err
-	}
-	return f.status(), nil
-}
-
-// Iprobe reports whether a message matching (source, tag) is available,
-// without blocking or receiving: MPI_Iprobe.
-func (c *Comm) Iprobe(source, tag int) (Status, bool) {
-	return c.mailbox().peek(c.ctx, source, tag)
 }

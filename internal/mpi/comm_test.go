@@ -225,17 +225,16 @@ func TestRecvValidation(t *testing.T) {
 }
 
 // TestReservedTagsDistinct lists every tag the runtime reserves — the
-// receive wildcard, the collectives' -2..-22 block, the hub's control tags
+// receive wildcard, the collectives' -3..-22 block, the hub's control tags
 // and the 8-tag band of each of the first 16 windows — and demands that no
 // two coincide and none is a user tag.
 func TestReservedTagsDistinct(t *testing.T) {
 	tags := map[string]int{
-		"AnyTag": AnyTag, "tagBarrier": tagBarrier, "tagBcast": tagBcast,
-		"tagReduce": tagReduce, "tagScatter": tagScatter, "tagGather": tagGather, "tagScan": tagScan,
-		"tagSplit": tagSplit, "tagAll": tagAll, "tagExscan": tagExscan,
-		"tagRedScat": tagRedScat, "tagDissem": tagDissem, "tagAllgat": tagAllgat,
+		"AnyTag": AnyTag, "tagBcast": tagBcast,
+		"tagReduce": tagReduce, "tagScatter": tagScatter, "tagGather": tagGather,
+		"tagSplit": tagSplit, "tagDissem": tagDissem, "tagAllgat": tagAllgat,
 		"tagVecRed": tagVecRed, "tagVecAg": tagVecAg, "tagVecBcast": tagVecBcast,
-		"tagVecGat": tagVecGat, "tagVecScat": tagVecScat, "tagHier": tagHier,
+		"tagHier": tagHier,
 		"tagA2Av": tagA2Av, "tagA2AvGat": tagA2AvGat, "tagA2AvScat": tagA2AvScat,
 		"tagStart": tagStart, "tagDone": tagDone, "tagAbort": tagAbort,
 		"tagPing": tagPing, "tagPong": tagPong, "tagFailed": tagFailed,
@@ -273,62 +272,6 @@ func TestSendrecvRingExchange(t *testing.T) {
 			return fmt.Errorf("rank %d received %d from left, want %d", c.Rank(), fromLeft, left)
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbeThenRecv(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 4, []int{1, 2, 3})
-		}
-		st, err := c.Probe(AnySource, AnyTag)
-		if err != nil {
-			return err
-		}
-		if st.Source != 0 || st.Tag != 4 || st.Bytes == 0 {
-			return fmt.Errorf("probe status = %v", st)
-		}
-		var v []int
-		if _, err := c.Recv(st.Source, st.Tag, &v); err != nil {
-			return err
-		}
-		if len(v) != 3 {
-			return fmt.Errorf("payload = %v", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIprobe(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
-			if _, ok := c.Iprobe(AnySource, AnyTag); ok {
-				// May legitimately be true if rank 0 was fast, so only the
-				// post-barrier check below is authoritative.
-				_ = ok
-			}
-			if err := c.Barrier(); err != nil { // rank 0 sends before barrier
-				return err
-			}
-			st, ok := c.Iprobe(0, 2)
-			if !ok {
-				return errors.New("Iprobe missed a delivered message")
-			}
-			if st.Source != 0 || st.Tag != 2 {
-				return fmt.Errorf("Iprobe status = %v", st)
-			}
-			return nil
-		}
-		if err := c.Send(1, 2, "ping"); err != nil {
-			return err
-		}
-		return c.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -111,24 +111,6 @@ func TestDeadlineNotTriggeredByProgress(t *testing.T) {
 	}
 }
 
-// TestDeadlineOnProbe: Probe blocks through the same primitive as Recv and
-// is reported under its own operation name.
-func TestDeadlineOnProbe(t *testing.T) {
-	err := runWithWatchdog(t, 10*time.Second, func() error {
-		return Run(1, func(c *Comm) error {
-			_, perr := c.Probe(0, 3) // self never sends: guaranteed stall
-			return perr
-		}, WithDeadline(50*time.Millisecond))
-	})
-	var derr *DeadlineError
-	if !errors.As(err, &derr) {
-		t.Fatalf("err = %v, want *DeadlineError", err)
-	}
-	if derr.Op != "Probe" || derr.Src != 0 || derr.Tag != 3 {
-		t.Fatalf("report %+v, want Probe on src 0 tag 3", derr)
-	}
-}
-
 // TestDeadlineOverTCP: WithDeadline is transport-independent; the same
 // stalled receive produces the same report on the TCP transport.
 func TestDeadlineOverTCP(t *testing.T) {

@@ -12,10 +12,10 @@
 //   - Point-to-point messaging with MPI's matching rules: messages are
 //     matched by (source, tag) with AnySource/AnyTag wildcards, and
 //     messages between a fixed (sender, receiver) pair are non-overtaking.
-//   - Nonblocking operations (Isend/Irecv) with Wait/Test.
+//   - Nonblocking operations (Isend/Irecv, IAllreduce) with Wait/Waitall.
 //   - The collective operations the patternlets use: Barrier, Bcast,
-//     Reduce, Allreduce, Scatter, Gather, Allgather, Alltoall, and Scan.
-//   - Communicator management: Split and Dup create sub-communicators with
+//     Reduce, Allreduce, Scatter, Gather and Allgather.
+//   - Communicator management: Split creates sub-communicators with
 //     isolated message namespaces.
 //
 // Two transports are provided. The in-process transport runs each rank as a

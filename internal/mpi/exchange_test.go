@@ -95,7 +95,6 @@ func ownedExchange[S, R comparable](c *Comm, first, tag int, discard bool, s fun
 func TestExchangeHandsItsBlockBack(t *testing.T) {
 	modes := []parityMode{
 		{name: "local", run: Run},
-		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
 		{name: "local-latency", run: Run, opts: []Option{WithTopology([]int{0, 1}), WithNetwork(20*time.Microsecond, 0)}},
 		{name: "tcp", run: RunTCP},
 	}

@@ -262,7 +262,7 @@ func (f *frame) payloadSize() int {
 	return len(f.Data)
 }
 
-// status summarizes the frame for Probe/Recv results.
+// status summarizes the frame for Recv results.
 func (f *frame) status() Status {
 	return Status{Source: f.Src, Tag: f.Tag, Bytes: f.payloadSize()}
 }

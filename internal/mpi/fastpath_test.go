@@ -149,7 +149,6 @@ func ownershipExchange[S, R comparable](c *Comm, y *ownSync, posted bool, tag in
 func TestCopyOnSendDecouplesSenderBuffer(t *testing.T) {
 	modes := []parityMode{
 		{name: "local", run: Run},
-		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
 		{name: "local-latency", run: Run, opts: []Option{WithTopology([]int{0, 1}), WithNetwork(20*time.Microsecond, 0)}},
 		{name: "tcp", run: RunTCP},
 	}
@@ -328,27 +327,6 @@ func TestFastPathSkipsGobForWhitelistedPayloads(t *testing.T) {
 	}
 	if _, ok := fs[0].Val.([]float64); !ok {
 		t.Fatalf("typed payload is %T, want []float64", fs[0].Val)
-	}
-}
-
-// TestSerializationOptionForcesGob: WithSerialization must push every frame
-// through the wire encoding even on the local transport.
-func TestSerializationOptionForcesGob(t *testing.T) {
-	seen := &recordingTransport{}
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 0, []float64{1, 2, 3})
-		}
-		var got []float64
-		_, err := c.Recv(0, 0, &got)
-		return err
-	}, withTransportWrapper(seen), WithSerialization())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := seen.frames()
-	if len(fs) != 1 || fs[0].HasVal || len(fs[0].Data) == 0 {
-		t.Fatalf("WithSerialization frames = %+v, want gob bytes only", fs)
 	}
 }
 

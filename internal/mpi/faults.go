@@ -173,22 +173,6 @@ func (r *FaultReport) Injected() []InjectedFault {
 	return out
 }
 
-// Killed returns the world ranks killed by FaultKillRank rules, sorted.
-func (r *FaultReport) Killed() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[int]bool)
-	var out []int
-	for _, f := range r.injected {
-		if f.Action == FaultKillRank && !seen[f.Src] {
-			seen[f.Src] = true
-			out = append(out, f.Src)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 func (r *FaultReport) record(f InjectedFault) {
 	r.mu.Lock()
 	r.injected = append(r.injected, f)

@@ -25,8 +25,8 @@ package mpi
 // and waitFrame, the failure model (abort, WithDeadline, WithFaults,
 // recovery) applies to the hierarchical schedules with no extra machinery.
 //
-// Selection is automatic: Bcast, Reduce (tree), Allreduce, Barrier, and the
-// *Slice vector family consult Comm.hier and fall back to the flat
+// Selection is automatic: Bcast, Reduce, Allreduce, Barrier, and
+// AllreduceSlice consult Comm.hier and fall back to the flat
 // algorithms whenever it reports a degenerate topology (single node,
 // unknown placement, Size()==1) or hierarchy is off (WithHierarchy).
 
@@ -219,18 +219,17 @@ func hierBcast[T any](c *Comm, h *hierState, v T, root int) (T, error) {
 // hierReduce: tree-reduce within each node to its leader, tree-reduce among
 // the leaders toward root's leader, then one relay hop leader→root if root
 // is not a leader. As with the flat tree, the fold order differs from the
-// linear rank order, so combine must be associative (ReduceLinear keeps its
-// strict-order contract and never takes this path).
+// linear rank order, so combine must be associative.
 func hierReduce[T any](c *Comm, h *hierState, v T, combine func(a, b T) T, root int) (T, error) {
 	var zero T
-	part, err := ReduceWith(h.nodeComm, v, combine, 0, ReduceTree)
+	part, err := Reduce(h.nodeComm, v, combine, 0)
 	if err != nil {
 		return zero, err
 	}
 	rootNode := h.nodeOf[root]
 	rootLeader := h.leaders[rootNode]
 	if h.leaderComm != nil {
-		part, err = ReduceWith(h.leaderComm, part, combine, rootNode, ReduceTree)
+		part, err = Reduce(h.leaderComm, part, combine, rootNode)
 		if err != nil {
 			return zero, err
 		}
@@ -262,7 +261,7 @@ func hierReduce[T any](c *Comm, h *hierState, v T, combine func(a, b T) T, root 
 // broadcast back within each node — one inter-node exchange total.
 func hierAllreduce[T any](c *Comm, h *hierState, v T, combine func(a, b T) T) (T, error) {
 	var zero T
-	part, err := ReduceWith(h.nodeComm, v, combine, 0, ReduceTree)
+	part, err := Reduce(h.nodeComm, v, combine, 0)
 	if err != nil {
 		return zero, err
 	}
@@ -280,7 +279,7 @@ func hierAllreduce[T any](c *Comm, h *hierState, v T, combine func(a, b T) T) (T
 // pipelined broadcast back down. Each rank still moves O(len(v)) bytes, but
 // the inter-node link carries one payload per node instead of one per rank.
 func hierAllreduceSlice[T any](c *Comm, h *hierState, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
-	part, err := reduceSlice(h.nodeComm, v, scalarCombine, fo, 0)
+	part, err := reduceSlice(h.nodeComm, v, scalarCombine, fo)
 	if err != nil {
 		return nil, err
 	}
@@ -290,76 +289,5 @@ func hierAllreduceSlice[T any](c *Comm, h *hierState, v []T, scalarCombine func(
 			return nil, err
 		}
 	}
-	return BcastSlice(h.nodeComm, part, 0)
-}
-
-// hierReduceSlice: node-level vector reduce to each leader, leader-level
-// vector reduce toward root's leader, then one whole-payload relay hop to
-// root if root is not a leader.
-func hierReduceSlice[T any](c *Comm, h *hierState, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T], root int) ([]T, error) {
-	part, err := reduceSlice(h.nodeComm, v, scalarCombine, fo, 0)
-	if err != nil {
-		return nil, err
-	}
-	rootNode := h.nodeOf[root]
-	rootLeader := h.leaders[rootNode]
-	if h.leaderComm != nil {
-		part, err = reduceSlice(h.leaderComm, part, scalarCombine, fo, rootNode)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if root == rootLeader {
-		if c.rank == root {
-			return part, nil
-		}
-		return nil, nil
-	}
-	switch c.rank {
-	case rootLeader:
-		if err := c.sendReserved(root, tagHier, part); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	case root:
-		var out []T
-		if _, err := c.recvReserved(rootLeader, tagHier, &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	default:
-		return nil, nil
-	}
-}
-
-// hierBcastSlice: relay root's payload to its leader if needed, pipeline it
-// among the leaders, then pipeline it within each node. Unlike the flat
-// BcastSlice, a non-leader root receives back (and returns) a fresh copy of
-// its own payload from the intra-node phase; values are identical either
-// way.
-func hierBcastSlice[T any](c *Comm, h *hierState, v []T, root int) ([]T, error) {
-	rootLeader := h.leaders[h.nodeOf[root]]
-	if root != rootLeader {
-		if c.rank == root {
-			if err := c.sendReserved(rootLeader, tagHier, v); err != nil {
-				return nil, err
-			}
-		} else if c.rank == rootLeader {
-			// Receive into a fresh slice: decoding into v would let gob
-			// reuse its backing array and overwrite the caller's buffer.
-			var relayed []T
-			if _, err := c.recvReserved(root, tagHier, &relayed); err != nil {
-				return nil, err
-			}
-			v = relayed
-		}
-	}
-	if h.leaderComm != nil {
-		lv, err := BcastSlice(h.leaderComm, v, h.nodeOf[root])
-		if err != nil {
-			return nil, err
-		}
-		v = lv
-	}
-	return BcastSlice(h.nodeComm, v, 0)
+	return bcastSlice(h.nodeComm, part, 0)
 }

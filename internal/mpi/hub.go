@@ -153,7 +153,7 @@ type hubOptions struct {
 // If the deadline passes before every rank has joined, the job fails with
 // an error wrapping ErrFormationTimeout that lists the missing ranks —
 // instead of waiting forever on a worker that never dialed. On a recovery
-// hub, a failed rank not re-admitted within d is gone for good: Restored
+// hub, a failed rank not re-admitted within d is gone for good: Recover
 // gives up on it and its rejoin is refused. Zero (the default) waits
 // indefinitely.
 func HubFormationTimeout(d time.Duration) HubOption {
@@ -184,7 +184,7 @@ func HubSuspicion(d time.Duration) HubOption {
 // HubRecovery opts the hub into survive-and-continue worlds: a worker that
 // reports a recoverable failure (or whose connection drops after the world
 // started) is recorded as failed and announced to the survivors instead of
-// revoking the world, and the hub coordinates the survivors' Agree calls.
+// revoking the world, and the hub coordinates the survivors' agreements.
 // Pair it with WithRecovery on the workers; RunTCP adds it automatically.
 func HubRecovery() HubOption {
 	return func(o *hubOptions) { o.recovery = true }
@@ -969,14 +969,6 @@ func (h *Hub) FailedRanks() []int {
 // -respawn with -transport procs) select on it to stop relaunching a dead
 // rank once the job is over.
 func (h *Hub) Done() <-chan struct{} { return h.finished }
-
-// Epoch reports the hub's membership epoch: the number of respawn
-// re-admissions it has performed.
-func (h *Hub) Epoch() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.m.epoch
-}
 
 // rankAborted records a worker-reported failure and broadcasts the revoke
 // to every other worker, which poisons their mailboxes. The world still

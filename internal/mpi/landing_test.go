@@ -555,7 +555,7 @@ func TestLandingClaimIsDeliversClaim(t *testing.T) {
 		res := make(chan result, 1)
 		go func() {
 			var r result
-			r.err = m.wait("Recv", 0, 1, tag, timeout, onTimeout, nil, true, dst, &r.f)
+			r.err = m.wait("Recv", 0, 1, tag, timeout, onTimeout, nil, dst, &r.f)
 			res <- r
 		}()
 		awaitPosted(t, m, n)

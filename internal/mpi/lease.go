@@ -25,7 +25,7 @@ import (
 //
 // The transport's own goroutine is the fallback reader, for the time no
 // receive is blocked — the rank computes, sits in user code, or waits on
-// something that is not the mailbox (an Agree decision, drain's done ack). It
+// something that is not the mailbox (an agreement decision, drain's done ack). It
 // takes the lease once no receive has claimed it for leaseQuiet, keeps it
 // while what it reads is control traffic or goes to the unexpected queue, and
 // gives it up the moment it hands a frame to a blocked receive: that rank is

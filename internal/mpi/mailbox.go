@@ -9,7 +9,7 @@ import (
 // mailbox is one rank's receive side, built on MPI's textbook pair of
 // queues. The unexpected queue holds, in arrival order, the frames that found
 // no receive waiting for them; the posted queue holds, in posting order, the
-// receives and probes that found no frame waiting for them. A receive scans
+// receives that found no frame waiting for them. A receive scans
 // the unexpected queue for the earliest frame matching its (context, source,
 // tag) — wildcards allowed — and posts itself only on a miss. An arriving
 // frame scans the posted queue and is handed to the earliest receive it
@@ -37,7 +37,7 @@ type mailbox struct {
 	mu      sync.Mutex
 	unexp   []frame   // unexpected queue: unexp[head:] is live, earliest arrival first
 	head    int       // consumed prefix of unexp, reclaimed by deliver
-	posted  []*waiter // blocked receives and probes, earliest posted first
+	posted  []*waiter // blocked receives, earliest posted first
 	free    []*waiter // recycled waiters: as many as were ever blocked at once
 	closed  bool
 	failErr error // abort poison; checked before matching
@@ -71,8 +71,8 @@ type pump interface {
 // bytes) a drained mailbox keeps; a burst that grew it further gives it back.
 const unexpKeep = 256
 
-// waiter is one posted receive (pop) or probe: what it matches, the slot
-// deliver fills for a receive, and its one-slot wake-up. Every send on wake
+// waiter is one posted receive: what it matches, the slot deliver fills,
+// and its one-slot wake-up. Every send on wake
 // happens under the mailbox lock to a waiter that is posted or busy, neither
 // of which its owner leaves in, so one drained under that lock is recycled
 // empty. (The deadline timer is the one late sender: fired after its wait
@@ -82,12 +82,11 @@ type waiter struct {
 	ctx      int64
 	src, tag int
 	since    time.Time // when it blocked; zero outside deadline worlds, which keeps it out of snapshots
-	pop      bool
-	dst      any   // Recv's destination pointer, which a borrowed slice is copied into; nil otherwise
-	busy     bool  // claimed by a deliver that is copying, or a reader that is reading, its payload with the lock released
-	done     bool  // f was handed over by deliver
-	away     bool  // posted ahead of its await (post): its owner is elsewhere, so a wake-up is not read until it comes
-	f        frame // the one frame a receive waits for
+	dst      any       // Recv's destination pointer, which a borrowed slice is copied into; nil otherwise
+	busy     bool      // claimed by a deliver that is copying, or a reader that is reading, its payload with the lock released
+	done     bool      // f was handed over by deliver
+	away     bool      // posted ahead of its await (post): its owner is elsewhere, so a wake-up is not read until it comes
+	f        frame     // the one frame a receive waits for
 	wake     chan struct{}
 	timer    *time.Timer // the deadline's wake-up, armed when the receive was posted
 	reader   pump        // the mailbox's pump while this waiter reads it, which a wake-up must interrupt
@@ -110,8 +109,7 @@ func (w *waiter) signal() {
 func newMailbox() *mailbox { return &mailbox{} }
 
 // deliver hands an arriving frame to the earliest posted receive matching
-// it, or queues it as unexpected. Probes posted ahead of that receive are
-// woken to look again; a frame no receive takes stays queued for them.
+// it, or queues it as unexpected.
 //
 // A borrowed payload is settled before deliver returns, with the lock
 // released so that senders to one rank copy in parallel. The receive it was
@@ -198,8 +196,7 @@ func (m *mailbox) unclaim(w *waiter) {
 }
 
 // claimLocked takes the earliest posted receive matching f off the posted
-// queue and returns it, or nil; matching probes ahead of it are woken. Caller
-// holds m.mu.
+// queue and returns it, or nil. Caller holds m.mu.
 func (m *mailbox) claimLocked(f *frame) *waiter {
 	i := m.matchLocked(f)
 	if i < 0 {
@@ -211,17 +208,12 @@ func (m *mailbox) claimLocked(f *frame) *waiter {
 }
 
 // matchLocked is the one matching loop: the place in the posted queue of the
-// earliest receive matching f, or -1, with the matching probes ahead of it
-// woken. Caller holds m.mu.
+// earliest receive matching f, or -1. Caller holds m.mu.
 func (m *mailbox) matchLocked(f *frame) int {
 	for i, w := range m.posted {
-		if !f.matches(w.ctx, w.src, w.tag) {
-			continue
-		}
-		if w.pop {
+		if f.matches(w.ctx, w.src, w.tag) {
 			return i
 		}
-		w.signal()
 	}
 	return -1
 }
@@ -258,15 +250,14 @@ func (m *mailbox) removeLocked(i int) {
 }
 
 // wait blocks until a frame matching (ctx, src, tag) is available and
-// stores it in out, taking it for receives (pop) and leaving it queued for
-// probes (!pop). It is the single blocking primitive under Recv, Probe, and
+// takes it into out. It is the single blocking primitive under Recv and
 // every collective: post and await under one hold of the lock. dst, if not
 // nil, is the pointer the caller will decode into: once the receive is
 // posted, deliver may copy a borrowed slice, and a transport's reader read a
 // streamed payload (claim), straight into it and hand over the frame landed.
-func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, pop bool, dst any, out *frame) error {
+func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration, onTimeout func() error, check func() error, dst any, out *frame) error {
 	m.mu.Lock()
-	w, err := m.postLocked(op, ctx, src, tag, timeout, pop, dst, out)
+	w, err := m.postLocked(op, ctx, src, tag, timeout, dst, out)
 	if w != nil {
 		err = m.awaitLocked(w, timeout, onTimeout, check, out)
 	}
@@ -283,7 +274,7 @@ func (m *mailbox) wait(op string, ctx int64, src, tag int, timeout time.Duration
 func (m *mailbox) post(op string, ctx int64, src, tag int, timeout time.Duration, dst any, out *frame) (*waiter, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w, err := m.postLocked(op, ctx, src, tag, timeout, true, dst, out)
+	w, err := m.postLocked(op, ctx, src, tag, timeout, dst, out)
 	if w != nil {
 		w.away = true
 	}
@@ -312,12 +303,12 @@ func (m *mailbox) withdraw(w *waiter) {
 // unexpected frame, else joins the posted queue: nothing is posted, timed or
 // stamped before that miss. With timeout > 0 the waiter shows in snapshots
 // and is woken when the budget is spent. Caller holds m.mu.
-func (m *mailbox) postLocked(op string, ctx int64, src, tag int, timeout time.Duration, pop bool, dst any, out *frame) (*waiter, error) {
+func (m *mailbox) postLocked(op string, ctx int64, src, tag int, timeout time.Duration, dst any, out *frame) (*waiter, error) {
 	if m.failErr != nil {
 		return nil, m.failErr
 	}
 	if i := m.findLocked(ctx, src, tag); i >= 0 {
-		m.takeLocked(i, pop, dst, out)
+		m.takeLocked(i, dst, out)
 		return nil, nil
 	}
 	var w *waiter
@@ -326,7 +317,7 @@ func (m *mailbox) postLocked(op string, ctx int64, src, tag int, timeout time.Du
 	} else {
 		w = &waiter{wake: make(chan struct{}, 1)}
 	}
-	w.op, w.ctx, w.src, w.tag, w.pop, w.dst = op, ctx, src, tag, pop, dst
+	w.op, w.ctx, w.src, w.tag, w.dst = op, ctx, src, tag, dst
 	m.posted = append(m.posted, w)
 	if timeout > 0 {
 		w.since = time.Now()
@@ -340,18 +331,13 @@ func (m *mailbox) postLocked(op string, ctx int64, src, tag int, timeout time.Du
 	return w, nil
 }
 
-// takeLocked stores the unexpected frame unexp[i] in out, removing it for a
-// receive. A frame still lent is settled here, under the lock its lender takes
-// to have its slice back (recall): into dst, or in place for a probe. Caller
-// holds m.mu.
-func (m *mailbox) takeLocked(i int, pop bool, dst any, out *frame) {
-	if !pop {
-		dst = nil
-	}
+// takeLocked moves the unexpected frame unexp[i] into out. A frame still
+// lent is settled here, into dst, under the lock its lender takes to have
+// its slice back (recall). Caller holds m.mu.
+func (m *mailbox) takeLocked(i int, dst any, out *frame) {
 	m.unexp[i].settle(dst)
-	if *out = m.unexp[i]; pop {
-		m.removeLocked(i)
-	}
+	*out = m.unexp[i]
+	m.removeLocked(i)
 }
 
 // awaitLocked blocks until the posted w has its frame, and retires it. The
@@ -377,7 +363,7 @@ func (m *mailbox) awaitLocked(w *waiter, timeout time.Duration, onTimeout func()
 			break
 		}
 		if i := m.findLocked(w.ctx, w.src, w.tag); i >= 0 {
-			m.takeLocked(i, w.pop, w.dst, out)
+			m.takeLocked(i, w.dst, out)
 			break
 		}
 		if check != nil {
@@ -515,21 +501,6 @@ func (m *mailbox) appendBlocked(out []BlockedOp, rank int) []BlockedOp {
 		}
 	}
 	return out
-}
-
-// peek reports whether a frame matching (ctx, src, tag) is queued, and if so
-// returns its status, without removing it: the core of Iprobe. A poisoned
-// mailbox reports nothing available, matching the failing Recv it precedes.
-func (m *mailbox) peek(ctx int64, src, tag int) (Status, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.failErr != nil {
-		return Status{}, false
-	}
-	if i := m.findLocked(ctx, src, tag); i >= 0 {
-		return m.unexp[i].status(), true
-	}
-	return Status{}, false
 }
 
 // wakeAllLocked makes every posted waiter re-run its checks. m.mu is held.

@@ -25,27 +25,16 @@ func (m *mailbox) take(ctx int64, src, tag int) (f frame, err error) {
 
 // takeInto is take with a destination pointer, as Comm.recv posts it.
 func (m *mailbox) takeInto(ctx int64, src, tag int, dst any) (f frame, err error) {
-	err = m.wait("Recv", ctx, src, tag, 0, nil, nil, true, dst, &f)
+	err = m.wait("Recv", ctx, src, tag, 0, nil, nil, dst, &f)
 	return f, err
-}
-
-// waitMatch blocks until a matching frame is queued (without removing it),
-// the mailbox closes, or the world aborts: the core of the blocking Probe.
-func (m *mailbox) waitMatch(ctx int64, src, tag int) (Status, error) {
-	var f frame
-	if err := m.wait("Probe", ctx, src, tag, 0, nil, nil, false, nil, &f); err != nil {
-		return Status{}, err
-	}
-	return f.status(), nil
 }
 
 func matches(f frame, ctx int64, src, tag int) bool { return f.matches(ctx, src, tag) }
 
 // refBox is the reference the real mailbox is checked against: MPI matching
-// in its plainest form. One arrival-ordered list, first match wins; an
-// operation that finds nothing waits in posting order, and an arrival goes to
-// the earliest waiting receive that matches it, else is queued and completes
-// every waiting probe that matches it.
+// in its plainest form. One arrival-ordered list, first match wins; a
+// receive that finds nothing waits in posting order, and an arrival goes to
+// the earliest waiting receive that matches it, else is queued.
 type refBox struct {
 	queue   []frame
 	pending []*refOp
@@ -53,12 +42,11 @@ type refBox struct {
 	failed  error
 }
 
-// refOp is one take (pop) or waitMatch issued against both mailboxes; res
-// carries the real one's answer.
+// refOp is one take issued against both mailboxes; res carries the real
+// one's answer.
 type refOp struct {
 	ctx      int64
 	src, tag int
-	pop      bool
 	res      chan refRes
 	start    chan struct{} // a take posted ahead of its await (mailbox.post) awaits once this is closed
 }
@@ -82,7 +70,7 @@ type loan struct {
 }
 
 // refRes identifies a frame by its payload size, which every generated
-// frame has to itself and which Status.Bytes reports for probes.
+// frame has to itself.
 type refRes struct {
 	id  int
 	err error
@@ -101,22 +89,13 @@ func (r *refBox) find(ctx int64, src, tag int) int {
 func (r *refBox) deliver(f frame) map[*refOp]refRes {
 	done := map[*refOp]refRes{}
 	for i, op := range r.pending {
-		if op.pop && matches(f, op.ctx, op.src, op.tag) {
+		if matches(f, op.ctx, op.src, op.tag) {
 			r.pending = append(r.pending[:i:i], r.pending[i+1:]...)
 			done[op] = refRes{id: f.payloadSize()}
 			return done
 		}
 	}
 	r.queue = append(r.queue, f)
-	keep := r.pending[:0:0]
-	for _, op := range r.pending {
-		if matches(f, op.ctx, op.src, op.tag) {
-			done[op] = refRes{id: f.payloadSize()}
-		} else {
-			keep = append(keep, op)
-		}
-	}
-	r.pending = keep
 	return done
 }
 
@@ -127,9 +106,7 @@ func (r *refBox) issue(op *refOp) (refRes, bool) {
 	}
 	if i := r.find(op.ctx, op.src, op.tag); i >= 0 {
 		res := refRes{id: r.queue[i].payloadSize()}
-		if op.pop {
-			r.queue = append(r.queue[:i:i], r.queue[i+1:]...)
-		}
+		r.queue = append(r.queue[:i:i], r.queue[i+1:]...)
 		return res, true
 	}
 	if r.closed {
@@ -151,7 +128,7 @@ func (r *refBox) end(err error) map[*refOp]refRes {
 
 // fakePump gives the model test's mailbox a transport with a read lease
 // (mailbox.pump). The script's frames reach the mailbox through whoever holds
-// the lease: a blocked take or waitMatch, which reads them off the "socket" in
+// the lease: a blocked take, which reads them off the "socket" in
 // and delivers them on its own goroutine — its own frame among them — or the
 // script itself, as the fallback reader would, when no operation reads. send
 // returns once the frame is delivered, so the script keeps its step-by-step
@@ -266,14 +243,13 @@ func awaitPosted(t *testing.T, m *mailbox, n int) {
 }
 
 // TestMailboxMatchesReferenceModel drives the real mailbox and refBox with
-// the same seeded scripts of deliver / take / waitMatch / peek / poke / close
-// / fail over two contexts, three sources, three tags and both wildcards.
-// Every take and waitMatch runs on a goroutine of its own, so receives are
-// posted both before and after their message arrives and several goroutines
-// block on one mailbox, as Irecv and the progress engine make them. After
-// each step the script waits for exactly the operations the reference
-// completed and compares results, so a probe woken for a frame a receive took
-// must have gone back to waiting or a later step fails. Half the frames are
+// the same seeded scripts of deliver / take / poke / close / fail over two
+// contexts, three sources, three tags and both wildcards. Every take runs on
+// a goroutine of its own, so receives are posted both before and after their
+// message arrives and several goroutines block on one mailbox, as Irecv and
+// the progress engine make them. After each step the script waits for
+// exactly the operations the reference completed and compares results. Half
+// the frames are
 // raw and carry a release hook: one that a take returned is released once, by
 // the script; no other frame is released at all. The other half are borrowed
 // []byte payloads that the script overwrites the moment deliver returns, and
@@ -399,7 +375,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 					if got != want {
 						fail(step, "op %+v returned %+v, reference says %+v", *op, got, want)
 					}
-					if got.err == nil && op.pop {
+					if got.err == nil {
 						taken[got.id] = true
 					}
 				case <-time.After(10 * time.Second):
@@ -426,7 +402,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 				k = 96 // the mailbox ends only in the script's last fifth
 			}
 			switch {
-			case k < 40:
+			case k < 45:
 				ctx, src, tag := pick(false)
 				id := nextID
 				nextID++
@@ -459,12 +435,12 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 					fail(step, "%v", streamErr)
 				}
 				settle(step, done)
-			case k < 80:
+			case k < 90:
 				if len(ref.pending) >= maxPending {
 					continue
 				}
 				ctx, src, tag := pick(true)
-				op := &refOp{ctx: ctx, src: src, tag: tag, pop: k < 68, res: make(chan refRes, 1)}
+				op := &refOp{ctx: ctx, src: src, tag: tag, res: make(chan refRes, 1)}
 				buf := new([]byte)
 				var dst any
 				switch rng.Intn(4) {
@@ -489,7 +465,7 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 					}
 					op.res <- refRes{id: f.payloadSize(), err: err}
 				}
-				if ahead := new(frame); op.pop && rng.Intn(3) == 0 {
+				if ahead := new(frame); rng.Intn(3) == 0 {
 					if w, err := m.post("Recv", op.ctx, op.src, op.tag, 0, dst, ahead); w == nil {
 						finish(*ahead, err)
 					} else {
@@ -509,36 +485,19 @@ func TestMailboxMatchesReferenceModel(t *testing.T) {
 						}()
 					}
 				} else {
-					go func() {
-						if op.pop {
-							finish(m.takeInto(op.ctx, op.src, op.tag, dst))
-							return
-						}
-						st, err := m.waitMatch(op.ctx, op.src, op.tag)
-						op.res <- refRes{id: st.Bytes, err: err}
-					}()
+					go func() { finish(m.takeInto(op.ctx, op.src, op.tag, dst)) }()
 				}
 				done := map[*refOp]refRes{}
 				if res, ok := ref.issue(op); ok {
 					done[op] = res
 					// A take the reference matched to a frame still lent races
 					// that frame's recall.
-					if i := slices.IndexFunc(loans, func(l loan) bool { return l.id == res.id }); i >= 0 && op.pop {
+					if i := slices.IndexFunc(loans, func(l loan) bool { return l.id == res.id }); i >= 0 {
 						lentTaken.Add(1)
 						recall(&loans[i])
 					}
 				}
 				settle(step, done)
-			case k < 90:
-				ctx, src, tag := pick(true)
-				st, ok := m.peek(ctx, src, tag)
-				i := -1
-				if ref.failed == nil {
-					i = ref.find(ctx, src, tag)
-				}
-				if ok != (i >= 0) || ok && (st.Bytes != ref.queue[i].payloadSize() || st.Source != ref.queue[i].Src || st.Tag != ref.queue[i].Tag) {
-					fail(step, "peek(%d,%d,%d) = %+v, %v; reference index %d", ctx, src, tag, st, ok, i)
-				}
 			case k < 94:
 				m.poke()
 			case k < 97:
@@ -702,7 +661,7 @@ func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
 		var buf []byte
 		var got frame
 		res := make(chan error, 1)
-		go func() { res <- m.wait("Recv", 0, 1, 5, budget, onTimeout, nil, true, &buf, &got) }()
+		go func() { res <- m.wait("Recv", 0, 1, 5, budget, onTimeout, nil, &buf, &got) }()
 		awaitPosted(t, m, 1)
 
 		f := frame{Src: 1, Tag: 5, Val: []byte{7, 7, 7}, HasVal: true, borrowed: true}
@@ -749,8 +708,12 @@ func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
 		if err != nil || !got.landed || !bytes.Equal(buf, []byte{7, 7, 7}) {
 			t.Errorf("the receive returned err=%v landed=%v destination=%v, want the landed frame and [7 7 7]", err, got.landed, buf)
 		}
-		if st, ok := m.peek(0, 1, 5); !ok || st.Bytes != len(second.Data) {
-			t.Errorf("the second frame is not queued (peek = %+v, %v): it must not match a claimed receive", st, ok)
+		m.mu.Lock()
+		i := m.findLocked(0, 1, 5)
+		queued := i >= 0 && bytes.Equal(m.unexp[i].Data, second.Data)
+		m.mu.Unlock()
+		if !queued {
+			t.Errorf("the second frame is not queued (index %d): it must not match a claimed receive", i)
 		}
 	}
 }

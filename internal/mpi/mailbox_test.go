@@ -69,24 +69,6 @@ func TestMailboxFIFOPerSender(t *testing.T) {
 	}
 }
 
-func TestMailboxPeekDoesNotConsume(t *testing.T) {
-	m := newMailbox()
-	if _, ok := m.peek(0, AnySource, AnyTag); ok {
-		t.Fatal("peek on empty mailbox reported a message")
-	}
-	m.deliver(frame{Ctx: 0, Src: 2, Tag: 3, Data: []byte("xy")})
-	st, ok := m.peek(0, 2, 3)
-	if !ok {
-		t.Fatal("peek missed a queued message")
-	}
-	if st.Source != 2 || st.Tag != 3 || st.Bytes != 2 {
-		t.Fatalf("peek status = %v", st)
-	}
-	if _, ok := m.peek(0, 2, 3); !ok {
-		t.Fatal("peek consumed the message")
-	}
-}
-
 func TestMailboxTakeBlocksUntilDelivery(t *testing.T) {
 	m := newMailbox()
 	got := make(chan frame, 1)
@@ -115,8 +97,8 @@ func TestMailboxCloseUnblocksReceivers(t *testing.T) {
 	if err := <-errCh; err != ErrShutdown {
 		t.Fatalf("take after close = %v, want ErrShutdown", err)
 	}
-	if _, err := m.waitMatch(0, AnySource, AnyTag); err != ErrShutdown {
-		t.Fatalf("waitMatch after close = %v, want ErrShutdown", err)
+	if _, err := m.take(0, AnySource, AnyTag); err != ErrShutdown {
+		t.Fatalf("take posted after close = %v, want ErrShutdown", err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Wildcards for Recv and Probe, mirroring MPI_ANY_SOURCE and MPI_ANY_TAG.
+// Wildcards for Recv, mirroring MPI_ANY_SOURCE and MPI_ANY_TAG.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -15,15 +15,13 @@ const (
 // Reserved internal tags used by collectives. User tags must be >= 0, as in
 // MPI; the runtime owns the negative tag space.
 const (
-	tagBarrier = -2
 	tagBcast   = -3
 	tagReduce  = -4
 	tagScatter = -5
 	tagGather  = -6
-	tagScan    = -7
 	tagSplit   = -8
-	tagAll     = -9
-	tagAllgat  = -13 // ring Allgather (-10..-12 live in collective.go)
+	tagDissem  = -12 // dissemination Barrier
+	tagAllgat  = -13 // ring Allgather
 )
 
 // ErrInvalidRank is returned when a destination or source rank is outside
@@ -58,7 +56,7 @@ func (e *sentinelError) Is(target error) bool {
 	return e.also != nil && target == e.also
 }
 
-// ErrDeadlineExceeded is returned by a blocking receive or probe that
+// ErrDeadlineExceeded is returned by a blocking receive that
 // outlived the world's WithDeadline budget. The concrete error is a
 // *DeadlineError carrying a who-waits-on-whom snapshot of every blocked
 // rank; the first deadline breach also revokes the world. It composes with
@@ -72,7 +70,7 @@ var ErrDeadlineExceeded error = &sentinelError{
 // ErrRankFailed is the sentinel for a peer rank's failure observed under
 // WithRecovery: pending and affected operations return a *RankFailedError
 // (which matches this sentinel under errors.Is) instead of the world being
-// revoked, so survivors can Agree/Shrink and continue.
+// revoked, so survivors can Recover and continue.
 var ErrRankFailed = errors.New("mpi: peer rank failed")
 
 // ErrFormationTimeout is returned by Hub.Wait when HubFormationTimeout
@@ -86,7 +84,7 @@ var ErrRankKilled = errors.New("mpi: fault injection killed rank")
 
 // Status describes a received message, mirroring MPI_Status: which rank sent
 // it, under which tag, and how large the payload was. Bytes reports wire
-// bytes for serialized transports (TCP, or local with WithSerialization) and
+// bytes for gob payloads and the wire transports (TCP, shm) and
 // the in-memory payload size for the local transport's zero-serialization
 // fast path; it is positive whenever the payload is non-empty, but its exact
 // value is transport-dependent, as MPI_Get_count is datatype-dependent.

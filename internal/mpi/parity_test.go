@@ -9,11 +9,11 @@ import (
 )
 
 // Transport parity: the public mpi API must behave identically whether
-// messages travel as typed in-memory payloads (local fast path), as gob
-// bytes through the same mailboxes (WithSerialization), over real TCP
-// sockets through the hub, or through mmap-backed shared-memory rings
+// messages travel as typed in-memory payloads (local fast path), over real
+// TCP sockets through the hub, or through mmap-backed shared-memory rings
 // (RunShm). Each scenario below runs under every mode and the per-rank
-// results are compared structurally. Its payloads are small, so on shm they
+// results are compared structurally; TestParityGobPayloads keeps every
+// mode's gob path among them. Its payloads are small, so on shm they
 // travel eagerly; the rendezvous and chunked protocols are reached by size
 // in shmtransport_test.go and the vector parity sweep.
 
@@ -26,14 +26,10 @@ type parityMode struct {
 func parityModes() []parityMode {
 	modes := []parityMode{
 		{name: "local-fast", run: Run},
-		{name: "local-serialized", run: Run, opts: []Option{WithSerialization()}},
 		{name: "tcp", run: RunTCP},
 	}
 	if shmSupported {
-		modes = append(modes,
-			parityMode{name: "shm", run: RunShm},
-			parityMode{name: "shm-serialized", run: RunShm, opts: []Option{WithSerialization()}},
-		)
+		modes = append(modes, parityMode{name: "shm", run: RunShm})
 	}
 	return modes
 }
@@ -82,13 +78,11 @@ func TestParityBcast(t *testing.T) {
 	}
 }
 
-func TestParityReduceBothAlgorithms(t *testing.T) {
+func TestParityReduce(t *testing.T) {
 	for _, np := range []int{1, 2, 5} {
-		for _, algo := range []ReduceAlgorithm{ReduceLinear, ReduceTree} {
-			runParity(t, np, func(c *Comm) (any, error) {
-				return ReduceWith(c, c.Rank()+1, Combine[int](Sum), 0, algo)
-			})
-		}
+		runParity(t, np, func(c *Comm) (any, error) {
+			return Reduce(c, c.Rank()+1, Combine[int](Sum), 0)
+		})
 	}
 }
 
@@ -131,16 +125,54 @@ func TestParityAllgather(t *testing.T) {
 	}
 }
 
-func TestParityBarrierBothAlgorithms(t *testing.T) {
+func TestParityBarrier(t *testing.T) {
 	for _, np := range []int{1, 2, 5} {
-		for _, algo := range []BarrierAlgorithm{BarrierLinear, BarrierDissemination} {
-			runParity(t, np, func(c *Comm) (any, error) {
-				if err := c.BarrierWith(algo); err != nil {
-					return nil, err
-				}
-				return "released", nil
-			})
-		}
+		runParity(t, np, func(c *Comm) (any, error) {
+			if err := c.Barrier(); err != nil {
+				return nil, err
+			}
+			return "released", nil
+		})
+	}
+}
+
+// parityPoint is on no transport's whitelist, so every mode carries it as a
+// gob payload: the local fast path, the TCP wire and the shm rings alike.
+type parityPoint struct {
+	Name string
+	X, Y float64
+	Tags []string
+}
+
+// TestParityGobPayloads: a value only gob can carry behaves the same on
+// every transport through Send/Recv, Bcast, and Allreduce with a user
+// combine.
+func TestParityGobPayloads(t *testing.T) {
+	add := func(a, b parityPoint) parityPoint {
+		return parityPoint{Name: a.Name + "+" + b.Name, X: a.X + b.X, Y: a.Y * b.Y, Tags: append(append([]string(nil), a.Tags...), b.Tags...)}
+	}
+	for _, np := range []int{1, 2, 5} {
+		runParity(t, np, func(c *Comm) (any, error) {
+			r := c.Rank()
+			mine := parityPoint{Name: fmt.Sprint("p", r), X: float64(r) + 0.5, Y: float64(r + 1), Tags: []string{fmt.Sprint(r)}}
+			next, prev := (r+1)%c.Size(), (r+c.Size()-1)%c.Size()
+			if err := c.Send(next, 3, mine); err != nil {
+				return nil, err
+			}
+			var got parityPoint
+			if _, err := c.Recv(prev, 3, &got); err != nil {
+				return nil, err
+			}
+			root, err := Bcast(c, mine, c.Size()-1)
+			if err != nil {
+				return nil, err
+			}
+			sum, err := Allreduce(c, mine, add)
+			if err != nil {
+				return nil, err
+			}
+			return []parityPoint{got, root, sum}, nil
+		})
 	}
 }
 

@@ -2,12 +2,11 @@ package mpi
 
 import "sync"
 
-// Nonblocking collectives. IBcast, IReduce, IAllreduce, IAllreduceSlice,
-// and IBarrier return immediately with a Request and run the collective's
-// multi-phase schedule in the background, so a caller can overlap the
-// communication with computation and finish with Wait/Test/Waitall — the
-// MPI_Ibcast/MPI_Iallreduce/... family, and the machinery behind the
-// forestfire exemplar's communication/computation overlap.
+// Nonblocking collectives. IAllreduce returns immediately with a Request and
+// runs the collective's multi-phase schedule in the background, so a caller
+// can overlap the communication with computation and finish with
+// Wait/Waitall — MPI_Iallreduce, and the machinery behind the forestfire
+// exemplar's communication/computation overlap.
 //
 // Each communicator owns one lazily created progress engine. The engine
 // runs posted collectives strictly in post order on a single background
@@ -36,7 +35,7 @@ import "sync"
 //
 // Input/output buffers follow MPI's rule: they belong to the runtime from
 // post to completion. Do not mutate v (or read *out) between posting and
-// Wait/Test reporting done.
+// Wait returning.
 
 // progressEngine executes posted collective schedules FIFO on a background
 // goroutine. The goroutine is spawned on demand and exits when the queue
@@ -98,68 +97,11 @@ func (e *progressEngine) drain() {
 	}
 }
 
-// IBarrier starts a nonblocking barrier: MPI_Ibarrier. The returned Request
-// completes once every rank has posted its IBarrier (in particular, Wait
-// does not return early on the poster's own arrival).
-func (c *Comm) IBarrier() *Request {
-	return c.progress().post(func(pc *Comm) error {
-		return pc.Barrier()
-	})
-}
-
-// IBcast starts a nonblocking broadcast of *v from root: MPI_Ibcast. On
-// completion every rank's *v holds root's value. v must not be mutated (or
-// read) between the post and completion.
-func IBcast[T any](c *Comm, v *T, root int) *Request {
-	return c.progress().post(func(pc *Comm) error {
-		out, err := Bcast(pc, *v, root)
-		if err != nil {
-			return err
-		}
-		*v = out
-		return nil
-	})
-}
-
-// IReduce starts a nonblocking reduction of v toward root: MPI_Ireduce. On
-// completion root's *out holds the combined value; out may be nil at the
-// other ranks (it is left untouched there either way).
-func IReduce[T any](c *Comm, v T, combine func(a, b T) T, root int, out *T) *Request {
-	return c.progress().post(func(pc *Comm) error {
-		res, err := Reduce(pc, v, combine, root)
-		if err != nil {
-			return err
-		}
-		if pc.rank == root && out != nil {
-			*out = res
-		}
-		return nil
-	})
-}
-
 // IAllreduce starts a nonblocking allreduce of v: MPI_Iallreduce. On
 // completion every rank's *out holds the combined value.
 func IAllreduce[T any](c *Comm, v T, combine func(a, b T) T, out *T) *Request {
 	return c.progress().post(func(pc *Comm) error {
 		res, err := Allreduce(pc, v, combine)
-		if err != nil {
-			return err
-		}
-		if out != nil {
-			*out = res
-		}
-		return nil
-	})
-}
-
-// IAllreduceSlice starts a nonblocking elementwise allreduce of the vector
-// v: MPI_Iallreduce over a slice, with the same bandwidth-optimal algorithm
-// selection as AllreduceSlice (including the hierarchical schedule on
-// multi-node topologies). On completion every rank's *out holds the freshly
-// allocated combined vector. v belongs to the runtime until completion.
-func IAllreduceSlice[T any](c *Comm, v []T, combine func(a, b T) T, out *[]T) *Request {
-	return c.progress().post(func(pc *Comm) error {
-		res, err := AllreduceSlice(pc, v, combine)
 		if err != nil {
 			return err
 		}

@@ -11,10 +11,12 @@ import (
 // Under WithRecovery a rank's failure no longer revokes the world: the
 // runtime records the failed rank, wakes every survivor blocked on a
 // communicator operation, and surfaces the failure as a retryable
-// *RankFailedError. Survivors then follow the ULFM lifecycle the recovery
-// API exposes: Revoke the working communicator (so stragglers deep in the
-// old protocol fail out too), Agree on the failed set, Shrink to a dense
-// communicator of survivors, restore state from a checkpoint, and continue.
+// *RankFailedError. Survivors then call Comm.Recover, which runs the ULFM
+// lifecycle: revoke the working communicator (so stragglers deep in the old
+// protocol fail out too), agree on the failed set, and shrink to a dense
+// communicator of survivors (or, under WithRespawn, wait for the relaunched
+// ranks at full width). The program restores state from a checkpoint and
+// continues.
 //
 // The design keeps the healthy path untouched: every recovery check is
 // gated on a single atomic load of an event counter that stays zero until
@@ -31,8 +33,8 @@ var errRecoveryRankCap = fmt.Errorf("mpi: WithRecovery supports at most %d ranks
 
 // RankFailedError reports that a peer rank failed while the world runs in
 // recovery mode. It is retryable: the world is still alive, and the caller
-// should Revoke its working communicator, Shrink, restore from a
-// checkpoint, and continue on the surviving ranks. It matches ErrRankFailed
+// should Recover its working communicator, restore from a checkpoint, and
+// continue on the surviving ranks. It matches ErrRankFailed
 // under errors.Is, and Unwrap exposes the first failed rank's own error
 // (when known locally), so e.g. an injected kill still matches
 // ErrRankKilled through it.
@@ -47,13 +49,13 @@ func (e *RankFailedError) Error() string {
 		// A respawn restored the world's membership while the operation was
 		// pending (or the communicator predates the current epoch): nobody is
 		// failed now, but the operation cannot complete against the old view.
-		return "mpi: world membership changed during the operation; re-form with Recover (or Restored/Shrink) and retry"
+		return "mpi: world membership changed during the operation; re-form with Recover and retry"
 	}
 	what := fmt.Sprintf("mpi: rank(s) %v failed", e.Ranks)
 	if e.Revoked {
 		what = fmt.Sprintf("mpi: communicator revoked after rank failure(s) %v", e.Ranks)
 	}
-	return what + "; world continues under recovery (Agree/Shrink to proceed)"
+	return what + "; world continues under recovery (Recover to proceed)"
 }
 
 func (e *RankFailedError) Is(target error) bool { return target == ErrRankFailed }
@@ -62,11 +64,10 @@ func (e *RankFailedError) Unwrap() error        { return e.cause }
 // WithRecovery opts the world into survive-and-continue semantics: a rank
 // that returns an error or panics is recorded as failed instead of revoking
 // the world; survivors' pending operations return a retryable
-// *RankFailedError, and the Revoke/Agree/Shrink API lets them re-form and
-// continue. Run and RunTCP report success if at least one rank completes
-// and the world was never revoked outright. Limited to 64 ranks (the
-// agreement bitmask); explicit aborts and deadline breaches still revoke
-// the world as before.
+// *RankFailedError, and Comm.Recover lets them re-form and continue. Run
+// and RunTCP report success if at least one rank completes and the world
+// was never revoked outright. Limited to 64 ranks (the agreement bitmask);
+// explicit aborts and deadline breaches still revoke the world as before.
 func WithRecovery() Option {
 	return func(c *config) { c.recovery = true }
 }
@@ -88,8 +89,8 @@ type recoveryState struct {
 	// m is the world's membership (agree.go). Its epoch counts full-width
 	// restorations (respawns): operations on communicators created in an
 	// older epoch fail with a retryable membership-changed error, and
-	// Restored hands back a current-epoch communicator. restoreCond (on mu)
-	// wakes Restored callers on a rejoin or an abort.
+	// restored hands back a current-epoch communicator. restoreCond (on mu)
+	// wakes restored callers on a rejoin or an abort.
 	m           membership
 	failed      map[int]error // each failed rank's own error, for RankFailedError to unwrap
 	revoked     map[int64]bool
@@ -146,7 +147,7 @@ func (w *World) rankFailed(rank, epoch int, cause error) {
 // state; the hub's, on TCP). In the critical section that bumps the epoch,
 // every open agreement of an older epoch fails with a retryable
 // membership-changed error — its member list describes the old world —
-// before any Restored caller can wake and open the new epoch's. Pending
+// before any restored caller can wake and open the new epoch's. Pending
 // operations on older-epoch communicators are interrupted the same way.
 func (w *World) rankRejoined(rank int, epoch int) {
 	r := w.recov
@@ -178,7 +179,7 @@ func (w *World) rankRejoined(rank int, epoch int) {
 }
 
 // rankDeparted records that a rank's main returned nil: agreements stop
-// waiting for it, Shrink leaves it out, and Restored can no longer restore
+// waiting for it, shrink leaves it out, and restored can no longer restore
 // the full width. In-process worlds only; the hub records a TCP rank's
 // departure at its done frame.
 func (w *World) rankDeparted(rank int) {
@@ -191,7 +192,7 @@ func (w *World) rankDeparted(rank int) {
 }
 
 // rankGone records that a failed rank will not come back (DESIGN.md §5) and
-// wakes the Restored callers waiting for it.
+// wakes the restored callers waiting for it.
 func (w *World) rankGone(rank int) {
 	r := w.recov
 	r.mu.Lock()
@@ -260,7 +261,7 @@ func (r *recoveryState) rfeLocked(revoked bool) *RankFailedError {
 	return &RankFailedError{Ranks: ranks, Revoked: revoked, cause: cause}
 }
 
-// opErr decides whether a blocked receive/probe must be interrupted. An
+// opErr decides whether a blocked receive must be interrupted. An
 // operation fails when its communicator was revoked; when any rank failed
 // after the operation started (startFail is the failVersion captured at op
 // entry) — the "pending operations are interrupted" rule; when its named
@@ -283,7 +284,7 @@ func (r *recoveryState) opErr(c *Comm, srcWorld int, startFail uint64) error {
 	if c.epoch < r.m.epoch {
 		// The communicator predates a respawn: its view of the membership is
 		// stale even though nobody may be failed right now. Re-form through
-		// Restored. (Checked before the empty-failed shortcut: a rejoin
+		// restored. (Checked before the empty-failed shortcut: a rejoin
 		// empties the failed set but must still interrupt pending work.)
 		return r.rfeLocked(false)
 	}
@@ -358,11 +359,11 @@ func (w *World) revokeCtx(ctx int64) bool {
 	return true
 }
 
-// ErrRestoreTimeout reports that Restored gave up on the full width: the
+// ErrRestoreTimeout reports that restoring the full width gave up on the full width: the
 // restore agreement named a member that departed or that the coordinator
 // marked gone for good (DESIGN.md §5), so every member of it gives up
 // together, or the world has no WithRespawn. No member gives up on a clock
-// of its own. Shrink (or Recover) continues without the missing ranks.
+// of its own. Recover continues without the missing ranks.
 var ErrRestoreTimeout = errors.New("mpi: world not restored to full width")
 
 // epochCtx derives the message context of an epoch's world communicator.
@@ -382,19 +383,19 @@ func (w *World) epochComm(c *Comm, epoch int) *Comm {
 	return rc
 }
 
-// Restored blocks until every failed rank is respawned into its old slot
+// restored blocks until every failed rank is respawned into its old slot
 // and returns the current epoch's full-width world communicator: the
-// respawn-mode counterpart of Shrink. Collective over all live ranks, the
+// respawn-mode counterpart of shrink. Collective over all live ranks, the
 // respawned ones included, which agree on the restored membership. It has no
 // timeout: when the agreed decision names a member that departed or is gone
 // for good, every member returns ErrRestoreTimeout naming those ranks, with
-// the communicator that decision ran on, to Shrink (as Recover does).
+// the communicator that decision ran on, to shrink (as Recover does).
 // Without WithRespawn it returns ErrRestoreTimeout at once.
-func (c *Comm) Restored() (*Comm, error) {
+func (c *Comm) restored() (*Comm, error) {
 	w := c.world
 	r := w.recov
 	if r == nil {
-		return nil, fmt.Errorf("mpi: Restored requires WithRecovery")
+		return nil, fmt.Errorf("mpi: Recover requires WithRecovery")
 	}
 	if !r.respawn {
 		return nil, fmt.Errorf("%w: no rank is relaunched without WithRespawn", ErrRestoreTimeout)
@@ -434,37 +435,38 @@ func (c *Comm) Restored() (*Comm, error) {
 // Recover is the one call to make after an operation failed with a
 // retryable *RankFailedError; it returns the communicator to continue on.
 // It revokes c, so members blocked in the old protocol fail out to their own
-// Recover, then, under WithRespawn, waits in Restored, shrinking the agreed
+// Recover, then, under WithRespawn, waits in restored, shrinking the agreed
 // communicator together if it gives up; under WithRecovery it shrinks c.
 func (c *Comm) Recover() (*Comm, error) {
-	if err := c.Revoke(); err != nil {
+	if err := c.revoke(); err != nil {
 		return nil, err
 	}
 	if !c.world.recov.respawn {
-		return c.Shrink()
+		return c.shrink()
 	}
 	for {
-		rc, err := c.Restored()
+		rc, err := c.restored()
 		if !errors.Is(err, ErrRestoreTimeout) {
 			return rc, err
 		}
 		// A rejoin racing the shrink fails it at the old epoch: go around.
-		if sc, err := rc.Shrink(); !errors.Is(err, ErrRankFailed) {
+		if sc, err := rc.shrink(); !errors.Is(err, ErrRankFailed) {
 			return sc, err
 		}
 	}
 }
 
-// Revoke marks the communicator's message context revoked everywhere:
+// revoke marks the communicator's message context revoked everywhere:
 // every member's pending and future operations on it fail with a
 // *RankFailedError whose Revoked field is set (MPIX_Comm_revoke). It is
 // how a survivor that detected a failure kicks peers still blocked deep in
-// the old protocol out to the recovery path; call it before Shrink.
+// the old protocol out to the recovery path; Recover calls it before it
+// shrinks or restores.
 // Requires WithRecovery; it is not collective and any member may call it.
-func (c *Comm) Revoke() error {
+func (c *Comm) revoke() error {
 	w := c.world
 	if w.recov == nil {
-		return fmt.Errorf("mpi: Revoke requires WithRecovery")
+		return fmt.Errorf("mpi: Recover requires WithRecovery")
 	}
 	changed := w.revokeCtx(c.ctx)
 	if changed && w.recov.ctrlSend != nil {
@@ -477,7 +479,8 @@ func (c *Comm) Revoke() error {
 }
 
 // FailedRanks reports the communicator-local ranks currently known failed,
-// sorted (MPIX_Comm_failure_ack + get_acked, collapsed). Unlike Agree it
+// sorted (MPIX_Comm_failure_ack + get_acked, collapsed). Unlike Recover's
+// agreement it
 // is purely local: different members may transiently observe different
 // sets.
 func (c *Comm) FailedRanks() []int {

@@ -48,10 +48,10 @@ func TestRecoverContinuesAfterRankFailure(t *testing.T) {
 					if !errors.Is(rerr, ErrRankFailed) {
 						return fmt.Errorf("want ErrRankFailed from Recv on failed source, got %v", rerr)
 					}
-					if rerr := c.Revoke(); rerr != nil {
+					if rerr := c.revoke(); rerr != nil {
 						return rerr
 					}
-					nc, serr := c.Shrink()
+					nc, serr := c.shrink()
 					if serr != nil {
 						return serr
 					}
@@ -111,10 +111,10 @@ func TestRecoverInterruptsPendingAnySource(t *testing.T) {
 					if !errors.Is(rerr, ErrRankFailed) {
 						return fmt.Errorf("want ErrRankFailed interrupting pending wildcard Recv, got %v", rerr)
 					}
-					if rerr := c.Revoke(); rerr != nil {
+					if rerr := c.revoke(); rerr != nil {
 						return rerr
 					}
-					nc, serr := c.Shrink()
+					nc, serr := c.shrink()
 					if serr != nil {
 						return serr
 					}
@@ -128,8 +128,24 @@ func TestRecoverInterruptsPendingAnySource(t *testing.T) {
 	}
 }
 
+// agreedOut runs c's next agreement and returns the communicator-local
+// ranks it decided are out, in order.
+func agreedOut(c *Comm) ([]int, error) {
+	mask, _, err := c.agree()
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for i, wr := range c.ranks {
+		if mask&(1<<uint(wr)) != 0 {
+			out = append(out, i)
+		}
+	}
+	return out, nil
+}
+
 // TestAgreeConsistentUnderRacingFailures: two ranks die at different times,
-// one of them mid-protocol, and every survivor's Agree must return the
+// one of them mid-protocol, and every survivor's agreement must return the
 // identical failed set — the failures are folded into the decision instead
 // of stalling it.
 func TestAgreeConsistentUnderRacingFailures(t *testing.T) {
@@ -145,9 +161,9 @@ func TestAgreeConsistentUnderRacingFailures(t *testing.T) {
 						return errDeliberate // dies before anyone agrees
 					case 4:
 						time.Sleep(80 * time.Millisecond)
-						return errDeliberate // dies while the others wait in Agree
+						return errDeliberate // dies while the others wait in agree
 					}
-					failed, err := c.Agree()
+					failed, err := agreedOut(c)
 					if err != nil {
 						return err
 					}
@@ -300,7 +316,7 @@ func TestAgreeRejoinFailsOnlyOlderEpochs(t *testing.T) {
 	agree := func(epoch int) (<-chan outcome, []byte) {
 		out := make(chan outcome, 1)
 		go func() {
-			failed, err := w.epochComm(w.comm(0), epoch).Agree()
+			failed, err := agreedOut(w.epochComm(w.comm(0), epoch))
 			out <- outcome{failed, err}
 		}()
 		return out, <-reqs // the contribution is on its way to the hub
@@ -344,7 +360,7 @@ func TestRevokeKicksStragglerOutOfOldComm(t *testing.T) {
 						if !errors.Is(rerr, ErrRankFailed) {
 							return fmt.Errorf("rank 0: want ErrRankFailed, got %v", rerr)
 						}
-						if err := c.Revoke(); err != nil {
+						if err := c.revoke(); err != nil {
 							return err
 						}
 					case 1:
@@ -359,11 +375,11 @@ func TestRevokeKicksStragglerOutOfOldComm(t *testing.T) {
 						if !rfe.Revoked {
 							return fmt.Errorf("straggler: expected Revoked error, got %v", rfe)
 						}
-						if err := c.Revoke(); err != nil { // idempotent
+						if err := c.revoke(); err != nil { // idempotent
 							return err
 						}
 					}
-					nc, err := c.Shrink()
+					nc, err := c.shrink()
 					if err != nil {
 						return err
 					}
@@ -472,11 +488,11 @@ func TestWithRecoveryRankCap(t *testing.T) {
 	main := func(c *Comm) error { ran.Store(true); return nil }
 	const nobody = "127.0.0.1:1"
 	launchers := append([]launcher{{"join-tcp", func(np int, main func(*Comm) error, opts ...Option) error {
-		return JoinTCP(nobody, 0, np, main, append(opts, WithDialRetry(-1))...)
+		return JoinTCP(nobody, 0, np, main, opts...)
 	}}}, recoveryLaunchers...)
 	if shmSupported {
 		launchers = append(launchers, launcher{"join-shm", func(np int, main func(*Comm) error, opts ...Option) error {
-			return JoinShm(nobody, filepath.Join(t.TempDir(), "no-such-segment"), 0, np, main, append(opts, WithDialRetry(-1))...)
+			return JoinShm(nobody, filepath.Join(t.TempDir(), "no-such-segment"), 0, np, main, opts...)
 		}})
 	}
 	for _, l := range launchers {
@@ -542,10 +558,10 @@ func TestRecoverySoakKillRank(t *testing.T) {
 									if !errors.Is(err, ErrRankFailed) {
 										return err // this rank was killed (or a real bug)
 									}
-									if rerr := comm.Revoke(); rerr != nil {
+									if rerr := comm.revoke(); rerr != nil {
 										return rerr
 									}
-									nc, serr := comm.Shrink()
+									nc, serr := comm.shrink()
 									if serr != nil {
 										return serr
 									}

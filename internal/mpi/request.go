@@ -1,19 +1,13 @@
 package mpi
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// Request is a handle on a nonblocking operation, mirroring MPI_Request.
-// Complete it with Wait (blocking) or poll it with Test. A pending Irecv
-// rides on the same mailbox primitive as a blocking Recv, so a world abort
-// or a WithDeadline expiry completes the request with that error instead of
-// leaving Wait blocked.
+// Request is a handle on a nonblocking operation, mirroring MPI_Request;
+// Wait completes it. A pending Irecv rides on the same mailbox primitive as
+// a blocking Recv, so a world abort or a WithDeadline expiry completes the
+// request with that error instead of leaving Wait blocked.
 type Request struct {
-	mu     sync.Mutex
-	done   bool
-	doneCh chan struct{}
+	doneCh chan struct{} // closed once status and err are final
 	status Status
 	err    error
 }
@@ -24,11 +18,7 @@ func newRequest() *Request {
 
 // complete marks the request finished with the given outcome.
 func (r *Request) complete(st Status, err error) {
-	r.mu.Lock()
-	r.status = st
-	r.err = err
-	r.done = true
-	r.mu.Unlock()
+	r.status, r.err = st, err
 	close(r.doneCh)
 }
 
@@ -36,20 +26,7 @@ func (r *Request) complete(st Status, err error) {
 // MPI_Wait.
 func (r *Request) Wait() (Status, error) {
 	<-r.doneCh
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.status, r.err
-}
-
-// Test reports whether the operation has completed, without blocking. When
-// it reports true, the Status and error are final: MPI_Test.
-func (r *Request) Test() (Status, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.done {
-		return Status{}, false, nil
-	}
-	return r.status, true, r.err
 }
 
 // Isend starts a nonblocking send of v to dest under tag and returns
@@ -76,13 +53,13 @@ func (c *Comm) Irecv(source, tag int, v any) *Request {
 	if tag < 0 && tag != AnyTag {
 		err = fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
 	} else {
-		err = c.waitFrame("Recv", source, tag, true, v, f, &w)
+		err = c.waitFrame("Recv", source, tag, v, f, &w)
 	}
 	if w == nil {
 		r.complete(f.receivedInto(v, err))
 		return r
 	}
-	go func() { r.complete(f.receivedInto(v, c.waitFrame("Recv", source, tag, true, v, f, &w))) }()
+	go func() { r.complete(f.receivedInto(v, c.waitFrame("Recv", source, tag, v, f, &w))) }()
 	return r
 }
 
@@ -99,28 +76,4 @@ func Waitall(reqs []*Request) ([]Status, error) {
 		}
 	}
 	return statuses, firstErr
-}
-
-// Waitany blocks until any of the given requests completes and returns its
-// index and status: MPI_Waitany, the primitive behind responsive
-// master-worker loops. The completed request should not be waited on again;
-// reqs must be non-empty.
-func Waitany(reqs []*Request) (int, Status, error) {
-	if len(reqs) == 0 {
-		return -1, Status{}, fmt.Errorf("mpi: Waitany needs at least one request")
-	}
-	type done struct {
-		idx int
-		st  Status
-		err error
-	}
-	ch := make(chan done, len(reqs))
-	for i, r := range reqs {
-		go func(i int, r *Request) {
-			st, err := r.Wait()
-			ch <- done{i, st, err}
-		}(i, r)
-	}
-	d := <-ch
-	return d.idx, d.st, d.err
 }

@@ -36,45 +36,6 @@ func TestIsendIrecvPair(t *testing.T) {
 	}
 }
 
-func TestIrecvTestPolling(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Barrier(); err != nil { // let rank 1 post the Irecv first
-				return err
-			}
-			return c.Send(1, 0, 123)
-		}
-		var v int
-		req := c.Irecv(0, 0, &v)
-		if _, done, _ := req.Test(); done {
-			return errors.New("Test reported done before any send")
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			st, done, err := req.Test()
-			if err != nil {
-				return err
-			}
-			if done {
-				if v != 123 || st.Source != 0 {
-					return fmt.Errorf("v=%d st=%v", v, st)
-				}
-				return nil
-			}
-			if time.Now().After(deadline) {
-				return errors.New("Irecv never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWaitallCollectsAllStatuses(t *testing.T) {
 	const np = 5
 	err := Run(np, func(c *Comm) error {
@@ -148,53 +109,6 @@ func TestIrecvAnySource(t *testing.T) {
 	}
 }
 
-func TestWaitanyReturnsFirstCompletion(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 0 {
-			var a, b int
-			reqs := []*Request{
-				c.Irecv(1, 0, &a), // never satisfied until late
-				c.Irecv(2, 0, &b), // satisfied immediately
-			}
-			idx, st, err := Waitany(reqs)
-			if err != nil {
-				return err
-			}
-			if idx != 1 || st.Source != 2 || b != 222 {
-				return fmt.Errorf("Waitany = idx %d, st %v, b %d", idx, st, b)
-			}
-			// Release rank 1's message and complete the other request.
-			if err := c.Send(1, 1, 0); err != nil {
-				return err
-			}
-			if _, err := reqs[0].Wait(); err != nil {
-				return err
-			}
-			if a != 111 {
-				return fmt.Errorf("a = %d", a)
-			}
-			return nil
-		}
-		if c.Rank() == 1 {
-			// Hold the message back until rank 0 signals.
-			if _, err := c.Recv(0, 1, nil); err != nil {
-				return err
-			}
-			return c.Send(0, 0, 111)
-		}
-		return c.Send(0, 0, 222)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitanyEmpty(t *testing.T) {
-	if _, _, err := Waitany(nil); err == nil {
-		t.Fatal("empty Waitany accepted")
-	}
-}
-
 // TestWaitallEmpty: MPI_Waitall over zero requests is a no-op success, for
 // both a nil and an empty slice.
 func TestWaitallEmpty(t *testing.T) {
@@ -226,11 +140,6 @@ func TestWaitRepeatable(t *testing.T) {
 		if st1 != st2 || st1.Source != 0 || v != 77 {
 			return fmt.Errorf("repeated Wait disagreed: %v vs %v (v=%d)", st1, st2, v)
 		}
-		// Test after Wait agrees too.
-		st3, done, err3 := req.Test()
-		if !done || err3 != nil || st3 != st1 {
-			return fmt.Errorf("Test after Wait = %v, %v, %v", st3, done, err3)
-		}
 		return nil
 	})
 	if err != nil {
@@ -238,11 +147,10 @@ func TestWaitRepeatable(t *testing.T) {
 	}
 }
 
-// TestRequestTestAfterAbort: a world abort completes a pending Irecv, so a
-// subsequent Test reports done with the abort as its final error.
-func TestRequestTestAfterAbort(t *testing.T) {
-	var testErr error
-	var testDone bool
+// TestIrecvWaitAfterAbort: a world abort completes a pending Irecv, so Wait
+// returns with the abort as its final error, again on a second Wait.
+func TestIrecvWaitAfterAbort(t *testing.T) {
+	var againErr error
 	err := runWithWatchdog(t, 10*time.Second, func() error {
 		return Run(2, func(c *Comm) error {
 			if c.Rank() == 1 {
@@ -251,18 +159,15 @@ func TestRequestTestAfterAbort(t *testing.T) {
 			var v int
 			req := c.Irecv(1, 0, &v) // never satisfied: the peer fails instead
 			_, werr := req.Wait()
-			_, testDone, testErr = req.Test()
+			_, againErr = req.Wait()
 			return werr
 		})
 	})
 	if !errors.Is(err, ErrWorldAborted) {
 		t.Fatalf("run err = %v, want ErrWorldAborted", err)
 	}
-	if !testDone {
-		t.Fatal("Test after abort reported not-done")
-	}
-	if !errors.Is(testErr, ErrWorldAborted) || !errors.Is(testErr, errDeliberate) {
-		t.Fatalf("Test err = %v, want ErrWorldAborted wrapping the cause", testErr)
+	if !errors.Is(againErr, ErrWorldAborted) || !errors.Is(againErr, errDeliberate) {
+		t.Fatalf("second Wait err = %v, want ErrWorldAborted wrapping the cause", againErr)
 	}
 }
 

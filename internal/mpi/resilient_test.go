@@ -193,12 +193,19 @@ func TestCorruptFaultWithoutSuspicionSurfaces(t *testing.T) {
 // heartbeat react to broken connections and dead processes, not to slowness;
 // that is WithDeadline's job.
 func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
+	// A []int travels raw on the TCP wire; a scalar int is a gob payload.
 	wires := []struct {
-		name string
-		opt  Option
+		name      string
+		allreduce func(c *Comm) error
 	}{
-		{"typed", func(*config) {}},
-		{"gob", WithSerialization()},
+		{"typed", func(c *Comm) error {
+			_, err := Allreduce(c, []int{1}, func(a, b []int) []int { return []int{a[0] + b[0]} })
+			return err
+		}},
+		{"gob", func(c *Comm) error {
+			_, err := Allreduce(c, 1, func(a, b int) int { return a + b })
+			return err
+		}},
 	}
 	for _, wire := range wires {
 		wire := wire
@@ -211,7 +218,7 @@ func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
 			err := runWithWatchdog(t, 60*time.Second, func() error {
 				return RunTCP(3, func(c *Comm) error {
 					for iter := 0; iter < 8; iter++ {
-						if _, err := Allreduce(c, 1, func(a, b int) int { return a + b }); err != nil {
+						if err := wire.allreduce(c); err != nil {
 							return err
 						}
 					}
@@ -219,7 +226,7 @@ func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
 					observedFailed[c.Rank()] = c.FailedRanks()
 					mu.Unlock()
 					return nil
-				}, WithRecovery(), WithFaults(plan), wire.opt,
+				}, WithRecovery(), WithFaults(plan),
 					WithHubOptions(HubHeartbeat(25*time.Millisecond), HubSuspicion(2*time.Second)))
 			})
 			if err != nil {
@@ -275,7 +282,7 @@ func TestRespawnRestoresFullWidth(t *testing.T) {
 							if !errors.Is(err, ErrRankFailed) {
 								return err // this incarnation was killed
 							}
-							nc, rerr := comm.Restored()
+							nc, rerr := comm.restored()
 							if rerr != nil {
 								return rerr
 							}
@@ -331,7 +338,7 @@ func TestRespawnRacingKills(t *testing.T) {
 							if !errors.Is(err, ErrRankFailed) {
 								return err
 							}
-							nc, rerr := comm.Restored()
+							nc, rerr := comm.restored()
 							if rerr != nil {
 								return rerr
 							}
@@ -392,7 +399,7 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 							}
 							return tc.rank2
 						}
-						_, rerr := c.Restored()
+						_, rerr := c.restored()
 						refused.Done()
 						if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), tc.want) {
 							return fmt.Errorf("want ErrRestoreTimeout naming %q, got %v", tc.want, rerr)
@@ -513,7 +520,7 @@ func TestHubGoneAfterFormationBudget(t *testing.T) {
 		if c.Rank() == 2 {
 			return errDeliberate
 		}
-		_, rerr := c.Restored()
+		_, rerr := c.restored()
 		gaveUp.Done()
 		if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), "ranks [2]") {
 			return fmt.Errorf("want ErrRestoreTimeout naming rank 2, got %v", rerr)
@@ -539,7 +546,10 @@ func TestHubGoneAfterFormationBudget(t *testing.T) {
 		if rerr == nil || ran {
 			return fmt.Errorf("rejoin of a gone rank admitted (ran %v, err %v)", ran, rerr)
 		}
-		if e, failed := hub.Epoch(), hub.FailedRanks(); e != 0 || !reflect.DeepEqual(failed, []int{2}) {
+		hub.mu.Lock()
+		e := hub.m.epoch
+		hub.mu.Unlock()
+		if failed := hub.FailedRanks(); e != 0 || !reflect.DeepEqual(failed, []int{2}) {
 			return fmt.Errorf("refused rejoin moved the hub: epoch %d, failed %v", e, failed)
 		}
 		close(rejoinTried)

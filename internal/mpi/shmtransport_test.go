@@ -328,28 +328,25 @@ func TestShmGobPayloads(t *testing.T) {
 	}
 }
 
-// TestShmProbeStatus: Probe over shm reports the matched message's source,
-// tag, and a positive byte count without consuming it.
-func TestShmProbeStatus(t *testing.T) {
+// TestShmRecvStatus: a receive over shm reports the matched message's
+// source, tag, and a positive byte count.
+func TestShmRecvStatus(t *testing.T) {
 	skipNoShm(t)
 	err := runWithWatchdog(t, 15*time.Second, func() error {
 		return RunShm(2, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.Send(1, 7, make([]float64, 1024))
 			}
-			st, err := c.Probe(0, 7)
+			var v []float64
+			st, err := c.Recv(AnySource, AnyTag, &v)
 			if err != nil {
 				return err
 			}
 			if st.Source != 0 || st.Tag != 7 || st.Bytes <= 0 {
-				return fmt.Errorf("probe %v, want source 0 tag 7 positive bytes", st)
-			}
-			var v []float64
-			if _, err := c.Recv(0, 7, &v); err != nil {
-				return err
+				return fmt.Errorf("status %v, want source 0 tag 7 positive bytes", st)
 			}
 			if len(v) != 1024 {
-				return fmt.Errorf("len %d after probe, want 1024", len(v))
+				return fmt.Errorf("len %d, want 1024", len(v))
 			}
 			return nil
 		})

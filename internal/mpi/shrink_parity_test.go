@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// Shrink parity suite (satellite 3): a communicator produced by Shrink must
+// Shrink parity suite: a communicator produced by shrink must
 // be observationally identical to a fresh world of the same size — same
 // collective results AND the same protocol round structure, counted frame by
 // frame. The shrunken runs use the in-process transport, where recovery
-// (failure detection, Agree, Revoke) moves no frames at all, so the counter
+// (failure detection, agree, revoke) moves no frames at all, so the counter
 // sees exactly the collective under test in both runs.
 
 type parityObs struct {
@@ -76,10 +76,10 @@ func TestShrinkParityWithFreshWorld(t *testing.T) {
 				if _, rerr := c.Recv(n, 9, nil); !errors.Is(rerr, ErrRankFailed) {
 					return fmt.Errorf("want ErrRankFailed, got %v", rerr)
 				}
-				if err := c.Revoke(); err != nil {
+				if err := c.revoke(); err != nil {
 					return err
 				}
-				nc, err := c.Shrink()
+				nc, err := c.shrink()
 				if err != nil {
 					return err
 				}
@@ -184,10 +184,10 @@ func TestShrinkThenSplit(t *testing.T) {
 			if _, rerr := c.Recv(n, 9, nil); !errors.Is(rerr, ErrRankFailed) {
 				return nil, fmt.Errorf("want ErrRankFailed, got %v", rerr)
 			}
-			if err := c.Revoke(); err != nil {
+			if err := c.revoke(); err != nil {
 				return nil, err
 			}
-			return c.Shrink()
+			return c.shrink()
 		},
 	)
 	if err != nil {

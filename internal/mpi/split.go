@@ -10,7 +10,7 @@ import (
 // joins no group.
 const ColorUndefined = -1
 
-// maxSplitsPerComm bounds how many Split/Dup calls a single communicator
+// maxSplitsPerComm bounds how many Split/shrink calls a single communicator
 // supports; context ids for children are packed into a radix-64 digit of
 // the parent's id. The top three digit values are reserved for the
 // runtime's own derived communicators, which are constructed without
@@ -40,7 +40,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	seq := c.nextCtx
 	c.nextCtx++
 	if seq > maxSplitsPerComm {
-		return nil, fmt.Errorf("mpi: more than %d Split/Dup calls on one communicator", maxSplitsPerComm)
+		return nil, fmt.Errorf("mpi: more than %d Split calls on one communicator", maxSplitsPerComm)
 	}
 	childCtx := c.ctx*64 + seq
 
@@ -81,11 +81,4 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		nextCtx: 1,
 		epoch:   c.epoch,
 	}, nil
-}
-
-// Dup creates a communicator with the same group but an isolated message
-// namespace: MPI_Comm_dup. Like Split, it is collective over the
-// communicator.
-func (c *Comm) Dup() (*Comm, error) {
-	return c.Split(0, c.rank)
 }

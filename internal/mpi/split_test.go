@@ -90,7 +90,7 @@ func TestSplitIsolatesMessageNamespaces(t *testing.T) {
 	// A message sent on the parent communicator must not be received by a
 	// matching Recv on a child, and vice versa.
 	err := Run(2, func(c *Comm) error {
-		sub, err := c.Dup()
+		sub, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
 		}
@@ -119,22 +119,22 @@ func TestSplitIsolatesMessageNamespaces(t *testing.T) {
 	}
 }
 
-func TestDupPreservesGroup(t *testing.T) {
+func TestSplitOneColorPreservesGroup(t *testing.T) {
 	const np = 5
 	err := Run(np, func(c *Comm) error {
-		d, err := c.Dup()
+		d, err := c.Split(0, c.Rank())
 		if err != nil {
 			return err
 		}
 		if d.Rank() != c.Rank() || d.Size() != c.Size() {
-			return fmt.Errorf("dup rank/size %d/%d, want %d/%d", d.Rank(), d.Size(), c.Rank(), c.Size())
+			return fmt.Errorf("one-color split rank/size %d/%d, want %d/%d", d.Rank(), d.Size(), c.Rank(), c.Size())
 		}
 		sum, err := Allreduce(d, 1, Combine[int](Sum))
 		if err != nil {
 			return err
 		}
 		if sum != np {
-			return fmt.Errorf("allreduce on dup = %d", sum)
+			return fmt.Errorf("allreduce on one-color split = %d", sum)
 		}
 		return nil
 	})
@@ -176,11 +176,11 @@ func TestNestedSplits(t *testing.T) {
 func TestSplitExhaustionGuard(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
 		for i := 0; i < maxSplitsPerComm; i++ {
-			if _, err := c.Dup(); err != nil {
-				return fmt.Errorf("dup %d failed early: %w", i, err)
+			if _, err := c.Split(0, c.Rank()); err != nil {
+				return fmt.Errorf("split %d failed early: %w", i, err)
 			}
 		}
-		if _, err := c.Dup(); err == nil {
+		if _, err := c.Split(0, c.Rank()); err == nil {
 			return errors.New("split budget exceeded without error")
 		}
 		return nil

@@ -22,15 +22,6 @@ func WithHubOptions(opts ...HubOption) Option {
 	return func(c *config) { c.hubOpts = append(c.hubOpts, opts...) }
 }
 
-// WithDialRetry bounds JoinTCP's dial retry budget: failed dials are
-// retried with exponential backoff and jitter until the budget elapses, so
-// a worker that starts before its hub is listening joins as soon as the hub
-// comes up. Zero keeps the default (3s); a negative budget disables
-// retrying entirely.
-func WithDialRetry(budget time.Duration) Option {
-	return func(c *config) { c.dialRetry = budget }
-}
-
 // tcpTransport is one rank's end of the TCP world: its session with the hub,
 // which a broken connection redials and resumes instead of killing the rank.
 // The session's mu guards all mutable state but the read lease (lease.go),
@@ -327,31 +318,25 @@ func (t *tcpTransport) Close() error {
 	return nil
 }
 
-// defaultDialRetry is JoinTCP's dial budget when WithDialRetry is not set:
-// long enough to ride out a hub that is still binding its listener, short
-// enough that a dead address fails the worker promptly.
-const defaultDialRetry = 3 * time.Second
+// dialRetry is JoinTCP's dial budget: long enough to ride out a hub that is
+// still binding its listener, short enough that a dead address fails the
+// worker promptly.
+const dialRetry = 3 * time.Second
 
 // dialHub dials addr, retrying failed dials with exponential backoff and
-// jitter until the budget elapses — so launching workers before the hub is
-// a race the runtime absorbs instead of a crash.
-func dialHub(addr string, budget time.Duration) (net.Conn, error) {
-	if budget == 0 {
-		budget = defaultDialRetry
-	}
+// jitter until dialRetry elapses — so launching workers before the hub is a
+// race the runtime absorbs instead of a crash.
+func dialHub(addr string) (net.Conn, error) {
 	conn, err := net.Dial("tcp", addr)
-	if err == nil || budget < 0 {
-		if err != nil {
-			return nil, fmt.Errorf("mpi: joining hub %s: %w", addr, err)
-		}
+	if err == nil {
 		return conn, nil
 	}
-	deadline := time.Now().Add(budget)
+	deadline := time.Now().Add(dialRetry)
 	backoff := 5 * time.Millisecond
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, fmt.Errorf("mpi: joining hub %s (retried for %s): %w", addr, budget, err)
+			return nil, fmt.Errorf("mpi: joining hub %s (retried for %s): %w", addr, dialRetry, err)
 		}
 		sleep := backoff + time.Duration(rand.Int63n(int64(backoff/2)+1))
 		if sleep > remaining {
@@ -417,7 +402,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		return fmt.Errorf("mpi: RejoinTCP requires WithRecovery (or WithRespawn)")
 	}
 
-	conn, err := dialHub(addr, cfg.dialRetry)
+	conn, err := dialHub(addr)
 	if err != nil {
 		return err
 	}
@@ -494,7 +479,6 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	boxes := make([]*mailbox, np)
 	boxes[rank] = box
 	w := cfg.newWorld(np, data, boxes)
-	w.wire = !cfg.serializeAll // raw-encodable slices reach Send uncopied; transmit encodes them there
 	if w.recov != nil {
 		// Control frames bypass the decorated transport: a fault plan that
 		// killed this rank must not also sever its recovery reporting.
@@ -502,7 +486,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		// A respawned worker starts life already in the hub's membership
 		// epoch, carrying the hub's view of the still-failed ranks: its very
 		// first operation on the stale world communicator must be interrupted
-		// into the Restored path.
+		// into the restore path.
 		w.recov.seedEpoch(si.Epoch, si.FailedMask, si.GoneMask)
 	}
 	if shmT != nil {

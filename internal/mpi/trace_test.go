@@ -45,23 +45,13 @@ func TestCounterPointToPoint(t *testing.T) {
 	}
 }
 
-// TestCollectiveMessageComplexity pins the algorithms' message counts —
-// the quantities the ablation benchmarks trade off.
+// TestCollectiveMessageComplexity pins the algorithms' message counts.
 func TestCollectiveMessageComplexity(t *testing.T) {
 	for _, np := range []int{2, 4, 7, 8} {
-		// Linear reduce: n-1 messages to the root.
+		// Tree reduce: n-1 messages (one per non-root node), spread over
+		// log n rounds.
 		mc := countMessages(t, np, func(c *Comm) error {
-			_, err := ReduceWith(c, c.Rank(), Combine[int](Sum), 0, ReduceLinear)
-			return err
-		})
-		if got, want := mc.Total(), np-1; got != want {
-			t.Errorf("np=%d linear reduce: %d messages, want %d", np, got, want)
-		}
-
-		// Tree reduce: also n-1 messages (one per non-root node), but
-		// spread over log n rounds.
-		mc = countMessages(t, np, func(c *Comm) error {
-			_, err := ReduceWith(c, c.Rank(), Combine[int](Sum), 0, ReduceTree)
+			_, err := Reduce(c, c.Rank(), Combine[int](Sum), 0)
 			return err
 		})
 		if got, want := mc.Total(), np-1; got != want {
@@ -75,14 +65,6 @@ func TestCollectiveMessageComplexity(t *testing.T) {
 		})
 		if got, want := mc.Total(), np-1; got != want {
 			t.Errorf("np=%d bcast: %d messages, want %d", np, got, want)
-		}
-
-		// Linear barrier: 2(n-1) messages.
-		mc = countMessages(t, np, func(c *Comm) error {
-			return c.BarrierWith(BarrierLinear)
-		})
-		if got, want := mc.Total(), 2*(np-1); got != want {
-			t.Errorf("np=%d linear barrier: %d messages, want %d", np, got, want)
 		}
 
 		// Dissemination barrier (the Barrier default): n * ceil(log2 n)
@@ -102,16 +84,6 @@ func TestCollectiveMessageComplexity(t *testing.T) {
 		})
 		if got, want := mc.Total(), np*(np-1); got != want {
 			t.Errorf("np=%d ring allgather: %d messages, want %d", np, got, want)
-		}
-
-		// Alltoall: n(n-1) messages.
-		mc = countMessages(t, np, func(c *Comm) error {
-			items := make([]int, np)
-			_, err := Alltoall(c, items)
-			return err
-		})
-		if got, want := mc.Total(), np*(np-1); got != want {
-			t.Errorf("np=%d alltoall: %d messages, want %d", np, got, want)
 		}
 	}
 }
@@ -201,19 +173,6 @@ func TestCounterOnTCPTransport(t *testing.T) {
 	}
 	if mc.Total() != 1 {
 		t.Fatalf("tcp counter total = %d", mc.Total())
-	}
-}
-
-func TestScanMessageCount(t *testing.T) {
-	// Linear chain: n-1 messages.
-	for _, np := range []int{1, 3, 6} {
-		mc := countMessages(t, np, func(c *Comm) error {
-			_, err := Scan(c, 1, Combine[int](Sum))
-			return err
-		})
-		if got := mc.Total(); got != np-1 {
-			t.Errorf("np=%d scan: %d messages, want %d", np, got, np-1)
-		}
 	}
 }
 

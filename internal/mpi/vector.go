@@ -13,17 +13,17 @@ import (
 // family keeps the same call discipline (every rank calls, same order) but
 // moves bytes the way bandwidth-optimal MPI implementations do:
 //
-//   - AllreduceSlice / ReduceSlice use the Rabenseifner construction — a
-//     reduce-scatter followed by an allgather (or a gather to root) — so each
-//     rank sends and receives 2·(n−1)/n of the payload instead of log n full
-//     copies. Power-of-two worlds take recursive halving/doubling (log n
-//     rounds); the rest take the ring (n−1 rounds, same byte volume).
-//   - BcastSlice pipelines fixed-size chunks down the existing binomial
-//     tree, so tree depth overlaps with transmission instead of multiplying
-//     it.
-//   - AllgatherSlice / GatherSlice / ScatterSlice move contiguous blocks of
-//     one backing array, instead of boxing elements (or rows) into
-//     per-element messages.
+//   - AllreduceSlice uses the Rabenseifner construction — a reduce-scatter
+//     followed by an allgather — so each rank sends and receives
+//     2·(n−1)/n of the payload instead of log n full copies. Power-of-two
+//     worlds take recursive halving/doubling (log n rounds); the rest take
+//     the ring (n−1 rounds, same byte volume). On a multi-node communicator
+//     its node steps are reduceSlice (the reduce-scatter and a gather to the
+//     node leader) and bcastSlice (fixed-size chunks pipelined down the
+//     binomial tree, so tree depth overlaps with transmission instead of
+//     multiplying it).
+//   - AllgatherSlice moves contiguous blocks of one backing array, instead
+//     of boxing elements (or rows) into per-element messages.
 //
 // Payloads of at most vectorThreshold (1024) elements take the scalar
 // algorithms unchanged — at small sizes the ring's extra rounds cost more
@@ -36,21 +36,18 @@ import (
 // WithDeadline reports a stalled pipeline as a blocked Recv under the
 // collective's tag.
 
-// Reserved tags for the vector collectives (-2..-13 live in message.go and
-// collective.go).
+// Reserved tags for the vector collectives (-3..-13 live in message.go).
 const (
-	tagVecRed   = -14 // ring reduce-scatter + ReduceSlice's segment gather
+	tagVecRed   = -14 // ring reduce-scatter + reduceSlice's segment gather
 	tagVecAg    = -15 // ring allgather (segment and block variants)
 	tagVecBcast = -16 // pipelined broadcast (length header + chunks)
-	tagVecGat   = -17 // GatherSlice blocks
-	tagVecScat  = -18 // ScatterSlice blocks
 )
 
 // vectorThreshold is the element count at or below which AllreduceSlice,
-// ReduceSlice and BcastSlice take the scalar whole-slice algorithms: one
+// reduceSlice and bcastSlice take the scalar whole-slice algorithms: one
 // tree message per hop instead of ring rounds or chunk streams. It sits
 // where ring-round latency and per-hop bandwidth break even for 8-byte
-// elements on the measured transports. bcastChunk is BcastSlice's pipeline
+// elements on the measured transports. bcastChunk is bcastSlice's pipeline
 // segment, in elements: large enough that framing overhead is noise, small
 // enough that a 3-level tree streams. Both are constants, so every rank of
 // every world takes the same path for the same call.
@@ -265,26 +262,13 @@ func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo 
 	return acc, nil
 }
 
-// ReduceSlice combines every rank's v elementwise and delivers the full
-// result to root (nil at the other ranks): MPI_Reduce over a vector. Above
-// vectorThreshold it runs the ring reduce-scatter and then gathers the
-// reduced segments at root — the same 2·(n−1)/n send volume per rank as
-// AllreduceSlice on the scatter half, with only root paying the gather's
-// receive volume.
-func ReduceSlice[T any](c *Comm, v []T, combine func(a, b T) T, root int) ([]T, error) {
-	return reduceSlice(c, v, sliceReduce(combine), foldWith(combine), root)
-}
-
-// ReduceSliceOp is ReduceSlice for a built-in operator, with the same
-// specialized reduction loops as AllreduceSliceOp.
-func ReduceSliceOp[T Number](c *Comm, v []T, op Op, root int) ([]T, error) {
-	return reduceSlice(c, v, sliceReduce(Combine[T](op)), opFold[T](op), root)
-}
-
-func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T], root int) ([]T, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
+// reduceSlice combines every rank's v elementwise and delivers the full
+// result to rank 0 (nil at the other ranks): the node step under
+// hierAllreduceSlice, on a flat node communicator. Above vectorThreshold it
+// runs the reduce-scatter and then gathers the reduced segments at rank 0 —
+// the same 2·(n−1)/n send volume per rank as AllreduceSlice on the scatter
+// half, with only rank 0 paying the gather's receive volume.
+func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
 	n := c.Size()
 	if n == 1 || len(v) <= vectorThreshold {
 		acc := make([]T, len(v))
@@ -292,12 +276,7 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 		if n == 1 {
 			return acc, nil
 		}
-		return Reduce(c, acc, scalarCombine, root)
-	}
-	// Multi-node communicator: reduce within each node, then among leaders
-	// toward root's leader, then one hop leader→root if root is not one.
-	if h := c.hier(); h != nil {
-		return hierReduceSlice(c, h, v, scalarCombine, fo, root)
+		return Reduce(c, acc, scalarCombine, 0)
 	}
 	// As in allreduceSlice, the accumulator is first-touched from v by the
 	// reduce-scatter folds; only the rank's own reduced segment is ever read
@@ -315,29 +294,25 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 	}
 	// After the reduce-scatter, rank r owns the fully reduced segment r
 	// (halving path) or (r+1) mod n (ring path). Everyone ships their segment
-	// to root; root assembles.
+	// to rank 0, which assembles.
 	segOf := func(r int) int {
 		if pow2 {
 			return r
 		}
 		return (r + 1) % n
 	}
-	ownSeg := segOf(c.rank)
-	lo, hi := segRange(len(acc), ownSeg, n)
-	if c.rank != root {
-		if err := c.sendReserved(root, tagVecRed, acc[lo:hi]); err != nil {
+	lo, hi := segRange(len(acc), segOf(c.rank), n)
+	if c.rank != 0 {
+		if err := c.sendReserved(0, tagVecRed, acc[lo:hi]); err != nil {
 			return nil, err
 		}
 		return nil, nil
 	}
 	out := make([]T, len(acc))
 	copy(out[lo:hi], acc[lo:hi])
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
+	for r := 1; r < n; r++ {
 		lo, hi := segRange(len(out), segOf(r), n)
-		if err := recvSegCopy(c, r, tagVecRed, out[lo:hi], "mpi: ReduceSlice: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
+		if err := recvSegCopy(c, r, tagVecRed, out[lo:hi], "mpi: reduceSlice: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return nil, err
 		}
 	}
@@ -496,9 +471,10 @@ func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 	return nil
 }
 
-// BcastSlice distributes root's slice v to every rank: MPI_Bcast over a
-// vector. Non-root ranks' v arguments are ignored (the slice length travels
-// with the data). Root returns v itself; other ranks return a fresh slice.
+// bcastSlice distributes root's slice v to every rank: MPI_Bcast over a
+// vector, the broadcast step under hierAllreduceSlice. Non-root ranks' v
+// arguments are ignored (the slice length travels with the data). Root
+// returns v itself; other ranks return a fresh slice.
 //
 // Large payloads are pipelined: root streams fixed-size chunks down the
 // binomial tree, and every interior rank forwards chunk i to its children
@@ -506,18 +482,13 @@ func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 // transmission instead of multiplying it, turning O(depth · bytes) into
 // O(depth · chunk + bytes) per link. Payloads at or below vectorThreshold
 // take the scalar tree whole.
-func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
+func bcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
 	size := c.Size()
 	if size == 1 {
 		return v, nil
-	}
-	// Multi-node communicator: hop to root's leader, pipeline among the
-	// leaders, then pipeline within each node.
-	if h := c.hier(); h != nil {
-		return hierBcastSlice(c, h, v, root)
 	}
 	vrank := toVirtual(c.rank, root, size)
 	kids := treeChildren(vrank, size)
@@ -550,7 +521,7 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 				return nil, err
 			}
 			if len(buf) != n {
-				return nil, fmt.Errorf("mpi: BcastSlice: got %d elements, header said %d", len(buf), n)
+				return nil, fmt.Errorf("mpi: bcastSlice: got %d elements, header said %d", len(buf), n)
 			}
 		}
 		for _, kid := range kids {
@@ -568,7 +539,7 @@ func BcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	for lo := 0; lo < n; lo += bcastChunk {
 		hi := min(lo+bcastChunk, n)
 		if vrank != 0 {
-			if err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], "mpi: BcastSlice: got chunk of %[2]d elements, want %[3]d"); err != nil {
+			if err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], "mpi: bcastSlice: got chunk of %[2]d elements, want %[3]d"); err != nil {
 				return nil, err
 			}
 		}
@@ -593,61 +564,4 @@ func AllgatherSlice[T any](c *Comm, v []T) ([]T, error) {
 		return nil, err
 	}
 	return slices.Concat(blocks...), nil
-}
-
-// GatherSlice concatenates every rank's slice, in rank order, at root:
-// MPI_Gatherv over one backing array. Root returns the concatenation; the
-// other ranks return nil. Per-rank lengths may differ.
-func GatherSlice[T any](c *Comm, v []T, root int) ([]T, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	n := c.Size()
-	if c.rank != root {
-		if err := c.sendReserved(root, tagVecGat, v); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	blocks := make([][]T, n)
-	blocks[root] = v
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		if _, err := c.recvReserved(r, tagVecGat, &blocks[r]); err != nil {
-			return nil, err
-		}
-	}
-	return slices.Concat(blocks...), nil
-}
-
-// ScatterSlice splits root's data into Size() contiguous blocks (segRange
-// decomposition: near-equal, remainder spread over the first ranks) and
-// delivers block r to rank r: MPI_Scatterv over one backing array. data is
-// ignored at non-root ranks. Every rank — root included — receives a fresh
-// private slice.
-func ScatterSlice[T any](c *Comm, data []T, root int) ([]T, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	n := c.Size()
-	if c.rank == root {
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			lo, hi := segRange(len(data), r, n)
-			if err := c.sendReserved(r, tagVecScat, data[lo:hi]); err != nil {
-				return nil, err
-			}
-		}
-		lo, hi := segRange(len(data), root, n)
-		return append(make([]T, 0, hi-lo), data[lo:hi]...), nil
-	}
-	var out []T
-	if _, err := c.recvReserved(root, tagVecScat, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

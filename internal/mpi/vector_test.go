@@ -9,9 +9,8 @@ import (
 // The vector-collective parity property: every *Slice collective is
 // element-equal to its scalar counterpart — across world sizes (including
 // non-powers-of-two, which exercise the ring's remainder segments), payload
-// sizes straddling the algorithm threshold, and every transport
-// configuration (local fast path, forced serialization, TCP with raw and
-// with gob payloads). All test data is integer-valued, so elementwise sums are
+// sizes straddling the algorithm threshold, and every transport (local fast
+// path, TCP, shm). All test data is integer-valued, so elementwise sums are
 // exact regardless of reduction order and "element-equal" is well-defined
 // even for float64 payloads.
 
@@ -20,13 +19,7 @@ import (
 func parityRunners() map[string]func(np int, main func(c *Comm) error, opts ...Option) error {
 	runners := map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
 		"local": Run,
-		"local-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return Run(np, main, append(opts, WithSerialization())...)
-		},
-		"tcp": RunTCP,
-		"tcp-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return RunTCP(np, main, append(opts, WithSerialization())...)
-		},
+		"tcp":   RunTCP,
 	}
 	if shmSupported {
 		runners["shm"] = RunShm
@@ -54,6 +47,61 @@ func TestVectorCollectiveParity(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestVectorParityGobElements runs the above-threshold vector collectives on
+// parityPoint, an element type no transport carries typed or raw: every
+// segment travels as gob and is decoded through the receiver's scratch
+// buffer. The combine is commutative and associative, so the ring's
+// reduction order cannot show in the result.
+func TestVectorParityGobElements(t *testing.T) {
+	combine := func(a, b parityPoint) parityPoint {
+		return parityPoint{Name: max(a.Name, b.Name), X: a.X + b.X, Y: max(a.Y, b.Y)}
+	}
+	for name, runner := range parityRunners() {
+		t.Run(name, func(t *testing.T) {
+			for _, np := range []int{2, 3} {
+				for _, sz := range []int{1025, 2050} {
+					if err := runner(np, func(c *Comm) error {
+						r := c.Rank()
+						v := make([]parityPoint, sz)
+						for i := range v {
+							v[i] = parityPoint{Name: fmt.Sprint("p", r, "-", i%7), X: float64(r*1000+i) + 0.5, Y: float64((r + i) % 5)}
+						}
+						want, err := Allreduce(c, append([]parityPoint(nil), v...), sliceReduce(combine))
+						if err != nil {
+							return fmt.Errorf("scalar Allreduce: %w", err)
+						}
+						got, err := AllreduceSlice(c, v, combine)
+						if err != nil {
+							return fmt.Errorf("AllreduceSlice: %w", err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							return fmt.Errorf("AllreduceSlice diverges from Allreduce")
+						}
+						blocks, err := Allgather(c, v)
+						if err != nil {
+							return fmt.Errorf("scalar Allgather: %w", err)
+						}
+						gat, err := AllgatherSlice(c, v)
+						if err != nil {
+							return fmt.Errorf("AllgatherSlice: %w", err)
+						}
+						var flat []parityPoint
+						for _, b := range blocks {
+							flat = append(flat, b...)
+						}
+						if !reflect.DeepEqual(flat, gat) {
+							return fmt.Errorf("AllgatherSlice diverges from Allgather")
+						}
+						return nil
+					}); err != nil {
+						t.Fatalf("np=%d size=%d: %v", np, sz, err)
+					}
+				}
 			}
 		})
 	}
@@ -91,44 +139,37 @@ func checkVectorParity(c *Comm, sz int) error {
 		return fmt.Errorf("AllreduceSliceOp diverges from Allreduce at size %d", sz)
 	}
 
-	for root := 0; root < n; root++ {
-		sred, err := Reduce(c, append([]float64(nil), v...), sliceReduce(sum), root)
+	// reduceSlice, the node step of the two-level AllreduceSlice, with an
+	// arbitrary combine and with a built-in operator's loops.
+	sred, err := Reduce(c, append([]float64(nil), v...), sliceReduce(sum), 0)
+	if err != nil {
+		return fmt.Errorf("scalar Reduce: %w", err)
+	}
+	for name, fo := range map[string]vecFold[float64]{"combine": foldWith(sum), "Sum": opFold[float64](Sum)} {
+		vred, err := reduceSlice(c, v, sliceReduce(sum), fo)
 		if err != nil {
-			return fmt.Errorf("scalar Reduce: %w", err)
+			return fmt.Errorf("reduceSlice(%s): %w", name, err)
 		}
-		vred, err := ReduceSlice(c, v, sum, root)
-		if err != nil {
-			return fmt.Errorf("ReduceSlice: %w", err)
-		}
-		if rank == root {
+		if rank == 0 {
 			if !equalSlices(sred, vred) {
-				return fmt.Errorf("ReduceSlice diverges from Reduce at size %d root %d", sz, root)
+				return fmt.Errorf("reduceSlice(%s) diverges from Reduce at size %d", name, sz)
 			}
 		} else if vred != nil {
-			return fmt.Errorf("ReduceSlice returned %d elements at non-root", len(vred))
+			return fmt.Errorf("reduceSlice(%s) returned %d elements off rank 0", name, len(vred))
 		}
-		vredOp, err := ReduceSliceOp(c, v, Sum, root)
-		if err != nil {
-			return fmt.Errorf("ReduceSliceOp: %w", err)
-		}
-		if rank == root {
-			if !equalSlices(sred, vredOp) {
-				return fmt.Errorf("ReduceSliceOp diverges from Reduce at size %d root %d", sz, root)
-			}
-		} else if vredOp != nil {
-			return fmt.Errorf("ReduceSliceOp returned %d elements at non-root", len(vredOp))
-		}
+	}
 
+	for root := 0; root < n; root++ {
 		sb, err := Bcast(c, append([]float64(nil), v...), root)
 		if err != nil {
 			return fmt.Errorf("scalar Bcast: %w", err)
 		}
-		vb, err := BcastSlice(c, v, root)
+		vb, err := bcastSlice(c, v, root)
 		if err != nil {
-			return fmt.Errorf("BcastSlice: %w", err)
+			return fmt.Errorf("bcastSlice: %w", err)
 		}
 		if !equalSlices(sb, vb) {
-			return fmt.Errorf("BcastSlice diverges from Bcast at size %d root %d", sz, root)
+			return fmt.Errorf("bcastSlice diverges from Bcast at size %d root %d", sz, root)
 		}
 	}
 
@@ -147,33 +188,6 @@ func checkVectorParity(c *Comm, sz int) error {
 	}
 	if !equalSlices(flatten(sgat), vgat) {
 		return fmt.Errorf("AllgatherSlice diverges from Allgather at size %d", sz)
-	}
-
-	g, err := GatherSlice(c, blk, 0)
-	if err != nil {
-		return fmt.Errorf("GatherSlice: %w", err)
-	}
-	if rank == 0 {
-		if !equalSlices(flatten(sgat), g) {
-			return fmt.Errorf("GatherSlice diverges from Allgather concatenation at size %d", sz)
-		}
-	} else if g != nil {
-		return fmt.Errorf("GatherSlice returned %d elements at non-root", len(g))
-	}
-
-	// ScatterSlice against the decomposition it documents: every rank can
-	// reconstruct root's data deterministically.
-	data := make([]float64, sz)
-	for i := range data {
-		data[i] = float64(7*i + 1)
-	}
-	sc, err := ScatterSlice(c, data, 0)
-	if err != nil {
-		return fmt.Errorf("ScatterSlice: %w", err)
-	}
-	lo, hi := segRange(sz, rank, n)
-	if !equalSlices(data[lo:hi], sc) {
-		return fmt.Errorf("ScatterSlice block mismatch at size %d rank %d", sz, rank)
 	}
 	return nil
 }
@@ -232,25 +246,15 @@ func TestVectorParityInts(t *testing.T) {
 // TestVectorOpParity pins the operator-specialized entry points against the
 // closure variants for every built-in operator, on worlds that exercise both
 // reduce-scatter shapes (np=4 halving, np=3 ring) and on transports that
-// exercise every receive representation (typed local values, raw wire views,
-// serialized decode; shm staging views where supported). The data is
+// exercise every receive representation (typed local values, raw wire views;
+// shm staging views where supported). The data is
 // negative-heavy and includes zeros on purpose: the specialized paths
 // first-touch a zeroed accumulator from v instead of starting from a copy of
 // it, and a fold that ever read those untouched zeros would corrupt exactly
 // Max over negative inputs or Prod over anything.
 func TestVectorOpParity(t *testing.T) {
-	runners := map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
-		"local": Run,
-		"local-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return Run(np, main, append(opts, WithSerialization())...)
-		},
-		"tcp": RunTCP,
-	}
-	if shmSupported {
-		runners["shm"] = RunShm
-	}
 	ops := []Op{Sum, Prod, Max, Min}
-	for name, runner := range runners {
+	for name, runner := range parityRunners() {
 		t.Run(name, func(t *testing.T) {
 			for _, np := range []int{3, 4} {
 				for _, sz := range []int{1025, 2050} {
@@ -274,16 +278,16 @@ func TestVectorOpParity(t *testing.T) {
 							if !reflect.DeepEqual(want, got) {
 								return fmt.Errorf("AllreduceSliceOp(%v) diverges at np=%d size=%d", op, c.Size(), sz)
 							}
-							wantRed, err := ReduceSlice(c, v, Combine[float64](op), 0)
+							wantRed, err := reduceSlice(c, v, sliceReduce(Combine[float64](op)), foldWith(Combine[float64](op)))
 							if err != nil {
-								return fmt.Errorf("ReduceSlice(%v): %w", op, err)
+								return fmt.Errorf("reduceSlice(%v): %w", op, err)
 							}
-							gotRed, err := ReduceSliceOp(c, v, op, 0)
+							gotRed, err := reduceSlice(c, v, sliceReduce(Combine[float64](op)), opFold[float64](op))
 							if err != nil {
-								return fmt.Errorf("ReduceSliceOp(%v): %w", op, err)
+								return fmt.Errorf("reduceSlice with opFold(%v): %w", op, err)
 							}
 							if !reflect.DeepEqual(wantRed, gotRed) {
-								return fmt.Errorf("ReduceSliceOp(%v) diverges at np=%d size=%d root=0", op, c.Size(), sz)
+								return fmt.Errorf("opFold(%v) diverges in reduceSlice at np=%d size=%d", op, c.Size(), sz)
 							}
 						}
 						return nil
@@ -301,7 +305,7 @@ func TestVectorOpParity(t *testing.T) {
 // sizes. At 1024 elements (vectorThreshold) AllreduceSlice produces no
 // vector traffic (it defers to the scalar tree); at 1025, power-of-two worlds
 // take recursive halving/doubling (n·log2(n) messages per phase) and the rest
-// take the ring (n·(n−1)). BcastSlice sends one length header and then
+// take the ring (n·(n−1)). bcastSlice sends one length header and then
 // ⌈size/8192⌉ chunks (bcastChunk) down each tree edge: 2 at 16384, 3 at 16385.
 func TestVectorThresholdFallback(t *testing.T) {
 	sum := func(a, b float64) float64 { return a + b }
@@ -343,7 +347,7 @@ func TestVectorThresholdFallback(t *testing.T) {
 	} {
 		mc := NewMessageCounter()
 		err := Run(2, func(c *Comm) error {
-			got, err := BcastSlice(c, make([]float64, tc.size), 0)
+			got, err := bcastSlice(c, make([]float64, tc.size), 0)
 			if err == nil && len(got) != tc.size {
 				err = fmt.Errorf("rank %d got %d elements, want %d", c.Rank(), len(got), tc.size)
 			}
@@ -353,7 +357,7 @@ func TestVectorThresholdFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := mc.Tag(tagVecBcast); got != tc.wantMsgs {
-			t.Errorf("BcastSlice size %d: %d messages, want %d", tc.size, got, tc.wantMsgs)
+			t.Errorf("bcastSlice size %d: %d messages, want %d", tc.size, got, tc.wantMsgs)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestKillRankMidAllreduceSlice(t *testing.T) {
 					}
 					// Unblock any survivor still inside the ring, then report
 					// the world recovered.
-					return c.Revoke()
+					return c.revoke()
 				}, WithFaults(plan), WithRecovery())
 			})
 			if err != nil {
@@ -106,7 +106,7 @@ func TestDeadlineMidPipelinedBcastSlice(t *testing.T) {
 					for i := range v {
 						v[i] = float64(i)
 					}
-					_, berr := BcastSlice(c, v, 0)
+					_, berr := bcastSlice(c, v, 0)
 					return berr
 				}, WithFaults(plan), WithDeadline(150*time.Millisecond))
 			})

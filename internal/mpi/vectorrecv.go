@@ -17,7 +17,7 @@ import (
 // little-endian bytes — which for an shm rendezvous frame is the sender's
 // staging block in shared memory, extending the protocol's
 // copy-exactly-once promise to its natural limit: the one copy is the fold
-// itself. Serialized worlds and type mismatches fall back to the ordinary
+// itself. Gob payloads and type mismatches fall back to the ordinary
 // decode path through the caller's scratch buffer.
 
 // errVecSegLen reports a received segment whose element count does not match
@@ -71,7 +71,7 @@ func frameSegView[T any](f frame) ([]T, bool) {
 // error is segLenErr's.
 func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply func(dst, in []T), format string) error {
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, true, nil, &f, nil); err != nil {
+	if err := c.waitFrame("Recv", source, tag, nil, &f, nil); err != nil {
 		return err
 	}
 	in, viewed := frameSegView[T](f)

@@ -171,7 +171,7 @@ func WinCreate[T WinElem](c *Comm, n int) (*Win[T], error) {
 	// the window heap is exhausted. Each region is a 64-byte header (the
 	// Accumulate spinlock word) followed by the data.
 	shmOff := int64(-1)
-	if t := c.world.shmT; t != nil && c.world.wire && rawViewNative {
+	if t := c.world.shmT; t != nil && rawViewNative {
 		bytes := uint64(64 + n*winElemSize[T]())
 		if off, ok := t.winAlloc(bytes); ok {
 			shmOff = int64(off)
@@ -206,8 +206,6 @@ func WinCreate[T WinElem](c *Comm, n int) (*Win[T], error) {
 	}
 
 	// Local transport: register the exposed slice for peers' direct access.
-	// Under WithSerialization typed is false and nothing registers — every
-	// op takes the active-message path, the ablation the parity tests use.
 	if c.world.typed {
 		c.world.winReg.Store(winKey{c.ctx, seq, c.worldRank(c.rank)},
 			&winEntry{data: w.local, mu: &w.applyMu})
@@ -295,7 +293,7 @@ func (w *Win[T]) target(i int) *winTarget[T] {
 			}
 		}
 	}
-	if st := w.c.world.shmT; st != nil && w.c.world.wire && rawViewNative && w.shmOffs[i] >= 0 {
+	if st := w.c.world.shmT; st != nil && rawViewNative && w.shmOffs[i] >= 0 {
 		off := uint64(w.shmOffs[i])
 		bytes := uint64(64 + w.sizes[i]*winElemSize[T]())
 		if off >= st.seg.winOff(wr) && off+bytes <= st.seg.winOff(wr)+st.seg.winCap {
@@ -537,7 +535,7 @@ func (w *Win[T]) serve() {
 		// unrelated rank failures. Abort still unblocks it via the poisoned
 		// mailbox.
 		var f frame
-		if err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, true, nil, &f); err != nil {
+		if err := box.wait("WinService", c.ctx, AnySource, w.tagOp, 0, nil, nil, nil, &f); err != nil {
 			return
 		}
 		var op winOp

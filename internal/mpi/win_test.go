@@ -8,10 +8,9 @@ import (
 )
 
 // The one-sided layer's correctness suite. The same observational checks
-// run on every transport configuration — local fast path (direct registry
-// access), forced serialization (every op on the active-message path), TCP
-// framing, and shm (segment-backed direct access) — so the three data paths
-// are proven observationally identical, the same parity discipline the
+// run on every transport — local fast path (direct registry access), TCP
+// (every op on the active-message path), and shm (segment-backed direct
+// access) — so the three data paths are proven observationally identical, the same parity discipline the
 // collectives follow.
 
 // checkWinEpoch drives one fence-delimited cycle of all three ops and
@@ -94,7 +93,7 @@ func TestWinPutGetAccumulate(t *testing.T) {
 	for name, runner := range parityRunners() {
 		name, runner := name, runner
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-gob" {
+			if name == "tcp" {
 				t.Parallel()
 			}
 			for _, np := range []int{1, 2, 3, 4} {
@@ -206,10 +205,11 @@ func TestWinUnevenSizes(t *testing.T) {
 }
 
 // TestWinBounds: out-of-range ops and invalid arguments fail with errors,
-// never memory corruption, on both the direct and the serialized path.
+// never memory corruption, on both the direct (local) and the frame (TCP)
+// path.
 func TestWinBounds(t *testing.T) {
-	for _, opts := range [][]Option{nil, {WithSerialization()}} {
-		err := Run(2, func(c *Comm) error {
+	for _, run := range []func(np int, main func(c *Comm) error, opts ...Option) error{Run, RunTCP} {
+		err := run(2, func(c *Comm) error {
 			w, err := WinCreate[float64](c, 16)
 			if err != nil {
 				return err
@@ -229,7 +229,7 @@ func TestWinBounds(t *testing.T) {
 				return fmt.Errorf("Accumulate with a bogus op succeeded")
 			}
 			return w.Fence()
-		}, opts...)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,9 +246,6 @@ func TestWinLockUnlock(t *testing.T) {
 	const np, iters = 4, 25
 	runners := map[string]func(np int, main func(c *Comm) error, opts ...Option) error{
 		"local": Run, "tcp": RunTCP,
-		"local-gob": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return Run(np, main, append(opts, WithSerialization())...)
-		},
 	}
 	if shmSupported {
 		runners["shm"] = RunShm
@@ -411,10 +408,11 @@ func TestWinFreeIdempotent(t *testing.T) {
 }
 
 // TestWinAbortUnblocks: a world abort mid-epoch unblocks a rank waiting in
-// Fence for acks that will never come, instead of hanging it.
+// Fence for acks that will never come (TCP: the frame path), instead of
+// hanging it.
 func TestWinAbortUnblocks(t *testing.T) {
 	err := runWithWatchdog(t, 20*time.Second, func() error {
-		return Run(3, func(c *Comm) error {
+		return RunTCP(3, func(c *Comm) error {
 			w, werr := WinCreate[float64](c, 8)
 			if werr != nil {
 				return werr
@@ -429,7 +427,7 @@ func TestWinAbortUnblocks(t *testing.T) {
 				return fmt.Errorf("Fence succeeded in an aborted world")
 			}
 			return ferr
-		}, WithSerialization())
+		})
 	})
 	if err == nil {
 		t.Fatal("aborted world reported success")

@@ -90,7 +90,7 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 					if perr := w.Put(victim, 0, block); perr == nil {
 						return fmt.Errorf("survivor %d: Put to the dead rank succeeded", c.Rank())
 					}
-					return c.Revoke()
+					return c.revoke()
 				}, WithFaults(plan), WithRecovery())
 			})
 			if err != nil {
@@ -113,8 +113,8 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 // Fence in its flush — waiting for a receive nothing will satisfy — and
 // WithDeadline must convert the stall into the world's *DeadlineError whose
 // blocked-operation snapshot names the Recv under the window's ack tag.
-// The frame path is forced (serialization on the local world; TCP frames
-// naturally), since direct-path ops have no acks to lose.
+// It runs over TCP, whose windows take the frame path: direct-path ops have
+// no acks to lose.
 func TestWinDeadlineStalledFence(t *testing.T) {
 	const tagAck0 = tagWinBase - 2 // window 0's ack tag
 	plan := FaultPlan{
@@ -125,7 +125,6 @@ func TestWinDeadlineStalledFence(t *testing.T) {
 		run  func(np int, main func(c *Comm) error, opts ...Option) error
 		opts []Option
 	}{
-		{"local-gob", Run, []Option{WithSerialization()}},
 		{"tcp", RunTCP, nil},
 	} {
 		tc := tc

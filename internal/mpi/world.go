@@ -18,9 +18,12 @@ type World struct {
 	names     []string   // processor name per world rank
 	gate      func(fn func())
 	epoch     time.Time     // when the world initialized; Wtime's zero point
-	typed     bool          // ranks share the process: whitelisted values travel in memory (the fast path)
-	wire      bool          // transport encodes raw-encodable slices in Send (tcp, shm)
 	deadline  time.Duration // per-operation receive budget; 0 = unbounded
+
+	// typed: the ranks share this process (Run), and whitelisted values
+	// travel in memory, the fast path. Otherwise this is a wire world (TCP,
+	// shm), whose transport encodes raw-encodable slices in Send.
+	typed bool
 
 	// Revoke state (see abort.go). abortedFlag is the hot-path gate: one
 	// atomic load per send; the cause and the report serialization live
@@ -66,23 +69,21 @@ type World struct {
 type Option func(*config)
 
 type config struct {
-	names        []string
-	latency      time.Duration // WithNetwork
-	bandwidth    float64
-	nodeOf       []int
-	hierMode     HierMode
-	gate         func(fn func())
-	counter      *MessageCounter
-	serializeAll bool
-	deadline     time.Duration
-	faults       *FaultPlan
-	faultReport  *FaultReport
-	recovery     bool
-	respawn      bool                      // relaunch failed ranks into their old slots
-	dialRetry    time.Duration             // JoinTCP dial budget; 0 = default, <0 = single attempt
-	hubOpts      []HubOption               // consumed by RunTCP's internal hub
-	leaseQuiet   time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
-	wrap         func(Transport) Transport // test hook: outermost decoration
+	names       []string
+	latency     time.Duration // WithNetwork
+	bandwidth   float64
+	nodeOf      []int
+	hierMode    HierMode
+	gate        func(fn func())
+	counter     *MessageCounter
+	deadline    time.Duration
+	faults      *FaultPlan
+	faultReport *FaultReport
+	recovery    bool
+	respawn     bool                      // relaunch failed ranks into their old slots
+	hubOpts     []HubOption               // consumed by RunTCP's internal hub
+	leaseQuiet  time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
+	wrap        func(Transport) Transport // test hook: outermost decoration
 
 	faultT *faultTransport // set by wrapTransport; handed to the World
 }
@@ -207,8 +208,8 @@ const maxRespawnsPerRank = 3
 
 // WithRespawn opts the world into respawn recovery (implies WithRecovery):
 // a rank that fails is relaunched into its old slot — same rank number, at
-// the original world width — and Comm.Recover re-forms the world through
-// Restored instead of Shrink. The launcher (Run, RunTCP, RunShm, or mpirun
+// the original world width — and Comm.Recover re-forms the world at full
+// width instead of shrinking. The launcher (Run, RunTCP, RunShm, or mpirun
 // -respawn) relaunches each rank at most maxRespawnsPerRank times, then
 // marks it gone for good and every member's Recover shrinks without it. The
 // respawned rank starts main from the beginning: its first operation fails
@@ -219,15 +220,6 @@ func WithRespawn() Option {
 		c.recovery = true
 		c.respawn = true
 	}
-}
-
-// WithSerialization forces every message through the gob encode/decode
-// path even on transports that could deliver typed payloads in memory.
-// The benchmark harness uses it to measure what the fast path saves, and
-// the parity suite uses it to prove the two paths are observationally
-// identical; it costs real programs only speed.
-func WithSerialization() Option {
-	return func(c *config) { c.serializeAll = true }
 }
 
 // Run executes main as an SPMD program on np in-process ranks, one goroutine
@@ -252,7 +244,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	t.nodeOf, t.latency, t.bandwidth = cfg.nodeOf, cfg.latency, cfg.bandwidth
 
 	w := cfg.newWorld(np, t, t.boxes)
-	w.typed = !cfg.serializeAll
+	w.typed = true
 	defer t.Close()
 
 	errs := make([]error, np)

@@ -10,6 +10,26 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# named FLAGS PATTERN PKG...: go test FLAGS -run PATTERN PKG..., once every
+# |-separated alternative of PATTERN has been found to name at least one test
+# in those packages (go test -list). A list that names a deleted or renamed
+# test fails here instead of passing silently with less than it says.
+named() {
+  flags=$1 pattern=$2
+  shift 2
+  names=$(go test -list . "$@" | grep -E '^(Test|Fuzz)')
+  (
+    IFS='|'
+    set -f
+    for alt in $pattern; do
+      printf '%s\n' "$names" | grep -Eq -- "$alt" ||
+        { echo "check.sh: -run alternative $alt names no test in $*" >&2; exit 1; }
+    done
+  )
+  # shellcheck disable=SC2086 # flags is a word list
+  go test $flags -run "$pattern" "$@"
+}
+
 go build ./...
 go vet ./...
 
@@ -32,8 +52,8 @@ go test -race -timeout 300s ./...
 # Run the failure suite (abort propagation, deadlines, fault injection, TCP
 # hardening) once more under a tighter timeout: these tests exist to prove
 # failures terminate promptly, so hold them to a prompter standard.
-go test -race -timeout 120s -count=1 \
-  -run 'TestRunRankFailure|TestRunPanic|TestAbort|TestSendAfterAbort|TestJoinTCPAbort|TestLowest|TestDeadline|TestFault|TestEmptyFaultPlan|TestHub|TestDialRetry|TestGarbage|TestRunTCP|TestMixedVersion' \
+named '-race -timeout 120s -count=1' \
+  'TestRunRankFailure|TestRunPanic|TestAbort|TestSendAfterAbort|TestJoinTCPAbort|TestLowest|TestDeadline|TestFault|TestEmptyFaultPlan|TestHub|TestDialRetry|TestGarbage|TestRunTCP|TestMixedVersion' \
   ./internal/mpi/
 
 # World formation must not race the start broadcast against routed traffic:
@@ -41,8 +61,8 @@ go test -race -timeout 120s -count=1 \
 # sleeps) with a peer's first message already in hand. It is cheap (~25 ms),
 # so run it 50 times fresh — map iteration picks a different start order
 # each time.
-go test -race -timeout 120s -count=50 \
-  -run 'TestHubStartBroadcastHoldsRoutedFrames' ./internal/mpi/
+named '-race -timeout 120s -count=50' \
+  'TestHubStartBroadcastHoldsRoutedFrames' ./internal/mpi/
 
 # The recovery suite (ULFM-style Revoke/Agree/Shrink, checkpoint-restart,
 # the randomized kill-rank soak) gets its own fresh -count=1 race pass:
@@ -52,8 +72,8 @@ go test -race -timeout 120s -count=50 \
 # TestAgree* includes the agreement rule's table over every membership state,
 # the membership transitions (a raced failure notice included) and the rule
 # that a rejoin fails only older-epoch agreements.
-go test -race -timeout 180s -count=1 \
-  -run 'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution' \
+named '-race -timeout 180s -count=1' \
+  'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution' \
   ./internal/mpi/
 go test -race -timeout 120s -count=1 ./internal/ckpt/
 
@@ -80,8 +100,8 @@ test -z "$(gofmt -l .)"
 # latency. Twenty fresh runs.
 # (The allocation counts among them skip under the race detector; tier-1's
 # plain `go test ./...` is where they run.)
-go test -race -timeout 300s -count=20 \
-  -run 'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO|TestNetworkPricingRule|TestNetworkBurstOverlapsLatency' \
+named '-race -timeout 300s -count=20' \
+  'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO|TestNetworkPricingRule|TestNetworkBurstOverlapsLatency' \
   ./internal/mpi/
 
 # The master-worker kill tests used to pass by scheduling luck: a kill is
@@ -93,18 +113,18 @@ go test -race -timeout 300s -count=20 \
 # that way. The closing-broadcast wedge itself is fixed: ranks that returned
 # are departed, and the survivor's Shrink leaves them out — the
 # bcast-forwarder-dies row kills a forwarder of that broadcast every run.
-go test -race -timeout 300s -count=30 \
-  -run 'TestMasterWorkerRecoverKills|TestMasterWorkerRecoverTwoWorkersDie' \
+named '-race -timeout 300s -count=30' \
+  'TestMasterWorkerRecoverKills|TestMasterWorkerRecoverTwoWorkersDie' \
   ./internal/exemplars/drugdesign/
 
 # The vector data plane: the parity property (every *Slice collective
 # element-equal to its scalar counterpart across world sizes, threshold
-# straddles, and all five transport configurations) plus the vector failure
-# suite (kill-rank mid-AllreduceSlice, deadline mid-pipelined BcastSlice),
+# straddles, and every transport) plus the vector failure suite (kill-rank
+# mid-AllreduceSlice, deadline mid-pipelined bcastSlice),
 # fresh under the race detector — the halving/doubling exchanges and the
 # pipelined chunk forwarding are new concurrency surface.
-go test -race -timeout 180s -count=1 \
-  -run 'TestVectorCollectiveParity|TestVectorParityInts|TestVectorOpParity|TestVectorThresholdFallback|TestKillRankMidAllreduceSlice|TestDeadlineMidPipelinedBcastSlice|TestWire|TestRaw' \
+named '-race -timeout 180s -count=1' \
+  'TestVectorCollectiveParity|TestVectorParityInts|TestVectorOpParity|TestVectorThresholdFallback|TestKillRankMidAllreduceSlice|TestDeadlineMidPipelinedBcastSlice|TestWire|TestRaw' \
   ./internal/mpi/
 
 # The shared-memory transport: protocol selection and the eager/rendezvous
@@ -115,9 +135,9 @@ go test -race -timeout 180s -count=1 \
 # the poll loop are lock-free cross-process state, exactly where a cached
 # pass proves nothing. The mpirun end-to-end pass covers -transport shm
 # world formation and teardown through the real launcher.
-go test -race -timeout 180s -count=1 \
-  -run 'TestShm|TestDeadlineOverShm' ./internal/mpi/
-go test -race -timeout 180s -count=1 -run 'TestShm' ./cmd/mpirun/
+named '-race -timeout 180s -count=1' \
+  'TestShm|TestDeadlineOverShm' ./internal/mpi/
+named '-race -timeout 180s -count=1' 'TestShm' ./cmd/mpirun/
 
 # The self-healing layer: resilient sessions (a severed socket redialed
 # inside the suspicion window, the hub replaying from the last acked
@@ -135,15 +155,15 @@ go test -race -timeout 180s -count=1 -run 'TestShm' ./cmd/mpirun/
 # up alone), and Recover's width over relaunched, gone and departed ranks.
 # The exemplars' full-width respawn runs repeat five times on top of the
 # whole-exemplars pass.
-go test -race -timeout 240s -count=3 \
-  -run 'TestDisconnectFault|TestCorruptFault' ./internal/mpi/
-go test -race -timeout 300s -count=10 \
-  -run 'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestRecoverWidth|TestDisconnectWithoutSuspicion' \
+named '-race -timeout 240s -count=3' \
+  'TestDisconnectFault|TestCorruptFault' ./internal/mpi/
+named '-race -timeout 300s -count=10' \
+  'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestRecoverWidth|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
-go test -race -timeout 300s -count=5 \
-  -run 'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth' \
+named '-race -timeout 300s -count=5' \
+  'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth' \
   ./internal/exemplars/drugdesign/ ./internal/exemplars/forestfire/
-go test -race -timeout 240s -count=1 -run 'TestRespawn' ./cmd/mpirun/
+named '-race -timeout 240s -count=1' 'TestRespawn' ./cmd/mpirun/
 # The wire decoder, the session's accept path above it, the shm record decoder
 # and the ckpt manifest loader under arbitrary bytes, 10 s each beyond the
 # seeds `go test` runs.
@@ -159,8 +179,8 @@ go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 10s -fuzzminimizetime 1s -par
 # traffic, Test polling, abort/deadline/kill through Wait), fresh under the
 # race detector — the engine's drain goroutine, and on modeled platforms the
 # goroutine that delivers each node-pair link's queue, run beside the ranks.
-go test -race -timeout 180s -count=1 \
-  -run 'TestHier|TestNonblocking|TestOverlap' \
+named '-race -timeout 180s -count=1' \
+  'TestHier|TestNonblocking|TestOverlap' \
   ./internal/mpi/ ./internal/exemplars/forestfire/
 
 # The one-sided layer and the irregular exchange: window epochs (Put/Get/
@@ -171,8 +191,8 @@ go test -race -timeout 180s -count=1 \
 # orphaned shm window reclamation) — fresh under the race detector: the
 # per-window service goroutine and the cross-process accumulate spinlock are
 # new concurrency surface.
-go test -race -timeout 180s -count=1 \
-  -run 'TestWin|TestShmWinReclamation|TestKillRankMidWinEpoch|TestAlltoallv|TestKillRankMidAlltoallv' \
+named '-race -timeout 180s -count=1' \
+  'TestWin|TestShmWinReclamation|TestKillRankMidWinEpoch|TestAlltoallv|TestKillRankMidAlltoallv' \
   ./internal/mpi/
 
 # The scheduler service: gang placement, per-tenant fairness, quotas and

@@ -304,32 +304,15 @@ func BenchmarkShmParallelForkJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkShmBarrier times one team barrier of a 4-thread region; the
+// region's launch is amortized over b.N barriers.
 func BenchmarkShmBarrier(b *testing.B) {
 	b.ReportAllocs()
-	bar := shm.NewBarrier(4)
-	done := make(chan struct{})
-	for t := 0; t < 3; t++ {
-		go func() {
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					bar.Wait()
-				}
-			}
-		}()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bar.Wait()
-	}
-	b.StopTimer()
-	close(done)
-	// Release any helpers still parked on the barrier.
-	for k := 0; k < 8; k++ {
-		go bar.Wait()
-	}
+	shm.Parallel(4, func(tc *shm.ThreadContext) {
+		for i := 0; i < b.N; i++ {
+			tc.Barrier()
+		}
+	})
 }
 
 func BenchmarkMpiPingPong(b *testing.B) {

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -33,24 +34,52 @@ func TestAdaptiveSimpsonKnownIntegrals(t *testing.T) {
 	}
 }
 
+// oscillating is the gate's adaptive integrand: sin(1/x) near 0 refines
+// unevenly, which makes the task tree irregular.
+func oscillating(x float64) float64 { return math.Sin(1 / x) }
+
 func TestAdaptiveSimpsonSharedMatchesSequential(t *testing.T) {
-	f := func(x float64) float64 { return math.Sin(10*x) / (0.1 + x*x) }
-	const tol = 1e-9
-	want, err := AdaptiveSimpson(f, -2, 3, tol)
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		f    Func
+		a, b float64
+		tol  float64
+	}{
+		{"sin10x", func(x float64) float64 { return math.Sin(10*x) / (0.1 + x*x) }, -2, 3, 1e-9},
+		{"gate", oscillating, 0.001, 1, 1e-10},
 	}
-	for _, threads := range []int{1, 2, 4, 8} {
-		got, err := AdaptiveSimpsonShared(f, -2, 3, tol, threads)
+	for _, row := range rows {
+		want, err := AdaptiveSimpson(row.f, row.a, row.b, row.tol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The task decomposition changes only the traversal order of the
-		// identical refinement tree; summation pairing is preserved, so
-		// results agree to roundoff.
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("threads=%d: %.15g vs sequential %.15g", threads, got, want)
+		for _, threads := range []int{1, 2, 4, 8} {
+			got, err := AdaptiveSimpsonShared(row.f, row.a, row.b, row.tol, threads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The task decomposition changes only the traversal order of
+			// the identical refinement tree; every sum pairs as in the
+			// sequential recursion, so the bits agree.
+			if got != want {
+				t.Fatalf("%s, threads=%d: %.17g vs sequential %.17g", row.name, threads, got, want)
+			}
 		}
+	}
+}
+
+// BenchmarkAdaptiveSimpsonShared times the task-parallel exemplar on the
+// gate's integrand: t2 should beat t1 on a host with two free cores.
+func BenchmarkAdaptiveSimpsonShared(b *testing.B) {
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AdaptiveSimpsonShared(oscillating, 0.001, 1, 1e-10, threads); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -306,8 +306,10 @@ func init() {
 		Explanation: "Explicit tasks handle irregular work that loops cannot " +
 			"express: one thread discovers and submits units of work, and " +
 			"every thread reaching a task-scheduling point helps execute " +
-			"them. Here one thread submits a task per item and the team " +
-			"drains the pool at Taskwait.",
+			"them. Here one thread submits a task per item inside Single, " +
+			"and the other threads start running them at Single's implicit " +
+			"barrier, which returns only once every task is done. Taskwait " +
+			"is the scheduling point to use where no barrier follows.",
 		Exercise: "Make tasks spawn sub-tasks. Does Taskwait still cover them all?",
 		RunShared: func(w io.Writer, numThreads int) error {
 			const items = 6

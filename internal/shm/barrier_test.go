@@ -1,90 +1,54 @@
 package shm
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-func TestBarrierPanicsOnZeroParties(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
-}
-
 func TestBarrierSingleParty(t *testing.T) {
-	b := NewBarrier(1)
-	for i := 0; i < 100; i++ {
-		if !b.Wait() {
-			t.Fatal("sole participant must be the last arriver")
+	Parallel(1, func(tc *ThreadContext) {
+		for i := 0; i < 100; i++ {
+			tc.Barrier()
 		}
-	}
+	})
 }
 
-func TestBarrierParties(t *testing.T) {
-	if got := NewBarrier(7).Parties(); got != 7 {
-		t.Fatalf("Parties() = %d, want 7", got)
-	}
-}
-
-// TestBarrierPhases checks that no participant can start phase k+1 before
-// every participant has finished phase k, across many reuse cycles.
+// TestBarrierPhases checks that no thread can start phase k+1 before every
+// thread has finished phase k, across many reuse cycles of the team barrier.
 func TestBarrierPhases(t *testing.T) {
-	const parties = 8
+	const threads = 8
 	const phases = 200
-	b := NewBarrier(parties)
-	var inPhase atomic.Int64 // number of participants currently inside a phase
-
-	var wg sync.WaitGroup
-	wg.Add(parties)
-	errs := make(chan string, parties)
-	for p := 0; p < parties; p++ {
-		go func() {
-			defer wg.Done()
-			for k := 0; k < phases; k++ {
-				n := inPhase.Add(1)
-				if n > parties {
-					errs <- "more participants in a phase than exist"
-					return
-				}
-				b.Wait()
-				inPhase.Add(-1)
-				b.Wait() // second barrier so decrements can't bleed into next phase
+	var inPhase atomic.Int64 // number of threads currently inside a phase
+	Parallel(threads, func(tc *ThreadContext) {
+		for k := 0; k < phases; k++ {
+			if n := inPhase.Add(1); n > threads {
+				t.Errorf("phase %d: %d threads inside, more than exist", k, n)
 			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case msg := <-errs:
-		t.Fatal(msg)
-	default:
-	}
+			tc.Barrier()
+			inPhase.Add(-1)
+			tc.Barrier() // second barrier so decrements can't bleed into next phase
+		}
+	})
 }
 
-// TestBarrierLastArriver checks that exactly one Wait per phase returns true.
-func TestBarrierLastArriver(t *testing.T) {
-	const parties = 6
+// TestBarrierCompletesTasks checks OpenMP's barrier rule: a barrier returns
+// only once every task the team queued before it, and every task those
+// spawned, has completed.
+func TestBarrierCompletesTasks(t *testing.T) {
+	const threads = 4
 	const phases = 50
-	b := NewBarrier(parties)
-	var lastCount atomic.Int64
-
-	var wg sync.WaitGroup
-	wg.Add(parties)
-	for p := 0; p < parties; p++ {
-		go func() {
-			defer wg.Done()
-			for k := 0; k < phases; k++ {
-				if b.Wait() {
-					lastCount.Add(1)
-				}
+	var done atomic.Int64
+	Parallel(threads, func(tc *ThreadContext) {
+		for k := 1; k <= phases; k++ {
+			tc.Task(func() {
+				tc.Task(func() { done.Add(1) })
+				done.Add(1)
+			})
+			tc.Barrier()
+			if got, want := done.Load(), int64(2*threads*k); got != want {
+				t.Errorf("thread %d, phase %d: %d tasks done after the barrier, want %d", tc.ThreadNum(), k, got, want)
 			}
-		}()
-	}
-	wg.Wait()
-	if got := lastCount.Load(); got != phases {
-		t.Fatalf("saw %d last-arrivers over %d phases, want exactly one each", got, phases)
-	}
+			tc.Barrier()
+		}
+	})
 }

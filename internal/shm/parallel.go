@@ -17,17 +17,16 @@ type ThreadContext struct {
 
 // team holds the state shared by all threads of one parallel region.
 //
-// Every field beyond size is created lazily, on first use, because region
-// launch is the runtime's hottest path: a region that never calls Barrier,
-// Critical, Single, Ordered, or Task should not pay for their state. The
-// accessors below (bar, taskPool, orderedState) publish the lazily created
-// object through an atomic pointer so the fast path after creation is one
-// atomic load.
+// Every field beyond size and join is created lazily, on first use, because
+// region launch is the runtime's hottest path: a region that never calls
+// Barrier, Critical, Single, Ordered, or Task should not pay for their
+// state. The scheduler is published through an atomic pointer so the fast
+// path after creation is one atomic load.
 type team struct {
 	size int
+	join *regionJoin
 
-	barrier atomic.Pointer[Barrier]
-	tasks   atomic.Pointer[taskPool]
+	sch atomic.Pointer[sched]
 
 	mu        sync.Mutex
 	criticals map[string]*sync.Mutex
@@ -44,38 +43,21 @@ type orderedState struct {
 	next int
 }
 
-func newTeam(size int) *team {
-	return &team{size: size}
-}
-
-// bar returns the team barrier, creating it on first use.
-func (t *team) bar() *Barrier {
-	if b := t.barrier.Load(); b != nil {
-		return b
+// sched returns the team's scheduler (barrier and tasks), creating it on
+// first use.
+func (t *team) sched() *sched {
+	if s := t.sch.Load(); s != nil {
+		return s
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if b := t.barrier.Load(); b != nil {
-		return b
+	if s := t.sch.Load(); s != nil {
+		return s
 	}
-	b := NewBarrier(t.size)
-	t.barrier.Store(b)
-	return b
-}
-
-// taskPool returns the team's explicit-task pool, creating it on first use.
-func (t *team) taskPool() *taskPool {
-	if p := t.tasks.Load(); p != nil {
-		return p
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if p := t.tasks.Load(); p != nil {
-		return p
-	}
-	p := newTaskPool()
-	t.tasks.Store(p)
-	return p
+	s := &sched{size: t.size, join: t.join}
+	s.cond.L = &s.mu
+	t.sch.Store(s)
+	return s
 }
 
 // orderedState returns the team's ordered-construct state, creating it on
@@ -123,17 +105,6 @@ func Parallel(numThreads int, body func(tc *ThreadContext)) {
 	putRegion(r)
 }
 
-// keepBarrierAlive repeatedly waits on b so that surviving threads of a
-// region whose sibling panicked are not stranded. It leaks only until the
-// region's join drains, which bounds it to the region's lifetime in the
-// non-pathological case.
-func keepBarrierAlive(b *Barrier) {
-	defer func() { recover() }()
-	for i := 0; i < 1<<20; i++ {
-		b.Wait()
-	}
-}
-
 // ThreadNum reports this thread's id within its team, 0-based: the analogue
 // of omp_get_thread_num.
 func (tc *ThreadContext) ThreadNum() int { return tc.id }
@@ -141,9 +112,12 @@ func (tc *ThreadContext) ThreadNum() int { return tc.id }
 // NumThreads reports the team size: the analogue of omp_get_num_threads.
 func (tc *ThreadContext) NumThreads() int { return tc.team.size }
 
-// Barrier blocks until every thread in the team has reached it: the
-// "#pragma omp barrier" construct.
-func (tc *ThreadContext) Barrier() { tc.team.bar().Wait() }
+// Barrier blocks until every thread in the team has reached it and every
+// task the team has queued has completed: the "#pragma omp barrier"
+// construct. It is a task scheduling point: a thread waiting in it runs
+// queued tasks, oldest first. Like Taskwait it belongs in region code,
+// never inside a task body.
+func (tc *ThreadContext) Barrier() { tc.team.sched().barrier() }
 
 // Critical executes fn while holding the team's named critical-section lock,
 // so at most one thread of the team runs fn (for a given name) at a time:
@@ -176,7 +150,8 @@ func (tc *ThreadContext) Master(fn func()) {
 
 // Single runs fn on exactly one thread of the team — whichever reaches the
 // construct first — and makes every thread wait at an implicit barrier until
-// fn has completed: "#pragma omp single". The name distinguishes separate
+// fn and the tasks it spawned have completed: "#pragma omp single". The
+// waiting threads run those tasks. The name distinguishes separate
 // single constructs encountered in the same region; reusing a name in a loop
 // requires a distinct name per iteration (or use SingleNowait semantics via
 // Master + Barrier).

@@ -34,20 +34,36 @@ type workItem struct {
 // regionJoin collects a region's completion and panic state.
 type regionJoin struct {
 	wg sync.WaitGroup
-	// panics[id] holds the value recovered from thread id, if any;
-	// panicked flags that some slot is set.
+	// panics[id] holds the value recovered from thread id, if any; task
+	// holds the first value recovered from an explicit task; panicked flags
+	// that some slot is set.
 	panics   []any
+	task     any
 	panicked bool // writes guarded by panicMu; read after wg.Wait
 	panicMu  sync.Mutex
 }
 
+// record stores r in slot, one of j's panic slots, unless the slot is
+// already set.
+func (j *regionJoin) record(slot *any, r any) {
+	j.panicMu.Lock()
+	if *slot == nil {
+		*slot = r
+	}
+	j.panicked = true
+	j.panicMu.Unlock()
+}
+
 // rethrow re-raises the lowest-numbered thread's panic at the fork point,
-// matching the semantics documented on Parallel.
+// or else a task's, matching the semantics documented on Parallel.
 func (j *regionJoin) rethrow() {
 	for id, p := range j.panics {
 		if p != nil {
 			panic(fmt.Sprintf("shm: panic in parallel region (thread %d): %v", id, p))
 		}
+	}
+	if j.task != nil {
+		panic(fmt.Sprintf("shm: panic in parallel region (task): %v", j.task))
 	}
 }
 
@@ -72,8 +88,8 @@ func getRegion(n int) *region {
 	// Reset the team field by field: the struct embeds a mutex, so a
 	// wholesale copy would trip vet (and copy atomic state).
 	r.t.size = n
-	r.t.barrier.Store(nil)
-	r.t.tasks.Store(nil)
+	r.t.join = &r.join
+	r.t.sch.Store(nil)
 	r.t.criticals = nil
 	r.t.singles = nil
 	r.t.ordered = nil
@@ -83,6 +99,7 @@ func getRegion(n int) *region {
 	} else {
 		r.join.panics = r.join.panics[:n]
 	}
+	r.join.task = nil
 	r.join.panicked = false
 	if cap(r.ctxs) < n {
 		r.ctxs = make([]ThreadContext, n)
@@ -95,9 +112,8 @@ func getRegion(n int) *region {
 }
 
 // putRegion recycles a region whose join has fully drained. Regions that
-// saw a panic are not recycled: their barrier may still have a
-// keepBarrierAlive shepherd attached, and the panic values should not
-// linger in the pool.
+// saw a panic are not recycled: the panic values should not linger in the
+// pool.
 func putRegion(r *region) {
 	if r.join.panicked {
 		return
@@ -155,16 +171,13 @@ func (w *worker) loop() {
 
 // runMember executes one thread's region body with the panic containment
 // Parallel documents: the panic is captured for re-raise at the fork point,
-// and the team barrier is kept alive so sibling threads blocked in it are
-// not stranded.
+// and the thread leaves the team so sibling threads blocked in a barrier
+// are not stranded.
 func runMember(item workItem) {
 	defer func() {
 		if r := recover(); r != nil {
-			item.join.panicMu.Lock()
-			item.join.panics[item.tc.id] = r
-			item.join.panicked = true
-			item.join.panicMu.Unlock()
-			go keepBarrierAlive(item.tc.team.bar())
+			item.join.record(&item.join.panics[item.tc.id], r)
+			item.tc.team.sched().leave()
 		}
 	}()
 	item.body(item.tc)

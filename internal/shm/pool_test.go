@@ -13,22 +13,21 @@ import (
 // runtime as the baseline BenchmarkRegionLaunchSpawn sets the pooled
 // dispatcher against: the difference between the two is exactly what a
 // persistent thread team buys an OpenMP runtime. Each region pays for a
-// fresh goroutine per thread and constructs the full team state (barrier,
-// critical/single tables, ordered state, task pool) eagerly, as the seed
+// fresh goroutine per thread and constructs the full team state
+// (scheduler, critical/single tables, ordered state) eagerly, as the seed
 // did. Semantics are identical to Parallel, including panic propagation.
 func ParallelSpawn(numThreads int, body func(tc *ThreadContext)) {
 	n := resolveThreads(numThreads)
-	t := newTeam(n)
+	join := &regionJoin{panics: make([]any, n)}
+	t := &team{size: n, join: join}
 	// Eager team construction, as in the seed implementation.
-	t.bar()
-	t.taskPool()
+	t.sched()
 	t.orderedState()
 	t.mu.Lock()
 	t.criticals = make(map[string]*sync.Mutex)
 	t.singles = make(map[string]bool)
 	t.mu.Unlock()
 
-	join := &regionJoin{panics: make([]any, n)}
 	join.wg.Add(n)
 	for id := 0; id < n; id++ {
 		go func(id int) {

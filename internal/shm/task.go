@@ -3,77 +3,165 @@ package shm
 import "sync"
 
 // Explicit tasks, the OpenMP 3.0 construct ("#pragma omp task" /
-// "#pragma omp taskwait") that handles irregular parallelism — recursive
+// "#pragma omp taskwait") for irregular parallelism — recursive
 // decomposition, work generated while working — which work-sharing loops
-// cannot express. Any thread of the team may create tasks; threads that
-// reach Taskwait execute pending tasks (their own or siblings') until the
-// team's task pool drains, so task execution parallelizes across however
-// many threads are waiting.
-type taskPool struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []func()
-	outstanding int // queued + currently executing tasks
+// cannot express. Every task scheduling point — a barrier (Single's,
+// Sections' and For's included), Taskwait and TaskGroup.Wait — is one idle
+// loop over the team's one deque: return if done, otherwise run a queued
+// task, otherwise park. A group waiter takes the newest task (depth first);
+// a barrier or Taskwait takes the oldest, the largest subtree. Task bodies
+// capture their spawner's ThreadContext, so the runtime cannot tell which
+// thread runs a task, and per-thread deques would all fill on the spawner's.
+
+// task is one deque entry; group is nil for a plain Task.
+type task struct {
+	fn    func()
+	group *TaskGroup
 }
 
-func newTaskPool() *taskPool {
-	p := &taskPool{}
-	p.cond = sync.NewCond(&p.mu)
-	return p
+// sched is the team's scheduler. Its mutex and cond guard the barrier's
+// count and phase, the task deque (oldest first) and the outstanding-task
+// count.
+type sched struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	size int
+	join *regionJoin
+
+	arrived     int    // threads at the current barrier
+	phase       uint64 // barriers tripped so far
+	parked      int    // threads in cond.Wait
+	tasks       []task
+	outstanding int // queued + running tasks
 }
 
-// push enqueues a task.
-func (p *taskPool) push(fn func()) {
-	p.mu.Lock()
-	p.queue = append(p.queue, fn)
-	p.outstanding++
-	p.cond.Broadcast()
-	p.mu.Unlock()
+// push queues t. Signalling one parked thread is enough: every waiter runs
+// any task, and a waiter that returns without one instead was woken by the
+// broadcast that ended its wait (a barrier trip or a retire that emptied
+// its group or the team).
+func (s *sched) push(t task) {
+	s.mu.Lock()
+	if t.group != nil {
+		t.group.pending++
+	}
+	s.tasks = append(s.tasks, t)
+	s.outstanding++
+	if s.parked > 0 {
+		s.cond.Signal()
+	}
+	s.mu.Unlock()
 }
 
-// drain executes tasks until the pool is empty and every task (including
-// ones still running on other threads, which may spawn more) has finished.
-func (p *taskPool) drain() {
-	p.mu.Lock()
-	for {
-		if len(p.queue) > 0 {
-			fn := p.queue[0]
-			p.queue = p.queue[1:]
-			p.mu.Unlock()
-			fn()
-			p.mu.Lock()
-			p.outstanding--
-			p.cond.Broadcast()
+// take dequeues the newest or the oldest task; s.mu is held. The last task
+// always leaves from the back, which keeps the buffer for the next push.
+func (s *sched) take(newest bool) (t task, ok bool) {
+	n := len(s.tasks)
+	if n == 0 {
+		return task{}, false
+	}
+	if newest || n == 1 {
+		t, s.tasks[n-1] = s.tasks[n-1], task{}
+		s.tasks = s.tasks[:n-1]
+	} else {
+		t, s.tasks[0] = s.tasks[0], task{}
+		s.tasks = s.tasks[1:]
+	}
+	return t, true
+}
+
+// run executes t outside the lock and retires it. A panicking task still
+// retires, so its waiters return, and the panic is recorded in the region's
+// join for Parallel to re-raise at the fork point.
+func (s *sched) run(t task) {
+	s.mu.Unlock()
+	defer func() {
+		if r := recover(); r != nil {
+			s.join.record(&s.join.task, r)
+		}
+		s.mu.Lock()
+		s.outstanding--
+		wake := s.outstanding == 0
+		if g := t.group; g != nil {
+			g.pending--
+			wake = wake || g.pending == 0
+		}
+		if !s.trip() && wake && s.parked > 0 {
+			s.cond.Broadcast()
+		}
+	}()
+	t.fn()
+}
+
+// trip ends the barrier phase if every thread has arrived and no task is
+// outstanding, and reports whether it did; s.mu is held.
+func (s *sched) trip() bool {
+	if s.arrived < s.size || s.outstanding > 0 {
+		return false
+	}
+	s.arrived = 0
+	s.phase++
+	if s.parked > 0 {
+		s.cond.Broadcast()
+	}
+	return true
+}
+
+// wait is every scheduling point's idle loop, entered and left with s.mu
+// held: return if done, otherwise run a queued task if there is one,
+// otherwise park. g is the group a TaskGroup.Wait waits for, nil elsewhere.
+func (s *sched) wait(g *TaskGroup, done func() bool) {
+	for !done() {
+		if t, ok := s.take(g != nil); ok {
+			s.run(t)
 			continue
 		}
-		if p.outstanding == 0 {
-			p.mu.Unlock()
-			return
-		}
-		// Tasks are still running elsewhere and may spawn more; sleep
-		// until the pool changes.
-		p.cond.Wait()
+		s.parked++
+		s.cond.Wait()
+		s.parked--
 	}
 }
 
-// Task submits fn for deferred execution by the team: "#pragma omp task".
-// The task runs on whichever team thread reaches Taskwait (or a task-group
-// Wait) first — possibly this one. Tasks may create further tasks.
-func (tc *ThreadContext) Task(fn func()) {
-	tc.team.taskPool().push(fn)
+// barrier is the team barrier: it returns once every thread has arrived
+// and no task is outstanding.
+func (s *sched) barrier() {
+	s.mu.Lock()
+	s.arrived++
+	phase := s.phase
+	s.trip()
+	s.wait(nil, func() bool { return s.phase != phase })
+	s.mu.Unlock()
 }
 
-// Taskwait executes pending team tasks and blocks until every task —
+// leave takes a thread whose body panicked out of the team, so that the
+// surviving threads' barriers stop waiting for it.
+func (s *sched) leave() {
+	s.mu.Lock()
+	s.size--
+	s.trip()
+	s.mu.Unlock()
+}
+
+// Task submits fn for deferred execution by the team: "#pragma omp task".
+// The task runs on whichever team thread next reaches a task scheduling
+// point (a barrier, Taskwait or a task-group Wait), possibly this one.
+// Tasks may create further tasks.
+func (tc *ThreadContext) Task(fn func()) { tc.team.sched().push(task{fn: fn}) }
+
+// Taskwait executes queued team tasks and blocks until every task —
 // including tasks spawned by tasks — has completed: a team-scope
-// "#pragma omp taskwait". Threads with nothing else to do should call
-// Taskwait to lend their cycles to the pool.
+// "#pragma omp taskwait". A barrier does the same and also waits for the
+// other threads, so Taskwait is for a thread that must see the team's tasks
+// done without waiting for its siblings.
 //
 // Taskwait must be called from region code, never from inside a task body:
 // a task waiting for "all tasks" would be waiting for itself. Recursive
 // patterns that need to block inside a task use TaskGroup, whose Wait
 // tracks only the group's own children.
 func (tc *ThreadContext) Taskwait() {
-	tc.team.taskPool().drain()
+	s := tc.team.sched()
+	s.mu.Lock()
+	s.wait(nil, func() bool { return s.outstanding == 0 })
+	s.mu.Unlock()
 }
 
 // TaskGroup tracks a set of related tasks so their creator can wait for
@@ -82,54 +170,24 @@ func (tc *ThreadContext) Taskwait() {
 // other queued team tasks (help-first scheduling), so recursive
 // decompositions such as divide-and-conquer cannot deadlock.
 type TaskGroup struct {
-	pool    *taskPool
-	pending int // guarded by pool.mu
+	s       *sched
+	pending int // guarded by s.mu
 }
 
-// NewTaskGroup creates an empty group on the team's task pool.
+// NewTaskGroup creates an empty group on the team's scheduler.
 func (tc *ThreadContext) NewTaskGroup() *TaskGroup {
-	return &TaskGroup{pool: tc.team.taskPool()}
+	return &TaskGroup{s: tc.team.sched()}
 }
 
 // Go submits fn as a task belonging to this group.
-func (g *TaskGroup) Go(fn func()) {
-	p := g.pool
-	p.mu.Lock()
-	g.pending++
-	p.mu.Unlock()
-	p.push(func() {
-		defer func() {
-			p.mu.Lock()
-			g.pending--
-			p.cond.Broadcast()
-			p.mu.Unlock()
-		}()
-		fn()
-	})
-}
+func (g *TaskGroup) Go(fn func()) { g.s.push(task{fn: fn, group: g}) }
 
 // Wait blocks until every task submitted to this group has completed,
-// executing queued team tasks (from any group) in the meantime.
+// executing queued team tasks (from any group, newest first) in the
+// meantime.
 func (g *TaskGroup) Wait() {
-	p := g.pool
-	p.mu.Lock()
-	for {
-		if g.pending == 0 {
-			p.mu.Unlock()
-			return
-		}
-		if len(p.queue) > 0 {
-			fn := p.queue[0]
-			p.queue = p.queue[1:]
-			p.mu.Unlock()
-			fn()
-			p.mu.Lock()
-			p.outstanding--
-			p.cond.Broadcast()
-			continue
-		}
-		// The group's tasks are running on other threads; sleep until
-		// something changes.
-		p.cond.Wait()
-	}
+	s := g.s
+	s.mu.Lock()
+	s.wait(g, func() bool { return g.pending == 0 })
+	s.mu.Unlock()
 }

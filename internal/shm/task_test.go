@@ -1,10 +1,13 @@
 package shm
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTasksRunExactlyOnce(t *testing.T) {
@@ -29,9 +32,8 @@ func TestTasksRunExactlyOnce(t *testing.T) {
 func TestTaskwaitWaitsForNestedTasks(t *testing.T) {
 	var done atomic.Int64
 	Parallel(4, func(tc *ThreadContext) {
-		// Single's implicit barrier publishes the spawned task to the team
-		// before anyone calls Taskwait: like OpenMP, Taskwait only covers
-		// tasks that exist when it is reached.
+		// Single's implicit barrier already completes the task tree; the
+		// Taskwait after it must find nothing left and return.
 		tc.Single("spawn", func() {
 			// A task that spawns tasks that spawn tasks.
 			tc.Task(func() {
@@ -129,27 +131,18 @@ func TestFibonacciWithTaskGroups(t *testing.T) {
 
 func TestTaskGroupWaitsOnlyForItsOwnTasks(t *testing.T) {
 	// A group's Wait must return once ITS tasks are done, even while an
-	// unrelated task is still blocked. (The waiter may help-run the
-	// unrelated task meanwhile, so a watcher goroutine releases it as soon
-	// as the group's task has completed.)
+	// unrelated task is still blocked. The unrelated task is queued first
+	// and the group's second, so the other thread, taking the oldest task
+	// at its scheduling point, can only block in the unrelated one, and
+	// the waiter, taking the newest, finds its own. (A barrier between the
+	// spawns would be a scheduling point that waits for the blocked task.)
 	release := make(chan struct{})
 	var groupDone atomic.Int64
-	var g *TaskGroup
 	Parallel(2, func(tc *ThreadContext) {
-		// Queue order is controlled with barriers: the group's task enters
-		// the queue before the unrelated blocked task, so thread 0's Wait
-		// finds its own work first and must return without touching (or
-		// waiting for) the unrelated task.
 		if tc.ThreadNum() == 0 {
-			g = tc.NewTaskGroup()
-			g.Go(func() { groupDone.Add(1) })
-		}
-		tc.Barrier()
-		if tc.ThreadNum() == 1 {
 			tc.Task(func() { <-release }) // unrelated, blocked
-		}
-		tc.Barrier()
-		if tc.ThreadNum() == 0 {
+			g := tc.NewTaskGroup()
+			g.Go(func() { groupDone.Add(1) })
 			g.Wait()
 			if groupDone.Load() != 1 {
 				t.Error("group Wait returned before its task completed")
@@ -158,6 +151,67 @@ func TestTaskGroupWaitsOnlyForItsOwnTasks(t *testing.T) {
 		}
 		tc.Taskwait()
 	})
+}
+
+// TestSingleBarrierRunsTasks pins that Single's implicit barrier is a task
+// scheduling point: the thread waiting in it runs the spawner's task while
+// the spawner is still inside Single.
+func TestSingleBarrierRunsTasks(t *testing.T) {
+	Parallel(2, func(tc *ThreadContext) {
+		tc.Single("spawn", func() {
+			started := make(chan struct{})
+			tc.Task(func() { close(started) })
+			select {
+			case <-started:
+			case <-time.After(5 * time.Second):
+				t.Error("the task did not start while its spawner was inside Single")
+			}
+		})
+	})
+}
+
+// TestTaskPanicPropagates pins that a panicking task retires, so the
+// threads waiting for it return, and that its panic re-raises at the fork
+// point. Each row gives the region 10 s, so a hang fails the row.
+func TestTaskPanicPropagates(t *testing.T) {
+	rows := []struct {
+		name string
+		body func(tc *ThreadContext)
+	}{
+		{"taskwait", func(tc *ThreadContext) {
+			tc.Master(func() {
+				tc.Task(func() { panic("boom") })
+				tc.Task(func() {})
+			})
+			tc.Taskwait()
+		}},
+		{"group", func(tc *ThreadContext) {
+			tc.Master(func() {
+				g := tc.NewTaskGroup()
+				g.Go(func() { panic("boom") })
+				g.Go(func() {})
+				g.Wait()
+			})
+			tc.Taskwait()
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			recovered := make(chan any, 1)
+			go func() {
+				defer func() { recovered <- recover() }()
+				Parallel(2, row.body)
+			}()
+			select {
+			case r := <-recovered:
+				if !strings.Contains(fmt.Sprint(r), "boom") {
+					t.Fatalf("recovered %v at the fork point, want the task's panic", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the region did not return within 10 s")
+			}
+		})
+	}
 }
 
 func TestNestedTaskGroups(t *testing.T) {

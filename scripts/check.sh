@@ -85,6 +85,12 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 # TestMasterWorkerRecover*), which replay seeded kill plans on both
 # transports and demand bit-equal results.
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
+# The team scheduler's interleavings, fifty fresh runs: barriers as task
+# scheduling points, the one deque's newest/oldest takes, a panicking task
+# retiring, and the adaptive exemplar bit-equal at every team size.
+named '-race -timeout 120s -count=50' \
+  'TestSingleBarrierRunsTasks|TestTask|TestNestedTaskGroups|TestFibonacciWithTaskGroups|TestBarrier|TestAdaptiveSimpsonSharedMatchesSequential' \
+  ./internal/shm/ ./internal/exemplars/integration/
 
 # The whole tree is held to gofmt: any name printed fails.
 test -z "$(gofmt -l .)"

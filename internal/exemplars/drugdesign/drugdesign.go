@@ -245,7 +245,7 @@ func MPIStatic(c *mpi.Comm, p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	lo, hi := blockRange(len(ligands), c.Rank(), c.Size())
+	lo, hi := shm.StaticRange(len(ligands), c.Rank(), c.Size())
 	local := make([]int, hi-lo)
 	c.Compute(func() {
 		var sc scorer
@@ -284,57 +284,97 @@ func MPIMasterWorker(c *mpi.Comm, p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	var res Result
+	if c.Rank() == 0 {
+		if res, err = runMaster(c, ligands, p.Protein, unscoredTable(len(ligands)), nil); err != nil {
+			return Result{}, err
+		}
+	} else if err := serveTasks(c, ligands, p.Protein); err != nil {
+		return Result{}, err
+	}
+	return mpi.Bcast(c, res, 0)
+}
+
+// unscored marks a score-table entry no worker has returned yet.
+const unscored = -1
+
+// unscoredTable is the score table of a queue no worker has started on.
+func unscoredTable(n int) []int {
+	scores := make([]int, n)
+	for i := range scores {
+		scores[i] = unscored
+	}
+	return scores
+}
+
+// runMaster drives the work queue: hand every unscored index of the score
+// table to a worker (or score them locally when the world is one rank) and
+// collect the results. A non-nil save is called after each result lands
+// and, with done set, once the table is complete.
+func runMaster(c *mpi.Comm, ligands []string, protein string, scores []int, save func(done bool) error) (Result, error) {
+	var pending []int
+	for i, s := range scores {
+		if s == unscored {
+			pending = append(pending, i)
+		}
+	}
 	if c.Size() == 1 {
-		scores := make([]int, len(ligands))
+		// The world is just the master (it started that way or shrank to
+		// it): finish the remaining work sequentially.
 		c.Compute(func() {
 			var sc scorer
-			for i, l := range ligands {
-				scores[i] = sc.score(l, p.Protein)
+			for _, i := range pending {
+				scores[i] = sc.score(ligands[i], protein)
 			}
 		})
 		return collect(ligands, scores), nil
 	}
 
-	var res Result
-	if c.Rank() == 0 {
-		scores := make([]int, len(ligands))
-		next := 0
-		outstanding := 0
-		// Prime every worker with one task (or stop it if there is none).
-		for w := 1; w < c.Size(); w++ {
-			if next < len(ligands) {
-				if err := c.Send(w, tagTask, next); err != nil {
-					return Result{}, err
-				}
-				next++
-				outstanding++
-			} else if err := c.Send(w, tagStop, 0); err != nil {
-				return Result{}, err
-			}
+	next := 0 // index into pending
+	outstanding := 0
+	// Prime every worker with one task (or stop it if there is none), then
+	// answer each result with the next task or a stop.
+	assign := func(w int) error {
+		if next == len(pending) {
+			return c.Send(w, tagStop, 0)
 		}
-		for outstanding > 0 {
-			var wr workerResult
-			st, err := c.Recv(mpi.AnySource, tagResult, &wr)
-			if err != nil {
-				return Result{}, err
-			}
-			scores[wr.Index] = wr.Score
-			outstanding--
-			if next < len(ligands) {
-				if err := c.Send(st.Source, tagTask, next); err != nil {
-					return Result{}, err
-				}
-				next++
-				outstanding++
-			} else if err := c.Send(st.Source, tagStop, 0); err != nil {
-				return Result{}, err
-			}
-		}
-		res = collect(ligands, scores)
-	} else if err := serveTasks(c, ligands, p.Protein); err != nil {
-		return Result{}, err
+		i := pending[next]
+		next++
+		outstanding++
+		return c.Send(w, tagTask, i)
 	}
-	return mpi.Bcast(c, res, 0)
+	for w := 1; w < c.Size(); w++ {
+		if err := assign(w); err != nil {
+			return Result{}, err
+		}
+	}
+	for outstanding > 0 {
+		// A dead worker never returns its task, so a wildcard receive is
+		// the dangerous spot of this protocol — the runtime's ULFM rule
+		// (any failed member poisons an AnySource match) turns what would
+		// be a silent hang into the retryable error handled one level up.
+		var wr workerResult
+		st, err := c.Recv(mpi.AnySource, tagResult, &wr)
+		if err != nil {
+			return Result{}, err
+		}
+		scores[wr.Index] = wr.Score
+		outstanding--
+		if save != nil {
+			if err := save(false); err != nil {
+				return Result{}, err
+			}
+		}
+		if err := assign(st.Source); err != nil {
+			return Result{}, err
+		}
+	}
+	if save != nil {
+		if err := save(true); err != nil {
+			return Result{}, err
+		}
+	}
+	return collect(ligands, scores), nil
 }
 
 // serveTasks is the worker side of the master-worker protocol: score each
@@ -356,16 +396,4 @@ func serveTasks(c *mpi.Comm, ligands []string, protein string) error {
 			return err
 		}
 	}
-}
-
-// blockRange computes the contiguous block of [0, n) owned by worker w of k.
-func blockRange(n, w, k int) (lo, hi int) {
-	base := n / k
-	rem := n % k
-	if w < rem {
-		lo = w * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (w-rem)*base
-	return lo, lo + base
 }

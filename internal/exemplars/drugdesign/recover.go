@@ -16,8 +16,6 @@ import (
 // rank 0 reloads the last committed table from the shared store and takes
 // over, redoing only the work completed since that checkpoint.
 
-const unscored = -1
-
 // ddCkpt is the master's checkpoint: the score table, unscored entries
 // holding the sentinel.
 type ddCkpt struct {
@@ -58,8 +56,28 @@ func masterWorkerCkpt(c *mpi.Comm, p Params, store ckpt.Store, every int) (Resul
 
 	var res Result
 	if c.Rank() == 0 {
-		res, err = runMaster(c, ligands, p, store, every)
+		scores, err := restoreScores(store, len(ligands))
 		if err != nil {
+			return Result{}, err
+		}
+		sinceSave := 0
+		save := func(done bool) error {
+			sinceSave++
+			// The final checkpoint is the completed table, so a failure
+			// after it (e.g. during the closing broadcast) redoes no
+			// scoring at all.
+			if every <= 0 || !done && sinceSave < every {
+				return nil
+			}
+			sinceSave = 0
+			shard, err := ckpt.Encode(ddCkpt{Scores: scores})
+			if err != nil {
+				return err
+			}
+			_, err = ckpt.SaveLocal(store, shard)
+			return err
+		}
+		if res, err = runMaster(c, ligands, p.Protein, scores, save); err != nil {
 			return Result{}, err
 		}
 	} else if err := serveTasks(c, ligands, p.Protein); err != nil {
@@ -68,103 +86,19 @@ func masterWorkerCkpt(c *mpi.Comm, p Params, store ckpt.Store, every int) (Resul
 	return mpi.Bcast(c, res, 0)
 }
 
-// runMaster drives the work queue: restore the score table, hand unscored
-// indices to workers (or score them locally when the world has shrunk to
-// one rank), and checkpoint as results land.
-func runMaster(c *mpi.Comm, ligands []string, p Params, store ckpt.Store, every int) (Result, error) {
-	scores := make([]int, len(ligands))
-	for i := range scores {
-		scores[i] = unscored
+// restoreScores returns the score table of the last committed checkpoint,
+// or an all-unscored table when there is none.
+func restoreScores(store ckpt.Store, n int) ([]int, error) {
+	data, _, ok, err := ckpt.LoadLocal(store)
+	if err != nil || !ok {
+		return unscoredTable(n), err
 	}
-	if data, _, ok, err := ckpt.LoadLocal(store); err != nil {
-		return Result{}, err
-	} else if ok {
-		var saved ddCkpt
-		if err := ckpt.Decode(data, &saved); err != nil {
-			return Result{}, err
-		}
-		if len(saved.Scores) != len(scores) {
-			return Result{}, fmt.Errorf("drugdesign: checkpoint has %d scores for %d ligands", len(saved.Scores), len(scores))
-		}
-		copy(scores, saved.Scores)
+	var saved ddCkpt
+	if err := ckpt.Decode(data, &saved); err != nil {
+		return nil, err
 	}
-	var pending []int
-	for i, s := range scores {
-		if s == unscored {
-			pending = append(pending, i)
-		}
+	if len(saved.Scores) != n {
+		return nil, fmt.Errorf("drugdesign: checkpoint has %d scores for %d ligands", len(saved.Scores), n)
 	}
-
-	if c.Size() == 1 {
-		// The world shrank to just the master (or started that way):
-		// finish the remaining work sequentially.
-		c.Compute(func() {
-			var sc scorer
-			for _, i := range pending {
-				scores[i] = sc.score(ligands[i], p.Protein)
-			}
-		})
-		return collect(ligands, scores), nil
-	}
-
-	save := func() error {
-		shard, err := ckpt.Encode(ddCkpt{Scores: scores})
-		if err != nil {
-			return err
-		}
-		_, err = ckpt.SaveLocal(store, shard)
-		return err
-	}
-
-	next := 0 // index into pending
-	outstanding := 0
-	for w := 1; w < c.Size(); w++ {
-		if next < len(pending) {
-			if err := c.Send(w, tagTask, pending[next]); err != nil {
-				return Result{}, err
-			}
-			next++
-			outstanding++
-		} else if err := c.Send(w, tagStop, 0); err != nil {
-			return Result{}, err
-		}
-	}
-	sinceSave := 0
-	for outstanding > 0 {
-		// A dead worker never returns its task, so a wildcard receive is
-		// the dangerous spot of this protocol — the runtime's ULFM rule
-		// (any failed member poisons an AnySource match) turns what would
-		// be a silent hang into the retryable error handled one level up.
-		var wr workerResult
-		st, err := c.Recv(mpi.AnySource, tagResult, &wr)
-		if err != nil {
-			return Result{}, err
-		}
-		scores[wr.Index] = wr.Score
-		outstanding--
-		sinceSave++
-		if every > 0 && sinceSave >= every {
-			if err := save(); err != nil {
-				return Result{}, err
-			}
-			sinceSave = 0
-		}
-		if next < len(pending) {
-			if err := c.Send(st.Source, tagTask, pending[next]); err != nil {
-				return Result{}, err
-			}
-			next++
-			outstanding++
-		} else if err := c.Send(st.Source, tagStop, 0); err != nil {
-			return Result{}, err
-		}
-	}
-	// Final checkpoint: the completed table, so a failure after this point
-	// (e.g. during the closing broadcast) redoes no scoring at all.
-	if every > 0 {
-		if err := save(); err != nil {
-			return Result{}, err
-		}
-	}
-	return collect(ligands, scores), nil
+	return saved.Scores, nil
 }

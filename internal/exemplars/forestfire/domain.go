@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
+	"repro/internal/shm"
 )
 
 // This file implements the second parallelization strategy for the fire
@@ -82,110 +83,158 @@ func SimulateHash(rows, cols int, prob float64, seed int64) TrialResult {
 // whitelist and the TCP raw-framing whitelist, so the halo exchange moves
 // as one memcpy-shaped payload instead of a gob encoding of a struct slice.
 
-// SimulateDomainMPI burns one forest split into row slabs across the
-// communicator's ranks, exchanging boundary ignition attempts with
-// neighbouring slabs each step. Every rank returns the identical
-// TrialResult, which equals SimulateHash's for the same arguments.
-func SimulateDomainMPI(c *mpi.Comm, rows, cols int, prob float64, seed int64) (TrialResult, error) {
+// tagHalo is the halo exchange's message tag.
+const tagHalo = 11
+
+// slab is one rank's share of the decomposed forest: the global rows
+// [lo, hi), their cells, the cells burning at the top of the next step, and
+// how many of the slab's cells have burned. Every MPI variant steps one
+// slab; they differ only in the order they call its methods.
+type slab struct {
+	rows, cols int
+	prob       float64
+	seed       int64
+	lo, hi     int
+	cells      []cellState // indexed by global cell id offset to the slab start
+	burning    []int       // global ids
+	burned     int
+}
+
+// newSlab validates the grid and allocates this rank's slab, all trees.
+func newSlab(c *mpi.Comm, rows, cols int, prob float64, seed int64) (*slab, error) {
 	if rows < 1 || cols < 1 {
-		return TrialResult{}, fmt.Errorf("forestfire: grid must be at least 1x1")
+		return nil, fmt.Errorf("forestfire: grid must be at least 1x1")
 	}
-	cart, err := mpi.NewCart(c, []int{c.Size()}, nil)
+	lo, hi := shm.StaticRange(rows, c.Rank(), c.Size())
+	return &slab{rows: rows, cols: cols, prob: prob, seed: seed, lo: lo, hi: hi,
+		cells: make([]cellState, (hi-lo)*cols)}, nil
+}
+
+func (s *slab) owns(cell int) bool {
+	r := cell / s.cols
+	return r >= s.lo && r < s.hi
+}
+
+func (s *slab) at(cell int) *cellState { return &s.cells[cell-s.lo*s.cols] }
+
+// ignite lights the center tree on the slab that owns it.
+func (s *slab) ignite() {
+	if center := (s.rows/2)*s.cols + s.cols/2; s.owns(center) {
+		*s.at(center) = stateBurning
+		s.burning = append(s.burning, center)
+	}
+}
+
+// attacks is one step's ignition attempts, as flat (from, to) pairs,
+// routed by the slab that owns the attacked cell.
+type attacks struct{ local, down, up []int }
+
+// burn marks one burning cell burned and routes its four ignition attempts:
+// to this slab, to the slab below (lower rows) or to the slab above.
+func (s *slab) burn(cell int, a *attacks) {
+	r, col := cell/s.cols, cell%s.cols
+	for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+		nr, nc := r+d[0], col+d[1]
+		if nr < 0 || nr >= s.rows || nc < 0 || nc >= s.cols {
+			continue
+		}
+		to := nr*s.cols + nc
+		switch {
+		case s.owns(to):
+			a.local = append(a.local, cell, to)
+		case nr < s.lo:
+			a.down = append(a.down, cell, to)
+		default:
+			a.up = append(a.up, cell, to)
+		}
+	}
+	*s.at(cell) = stateBurned
+	s.burned++
+}
+
+// apply applies one batch of step's attempts against this slab, appending
+// the cells they ignite to next; the hash makes the outcome identical to
+// the sequential run regardless of order.
+func (s *slab) apply(step int, pairs []int, next *[]int) {
+	for i := 0; i+1 < len(pairs); i += 2 {
+		from, to := pairs[i], pairs[i+1]
+		if !s.owns(to) {
+			continue // a mis-routed attack would be a bug upstream
+		}
+		if *s.at(to) == stateTree && igniteDecision(s.seed, step, from, to) < s.prob {
+			*s.at(to) = stateBurning
+			*next = append(*next, to)
+		}
+	}
+}
+
+// result sums the slabs' burned counts into the run's TrialResult (slabs
+// partition the rows, so each burned cell is counted exactly once).
+func (s *slab) result(c *mpi.Comm, steps int) (TrialResult, error) {
+	burnedTotal, err := mpi.Allreduce(c, s.burned, mpi.Combine[int](mpi.Sum))
 	if err != nil {
 		return TrialResult{}, err
 	}
+	return TrialResult{
+		BurnedFraction: float64(burnedTotal) / float64(s.rows*s.cols),
+		Steps:          steps,
+	}, nil
+}
 
-	// This rank owns global rows [rowLo, rowHi).
-	rowLo, rowHi := blockRows(rows, c.Rank(), c.Size())
-	owns := func(cell int) bool {
-		r := cell / cols
-		return r >= rowLo && r < rowHi
-	}
-	// Local state, indexed by global cell id offset to the slab start.
-	local := make([]cellState, (rowHi-rowLo)*cols)
-	at := func(cell int) *cellState { return &local[cell-rowLo*cols] }
-
-	center := (rows/2)*cols + cols/2
-	var burning []int
-	if owns(center) {
-		*at(center) = stateBurning
-		burning = append(burning, center)
-	}
-
-	steps := 0
-	burnedLocal := 0
-	const tagHalo = 11
+// run is the blocking step loop, from `steps` completed steps to the end of
+// the fire. A non-nil save is called at the top of every step, after the
+// termination check: every rank is at the same step count there.
+func (s *slab) run(c *mpi.Comm, cart *mpi.Cart, steps int, save func(steps int) error) (TrialResult, error) {
 	for {
 		// Lockstep termination check: does any rank still have fire?
-		anyBurning, err := mpi.Allreduce(c, boolToInt(len(burning) > 0), mpi.Combine[int](mpi.Max))
+		anyBurning, err := mpi.Allreduce(c, boolToInt(len(s.burning) > 0), mpi.Combine[int](mpi.Max))
 		if err != nil {
 			return TrialResult{}, err
 		}
 		if anyBurning == 0 {
 			break
 		}
+		if save != nil {
+			if err := save(steps); err != nil {
+				return TrialResult{}, err
+			}
+		}
 		steps++
 
-		// Generate this step's ignition attempts as flat (from, to) pairs;
-		// boundary-crossing ones are routed to the owning neighbour slab.
-		var localAttacks, toDown, toUp []int
-		for _, cell := range burning {
-			r, col := cell/cols, cell%cols
-			for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-				nr, nc := r+d[0], col+d[1]
-				if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
-					continue
-				}
-				to := nr*cols + nc
-				switch {
-				case owns(to):
-					localAttacks = append(localAttacks, cell, to)
-				case nr < rowLo:
-					toDown = append(toDown, cell, to)
-				default:
-					toUp = append(toUp, cell, to)
-				}
-			}
-			*at(cell) = stateBurned
-			burnedLocal++
+		var a attacks
+		for _, cell := range s.burning {
+			s.burn(cell, &a)
 		}
-
 		// Halo exchange of boundary attacks (empty slices cross too, to
 		// keep every rank's message pattern identical each step).
 		var fromDown, fromUp []int
-		if _, _, err := cart.SendrecvShift(0, tagHalo, toDown, toUp, &fromDown, &fromUp); err != nil {
+		if _, _, err := cart.SendrecvShift(0, tagHalo, a.down, a.up, &fromDown, &fromUp); err != nil {
 			return TrialResult{}, err
 		}
-
-		// Apply all attempts against this slab; the hash makes the
-		// outcome identical to the sequential run regardless of order.
 		var next []int
-		apply := func(pairs []int) {
-			for i := 0; i+1 < len(pairs); i += 2 {
-				from, to := pairs[i], pairs[i+1]
-				if !owns(to) {
-					continue // a mis-routed attack would be a bug upstream
-				}
-				if *at(to) == stateTree && igniteDecision(seed, steps, from, to) < prob {
-					*at(to) = stateBurning
-					next = append(next, to)
-				}
-			}
-		}
-		apply(localAttacks)
-		apply(fromDown)
-		apply(fromUp)
-		burning = next
+		s.apply(steps, a.local, &next)
+		s.apply(steps, fromDown, &next)
+		s.apply(steps, fromUp, &next)
+		s.burning = next
 	}
+	return s.result(c, steps)
+}
 
-	burnedTotal, err := mpi.Allreduce(c, burnedLocal, mpi.Combine[int](mpi.Sum))
+// SimulateDomainMPI burns one forest split into row slabs across the
+// communicator's ranks, exchanging boundary ignition attempts with
+// neighbouring slabs each step. Every rank returns the identical
+// TrialResult, which equals SimulateHash's for the same arguments.
+func SimulateDomainMPI(c *mpi.Comm, rows, cols int, prob float64, seed int64) (TrialResult, error) {
+	s, err := newSlab(c, rows, cols, prob, seed)
 	if err != nil {
 		return TrialResult{}, err
 	}
-	return TrialResult{
-		BurnedFraction: float64(burnedTotal) / float64(rows*cols),
-		Steps:          steps,
-	}, nil
+	cart, err := mpi.NewCart(c, []int{c.Size()}, nil)
+	if err != nil {
+		return TrialResult{}, err
+	}
+	s.ignite()
+	return s.run(c, cart, 0, nil)
 }
 
 func boolToInt(b bool) int {
@@ -193,16 +242,4 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// blockRows splits row indices [0, rows) into contiguous blocks.
-func blockRows(rows, rank, size int) (lo, hi int) {
-	base := rows / size
-	rem := rows % size
-	if rank < rem {
-		lo = rank * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (rank-rem)*base
-	return lo, lo + base
 }

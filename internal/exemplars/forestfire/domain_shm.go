@@ -46,7 +46,7 @@ func SimulateHashShared(rows, cols int, prob float64, seed int64, numThreads int
 	center := (rows/2)*cols + cols/2
 	grid[center] = stateBurning
 
-	// Row → owning thread, inverse of blockRows' split. With more threads
+	// Row → owning thread, inverse of shm.StaticRange's split. With more threads
 	// than rows, base is 0 and every row falls in the remainder branch;
 	// the surplus threads own empty slabs and just keep the barriers full.
 	base, rem := rows/nt, rows%nt

@@ -140,21 +140,3 @@ func TestDomainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBlockRowsPartition(t *testing.T) {
-	for _, rows := range []int{1, 3, 10, 64} {
-		for _, size := range []int{1, 2, 5, 8} {
-			prev := 0
-			for r := 0; r < size; r++ {
-				lo, hi := blockRows(rows, r, size)
-				if lo != prev || hi < lo {
-					t.Fatalf("rows=%d size=%d rank=%d: [%d,%d) after %d", rows, size, r, lo, hi, prev)
-				}
-				prev = hi
-			}
-			if prev != rows {
-				t.Fatalf("rows=%d size=%d: partition ends at %d", rows, size, prev)
-			}
-		}
-	}
-}

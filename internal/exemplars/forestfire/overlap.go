@@ -1,10 +1,6 @@
 package forestfire
 
-import (
-	"fmt"
-
-	"repro/internal/mpi"
-)
+import "repro/internal/mpi"
 
 // SimulateDomainOverlap is SimulateDomainMPI restructured to overlap
 // communication with computation, the way production stencil codes hide
@@ -27,8 +23,9 @@ import (
 // check lands — the message pattern stays identical across ranks, so nothing
 // strays.
 func SimulateDomainOverlap(c *mpi.Comm, rows, cols int, prob float64, seed int64) (TrialResult, error) {
-	if rows < 1 || cols < 1 {
-		return TrialResult{}, fmt.Errorf("forestfire: grid must be at least 1x1")
+	s, err := newSlab(c, rows, cols, prob, seed)
+	if err != nil {
+		return TrialResult{}, err
 	}
 	// 1-D row-slab decomposition: the neighbours are simply rank±1.
 	down, up := mpi.ProcNull, mpi.ProcNull
@@ -38,59 +35,23 @@ func SimulateDomainOverlap(c *mpi.Comm, rows, cols int, prob float64, seed int64
 	if c.Rank() < c.Size()-1 {
 		up = c.Rank() + 1
 	}
-
-	rowLo, rowHi := blockRows(rows, c.Rank(), c.Size())
-	owns := func(cell int) bool {
-		r := cell / cols
-		return r >= rowLo && r < rowHi
-	}
-	local := make([]cellState, (rowHi-rowLo)*cols)
-	at := func(cell int) *cellState { return &local[cell-rowLo*cols] }
-
-	center := (rows/2)*cols + cols/2
-	var burning []int
-	if owns(center) {
-		*at(center) = stateBurning
-		burning = append(burning, center)
-	}
+	s.ignite()
 
 	steps := 0
-	burnedLocal := 0
-	const tagHalo = 11
 	for {
 		// (1) Termination check for this step, posted — not waited.
 		anyBurning := 0
-		term := mpi.IAllreduce(c, boolToInt(len(burning) > 0), mpi.Combine[int](mpi.Max), &anyBurning)
+		term := mpi.IAllreduce(c, boolToInt(len(s.burning) > 0), mpi.Combine[int](mpi.Max), &anyBurning)
 		step := steps + 1
 
 		// (2) Boundary rows first: their attacks are the only ones that can
 		// cross the slab edge. Interior cells are deferred to overlap with
 		// the exchange.
-		var localAttacks, toDown, toUp []int
+		var a attacks
 		var interior []int
-		route := func(cell int) {
-			r, col := cell/cols, cell%cols
-			for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-				nr, nc := r+d[0], col+d[1]
-				if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
-					continue
-				}
-				to := nr*cols + nc
-				switch {
-				case owns(to):
-					localAttacks = append(localAttacks, cell, to)
-				case nr < rowLo:
-					toDown = append(toDown, cell, to)
-				default:
-					toUp = append(toUp, cell, to)
-				}
-			}
-			*at(cell) = stateBurned
-			burnedLocal++
-		}
-		for _, cell := range burning {
-			if r := cell / cols; r == rowLo || r == rowHi-1 {
-				route(cell)
+		for _, cell := range s.burning {
+			if r := cell / cols; r == s.lo || r == s.hi-1 {
+				s.burn(cell, &a)
 			} else {
 				interior = append(interior, cell)
 			}
@@ -101,13 +62,13 @@ func SimulateDomainOverlap(c *mpi.Comm, rows, cols int, prob float64, seed int64
 		var fromDown, fromUp []int
 		var recvs []*mpi.Request
 		if down != mpi.ProcNull {
-			if _, err := c.Isend(down, tagHalo, toDown).Wait(); err != nil {
+			if _, err := c.Isend(down, tagHalo, a.down).Wait(); err != nil {
 				return TrialResult{}, err
 			}
 			recvs = append(recvs, c.Irecv(down, tagHalo, &fromDown))
 		}
 		if up != mpi.ProcNull {
-			if _, err := c.Isend(up, tagHalo, toUp).Wait(); err != nil {
+			if _, err := c.Isend(up, tagHalo, a.up).Wait(); err != nil {
 				return TrialResult{}, err
 			}
 			recvs = append(recvs, c.Irecv(up, tagHalo, &fromUp))
@@ -117,30 +78,18 @@ func SimulateDomainOverlap(c *mpi.Comm, rows, cols int, prob float64, seed int64
 		// attacks (all of them land inside the slab) and apply everything
 		// local. The hash makes application order irrelevant.
 		for _, cell := range interior {
-			route(cell)
+			s.burn(cell, &a)
 		}
 		var next []int
-		apply := func(pairs []int) {
-			for i := 0; i+1 < len(pairs); i += 2 {
-				from, to := pairs[i], pairs[i+1]
-				if !owns(to) {
-					continue
-				}
-				if *at(to) == stateTree && igniteDecision(seed, step, from, to) < prob {
-					*at(to) = stateBurning
-					next = append(next, to)
-				}
-			}
-		}
-		apply(localAttacks)
+		s.apply(step, a.local, &next)
 
 		// (4) Finish the communication: neighbours' attacks, then the
 		// termination verdict.
 		if _, err := mpi.Waitall(recvs); err != nil {
 			return TrialResult{}, err
 		}
-		apply(fromDown)
-		apply(fromUp)
+		s.apply(step, fromDown, &next)
+		s.apply(step, fromUp, &next)
 		if _, err := term.Wait(); err != nil {
 			return TrialResult{}, err
 		}
@@ -150,15 +99,7 @@ func SimulateDomainOverlap(c *mpi.Comm, rows, cols int, prob float64, seed int64
 			break
 		}
 		steps++
-		burning = next
+		s.burning = next
 	}
-
-	burnedTotal, err := mpi.Allreduce(c, burnedLocal, mpi.Combine[int](mpi.Sum))
-	if err != nil {
-		return TrialResult{}, err
-	}
-	return TrialResult{
-		BurnedFraction: float64(burnedTotal) / float64(rows*cols),
-		Steps:          steps,
-	}, nil
+	return s.result(c, steps)
 }

@@ -2,7 +2,6 @@ package forestfire
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/ckpt"
 	"repro/internal/mpi"
@@ -54,151 +53,78 @@ func SimulateDomainRecover(c *mpi.Comm, rows, cols int, prob float64, seed int64
 // `every` steps. A rank failure anywhere inside surfaces as a retryable
 // error wrapping mpi.ErrRankFailed; the caller recovers and re-enters.
 func simulateDomainCkpt(c *mpi.Comm, rows, cols int, prob float64, seed int64, store ckpt.Store, every int) (TrialResult, error) {
-	if rows < 1 || cols < 1 {
-		return TrialResult{}, fmt.Errorf("forestfire: grid must be at least 1x1")
+	s, err := newSlab(c, rows, cols, prob, seed)
+	if err != nil {
+		return TrialResult{}, err
 	}
 	cart, err := mpi.NewCart(c, []int{c.Size()}, nil)
 	if err != nil {
 		return TrialResult{}, err
 	}
-
-	rowLo, rowHi := blockRows(rows, c.Rank(), c.Size())
-	owns := func(cell int) bool {
-		r := cell / cols
-		return r >= rowLo && r < rowHi
-	}
-	local := make([]cellState, (rowHi-rowLo)*cols)
-	at := func(cell int) *cellState { return &local[cell-rowLo*cols] }
-
-	// Restore from the newest committed checkpoint, re-decomposing its
-	// shards (written under a possibly different world size) over this
-	// communicator by row overlap; without one, light the center tree.
-	steps := 0
-	var burning []int
-	_, shards, restored, err := ckpt.LoadLatest(c, store)
+	steps, restored, err := s.restore(c, store)
 	if err != nil {
 		return TrialResult{}, err
 	}
-	if restored {
-		for _, data := range shards {
-			var sc slabCkpt
-			if err := ckpt.Decode(data, &sc); err != nil {
-				return TrialResult{}, err
-			}
-			steps = sc.Step
-			lo, hi := max(rowLo, sc.RowLo), min(rowHi, sc.RowHi)
-			for r := lo; r < hi; r++ {
-				for col := 0; col < cols; col++ {
-					local[(r-rowLo)*cols+col] = cellState(sc.Grid[(r-sc.RowLo)*cols+col])
-				}
-			}
-			for _, cell := range sc.Burning {
-				if owns(cell) {
-					burning = append(burning, cell)
-				}
-			}
-		}
-	} else {
-		center := (rows/2)*cols + cols/2
-		if owns(center) {
-			*at(center) = stateBurning
-			burning = append(burning, center)
-		}
-	}
-	// The burned count is derivable from the slab, so shards need not
-	// carry it — recount after any restore (slabs partition the rows, so
-	// each burned cell is counted exactly once across ranks).
-	burnedLocal := 0
-	for _, s := range local {
-		if s == stateBurned {
-			burnedLocal++
-		}
+	if !restored {
+		s.ignite()
 	}
 
-	const tagHalo = 11
 	sinceSave := 0
-	for {
-		anyBurning, err := mpi.Allreduce(c, boolToInt(len(burning) > 0), mpi.Combine[int](mpi.Max))
-		if err != nil {
-			return TrialResult{}, err
-		}
-		if anyBurning == 0 {
-			break
-		}
+	return s.run(c, cart, steps, func(step int) error {
 		// Checkpoint at the top of a step: every rank is at the same step
 		// count here (the Allreduce is the lockstep fence), so the shards
 		// of one version always form a consistent global cut.
 		if every > 0 && sinceSave >= every {
-			grid := make([]byte, len(local))
-			for i, s := range local {
-				grid[i] = byte(s)
+			grid := make([]byte, len(s.cells))
+			for i, st := range s.cells {
+				grid[i] = byte(st)
 			}
-			shard, err := ckpt.Encode(slabCkpt{Step: steps, RowLo: rowLo, RowHi: rowHi, Grid: grid, Burning: burning})
+			shard, err := ckpt.Encode(slabCkpt{Step: step, RowLo: s.lo, RowHi: s.hi, Grid: grid, Burning: s.burning})
 			if err != nil {
-				return TrialResult{}, err
+				return err
 			}
 			if _, err := ckpt.Save(c, store, shard); err != nil {
-				return TrialResult{}, err
+				return err
 			}
 			sinceSave = 0
 		}
 		sinceSave++
-		steps++
+		return nil
+	})
+}
 
-		// Flat (from, to) pairs, same wire shape as SimulateDomainMPI: the
-		// halo payload stays on the typed fast path / raw TCP framing.
-		var localAttacks, toDown, toUp []int
-		for _, cell := range burning {
-			r, col := cell/cols, cell%cols
-			for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-				nr, nc := r+d[0], col+d[1]
-				if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
-					continue
-				}
-				to := nr*cols + nc
-				switch {
-				case owns(to):
-					localAttacks = append(localAttacks, cell, to)
-				case nr < rowLo:
-					toDown = append(toDown, cell, to)
-				default:
-					toUp = append(toUp, cell, to)
-				}
-			}
-			*at(cell) = stateBurned
-			burnedLocal++
+// restore loads the newest committed checkpoint, re-decomposing its shards
+// (written under a possibly different world size) over this slab by row
+// overlap, and returns the completed step count. It reports false, and
+// leaves the slab untouched, when there is no checkpoint.
+func (s *slab) restore(c *mpi.Comm, store ckpt.Store) (steps int, restored bool, err error) {
+	_, shards, restored, err := ckpt.LoadLatest(c, store)
+	if err != nil || !restored {
+		return 0, false, err
+	}
+	for _, data := range shards {
+		var sc slabCkpt
+		if err := ckpt.Decode(data, &sc); err != nil {
+			return 0, false, err
 		}
-
-		var fromDown, fromUp []int
-		if _, _, err := cart.SendrecvShift(0, tagHalo, toDown, toUp, &fromDown, &fromUp); err != nil {
-			return TrialResult{}, err
+		steps = sc.Step
+		lo, hi := max(s.lo, sc.RowLo), min(s.hi, sc.RowHi)
+		for cell := lo * s.cols; cell < hi*s.cols; cell++ {
+			*s.at(cell) = cellState(sc.Grid[cell-sc.RowLo*s.cols])
 		}
-
-		var next []int
-		apply := func(pairs []int) {
-			for i := 0; i+1 < len(pairs); i += 2 {
-				from, to := pairs[i], pairs[i+1]
-				if !owns(to) {
-					continue
-				}
-				if *at(to) == stateTree && igniteDecision(seed, steps, from, to) < prob {
-					*at(to) = stateBurning
-					next = append(next, to)
-				}
+		for _, cell := range sc.Burning {
+			if s.owns(cell) {
+				s.burning = append(s.burning, cell)
 			}
 		}
-		apply(localAttacks)
-		apply(fromDown)
-		apply(fromUp)
-		burning = next
 	}
-
-	burnedTotal, err := mpi.Allreduce(c, burnedLocal, mpi.Combine[int](mpi.Sum))
-	if err != nil {
-		return TrialResult{}, err
+	// The burned count is derivable from the slab, so shards need not
+	// carry it — recount after the restore (slabs partition the rows, so
+	// each burned cell is counted exactly once across ranks).
+	for _, st := range s.cells {
+		if st == stateBurned {
+			s.burned++
+		}
 	}
-	return TrialResult{
-		BurnedFraction: float64(burnedTotal) / float64(rows*cols),
-		Steps:          steps,
-	}, nil
+	return steps, true, nil
 }

@@ -50,7 +50,7 @@ func TrapezoidShared(f Func, a, b float64, n, numThreads int) (float64, error) {
 	}
 	h := (b - a) / float64(n)
 	sum := shm.ParallelReduceFloat64(min(shm.TeamSize(numThreads), n-1), shm.OpSum, func(tc *shm.ThreadContext) float64 {
-		lo, hi := blockRange(n-1, tc.ThreadNum(), tc.NumThreads())
+		lo, hi := shm.StaticRange(n-1, tc.ThreadNum(), tc.NumThreads())
 		part := 0.0
 		for i := lo; i < hi; i++ {
 			part += f(a + float64(i+1)*h)
@@ -68,7 +68,7 @@ func TrapezoidMPI(c *mpi.Comm, f Func, a, b float64, n int) (float64, error) {
 	if n < 1 {
 		return 0, ErrBadInterval
 	}
-	lo, hi := blockRange(n, c.Rank(), c.Size())
+	lo, hi := shm.StaticRange(n, c.Rank(), c.Size())
 	h := (b - a) / float64(n)
 	local := 0.0
 	c.Compute(func() {
@@ -104,7 +104,7 @@ func MonteCarloPiShared(n int, seed int64, numThreads int) (float64, error) {
 	}
 	nt := shm.TeamSize(numThreads)
 	hits := shm.ParallelReduceInt64(nt, shm.OpSum, func(tc *shm.ThreadContext) int64 {
-		lo, hi := blockRange(n, tc.ThreadNum(), tc.NumThreads())
+		lo, hi := shm.StaticRange(n, tc.ThreadNum(), tc.NumThreads())
 		return countHits(hi-lo, subSeed(seed, tc.ThreadNum()))
 	})
 	return 4 * float64(hits) / float64(n), nil
@@ -116,7 +116,7 @@ func MonteCarloPiMPI(c *mpi.Comm, n int, seed int64) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("integration: need at least 1 dart, got %d", n)
 	}
-	lo, hi := blockRange(n, c.Rank(), c.Size())
+	lo, hi := shm.StaticRange(n, c.Rank(), c.Size())
 	var local int64
 	c.Compute(func() {
 		local = countHits(hi-lo, subSeed(seed, c.Rank()))
@@ -147,18 +147,6 @@ func countHits(n int, seed int64) int64 {
 func subSeed(seed int64, worker int) int64 {
 	const goldenGamma = int64(0x9E3779B97F4A7C15 >> 1)
 	return seed + int64(worker)*goldenGamma
-}
-
-// blockRange computes the contiguous block of [0, n) owned by worker w of k.
-func blockRange(n, w, k int) (lo, hi int) {
-	base := n / k
-	rem := n % k
-	if w < rem {
-		lo = w * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (w-rem)*base
-	return lo, lo + base
 }
 
 // AbsError reports |estimate − π|, the accuracy figure the exemplar prints.

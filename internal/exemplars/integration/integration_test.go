@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mpi"
 )
@@ -184,25 +183,6 @@ func TestMonteCarloErrors(t *testing.T) {
 	}
 	if _, err := MonteCarloPiShared(0, 1, 2); err == nil {
 		t.Fatal("shared n=0 accepted")
-	}
-}
-
-func TestBlockRangePartition(t *testing.T) {
-	prop := func(nRaw uint16, kRaw uint8) bool {
-		n := int(nRaw % 500)
-		k := int(kRaw%9) + 1
-		prev := 0
-		for w := 0; w < k; w++ {
-			lo, hi := blockRange(n, w, k)
-			if lo != prev || hi < lo {
-				return false
-			}
-			prev = hi
-		}
-		return prev == n
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -110,7 +110,7 @@ func AlltoallvInto[T any](c *Comm, send []T, sendCounts []int, recv []T, recvCou
 		return nil
 	}
 	if h := c.hier(); h != nil {
-		return hierAlltoallv(c, h, send, sendCounts, sdis, recv, recvCounts, rdis)
+		return hierAlltoallv(c, h, send, sendCounts, recv, recvCounts)
 	}
 	for step := 1; step < n; step++ {
 		dst, src := (r+step)%n, (r-step+n)%n
@@ -148,17 +148,6 @@ func displs(counts []int) ([]int, int) {
 	return d, total
 }
 
-// nodeMembers lists the communicator ranks on each node, ascending — the
-// same order buildHier used to construct the nodeComms, so index i of
-// members[d] is nodeComm rank i on node d (index 0 the leader).
-func nodeMembers(h *hierState) [][]int {
-	members := make([][]int, len(h.leaders))
-	for r, d := range h.nodeOf {
-		members[d] = append(members[d], r)
-	}
-	return members
-}
-
 // hierAlltoallv is the two-level schedule. Phase 1: each member forwards
 // its whole send buffer and both count vectors to its node leader. Phase 2:
 // each leader, for each destination node, concatenates its members' blocks
@@ -169,9 +158,8 @@ func nodeMembers(h *hierState) [][]int {
 // receive buffer (origin rank ascending, the flat layout) and sends it
 // down. Both sides derive every block size from the gathered count
 // matrices, so no extra size exchange is needed.
-func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdis []int, recv []T, recvCounts []int, rdis []int) error {
-	members := nodeMembers(h)
-	mine := members[h.myNode]
+func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, recv []T, recvCounts []int) error {
+	mine := h.members[h.myNode]
 	nc := h.nodeComm
 
 	// Phase 1: counts up to the leader (both vectors), then the data.
@@ -220,75 +208,59 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 	// from the gathered count matrices.
 	nodes := len(h.leaders)
 	outSize := make([]int, nodes)
-	for i := range mine {
-		for d := 0; d < n; d++ {
-			outSize[h.nodeOf[d]] += scRows[i][d]
-		}
-	}
 	inSize := make([]int, nodes)
 	for i := range mine {
-		for o := 0; o < n; o++ {
-			inSize[h.nodeOf[o]] += rcRows[i][o]
+		for r := 0; r < n; r++ {
+			outSize[h.nodeOf[r]] += scRows[i][r]
+			inSize[h.nodeOf[r]] += rcRows[i][r]
 		}
 	}
 
-	// packAgg builds the aggregate for destination node D: for each origin
-	// member (ascending), its blocks for D's members (ascending).
-	packAgg := func(D int, dst []T) {
-		pos := 0
+	// Pack one aggregate per destination node, in node order: for each
+	// origin member (ascending), its blocks for that node's members
+	// (ascending).
+	_, aggTotal := displs(outSize)
+	aggOut := make([]T, 0, aggTotal)
+	for _, dsts := range h.members {
 		for i := range mine {
-			disp := displs2(scRows[i])
-			for _, d := range members[D] {
-				ct := scRows[i][d]
-				copy(dst[pos:pos+ct], bufs[i][disp[d]:disp[d]+ct])
-				pos += ct
+			disp, _ := displs(scRows[i])
+			for _, d := range dsts {
+				aggOut = append(aggOut, bufs[i][disp[d]:disp[d]+scRows[i][d]]...)
 			}
 		}
 	}
 
-	// Leaders exchange pairwise; the self aggregate never leaves the node.
-	lc := h.leaderComm
-	aggs := make([][]T, nodes) // received aggregates, indexed by origin node
-	aggs[h.myNode] = make([]T, outSize[h.myNode])
-	packAgg(h.myNode, aggs[h.myNode])
-	for step := 1; step < nodes; step++ {
-		D := (h.myNode + step) % nodes
-		S := (h.myNode - step + nodes) % nodes
-		out := make([]T, outSize[D])
-		packAgg(D, out)
-		aggs[S] = make([]T, inSize[S])
-		if err := sparseExchange(lc, D, out, S, aggs[S], ""); err != nil {
-			return err
-		}
+	// Leaders exchange the aggregates with the flat pairwise schedule on
+	// the leader communicator, whose rank d is node d's leader: one message
+	// per node pair, and the self aggregate never leaves the node.
+	_, aggTotal = displs(inSize)
+	aggIn := make([]T, aggTotal) // received aggregates, in origin node order
+	if err := AlltoallvInto(h.leaderComm, aggOut, outSize, aggIn, inSize); err != nil {
+		return err
 	}
 
 	// Phase 3: re-sort into each member's receive buffer. Member i's final
 	// buffer is ordered by origin rank ascending; block (origin o -> member
 	// i) has size rcRows[i][o] and sits at the prefix-sum offset of
-	// rcRows[i][0..o). Within aggregate S the blocks come in the same
-	// canonical (origin asc, dest asc) order packAgg produced.
+	// rcRows[i][0..o). Within each aggregate the blocks come in the same
+	// canonical (origin asc, dest asc) order they were packed in.
 	outBufs := make([][]T, len(mine))
 	posIn := make([][]int, len(mine)) // per member: offset of each origin's block
 	for i := range mine {
-		disp := displs2(rcRows[i])
-		posIn[i] = disp
-		total := 0
-		for _, ct := range rcRows[i] {
-			total += ct
-		}
+		var total int
+		posIn[i], total = displs(rcRows[i])
 		if i == 0 {
 			outBufs[i] = recv
 		} else {
 			outBufs[i] = make([]T, total)
 		}
 	}
-	for S := 0; S < nodes; S++ {
-		agg := aggs[S]
-		pos := 0
-		for _, o := range members[S] {
+	pos := 0
+	for _, origins := range h.members {
+		for _, o := range origins {
 			for i := range mine {
 				ct := rcRows[i][o]
-				copy(outBufs[i][posIn[i][o]:posIn[i][o]+ct], agg[pos:pos+ct])
+				copy(outBufs[i][posIn[i][o]:posIn[i][o]+ct], aggIn[pos:pos+ct])
 				pos += ct
 			}
 		}
@@ -301,10 +273,4 @@ func hierAlltoallv[T any](c *Comm, h *hierState, send []T, sendCounts []int, sdi
 		}
 	}
 	return nil
-}
-
-// displs2 is displs without the total, for the hier bookkeeping loops.
-func displs2(counts []int) []int {
-	d, _ := displs(counts)
-	return d
 }

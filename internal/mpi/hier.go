@@ -53,11 +53,12 @@ const tagHier = -19
 
 // hierState is a communicator's cached two-level topology view.
 type hierState struct {
-	nodeOf     []int // dense node id per communicator rank
-	leaders    []int // communicator rank of each node's leader, indexed by node id
-	myNode     int   // this rank's node id
-	nodeComm   *Comm // this rank's intra-node communicator; leader is rank 0
-	leaderComm *Comm // the leader communicator; nil at non-leaders
+	nodeOf     []int   // dense node id per communicator rank
+	leaders    []int   // communicator rank of each node's leader, indexed by node id
+	members    [][]int // communicator ranks on each node, ascending; index i is nodeComm rank i
+	myNode     int     // this rank's node id
+	nodeComm   *Comm   // this rank's intra-node communicator; leader is rank 0
+	leaderComm *Comm   // the leader communicator; nil at non-leaders
 }
 
 // hier returns the communicator's two-level topology view, or nil when the
@@ -140,7 +141,7 @@ func (c *Comm) buildHier() *hierState {
 		}
 	}
 	my := nodeOf[c.rank]
-	h := &hierState{nodeOf: nodeOf, leaders: leaders, myNode: my}
+	h := &hierState{nodeOf: nodeOf, leaders: leaders, members: members, myNode: my}
 	h.nodeComm = c.derived(c.ctx*64+ctxHierNode, members[my], true)
 	if leaders[my] == c.rank {
 		h.leaderComm = c.derived(c.ctx*64+ctxHierLeaders, leaders, true)

@@ -49,9 +49,9 @@ func disseminationRounds(n int) int {
 
 // segRange is the block decomposition the ring algorithms use: segment i of
 // k over n elements, with the remainder spread one element each over the
-// first n%k segments (the same rule the exemplars' blockRange uses for
-// rows). Segments are contiguous, cover [0, n), and may be empty when
-// n < k.
+// first n%k segments (the same rule as shm.StaticRange, which the exemplars
+// use for their blocks; mpi does not import shm). Segments are contiguous,
+// cover [0, n), and may be empty when n < k.
 func segRange(n, i, k int) (lo, hi int) {
 	base, rem := n/k, n%k
 	lo = i*base + min(i, rem)

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/mpi"
+	"repro/internal/shm"
 )
 
 // The message-passing catalog: Go renderings of the CSinParallel mpi4py
@@ -101,7 +102,7 @@ func init() {
 		Exercise: "Set REPS to 10 with 4 processes: how are the extras assigned?",
 		RunRank: func(w io.Writer, c *mpi.Comm) error {
 			const reps = 8
-			lo, hi := blockRange(reps, c.Rank(), c.Size())
+			lo, hi := shm.StaticRange(reps, c.Rank(), c.Size())
 			for i := lo; i < hi; i++ {
 				fmt.Fprintf(w, "Process %d is performing iteration %d\n", c.Rank(), i)
 			}
@@ -299,17 +300,4 @@ func init() {
 			return c.Send(right, tagToken, token+c.Rank())
 		},
 	})
-}
-
-// blockRange computes the contiguous block of [0, n) owned by rank of size,
-// matching the shm static schedule's arithmetic.
-func blockRange(n, rank, size int) (lo, hi int) {
-	base := n / size
-	rem := n % size
-	if rank < rem {
-		lo = rank * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (rank-rem)*base
-	return lo, lo + base
 }

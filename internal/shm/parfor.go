@@ -53,7 +53,7 @@ func (tc *ThreadContext) forRanges(n int, sched Schedule, chunk func(lo, hi int)
 	}
 	switch sched.Kind {
 	case ScheduleStatic:
-		if lo, hi := staticRange(n, tc.id, tc.team.size); lo < hi {
+		if lo, hi := StaticRange(n, tc.id, tc.team.size); lo < hi {
 			chunk(lo, hi)
 		}
 	case ScheduleStaticCyclic:

@@ -88,7 +88,7 @@ func TestStaticRangePartitionsExactly(t *testing.T) {
 		prevHi := 0
 		total := 0
 		for th := 0; th < threads; th++ {
-			lo, hi := staticRange(n, th, threads)
+			lo, hi := StaticRange(n, th, threads)
 			if lo != prevHi { // ranges must tile [0,n) contiguously
 				return false
 			}
@@ -103,6 +103,15 @@ func TestStaticRangePartitionsExactly(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+	// Fixed inputs the random draw may miss: empty parts (1 row over 8
+	// ranks) and the row counts the forest-fire slabs are tested on.
+	for _, n := range []int{1, 3, 10, 64} {
+		for _, threads := range []int{1, 2, 5, 8} {
+			if !prop(uint16(n), uint8(threads-1)) {
+				t.Fatalf("n=%d threads=%d: ranges do not tile [0,n)", n, threads)
+			}
+		}
+	}
 }
 
 func TestStaticRangeBalance(t *testing.T) {
@@ -111,7 +120,7 @@ func TestStaticRangeBalance(t *testing.T) {
 		for _, threads := range []int{1, 2, 3, 4, 7} {
 			min, max := n+1, -1
 			for th := 0; th < threads; th++ {
-				lo, hi := staticRange(n, th, threads)
+				lo, hi := StaticRange(n, th, threads)
 				size := hi - lo
 				if size < min {
 					min = size

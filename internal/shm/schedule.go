@@ -74,11 +74,12 @@ func (s Schedule) normalizedChunk() int {
 	return s.Chunk
 }
 
-// staticRange computes the half-open iteration range [lo, hi) that the
+// StaticRange computes the half-open iteration range [lo, hi) that the
 // ScheduleStatic schedule assigns to the given thread for a loop of n
 // iterations across numThreads threads. Iterations are split as evenly as
-// possible, with the first n%numThreads threads receiving one extra.
-func staticRange(n, thread, numThreads int) (lo, hi int) {
+// possible, with the first n%numThreads threads receiving one extra. It is
+// also the block partition every message-passing exemplar gives its ranks.
+func StaticRange(n, thread, numThreads int) (lo, hi int) {
 	base := n / numThreads
 	rem := n % numThreads
 	if thread < rem {

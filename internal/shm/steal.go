@@ -148,7 +148,7 @@ func (t *team) loopEnter(n int) *loopState {
 func stealDeques(n, threads int) []stealDeque {
 	deques := make([]stealDeque, threads)
 	for id := range deques {
-		lo, hi := staticRange(n, id, threads)
+		lo, hi := StaticRange(n, id, threads)
 		deques[id].bounds.Store(packRange(lo, hi))
 	}
 	return deques

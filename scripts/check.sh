@@ -159,15 +159,16 @@ named '-race -timeout 180s -count=1' 'TestShm' ./cmd/mpirun/
 # interrupts, a rank whose relaunches run out while the survivors already
 # wait (TestRestored's abandoned row, which wedged when a member could give
 # up alone), and Recover's width over relaunched, gone and departed ranks.
-# The exemplars' full-width respawn runs repeat five times on top of the
-# whole-exemplars pass.
+# The exemplars' full-width respawn runs, their kill rows and the two
+# message-pattern pins that keep those rows' SkipFirst counts aimed repeat
+# five times on top of the whole-exemplars pass.
 named '-race -timeout 240s -count=3' \
   'TestDisconnectFault|TestCorruptFault' ./internal/mpi/
 named '-race -timeout 300s -count=10' \
   'TestSession|TestWireCRC|TestRecvSession|TestRespawn|TestRestored|TestRecoverWidth|TestDisconnectWithoutSuspicion' \
   ./internal/mpi/
 named '-race -timeout 300s -count=5' \
-  'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth' \
+  'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth|TestDomainRecoverKillRank|TestMasterWorkerRecoverKills|TestDomainVariantsMessagePattern|TestMasterWorkerMessagePattern' \
   ./internal/exemplars/drugdesign/ ./internal/exemplars/forestfire/
 named '-race -timeout 240s -count=1' 'TestRespawn' ./cmd/mpirun/
 # The wire decoder, the session's accept path above it, the shm record decoder

@@ -41,9 +41,8 @@
 // world continues at the ORIGINAL width from the last committed checkpoint.
 // The run exits 0 only if every rank of the full-width world finished; a
 // world that had to degrade to shrink-and-continue exits 3. Each rank is
-// relaunched at most three times; then it is gone for good (in-process at
-// once, under -transport procs/shm once -join-timeout passes without its
-// rejoin) and the job falls back to the survivors.
+// relaunched at most three times; then it is gone for good at once, on every
+// transport, and the job falls back to the survivors.
 //
 // -topology NxM places the np ranks blockwise on N modeled nodes of M slots
 // each (rank r lands on node r/M) and publishes the placement to the
@@ -118,12 +117,6 @@ const (
 	exitRank      = verdict.ExitRank
 	exitFormation = verdict.ExitFormation
 )
-
-// maxRespawns bounds how many times -respawn relaunches one rank before
-// abandoning it (mirrors the runtime's own per-rank respawn budget). Under
-// -transport procs/shm the hub then marks the rank gone for good once
-// -join-timeout passes without its rejoin, and the survivors shrink.
-const maxRespawns = 3
 
 // errNotFullWidth marks a -respawn run that finished, but on the shrink
 // fallback rather than at the original width: some rank's relaunch budget
@@ -522,13 +515,15 @@ type procsRecovery struct {
 // process exits non-zero, but the job succeeds if the hub wound down cleanly
 // and at least one survivor finished — the exit-0-on-recovery contract.
 //
-// Under -respawn the launcher additionally supervises the worker processes:
-// a process that dies while the job is still running is relaunched into its
-// old rank slot (at most maxRespawns times), and the relaunch rejoins the
-// hub over TCP (RejoinTCP) — pure TCP even on shm worlds, since a new
-// process shares no segment mapping with the survivors. The job succeeds
-// only if every rank's final incarnation finished: a world that fell back
-// to the survivors returns errNotFullWidth (exit code 3).
+// Under -respawn the hub's supervisor (Hub.Supervise, the relaunch policy
+// of every launcher) relaunches a process that dies while the job is still
+// running into its old rank slot, at most three times, and the relaunch
+// rejoins the hub over TCP (RejoinTCP) — pure TCP even on shm worlds, since
+// a new process shares no segment mapping with the survivors. A rank whose
+// relaunches are spent is marked gone for good at once, so the survivors
+// shrink without waiting out -join-timeout. The job succeeds only if every
+// rank's final incarnation finished: a world that fell back to the survivors
+// returns errNotFullWidth (exit code 3).
 //
 // With shm set the launcher additionally creates a shared-memory segment
 // the workers map as their data plane (-transport shm); the hub and its
@@ -628,43 +623,19 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 		cmds[rank] = cmd
 	}
 
-	rankErrs := make([]error, np)
 	respawns := make([]int, np)
-	if rec.respawn {
-		// Respawn supervision: each rank's waiter relaunches its process
-		// while the job is still running. hub.Done() is the stop signal —
-		// once the world has wound down (cleanly or not), a dead process
-		// stays dead.
-		var wg sync.WaitGroup
-		for rank := 0; rank < np; rank++ {
-			wg.Add(1)
-			go func(rank int, cmd *exec.Cmd) {
-				defer wg.Done()
-				err := cmd.Wait()
-				for attempt := 1; err != nil && attempt <= maxRespawns; attempt++ {
-					select {
-					case <-hub.Done():
-						rankErrs[rank] = err
-						return
-					default:
-					}
-					nc, serr := startRank(rank, true)
-					if serr != nil {
-						rankErrs[rank] = serr
-						return
-					}
-					respawns[rank]++
-					err = nc.Wait()
-				}
-				rankErrs[rank] = err
-			}(rank, cmds[rank])
+	rankErrs := hub.Supervise(rec.respawn, func(rank int, rejoin bool) error {
+		cmd := cmds[rank]
+		if rejoin {
+			nc, err := startRank(rank, true)
+			if err != nil {
+				return err
+			}
+			cmd = nc
+			respawns[rank]++
 		}
-		wg.Wait()
-	} else {
-		for rank, cmd := range cmds {
-			rankErrs[rank] = cmd.Wait()
-		}
-	}
+		return cmd.Wait()
+	})
 
 	okCount := 0
 	var cmdErr error

@@ -30,18 +30,6 @@ func (e *abortError) Error() string        { return "mpi: world aborted: " + e.c
 func (e *abortError) Unwrap() error        { return e.cause }
 func (e *abortError) Is(target error) bool { return target == ErrWorldAborted }
 
-// remoteAbortError is the cause of an abort that arrived over the wire from
-// another process: the originating rank's error survives only as text, so
-// errors.Is identity with the original sentinel is lost but the rank
-// attribution is kept. RunTCP uses the type to tell victims (remote cause)
-// from originators (local cause) when picking which error to report.
-type remoteAbortError struct {
-	rank int // originating world rank; -1 when the hub itself failed
-	msg  string
-}
-
-func (e *remoteAbortError) Error() string { return e.msg }
-
 // abort revokes the world with the given cause (already rank-attributed).
 // The first cause wins; later calls are no-ops. Every mailbox this process
 // holds is poisoned so its blocked and future operations fail immediately.

@@ -177,6 +177,7 @@ var apiSurface = []string{
 	"Hub.Close",
 	"Hub.Done",
 	"Hub.FailedRanks",
+	"Hub.Supervise",
 	"Hub.Wait",
 	"HubFormationTimeout",
 	"HubHeartbeat",

@@ -128,8 +128,11 @@ type abortInfo struct {
 	Gone  bool
 }
 
+// err is the revoke a worker reports for an abort that arrived over the wire
+// from another process: the originating rank's error survives only as its
+// text, which names the rank.
 func (ai abortInfo) err() error {
-	return &abortError{cause: &remoteAbortError{rank: ai.Rank, msg: ai.Msg}}
+	return &abortError{cause: errors.New(ai.Msg)}
 }
 
 // HubOption configures a StartHub.
@@ -854,7 +857,8 @@ func (h *Hub) workerDoneConn(hc *hubConn) {
 // it to the survivors (who interrupt their pending operations), and settles
 // the agreements that were waiting on it. A report from an incarnation a
 // respawn has replaced changes nothing. The formation budget (if any) is
-// how long the rank has to be re-admitted.
+// how long the rank has to be re-admitted: it marks the rank gone when no
+// supervisor does, as when a relaunched process never dials back.
 func (h *Hub) rankFailed(hc *hubConn, msg string) {
 	h.mu.Lock()
 	epoch := h.m.epoch
@@ -869,8 +873,9 @@ func (h *Hub) rankFailed(hc *hubConn, msg string) {
 }
 
 // rankGone marks a rank failed at epoch since gone for good unless it was
-// re-admitted after that (DESIGN.md §5). since < 0 is runHub giving up,
-// possibly ahead of the last incarnation's own report: fail it if need be.
+// re-admitted after that (DESIGN.md §5). since < 0 is the supervisor giving
+// up, possibly ahead of the last incarnation's own report: fail it if need
+// be.
 func (h *Hub) rankGone(rank, since int) {
 	h.mu.Lock()
 	if since < 0 {
@@ -965,10 +970,29 @@ func (h *Hub) FailedRanks() []int {
 }
 
 // Done returns a channel that is closed when the hub has wound the world
-// down, cleanly or on failure. External respawn supervisors (mpirun
-// -respawn with -transport procs) select on it to stop relaunching a dead
-// rank once the job is over.
+// down, cleanly or on failure.
 func (h *Hub) Done() <-chan struct{} { return h.finished }
+
+// Supervise runs the hub's np ranks, one goroutine each, and returns each
+// rank's last error once all have ended. run starts one incarnation of a
+// rank and waits for it to end: JoinTCP or JoinShm for the first, RejoinTCP
+// when rejoin is set (a process launcher starts the process and waits for it
+// to exit). Under respawn (which needs HubRecovery and WithRespawn on the
+// workers) a failed incarnation is relaunched while the world runs, at most
+// three times a rank, and then the hub marks the rank gone for good at once,
+// so the survivors' Recover shrinks without it. It is the relaunch policy
+// RunTCP and RunShm use, and Run's over its in-process ranks.
+func (h *Hub) Supervise(respawn bool, run func(rank int, rejoin bool) error) []error {
+	live := func() bool {
+		select {
+		case <-h.finished:
+			return false
+		default:
+			return true
+		}
+	}
+	return supervise(h.np, respawn, live, func(rank int) { h.rankGone(rank, -1) }, run)
+}
 
 // rankAborted records a worker-reported failure and broadcasts the revoke
 // to every other worker, which poisons their mailboxes. The world still

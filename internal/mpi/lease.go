@@ -296,7 +296,7 @@ func (t *tcpTransport) dispatch(f frame, claimed *waiter, n *atomic.Int64) bool 
 		if err := decodeValue(f.Data, &info); err != nil {
 			info = abortInfo{Rank: -1, Msg: "world aborted (undecodable revoke)"}
 		}
-		w.abort(&remoteAbortError{rank: info.Rank, msg: info.Msg})
+		w.abort(errors.New(info.Msg))
 	case tagFailed:
 		var info abortInfo
 		if err := decodeValue(f.Data, &info); err == nil && w.recov != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,17 +247,50 @@ func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
 
 // respawnLaunchers: respawn recovery must behave identically on the
 // in-process, TCP, and shared-memory transports (shm worlds rejoin the
-// respawned rank over the TCP fallback).
+// respawned rank over the TCP fallback), and through mpirun's process
+// launcher.
 var respawnLaunchers = func() []launcher {
 	ls := []launcher{
 		{"local", Run},
 		{"tcp", RunTCP},
+		{"procs", runSupervised},
 	}
 	if shmSupported {
 		ls = append(ls, launcher{"shm", RunShm})
 	}
 	return ls
 }()
+
+// runSupervised launches a world the way mpirun -transport procs does, with
+// goroutines for the worker processes and only public API: a hub with
+// HubRecovery and no formation timeout, the hub's supervisor, and JoinTCP /
+// RejoinTCP for each incarnation. The respawn bit is mpirun's -respawn flag,
+// read here from the options. The verdict is mpirun's under -recover: the
+// hub's error, else success if any rank finished.
+func runSupervised(np int, main func(c *Comm) error, opts ...Option) error {
+	cfg, err := newConfig(np, opts)
+	if err != nil {
+		return err
+	}
+	hub, err := StartHub("127.0.0.1:0", np, HubRecovery())
+	if err != nil {
+		return err
+	}
+	defer hub.Close()
+	errs := hub.Supervise(cfg.respawn, func(rank int, rejoin bool) error {
+		if rejoin {
+			return RejoinTCP(hub.Addr(), rank, np, main, opts...)
+		}
+		return JoinTCP(hub.Addr(), rank, np, main, opts...)
+	})
+	if err := hub.Wait(); err != nil {
+		return err
+	}
+	if slices.Contains(errs, nil) {
+		return nil
+	}
+	return errors.Join(errs...)
+}
 
 // TestRespawnRestoresFullWidth: a killed rank is relaunched into its old
 // slot; survivors and the newcomer meet in Restored, agree on the restored
@@ -370,7 +404,8 @@ func TestRespawnRacingKills(t *testing.T) {
 //   - departed: rank 2's main returns nil, and the restore agreement counts
 //     it out;
 //   - abandoned: rank 2 fails on every incarnation until the launcher's
-//     relaunches are spent, and the coordinator marks it gone for good.
+//     relaunches are spent (exactly 1 + maxRespawnsPerRank incarnations
+//     run), and the supervisor marks it gone for good at once.
 //
 // Each survivor gets ErrRestoreTimeout naming why, then Recover shrinks both
 // to width 2.
@@ -391,9 +426,11 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
 				var refused sync.WaitGroup
 				refused.Add(2)
+				var incarnations atomic.Int32
 				err := runWithWatchdog(t, 30*time.Second, func() error {
 					return l.run(3, func(c *Comm) error {
 						if c.Rank() == 2 {
+							incarnations.Add(1)
 							if tc.name == "failed-never-respawned" {
 								refused.Wait()
 							}
@@ -416,6 +453,9 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatalf("Restored-then-shrink should recover, got %v", err)
+				}
+				if n := incarnations.Load(); tc.name == "abandoned" && n != 1+maxRespawnsPerRank {
+					t.Fatalf("rank 2 ran %d incarnations, want %d", n, 1+maxRespawnsPerRank)
 				}
 			})
 		}

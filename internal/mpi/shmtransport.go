@@ -383,7 +383,7 @@ func (t *shmTransport) sendLarge(p *shmSendPair, f frame, kind byte, val any, da
 	if p.dead.Load() {
 		return errShmDrop
 	}
-	blkOff, err := t.allocBlock(p, f.Dst, paylen)
+	blkOff, err := t.allocBlock(p, f.Dst, paylen, false)
 	if err != nil {
 		return err
 	}
@@ -442,7 +442,7 @@ func (t *shmTransport) sendChunked(p *shmSendPair, f frame, kind byte, val any, 
 		if rest := paylen - sent; n > rest {
 			n = rest
 		}
-		blkOff, err := t.allocBlock(p, f.Dst, n)
+		blkOff, err := t.allocBlock(p, f.Dst, n, true)
 		if err != nil {
 			return err
 		}
@@ -512,7 +512,14 @@ func (t *shmTransport) reserve(p *shmSendPair, dst int, need uint64) (uint64, ui
 // marching cold across the whole region — on a collective's round cadence
 // this is the difference between L2-resident staging and a 4 MiB working
 // set per pair.
-func (t *shmTransport) allocBlock(p *shmSendPair, dst int, n int) (uint64, error) {
+//
+// The caller holds the pair mutex. A full region waits for the receiver to
+// consume a lent block, and the receiver may be a window service about to
+// send on this very pair (its ack), so a single-block send (held false)
+// waits with the mutex released; it has staged nothing yet, and the pair
+// having failed or been pinned to TCP meanwhile drops the frame. A chunked
+// message holds it throughout: its records must stay consecutive.
+func (t *shmTransport) allocBlock(p *shmSendPair, dst int, n int, held bool) (uint64, error) {
 	largeCap := t.seg.largeCap
 	need := shmAlign16(uint64(n) + shmBlkHdrSize)
 	spins := 0
@@ -550,7 +557,17 @@ func (t *shmTransport) allocBlock(p *shmSendPair, dst int, n int) (uint64, error
 		if t.advanceLargeHead(p) {
 			continue
 		}
-		if err := t.sendWait(p, dst, &spins, &park); err != nil {
+		if !held {
+			p.mu.Unlock()
+		}
+		err := t.sendWait(p, dst, &spins, &park)
+		if !held {
+			p.mu.Lock()
+			if err == nil && (p.dead.Load() || p.mode.Load() == shmPairTCP) {
+				err = errShmDrop
+			}
+		}
+		if err != nil {
 			return 0, err
 		}
 	}

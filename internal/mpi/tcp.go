@@ -577,69 +577,15 @@ func runHub(np int, segPath string, main func(c *Comm) error, opts ...Option) er
 	}
 	defer hub.Close()
 
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	wg.Add(np)
-	for rank := 0; rank < np; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			err := joinHub(hub.Addr(), segPath, rank, np, false, main, opts...)
-			if cfg.respawn {
-				// Respawn supervision: relaunch the dead rank into its old
-				// slot. The rejoin is pure TCP even on shm worlds — a
-				// respawned process shares no segment with the survivors, and
-				// the hub's rejoin broadcast pins the survivors' pairs to it
-				// onto the TCP fallback.
-				for attempt := 1; err != nil && !errors.Is(err, ErrWorldAborted) &&
-					attempt <= maxRespawnsPerRank; attempt++ {
-					select {
-					case <-hub.finished:
-						errs[rank] = err
-						return
-					default:
-					}
-					err = joinHub(hub.Addr(), "", rank, np, true, main, opts...)
-				}
-				if err != nil && !errors.Is(err, ErrWorldAborted) {
-					hub.rankGone(rank, -1) // the relaunches are spent
-				}
-			}
-			errs[rank] = err
-		}(rank)
-	}
-	wg.Wait()
-	hubErr := hub.Wait()
-
-	// Recovery verdict: if the hub wound the world down cleanly and at
-	// least one rank completed, the survivors carried the run to the end —
-	// report success, as Run does.
-	if cfg.recovery && hubErr == nil {
-		for _, e := range errs {
-			if e == nil {
-				return nil
-			}
+	// A relaunch rejoins over pure TCP even on shm worlds: a respawned
+	// process shares no segment with the survivors, and the hub's rejoin
+	// broadcast pins the survivors' pairs to it onto the TCP fallback.
+	errs := hub.Supervise(cfg.respawn, func(rank int, rejoin bool) error {
+		seg := segPath
+		if rejoin {
+			seg = ""
 		}
-	}
-
-	// Prefer the originating failure: a victim's error carries only the
-	// remote description of the cause, while the originator's JoinTCP
-	// return still wraps the rank's own error with errors.Is identity.
-	var victim error
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		var remote *remoteAbortError
-		if errors.As(e, &remote) {
-			if victim == nil {
-				victim = e
-			}
-			continue
-		}
-		return e
-	}
-	if hubErr != nil {
-		return hubErr
-	}
-	return victim
+		return joinHub(hub.Addr(), seg, rank, np, rejoin, main, opts...)
+	})
+	return verdict(errs, hub.Wait(), cfg.recovery)
 }

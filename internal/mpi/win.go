@@ -321,14 +321,30 @@ func (w *Win[T]) directOK(t *winTarget[T], i int) bool {
 
 // lockApply acquires the target's Accumulate lock: the cross-process
 // spinlock word for segment-backed windows, the in-process mutex otherwise.
-func lockApply[T WinElem](t *winTarget[T]) {
-	if t.spin != nil {
-		for !t.spin.CompareAndSwap(0, 1) {
-			runtime.Gosched()
-		}
-		return
+// The word holds its holder's world rank + 1. A process killed holding it
+// never releases it, so the spin ends with the world's abort error, and
+// under recovery it takes over a lock whose holder is failed (the dead
+// holder's fold may be partial, as in any epoch a failure interrupts).
+func (w *Win[T]) lockApply(t *winTarget[T]) error {
+	if t.spin == nil {
+		t.mu.Lock()
+		return nil
 	}
-	t.mu.Lock()
+	world := w.c.world
+	me := uint32(w.c.worldRank(w.c.rank)) + 1
+	for {
+		h := t.spin.Load()
+		if h == 0 || world.recov != nil && world.recov.isFailed(int(h)-1) {
+			if t.spin.CompareAndSwap(h, me) {
+				return nil
+			}
+			continue
+		}
+		if err := world.abortErr(); err != nil {
+			return err
+		}
+		runtime.Gosched()
+	}
 }
 
 func unlockApply[T WinElem](t *winTarget[T]) {
@@ -407,7 +423,9 @@ func (w *Win[T]) Accumulate(target, off int, src []T, op Op) error {
 	}
 	t := w.target(target)
 	if w.directOK(t, target) {
-		lockApply(t)
+		if err := w.lockApply(t); err != nil {
+			return err
+		}
 		opFold[T](op).into(t.direct[off:off+len(src)], src)
 		unlockApply(t)
 		return nil
@@ -569,7 +587,9 @@ func (w *Win[T]) serve() {
 			// The payload wait does run the deadline/recovery checks: the
 			// payload follows its header on the same FIFO, so a stall here
 			// means the origin died between the two frames.
-			lockApply(self)
+			if w.lockApply(self) != nil {
+				return
+			}
 			rerr := recvSegInto(c, src, w.tagData, w.local[op.Off:op.Off+op.N], &scratch, apply, "")
 			unlockApply(self)
 			if rerr != nil {
@@ -586,7 +606,9 @@ func (w *Win[T]) serve() {
 			// Every transport consumes the payload synchronously inside
 			// Send, so replying with a view of the window under the apply
 			// lock is race-free and copy-free.
-			lockApply(self)
+			if w.lockApply(self) != nil {
+				return
+			}
 			_ = c.sendValue(src, w.tagRep, w.local[op.Off:op.Off+op.N])
 			unlockApply(self)
 		case winLock:

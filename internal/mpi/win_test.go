@@ -436,3 +436,166 @@ func TestWinAbortUnblocks(t *testing.T) {
 		t.Fatalf("want the deliberate abort cause, got %v", err)
 	}
 }
+
+// TestWinAccumulateDeadHolder: a process killed while it holds a shm
+// window's Accumulate lock never releases the word, and a direct-path
+// Accumulate on that window must not spin forever. Rank 0 plants rank 1's
+// word as held by rank 2; rank 2 fails once rank 0 is spinning. Without
+// recovery the revoke ends the spin with ErrWorldAborted; under
+// WithRecovery rank 0 takes the lock over from the failed holder, folds,
+// and releases it.
+func TestWinAccumulateDeadHolder(t *testing.T) {
+	skipNoShm(t)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"abort", nil},
+		{"recovery", []Option{WithRecovery()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spinning := make(chan struct{})
+			var accErr error
+			var folded []float64
+			err := runWithWatchdog(t, 10*time.Second, func() error {
+				return RunShm(3, func(c *Comm) error {
+					w, err := WinCreate[float64](c, 4)
+					if err != nil {
+						return err
+					}
+					switch c.Rank() {
+					case 2:
+						<-spinning
+						time.Sleep(20 * time.Millisecond)
+						return errDeliberate
+					case 0:
+						tg := w.target(1)
+						if !w.directOK(tg, 1) || tg.spin == nil {
+							return fmt.Errorf("rank 1's window is not on the shm direct path")
+						}
+						tg.spin.Store(2 + 1) // held by world rank 2
+						close(spinning)
+						accErr = w.Accumulate(1, 0, []float64{1, 1, 1, 1}, Sum)
+						if accErr == nil && tg.spin.Load() != 0 {
+							return fmt.Errorf("lock word %d after Accumulate, want released", tg.spin.Load())
+						}
+					}
+					if tc.opts == nil {
+						err = c.Barrier() // the revoke ends it
+						w.Free()
+						return err
+					}
+					nc, err := c.Recover()
+					if err != nil {
+						return err
+					}
+					if err := nc.Barrier(); err != nil {
+						return err
+					}
+					if c.Rank() == 1 {
+						folded = append(folded, w.Local()...)
+					}
+					w.Free() // its barrier spans the failed rank; the service still stops
+					return nil
+				}, tc.opts...)
+			})
+			if tc.opts == nil {
+				if !errors.Is(accErr, ErrWorldAborted) || !errors.Is(err, errDeliberate) {
+					t.Fatalf("Accumulate = %v, world = %v; want the revoke caused by rank 2", accErr, err)
+				}
+				return
+			}
+			if err != nil || accErr != nil {
+				t.Fatalf("Accumulate = %v, world = %v; want the lock taken over", accErr, err)
+			}
+			if want := []float64{1, 1, 1, 1}; fmt.Sprint(folded) != fmt.Sprint(want) {
+				t.Fatalf("rank 1's window %v after the fold, want %v", folded, want)
+			}
+		})
+	}
+}
+
+// TestWinOversizeShmWindow: a shm window larger than the segment's 8 MiB
+// per-rank window heap is ordinary memory, and every op on it takes the
+// active-message frames. 64 KiB Puts stage as lent rendezvous blocks that
+// only the target's service frees, and that service acks on the pair the
+// origin is sending on: both ranks putting at once must not wedge the
+// staging region.
+func TestWinOversizeShmWindow(t *testing.T) {
+	skipNoShm(t)
+	const blocks, per = 128, 8192 // 128 x 64 KiB
+	err := runWithWatchdog(t, 20*time.Second, func() error {
+		return RunShm(2, func(c *Comm) error {
+			w, err := WinCreate[float64](c, blocks*per)
+			if err != nil {
+				return err
+			}
+			defer w.Free()
+			if w.shmBacked {
+				return fmt.Errorf("a %d-byte window was placed in the segment", blocks*per*8)
+			}
+			src, peer := make([]float64, per), 1-c.Rank()
+			for k := 0; k < blocks; k++ {
+				src[0] = float64(c.Rank()*blocks + k)
+				if err := w.Put(peer, k*per, src); err != nil {
+					return err
+				}
+			}
+			if err := w.Fence(); err != nil {
+				return err
+			}
+			for k := 0; k < blocks; k++ {
+				if got, want := w.Local()[k*per], float64(peer*blocks+k); got != want {
+					return fmt.Errorf("rank %d block %d = %v, want %v", c.Rank(), k, got, want)
+				}
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkWinPutEpoch is one access epoch of RMA's three data paths: at
+// np = 2 each rank Puts 128 blocks of 1 KiB into its peer's window, then
+// Fences. local copies through the in-process registry, shm through the
+// segment, tcp sends every Put as two active-message frames (the path a shm
+// window takes when it does not fit the segment's window heap, too).
+func BenchmarkWinPutEpoch(b *testing.B) {
+	const blocks, per = 128, 128 // 128 float64 = 1 KiB
+	rows := []launcher{{"local", Run}, {"tcp", RunTCP}}
+	if shmSupported {
+		rows = append(rows, launcher{"shm", RunShm})
+	}
+	for _, l := range rows {
+		b.Run(l.name, func(b *testing.B) {
+			err := l.run(2, func(c *Comm) error {
+				w, err := WinCreate[float64](c, blocks*per)
+				if err != nil {
+					return err
+				}
+				defer w.Free()
+				src, peer := make([]float64, per), 1-c.Rank()
+				if c.Rank() == 0 {
+					b.SetBytes(blocks * per * 8)
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < blocks; k++ {
+						if err := w.Put(peer, k*per, src); err != nil {
+							return err
+						}
+					}
+					if err := w.Fence(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,93 +248,100 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	w.typed = true
 	defer t.Close()
 
+	// One incarnation of a rank, with the world-side bookkeeping around it:
+	// a relaunch clears the injected kill and restores the rank to the
+	// membership (its first operation routes it into the program's
+	// Recover + checkpoint-restore path); a rank that returns nil departs;
+	// a failure is recorded (recovery: the survivors are interrupted with a
+	// retryable error and the world lives on) or revokes the world. Victims
+	// of the revoke do not re-abort: they must never displace the cause.
+	start := func(rank int, rejoin bool) error {
+		if rejoin {
+			if w.faults != nil {
+				w.faults.revive(rank)
+			}
+			w.rankRejoined(rank, -1)
+		}
+		err := runRank(w, rank, main)
+		switch {
+		case err == nil:
+			if w.recov != nil {
+				w.rankDeparted(rank)
+			}
+		case errors.Is(err, ErrWorldAborted):
+		case w.recov != nil:
+			w.rankFailed(rank, -1, err)
+		default:
+			w.abort(err)
+			return &abortError{cause: err}
+		}
+		return err
+	}
+	live := func() bool { return w.abortErr() == nil }
+	errs := supervise(np, cfg.respawn, live, w.rankGone, start)
+	return verdict(errs, w.abortErr(), w.recov != nil)
+}
+
+// supervise runs each of np ranks on its own goroutine through start, which
+// runs one incarnation to its end (rejoin: a relaunch into the rank's old
+// slot), and returns each rank's last error. It is the one relaunch policy
+// of every launcher (Run, RunTCP, RunShm, and mpirun through Hub.Supervise):
+// under respawn, an incarnation that failed — neither returned nil nor fell
+// to the world's revoke — is relaunched while live reports the world
+// running, at most maxRespawnsPerRank times; then gone marks the rank gone
+// for good at once, and every survivor's Recover shrinks without it.
+func supervise(np int, respawn bool, live func() bool, gone func(rank int), start func(rank int, rejoin bool) error) []error {
+	failed := func(err error) bool { return err != nil && !errors.Is(err, ErrWorldAborted) }
 	errs := make([]error, np)
 	var wg sync.WaitGroup
 	wg.Add(np)
-	for rank := 0; rank < np; rank++ {
-		go func(rank int) {
+	for rank := range np {
+		go func() {
 			defer wg.Done()
-			err := runRank(w, rank, main)
-			if cfg.respawn {
-				// Respawn supervision: record the failure (interrupting the
-				// survivors), clear any injected kill, restore the rank to
-				// the membership, and relaunch main into the same slot. The
-				// relaunched rank's first operation routes it into the
-				// program's Recover + checkpoint-restore path.
-				for attempt := 1; err != nil && !errors.Is(err, ErrWorldAborted) &&
-					attempt <= maxRespawnsPerRank; attempt++ {
-					w.rankFailed(rank, -1, err)
-					if w.abortErr() != nil {
-						break
-					}
-					if w.faults != nil {
-						w.faults.revive(rank)
-					}
-					w.rankRejoined(rank, -1)
-					err = runRank(w, rank, main)
+			err := start(rank, false)
+			if respawn {
+				for n := 0; failed(err) && n < maxRespawnsPerRank && live(); n++ {
+					err = start(rank, true)
 				}
-			}
-			if err == nil {
-				if w.recov != nil {
-					// The rank returned: agreements stop waiting for it.
-					w.rankDeparted(rank)
+				if failed(err) {
+					gone(rank)
 				}
-				return
 			}
 			errs[rank] = err
-			if errors.Is(err, ErrWorldAborted) {
-				// Victims of the revoke do not re-abort: the cause is
-				// already latched, and they must never displace the
-				// originating error.
-				return
-			}
-			if w.recov != nil {
-				// Recovery mode: a failed rank is recorded, survivors are
-				// interrupted with a retryable error, and the world lives on.
-				// Under respawn the relaunches are spent: it is gone for good.
-				w.rankFailed(rank, -1, err)
-				if cfg.respawn {
-					w.rankGone(rank)
-				}
-				return
-			}
-			w.abort(err)
-		}(rank)
+		}()
 	}
 	wg.Wait()
-	// Recovery verdict: the run succeeded if the world was never revoked
-	// and at least one rank completed — the survivors carried the
-	// computation to the end; the failed ranks are the expected cost.
-	if w.recov != nil && w.abortErr() == nil {
-		for _, e := range errs {
-			if e == nil {
-				return nil
-			}
-		}
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
+	return errs
+}
+
+// verdict picks the error a launcher returns from its ranks' last errors and
+// the world's own (nil when it wound down cleanly). A recovery world that
+// wound down cleanly with a rank finished succeeded: the survivors carried
+// the computation to the end, the failed ranks are the expected cost.
+// Otherwise the lowest-ranked originator wins, deterministically (the abort
+// latch is first-wins, a race when several ranks fail independently), then
+// the world's error, then the lowest-ranked victim. A victim's error carries
+// the revoke that reached it (ErrWorldAborted inside the rank's wrapping); an
+// originator's is its own failure, a bare *abortError when it revoked the
+// world, as Run's ranks and joinHub return it.
+func verdict(errs []error, worldErr error, recovery bool) error {
+	if recovery && worldErr == nil && slices.Contains(errs, nil) {
+		return nil
 	}
-	// Report the lowest-ranked originator, deterministically: the abort
-	// latch is first-wins (a race when several ranks fail independently),
-	// but errs remembers every rank's own failure, and victims of the
-	// revoke are distinguishable by the ErrWorldAborted identity.
+	var victim error
 	for _, e := range errs {
-		if e != nil && !errors.Is(e, ErrWorldAborted) {
-			return &abortError{cause: e}
-		}
-	}
-	if err := w.abortErr(); err != nil {
-		return err
-	}
-	for _, e := range errs {
-		if e != nil {
+		switch _, own := e.(*abortError); {
+		case e == nil:
+		case own || !errors.Is(e, ErrWorldAborted):
 			return e
+		case victim == nil:
+			victim = e
 		}
 	}
-	return nil
+	if worldErr != nil {
+		return worldErr
+	}
+	return victim
 }
 
 // runRank executes one rank's main, converting a panic to a rank-attributed

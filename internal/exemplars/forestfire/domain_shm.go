@@ -4,9 +4,9 @@ import (
 	"repro/internal/shm"
 )
 
-// attack is one ignition attempt crossing (or staying within) a slab. Only
-// the shared-memory variant keeps the struct form: its batches never leave
-// the process, so there is nothing to serialize. The MPI variants flatten
+// attack is one ignition attempt crossing a slab boundary. Only the
+// shared-memory variant keeps the struct form: its batches never leave the
+// process, so there is nothing to serialize. The MPI variants flatten
 // attempts to []int pairs so the halo exchange rides the typed fast path
 // and the raw wire framing (see domain.go).
 type attack struct {
@@ -21,17 +21,18 @@ type attack struct {
 //
 // Each thread owns a contiguous slab of rows and is the only writer of its
 // slab's cells. A step runs in two phases separated by team barriers. In the
-// generation phase each thread walks its own burning front and produces
-// ignition attempts; attempts against its own slab go to a private list,
-// and attempts crossing a slab boundary are appended to a per-(source,
+// generation phase each thread walks its own burning front and, as
+// SimulateHash does, decides every attempt against its own slab at once;
+// attempts crossing a slab boundary are appended to a per-(source,
 // destination) outbox batch — the halo exchange is one batch handed over
 // per worker pair per step, not a synchronization per cell. In the apply
-// phase each thread applies the attempts addressed to it (its own plus
-// every other thread's outbox row for it); because ignition decisions are
-// the counter-based hash of (seed, step, from, to), the outcome is
-// independent of apply order and the result is identical to SimulateHash
-// for the same arguments, for any thread count.
+// phase each thread applies every other thread's outbox row for it. A tree
+// ignites when any attacker's hash of (seed, step, from, to) falls below
+// prob, so the outcome is independent of the order attempts are decided in
+// and the result is identical to SimulateHash for the same arguments, for
+// any thread count.
 //
+// Before the first barrier a thread reads and writes only its own cells.
 // Only the slice-length reads at the termination check and the outbox reads
 // in the apply phase cross thread boundaries, and both are ordered by the
 // barriers, so the simulation is race-free without a single atomic or lock
@@ -57,11 +58,12 @@ func SimulateHashShared(rows, cols int, prob float64, seed int64, numThreads int
 		return rem + (r-rem*(base+1))/base
 	}
 
-	// Per-thread fronts and attempt batches. burning[t] and locals[t] are
-	// written only by thread t; outbox[t][u] is written only by t and read
-	// only by u, on opposite sides of a barrier.
+	// Per-thread fronts and attempt batches. burning[t] and spare[t] (the
+	// buffer the next front is built in) are written only by thread t;
+	// outbox[t][u] is written only by t and read only by u, on opposite
+	// sides of a barrier.
 	burning := make([][]int, nt)
-	locals := make([][]attack, nt)
+	spare := make([][]int, nt)
 	outbox := make([][][]attack, nt)
 	for t := 0; t < nt; t++ {
 		outbox[t] = make([][]attack, nt)
@@ -73,6 +75,13 @@ func SimulateHashShared(rows, cols int, prob float64, seed int64, numThreads int
 		me := tc.ThreadNum()
 		var burnedLocal int64
 		mySteps := 0
+		ignite := func(next []int, from, to int) []int {
+			if grid[to] == stateTree && igniteDecision(seed, mySteps, from, to) < prob {
+				grid[to] = stateBurning
+				next = append(next, to)
+			}
+			return next
+		}
 		for {
 			// Termination: every thread computes the same total over the
 			// fronts published before the previous barrier, so all threads
@@ -86,12 +95,13 @@ func SimulateHashShared(rows, cols int, prob float64, seed int64, numThreads int
 			}
 			mySteps++
 
-			// Generation phase: burn own front, batch up attempts.
+			// Generation phase: burn own front, ignite own cells, batch up
+			// the attempts on other slabs.
 			out := outbox[me]
 			for t := range out {
 				out[t] = out[t][:0]
 			}
-			mine := locals[me][:0]
+			next := spare[me][:0]
 			for _, cell := range burning[me] {
 				r, c := cell/cols, cell%cols
 				for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
@@ -99,38 +109,26 @@ func SimulateHashShared(rows, cols int, prob float64, seed int64, numThreads int
 					if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
 						continue
 					}
-					a := attack{From: cell, To: nr*cols + nc}
 					if owner := ownerOfRow(nr); owner == me {
-						mine = append(mine, a)
+						next = ignite(next, cell, nr*cols+nc)
 					} else {
-						out[owner] = append(out[owner], a)
+						out[owner] = append(out[owner], attack{From: cell, To: nr*cols + nc})
 					}
 				}
 				grid[cell] = stateBurned
 				burnedLocal++
 			}
-			locals[me] = mine
 			tc.Barrier()
 
-			// Apply phase: every attempt addressed to this slab, own batch
-			// first, then each neighbour's outbox row for us. The hash makes
-			// the outcome order-independent.
-			next := burning[me][:0]
-			apply := func(as []attack) {
-				for _, a := range as {
-					if grid[a.To] == stateTree && igniteDecision(seed, mySteps, a.From, a.To) < prob {
-						grid[a.To] = stateBurning
-						next = append(next, a.To)
+			// Apply phase: each neighbour's outbox row for this slab.
+			for t := 0; t < nt; t++ {
+				if t != me {
+					for _, a := range outbox[t][me] {
+						next = ignite(next, a.From, a.To)
 					}
 				}
 			}
-			apply(locals[me])
-			for t := 0; t < nt; t++ {
-				if t != me {
-					apply(outbox[t][me])
-				}
-			}
-			burning[me] = next
+			spare[me], burning[me] = burning[me], next
 			tc.Barrier()
 		}
 		if me == 0 {

@@ -4,14 +4,17 @@ import "testing"
 
 // TestSimulateHashSharedMatchesSequential pins the shared-memory domain
 // decomposition against the sequential hash-based reference, cell count and
-// step count, across thread counts including more threads than rows (the
-// surplus threads own empty slabs).
+// step count, across spread probabilities from a fire that dies at once to
+// one that crosses every slab boundary, and across thread counts including
+// more threads than rows (the surplus threads own empty slabs). Own-slab
+// attempts are decided in the generation pass and cross-slab ones after the
+// barrier, so the grid and thread counts put cells under attack from both.
 func TestSimulateHashSharedMatchesSequential(t *testing.T) {
 	const rows, cols = 15, 17
-	for _, prob := range []float64{0.1, 0.45, 0.9} {
+	for _, prob := range []float64{0.1, 0.3, 0.45, 0.55, 0.7, 0.9} {
 		for _, seed := range []int64{3, 44} {
 			want := SimulateHash(rows, cols, prob, seed)
-			for _, nt := range []int{1, 2, 3, 5, 8, rows + 4} {
+			for _, nt := range []int{1, 2, 3, 4, 5, 7, 8, rows + 4} {
 				got := SimulateHashShared(rows, cols, prob, seed, nt)
 				if got != want {
 					t.Errorf("SimulateHashShared(prob=%g, seed=%d, nt=%d) = %+v, want %+v",

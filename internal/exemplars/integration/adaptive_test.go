@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestAdaptiveSimpsonKnownIntegrals(t *testing.T) {
@@ -38,6 +39,12 @@ func TestAdaptiveSimpsonKnownIntegrals(t *testing.T) {
 // unevenly, which makes the task tree irregular.
 func oscillating(x float64) float64 { return math.Sin(1 / x) }
 
+func peak(x float64) float64 { return 1 / (1e-4 + x*x) }
+
+// TestAdaptiveSimpsonSharedMatchesSequential holds the task form bit-equal
+// to the sequential recursion on integrands whose work the spawn rule puts
+// in different places: none spawns at all (sin(1/x) at 1e-8), a few dozen
+// spawns (the smooth, damped row), about 1 500 (sin(1/x) at 1e-12).
 func TestAdaptiveSimpsonSharedMatchesSequential(t *testing.T) {
 	rows := []struct {
 		name string
@@ -47,13 +54,18 @@ func TestAdaptiveSimpsonSharedMatchesSequential(t *testing.T) {
 	}{
 		{"sin10x", func(x float64) float64 { return math.Sin(10*x) / (0.1 + x*x) }, -2, 3, 1e-9},
 		{"gate", oscillating, 0.001, 1, 1e-10},
+		{"oscillating-1e-8", oscillating, 0.001, 1, 1e-8},
+		{"oscillating-1e-12", oscillating, 0.001, 1, 1e-12},
+		{"peak-1e-10", peak, -1, 1, 1e-10},
+		{"peak-1e-12", peak, -1, 1, 1e-12},
+		{"damped-1e-12", func(x float64) float64 { return math.Sqrt(x) * math.Sin(x) * math.Exp(-x) }, 0, 20, 1e-12},
 	}
 	for _, row := range rows {
 		want, err := AdaptiveSimpson(row.f, row.a, row.b, row.tol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, threads := range []int{1, 2, 4, 8} {
+		for _, threads := range []int{1, 2, 3, 4, 8} {
 			got, err := AdaptiveSimpsonShared(row.f, row.a, row.b, row.tol, threads)
 			if err != nil {
 				t.Fatal(err)
@@ -66,6 +78,29 @@ func TestAdaptiveSimpsonSharedMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestAdaptiveSimpsonSharedAllocations pins what the gate's call allocates.
+// A spawn costs two objects (the task's closure and the spawned half's group
+// and result), and the error rule spawns 315 times on this integrand; the
+// fixed depth-9 cutoff with three objects a spawn allocated 804.
+func TestAdaptiveSimpsonSharedAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const ceiling = 804
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := AdaptiveSimpsonShared(oscillating, 0.001, 1, 1e-10, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("AdaptiveSimpsonShared allocated %.0f objects a call, want at most %d", allocs, ceiling)
+	}
+	t.Logf("%.0f objects a call", allocs)
 }
 
 // BenchmarkAdaptiveSimpsonShared times the task-parallel exemplar on the
@@ -83,19 +118,49 @@ func BenchmarkAdaptiveSimpsonShared(b *testing.B) {
 	}
 }
 
+// TestAdaptiveSimpsonTolerance: a tolerance that is not positive is
+// rejected, NaN included, and an integrand that is NaN everywhere returns
+// NaN at once. Without the NaN checks both fail every stop test and recurse
+// to the depth bound on every branch, about 2⁴⁰ nodes.
 func TestAdaptiveSimpsonTolerance(t *testing.T) {
-	if _, err := AdaptiveSimpson(QuarterCircle, 0, 1, 0); !errors.Is(err, ErrBadTolerance) {
-		t.Fatalf("tol=0 err = %v", err)
+	nan := func(float64) float64 { return math.NaN() }
+	rows := []struct {
+		name    string
+		run     func() (float64, error)
+		wantErr error
+	}{
+		{"tol=0", func() (float64, error) { return AdaptiveSimpson(QuarterCircle, 0, 1, 0) }, ErrBadTolerance},
+		{"shared tol<0", func() (float64, error) { return AdaptiveSimpsonShared(QuarterCircle, 0, 1, -1, 2) }, ErrBadTolerance},
+		{"tol=NaN", func() (float64, error) { return AdaptiveSimpson(QuarterCircle, 0, 1, math.NaN()) }, ErrBadTolerance},
+		{"shared tol=NaN", func() (float64, error) { return AdaptiveSimpsonShared(QuarterCircle, 0, 1, math.NaN(), 2) }, ErrBadTolerance},
+		{"NaN integrand", func() (float64, error) { return AdaptiveSimpson(nan, 0, 1, 1e-10) }, nil},
+		{"shared NaN integrand", func() (float64, error) { return AdaptiveSimpsonShared(nan, 0, 1, 1e-10, 2) }, nil},
 	}
-	if _, err := AdaptiveSimpsonShared(QuarterCircle, 0, 1, -1, 2); !errors.Is(err, ErrBadTolerance) {
-		t.Fatalf("shared tol<0 err = %v", err)
+	for _, row := range rows {
+		done := make(chan struct{})
+		var got float64
+		var err error
+		go func() {
+			got, err = row.run()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10 s", row.name)
+		}
+		if !errors.Is(err, row.wantErr) {
+			t.Errorf("%s: err = %v, want %v", row.name, err, row.wantErr)
+		}
+		if row.wantErr == nil && !math.IsNaN(got) {
+			t.Errorf("%s: got %g, want NaN", row.name, got)
+		}
 	}
 }
 
 func TestAdaptiveBeatsFixedGridOnPeaks(t *testing.T) {
 	// For a sharp peak, adaptive Simpson at modest tolerance is more
 	// accurate than a 10k-point trapezoid.
-	peak := func(x float64) float64 { return 1 / (1e-4 + x*x) }
 	want := 2 / 1e-2 * math.Atan(1/1e-2)
 
 	adaptive, err := AdaptiveSimpson(peak, -1, 1, 1e-8)

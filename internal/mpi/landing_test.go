@@ -468,7 +468,7 @@ func TestLandingMatchesAsDeliverDoes(t *testing.T) {
 	}
 }
 
-// TestLandingDeadlineWaitsForTheRead is the ROADMAP 2g edge on the wire: the
+// TestLandingDeadlineWaitsForTheRead pins a documented edge on the wire: the
 // world's deadline passes while a claimed receive's payload is held half read.
 // The receive neither reports nor returns while its destination is being
 // written, and when the rest arrives it has its message: a frame handed over

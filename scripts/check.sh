@@ -87,10 +87,12 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 # The team scheduler's interleavings, fifty fresh runs: barriers as task
 # scheduling points, the one deque's newest/oldest takes, a panicking task
-# retiring, and the adaptive exemplar bit-equal at every team size.
+# retiring, the adaptive exemplar bit-equal at every team size, and the
+# forest fire's slabs bit-equal with own-slab ignitions decided before the
+# barrier and cross-slab ones after it.
 named '-race -timeout 120s -count=50' \
-  'TestSingleBarrierRunsTasks|TestTask|TestNestedTaskGroups|TestFibonacciWithTaskGroups|TestBarrier|TestAdaptiveSimpsonSharedMatchesSequential' \
-  ./internal/shm/ ./internal/exemplars/integration/
+  'TestSingleBarrierRunsTasks|TestTask|TestNestedTaskGroups|TestFibonacciWithTaskGroups|TestBarrier|TestAdaptiveSimpsonSharedMatchesSequential|TestSimulateHashSharedMatchesSequential' \
+  ./internal/shm/ ./internal/exemplars/integration/ ./internal/exemplars/forestfire/
 
 # The whole tree is held to gofmt: any name printed fails.
 test -z "$(gofmt -l .)"
@@ -212,5 +214,8 @@ go test -race -timeout 180s -count=1 ./internal/sched/
 
 # Benchmark smoke pass: one iteration of every benchmark, so a refactor that
 # breaks a benchmark body fails the gate instead of being discovered when
-# someone next profiles with it.
-go test -run '^$' -bench . -benchtime 1x -timeout 300s ./internal/shm/ ./internal/exemplars/...
+# someone next profiles with it. Without the race detector, so the adaptive
+# exemplar's allocation pin (skipped in every -race pass above) runs fresh
+# here too.
+named '-bench . -benchtime 1x -timeout 300s' '^TestAdaptiveSimpsonSharedAllocations$' \
+  ./internal/shm/ ./internal/exemplars/...

@@ -27,22 +27,19 @@
 // rank that cannot map the segment (a remote host, say) falls back to TCP
 // for its pairs.
 //
-// With -recover the world runs in survive-and-continue mode (ULFM-style):
-// the forestfire and drugdesign programs switch to their checkpoint-restart
-// variants, a rank killed by -kill-rank/-kill-after is shrunk out of the
-// world instead of poisoning it, and a recovered run exits 0 — no respawn,
-// the survivors finish the job. -ckpt points the checkpoint store at a
-// directory (required state for -transport procs; in-memory otherwise).
-//
-// With -respawn (mutually exclusive with -recover) a failed rank is instead
-// relaunched into its old slot: the launcher restarts the dead rank (a new
-// goroutine in-process, a new OS process under -transport procs/shm, which
-// rejoins the hub over TCP), the survivors wait in Comm.Recover, and the
-// world continues at the ORIGINAL width from the last committed checkpoint.
-// The run exits 0 only if every rank of the full-width world finished; a
-// world that had to degrade to shrink-and-continue exits 3. Each rank is
-// relaunched at most three times; then it is gone for good at once, on every
-// transport, and the job falls back to the survivors.
+// -recover and -respawn (mutually exclusive) run the world in
+// survive-and-continue mode (ULFM-style): the forestfire, drugdesign and
+// pagerank programs switch to their checkpoint-restart variants, and a rank
+// killed by -kill-rank/-kill-after no longer poisons the world. The two
+// differ only in the relaunch budget. Under -recover it is 0: the rank is
+// gone at its failure, the survivors shrink past it, and a recovered run
+// exits 0. Under -respawn the launcher relaunches the dead rank into its
+// old slot up to three times (a new goroutine in-process, a new OS process
+// under -transport procs/shm, which rejoins the hub over TCP), and the world
+// continues at the ORIGINAL width from the last committed checkpoint; a
+// world that had to fall back to the survivors exits 3. -ckpt points the
+// checkpoint store at a directory (required state for -transport procs;
+// in-memory otherwise).
 //
 // -topology NxM places the np ranks blockwise on N modeled nodes of M slots
 // each (rank r lands on node r/M) and publishes the placement to the
@@ -95,8 +92,7 @@ const (
 	envNP        = "MPIRUN_NP"
 	envProg      = "MPIRUN_PROG"
 	envDeadline  = "MPIRUN_DEADLINE"
-	envRecover   = "MPIRUN_RECOVER"
-	envRespawn   = "MPIRUN_RESPAWN"
+	envRecover   = "MPIRUN_RECOVER" // the recovery mode: modeRecover or modeRespawn
 	envRejoin    = "MPIRUN_REJOIN"
 	envCkpt      = "MPIRUN_CKPT"
 	envCkptEvery = "MPIRUN_CKPT_EVERY"
@@ -193,41 +189,29 @@ func main() {
 		opts = append(opts, mpi.WithDeadline(*deadline))
 	}
 	if *killRank >= 0 {
-		if *respawnFlag {
-			// One-shot rule: the kill takes down the victim's first
-			// incarnation and must not fire again on the relaunch.
-			opts = append(opts, mpi.WithFaults(respawnKillPlan(*killRank, *killAfter)))
-		} else {
-			opts = append(opts, mpi.WithFaults(killPlan(*killRank, *killAfter)))
-		}
+		opts = append(opts, mpi.WithFaults(killPlan(*killRank, *killAfter)))
 	}
 
+	mode := ""
+	switch {
+	case *recoverFlag:
+		mode = modeRecover
+	case *respawnFlag:
+		mode = modeRespawn
+	}
+	procs := *transport == "procs" || *transport == "shm"
 	var body func(c *mpi.Comm) error
 	var err error
 	switch {
-	case *recoverFlag || *respawnFlag:
-		if *transport == "procs" || *transport == "shm" {
-			exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, *transport == "shm", *topology, *hier, procsRecovery{
-				on:        true,
-				respawn:   *respawnFlag,
-				ckptDir:   *ckptDir,
-				ckptEvery: *ckptEvery,
-				killRank:  *killRank,
-				killAfter: *killAfter,
-			}))
-			return
-		}
+	case mode != "" && procs: // each worker process resolves its own body
+	case mode != "":
 		store, serr := chooseStore(*ckptDir)
 		if serr != nil {
 			fmt.Fprintln(os.Stderr, "mpirun:", serr)
 			os.Exit(exitLauncher)
 		}
-		if *respawnFlag {
-			opts = append(opts, mpi.WithRespawn())
-		} else {
-			opts = append(opts, mpi.WithRecovery())
-		}
-		body, err = recoverBody(prog, *respawnFlag, store, *ckptEvery)
+		opts = append(opts, recoveryOption(mode))
+		body, err = recoverBody(prog, mode == modeRespawn, store, *ckptEvery)
 	default:
 		body, err = resolveProgram(prog)
 	}
@@ -236,42 +220,40 @@ func main() {
 		os.Exit(exitLauncher)
 	}
 
-	switch *transport {
-	case "local":
-		if *platform != "" {
-			plat, err := cluster.Lookup(*platform)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpirun:", err)
-				os.Exit(exitLauncher)
-			}
-			err = plat.Launch(*np, body, opts...)
-			exitOn(err)
-			return
-		}
-		if *respawnFlag {
-			exitOn(runRespawn(mpi.Run, *np, body, opts))
-			return
-		}
-		exitOn(mpi.Run(*np, body, opts...))
-	case "tcp":
+	launch := mpi.Run
+	switch {
+	case procs:
+		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, *transport == "shm", *topology, *hier, procsRecovery{
+			mode:      mode,
+			ckptDir:   *ckptDir,
+			ckptEvery: *ckptEvery,
+			killRank:  *killRank,
+			killAfter: *killAfter,
+		}))
+		return
+	case *transport == "tcp":
 		hubOpts := []mpi.HubOption{mpi.HubFormationTimeout(*joinTimeout)}
 		if *suspicion > 0 {
 			hubOpts = append(hubOpts, mpi.HubSuspicion(*suspicion))
 		}
 		opts = append(opts, mpi.WithHubOptions(hubOpts...))
-		if *respawnFlag {
-			exitOn(runRespawn(mpi.RunTCP, *np, body, opts))
-			return
-		}
-		exitOn(mpi.RunTCP(*np, body, opts...))
-	case "procs":
-		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, false, *topology, *hier, procsRecovery{}))
-	case "shm":
-		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, true, *topology, *hier, procsRecovery{}))
-	default:
+		launch = mpi.RunTCP
+	case *transport != "local":
 		fmt.Fprintf(os.Stderr, "mpirun: unknown transport %q\n", *transport)
 		os.Exit(exitUsage)
+	case *platform != "":
+		plat, err := cluster.Lookup(*platform)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mpirun:", err)
+			os.Exit(exitLauncher)
+		}
+		launch = plat.Launch
 	}
+	if mode == modeRespawn {
+		exitOn(runRespawn(launch, *np, body, opts))
+		return
+	}
+	exitOn(launch(*np, body, opts...))
 }
 
 // runRespawn launches a respawn-mode world in-process and enforces the
@@ -310,22 +292,17 @@ func parseTopology(spec string, np int) ([]int, error) { return verdict.ParseTop
 
 func parseHier(s string) (mpi.HierMode, error) { return verdict.ParseHier(s) }
 
-// killPlan builds the seeded single-victim fault plan of -kill-rank.
+// killPlan builds the seeded single-victim fault plan of -kill-rank. The
+// rule fires once: it takes down the victim's first incarnation, and under
+// -respawn the relaunch re-enters the world with the rule spent, so it is
+// not deterministically re-killed.
 func killPlan(rank, after int) mpi.FaultPlan {
 	return mpi.FaultPlan{Seed: 1, Rules: []mpi.FaultRule{{
 		Src: rank, Dst: mpi.AnySource, Tag: mpi.AnyTag,
 		SkipFirst: after,
+		Count:     1,
 		Action:    mpi.FaultKillRank,
 	}}}
-}
-
-// respawnKillPlan is killPlan capped at one firing: under -respawn the
-// victim's relaunched incarnation re-enters the same world with the rule
-// already spent, so the respawn is not deterministically re-killed.
-func respawnKillPlan(rank, after int) mpi.FaultPlan {
-	p := killPlan(rank, after)
-	p.Rules[0].Count = 1
-	return p
 }
 
 // chooseStore picks the checkpoint store for in-process transports: shared
@@ -496,11 +473,25 @@ func resolveProgram(name string) (func(c *mpi.Comm) error, error) {
 	}
 }
 
+// The recovery modes, as worker processes read them from envRecover:
+// -recover's relaunch budget of 0, or -respawn's.
+const (
+	modeRecover = "recover"
+	modeRespawn = "respawn"
+)
+
+// recoveryOption is the world option of a recovery mode.
+func recoveryOption(mode string) mpi.Option {
+	if mode == modeRespawn {
+		return mpi.WithRespawn()
+	}
+	return mpi.WithRecovery()
+}
+
 // procsRecovery carries the -recover/-respawn configuration into runProcs.
-// The zero value means a plain (non-recovery) job.
+// The zero value (no mode) means a plain (non-recovery) job.
 type procsRecovery struct {
-	on        bool
-	respawn   bool
+	mode      string // modeRecover, modeRespawn, or "" for a plain job
 	ckptDir   string
 	ckptEvery int
 	killRank  int
@@ -510,20 +501,18 @@ type procsRecovery struct {
 // runProcs starts a hub and one OS process per rank (re-executing this
 // binary in worker mode), then waits for the job. The hub's error is
 // authoritative when the world fails: it names the failing or missing rank,
-// where a worker's exit status only says that its process died. Under
-// -recover the hub runs in survive-and-continue mode: a killed worker's
-// process exits non-zero, but the job succeeds if the hub wound down cleanly
-// and at least one survivor finished — the exit-0-on-recovery contract.
+// where a worker's exit status only says that its process died.
 //
-// Under -respawn the hub's supervisor (Hub.Supervise, the relaunch policy
-// of every launcher) relaunches a process that dies while the job is still
-// running into its old rank slot, at most three times, and the relaunch
-// rejoins the hub over TCP (RejoinTCP) — pure TCP even on shm worlds, since
-// a new process shares no segment mapping with the survivors. A rank whose
-// relaunches are spent is marked gone for good at once, so the survivors
-// shrink without waiting out -join-timeout. The job succeeds only if every
-// rank's final incarnation finished: a world that fell back to the survivors
-// returns errNotFullWidth (exit code 3).
+// Under -recover and -respawn the hub runs in survive-and-continue mode and
+// its supervisor (Hub.Supervise, the relaunch policy of every launcher)
+// spends the relaunch budget: -respawn relaunches a process that dies while
+// the job runs into its old rank slot, at most three times, over plain TCP
+// (RejoinTCP: a new process shares no shm segment with the survivors);
+// -recover relaunches none. A rank whose budget is spent is gone for good
+// at once, so the survivors shrink without waiting out -join-timeout. A
+// -recover job succeeds if the hub wound down cleanly and a survivor
+// finished; a -respawn job only if every rank's last incarnation finished,
+// else it returns errNotFullWidth (exit code 3).
 //
 // With shm set the launcher additionally creates a shared-memory segment
 // the workers map as their data plane (-transport shm); the hub and its
@@ -543,7 +532,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 	if suspicion > 0 {
 		hubOpts = append(hubOpts, mpi.HubSuspicion(suspicion))
 	}
-	if rec.on {
+	if rec.mode != "" {
 		hubOpts = append(hubOpts, mpi.HubRecovery())
 		if rec.ckptDir == "" {
 			// Separate processes need a shared store; default to a temp dir.
@@ -586,13 +575,9 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 		if segPath != "" && !rejoin {
 			cmd.Env = append(cmd.Env, envShmSeg+"="+segPath)
 		}
-		if rec.on {
-			mode := envRecover
-			if rec.respawn {
-				mode = envRespawn
-			}
+		if rec.mode != "" {
 			cmd.Env = append(cmd.Env,
-				mode+"=1",
+				envRecover+"="+rec.mode,
 				envCkpt+"="+rec.ckptDir,
 				envCkptEvery+"="+strconv.Itoa(rec.ckptEvery),
 			)
@@ -624,7 +609,8 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 	}
 
 	respawns := make([]int, np)
-	rankErrs := hub.Supervise(rec.respawn, func(rank int, rejoin bool) error {
+	respawn := rec.mode == modeRespawn
+	rankErrs := hub.Supervise(respawn, func(rank int, rejoin bool) error {
 		cmd := cmds[rank]
 		if rejoin {
 			nc, err := startRank(rank, true)
@@ -651,7 +637,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 	if err := hub.Wait(); err != nil {
 		return err
 	}
-	if rec.respawn {
+	if respawn {
 		// Full-width contract: every rank's final incarnation must have
 		// finished, respawned or not.
 		if okCount == np {
@@ -666,7 +652,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 		}
 		return fmt.Errorf("%w: %d/%d processes finished", errNotFullWidth, okCount, np)
 	}
-	if rec.on && okCount > 0 {
+	if rec.mode != "" && okCount > 0 {
 		if failed := hub.FailedRanks(); len(failed) > 0 {
 			fmt.Printf("mpirun: recovered from failed rank(s) %v; %d/%d processes finished\n", failed, okCount, np)
 		}
@@ -703,30 +689,22 @@ func workerMode() error {
 		}
 		opts = append(opts, mpi.WithHierarchy(mode))
 	}
-	respawnWorld := os.Getenv(envRespawn) != ""
+	mode := os.Getenv(envRecover)
 	var body func(c *mpi.Comm) error
-	if os.Getenv(envRecover) != "" || respawnWorld {
+	if mode != "" {
 		store, serr := ckpt.NewFileStore(os.Getenv(envCkpt))
 		if serr != nil {
 			return serr
 		}
 		every, _ := strconv.Atoi(os.Getenv(envCkptEvery))
-		body, err = recoverBody(os.Getenv(envProg), respawnWorld, store, every)
+		body, err = recoverBody(os.Getenv(envProg), mode == modeRespawn, store, every)
 		if err != nil {
 			return err
 		}
-		if respawnWorld {
-			opts = append(opts, mpi.WithRespawn())
-		} else {
-			opts = append(opts, mpi.WithRecovery())
-		}
+		opts = append(opts, recoveryOption(mode))
 		if kr, kerr := strconv.Atoi(os.Getenv(envKillRank)); kerr == nil && kr >= 0 {
 			ka, _ := strconv.Atoi(os.Getenv(envKillAfter))
-			plan := killPlan(kr, ka)
-			if respawnWorld {
-				plan = respawnKillPlan(kr, ka)
-			}
-			opts = append(opts, mpi.WithFaults(plan))
+			opts = append(opts, mpi.WithFaults(killPlan(kr, ka)))
 		}
 	} else {
 		body, err = resolveProgram(os.Getenv(envProg))

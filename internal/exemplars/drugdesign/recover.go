@@ -26,12 +26,13 @@ type ddCkpt struct {
 // master checkpoints the score table into store every `every` completed
 // results, and on a rank failure every member calls Comm.Recover and
 // re-enters, with the (possibly new) master restoring from the last
-// committed checkpoint. Under mpi.WithRecovery the round continues on the
-// shrunk survivors; under mpi.WithRespawn it continues at the ORIGINAL
-// width — a respawned worker simply rejoins the queue, a respawned master
-// restores the score table — unless the dead rank departed or will not come
-// back, when it shrinks. Every rank that finishes returns the full Result,
-// bit-equal to the failure-free run's.
+// committed checkpoint. The world's relaunch budget decides the width it
+// continues at: while the dead rank is relaunched (mpi.WithRespawn) the
+// ORIGINAL width — a respawned worker simply rejoins the queue, a respawned
+// master restores the score table — and once it departed or is gone for
+// good (at once under mpi.WithRecovery) the shrunk survivors. Every rank
+// that finishes returns the full Result, bit-equal to the failure-free
+// run's.
 func MPIMasterWorkerRecover(c *mpi.Comm, p Params, store ckpt.Store, every int) (Result, error) {
 	comm := c
 	for {

@@ -28,11 +28,12 @@ type slabCkpt struct {
 // SimulateDomainRecover is SimulateDomainMPI for recovery-mode worlds: it
 // checkpoints every `every` steps into store, and when a rank failure
 // surfaces it calls Comm.Recover, re-decomposes the last committed
-// checkpoint over the world Recover returns, and continues. Under
-// mpi.WithRecovery that world is the shrunk survivors; under mpi.WithRespawn
-// it is the ORIGINAL width, a respawned incarnation entering here fresh and
-// meeting the survivors at the checkpoint restore, unless the dead rank
-// departed or will not come back, when it shrinks. Every rank that finishes
+// checkpoint over the world Recover returns, and continues. The world's
+// relaunch budget decides that world: while the dead rank is relaunched
+// (mpi.WithRespawn) it is the ORIGINAL width, a respawned incarnation
+// entering here fresh and meeting the survivors at the checkpoint restore;
+// once the rank departed or is gone for good (at once under
+// mpi.WithRecovery) it is the shrunk survivors. Every rank that finishes
 // returns the identical TrialResult, equal to SimulateHash's for the same
 // arguments.
 func SimulateDomainRecover(c *mpi.Comm, rows, cols int, prob float64, seed int64, store ckpt.Store, every int) (TrialResult, error) {

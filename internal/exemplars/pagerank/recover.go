@@ -25,10 +25,11 @@ type prCkpt struct {
 // PageRankRecover is PageRankMPI for recovery-mode worlds: it checkpoints
 // the rank vector every `every` iterations into store, and when a rank
 // failure surfaces it calls Comm.Recover, restores the last committed
-// checkpoint over the world Recover returns, and continues. Under
-// mpi.WithRecovery that world is the shrunk survivors; under mpi.WithRespawn
-// it is the original width with the dead rank relaunched into its slot (and
-// the shrunk survivors only if the rank departed or will not come back). The
+// checkpoint over the world Recover returns, and continues. The world's
+// relaunch budget decides that world: the original width with the dead rank
+// relaunched into its slot while the budget lasts (mpi.WithRespawn), the
+// shrunk survivors once the rank departed or is gone for good (at once under
+// mpi.WithRecovery). The
 // ranks return the same fixed point as a failure-free run, up to
 // floating-point reassociation under a changed partition.
 func PageRankRecover(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.Store, every int) ([]float64, error) {

@@ -175,7 +175,6 @@ var apiSurface = []string{
 	"Hub",
 	"Hub.Addr",
 	"Hub.Close",
-	"Hub.Done",
 	"Hub.FailedRanks",
 	"Hub.Supervise",
 	"Hub.Wait",

@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 )
 
 // Message latency by payload size through the in-process transport:
@@ -255,3 +258,46 @@ func BenchmarkGobEncodeDecodeRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// benchTimeToContinue is one WithRecovery world of np = 4 per iteration:
+// rank 2 fails while the others wait in a receive no one will satisfy, and
+// each survivor times its way from the interrupted receive through Recover
+// to the first barrier on the returned communicator. It reports the slowest
+// survivor's time per world as µs/continue; ns/op also counts the world's
+// start and teardown.
+func benchTimeToContinue(b *testing.B, run func(int, func(*Comm) error, ...Option) error) {
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		var mu sync.Mutex
+		var slowest time.Duration
+		err := run(4, func(c *Comm) error {
+			if c.Rank() == 2 {
+				return errDeliberate
+			}
+			if _, err := c.Recv(AnySource, 0, nil); !errors.Is(err, ErrRankFailed) {
+				return fmt.Errorf("receive: got %v, want the rank failure", err)
+			}
+			start := time.Now()
+			nc, err := c.Recover()
+			if err != nil {
+				return err
+			}
+			if err := nc.Barrier(); err != nil {
+				return err
+			}
+			d := time.Since(start)
+			mu.Lock()
+			slowest = max(slowest, d)
+			mu.Unlock()
+			return nil
+		}, WithRecovery())
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += slowest
+	}
+	b.ReportMetric(float64(total.Microseconds())/float64(b.N), "µs/continue")
+}
+
+func BenchmarkRecoverTimeToContinueLocal(b *testing.B) { benchTimeToContinue(b, Run) }
+func BenchmarkRecoverTimeToContinueTCP(b *testing.B)   { benchTimeToContinue(b, RunTCP) }

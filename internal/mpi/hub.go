@@ -61,7 +61,7 @@ import (
 //
 // Respawn recovery (WithRespawn / mpirun -respawn) adds one more tag:
 //
-//	hello{Rank, Wire, Respawn: true}   a relaunched process re-admits into
+//	hello{Rank, Wire, Rejoin: true}    a relaunched process re-admits into
 //	                                   its old (failed) slot
 //	frame{Tag: tagRejoin}              hub -> survivors; Data: gob rejoinInfo
 //	                                   (the rank and the new membership epoch)
@@ -93,9 +93,9 @@ type hello struct {
 	// highest sequence number the worker received before the break.
 	Resume bool
 	Ack    uint64
-	// Respawn marks a relaunched process re-admitting into its old slot
+	// Rejoin marks a relaunched process re-admitting into its old slot
 	// after its previous incarnation failed (respawn recovery).
-	Respawn bool
+	Rejoin bool
 }
 
 // startInfo rides in the start frame's Data: the session grace window the
@@ -158,7 +158,8 @@ type hubOptions struct {
 // instead of waiting forever on a worker that never dialed. On a recovery
 // hub, a failed rank not re-admitted within d is gone for good: Recover
 // gives up on it and its rejoin is refused. Zero (the default) waits
-// indefinitely.
+// indefinitely, and a failed rank is gone at once unless Hub.Supervise
+// relaunches it.
 func HubFormationTimeout(d time.Duration) HubOption {
 	return func(o *hubOptions) { o.formation = d }
 }
@@ -311,6 +312,7 @@ func StartHub(addr string, np int, opts ...HubOption) (*Hub, error) {
 		finished:   make(chan struct{}),
 		startDone:  make(chan struct{}),
 	}
+	h.m.final = ho.formation <= 0 // Supervise sets it from its relaunch budget
 	if ho.formation > 0 {
 		// Assign under the lock: the timer callback (and the shutdown path
 		// it triggers) reads formTimer from other goroutines.
@@ -385,7 +387,7 @@ func (h *Hub) admit(conn net.Conn) {
 		h.resumeWorker(conn, hi)
 		return
 	}
-	if hi.Respawn {
+	if hi.Rejoin {
 		h.respawnWorker(conn, hi, rd)
 		return
 	}
@@ -434,8 +436,10 @@ func (h *Hub) admit(conn net.Conn) {
 				h.opts.startWritten(h, c != hc)
 			}
 		}
-		close(h.startDone)
+		// started before the route loops are released: a frame they then
+		// find broken is a suspicion, not a failure.
 		h.started.Store(true)
+		close(h.startDone)
 		if h.opts.heartbeat > 0 {
 			go h.heartbeatLoop()
 		}
@@ -553,12 +557,16 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	default:
 	}
 	h.mu.Lock()
-	ready := h.opts.recovery && h.complete
+	ready, final := h.opts.recovery && h.complete, h.m.final
 	old := h.conns[hi.Rank]
 	h.mu.Unlock()
 	if !ready {
 		h.fail(fmt.Errorf("mpi: hub: rank %d attempted respawn before the world formed (or without HubRecovery)", hi.Rank))
 		conn.Close()
+		return
+	}
+	if final {
+		conn.Close() // nothing relaunches through this hub: refused, as for a gone rank
 		return
 	}
 	if old != nil {
@@ -856,9 +864,10 @@ func (h *Hub) workerDoneConn(hc *hubConn) {
 // rankFailed records hc's incarnation failed at the current epoch, announces
 // it to the survivors (who interrupt their pending operations), and settles
 // the agreements that were waiting on it. A report from an incarnation a
-// respawn has replaced changes nothing. The formation budget (if any) is
-// how long the rank has to be re-admitted: it marks the rank gone when no
-// supervisor does, as when a relaunched process never dials back.
+// respawn has replaced changes nothing. Where no relaunch can come
+// (membership.final) the one notice says gone too; otherwise the formation
+// budget (if any) is how long the rank has to be re-admitted, as when a
+// relaunched process never dials back.
 func (h *Hub) rankFailed(hc *hubConn, msg string) {
 	h.mu.Lock()
 	epoch := h.m.epoch
@@ -866,8 +875,9 @@ func (h *Hub) rankFailed(hc *hubConn, msg string) {
 		h.mu.Unlock()
 		return
 	}
-	h.announceLocked(abortInfo{Rank: hc.rank, Msg: msg, Epoch: epoch})
-	if h.opts.formation > 0 {
+	gone := h.m.gone&(1<<uint(hc.rank)) != 0
+	h.announceLocked(abortInfo{Rank: hc.rank, Msg: msg, Epoch: epoch, Gone: gone})
+	if !gone && h.opts.formation > 0 {
 		time.AfterFunc(h.opts.formation, func() { h.rankGone(hc.rank, epoch) })
 	}
 }
@@ -875,14 +885,19 @@ func (h *Hub) rankFailed(hc *hubConn, msg string) {
 // rankGone marks a rank failed at epoch since gone for good unless it was
 // re-admitted after that (DESIGN.md §5). since < 0 is the supervisor giving
 // up, possibly ahead of the last incarnation's own report: fail it if need
-// be.
+// be, and the one notice says both.
 func (h *Hub) rankGone(rank, since int) {
+	if !h.opts.recovery {
+		return
+	}
 	h.mu.Lock()
+	failed := false
 	if since < 0 {
 		since = h.m.epoch
-		h.m.fail(rank, since)
+		failed = h.m.fail(rank, since)
 	}
-	if h.m.rejoined[rank] > since || !h.m.abandon(rank) {
+	abandoned := h.m.rejoined[rank] <= since && h.m.abandon(rank)
+	if !failed && !abandoned {
 		h.mu.Unlock()
 		return
 	}
@@ -969,20 +984,23 @@ func (h *Hub) FailedRanks() []int {
 	return maskRanks(h.m.failed)
 }
 
-// Done returns a channel that is closed when the hub has wound the world
-// down, cleanly or on failure.
-func (h *Hub) Done() <-chan struct{} { return h.finished }
-
 // Supervise runs the hub's np ranks, one goroutine each, and returns each
 // rank's last error once all have ended. run starts one incarnation of a
 // rank and waits for it to end: JoinTCP or JoinShm for the first, RejoinTCP
 // when rejoin is set (a process launcher starts the process and waits for it
-// to exit). Under respawn (which needs HubRecovery and WithRespawn on the
-// workers) a failed incarnation is relaunched while the world runs, at most
-// three times a rank, and then the hub marks the rank gone for good at once,
-// so the survivors' Recover shrinks without it. It is the relaunch policy
+// to exit). respawn states the launcher's relaunch budget: three per rank
+// (WithRespawn on the workers) or none. Once a rank's budget is spent the
+// hub marks it gone for good at once, at its failure when there is none, so
+// the survivors' Recover shrinks without it. It is the relaunch policy
 // RunTCP and RunShm use, and Run's over its in-process ranks.
 func (h *Hub) Supervise(respawn bool, run func(rank int, rejoin bool) error) []error {
+	budget := 0
+	if respawn {
+		budget = maxRespawnsPerRank
+	}
+	h.mu.Lock()
+	h.m.final = budget == 0
+	h.mu.Unlock()
 	live := func() bool {
 		select {
 		case <-h.finished:
@@ -991,7 +1009,7 @@ func (h *Hub) Supervise(respawn bool, run func(rank int, rejoin bool) error) []e
 			return true
 		}
 	}
-	return supervise(h.np, respawn, live, func(rank int) { h.rankGone(rank, -1) }, run)
+	return supervise(h.np, budget, live, func(rank int) { h.rankGone(rank, -1) }, run)
 }
 
 // rankAborted records a worker-reported failure and broadcasts the revoke

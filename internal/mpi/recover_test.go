@@ -48,10 +48,7 @@ func TestRecoverContinuesAfterRankFailure(t *testing.T) {
 					if !errors.Is(rerr, ErrRankFailed) {
 						return fmt.Errorf("want ErrRankFailed from Recv on failed source, got %v", rerr)
 					}
-					if rerr := c.revoke(); rerr != nil {
-						return rerr
-					}
-					nc, serr := c.shrink()
+					nc, serr := c.Recover()
 					if serr != nil {
 						return serr
 					}
@@ -111,10 +108,7 @@ func TestRecoverInterruptsPendingAnySource(t *testing.T) {
 					if !errors.Is(rerr, ErrRankFailed) {
 						return fmt.Errorf("want ErrRankFailed interrupting pending wildcard Recv, got %v", rerr)
 					}
-					if rerr := c.revoke(); rerr != nil {
-						return rerr
-					}
-					nc, serr := c.shrink()
+					nc, serr := c.Recover()
 					if serr != nil {
 						return serr
 					}
@@ -287,7 +281,7 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 	// The worker applies notices through the same value: a rejoin at epoch 1,
 	// then the hub's notice of the failure it decided at epoch 0.
 	w := &World{np: 3}
-	w.recov = newRecoveryState(w, false)
+	w.recov = newRecoveryState(w)
 	w.recov.ctrlSend = func(frame) error { return nil }
 	w.rankRejoined(1, 1)
 	w.rankFailed(1, 0, errDeliberate)
@@ -304,7 +298,7 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 // one nobody else joins.
 func TestAgreeRejoinFailsOnlyOlderEpochs(t *testing.T) {
 	w := &World{np: 3}
-	w.recov = newRecoveryState(w, false)
+	w.recov = newRecoveryState(w)
 	reqs := make(chan []byte, 2)
 	w.recov.ctrlSend = func(f frame) error { reqs <- f.Data; return nil }
 	w.rankRejoined(2, 1) // the world is at epoch 1
@@ -379,7 +373,7 @@ func TestRevokeKicksStragglerOutOfOldComm(t *testing.T) {
 							return err
 						}
 					}
-					nc, err := c.shrink()
+					nc, err := c.Recover()
 					if err != nil {
 						return err
 					}
@@ -558,10 +552,7 @@ func TestRecoverySoakKillRank(t *testing.T) {
 									if !errors.Is(err, ErrRankFailed) {
 										return err // this rank was killed (or a real bug)
 									}
-									if rerr := comm.revoke(); rerr != nil {
-										return rerr
-									}
-									nc, serr := comm.shrink()
+									nc, serr := comm.Recover()
 									if serr != nil {
 										return serr
 									}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
@@ -277,7 +278,7 @@ func runSupervised(np int, main func(c *Comm) error, opts ...Option) error {
 		return err
 	}
 	defer hub.Close()
-	errs := hub.Supervise(cfg.respawn, func(rank int, rejoin bool) error {
+	errs := hub.Supervise(cfg.relaunches > 0, func(rank int, rejoin bool) error {
 		if rejoin {
 			return RejoinTCP(hub.Addr(), rank, np, main, opts...)
 		}
@@ -397,10 +398,9 @@ func TestRespawnRacingKills(t *testing.T) {
 
 // TestRestoredTimeoutFallsBackToShrink: Restored has no timeout, and the
 // members give up on the full width together, never one alone:
-//   - failed-never-respawned: a WithRecovery world relaunches nobody, so
-//     Restored refuses at once, entering no agreement — rank 2 is held alive
-//     until both survivors have been refused, and an agreement would wait
-//     for it;
+//   - failed-never-respawned: a WithRecovery world's relaunch budget is 0,
+//     so the coordinator marks rank 2 gone at its failure, and the restore
+//     agreement counts it out at once;
 //   - departed: rank 2's main returns nil, and the restore agreement counts
 //     it out;
 //   - abandoned: rank 2 fails on every incarnation until the launcher's
@@ -416,7 +416,7 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 		rank2 error // what rank 2's main returns
 		want  string
 	}{
-		{"failed-never-respawned", WithRecovery(), errDeliberate, "without WithRespawn"},
+		{"failed-never-respawned", WithRecovery(), errDeliberate, "ranks [2] departed or will not come back"},
 		{"departed", WithRespawn(), nil, "ranks [2] departed"},
 		{"abandoned", WithRespawn(), errDeliberate, "ranks [2] departed or will not come back"},
 	}
@@ -424,20 +424,14 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 		for _, tc := range cases {
 			l, tc := l, tc
 			t.Run(l.name+"/"+tc.name, func(t *testing.T) {
-				var refused sync.WaitGroup
-				refused.Add(2)
 				var incarnations atomic.Int32
 				err := runWithWatchdog(t, 30*time.Second, func() error {
 					return l.run(3, func(c *Comm) error {
 						if c.Rank() == 2 {
 							incarnations.Add(1)
-							if tc.name == "failed-never-respawned" {
-								refused.Wait()
-							}
 							return tc.rank2
 						}
 						_, rerr := c.restored()
-						refused.Done()
 						if !errors.Is(rerr, ErrRestoreTimeout) || !strings.Contains(rerr.Error(), tc.want) {
 							return fmt.Errorf("want ErrRestoreTimeout naming %q, got %v", tc.want, rerr)
 						}
@@ -464,73 +458,103 @@ func TestRestoredTimeoutFallsBackToShrink(t *testing.T) {
 
 // TestRecoverWidth: Recover is the one recovery call of both world kinds.
 // Rank 2 fails once (relaunched where the world respawns), fails on every
-// incarnation until it is gone for good, or departs; every member that
-// finishes returns the same width from Recover, and an allreduce over the
-// returned communicator counts exactly that many members.
+// incarnation until it is gone for good, or departs; in two-in-turn, rank 2
+// fails once, everyone recovers, then rank 3 fails once and everyone
+// recovers again, so two restores run at one epoch where nobody is
+// relaunched. Every member that finishes a round returns the same width from
+// Recover, and an allreduce over the returned communicator counts exactly
+// that many members.
 func TestRecoverWidth(t *testing.T) {
 	const np = 4
 	modes := []struct {
-		name       string
-		opt        Option
-		relaunched int // width when rank 2 fails once
+		name string
+		opt  Option
+		lost int // ranks a failure that is relaunched costs the width
 	}{
-		{"recovery", WithRecovery(), np - 1},
-		{"respawn", WithRespawn(), np},
+		{"recovery", WithRecovery(), 1},
+		{"respawn", WithRespawn(), 0},
 	}
 	scenarios := []struct {
-		name  string
-		rank2 func(incarnation int32) (returns bool, err error)
+		name    string
+		victims []int // the rank that fails in each round
+		fate    func(incarnation int32) (returns bool, err error)
 	}{
-		{"relaunched", func(n int32) (bool, error) { return n == 0, errDeliberate }},
-		{"gone", func(int32) (bool, error) { return true, errDeliberate }},
-		{"departed", func(int32) (bool, error) { return true, nil }},
+		{"relaunched", []int{2}, func(n int32) (bool, error) { return n == 0, errDeliberate }},
+		{"gone", []int{2}, func(int32) (bool, error) { return true, errDeliberate }},
+		{"departed", []int{2}, func(int32) (bool, error) { return true, nil }},
+		{"two-in-turn", []int{2, 3}, func(n int32) (bool, error) { return n == 0, errDeliberate }},
 	}
 	sum := func(a, b int) int { return a + b }
 	for _, l := range respawnLaunchers {
 		for _, mode := range modes {
 			for _, sc := range scenarios {
 				l, mode, sc := l, mode, sc
-				want := np - 1
-				if sc.name == "relaunched" {
-					want = mode.relaunched
+				want := func(round int) int {
+					if sc.name == "gone" || sc.name == "departed" {
+						return np - 1
+					}
+					return np - (round+1)*mode.lost
 				}
 				t.Run(l.name+"/"+mode.name+"/"+sc.name, func(t *testing.T) {
-					var incarnations atomic.Int32
+					var incarnations [np]atomic.Int32
 					var mu sync.Mutex
-					widths := map[int]int{}
+					widths := make([]map[int]int, len(sc.victims))
+					finished := make([]chan struct{}, len(sc.victims))
+					for r := range widths {
+						widths[r], finished[r] = map[int]int{}, make(chan struct{})
+					}
 					err := runWithWatchdog(t, 30*time.Second, func() error {
 						return l.run(np, func(c *Comm) error {
-							if c.Rank() == 2 {
-								if returns, err := sc.rank2(incarnations.Add(1) - 1); returns {
+							me := c.Rank()
+							n := incarnations[me].Add(1) - 1
+							round := 0
+							if n > 0 {
+								round = slices.Index(sc.victims, me) // a relaunch rejoins the round it failed in
+							}
+							for comm := c; round < len(sc.victims); round++ {
+								if me == sc.victims[round] {
+									if returns, err := sc.fate(n); returns {
+										return err
+									}
+								}
+								nc, err := comm.Recover()
+								if err != nil {
 									return err
 								}
+								got, err := Allreduce(nc, 1, sum)
+								if err != nil {
+									return err
+								}
+								if got != nc.Size() {
+									return fmt.Errorf("round %d: allreduce over width %d counted %d", round, nc.Size(), got)
+								}
+								mu.Lock()
+								widths[round][me] = nc.Size()
+								if len(widths[round]) == want(round) {
+									close(finished[round])
+								}
+								mu.Unlock()
+								if round+1 < len(sc.victims) {
+									// The next Recover revokes nc: not before every
+									// member is through this round's allreduce.
+									<-finished[round]
+								}
+								comm = nc
 							}
-							nc, err := c.Recover()
-							if err != nil {
-								return err
-							}
-							got, err := Allreduce(nc, 1, sum)
-							if err != nil {
-								return err
-							}
-							if got != nc.Size() {
-								return fmt.Errorf("allreduce over width %d counted %d", nc.Size(), got)
-							}
-							mu.Lock()
-							widths[c.Rank()] = nc.Size()
-							mu.Unlock()
 							return nil
 						}, mode.opt)
 					})
 					if err != nil {
 						t.Fatalf("recovered run should succeed, got %v", err)
 					}
-					if len(widths) != want {
-						t.Fatalf("%d members finished, want %d: %v", len(widths), want, widths)
-					}
-					for r, w := range widths {
-						if w != want {
-							t.Errorf("rank %d: Recover returned width %d, want %d", r, w, want)
+					for round, ws := range widths {
+						if len(ws) != want(round) {
+							t.Fatalf("round %d: %d members finished, want %d: %v", round, len(ws), want(round), ws)
+						}
+						for r, w := range ws {
+							if w != want(round) {
+								t.Errorf("round %d: rank %d: Recover returned width %d, want %d", round, r, w, want(round))
+							}
 						}
 					}
 				})
@@ -610,4 +634,97 @@ func TestHubGoneAfterFormationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecoverGoneAtFailure: where nothing can relaunch a failed rank, the
+// coordinator marks it gone at the failure itself, not when its incarnation
+// ends. Rank 2's connection to the hub is lost while its run function is
+// still blocked, and the survivors' Recover returns width np-1 without
+// waiting for that function to return:
+//   - supervised: Hub.Supervise with a relaunch budget of 0, as mpirun
+//     -recover runs its processes;
+//   - unsupervised: a HubRecovery hub nobody supervises, with no formation
+//     budget.
+func TestRecoverGoneAtFailure(t *testing.T) {
+	const np = 4
+	for _, supervised := range []bool{true, false} {
+		name := "unsupervised"
+		if supervised {
+			name = "supervised"
+		}
+		t.Run(name, func(t *testing.T) {
+			hub, err := StartHub("127.0.0.1:0", np, HubRecovery())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hub.Close()
+			release := make(chan struct{})
+			var survived sync.WaitGroup
+			survived.Add(np - 1)
+			widths := make([]int, np)
+			run := func(rank int, _ bool) error {
+				if rank == 2 {
+					return loseConnection(hub.Addr(), rank, release)
+				}
+				return JoinTCP(hub.Addr(), rank, np, func(c *Comm) error {
+					defer survived.Done()
+					nc, err := c.Recover()
+					if err != nil {
+						return err
+					}
+					widths[rank] = nc.Size()
+					return nc.Barrier()
+				}, WithRecovery())
+			}
+			done := make(chan []error, 1)
+			go func() {
+				if supervised {
+					done <- hub.Supervise(false, run)
+					return
+				}
+				errs := make([]error, np)
+				var wg sync.WaitGroup
+				for rank := range np {
+					wg.Add(1)
+					go func() { defer wg.Done(); errs[rank] = run(rank, false) }()
+				}
+				wg.Wait()
+				done <- errs
+			}()
+			_ = runWithWatchdog(t, 30*time.Second, func() error { survived.Wait(); return nil })
+			close(release)
+			for rank, err := range <-done {
+				if rank == 2 {
+					if !errors.Is(err, errDeliberate) {
+						t.Errorf("rank 2: got %v, want its own failure", err)
+					}
+				} else if err != nil || widths[rank] != np-1 {
+					t.Errorf("rank %d: Recover returned width %d, err %v; want width %d", rank, widths[rank], err, np-1)
+				}
+			}
+			if err := hub.Wait(); err != nil {
+				t.Fatalf("hub: %v", err)
+			}
+		})
+	}
+}
+
+// loseConnection is a rank whose connection to the hub is lost once the
+// world has formed, while the rank itself (its run function) lives on until
+// release.
+func loseConnection(addr string, rank int, release <-chan struct{}) error {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return err
+	}
+	err = newWireWriter(conn).writeHello(hello{Rank: rank, Wire: wireVersion2})
+	if err == nil {
+		_, _, err = newWireReader(conn).readFrame() // the start frame
+	}
+	conn.Close()
+	if err != nil {
+		return err
+	}
+	<-release
+	return errDeliberate
 }

@@ -81,7 +81,7 @@ type config struct {
 	faults      *FaultPlan
 	faultReport *FaultReport
 	recovery    bool
-	respawn     bool                      // relaunch failed ranks into their old slots
+	relaunches  int                       // the relaunch budget: times a failed rank is relaunched into its old slot
 	hubOpts     []HubOption               // consumed by RunTCP's internal hub
 	leaseQuiet  time.Duration             // test seam: the fallback reader's quiet interval; 0 = leaseQuiet
 	wrap        func(Transport) Transport // test hook: outermost decoration
@@ -147,7 +147,7 @@ func (c *config) newWorld(np int, t Transport, boxes []*mailbox) *World {
 		hierMode:  c.hierMode,
 	}
 	if c.recovery {
-		w.recov = newRecoveryState(w, c.respawn)
+		w.recov = newRecoveryState(w)
 	}
 	return w
 }
@@ -207,19 +207,19 @@ func WithComputeGate(gate func(fn func())) Option {
 // survivors down the shrink path, rather than respawned forever.
 const maxRespawnsPerRank = 3
 
-// WithRespawn opts the world into respawn recovery (implies WithRecovery):
-// a rank that fails is relaunched into its old slot — same rank number, at
-// the original world width — and Comm.Recover re-forms the world at full
-// width instead of shrinking. The launcher (Run, RunTCP, RunShm, or mpirun
-// -respawn) relaunches each rank at most maxRespawnsPerRank times, then
-// marks it gone for good and every member's Recover shrinks without it. The
-// respawned rank starts main from the beginning: its first operation fails
-// with the retryable membership-changed error, which routes it into the
-// program's recovery path (Recover + checkpoint restore) like the others.
+// WithRespawn is WithRecovery with a relaunch budget: a rank that fails is
+// relaunched into its old slot — same rank number, at the original world
+// width — and Comm.Recover re-forms the world at full width. The launcher
+// (Run, RunTCP, RunShm, or mpirun -respawn) relaunches each rank at most
+// maxRespawnsPerRank times, then marks it gone for good and every member's
+// Recover shrinks without it, as under WithRecovery. The respawned rank
+// starts main from the beginning: its first operation fails with the
+// retryable membership-changed error, which routes it into the program's
+// recovery path (Recover + checkpoint restore) like the others.
 func WithRespawn() Option {
 	return func(c *config) {
 		c.recovery = true
-		c.respawn = true
+		c.relaunches = maxRespawnsPerRank
 	}
 }
 
@@ -247,6 +247,9 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	w := cfg.newWorld(np, t, t.boxes)
 	w.typed = true
 	defer t.Close()
+	if w.recov != nil {
+		w.recov.m.final = cfg.relaunches == 0 // the ranks' shared state coordinates
+	}
 
 	// One incarnation of a rank, with the world-side bookkeeping around it:
 	// a relaunch clears the injected kill and restores the rank to the
@@ -278,7 +281,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 		return err
 	}
 	live := func() bool { return w.abortErr() == nil }
-	errs := supervise(np, cfg.respawn, live, w.rankGone, start)
+	errs := supervise(np, cfg.relaunches, live, w.rankGone, start)
 	return verdict(errs, w.abortErr(), w.recov != nil)
 }
 
@@ -286,11 +289,11 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 // runs one incarnation to its end (rejoin: a relaunch into the rank's old
 // slot), and returns each rank's last error. It is the one relaunch policy
 // of every launcher (Run, RunTCP, RunShm, and mpirun through Hub.Supervise):
-// under respawn, an incarnation that failed — neither returned nil nor fell
-// to the world's revoke — is relaunched while live reports the world
-// running, at most maxRespawnsPerRank times; then gone marks the rank gone
-// for good at once, and every survivor's Recover shrinks without it.
-func supervise(np int, respawn bool, live func() bool, gone func(rank int), start func(rank int, rejoin bool) error) []error {
+// an incarnation that failed — neither returned nil nor fell to the world's
+// revoke — is relaunched while live reports the world running, at most
+// budget times (0 under WithRecovery); then gone marks the rank gone for
+// good at once, and every survivor's Recover shrinks without it.
+func supervise(np, budget int, live func() bool, gone func(rank int), start func(rank int, rejoin bool) error) []error {
 	failed := func(err error) bool { return err != nil && !errors.Is(err, ErrWorldAborted) }
 	errs := make([]error, np)
 	var wg sync.WaitGroup
@@ -299,13 +302,11 @@ func supervise(np int, respawn bool, live func() bool, gone func(rank int), star
 		go func() {
 			defer wg.Done()
 			err := start(rank, false)
-			if respawn {
-				for n := 0; failed(err) && n < maxRespawnsPerRank && live(); n++ {
-					err = start(rank, true)
-				}
-				if failed(err) {
-					gone(rank)
-				}
+			for n := 0; failed(err) && n < budget && live(); n++ {
+				err = start(rank, true)
+			}
+			if failed(err) {
+				gone(rank)
 			}
 			errs[rank] = err
 		}()

@@ -14,24 +14,21 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/exemplars/drugdesign"
-	"repro/internal/exemplars/forestfire"
-	"repro/internal/exemplars/integration"
-	"repro/internal/mpi"
-	"repro/internal/shm"
+	"repro/internal/exemplars"
 	"repro/internal/stats"
 )
 
 func main() {
 	var (
 		platform = flag.String("platform", "pi", "modeled platform (pi, colab, chameleon, stolaf)")
-		exemplar = flag.String("exemplar", "integration", "integration, drugdesign, or forestfire")
+		exemplar = flag.String("exemplar", "integration", "an exemplar: integration, drugdesign, forestfire, or pagerank (no shared-memory form, so not on the Pi)")
 		sweep    = flag.String("sweep", "1,2,4", "comma-separated worker counts")
 		model    = flag.Bool("model", false, "print the platform's predicted speedup curve instead of measuring")
 		repeat   = flag.Int("repeat", 1, "measure each configuration this many times; >1 adds a 95% confidence interval")
@@ -113,49 +110,33 @@ func parseSweep(s string) ([]int, error) {
 	return counts, nil
 }
 
+// scale is each exemplar's study size, its key=value args (defaults without
+// a row): big enough that a point measures the work rather than the launch.
+var scale = map[string]map[string]string{
+	"integration": {"n": "20000000"},
+	"drugdesign":  {"ligands": "4000", "max_len": "10"},
+	"forestfire":  {"rows": "61", "cols": "61", "trials": "60"},
+}
+
 // runExemplar executes one timed configuration. The shared-memory platform
-// (pi) uses the shm runtime; the others launch MPI jobs under the
-// platform's core gate.
-func runExemplar(plat cluster.Platform, exemplar string, np int) error {
-	onPi := plat.Name == cluster.RaspberryPi().Name
-	switch exemplar {
-	case "integration":
-		const n = 20_000_000
-		if onPi {
-			_, err := integration.TrapezoidShared(integration.QuarterCircle, 0, 1, n, np)
-			return err
-		}
-		return plat.Launch(np, func(c *mpi.Comm) error {
-			_, err := integration.TrapezoidMPI(c, integration.QuarterCircle, 0, 1, n)
-			return err
-		})
-	case "drugdesign":
-		params := drugdesign.DefaultParams()
-		params.NumLigands = 4000
-		params.MaxLigandLen = 10
-		if onPi {
-			_, err := drugdesign.Shared(params, np, shm.Dynamic(1))
-			return err
-		}
-		return plat.Launch(np, func(c *mpi.Comm) error {
-			_, err := drugdesign.MPIMasterWorker(c, params)
-			return err
-		})
-	case "forestfire":
-		params := forestfire.DefaultParams()
-		params.Rows, params.Cols = 61, 61
-		params.Trials = 60
-		if onPi {
-			_, err := forestfire.SweepShared(params, np)
-			return err
-		}
-		return plat.Launch(np, func(c *mpi.Comm) error {
-			_, err := forestfire.SweepMPI(c, params)
-			return err
-		})
-	default:
-		return fmt.Errorf("unknown exemplar %q", exemplar)
+// (pi) runs the exemplar's shared-memory form on np threads; the others
+// launch its message-passing form under the platform's core gate.
+func runExemplar(plat cluster.Platform, name string, np int) error {
+	e, err := exemplars.Lookup(name)
+	if err != nil {
+		return err
 	}
+	a, err := e.Args(scale[name], false)
+	if err != nil {
+		return err
+	}
+	if plat.Name != cluster.RaspberryPi().Name {
+		return plat.Launch(np, e.Body(io.Discard, a))
+	}
+	if e.Shared == nil {
+		return fmt.Errorf("%s has no shared-memory form to run on the Pi", name)
+	}
+	return e.RunShared(io.Discard, np, a)
 }
 
 func fail(err error) {

@@ -34,6 +34,14 @@ func TestRunExemplarOnEveryPlatformKind(t *testing.T) {
 	if err := runExemplar(pi, "nonsense", 2); err == nil {
 		t.Error("unknown exemplar accepted")
 	}
+	// PageRank has only the message-passing form: it runs on the cluster
+	// platforms and is refused on the Pi.
+	if err := runExemplarSmoke(colab, "pagerank"); err != nil {
+		t.Errorf("colab/pagerank: %v", err)
+	}
+	if err := runExemplar(pi, "pagerank", 2); err == nil {
+		t.Error("pi/pagerank ran without a shared-memory form")
+	}
 }
 
 // runExemplarSmoke exercises runExemplar with np=2 (full workloads are the

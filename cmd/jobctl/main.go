@@ -6,7 +6,7 @@
 //
 //	jobctl [-addr host:port] <verb> [args]
 //
-//	jobctl submit -tenant alice -program integration -width 4
+//	jobctl submit -tenant alice -program integration -width 4 -arg n=100000
 //	jobctl submit -tenant bob -program forestfire-recover -width 4 \
 //	       -recover -kill-rank 1 -arg rows=40 -arg cols=40 -wait
 //	jobctl status j-000001
@@ -20,6 +20,9 @@
 //	jobctl node silence 2     # chaos: node 2 stops heartbeating
 //	jobctl node drain 2 | revive 2
 //	jobctl programs
+//
+// An exemplar's -arg k=v are the key=value args mpirun takes; a bad one is a
+// bad spec (exit 2). `jobctl programs` also lists each -recover form.
 //
 // The daemon address defaults to 127.0.0.1:8080 and may also come from
 // the SCHEDD_ADDR environment variable.

@@ -12,8 +12,15 @@
 //	mpirun -np 8 -topology 2x4 -hier off mpiRing # same placement, flat algorithms
 //	mpirun -np 4 -deadline 5s mpiRing           # diagnose stalls, don't hang
 //	mpirun -np 8 forestfire | drugdesign | integration | pagerank
+//	mpirun -np 4 integration n=1000             # an exemplar's key=value args
 //	mpirun -np 4 -recover -kill-rank 2 forestfire   # survive the kill, exit 0
 //	mpirun -np 4 -respawn -kill-rank 2 forestfire   # relaunch the rank, finish at full width
+//
+// A program is a message-passing patternlet or an exemplar of the catalog
+// (internal/exemplars), whose trailing key=value args override the defaults
+// of the form it runs (integration n; under -recover or -respawn,
+// ckpt_every, how often the run checkpoints; ...). A key that form does not
+// read, or a value that is not a positive integer, is a launcher error.
 //
 // With -transport procs the launcher starts a TCP hub and re-executes
 // itself once per rank in worker mode, so the ranks really are separate OS
@@ -28,9 +35,9 @@
 // for its pairs.
 //
 // -recover and -respawn (mutually exclusive) run the world in
-// survive-and-continue mode (ULFM-style): the forestfire, drugdesign and
-// pagerank programs switch to their checkpoint-restart variants, and a rank
-// killed by -kill-rank/-kill-after no longer poisons the world. The two
+// survive-and-continue mode (ULFM-style): the exemplars with a
+// checkpoint-restart form (drugdesign, forestfire, pagerank) switch to it,
+// and a rank killed by -kill-rank/-kill-after no longer poisons the world. The two
 // differ only in the relaunch budget. Under -recover it is 0: the rank is
 // gone at its failure, the survivors shrink past it, and a recovered run
 // exits 0. Under -respawn the launcher relaunches the dead rank into its
@@ -55,8 +62,9 @@
 // to D — its traffic parks in a replay buffer while it redials and resumes
 // — and only a worker that stays gone past D is declared failed.
 //
-// Exit codes distinguish failure classes, so scripts (and autograders) can
-// tell a user mistake from a runtime failure:
+// Exit codes (internal/verdict, shared with schedd and jobctl) distinguish
+// failure classes, so scripts (and autograders) can tell a user mistake
+// from a runtime failure:
 //
 //	0  success (including runs that recovered from rank failures)
 //	1  launcher error (unknown program, platform, I/O)
@@ -66,20 +74,20 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/cluster"
-	"repro/internal/exemplars/drugdesign"
-	"repro/internal/exemplars/forestfire"
-	"repro/internal/exemplars/integration"
-	"repro/internal/exemplars/pagerank"
+	"repro/internal/exemplars"
 	"repro/internal/mpi"
 	"repro/internal/patternlets"
 	"repro/internal/verdict"
@@ -90,12 +98,11 @@ const (
 	envHub       = "MPIRUN_HUB"
 	envRank      = "MPIRUN_RANK"
 	envNP        = "MPIRUN_NP"
-	envProg      = "MPIRUN_PROG"
+	envProg      = "MPIRUN_PROG" // the program and its key=value args, space-separated
 	envDeadline  = "MPIRUN_DEADLINE"
 	envRecover   = "MPIRUN_RECOVER" // the recovery mode: modeRecover or modeRespawn
 	envRejoin    = "MPIRUN_REJOIN"
 	envCkpt      = "MPIRUN_CKPT"
-	envCkptEvery = "MPIRUN_CKPT_EVERY"
 	envKillRank  = "MPIRUN_KILL_RANK"
 	envKillAfter = "MPIRUN_KILL_AFTER"
 	envShmSeg    = "MPIRUN_SHM"
@@ -103,27 +110,11 @@ const (
 	envHier      = "MPIRUN_HIER"
 )
 
-// Exit codes (see the package comment). The vocabulary and the error
-// mapping live in internal/verdict, shared with schedd/jobctl so every
-// launcher reports the same verdicts.
-const (
-	exitOK        = verdict.ExitOK
-	exitLauncher  = verdict.ExitLauncher
-	exitUsage     = verdict.ExitUsage
-	exitRank      = verdict.ExitRank
-	exitFormation = verdict.ExitFormation
-)
-
-// errNotFullWidth marks a -respawn run that finished, but on the shrink
-// fallback rather than at the original width: some rank's relaunch budget
-// ran out. It maps to the rank-failure exit code (3).
-var errNotFullWidth = verdict.ErrNotFullWidth
-
 func main() {
 	if os.Getenv(envHub) != "" {
 		if err := workerMode(); err != nil {
 			fmt.Fprintln(os.Stderr, "mpirun worker:", err)
-			os.Exit(exitCode(err))
+			os.Exit(verdict.ExitCode(err))
 		}
 		return
 	}
@@ -134,27 +125,26 @@ func main() {
 		transport   = flag.String("transport", "local", "local (goroutine ranks), tcp (loopback TCP), procs (separate OS processes), or shm (OS processes over shared-memory rings)")
 		deadline    = flag.Duration("deadline", 0, "per-operation receive deadline; a stall becomes a blocked-ranks report instead of a hang (0 disables)")
 		joinTimeout = flag.Duration("join-timeout", 30*time.Second, "how long tcp/procs worlds may take to assemble before failing with the missing ranks")
-		recoverFlag = flag.Bool("recover", false, "survive-and-continue mode: rank failures shrink the world instead of aborting it (forestfire and drugdesign)")
-		respawnFlag = flag.Bool("respawn", false, "respawn recovery: a failed rank is relaunched into its old slot and the world finishes at the original width (forestfire and drugdesign); exits 3 if it had to fall back to the survivors")
+		recoverFlag = flag.Bool("recover", false, "survive-and-continue mode: rank failures shrink the world instead of aborting it ("+recoverable()+")")
+		respawnFlag = flag.Bool("respawn", false, "respawn recovery: a failed rank is relaunched into its old slot and the world finishes at the original width ("+recoverable()+"); exits 3 if it had to fall back to the survivors")
 		suspicion   = flag.Duration("suspicion", 0, "resilient sessions on tcp/procs/shm: a broken worker connection is suspected for this long (replay buffer + redial/resume) before the rank is declared failed (0 disables)")
 		ckptDir     = flag.String("ckpt", "", "checkpoint directory for -recover (in-memory when empty; a temp dir for -transport procs)")
-		ckptEvery   = flag.Int("ckpt-every", 5, "checkpoint frequency for -recover (steps for forestfire, results for drugdesign)")
 		killRank    = flag.Int("kill-rank", -1, "fault injection: kill this rank (requires -recover to survive it)")
 		killAfter   = flag.Int("kill-after", 0, "fault injection: let the victim's first N sends through before the kill")
 		topology    = flag.String("topology", "", "model an NxM cluster: place the np ranks blockwise on N nodes of M slots each, enabling topology-aware two-level collectives (mutually exclusive with -platform)")
 		hier        = flag.String("hier", "auto", "hierarchical collective selection: auto (two-level when the topology is multi-node with co-located ranks), on, or off")
 	)
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mpirun -np N [-platform P] [-transport local|tcp|procs|shm] [-topology NxM] [-hier auto|on|off] [-deadline D] [-suspicion D] [-recover|-respawn [-kill-rank R]] <program>")
-		os.Exit(exitUsage)
+	if flag.NArg() < 1 {
+		fmt.Fprintln(os.Stderr, "usage: mpirun -np N [-platform P] [-transport local|tcp|procs|shm] [-topology NxM] [-hier auto|on|off] [-deadline D] [-suspicion D] [-recover|-respawn [-kill-rank R]] <program> [key=value ...]\n-recover and -respawn run "+recoverable())
+		os.Exit(verdict.ExitUsage)
 	}
-	prog := flag.Arg(0)
+	prog, args := flag.Arg(0), flag.Args()[1:]
 
 	// The transport × recovery flag matrix is validated centrally (shared
 	// with schedd/jobctl), so every launcher rejects the same conflicts
 	// with the same exit code.
-	if err := (verdict.LaunchFlags{
+	exitOn(verdict.LaunchFlags{
 		NP:        *np,
 		Transport: *transport,
 		Platform:  *platform,
@@ -163,23 +153,12 @@ func main() {
 		Recover:   *recoverFlag,
 		Respawn:   *respawnFlag,
 		KillRank:  *killRank,
-	}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "mpirun:", err)
-		os.Exit(exitUsage)
-	}
-	hierMode, herr := parseHier(*hier)
-	if herr != nil {
-		fmt.Fprintln(os.Stderr, "mpirun:", herr)
-		os.Exit(exitUsage)
-	}
+	}.Validate())
+	hierMode, _ := verdict.ParseHier(*hier) // Validate has parsed -hier and -topology
 
 	var opts []mpi.Option
 	if *topology != "" {
-		nodes, terr := parseTopology(*topology, *np)
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", terr)
-			os.Exit(exitUsage)
-		}
+		nodes, _ := verdict.ParseTopology(*topology, *np)
 		opts = append(opts, mpi.WithTopology(nodes))
 	}
 	if hierMode != mpi.HierAuto {
@@ -200,33 +179,21 @@ func main() {
 		mode = modeRespawn
 	}
 	procs := *transport == "procs" || *transport == "shm"
-	var body func(c *mpi.Comm) error
+	var store ckpt.Store // worker processes open their own file store
 	var err error
-	switch {
-	case mode != "" && procs: // each worker process resolves its own body
-	case mode != "":
-		store, serr := chooseStore(*ckptDir)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", serr)
-			os.Exit(exitLauncher)
-		}
-		opts = append(opts, recoveryOption(mode))
-		body, err = recoverBody(prog, mode == modeRespawn, store, *ckptEvery)
-	default:
-		body, err = resolveProgram(prog)
+	if mode != "" && !procs {
+		store, err = chooseStore(*ckptDir)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpirun:", err)
-		os.Exit(exitLauncher)
-	}
+	body, modeOpts, berr := programBody(prog, args, mode, store)
+	opts = append(opts, modeOpts...)
+	exitOn(errors.Join(err, berr)) // exit 1: none of these is a runtime failure
 
 	launch := mpi.Run
 	switch {
 	case procs:
-		exitOn(runProcs(*np, prog, *deadline, *joinTimeout, *suspicion, *transport == "shm", *topology, *hier, procsRecovery{
+		exitOn(runProcs(*np, strings.Join(flag.Args(), " "), *deadline, *joinTimeout, *suspicion, *transport == "shm", *topology, *hier, procsRecovery{
 			mode:      mode,
 			ckptDir:   *ckptDir,
-			ckptEvery: *ckptEvery,
 			killRank:  *killRank,
 			killAfter: *killAfter,
 		}))
@@ -240,13 +207,10 @@ func main() {
 		launch = mpi.RunTCP
 	case *transport != "local":
 		fmt.Fprintf(os.Stderr, "mpirun: unknown transport %q\n", *transport)
-		os.Exit(exitUsage)
+		os.Exit(verdict.ExitUsage)
 	case *platform != "":
 		plat, err := cluster.Lookup(*platform)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpirun:", err)
-			os.Exit(exitLauncher)
-		}
+		exitOn(err)
 		launch = plat.Launch
 	}
 	if mode == modeRespawn {
@@ -259,8 +223,8 @@ func main() {
 // runRespawn launches a respawn-mode world in-process and enforces the
 // full-width contract: the run succeeds only if every rank of the original
 // world (respawned incarnations included) finished the job. A world that
-// completed on the shrink fallback returns errNotFullWidth, which maps to
-// exit code 3 — "the job finished but a rank was never restored".
+// completed on the shrink fallback returns verdict.ErrNotFullWidth, which
+// maps to exit code 3 — "the job finished but a rank was never restored".
 func runRespawn(launch func(np int, main func(c *mpi.Comm) error, opts ...mpi.Option) error,
 	np int, body func(c *mpi.Comm) error, opts []mpi.Option) error {
 	var mu sync.Mutex
@@ -280,17 +244,10 @@ func runRespawn(launch func(np int, main func(c *mpi.Comm) error, opts ...mpi.Op
 	mu.Lock()
 	defer mu.Unlock()
 	if len(finished) != np {
-		return fmt.Errorf("%w: %d/%d ranks finished", errNotFullWidth, len(finished), np)
+		return fmt.Errorf("%w: %d/%d ranks finished", verdict.ErrNotFullWidth, len(finished), np)
 	}
 	return nil
 }
-
-// parseTopology and parseHier delegate to the shared flag grammar in
-// internal/verdict; the wrappers keep this package's call sites (and its
-// tests) on their historical names.
-func parseTopology(spec string, np int) ([]int, error) { return verdict.ParseTopology(spec, np) }
-
-func parseHier(s string) (mpi.HierMode, error) { return verdict.ParseHier(s) }
 
 // killPlan builds the seeded single-victim fault plan of -kill-rank. The
 // rule fires once: it takes down the victim's first incarnation, and under
@@ -314,163 +271,80 @@ func chooseStore(dir string) (ckpt.Store, error) {
 	return ckpt.NewFileStore(dir)
 }
 
-// recoverBody maps a program name to its checkpoint-restart variant, which
-// recovers through Comm.Recover: the world's option decides whether that
-// shrinks (-recover) or relaunches (-respawn). The printed line counts the
-// ranks as "survivors" under -recover and as the "width" under -respawn.
-func recoverBody(prog string, respawn bool, store ckpt.Store, every int) (func(c *mpi.Comm) error, error) {
+// recoverBody resolves an exemplar's checkpoint-restart form. Its printed
+// line counts the ranks as "survivors" under -recover (the world shrinks)
+// and as the "width" under -respawn (the world relaunches).
+func recoverBody(prog string, args []string, respawn bool, store ckpt.Store) (func(c *mpi.Comm) error, error) {
 	flagName, label := "-recover", "survivors"
 	if respawn {
 		flagName, label = "-respawn", "width"
 	}
-	switch prog {
-	case "forestfire":
-		return func(c *mpi.Comm) error {
-			const rows, cols, prob, seed = 40, 40, 0.6, 17
-			res, err := forestfire.SimulateDomainRecover(c, rows, cols, prob, seed, store, every)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("forest fire %dx%d p=%.2f: burned %.1f%% in %d steps (%s: %d/%d ranks)\n",
-					rows, cols, prob, 100*res.BurnedFraction, res.Steps, label, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	case "drugdesign":
-		return func(c *mpi.Comm) error {
-			res, err := drugdesign.MPIMasterWorkerRecover(c, drugdesign.DefaultParams(), store, every)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Printf("%s (%s: %d/%d ranks)\n", res, label, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	case "pagerank":
-		return func(c *mpi.Comm) error {
-			g, damping, iters := pagerankDefaults()
-			pr, err := pagerank.PageRankRecover(c, g, damping, iters, store, every)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				printPageRank(g, pr, c.Size()-len(c.FailedRanks()))
-			}
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("%s supports forestfire, drugdesign, and pagerank, not %q", flagName, prog)
+	e, err := exemplars.Lookup(prog)
+	if err != nil || e.Recover == nil {
+		return nil, fmt.Errorf("%s supports %s, not %q", flagName, recoverable(), prog)
 	}
+	a, err := exemplarArgs(e, args, true)
+	if err != nil {
+		return nil, err
+	}
+	return e.RecoverBody(os.Stdout, a, store, label), nil
 }
 
-// pagerankDefaults is the mpirun-facing configuration of the pagerank
-// exemplar: a skewed graph big enough that the irregular exchange carries
-// real traffic, small enough to stay instant at the command line.
-func pagerankDefaults() (*pagerank.Graph, float64, int) {
-	return pagerank.Gen(2000, 8, 42), 0.85, 30
-}
-
-// printPageRank reports the top-ranked vertices, the probability-mass
-// invariant, and the world shape — enough output to eyeball a run.
-func printPageRank(g *pagerank.Graph, pr []float64, ranks int) {
-	best, sum := 0, 0.0
-	for v, p := range pr {
-		sum += p
-		if p > pr[best] {
-			best = v
+// recoverable lists the exemplars with a checkpoint-restart form.
+func recoverable() string {
+	var names []string
+	for _, e := range exemplars.All() {
+		if e.Recover != nil {
+			names = append(names, e.Name)
 		}
 	}
-	fmt.Printf("pagerank over %d vertices / %d edges on %d ranks: top vertex %d (score %.6f), mass %.6f\n",
-		g.N, g.Edges(), ranks, best, pr[best], sum)
+	return strings.Join(names, ", ")
 }
 
-// lowestSurvivor picks the printing rank of a recovered run: the smallest
-// world rank this process believes alive (the original rank 0 may be dead).
-func lowestSurvivor(c *mpi.Comm) int {
-	failed := make(map[int]bool)
-	for _, r := range c.FailedRanks() {
-		failed[r] = true
-	}
-	for r := 0; r < c.Size(); r++ {
-		if !failed[r] {
-			return r
-		}
-	}
-	return 0
-}
-
-// exitCode maps a runtime error to the shared exit-code contract.
-func exitCode(err error) int { return verdict.ExitCode(err) }
-
+// exitOn ends mpirun with err's exit code (verdict.ExitCode) when err is set.
 func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpirun:", err)
-		os.Exit(exitCode(err))
+		os.Exit(verdict.ExitCode(err))
 	}
 }
 
-// resolveProgram maps a program name to its per-rank body: any
-// message-passing patternlet, or one of the three exemplars.
-func resolveProgram(name string) (func(c *mpi.Comm) error, error) {
-	switch name {
-	case "integration":
-		return func(c *mpi.Comm) error {
-			pi, err := integration.TrapezoidMPI(c, integration.QuarterCircle, 0, 1, 1_000_000)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Printf("pi ≈ %.9f (error %.2g) across %d processes\n", pi, integration.AbsError(pi), c.Size())
-			}
-			return nil
-		}, nil
-	case "drugdesign":
-		return func(c *mpi.Comm) error {
-			res, err := drugdesign.MPIMasterWorker(c, drugdesign.DefaultParams())
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Println(res)
-			}
-			return nil
-		}, nil
-	case "forestfire":
-		return func(c *mpi.Comm) error {
-			pts, err := forestfire.SweepMPI(c, forestfire.DefaultParams())
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Print(forestfire.FormatCurve(pts))
-			}
-			return nil
-		}, nil
-	case "pagerank":
-		return func(c *mpi.Comm) error {
-			g, damping, iters := pagerankDefaults()
-			pr, err := pagerank.PageRankMPI(c, g, damping, iters)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				printPageRank(g, pr, c.Size())
-			}
-			return nil
-		}, nil
-	default:
-		p, err := patternlets.Lookup(name)
+// resolveProgram maps a program name to its per-rank body: an exemplar of
+// the catalog with its key=value args, or a message-passing patternlet,
+// which takes none.
+func resolveProgram(name string, args []string) (func(c *mpi.Comm) error, error) {
+	if e, err := exemplars.Lookup(name); err == nil {
+		a, err := exemplarArgs(e, args, false)
 		if err != nil {
-			return nil, fmt.Errorf("unknown program %q (use a message-passing patternlet name or integration/drugdesign/forestfire/pagerank)", name)
+			return nil, err
 		}
-		if p.RunRank == nil {
-			return nil, fmt.Errorf("%q is a shared-memory patternlet; use cmd/patternlet for it", name)
-		}
-		sw := patternlets.NewSyncWriter(os.Stdout)
-		return func(c *mpi.Comm) error { return p.RunRank(sw, c) }, nil
+		return e.Body(os.Stdout, a), nil
 	}
+	p, err := patternlets.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("unknown program %q (use a message-passing patternlet name or an exemplar)", name)
+	}
+	if p.RunRank == nil {
+		return nil, fmt.Errorf("%q is a shared-memory patternlet; use cmd/patternlet for it", name)
+	}
+	if len(args) > 0 {
+		return nil, fmt.Errorf("patternlet %q takes no arguments, got %q", name, args)
+	}
+	sw := patternlets.NewSyncWriter(os.Stdout)
+	return func(c *mpi.Comm) error { return p.RunRank(sw, c) }, nil
+}
+
+// exemplarArgs applies trailing key=value args to the exemplar form it runs.
+func exemplarArgs(e exemplars.Exemplar, args []string, recover bool) (exemplars.Args, error) {
+	set := make(map[string]string, len(args))
+	for _, kv := range args {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return nil, fmt.Errorf("%s: argument %q is not key=value", e.Name, kv)
+		}
+		set[k] = v
+	}
+	return e.Args(set, recover)
 }
 
 // The recovery modes, as worker processes read them from envRecover:
@@ -480,12 +354,19 @@ const (
 	modeRespawn = "respawn"
 )
 
-// recoveryOption is the world option of a recovery mode.
-func recoveryOption(mode string) mpi.Option {
-	if mode == modeRespawn {
-		return mpi.WithRespawn()
+// programBody resolves prog and its args to the per-rank body of a recovery
+// mode ("" for none, which needs no store) and the world options it runs with.
+func programBody(prog string, args []string, mode string, store ckpt.Store) (func(c *mpi.Comm) error, []mpi.Option, error) {
+	switch mode {
+	case modeRecover:
+		body, err := recoverBody(prog, args, false, store)
+		return body, []mpi.Option{mpi.WithRecovery()}, err
+	case modeRespawn:
+		body, err := recoverBody(prog, args, true, store)
+		return body, []mpi.Option{mpi.WithRespawn()}, err
 	}
-	return mpi.WithRecovery()
+	body, err := resolveProgram(prog, args)
+	return body, nil, err
 }
 
 // procsRecovery carries the -recover/-respawn configuration into runProcs.
@@ -493,13 +374,13 @@ func recoveryOption(mode string) mpi.Option {
 type procsRecovery struct {
 	mode      string // modeRecover, modeRespawn, or "" for a plain job
 	ckptDir   string
-	ckptEvery int
 	killRank  int
 	killAfter int
 }
 
 // runProcs starts a hub and one OS process per rank (re-executing this
-// binary in worker mode), then waits for the job. The hub's error is
+// binary in worker mode on progLine, the program and its key=value args),
+// then waits for the job. The hub's error is
 // authoritative when the world fails: it names the failing or missing rank,
 // where a worker's exit status only says that its process died.
 //
@@ -512,13 +393,13 @@ type procsRecovery struct {
 // at once, so the survivors shrink without waiting out -join-timeout. A
 // -recover job succeeds if the hub wound down cleanly and a survivor
 // finished; a -respawn job only if every rank's last incarnation finished,
-// else it returns errNotFullWidth (exit code 3).
+// else it returns verdict.ErrNotFullWidth (exit code 3).
 //
 // With shm set the launcher additionally creates a shared-memory segment
 // the workers map as their data plane (-transport shm); the hub and its
 // formation timeout work exactly as for procs, so a rank that never starts
 // still fails the job fast with the missing rank named (exit code 4).
-func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duration, shm bool, topo, hier string, rec procsRecovery) error {
+func runProcs(np int, progLine string, deadline, joinTimeout, suspicion time.Duration, shm bool, topo, hier string, rec procsRecovery) error {
 	segPath := ""
 	if shm {
 		seg, err := mpi.CreateShmSegment("", np)
@@ -563,7 +444,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 			envHub+"="+hub.Addr(),
 			envRank+"="+strconv.Itoa(rank),
 			envNP+"="+strconv.Itoa(np),
-			envProg+"="+prog,
+			envProg+"="+progLine,
 			envDeadline+"="+deadline.String(),
 		)
 		if topo != "" {
@@ -579,7 +460,6 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 			cmd.Env = append(cmd.Env,
 				envRecover+"="+rec.mode,
 				envCkpt+"="+rec.ckptDir,
-				envCkptEvery+"="+strconv.Itoa(rec.ckptEvery),
 			)
 			if !rejoin {
 				cmd.Env = append(cmd.Env,
@@ -608,7 +488,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 		cmds[rank] = cmd
 	}
 
-	respawns := make([]int, np)
+	var respawned atomic.Int64 // relaunched processes, over every rank's goroutine
 	respawn := rec.mode == modeRespawn
 	rankErrs := hub.Supervise(respawn, func(rank int, rejoin bool) error {
 		cmd := cmds[rank]
@@ -618,7 +498,7 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 				return err
 			}
 			cmd = nc
-			respawns[rank]++
+			respawned.Add(1)
 		}
 		return cmd.Wait()
 	})
@@ -641,16 +521,12 @@ func runProcs(np int, prog string, deadline, joinTimeout, suspicion time.Duratio
 		// Full-width contract: every rank's final incarnation must have
 		// finished, respawned or not.
 		if okCount == np {
-			total := 0
-			for _, n := range respawns {
-				total += n
-			}
-			if total > 0 {
-				fmt.Printf("mpirun: respawned %d process(es); world finished at full width %d/%d\n", total, okCount, np)
+			if n := respawned.Load(); n > 0 {
+				fmt.Printf("mpirun: respawned %d process(es); world finished at full width %d/%d\n", n, okCount, np)
 			}
 			return nil
 		}
-		return fmt.Errorf("%w: %d/%d processes finished", errNotFullWidth, okCount, np)
+		return fmt.Errorf("%w: %d/%d processes finished", verdict.ErrNotFullWidth, okCount, np)
 	}
 	if rec.mode != "" && okCount > 0 {
 		if failed := hub.FailedRanks(); len(failed) > 0 {
@@ -676,42 +552,36 @@ func workerMode() error {
 		opts = append(opts, mpi.WithDeadline(d))
 	}
 	if spec := os.Getenv(envTopology); spec != "" {
-		nodes, terr := parseTopology(spec, np)
+		nodes, terr := verdict.ParseTopology(spec, np)
 		if terr != nil {
 			return terr
 		}
 		opts = append(opts, mpi.WithTopology(nodes))
 	}
 	if hm := os.Getenv(envHier); hm != "" {
-		mode, herr := parseHier(hm)
+		mode, herr := verdict.ParseHier(hm)
 		if herr != nil {
 			return herr
 		}
 		opts = append(opts, mpi.WithHierarchy(mode))
 	}
 	mode := os.Getenv(envRecover)
-	var body func(c *mpi.Comm) error
+	var store ckpt.Store
 	if mode != "" {
-		store, serr := ckpt.NewFileStore(os.Getenv(envCkpt))
-		if serr != nil {
-			return serr
-		}
-		every, _ := strconv.Atoi(os.Getenv(envCkptEvery))
-		body, err = recoverBody(os.Getenv(envProg), mode == modeRespawn, store, every)
-		if err != nil {
+		if store, err = ckpt.NewFileStore(os.Getenv(envCkpt)); err != nil {
 			return err
 		}
-		opts = append(opts, recoveryOption(mode))
 		if kr, kerr := strconv.Atoi(os.Getenv(envKillRank)); kerr == nil && kr >= 0 {
 			ka, _ := strconv.Atoi(os.Getenv(envKillAfter))
 			opts = append(opts, mpi.WithFaults(killPlan(kr, ka)))
 		}
-	} else {
-		body, err = resolveProgram(os.Getenv(envProg))
-		if err != nil {
-			return err
-		}
 	}
+	prog, args, _ := strings.Cut(os.Getenv(envProg), " ")
+	body, modeOpts, err := programBody(prog, strings.Fields(args), mode, store)
+	if err != nil {
+		return err
+	}
+	opts = append(opts, modeOpts...)
 	if os.Getenv(envRejoin) != "" {
 		// A relaunched incarnation: re-admit into the old rank slot of the
 		// running world, over plain TCP even when the world uses shm.

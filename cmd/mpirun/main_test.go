@@ -11,11 +11,15 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/mpi"
+	"repro/internal/verdict"
 )
+
+// every3 checkpoints a recovery run every 3 units of work.
+var every3 = []string{"ckpt_every=3"}
 
 func TestResolveProgramPatternlets(t *testing.T) {
 	for _, name := range []string{"mpiSpmd", "mpiRing", "mpiBroadcast"} {
-		body, err := resolveProgram(name)
+		body, err := resolveProgram(name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -27,18 +31,18 @@ func TestResolveProgramPatternlets(t *testing.T) {
 
 func TestResolveProgramExemplars(t *testing.T) {
 	for _, name := range []string{"integration", "drugdesign", "forestfire", "pagerank"} {
-		if _, err := resolveProgram(name); err != nil {
+		if _, err := resolveProgram(name, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
 func TestResolveProgramRejections(t *testing.T) {
-	if _, err := resolveProgram("noSuchThing"); err == nil || !strings.Contains(err.Error(), "unknown program") {
+	if _, err := resolveProgram("noSuchThing", nil); err == nil || !strings.Contains(err.Error(), "unknown program") {
 		t.Fatalf("unknown program err = %v", err)
 	}
 	// Shared-memory patternlets are not mpirun-able.
-	if _, err := resolveProgram("spmd"); err == nil || !strings.Contains(err.Error(), "shared-memory") {
+	if _, err := resolveProgram("spmd", nil); err == nil || !strings.Contains(err.Error(), "shared-memory") {
 		t.Fatalf("shared-memory patternlet err = %v", err)
 	}
 }
@@ -52,13 +56,13 @@ func TestExitCodes(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"success", nil, exitOK},
-		{"launcher", errors.New("unknown program"), exitLauncher},
-		{"formation", fmt.Errorf("wrapped: %w", mpi.ErrFormationTimeout), exitFormation},
+		{"success", nil, verdict.ExitOK},
+		{"launcher", errors.New("unknown program"), verdict.ExitLauncher},
+		{"formation", fmt.Errorf("wrapped: %w", mpi.ErrFormationTimeout), verdict.ExitFormation},
 	}
 	for _, tc := range cases {
-		if got := exitCode(tc.err); got != tc.want {
-			t.Errorf("%s: exitCode(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
+		if got := verdict.ExitCode(tc.err); got != tc.want {
+			t.Errorf("%s: verdict.ExitCode(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
 		}
 	}
 
@@ -71,8 +75,8 @@ func TestExitCodes(t *testing.T) {
 		_, rerr := c.Recv(1, 0, nil)
 		return rerr
 	})
-	if got := exitCode(err); got != exitRank {
-		t.Errorf("rank failure: exitCode(%v) = %d, want %d", err, got, exitRank)
+	if got := verdict.ExitCode(err); got != verdict.ExitRank {
+		t.Errorf("rank failure: verdict.ExitCode(%v) = %d, want %d", err, got, verdict.ExitRank)
 	}
 
 	// A deadline report maps to the rank-failure code too: the program is
@@ -81,8 +85,8 @@ func TestExitCodes(t *testing.T) {
 		_, rerr := c.Recv(1-c.Rank(), 0, nil)
 		return rerr
 	}, mpi.WithDeadline(50*time.Millisecond))
-	if got := exitCode(derr); got != exitRank {
-		t.Errorf("deadline: exitCode(%v) = %d, want %d", derr, got, exitRank)
+	if got := verdict.ExitCode(derr); got != verdict.ExitRank {
+		t.Errorf("deadline: verdict.ExitCode(%v) = %d, want %d", derr, got, verdict.ExitRank)
 	}
 }
 
@@ -102,12 +106,12 @@ func checkBodyResolution(t *testing.T, respawn bool, flagName string) {
 	t.Helper()
 	store := ckpt.NewMemStore()
 	for _, name := range []string{"forestfire", "drugdesign", "pagerank"} {
-		if _, err := recoverBody(name, respawn, store, 3); err != nil {
+		if _, err := recoverBody(name, every3, respawn, store); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	for _, name := range []string{"integration", "mpiRing", "noSuchThing"} {
-		if _, err := recoverBody(name, respawn, store, 3); err == nil || !strings.Contains(err.Error(), flagName) {
+		if _, err := recoverBody(name, every3, respawn, store); err == nil || !strings.Contains(err.Error(), flagName) {
 			t.Fatalf("%s: want an error naming %s, got %v", name, flagName, err)
 		}
 	}
@@ -118,7 +122,7 @@ func checkBodyResolution(t *testing.T, respawn bool, flagName string) {
 // exit-0-on-recovery contract, minus the process boundary.
 func TestRecoverRunEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", false, store, 3)
+	body, err := recoverBody("forestfire", every3, false, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +132,8 @@ func TestRecoverRunEndToEnd(t *testing.T) {
 	if runErr != nil {
 		t.Fatalf("recovered run should succeed, got %v", runErr)
 	}
-	if got := exitCode(runErr); got != exitOK {
-		t.Fatalf("exitCode(recovered) = %d, want %d", got, exitOK)
+	if got := verdict.ExitCode(runErr); got != verdict.ExitOK {
+		t.Fatalf("verdict.ExitCode(recovered) = %d, want %d", got, verdict.ExitOK)
 	}
 }
 
@@ -138,7 +142,7 @@ func TestRecoverRunEndToEnd(t *testing.T) {
 // full-width check passing — maps to exit 0.
 func TestRespawnRunEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", true, store, 3)
+	body, err := recoverBody("forestfire", every3, true, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,19 +153,19 @@ func TestRespawnRunEndToEnd(t *testing.T) {
 	if runErr != nil {
 		t.Fatalf("respawned run should succeed, got %v", runErr)
 	}
-	if got := exitCode(runErr); got != exitOK {
-		t.Fatalf("exitCode(respawned) = %d, want %d", got, exitOK)
+	if got := verdict.ExitCode(runErr); got != verdict.ExitOK {
+		t.Fatalf("verdict.ExitCode(respawned) = %d, want %d", got, verdict.ExitOK)
 	}
 }
 
 // TestRespawnNotFullWidth: an unlimited kill rule re-kills every relaunch,
 // so the respawn budget runs out, the launcher marks the rank gone for good,
 // and every survivor's Recover shrinks at once — no wait anywhere. The
-// launcher must report that as errNotFullWidth, exit 3, even though the
+// launcher must report that as verdict.ErrNotFullWidth, exit 3, even though the
 // runtime itself reports a recovered (nil-error) run.
 func TestRespawnNotFullWidth(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", true, store, 3)
+	body, err := recoverBody("forestfire", every3, true, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +175,11 @@ func TestRespawnNotFullWidth(t *testing.T) {
 		mpi.WithRespawn(),
 		mpi.WithFaults(plan),
 	})
-	if !errors.Is(runErr, errNotFullWidth) {
-		t.Fatalf("want errNotFullWidth, got %v", runErr)
+	if !errors.Is(runErr, verdict.ErrNotFullWidth) {
+		t.Fatalf("want verdict.ErrNotFullWidth, got %v", runErr)
 	}
-	if got := exitCode(runErr); got != exitRank {
-		t.Fatalf("exitCode(not full width) = %d, want %d", got, exitRank)
+	if got := verdict.ExitCode(runErr); got != verdict.ExitRank {
+		t.Fatalf("verdict.ExitCode(not full width) = %d, want %d", got, verdict.ExitRank)
 	}
 }
 
@@ -227,7 +231,7 @@ func TestChooseStore(t *testing.T) {
 // (worker processes call JoinShm with the same bodies and options).
 func TestShmBodiesEndToEnd(t *testing.T) {
 	for _, name := range []string{"mpiRing", "integration"} {
-		body, err := resolveProgram(name)
+		body, err := resolveProgram(name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -268,13 +272,13 @@ func TestRespawnFlagMatrix(t *testing.T) {
 		wantExit int
 		wantOut  string // substring of combined output, "" = don't care
 	}{
-		{"local-forestfire", []string{"-np", "4", "-respawn", "-kill-rank", "2", "forestfire"}, exitOK, "width: 4/4 ranks"},
-		{"tcp-drugdesign", []string{"-np", "4", "-respawn", "-kill-rank", "1", "-transport", "tcp", "drugdesign"}, exitOK, "width: 4/4 ranks"},
-		{"procs-forestfire", []string{"-np", "4", "-respawn", "-kill-rank", "2", "-transport", "procs", "forestfire"}, exitOK, "full width 4/4"},
-		{"procs-ckpt-dir", []string{"-np", "4", "-respawn", "-kill-rank", "0", "-transport", "procs", "-ckpt", "", "drugdesign"}, exitOK, "full width 4/4"},
-		{"respawn-and-recover", []string{"-np", "4", "-respawn", "-recover", "forestfire"}, exitUsage, "mutually exclusive"},
-		{"respawn-and-platform", []string{"-np", "4", "-respawn", "-platform", "pi", "forestfire"}, exitUsage, "mutually exclusive"},
-		{"unsupported-program", []string{"-np", "4", "-respawn", "integration"}, exitLauncher, "-respawn supports"},
+		{"local-forestfire", []string{"-np", "4", "-respawn", "-kill-rank", "2", "forestfire"}, verdict.ExitOK, "width: 4/4 ranks"},
+		{"tcp-drugdesign", []string{"-np", "4", "-respawn", "-kill-rank", "1", "-transport", "tcp", "drugdesign"}, verdict.ExitOK, "width: 4/4 ranks"},
+		{"procs-forestfire", []string{"-np", "4", "-respawn", "-kill-rank", "2", "-transport", "procs", "forestfire"}, verdict.ExitOK, "full width 4/4"},
+		{"procs-ckpt-dir", []string{"-np", "4", "-respawn", "-kill-rank", "0", "-transport", "procs", "-ckpt", "", "drugdesign"}, verdict.ExitOK, "full width 4/4"},
+		{"respawn-and-recover", []string{"-np", "4", "-respawn", "-recover", "forestfire"}, verdict.ExitUsage, "mutually exclusive"},
+		{"respawn-and-platform", []string{"-np", "4", "-respawn", "-platform", "pi", "forestfire"}, verdict.ExitUsage, "mutually exclusive"},
+		{"unsupported-program", []string{"-np", "4", "-respawn", "integration"}, verdict.ExitLauncher, "-respawn supports"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -308,7 +312,7 @@ func TestRespawnFlagMatrix(t *testing.T) {
 
 // TestTopologyParsing pins the -topology spec grammar and capacity check.
 func TestTopologyParsing(t *testing.T) {
-	nodes, err := parseTopology("2x4", 8)
+	nodes, err := verdict.ParseTopology("2x4", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,17 +323,17 @@ func TestTopologyParsing(t *testing.T) {
 		}
 	}
 	// Fewer ranks than slots: blockwise fill of node 0 first.
-	if nodes, err = parseTopology("3x2", 3); err != nil {
+	if nodes, err = verdict.ParseTopology("3x2", 3); err != nil {
 		t.Fatal(err)
 	} else if nodes[0] != 0 || nodes[1] != 0 || nodes[2] != 1 {
 		t.Fatalf("3x2 placement of 3 ranks = %v", nodes)
 	}
 	for _, bad := range []string{"", "4", "x4", "2x", "2x4x8", "0x4", "2x0", "-1x4", "ax4", "2x4 "} {
-		if _, err := parseTopology(bad, 2); err == nil {
-			t.Errorf("parseTopology(%q) accepted", bad)
+		if _, err := verdict.ParseTopology(bad, 2); err == nil {
+			t.Errorf("verdict.ParseTopology(%q) accepted", bad)
 		}
 	}
-	if _, err := parseTopology("2x2", 5); err == nil {
+	if _, err := verdict.ParseTopology("2x2", 5); err == nil {
 		t.Error("5 ranks on 4 slots accepted")
 	}
 }
@@ -337,13 +341,13 @@ func TestTopologyParsing(t *testing.T) {
 // TestHierFlagParsing pins the -hier vocabulary.
 func TestHierFlagParsing(t *testing.T) {
 	for s, want := range map[string]mpi.HierMode{"auto": mpi.HierAuto, "on": mpi.HierOn, "off": mpi.HierOff} {
-		got, err := parseHier(s)
+		got, err := verdict.ParseHier(s)
 		if err != nil || got != want {
-			t.Errorf("parseHier(%q) = %v, %v", s, got, err)
+			t.Errorf("verdict.ParseHier(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := parseHier("maybe"); err == nil {
-		t.Error("parseHier(\"maybe\") accepted")
+	if _, err := verdict.ParseHier("maybe"); err == nil {
+		t.Error("verdict.ParseHier(\"maybe\") accepted")
 	}
 }
 
@@ -361,15 +365,15 @@ func TestTopologyFlagMatrix(t *testing.T) {
 		wantExit int
 		wantOut  string
 	}{
-		{"local-hier", []string{"-np", "8", "-topology", "2x4", "integration"}, exitOK, "pi ≈"},
-		{"local-hier-off", []string{"-np", "8", "-topology", "2x4", "-hier", "off", "integration"}, exitOK, "pi ≈"},
-		{"local-hier-on-sparse", []string{"-np", "4", "-topology", "4x1", "-hier", "on", "mpiRing"}, exitOK, ""},
-		{"tcp-hier", []string{"-np", "4", "-topology", "2x2", "-transport", "tcp", "integration"}, exitOK, "pi ≈"},
-		{"procs-hier", []string{"-np", "4", "-topology", "2x2", "-transport", "procs", "integration"}, exitOK, "pi ≈"},
-		{"topology-and-platform", []string{"-np", "4", "-topology", "2x2", "-platform", "pi", "integration"}, exitUsage, "mutually exclusive"},
-		{"bad-spec", []string{"-np", "4", "-topology", "2by2", "integration"}, exitUsage, "want NxM"},
-		{"too-many-ranks", []string{"-np", "9", "-topology", "2x4", "integration"}, exitUsage, "cannot place"},
-		{"bad-hier", []string{"-np", "4", "-hier", "sideways", "integration"}, exitUsage, "want auto, on, or off"},
+		{"local-hier", []string{"-np", "8", "-topology", "2x4", "integration"}, verdict.ExitOK, "pi ≈"},
+		{"local-hier-off", []string{"-np", "8", "-topology", "2x4", "-hier", "off", "integration"}, verdict.ExitOK, "pi ≈"},
+		{"local-hier-on-sparse", []string{"-np", "4", "-topology", "4x1", "-hier", "on", "mpiRing"}, verdict.ExitOK, ""},
+		{"tcp-hier", []string{"-np", "4", "-topology", "2x2", "-transport", "tcp", "integration"}, verdict.ExitOK, "pi ≈"},
+		{"procs-hier", []string{"-np", "4", "-topology", "2x2", "-transport", "procs", "integration"}, verdict.ExitOK, "pi ≈"},
+		{"topology-and-platform", []string{"-np", "4", "-topology", "2x2", "-platform", "pi", "integration"}, verdict.ExitUsage, "mutually exclusive"},
+		{"bad-spec", []string{"-np", "4", "-topology", "2by2", "integration"}, verdict.ExitUsage, "want NxM"},
+		{"too-many-ranks", []string{"-np", "9", "-topology", "2x4", "integration"}, verdict.ExitUsage, "cannot place"},
+		{"bad-hier", []string{"-np", "4", "-hier", "sideways", "integration"}, verdict.ExitUsage, "want auto, on, or off"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -400,7 +404,7 @@ func TestTopologyFlagMatrix(t *testing.T) {
 // the run maps to exit 0.
 func TestShmRecoverEndToEnd(t *testing.T) {
 	store := ckpt.NewMemStore()
-	body, err := recoverBody("forestfire", false, store, 3)
+	body, err := recoverBody("forestfire", every3, false, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +417,69 @@ func TestShmRecoverEndToEnd(t *testing.T) {
 	if runErr != nil {
 		t.Fatalf("recovered shm run should succeed, got %v", runErr)
 	}
-	if got := exitCode(runErr); got != exitOK {
-		t.Fatalf("exitCode(recovered) = %d, want %d", got, exitOK)
+	if got := verdict.ExitCode(runErr); got != verdict.ExitOK {
+		t.Fatalf("verdict.ExitCode(recovered) = %d, want %d", got, verdict.ExitOK)
+	}
+}
+
+// TestLauncherArgs: an exemplar's trailing key=value args reach its ranks —
+// in-process and, through MPIRUN_PROG, in every worker process — and a bad
+// arg is a launcher error (exit 1) that names the key. n=1000 trapezoids
+// leave an error of 1.7e-07 where the default million leave ~1e-13, so the
+// printed error shows which n the ranks ran.
+func TestLauncherArgs(t *testing.T) {
+	for _, bad := range [][]string{{"n"}, {"m=5"}, {"n=1e6"}, {"n=0"}, {"ckpt_every=2"}} {
+		if _, err := resolveProgram("integration", bad); err == nil {
+			t.Errorf("integration %v accepted", bad)
+		}
+	}
+	if _, err := resolveProgram("pagerank", []string{"vertices=1"}); err == nil || !strings.Contains(err.Error(), "vertices") {
+		t.Errorf("pagerank vertices=1: err = %v, want it named", err)
+	}
+	if _, err := recoverBody("forestfire", []string{"trials=100"}, false, ckpt.NewMemStore()); err == nil || !strings.Contains(err.Error(), "trials") {
+		t.Errorf("-recover forestfire trials=100: err = %v, want it named", err)
+	}
+	if _, err := resolveProgram("mpiRing", []string{"n=5"}); err == nil {
+		t.Error("a patternlet accepted key=value args")
+	}
+	if _, err := recoverBody("forestfire", []string{"ckpt_every=x"}, false, ckpt.NewMemStore()); err == nil || !strings.Contains(err.Error(), "ckpt_every") {
+		t.Errorf("forestfire ckpt_every=x: err = %v, want it named", err)
+	}
+	if testing.Short() {
+		t.Skip("builds and execs the launcher binary")
+	}
+	bin := buildMpirun(t)
+	cases := []struct {
+		name     string
+		args     []string
+		wantExit int
+		wantOut  string
+	}{
+		{"local", []string{"-np", "2", "integration", "n=1000"}, verdict.ExitOK, "(error 1.7e-07) across 2 processes"},
+		{"procs", []string{"-np", "2", "-transport", "procs", "integration", "n=1000"}, verdict.ExitOK, "(error 1.7e-07) across 2 processes"},
+		{"procs-recover", []string{"-np", "2", "-transport", "procs", "-recover", "forestfire", "rows=12", "cols=12"}, verdict.ExitOK, "forest fire 12x12"},
+		{"unknown-key", []string{"-np", "2", "integration", "m=5"}, verdict.ExitLauncher, `m="5"`},
+		{"not-an-integer", []string{"-np", "2", "-transport", "procs", "integration", "n=1e6"}, verdict.ExitLauncher, `n="1e6"`},
+		{"recover-unknown-key", []string{"-np", "2", "-recover", "pagerank", "damping=9"}, verdict.ExitLauncher, `damping="9"`},
+		{"out-of-range", []string{"-np", "2", "integration", "n=0"}, verdict.ExitLauncher, `n="0"`},
+		{"fixed-size", []string{"-np", "2", "pagerank", "vertices=1"}, verdict.ExitLauncher, `vertices="1"`},
+		{"recover-ignored-key", []string{"-np", "2", "-recover", "forestfire", "trials=100"}, verdict.ExitLauncher, `trials="100"`},
+		{"plain-ckpt-every", []string{"-np", "2", "forestfire", "ckpt_every=2"}, verdict.ExitLauncher, `ckpt_every="2"`},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			got := 0
+			if ee, ok := err.(*exec.ExitError); ok {
+				got = ee.ExitCode()
+			} else if err != nil {
+				t.Fatalf("running %v: %v\n%s", tc.args, err, out)
+			}
+			if got != tc.wantExit || !strings.Contains(string(out), tc.wantOut) {
+				t.Errorf("%v: exit %d, want %d with %q in:\n%s", tc.args, got, tc.wantExit, tc.wantOut, out)
+			}
+		})
 	}
 }

@@ -16,14 +16,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/exemplars/drugdesign"
-	"repro/internal/exemplars/forestfire"
-	"repro/internal/exemplars/integration"
+	"repro/internal/exemplars"
 	"repro/internal/handout"
-	"repro/internal/mpi"
 	"repro/internal/notebook"
 	"repro/internal/patternlets"
-	"repro/internal/shm"
 	"repro/internal/survey"
 )
 
@@ -44,7 +40,7 @@ type Module struct {
 
 	// Patternlets is the module's catalog, in teaching order.
 	Patternlets []patternlets.Patternlet
-	// Exemplars names the module's closing applications.
+	// Exemplars names the module's closing applications (internal/exemplars).
 	Exemplars []string
 	// Platforms are the execution environments the module offers.
 	Platforms []cluster.Platform
@@ -106,7 +102,7 @@ func (m *Module) Deliver(w io.Writer, workers int) error {
 				return fmt.Errorf("core: patternlet %s: %w", p.Name, err)
 			}
 		}
-		return m.deliverSharedExemplars(w, workers)
+		return m.deliverExemplars(w, workers)
 	case patternlets.MessagePassing:
 		return m.deliverDistributed(w, workers)
 	default:
@@ -114,27 +110,8 @@ func (m *Module) Deliver(w io.Writer, workers int) error {
 	}
 }
 
-// deliverSharedExemplars runs the shared-memory module's closing half hour.
-func (m *Module) deliverSharedExemplars(w io.Writer, workers int) error {
-	fmt.Fprintf(w, "\n--- exemplar: numerical integration ---\n")
-	pi, err := integration.TrapezoidShared(integration.QuarterCircle, 0, 1, 1_000_000, workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "pi ≈ %.9f (error %.2g) with %d threads\n", pi, integration.AbsError(pi), workers)
-
-	fmt.Fprintf(w, "\n--- exemplar: drug design ---\n")
-	res, err := drugdesign.Shared(drugdesign.DefaultParams(), workers, shm.Dynamic(1))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, res)
-	return nil
-}
-
 // deliverDistributed runs the distributed module: the notebook on the
-// modeled Colab VM, then the forest-fire exemplar on the module's cluster
-// platform.
+// modeled Colab VM, then the exemplars on the module's cluster platform.
 func (m *Module) deliverDistributed(w io.Writer, workers int) error {
 	colab := m.Platforms[0]
 	rt := notebook.NewRuntime(colab.Launch)
@@ -152,25 +129,29 @@ func (m *Module) deliverDistributed(w io.Writer, workers int) error {
 			fmt.Fprintf(w, "\n>>> %s\n%s", firstLine(cell.Source), cell.Output)
 		}
 	}
+	return m.deliverExemplars(w, workers)
+}
 
-	fmt.Fprintf(w, "\n--- exemplar: forest fire on %s ---\n", m.Platforms[1])
-	params := forestfire.DefaultParams()
-	params.Trials = 20
-	var curve []forestfire.SweepPoint
-	err := m.Platforms[1].Launch(workers, func(c *mpi.Comm) error {
-		pts, err := forestfire.SweepMPI(c, params)
+// deliverExemplars runs the module's closing exemplars in the module's form:
+// shared-memory on workers threads, or message-passing on workers ranks of
+// the module's cluster platform.
+func (m *Module) deliverExemplars(w io.Writer, workers int) error {
+	for _, name := range m.Exemplars {
+		e, err := exemplars.Lookup(name)
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			curve = pts
+		if m.Paradigm == patternlets.SharedMemory {
+			fmt.Fprintf(w, "\n--- exemplar: %s ---\n", e.Title)
+			err = e.RunShared(w, workers, e.Defaults)
+		} else {
+			fmt.Fprintf(w, "\n--- exemplar: %s on %s ---\n", e.Title, m.Platforms[1])
+			err = m.Platforms[1].Launch(workers, e.Body(w, e.Defaults))
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		if err != nil {
+			return fmt.Errorf("core: exemplar %s: %w", name, err)
+		}
 	}
-	fmt.Fprint(w, forestfire.FormatCurve(curve))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exemplars"
 	"repro/internal/patternlets"
 )
 
@@ -52,6 +53,24 @@ func TestModulesMatchThePaper(t *testing.T) {
 	}
 }
 
+// TestModuleExemplarsResolve: every exemplar a module names is in the
+// catalog with the form that module's delivery runs — shared-memory on the
+// Pi, message-passing on the cluster.
+func TestModuleExemplarsResolve(t *testing.T) {
+	for _, m := range Modules() {
+		for _, name := range m.Exemplars {
+			e, err := exemplars.Lookup(name)
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			if m.Paradigm == patternlets.SharedMemory && e.Shared == nil ||
+				m.Paradigm == patternlets.MessagePassing && e.MPI == nil {
+				t.Errorf("%s: exemplar %s has no %s form", m.Name, name, m.Paradigm)
+			}
+		}
+	}
+}
+
 func TestDeliverSharedMemoryModule(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SharedMemoryModule().Deliver(&buf, 4); err != nil {
@@ -88,7 +107,10 @@ func TestDeliverDistributedModule(t *testing.T) {
 		"Greetings from process 0 of 4 on d6ff4f902ed6",
 		">>> !mpirun --allow-run-as-root -np 4 python 00spmd.py",
 		"exemplar: forest fire on Chameleon cluster",
+		"burn curve from 4 processes:",
 		"spread prob",
+		"exemplar: drug design on Chameleon cluster",
+		"maximal score",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("distributed delivery missing %q", want)

@@ -55,6 +55,7 @@ type readLease struct {
 	parked  net.Conn // the connection a reading receive is blocked on, between frames
 	poked   bool     // parked's read deadline was moved into the past to wake that receive
 	nudge   chan struct{}
+	timer   *time.Timer // the fallback's quiet interval, stopped between calls; only acquireFallback touches it
 
 	// Data frames dispatched by a blocked receive and by the fallback; and
 	// the same frames by where their payload was read: straight into the
@@ -180,7 +181,10 @@ func (l *readLease) wantFallback() {
 // for a whole interval it sleeps, with no timer running, until that receive
 // lets go.
 func (l *readLease) acquireFallback() bool {
-	timer := time.NewTimer(l.quiet)
+	if l.timer == nil { // the loop stops it before each wait
+		l.timer = time.NewTimer(l.quiet)
+	}
+	timer := l.timer
 	defer timer.Stop()
 	l.mu.Lock()
 	defer l.mu.Unlock()

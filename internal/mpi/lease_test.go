@@ -302,3 +302,20 @@ func TestLeasePassSkipsAReceiveNobodyAwaits(t *testing.T) {
 		t.Fatalf("await = %v with %q, want the frame sent last", err, ahead.Data)
 	}
 }
+
+// TestLeaseFallbackKeepsOneTimer: the fallback reader's quiet-interval wait
+// reuses the lease's one timer, so taking the lease and giving it back
+// allocates nothing, however many times it cycles and however slowly.
+func TestLeaseFallbackKeepsOneTimer(t *testing.T) {
+	l := &readLease{quiet: 20 * time.Microsecond, nudge: make(chan struct{}, 1)}
+	cycle := func() {
+		if !l.acquireFallback() {
+			t.Fatal("the fallback found an open lease closed")
+		}
+		l.release()
+	}
+	cycle() // the first cycle makes the timer
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("one fallback acquire/release cycle allocates %v objects, want 0", n)
+	}
+}

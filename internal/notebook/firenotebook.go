@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/exemplars/forestfire"
+	"repro/internal/exemplars"
 	"repro/internal/mpi"
 )
 
@@ -62,21 +62,12 @@ def main():
 main()
 `
 
-// BindForestFire installs the fire notebook's program binding: each rank
-// runs its share of the sweep and rank 0 prints the burn curve.
+// BindForestFire installs the fire notebook's program binding: the forest
+// fire exemplar's message-passing form, whose defaults are the sweep the
+// saved fire.py describes; rank 0 prints the burn curve.
 func BindForestFire(rt *Runtime) {
-	rt.Bind("fire.py", func(w io.Writer, c *mpi.Comm) error {
-		params := forestfire.DefaultParams()
-		points, err := forestfire.SweepMPI(c, params)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			fmt.Fprintf(w, "burn curve from %d processes:\n", c.Size())
-			fmt.Fprint(w, forestfire.FormatCurve(points))
-		}
-		return nil
-	})
+	fire, _ := exemplars.Lookup("forestfire") // in the catalog by construction
+	rt.Bind("fire.py", func(w io.Writer, c *mpi.Comm) error { return fire.Body(w, fire.Defaults)(c) })
 }
 
 // RunFireNotebook executes the fire notebook against a launcher and

@@ -90,6 +90,11 @@ func TestHTTPAdmissionErrors(t *testing.T) {
 	if resp := doJSON(t, "POST", srv.URL+"/api/v1/jobs", JobSpec{Tenant: "a", Program: "sleep", Width: 0}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero width = %d, want 400", resp.StatusCode)
 	}
+	// 400: an exemplar arg that is not an integer, named in the error.
+	var bad struct{ Error string }
+	if resp := doJSON(t, "POST", srv.URL+"/api/v1/jobs", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "1e6"}}, &bad); resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, `n="1e6"`) {
+		t.Fatalf("bad exemplar arg = %d %q, want 400 naming n", resp.StatusCode, bad.Error)
+	}
 	// 400: malformed body.
 	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader("{nope"))
 	if err != nil {
@@ -193,14 +198,16 @@ func TestHTTPListAndPrograms(t *testing.T) {
 	}
 	var programs []string
 	doJSON(t, "GET", srv.URL+"/api/v1/programs", nil, &programs)
-	found := false
-	for _, p := range programs {
-		if p == "forestfire-recover" {
-			found = true
+	for _, want := range []string{"forestfire-recover", "pagerank", "pagerank-recover"} {
+		found := false
+		for _, p := range programs {
+			if p == want {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("programs = %v, want the default catalog", programs)
+		if !found {
+			t.Fatalf("programs = %v, want the default catalog with %s", programs, want)
+		}
 	}
 	if resp := doJSON(t, "GET", srv.URL+"/api/v1/healthz", nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/exemplars/drugdesign"
-	"repro/internal/exemplars/forestfire"
-	"repro/internal/exemplars/integration"
+	"repro/internal/exemplars"
 	"repro/internal/mpi"
 )
 
@@ -29,8 +27,9 @@ type ProgramEnv struct {
 	Attempt int
 }
 
-// Program builds the per-rank body for one run of a job. It is called once
-// per run (so retries re-resolve Args), and may reject a bad spec.
+// Program builds the per-rank body for one run of a job. Submit calls it
+// once to admit the job, where an error rejects the spec (ErrBadSpec), and
+// the supervisor once per run; it must do no work but build the body.
 type Program func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error)
 
 // Registry maps program names to factories. Safe for concurrent use.
@@ -77,9 +76,11 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// DefaultRegistry returns the standard program catalog: the three
-// exemplars, the recovery-aware exemplar variants (for Recover jobs), and
-// the small utility programs the load tests and the classroom use.
+// DefaultRegistry returns the standard program catalog: every exemplar of
+// internal/exemplars, with its key=value args as the job's Args, under its
+// name and, where it has a checkpoint-restart form fed the job's checkpoint
+// namespace, under name-recover; plus the small utility programs the load
+// tests and the classroom use.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 	must := func(name string, p Program) {
@@ -88,84 +89,24 @@ func DefaultRegistry() *Registry {
 		}
 	}
 
-	must("integration", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
-		n := argInt(spec.Args, "n", 1_000_000)
-		return func(c *mpi.Comm) error {
-			pi, err := integration.TrapezoidMPI(c, integration.QuarterCircle, 0, 1, n)
+	for _, e := range exemplars.All() {
+		must(e.Name, func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
+			a, err := e.Args(spec.Args, false)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if c.Rank() == 0 {
-				fmt.Fprintf(env.Out, "pi ≈ %.9f (error %.2g) across %d processes\n", pi, integration.AbsError(pi), c.Size())
-			}
-			return nil
-		}, nil
-	})
-
-	must("drugdesign", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
-		params := drugdesign.DefaultParams()
-		params.NumLigands = argInt(spec.Args, "ligands", params.NumLigands)
-		return func(c *mpi.Comm) error {
-			res, err := drugdesign.MPIMasterWorker(c, params)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Fprintln(env.Out, res)
-			}
-			return nil
-		}, nil
-	})
-
-	must("forestfire", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
-		params := forestfire.DefaultParams()
-		params.Trials = argInt(spec.Args, "trials", params.Trials)
-		return func(c *mpi.Comm) error {
-			pts, err := forestfire.SweepMPI(c, params)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Fprint(env.Out, forestfire.FormatCurve(pts))
-			}
-			return nil
-		}, nil
-	})
-
-	// Recovery-aware variants: the checkpoint-restart exemplars of PR 4,
-	// fed the job's private checkpoint namespace. Pair with Recover: true
-	// (and, for a demo, KillRank) — rank death shrinks the gang and the
-	// job still succeeds.
-	must("forestfire-recover", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
-		rows := argInt(spec.Args, "rows", 40)
-		cols := argInt(spec.Args, "cols", 40)
-		every := argInt(spec.Args, "ckpt_every", 3)
-		return func(c *mpi.Comm) error {
-			res, err := forestfire.SimulateDomainRecover(c, rows, cols, 0.6, 17, env.Ckpt, every)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Fprintf(env.Out, "forest fire %dx%d: burned %.1f%% in %d steps (survivors: %d/%d ranks)\n",
-					rows, cols, 100*res.BurnedFraction, res.Steps, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	})
-
-	must("drugdesign-recover", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
-		every := argInt(spec.Args, "ckpt_every", 5)
-		return func(c *mpi.Comm) error {
-			res, err := drugdesign.MPIMasterWorkerRecover(c, drugdesign.DefaultParams(), env.Ckpt, every)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == lowestSurvivor(c) {
-				fmt.Fprintf(env.Out, "%s (survivors: %d/%d ranks)\n", res, c.Size()-len(c.FailedRanks()), c.Size())
-			}
-			return nil
-		}, nil
-	})
+			return e.Body(env.Out, a), nil
+		})
+		if e.Recover != nil { // pair with Recover: true (and, for a demo, KillRank)
+			must(e.Name+"-recover", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
+				a, err := e.Args(spec.Args, true)
+				if err != nil {
+					return nil, err
+				}
+				return e.RecoverBody(env.Out, a, env.Ckpt, "survivors"), nil
+			})
+		}
+	}
 
 	// sleep: every rank sleeps Args["ms"] milliseconds (default 10), then
 	// the gang barriers. The load generator's stand-in for a short job
@@ -223,7 +164,7 @@ func DefaultRegistry() *Registry {
 	return r
 }
 
-// argInt reads an integer arg with a default.
+// argInt reads a utility program's integer arg with a default.
 func argInt(args map[string]string, key string, def int) int {
 	if v, ok := args[key]; ok {
 		if n, err := strconv.Atoi(v); err == nil {
@@ -231,19 +172,4 @@ func argInt(args map[string]string, key string, def int) int {
 		}
 	}
 	return def
-}
-
-// lowestSurvivor picks the printing rank of a recovered run: the smallest
-// rank this process believes alive (rank 0 may be dead).
-func lowestSurvivor(c *mpi.Comm) int {
-	failed := make(map[int]bool)
-	for _, r := range c.FailedRanks() {
-		failed[r] = true
-	}
-	for r := 0; r < c.Size(); r++ {
-		if !failed[r] {
-			return r
-		}
-	}
-	return 0
 }

@@ -25,7 +25,8 @@ var (
 	// is retrying a submit whose response it lost; the job is already in.
 	ErrDuplicateID = errors.New("sched: duplicate job id")
 	// ErrBadSpec rejects a malformed submission (zero-width gang, unknown
-	// program, width beyond the whole cluster, bad kill rank, bad ID).
+	// program or program arg, width beyond the whole cluster, bad kill
+	// rank, bad ID).
 	ErrBadSpec = errors.New("sched: bad job spec")
 	// ErrUnknownJob: no job with that ID.
 	ErrUnknownJob = errors.New("sched: unknown job")
@@ -400,6 +401,12 @@ func validateJobID(id string) error {
 // the returned status is the job's initial queued snapshot (carrying the
 // assigned ID).
 func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
+	// A bad exemplar arg spends no run. Registry code runs outside the lock.
+	if program, ok := s.cfg.Registry.Resolve(spec.Program); ok {
+		if _, err := program(spec, ProgramEnv{}); err != nil {
+			return JobStatus{}, fmt.Errorf("%w: program %s: %v", ErrBadSpec, spec.Program, err)
+		}
+	}
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()

@@ -170,11 +170,26 @@ func TestBadSpecsRejected(t *testing.T) {
 		{"kill rank outside gang", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(2)}},
 		{"negative kill rank", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(-1)}},
 		{"path traversal id", JobSpec{ID: "../escape", Tenant: "a", Program: "sleep", Width: 1}},
+		{"non-integer exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "1e6"}}},
+		{"misspelt exemplar arg", JobSpec{Tenant: "a", Program: "drugdesign", Width: 1, Args: map[string]string{"ligand": "40"}}},
+		{"bad recovery arg", JobSpec{Tenant: "a", Program: "pagerank-recover", Width: 1, Args: map[string]string{"ckpt_every": "often"}}},
+		{"out-of-range exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "0"}}},
+		{"fixed exemplar size", JobSpec{Tenant: "a", Program: "pagerank", Width: 1, Args: map[string]string{"vertices": "1"}}},
+		{"arg the recovery form ignores", JobSpec{Tenant: "a", Program: "forestfire-recover", Width: 1, Args: map[string]string{"trials": "100"}}},
+		{"checkpoint arg on a plain form", JobSpec{Tenant: "a", Program: "forestfire", Width: 1, Args: map[string]string{"ckpt_every": "2"}}},
 	}
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.spec); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: err = %v, want ErrBadSpec", tc.name, err)
 		}
+		for key := range tc.spec.Args { // the error names the bad key
+			if _, err := s.Submit(tc.spec); err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s: err = %v, want it to name %q", tc.name, err, key)
+			}
+		}
+	}
+	if st := s.Stats(); st.Admitted != 0 {
+		t.Errorf("admitted = %d, want every bad spec refused before a run", st.Admitted)
 	}
 	// An elastic job wider than the cluster is fine when MinWidth fits:
 	// it runs shrunk.
@@ -546,24 +561,32 @@ func TestKillRankFaultQuarantinesWithReport(t *testing.T) {
 
 // TestRecoverJobSurvivesKill: a recovery-aware program with an injected
 // rank kill shrinks ULFM-style and still succeeds — the fault machinery
-// of PR 4 wired through the scheduler.
+// wired through the scheduler, for the catalog's forest fire and PageRank
+// recovery forms.
 func TestRecoverJobSurvivesKill(t *testing.T) {
 	s := newTestSched(t, Config{CkptDir: t.TempDir()})
-	st, err := s.Submit(JobSpec{
-		Tenant: "a", Program: "forestfire-recover", Width: 4,
-		Args:    map[string]string{"rows": "24", "cols": "24", "ckpt_every": "2"},
-		Recover: true, KillRank: intPtr(1), KillAfter: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, s, st.ID, StateSucceeded, 20*time.Second)
-	if final.Failures != 0 {
-		t.Fatalf("failures = %d, want 0: recovery absorbed the kill", final.Failures)
-	}
-	logs, _ := s.Logs(st.ID)
-	if !strings.Contains(string(logs), "survivors: 3/4") {
-		t.Fatalf("logs = %q, want the shrunk gang reported", logs)
+	for _, tc := range []struct {
+		program string
+		args    map[string]string
+	}{
+		{"forestfire-recover", map[string]string{"rows": "24", "cols": "24", "ckpt_every": "2"}},
+		{"pagerank-recover", map[string]string{"ckpt_every": "2"}},
+	} {
+		st, err := s.Submit(JobSpec{
+			Tenant: "a", Program: tc.program, Width: 4, Args: tc.args,
+			Recover: true, KillRank: intPtr(1), KillAfter: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitState(t, s, st.ID, StateSucceeded, 20*time.Second)
+		if final.Failures != 0 {
+			t.Fatalf("%s: failures = %d, want 0: recovery absorbed the kill", tc.program, final.Failures)
+		}
+		logs, _ := s.Logs(st.ID)
+		if !strings.Contains(string(logs), "survivors: 3/4") {
+			t.Fatalf("%s: logs = %q, want the shrunk gang reported", tc.program, logs)
+		}
 	}
 }
 

@@ -173,6 +173,10 @@ named '-race -timeout 300s -count=5' \
   'TestMasterWorkerRespawnFullWidth|TestDomainRespawnFullWidth|TestDomainRecoverKillRank|TestMasterWorkerRecoverKills|TestDomainVariantsMessagePattern|TestMasterWorkerMessagePattern' \
   ./internal/exemplars/drugdesign/ ./internal/exemplars/forestfire/
 named '-race -timeout 240s -count=1' 'TestRespawn' ./cmd/mpirun/
+# The exemplar catalog: every entry in every form it has, its key=value args,
+# and those args reaching mpirun's ranks in-process and in worker processes.
+named '-race -timeout 180s -count=1' 'TestCatalog|TestLauncherArgs' \
+  ./internal/exemplars/ ./cmd/mpirun/
 # The wire decoder, the session's accept path above it, the shm record decoder
 # and the ckpt manifest loader under arbitrary bytes, 10 s each beyond the
 # seeds `go test` runs.

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -42,6 +41,9 @@ func roundTripAllocs(t *testing.T, opts ...Option) float64 {
 // allocate two objects — each caller boxing its slice into the any that Send
 // takes — and the runtime none: the payload is copied once, from the sender's
 // slice into the receiver's, so a megabyte each way allocates under a KiB.
+// Each rank sends only once the peer's receive is posted: a frame that finds
+// no receive is cloned, and a rank preempted between its Send and its Recv
+// would otherwise be sent to before it had posted.
 func TestLocalRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -51,12 +53,28 @@ func TestLocalRoundTripAllocations(t *testing.T) {
 		var n float64
 		var bytes uint64
 		err := Run(2, func(c *Comm) error {
+			peer := c.world.boxes[1-c.Rank()]
 			if c.Rank() == 1 {
-				return echoFloats(c)
+				var in []float64
+				for {
+					st, err := c.Recv(0, AnyTag, &in)
+					if err != nil || st.Tag == 1 {
+						return err
+					}
+					if err := waitPosted(peer, 1); err != nil {
+						return err
+					}
+					if err := c.Send(0, 0, in); err != nil {
+						return err
+					}
+				}
 			}
 			send, recv := make([]float64, elems), []float64(nil)
 			var opErr error
 			trip := func() {
+				if err := waitPosted(peer, 1); err != nil {
+					opErr = err
+				}
 				if err := c.Send(1, 0, send); err != nil {
 					opErr = err
 				}
@@ -65,19 +83,13 @@ func TestLocalRoundTripAllocations(t *testing.T) {
 				}
 			}
 			n = testing.AllocsPerRun(trips, trip) // its warm-up run sizes both receive buffers
-			// The best of three batches: a rank preempted between its Send and
-			// its Recv is sent to before it has posted, and that one message is
-			// cloned, as any frame that finds no receive is.
-			bytes = math.MaxUint64
-			for batch := 0; batch < 3; batch++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < trips; i++ {
-					trip()
-				}
-				runtime.ReadMemStats(&after)
-				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/trips)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < trips; i++ {
+				trip()
 			}
+			runtime.ReadMemStats(&after)
+			bytes = (after.TotalAlloc - before.TotalAlloc) / trips
 			if err := c.Send(1, 1, send); err != nil {
 				return err
 			}

@@ -184,9 +184,9 @@ type job struct {
 	// their own checkpoints.
 	ckpt ckpt.Store
 
-	// interrupt state: its own lock so Cancel and the chaos path never
-	// wait on a dispatch round, and so a supervisor mid-run can consult it
-	// without the scheduler lock.
+	// interrupt state: its own lock so Cancel and the chaos path abort a
+	// world after releasing the scheduler lock, and so a supervisor mid-run
+	// can consult it without the scheduler lock.
 	intMu    sync.Mutex
 	intCause error         // first interrupt wins
 	intCh    chan struct{} // closed on first interrupt

@@ -112,7 +112,8 @@ type Config struct {
 	CkptDir string
 	// Seed feeds the backoff jitter and injected fault plans (default 1).
 	Seed int64
-	// Logf, when set, receives one line per significant transition.
+	// Logf, when set, receives one line per significant transition, under
+	// the scheduler's lock: it must not call back into the Scheduler.
 	Logf func(format string, args ...any)
 }
 
@@ -214,6 +215,8 @@ type Scheduler struct {
 	rrNext      int      // ring position after the tenant served last (1..len(tenantNames); 0 before any)
 	nodes       []*node
 	queuedTotal int
+	live        int           // admitted jobs not yet terminal
+	idle        chan struct{} // while Drain waits: closed when live reaches 0
 	idSeq       int
 	draining    bool
 	closed      bool
@@ -225,13 +228,11 @@ type Scheduler struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	kick chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
 }
 
-// New starts a scheduler: its dispatch loop and node health monitor run
-// until Close.
+// New starts a scheduler: its node health monitor runs until Close.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
@@ -240,7 +241,6 @@ func New(cfg Config) (*Scheduler, error) {
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]*tenantQ),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
 	if cfg.CkptDir != "" {
@@ -260,33 +260,9 @@ func New(cfg Config) (*Scheduler, error) {
 			lastBeat: now,
 		})
 	}
-	s.wg.Add(2)
-	go s.dispatchLoop()
+	s.wg.Add(1)
 	go s.monitorLoop()
 	return s, nil
-}
-
-// kickNow nudges the dispatch loop; coalescing is fine — one pass drains
-// every opportunity.
-func (s *Scheduler) kickNow() {
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (s *Scheduler) dispatchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.kick:
-			s.mu.Lock()
-			s.dispatchLocked()
-			s.mu.Unlock()
-		}
-	}
 }
 
 // monitorLoop is the heartbeat monitor: it refreshes beating nodes and
@@ -316,12 +292,12 @@ func (s *Scheduler) monitorLoop() {
 					causes = append(causes, cs...)
 				}
 			}
+			if len(evict) > 0 {
+				s.dispatchLocked()
+			}
 			s.mu.Unlock()
 			for i, j := range evict {
 				j.interrupt(causes[i])
-			}
-			if len(evict) > 0 {
-				s.kickNow()
 			}
 		}
 	}
@@ -399,7 +375,7 @@ func validateJobID(id string) error {
 
 // Submit admits a job or rejects it with an admission error. On success
 // the returned status is the job's initial queued snapshot (carrying the
-// assigned ID).
+// assigned ID), taken before Submit's own dispatch pass.
 func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	// A bad exemplar arg spends no run. Registry code runs outside the lock.
 	if program, ok := s.cfg.Registry.Resolve(spec.Program); ok {
@@ -439,12 +415,13 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 	s.jobs[spec.ID] = j
 	s.order = append(s.order, spec.ID)
 	s.admitted++
+	s.live++
 	tq.queued = append(tq.queued, j)
 	s.queuedTotal++
 	st := j.statusLocked()
-	s.mu.Unlock()
 	s.cfg.Logf("sched: admitted %s (tenant %s, program %s, width %d)", spec.ID, spec.Tenant, spec.Program, spec.Width)
-	s.kickNow()
+	s.dispatchLocked()
+	s.mu.Unlock()
 	return st, nil
 }
 
@@ -491,7 +468,9 @@ func (s *Scheduler) tryPlaceLocked(j *job) (int, []int, bool) {
 }
 
 // dispatchLocked is one scheduling pass: place as many queued jobs as
-// capacity, quotas, fairness, and the starvation guard allow.
+// capacity, quotas, fairness, and the starvation guard allow. There is no
+// dispatch goroutine: each event that can change a placement runs the pass
+// under the lock it holds, since a hand-off would cost more than the pass.
 func (s *Scheduler) dispatchLocked() {
 	if s.closed {
 		return
@@ -564,7 +543,11 @@ func (s *Scheduler) placeOneLocked(now time.Time) bool {
 					// sure a dispatch fires when it expires even if no
 					// other event does.
 					j.skipsSince = now
-					time.AfterFunc(s.cfg.StarveAfter+time.Millisecond, s.kickNow)
+					time.AfterFunc(s.cfg.StarveAfter+time.Millisecond, func() {
+						s.mu.Lock()
+						s.dispatchLocked()
+						s.mu.Unlock()
+					})
 				}
 				continue // backfill: try the jobs behind it
 			}
@@ -612,22 +595,26 @@ func (s *Scheduler) Cancel(id, reason string) (JobStatus, error) {
 		return st, fmt.Errorf("%w: %s is %s", ErrTerminal, id, st.State)
 	}
 	st := j.statusLocked()
+	s.dispatchLocked()
 	s.mu.Unlock()
 	if interruptCause != nil {
 		j.interrupt(interruptCause)
 	}
 	if commit {
 		s.commitArtifact(j)
-		s.kickNow()
 	}
 	return st, nil
 }
 
 // finishLocked moves a job to a terminal state and stamps the postmortem
-// line into its history.
+// line into its history. It is the only way a job becomes terminal.
 func (s *Scheduler) finishLocked(j *job, state State, note string) {
 	j.state = state
 	j.finished = time.Now()
+	if s.live--; s.live == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
+	}
 	if note != "" {
 		j.lastErr = note
 		j.history = append(j.history, fmt.Sprintf("attempt %d: %s", j.attempts, note))
@@ -744,12 +731,12 @@ func (s *Scheduler) KillNode(id int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	jobs, causes := s.declareNodeDeadLocked(s.nodes[id], "killed by chaos endpoint")
+	s.dispatchLocked()
 	s.mu.Unlock()
 	s.cfg.Logf("sched: node %d killed, evicting %d gang(s)", id, len(jobs))
 	for i, j := range jobs {
 		j.interrupt(causes[i])
 	}
-	s.kickNow()
 	return nil
 }
 
@@ -790,8 +777,8 @@ func (s *Scheduler) ReviveNode(id int) error {
 	n.draining = false
 	n.beating = true
 	n.lastBeat = time.Now()
+	s.dispatchLocked()
 	s.mu.Unlock()
-	s.kickNow()
 	return nil
 }
 
@@ -800,19 +787,24 @@ func (s *Scheduler) ReviveNode(id int) error {
 func (s *Scheduler) Drain(timeout time.Duration) error {
 	s.mu.Lock()
 	s.draining = true
-	s.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for {
-		st := s.Stats()
-		if st.Queued+st.Running+st.Retrying == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sched: drain timed out with %d queued, %d running, %d retrying",
-				st.Queued, st.Running, st.Retrying)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if s.live > 0 && s.idle == nil {
+		s.idle = make(chan struct{})
 	}
+	idle := s.idle
+	s.mu.Unlock()
+	if idle != nil {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case <-idle:
+		case <-timer.C:
+		}
+	}
+	if st := s.Stats(); st.Queued+st.Running+st.Retrying != 0 {
+		return fmt.Errorf("sched: drain timed out with %d queued, %d running, %d retrying",
+			st.Queued, st.Running, st.Retrying)
+	}
+	return nil
 }
 
 // Close shuts the scheduler down: queued and retrying jobs are canceled,

@@ -203,6 +203,75 @@ func TestBadSpecsRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitPlacesBeforeReturning: Submit runs the dispatch pass itself, so
+// on an idle scheduler the job is placed before Submit returns, and the
+// "admitted" log line comes before the run's "attempt 1" line. Submit still
+// returns the queued snapshot it admitted.
+func TestSubmitPlacesBeforeReturning(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	s := newTestSched(t, Config{Registry: registryWithHang(t), Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	sub, err := s.Submit(JobSpec{ID: "placed", Tenant: "a", Program: "hang", Width: 2, OpDeadline: time.Minute, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.State != "queued" || sub.Attempts != 0 {
+		t.Fatalf("submit status = %+v, want the queued snapshot with 0 attempts", sub)
+	}
+	if st, _ := s.Status(sub.ID); st.State != "running" || st.Attempts != 1 {
+		t.Fatalf("status right after Submit = %s after %d attempts, want running after 1", st.State, st.Attempts)
+	}
+	mu.Lock()
+	got := append([]string(nil), lines...)
+	mu.Unlock()
+	if len(got) != 2 || !strings.HasPrefix(got[0], "sched: admitted placed ") || !strings.HasPrefix(got[1], "sched: job placed attempt 1:") {
+		t.Fatalf("log lines %q, want admitted then attempt 1", got)
+	}
+}
+
+// TestFinishPlacesNextJob: a run's end runs the dispatch pass before it
+// releases the scheduler lock, so on a one-slot platform the job queued
+// behind it is running as soon as the first one is seen to succeed.
+func TestFinishPlacesNextJob(t *testing.T) {
+	release := make(chan struct{})
+	reg := registryWithHang(t)
+	err := reg.Register("held", func(spec JobSpec, env ProgramEnv) (func(c *mpi.Comm) error, error) {
+		return func(c *mpi.Comm) error {
+			<-release
+			return nil
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Logf runs inside finishRun, under the lock that finishRun's dispatch
+	// pass holds too: a Status taken after this signal waits for that pass.
+	succeeded := make(chan struct{})
+	s := newTestSched(t, Config{Platform: testPlatform(1, 1), Registry: reg, Logf: func(format string, args ...any) {
+		if strings.HasPrefix(fmt.Sprintf(format, args...), "sched: job first -> succeeded") {
+			close(succeeded)
+		}
+	}})
+	if _, err := s.Submit(JobSpec{ID: "first", Tenant: "a", Program: "held", Width: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(JobSpec{ID: "second", Tenant: "a", Program: "hang", Width: 1, OpDeadline: time.Minute, Timeout: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.Status("second"); st.State != "queued" {
+		t.Fatalf("second job state = %s while the first holds the slot, want queued", st.State)
+	}
+	close(release)
+	<-succeeded
+	if st, _ := s.Status("second"); st.State != "running" || st.Attempts != 1 {
+		t.Fatalf("second job state = %s after %d attempts once the first finished, want running after 1", st.State, st.Attempts)
+	}
+}
+
 // TestCancelWhileQueued: a queued job is removed from its tenant queue
 // and lands terminal without ever running.
 func TestCancelWhileQueued(t *testing.T) {
@@ -351,7 +420,7 @@ func TestTenantSlotsQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// Submit's own dispatch pass has already declined to place it.
 	if st, _ := s.Status(second.ID); st.State != "queued" {
 		t.Fatalf("second job state = %s, want queued behind the slot quota", st.State)
 	}
@@ -812,11 +881,37 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForTheLastJob: Drain is bounded by its timeout while a job
+// stays live, and a Drain already waiting returns once the last job goes
+// terminal.
+func TestDrainWaitsForTheLastJob(t *testing.T) {
+	s := newTestSched(t, Config{Registry: registryWithHang(t)})
+	st, err := s.Submit(JobSpec{Tenant: "a", Program: "hang", Width: 2, OpDeadline: time.Minute, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(20 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "1 running") {
+		t.Fatalf("drain with a hung job = %v, want a timeout naming 1 running", err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(time.Minute) }()
+	if _, err := s.Cancel(st.ID, "let the drain finish"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain after the last job's cancel = %v, want nil", err)
+	}
+	if got, _ := s.Status(st.ID); got.State != "canceled" {
+		t.Fatalf("state after drain = %s, want canceled", got.State)
+	}
+}
+
 // TestCloseReapsEverything: Close cancels queued work, revokes running
 // gangs, and leaves every job terminal with nothing lost.
 func TestCloseReapsEverything(t *testing.T) {
 	s := newTestSched(t, Config{Platform: testPlatform(1, 2), Registry: registryWithHang(t)})
-	if _, err := s.Submit(JobSpec{Tenant: "a", Program: "hang", Width: 2, OpDeadline: time.Minute, Timeout: time.Minute}); err != nil {
+	hang, err := s.Submit(JobSpec{Tenant: "a", Program: "hang", Width: 2, OpDeadline: time.Minute, Timeout: time.Minute})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -824,7 +919,9 @@ func TestCloseReapsEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(30 * time.Millisecond)
+	if st, _ := s.Status(hang.ID); st.State != "running" {
+		t.Fatalf("hang job state = %s before Close, want running", st.State)
+	}
 	s.Close()
 	st := s.Stats()
 	if st.Queued+st.Running+st.Retrying != 0 {

@@ -180,11 +180,11 @@ func (s *Scheduler) finishRun(j *job, rep *mpi.FaultReport, runErr error) {
 			time.AfterFunc(delay, func() { s.requeueAfterBackoff(j) })
 		}
 	}
+	s.dispatchLocked()
 	s.mu.Unlock()
 	if commit {
 		s.commitArtifact(j)
 	}
-	s.kickNow()
 }
 
 // requeueAfterBackoff returns a retrying job to the queue, unless a
@@ -202,6 +202,6 @@ func (s *Scheduler) requeueAfterBackoff(j *job) {
 		return
 	}
 	s.enqueueLocked(j)
+	s.dispatchLocked()
 	s.mu.Unlock()
-	s.kickNow()
 }

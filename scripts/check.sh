@@ -215,6 +215,13 @@ named '-race -timeout 180s -count=1' \
 # in process and over HTTP under a 429 storm) whose acceptance invariant is
 # every admitted job terminal and zero lost.
 go test -race -timeout 180s -count=1 ./internal/sched/
+# Dispatch runs on the goroutine of the event that can change a placement, so
+# these tests assert a placement (or its refusal) the moment Submit or a run's
+# end returns, with no sleep. Twenty fresh runs, so that one passing by timing
+# luck fails the gate.
+named '-race -timeout 120s -count=20' \
+  'TestSubmitPlacesBeforeReturning|TestFinishPlacesNextJob|TestTenantSlotsQuota|TestCloseReapsEverything' \
+  ./internal/sched/
 
 # Benchmark smoke pass: one iteration of every benchmark, so a refactor that
 # breaks a benchmark body fails the gate instead of being discovered when
@@ -223,3 +230,7 @@ go test -race -timeout 180s -count=1 ./internal/sched/
 # here too.
 named '-bench . -benchtime 1x -timeout 300s' '^TestAdaptiveSimpsonSharedAllocations$' \
   ./internal/shm/ ./internal/exemplars/...
+# The local round trip's allocation pin, fifty fresh runs without the race
+# detector (under it the test skips): each rank sends only once the peer's
+# receive is posted, so no preemption can turn a trip into a cloned one.
+named '-count=50 -timeout 120s' '^TestLocalRoundTripAllocations$' ./internal/mpi/

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Fault-tolerant agreement and communicator shrinking: ULFM's
@@ -33,6 +34,7 @@ type membership struct {
 	gone     uint64                // failed and never coming back: final
 	rejoined [maxRecoveryRanks]int // epoch of each rank's last rejoin
 	final    bool                  // a coordinator nothing relaunches through: fail marks gone too (DESIGN.md §5)
+	restores int64                 // the last restore context id stamped (restoreCtx)
 }
 
 // fail marks a live rank failed, as decided at epoch, and gone too when the
@@ -129,12 +131,11 @@ func decide(key agreeKey, members []int, contributions map[int]uint64, m *member
 }
 
 // agreeKey identifies one agreement instance: all members of a communicator
-// agree in the same order (it is collective), so (context, call
-// sequence) names the same instance on every member with no negotiation.
-// The epoch is the communicator's: it says which membership the member list
-// describes.
+// agree in the same order (it is collective), so (ctxKey, call sequence)
+// names the same instance on every member with no negotiation. The epoch is
+// the communicator's: it says which membership the member list describes.
 type agreeKey struct {
-	ctx   int64
+	ctxKey
 	seq   uint64
 	epoch int
 }
@@ -154,11 +155,13 @@ type agreeReq struct {
 // departures only here.
 type agreeResp struct {
 	Ctx      int64
+	Lead     int // the lowest of the members (agreeKey)
 	Seq      uint64
 	Epoch    int
 	Mask     uint64
 	Departed uint64
 	Gone     uint64
+	NewCtx   int64 // the context id of the communicator the decision restores
 }
 
 // agreeInst is one open agreement instance. A coordinator collects the
@@ -170,12 +173,13 @@ type agreeInst struct {
 	done    chan struct{}
 	mask    uint64
 	final   uint64 // the members of mask that departed or are gone for good
+	ctx     int64  // the context id of the communicator the decision restores
 	err     error
 }
 
 // release hands the instance's waiter its outcome.
-func (inst *agreeInst) release(mask, final uint64, err error) {
-	inst.mask, inst.final, inst.err = mask, final, err
+func (inst *agreeInst) release(mask, final uint64, ctx int64, err error) {
+	inst.mask, inst.final, inst.ctx, inst.err = mask, final, ctx, err
 	close(inst.done)
 }
 
@@ -198,12 +202,13 @@ func (as agreements) open(key agreeKey, members []int) *agreeInst {
 }
 
 // settle applies decide to every open instance and passes each one that is
-// ready to decided, after forgetting it: no further contribution can come.
-func (as agreements) settle(m *membership, decided func(agreeKey, *agreeInst, uint64)) {
+// ready to decided, after forgetting it (no further contribution can come),
+// with the context id of the communicator it restores.
+func (as agreements) settle(m *membership, decided func(agreeKey, *agreeInst, uint64, int64)) {
 	for key, inst := range as {
 		if mask, ok := decide(key, inst.members, inst.arrived, m); ok {
 			delete(as, key)
-			decided(key, inst, mask)
+			decided(key, inst, mask, m.restoreCtx())
 		}
 	}
 }
@@ -214,25 +219,25 @@ func (as agreements) dropOlder(epoch int, err error) {
 	for key, inst := range as {
 		if key.epoch < epoch {
 			delete(as, key)
-			inst.release(0, 0, err)
+			inst.release(0, 0, 0, err)
 		}
 	}
 }
 
 // agree contributes self's view of the failed members to the keyed instance
-// and blocks until it decides. An in-process world decides here, against
-// the membership its ranks share; a TCP worker sends its contribution to the
-// hub and waits for deliverDecision.
-func (r *recoveryState) agree(key agreeKey, members []int, self int) (mask, final uint64, err error) {
+// and blocks until it decides, returning the decided instance. An in-process
+// world decides here, against the membership its ranks share; a TCP worker
+// sends its contribution to the hub and waits for deliverDecision.
+func (r *recoveryState) agree(key agreeKey, members []int, self int) (*agreeInst, error) {
 	r.mu.Lock()
 	if r.downErr != nil {
 		err := r.downErr
 		r.mu.Unlock()
-		return 0, 0, err
+		return nil, err
 	}
 	if key.epoch < r.m.epoch {
 		r.mu.Unlock()
-		return 0, 0, &RankFailedError{} // membership changed: re-form and retry
+		return nil, &RankFailedError{} // membership changed: re-form and retry
 	}
 	seen := r.m.failed & rankMask(members)
 	inst := r.insts.open(key, members)
@@ -245,11 +250,11 @@ func (r *recoveryState) agree(key agreeKey, members []int, self int) (mask, fina
 			err = r.ctrlSend(frame{Dst: ctrlDst, Tag: tagAgreeReq, Data: data})
 		}
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 	}
 	<-inst.done
-	return inst.mask, inst.final, inst.err
+	return inst, inst.err
 }
 
 // settleLocked decides what the membership now lets decide. Only an
@@ -257,8 +262,8 @@ func (r *recoveryState) agree(key agreeKey, members []int, self int) (mask, fina
 // hub. Caller holds r.mu.
 func (r *recoveryState) settleLocked() {
 	if r.ctrlSend == nil {
-		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64) {
-			inst.release(mask, mask&(r.m.departed|r.m.gone), nil)
+		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64, ctx int64) {
+			inst.release(mask, mask&(r.m.departed|r.m.gone), ctx, nil)
 		})
 	}
 }
@@ -268,7 +273,7 @@ func (r *recoveryState) settleLocked() {
 // process has not heard of yet (raced notices), so local checks agree with
 // the agreed view before anyone acts on it.
 func (r *recoveryState) deliverDecision(resp agreeResp) {
-	key := agreeKey{ctx: resp.Ctx, seq: resp.Seq, epoch: resp.Epoch}
+	key := agreeKey{ctxKey: ctxKey{resp.Ctx, resp.Lead}, seq: resp.Seq, epoch: resp.Epoch}
 	r.mu.Lock()
 	inst := r.insts[key]
 	delete(r.insts, key)
@@ -283,7 +288,7 @@ func (r *recoveryState) deliverDecision(resp agreeResp) {
 		r.world.rankGone(rank)
 	}
 	if inst != nil {
-		inst.release(resp.Mask, resp.Departed|resp.Gone, nil)
+		inst.release(resp.Mask, resp.Departed|resp.Gone, resp.NewCtx, nil)
 	}
 }
 
@@ -307,14 +312,15 @@ func (r *recoveryState) abortPending(err error) {
 // mid-agreement is folded into the decision rather than stalling it. A
 // departed member is one whose main returned nil: it will never agree, so
 // it counts out the way a failed one does, but it is not recorded as
-// failed. It also returns the instance's final members (agreeInst).
+// failed. The decided instance also holds the final members and the
+// restored communicator's context id (agreeInst).
 // Collective over the live members; requires WithRecovery.
-func (c *Comm) agree() (mask, final uint64, err error) {
+func (c *Comm) agree() (*agreeInst, error) {
 	r := c.world.recov
 	if r == nil {
-		return 0, 0, fmt.Errorf("mpi: Recover requires WithRecovery")
+		return nil, fmt.Errorf("mpi: Recover requires WithRecovery")
 	}
-	key := agreeKey{ctx: c.ctx, seq: c.agreeSeq, epoch: c.epoch}
+	key := agreeKey{ctxKey: c.owner, seq: c.agreeSeq, epoch: c.epoch}
 	c.agreeSeq++
 	return r.agree(key, c.ranks, c.worldRank(c.rank))
 }
@@ -322,23 +328,14 @@ func (c *Comm) agree() (mask, final uint64, err error) {
 // without builds the dense communicator of c's members outside out, a mask
 // every member agreed on (MPIX_Comm_shrink, with restored's decision as its
 // agreement): survivors keep their relative order but are renumbered
-// 0..n-1, and the new communicator has a fresh message context (the next
-// child of c's root, where stale frames of the old one never match), over
+// 0..n-1, and the new communicator has the fresh message context ctx that
+// the decision carries, where stale frames of the old one never match, over
 // which point-to-point and every collective work unchanged.
 // Failed and departed members are both left out, so the survivors of a
 // failure during a program's closing collective can re-form after their
 // peers have returned. Each member computes the identical one with no
 // communication.
-func (c *Comm) without(out uint64) (*Comm, error) {
-	root := c.root
-	if root == nil {
-		root = c
-	}
-	seq := root.nextCtx
-	root.nextCtx++
-	if seq > maxSplitsPerComm {
-		return nil, fmt.Errorf("mpi: more than %d Split/shrink calls on one communicator", maxSplitsPerComm)
-	}
+func (c *Comm) without(out uint64, ctx int64) (*Comm, error) {
 	ranks := make([]int, 0, len(c.ranks))
 	newRank := -1
 	for i, wr := range c.ranks {
@@ -353,13 +350,5 @@ func (c *Comm) without(out uint64) (*Comm, error) {
 	if newRank < 0 {
 		return nil, fmt.Errorf("mpi: shrink: calling rank %d is in the agreed failed set", c.rank)
 	}
-	return &Comm{
-		world:   c.world,
-		ctx:     root.ctx*64 + seq,
-		rank:    newRank,
-		ranks:   ranks,
-		nextCtx: 1,
-		epoch:   c.epoch,
-		root:    root,
-	}, nil
+	return &Comm{world: c.world, ctx: ctx, owner: ctxKey{ctx, slices.Min(ranks)}, rank: newRank, ranks: ranks, epoch: c.epoch}, nil
 }

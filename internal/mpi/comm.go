@@ -12,17 +12,14 @@ import (
 type Comm struct {
 	world *World
 	ctx   int64
-	rank  int   // this process's rank within the communicator
-	ranks []int // world rank of each communicator rank
+	owner ctxKey // c, or the user communicator whose block ctx lies in (split.go)
+	rank  int    // this process's rank within the communicator
+	ranks []int  // world rank of each communicator rank
 
-	// nextCtx numbers the Split/shrink calls made on this communicator.
-	// All members make collective calls in the same order (an MPI
-	// requirement), so the sequence — and therefore each derived context
-	// id — is identical on every member without any extra communication.
-	nextCtx int64
-
-	// agreeSeq numbers the agreements the same way, identifying each
-	// agreement instance consistently across members.
+	// agreeSeq numbers the agreements made on this communicator. All
+	// members make collective calls in the same order (an MPI requirement),
+	// so the sequence identifies each agreement instance consistently
+	// across members without any extra communication.
 	agreeSeq uint64
 
 	// winSeq numbers the WinCreate calls (win.go) the same way: all members
@@ -38,8 +35,6 @@ type Comm struct {
 	// re-forms through Comm.Recover (which returns a current-epoch
 	// communicator). Zero for every communicator of a never-respawned world.
 	epoch int
-
-	root *Comm // whose next child context each restore of its lineage takes (without); nil: itself
 
 	// flatOnly marks the runtime's own hierarchy sub-communicators
 	// (hier.go): collectives on them must run the flat algorithms, or the
@@ -76,35 +71,6 @@ func (c *Comm) Wtime() float64 {
 
 // worldRank maps a communicator-local rank to its world rank.
 func (c *Comm) worldRank(local int) int { return c.ranks[local] }
-
-// derived builds a sub-communicator over the given parent-comm ranks
-// without any communication: unlike Split, whose membership depends on
-// values only the other ranks know, the runtime's derived groups (node,
-// leader, progress-shadow) are a deterministic function of the parent's
-// group and topology, so every member computes the identical communicator
-// locally. ctx must be one of the reserved radix-64 digits packed onto the
-// parent's context id (see split.go). members must be sorted ascending; a
-// caller that is not itself a member gets rank -1 and must not communicate
-// on the result.
-func (c *Comm) derived(ctx int64, members []int, flatOnly bool) *Comm {
-	ranks := make([]int, len(members))
-	rank := -1
-	for i, pr := range members {
-		ranks[i] = c.worldRank(pr)
-		if pr == c.rank {
-			rank = i
-		}
-	}
-	return &Comm{
-		world:    c.world,
-		ctx:      ctx,
-		rank:     rank,
-		ranks:    ranks,
-		nextCtx:  1,
-		epoch:    c.epoch,
-		flatOnly: flatOnly,
-	}
-}
 
 // mailbox returns this rank's receive queue.
 func (c *Comm) mailbox() *mailbox { return c.world.boxes[c.worldRank(c.rank)] }

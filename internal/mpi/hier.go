@@ -142,18 +142,22 @@ func (c *Comm) buildHier() *hierState {
 	}
 	my := nodeOf[c.rank]
 	h := &hierState{nodeOf: nodeOf, leaders: leaders, members: members, myNode: my}
-	h.nodeComm = c.derived(c.ctx*64+ctxHierNode, members[my], true)
+	node, leader := int64(subNode), int64(subLeaders)
+	if c.ctx == c.owner.ctx+subProgress { // the progress shadow's hierarchy
+		node, leader = subShadowNode, subShadowLeaders
+	}
+	h.nodeComm = c.derived(node, members[my], true)
 	if leaders[my] == c.rank {
-		h.leaderComm = c.derived(c.ctx*64+ctxHierLeaders, leaders, true)
+		h.leaderComm = c.derived(leader, leaders, true)
 	}
 	return h
 }
 
-// Different nodes' nodeComms share the ctxHierNode context id, which is
-// safe because their memberships are disjoint: mailbox matching is by
-// (ctx, src, tag) with src communicator-local, and no frame ever travels
+// Different nodes' nodeComms share one context id of their owner's block,
+// which is safe because their memberships are disjoint: mailbox matching is
+// by (ctx, src, tag) with src communicator-local, and no frame ever travels
 // between the groups. A leader belongs to both its nodeComm and the
-// leaderComm, which is why those two use distinct reserved digits.
+// leaderComm, which is why those two are distinct kinds.
 
 // hierBarrier: linear gather-and-release within each node around a
 // dissemination barrier among the leaders. The intra-node phases are the

@@ -362,21 +362,58 @@ func TestHierRecoveryShrink(t *testing.T) {
 // allreduce, so nothing interrupts rank 1, which waits in the intra-node
 // phase on its live leader, rank 0, but rank 0's revoke of the parent.
 func TestHierRecoverTwice(t *testing.T) {
-	// After a relaunch, Recover returns a child of the epoch's negative
-	// context; revoking it must reach its runtime sub-communicators too.
-	r := &recoveryState{revoked: map[int64]bool{}}
-	for _, ctx := range []int64{1, epochCtx(1)*64 + 1} {
-		r.revoked[ctx] = true
-		if !r.ctxRevokedLocked(ctx*64+ctxHierNode) || !r.ctxRevokedLocked((ctx*64+ctxHierLeaders)*64+ctxProgress) {
-			t.Errorf("revoking context %d does not reach its runtime sub-communicators", ctx)
+	// Revoking a user communicator reaches its five runtime
+	// sub-communicators and not its Split child: for the world, a Split
+	// communicator, a restored one and an epoch's world.
+	var split sync.WaitGroup // Recover revokes the world: not before every rank is out of Split
+	split.Add(4)
+	errs := make([]error, 4)
+	err := Run(4, eachRank(errs, func(c *Comm) error {
+		child, err := c.Split(0, c.Rank())
+		split.Done()
+		if err != nil {
+			return err
 		}
-		if r.ctxRevokedLocked(ctx*64 + 1) {
-			t.Errorf("revoking context %d revoked its Split child", ctx)
+		split.Wait()
+		owners := []*Comm{c, child, nil, c.world.epochComm(c, 1)}
+		children := []*Comm{child, nil, nil, nil}
+		if owners[2], err = c.Recover(); err != nil {
+			return err
 		}
+		for i := 1; i < len(owners); i++ {
+			if children[i], err = owners[i].Split(0, c.Rank()); err != nil {
+				return err
+			}
+		}
+		if c.Rank() != 0 {
+			return nil
+		}
+		for i, o := range owners {
+			pc := o.progress().pc
+			subs := []*Comm{o.hier().nodeComm, o.hier().leaderComm, pc, pc.hier().nodeComm, pc.hier().leaderComm}
+			r := &recoveryState{revoked: map[ctxKey]bool{o.owner: true}}
+			ids := map[int64]bool{o.ctx: true, children[i].ctx: true}
+			for _, sub := range subs {
+				if !r.revokedLocked(sub) {
+					return fmt.Errorf("revoking context %d does not reach its sub-communicator %d", o.ctx, sub.ctx)
+				}
+				ids[sub.ctx] = true
+			}
+			if r.revokedLocked(children[i]) {
+				return fmt.Errorf("revoking context %d revoked its Split child %d", o.ctx, children[i].ctx)
+			}
+			if len(ids) != 2+len(subs) {
+				return fmt.Errorf("context %d, its Split child and its sub-communicators share ids: %v", o.ctx, ids)
+			}
+		}
+		return nil
+	}), WithTopology([]int{0, 0, 1, 1}), WithHierarchy(HierOn), WithRecovery())
+	if err = errors.Join(append(errs, err)...); err != nil {
+		t.Fatal(err)
 	}
 
 	sum := func(a, b int) int { return a + b }
-	err := runWithWatchdog(t, 30*time.Second, func() error {
+	err = runWithWatchdog(t, 30*time.Second, func() error {
 		return Run(4, func(c *Comm) error {
 			if c.Rank() == 2 {
 				return errDeliberate

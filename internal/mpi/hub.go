@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +48,8 @@ import (
 //	                                        contribution; Data: gob agreeReq
 //	frame{Tag: tagAgreeResp}                hub -> worker, agreement decision;
 //	                                        Data: gob agreeResp
-//	frame{Dst: ctrlDst, Tag: tagRevoke, Ctx: c} worker -> hub, context c revoked
-//	frame{Tag: tagRevoke, Ctx: c}           hub -> worker, revoke broadcast
+//	frame{Dst: ctrlDst, Tag: tagRevoke, Ctx: c, Src: l} worker -> hub, ctxKey{c, l} revoked
+//	frame{Tag: tagRevoke, Ctx: c, Src: l}   hub -> worker, revoke broadcast
 //
 // Resilient sessions (HubSuspicion) change what a broken connection means.
 // When a worker's connection breaks — on either side — the hub marks the
@@ -320,9 +321,14 @@ func StartHub(addr string, np int, opts ...HubOption) (*Hub, error) {
 		h.formTimer = time.AfterFunc(ho.formation, h.formationExpired)
 		h.mu.Unlock()
 	}
+	if hubTestHook != nil {
+		hubTestHook(h)
+	}
 	go h.acceptLoop()
 	return h, nil
 }
+
+var hubTestHook func(*Hub) // set by a test that watches a hub's agreements
 
 // Addr reports the address workers should dial.
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
@@ -753,7 +759,7 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 			case tagAgreeReq:
 				h.agreeRequest(f.Data)
 			case tagRevoke:
-				h.broadcastRevoke(hc.rank, f.Ctx)
+				h.broadcastRevoke(hc.rank, f)
 			case tagPong:
 				h.mu.Lock()
 				if h.lastPong != nil {
@@ -925,7 +931,7 @@ func (h *Hub) agreeRequest(payload []byte) {
 		h.fail(fmt.Errorf("mpi: hub: undecodable agreement request: %w", err))
 		return
 	}
-	key := agreeKey{ctx: req.Ctx, seq: req.Seq, epoch: req.Epoch}
+	key := agreeKey{ctxKey: ctxKey{req.Ctx, slices.Min(req.Members)}, seq: req.Seq, epoch: req.Epoch}
 	h.mu.Lock()
 	var decided []hubDecision
 	if key.epoch >= h.m.epoch {
@@ -946,7 +952,7 @@ type hubDecision struct {
 // decision goes to every live contributor. Caller holds h.mu.
 func (h *Hub) settleLocked() []hubDecision {
 	var out []hubDecision
-	h.agreements.settle(&h.m, func(key agreeKey, inst *agreeInst, mask uint64) {
+	h.agreements.settle(&h.m, func(key agreeKey, inst *agreeInst, mask uint64, ctx int64) {
 		var conns []*hubConn
 		for r := range inst.arrived {
 			if c := h.conns[r]; c != nil && h.m.failed&(1<<uint(r)) == 0 {
@@ -954,8 +960,8 @@ func (h *Hub) settleLocked() []hubDecision {
 			}
 		}
 		out = append(out, hubDecision{conns: conns, resp: agreeResp{
-			Ctx: key.ctx, Seq: key.seq, Epoch: key.epoch, Mask: mask,
-			Departed: mask & h.m.departed, Gone: mask & h.m.gone,
+			Ctx: key.ctx, Lead: key.lead, Seq: key.seq, Epoch: key.epoch, Mask: mask,
+			Departed: mask & h.m.departed, Gone: mask & h.m.gone, NewCtx: ctx,
 		}})
 	})
 	return out
@@ -967,12 +973,12 @@ func sendDecisions(ds []hubDecision) {
 	}
 }
 
-// broadcastRevoke fans one worker's context revoke out to its peers.
-func (h *Hub) broadcastRevoke(origin int, ctx int64) {
+// broadcastRevoke fans one worker's revoke frame out to its peers.
+func (h *Hub) broadcastRevoke(origin int, f frame) {
 	h.mu.Lock()
 	others := h.peersLocked(origin, true)
 	h.mu.Unlock()
-	sendAll(others, frame{Tag: tagRevoke, Ctx: ctx})
+	sendAll(others, frame{Tag: tagRevoke, Ctx: f.Ctx, Src: f.Src})
 }
 
 // FailedRanks reports the world ranks that failed recoverably, sorted. A

@@ -25,15 +25,52 @@ func landCounts(c *Comm) (landed, buffered int64) {
 	return l.landed.Load(), l.buffered.Load()
 }
 
-// tellWhenPosted sends rank 0 a go-ahead under tag once n operations are
-// posted on the calling rank's mailbox: what rank 0 then sends finds its
-// receive waiting.
+// tellWhenPosted sends the peer of a two-rank world a go-ahead under tag
+// once n operations are posted on the calling rank's mailbox: what the peer
+// then sends finds its receive waiting.
 func tellWhenPosted(c *Comm, n, tag int) {
 	go func() {
 		if waitPosted(c.mailbox(), n) == nil {
-			_ = c.Send(0, tag, 0)
+			_ = c.Send(1-c.Rank(), tag, 0)
 		}
 	}()
+}
+
+// postedTrip is one round trip of msg between ranks 0 and 1 under tag in
+// which each side sends only once the other's receive is posted (a go-ahead
+// under tag+1), so a frame that can land always finds its receive. It checks
+// the echo's first and last value and its Status on both ranks, as pingPong
+// does.
+func postedTrip(c *Comm, tag int, msg []float64) error {
+	n, mark := len(msg), float64(len(msg))
+	if c.Rank() == 0 {
+		msg[0], msg[n-1] = mark, mark
+		if _, err := c.Recv(1, tag+1, nil); err != nil {
+			return err
+		}
+		if err := c.Send(1, tag, msg); err != nil {
+			return err
+		}
+	}
+	tellWhenPosted(c, 1, tag+1)
+	var got []float64
+	st, err := c.Recv(1-c.Rank(), tag, &got)
+	if err != nil {
+		return err
+	}
+	if st.Bytes != 8*n || st.Source != 1-c.Rank() || st.Tag != tag {
+		return fmt.Errorf("%v, want %d bytes from rank %d under tag %d", st, 8*n, 1-c.Rank(), tag)
+	}
+	if len(got) != n || got[0] != mark || got[n-1] != mark {
+		return fmt.Errorf("%d values stamped %v, %v; want %v", len(got), got[0], got[len(got)-1], mark)
+	}
+	if c.Rank() == 0 {
+		return nil
+	}
+	if _, err := c.Recv(0, tag+1, nil); err != nil {
+		return err
+	}
+	return c.Send(0, tag, got)
 }
 
 // pingPong runs trips round trips of msg between ranks 0 and 1 under tag,
@@ -71,10 +108,11 @@ func pingPong(c *Comm, trips, tag int, msg []float64) error {
 // 100 of 1 MiB at least 99 land on each rank (the first may beat its receive),
 // and a megabyte sent to a receive known to be posted always does, taking no
 // wire buffer at the rank; a payload of exactly replayFrameMax bytes is
-// buffered and one element more lands: the threshold is the sender's, the
-// frames it streams and never captures. Status.Bytes is the payload's either
-// way, and a landed round trip allocates what a buffered one did: the two
-// slices boxed by their callers.
+// buffered and one element more lands, each sent to a receive known to be
+// posted: the threshold is the sender's, the frames it streams and never
+// captures. Status.Bytes is the payload's either way, and a landed round
+// trip allocates what a buffered one did: the two slices boxed by their
+// callers.
 func TestLandingStreamedFramesOnly(t *testing.T) {
 	const trips = 100
 	err := runWithWatchdog(t, 60*time.Second, func() error {
@@ -119,7 +157,7 @@ func TestLandingStreamedFramesOnly(t *testing.T) {
 				lands int64
 			}{{replayFrameMax / 8, 0}, {replayFrameMax/8 + 1, 1}} {
 				before, _ := landCounts(c)
-				if err := pingPong(c, 1, 3, make([]float64, edge.elems)); err != nil {
+				if err := postedTrip(c, 3, make([]float64, edge.elems)); err != nil {
 					return err
 				}
 				if after, _ := landCounts(c); after-before != edge.lands {

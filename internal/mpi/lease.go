@@ -321,7 +321,7 @@ func (t *tcpTransport) dispatch(f frame, claimed *waiter, n *atomic.Int64) bool 
 		}
 	case tagRevoke:
 		if w.recov != nil {
-			w.revokeCtx(f.Ctx)
+			w.revokeCtx(ctxKey{f.Ctx, f.Src})
 		}
 	case tagPing:
 		_ = t.Send(frame{Dst: ctrlDst, Tag: tagPong})

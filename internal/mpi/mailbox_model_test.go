@@ -643,7 +643,8 @@ func TestMailboxHandedFrameReleasedOnceOnFail(t *testing.T) {
 // TestMailboxClaimedReceiveIsLeftAlone holds a delivery in the middle of its
 // copy — the test does deliver's steps itself, pausing where deliver has the
 // lock released — and throws at the claimed receive everything that ends a
-// posted one: its deadline passes, a second matching frame arrives, the
+// posted one: its deadline passes (the test expires it after the claim, as
+// the deadline's timer would), a second matching frame arrives, the
 // mailbox is poked and then revoked. The receive must neither time out nor be
 // matched again nor return while its destination is being written; once the
 // delivery completes it returns what the revoke order says, the abort error.
@@ -657,7 +658,7 @@ func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
 			timeouts.Add(1)
 			return ErrDeadlineExceeded
 		}
-		const budget = 2 * time.Millisecond
+		const budget = time.Hour // never spent on its own: the claim comes first
 		var buf []byte
 		var got frame
 		res := make(chan error, 1)
@@ -671,6 +672,8 @@ func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
 			t.Fatal("the posted receive was not claimed")
 		}
 		w.busy = true
+		w.since = w.since.Add(-budget)
+		w.signal() // what the deadline's timer does
 		m.mu.Unlock()
 
 		second := frame{Src: 1, Tag: 5, Data: []byte("2nd")}
@@ -679,8 +682,15 @@ func TestMailboxClaimedReceiveIsLeftAlone(t *testing.T) {
 		if revoke {
 			m.fail(errPoison)
 		}
-		for stop := time.Now().Add(3 * budget); time.Now().Before(stop); {
-			runtime.Gosched() // the deadline passes and its timer wakes the receive
+		// Three more wake-ups, each taken before the next: a receive that
+		// returned on one could not take the third.
+		for i := 0; i < 3; i++ {
+			m.mu.Lock()
+			w.signal()
+			m.mu.Unlock()
+			for len(w.wake) != 0 && len(res) == 0 {
+				runtime.Gosched()
+			}
 		}
 		select {
 		case err := <-res:

@@ -11,12 +11,12 @@ import "sync"
 // Each communicator owns one lazily created progress engine. The engine
 // runs posted collectives strictly in post order on a single background
 // goroutine — the progress thread every production MPI hides inside its
-// runtime — over a *shadow communicator*: a derived communicator with the
-// reserved ctxProgress context id, the same group and rank numbering as its
-// parent. The shadow context is what isolates the engine's traffic from the
-// parent's: a blocking collective on the parent can proceed concurrently
-// with an in-flight nonblocking one without their reserved-tag frames ever
-// cross-matching.
+// runtime — over a *shadow communicator*: a derived communicator with its
+// own context id, the subProgress one of its parent's block, and the same
+// group and rank numbering as its parent. The shadow context is what
+// isolates the engine's traffic from the parent's: a blocking collective on
+// the parent can proceed concurrently with an in-flight nonblocking one
+// without their reserved-tag frames ever cross-matching.
 //
 // Correctness of the matching relies on the usual MPI contract extended to
 // nonblocking calls: all ranks post nonblocking collectives on a given
@@ -63,7 +63,7 @@ func (c *Comm) progress() *progressEngine {
 		// The shadow is a full-fledged communicator — flatOnly=false — so
 		// nonblocking collectives pick up the hierarchical schedules under
 		// exactly the same topology rules as blocking ones.
-		c.prog = &progressEngine{pc: c.derived(c.ctx*64+ctxProgress, members, false)}
+		c.prog = &progressEngine{pc: c.derived(subProgress, members, false)}
 	})
 	return c.prog
 }

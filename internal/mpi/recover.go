@@ -94,7 +94,7 @@ type recoveryState struct {
 	// wakes restored callers on a rejoin or an abort.
 	m           membership
 	failed      map[int]error // each failed rank's own error, for RankFailedError to unwrap
-	revoked     map[int64]bool
+	revoked     map[ctxKey]bool
 	restoreCond *sync.Cond
 
 	ctrlSend func(frame) error // TCP worlds: raw control-plane sender to the hub
@@ -106,7 +106,7 @@ func newRecoveryState(w *World) *recoveryState {
 	r := &recoveryState{
 		world:   w,
 		failed:  make(map[int]error),
-		revoked: make(map[int64]bool),
+		revoked: make(map[ctxKey]bool),
 		insts:   make(agreements),
 	}
 	r.restoreCond = sync.NewCond(&r.mu)
@@ -270,7 +270,7 @@ func (r *recoveryState) opErr(c *Comm, srcWorld int, startFail uint64) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ctxRevokedLocked(c.ctx) {
+	if r.revokedLocked(c) {
 		return r.rfeLocked(true)
 	}
 	if c.epoch < r.m.epoch {
@@ -304,7 +304,7 @@ func (r *recoveryState) sendErr(c *Comm, dstWorld int) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ctxRevokedLocked(c.ctx) {
+	if r.revokedLocked(c) {
 		return r.rfeLocked(true)
 	}
 	if c.epoch < r.m.epoch || r.m.failed&(1<<uint(dstWorld)) != 0 {
@@ -313,38 +313,30 @@ func (r *recoveryState) sendErr(c *Comm, dstWorld int) error {
 	return nil
 }
 
-// ctxRevokedLocked reports whether the context, or any ancestor it is an
-// internal child of, is revoked. The runtime's own sub-communicators — the
-// hierarchical intra-node/leader comms and the progress engine's shadow
-// comm, living at the reserved context digits — are implementation details
-// of their parent's collectives, so revoking the parent must kick members
-// blocked inside a two-level phase or a posted schedule too. (A rank whose
-// node peers are all alive never waits on the failed rank directly, so
-// without this inheritance it would sleep through the revoke.) User
-// communicators from Split keep ULFM's rule: revocation does not inherit.
-// Caller holds r.mu.
-func (r *recoveryState) ctxRevokedLocked(ctx int64) bool {
-	for {
-		if r.revoked[ctx] {
-			return true
-		}
-		if ctx&63 <= maxSplitsPerComm {
-			return false
-		}
-		ctx >>= 6
-	}
+// revokedLocked reports whether c's owner, c itself or the user
+// communicator under it, is revoked. The runtime's own sub-communicators —
+// the hierarchical intra-node/leader comms and the progress engine's shadow
+// comm, in their owner's block of ids — are implementation details of their
+// owner's collectives, so revoking the owner must kick members blocked
+// inside a two-level phase or a posted schedule too. (A rank whose node
+// peers are all alive never waits on the failed rank directly, so without
+// this inheritance it would sleep through the revoke.) User communicators
+// from Split own their blocks and keep ULFM's rule: revocation does not
+// inherit. Caller holds r.mu.
+func (r *recoveryState) revokedLocked(c *Comm) bool {
+	return r.revoked[c.owner]
 }
 
-// revokeCtx marks one communicator context revoked and wakes blocked
-// waiters. It reports whether this call changed anything (first revoke).
-func (w *World) revokeCtx(ctx int64) bool {
+// revokeCtx marks one user communicator revoked and wakes blocked waiters.
+// It reports whether this call changed anything (first revoke).
+func (w *World) revokeCtx(key ctxKey) bool {
 	r := w.recov
 	r.mu.Lock()
-	if r.revoked[ctx] {
+	if r.revoked[key] {
 		r.mu.Unlock()
 		return false
 	}
-	r.revoked[ctx] = true
+	r.revoked[key] = true
 	r.mu.Unlock()
 	r.events.Add(1)
 	w.pokeAll()
@@ -366,23 +358,6 @@ func (e gaveUp) Error() string {
 	return fmt.Sprintf("%v: ranks %v departed or will not come back", ErrRestoreTimeout, maskRanks(uint64(e)))
 }
 func (e gaveUp) Is(target error) bool { return target == ErrRestoreTimeout }
-
-// epochCtx derives the message context of an epoch's world communicator.
-// User-derived contexts are non-negative (the root is 0 and children are
-// parent*64+seq with seq >= 1), so the negative epoch contexts, epoch 0's
-// included, can never collide with them or with their children.
-func epochCtx(epoch int) int64 {
-	return -(int64(epoch) + 1) << 32
-}
-
-// epochComm builds the calling rank's world communicator of the given epoch,
-// whose context every rank, a relaunched one included, derives from the
-// epoch alone.
-func (w *World) epochComm(c *Comm, epoch int) *Comm {
-	rc := w.comm(c.worldRank(c.rank))
-	rc.ctx, rc.epoch = epochCtx(epoch), epoch
-	return rc
-}
 
 // restored waits until every failed rank is respawned into its old slot or
 // gone for good, agrees on the membership, and returns the communicator to
@@ -418,16 +393,16 @@ func (c *Comm) restored() (*Comm, error) {
 		// failure or rejoin racing the agreement makes it go around. Departed
 		// and gone members are final in the decision every member reads, so
 		// all of them give up here together.
-		out, final, err := rc.agree()
-		if errors.Is(err, ErrRankFailed) || err == nil && out != 0 && final == 0 {
+		d, err := rc.agree()
+		if errors.Is(err, ErrRankFailed) || err == nil && d.mask != 0 && d.final == 0 {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		nc, err := rc.without(out)
-		if err == nil && final != 0 {
-			err = gaveUp(final)
+		nc, err := rc.without(d.mask, d.ctx)
+		if err == nil && d.final != 0 {
+			err = gaveUp(d.final)
 		}
 		return nc, err
 	}
@@ -461,10 +436,10 @@ func (c *Comm) revoke() error {
 	if w.recov == nil {
 		return fmt.Errorf("mpi: Recover requires WithRecovery")
 	}
-	changed := w.revokeCtx(c.ctx)
+	changed := w.revokeCtx(c.owner)
 	if changed && w.recov.ctrlSend != nil {
 		// Fan the revoke out through the hub so remote members observe it.
-		if err := w.recov.ctrlSend(frame{Ctx: c.ctx, Dst: ctrlDst, Tag: tagRevoke}); err != nil {
+		if err := w.recov.ctrlSend(frame{Ctx: c.ctx, Src: c.owner.lead, Dst: ctrlDst, Tag: tagRevoke}); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,13 +127,13 @@ func TestRecoverInterruptsPendingAnySource(t *testing.T) {
 // agreedOut runs c's next agreement and returns the communicator-local
 // ranks it decided are out, in order.
 func agreedOut(c *Comm) ([]int, error) {
-	mask, _, err := c.agree()
+	d, err := c.agree()
 	if err != nil {
 		return nil, err
 	}
 	var out []int
 	for i, wr := range c.ranks {
-		if mask&(1<<uint(wr)) != 0 {
+		if d.mask&(1<<uint(wr)) != 0 {
 			out = append(out, i)
 		}
 	}
@@ -574,5 +576,255 @@ func TestRecoverySoakKillRank(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// contributed reports whether an agreement instance open at c's coordinator
+// holds rank's contribution: the in-process world's recoveryState, or hub,
+// the hub of a TCP or shm world.
+func contributed(c *Comm, hub *Hub, rank int) bool {
+	mu, insts := &c.world.recov.mu, c.world.recov.insts
+	if hub != nil {
+		mu, insts = &hub.mu, hub.agreements
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, inst := range insts {
+		if _, ok := inst.arrived[rank]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// eachRank wraps main so that each rank's error other than errDeliberate is
+// kept in errs, by world rank: a recovered run succeeds once any rank does,
+// which would hide the others'.
+func eachRank(errs []error, main func(c *Comm) error) func(c *Comm) error {
+	return func(c *Comm) error {
+		err := main(c)
+		if !errors.Is(err, errDeliberate) {
+			errs[c.Rank()] = err
+		}
+		return err
+	}
+}
+
+// spinUntil yields until cond holds, for at most 10 s.
+func spinUntil(what string, cond func() bool) error {
+	for stop := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(stop) {
+			return fmt.Errorf("timed out waiting until %s", what)
+		}
+	}
+	return nil
+}
+
+// cousinPair puts world ranks {0, 1} and {2, 3} in pairs that are not
+// siblings: each pair is first split off c alone, as the one color of a
+// Split of its own, and then split again. Its parents have distinct ids,
+// but every member has moved its count past both by then, so the two pairs
+// take one id. Other ranks get nil.
+func cousinPair(c *Comm) (*Comm, error) {
+	me := c.Rank()
+	var parent *Comm
+	for g := 0; g < 2; g++ {
+		color := ColorUndefined
+		if me/2 == g {
+			color = 0
+		}
+		p, err := c.Split(color, me)
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			parent = p
+		}
+	}
+	if parent == nil {
+		return nil, nil
+	}
+	return parent.Split(0, me)
+}
+
+// TestRecoverSiblingIsolation: disjoint groups recover apart, whether they
+// are siblings of one Split, with distinct ids, or cousins that share one
+// (cousinPair). Revoke row: rank 3 fails and rank 2 recovers pair {2, 3};
+// pair {0, 1} starts a round trip only once it knows rank 3 failed and has
+// seen rank 2's revoke, so only that revoke, had it crossed to the other
+// pair, could fail the round trip. Agreement row: rank 4 fails and both
+// pairs recover, their contributions reaching the coordinator in the order
+// 0, 2, 1, 3. Pair {0, 1}'s decision must not release rank 2, or rank 3
+// waits for it forever in an instance of its own; and the two restored
+// pairs get distinct ids.
+func TestRecoverSiblingIsolation(t *testing.T) {
+	var hub *Hub // the coordinator of a TCP or shm world; nil in process
+	hubTestHook = func(h *Hub) { hub = h }
+	t.Cleanup(func() { hubTestHook = nil })
+	sum := func(a, b int) int { return a + b }
+	forms := []struct {
+		name   string
+		pair   func(c *Comm) (*Comm, error)
+		shared bool // the pairs hold one id
+	}{
+		{"", func(c *Comm) (*Comm, error) { return c.Split(c.Rank()/2, c.Rank()) }, false},
+		{"cousin-", cousinPair, true},
+	}
+	// pairIDs checks that the pairs' ids, by world rank, are shared as the
+	// form says: the row tests the case it names.
+	pairIDs := func(shared bool, ids []int64) error {
+		if ids[0] != ids[1] || ids[2] != ids[3] || (ids[0] == ids[2]) != shared {
+			return fmt.Errorf("pair ids by rank %v; want one per pair, shared across the pairs: %v", ids[:4], shared)
+		}
+		return nil
+	}
+	for _, l := range respawnLaunchers {
+		for _, f := range forms {
+			l, f := l, f
+			t.Run(l.name+"/"+f.name+"revoke", func(t *testing.T) {
+				hub = nil
+				var split sync.WaitGroup // rank 3 fails once every rank has its pair
+				split.Add(4)
+				recovered := make(chan struct{})
+				var revokedKey ctxKey // pair {2, 3}'s, set before recovered closes
+				errs, ids := make([]error, 4), make([]int64, 4)
+				err := runWithWatchdog(t, 30*time.Second, func() error {
+					return l.run(4, eachRank(errs, func(c *Comm) error {
+						me := c.Rank()
+						pair, err := f.pair(c)
+						split.Done()
+						if err != nil {
+							return err
+						}
+						ids[me] = pair.ctx
+						switch me {
+						case 3:
+							split.Wait()
+							return errDeliberate
+						case 2:
+							if _, rerr := c.Recv(3, 9, nil); !errors.Is(rerr, ErrRankFailed) {
+								return fmt.Errorf("want ErrRankFailed, got %v", rerr)
+							}
+							if _, err := pair.Recover(); err != nil {
+								return err
+							}
+							revokedKey = pair.owner
+							close(recovered)
+							return nil
+						}
+						if err := spinUntil("rank 3 is known failed", func() bool { return slices.Contains(c.FailedRanks(), 3) }); err != nil {
+							return err
+						}
+						<-recovered
+						r := c.world.recov
+						if err := spinUntil("rank 2's revoke arrives", func() bool {
+							r.mu.Lock()
+							defer r.mu.Unlock()
+							return r.revoked[revokedKey]
+						}); err != nil {
+							return err
+						}
+						if me == 0 {
+							return pair.Send(1, 5, 42)
+						}
+						var got int
+						if _, err := pair.Recv(0, 5, &got); err != nil || got != 42 {
+							return fmt.Errorf("round trip on the healthy pair: %d, %v", got, err)
+						}
+						return nil
+					}), WithRecovery())
+				})
+				if err = errors.Join(append(errs, err, pairIDs(f.shared, ids))...); err != nil {
+					t.Fatalf("recovered run should succeed, got %v", err)
+				}
+			})
+			t.Run(l.name+"/"+f.name+"agree", func(t *testing.T) {
+				hub = nil
+				var split sync.WaitGroup // rank 4 fails once every rank has its pair
+				split.Add(5)
+				oneIn := make(chan struct{}) // rank 1's Recover returned
+				errs, ids, restored := make([]error, 5), make([]int64, 5), make([]int64, 5)
+				err := runWithWatchdog(t, 30*time.Second, func() error {
+					return l.run(5, eachRank(errs, func(c *Comm) error {
+						me := c.Rank()
+						pair, err := f.pair(c)
+						split.Done()
+						if err != nil {
+							return err
+						}
+						if me == 4 {
+							split.Wait()
+							return errDeliberate
+						}
+						ids[me] = pair.ctx
+						if _, rerr := c.Recv(4, 9, nil); !errors.Is(rerr, ErrRankFailed) {
+							return fmt.Errorf("want ErrRankFailed, got %v", rerr)
+						}
+						after := map[int]int{2: 0, 1: 2} // whose contribution each rank waits to see open
+						if prev, ok := after[me]; ok {
+							if err := spinUntil(fmt.Sprintf("rank %d's contribution is open", prev), func() bool { return contributed(c, hub, prev) }); err != nil {
+								return err
+							}
+						}
+						if me == 3 {
+							<-oneIn
+						}
+						nc, err := pair.Recover()
+						if me == 1 {
+							close(oneIn)
+						}
+						if err != nil {
+							return err
+						}
+						if got, err := Allreduce(nc, 1, sum); err != nil || got != 2 {
+							return fmt.Errorf("allreduce over the recovered pair = %d, %v; want 2", got, err)
+						}
+						restored[me] = nc.ctx
+						return nil
+					}), WithRecovery())
+				})
+				if err = errors.Join(append(errs, err, pairIDs(f.shared, ids))...); err != nil {
+					t.Fatalf("recovered run should succeed, got %v", err)
+				}
+				if restored[0] != restored[1] || restored[2] != restored[3] || restored[0] == restored[2] {
+					t.Errorf("restored context ids by rank %v: want one per pair, distinct", restored[:4])
+				}
+			})
+		}
+	}
+}
+
+// TestRecoverSixtyTwoLosses: a world of 64 ranks loses 62 of them one at a
+// time, from the top, and the survivors recover after each loss: no count
+// of restores runs out.
+func TestRecoverSixtyTwoLosses(t *testing.T) {
+	const np = 64
+	sum := func(a, b int) int { return a + b }
+	errs := make([]error, np)
+	err := runWithWatchdog(t, 60*time.Second, func() error {
+		return Run(np, eachRank(errs, func(c *Comm) error {
+			comm := c
+			for round := 0; round < np-2; round++ {
+				last := comm.Size() - 1
+				if comm.Rank() == last {
+					return errDeliberate
+				}
+				if _, rerr := comm.Recv(last, 9, nil); !errors.Is(rerr, ErrRankFailed) {
+					return fmt.Errorf("round %d: want ErrRankFailed, got %v", round, rerr)
+				}
+				nc, err := comm.Recover()
+				if err != nil {
+					return fmt.Errorf("round %d: %w", round, err)
+				}
+				comm = nc
+			}
+			if got, err := Allreduce(comm, 1, sum); err != nil || got != 2 {
+				return fmt.Errorf("allreduce over the last two ranks = %d, %v; want 2", got, err)
+			}
+			return nil
+		}), WithRecovery())
+	})
+	if err = errors.Join(append(errs, err)...); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -265,14 +266,15 @@ func TestRecoverSplitCommunicator(t *testing.T) {
 
 // TestRecoverContextsStayFlat: the ranks of a world die one at a time from
 // the top, and the survivors recover after each death. Every communicator
-// Recover returns is a child of the world's context, in turn, so a run of
-// recoveries never deepens the context id (one radix-64 digit per nested
-// restore overflows int64 after ten).
+// Recover returns has a context id of its own: none it held before, and
+// none revoked.
 func TestRecoverContextsStayFlat(t *testing.T) {
 	const np = 6
+	errs := make([]error, np)
 	err := runWithWatchdog(t, 30*time.Second, func() error {
-		return Run(np, func(c *Comm) error {
+		return Run(np, eachRank(errs, func(c *Comm) error {
 			comm := c
+			held := map[int64]bool{c.ctx: true}
 			for round := 0; round < np-1; round++ {
 				last := comm.Size() - 1
 				if comm.Rank() == last {
@@ -281,19 +283,25 @@ func TestRecoverContextsStayFlat(t *testing.T) {
 				if _, rerr := comm.Recv(last, 9, nil); !errors.Is(rerr, ErrRankFailed) {
 					return fmt.Errorf("round %d: want ErrRankFailed, got %v", round, rerr)
 				}
+				r := c.world.recov
+				r.mu.Lock()
+				revoked := maps.Clone(r.revoked) // before Recover: peers a round ahead revoke nc
+				r.mu.Unlock()
 				nc, err := comm.Recover()
 				if err != nil {
 					return fmt.Errorf("round %d: %w", round, err)
 				}
-				if nc.Size() != last || nc.ctx != int64(round+1) {
-					return fmt.Errorf("round %d: width %d, context %d; want %d, %d", round, nc.Size(), nc.ctx, last, round+1)
+				if nc.Size() != last || held[nc.ctx] || revoked[nc.owner] {
+					return fmt.Errorf("round %d: width %d, context %d (held before: %v, revoked before: %v); want width %d and a fresh context",
+						round, nc.Size(), nc.ctx, held[nc.ctx], revoked[nc.owner], last)
 				}
+				held[nc.ctx] = true
 				comm = nc
 			}
 			return nil
-		}, WithRecovery())
+		}), WithRecovery())
 	})
-	if err != nil {
+	if err = errors.Join(append(errs, err)...); err != nil {
 		t.Fatal(err)
 	}
 }

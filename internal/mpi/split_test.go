@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -173,15 +174,89 @@ func TestNestedSplits(t *testing.T) {
 	}
 }
 
-func TestSplitExhaustionGuard(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		for i := 0; i < maxSplitsPerComm; i++ {
-			if _, err := c.Split(0, c.Rank()); err != nil {
-				return fmt.Errorf("split %d failed early: %w", i, err)
+// TestSplitNestedDepth64: a Split of a Split, 64 deep at np=2, gives every
+// level an id of its own, and a message on one level never reaches another.
+// Rank 0 sends each level its depth, deepest first, and rank 1 receives them
+// shallowest first: a level that shared its id with another would read the
+// other's depth.
+func TestSplitNestedDepth64(t *testing.T) {
+	const depth = 64
+	err := Run(2, func(c *Comm) error {
+		levels := []*Comm{c}
+		seen := map[int64]int{c.ctx: 0}
+		for i := 1; i <= depth; i++ {
+			sub, err := levels[i-1].Split(0, c.Rank())
+			if err != nil {
+				return fmt.Errorf("depth %d: %w", i, err)
+			}
+			if j, ok := seen[sub.ctx]; ok {
+				return fmt.Errorf("depth %d reuses depth %d's context id %d", i, j, sub.ctx)
+			}
+			seen[sub.ctx] = i
+			levels = append(levels, sub)
+		}
+		if c.Rank() == 0 {
+			for i := depth; i >= 0; i-- {
+				if err := levels[i].Send(1, 7, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for i, l := range levels {
+			var got int
+			if _, err := l.Recv(0, 7, &got); err != nil {
+				return err
+			}
+			if got != i {
+				return fmt.Errorf("depth %d received depth %d's message", i, got)
 			}
 		}
-		if _, err := c.Split(0, c.Rank()); err == nil {
-			return errors.New("split budget exceeded without error")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitManyChildren: one communicator splits 200 times. Each Split
+// pairs the four ranks by parity: the two pairs of one Split get distinct
+// ids, no id repeats across Splits, and each pair's allreduce counts its own
+// members only.
+func TestSplitManyChildren(t *testing.T) {
+	const np, splits = 4, 200
+	err := Run(np, func(c *Comm) error {
+		parity := c.Rank() % 2
+		ids := make([]int64, 0, splits)
+		for i := 0; i < splits; i++ {
+			sub, err := c.Split(parity, c.Rank())
+			if err != nil {
+				return fmt.Errorf("split %d: %w", i, err)
+			}
+			sum, err := Allreduce(sub, c.Rank(), Combine[int](Sum))
+			if err != nil {
+				return fmt.Errorf("split %d: %w", i, err)
+			}
+			if want := 2 + 2*parity; sum != want {
+				return fmt.Errorf("split %d: pair sum %d, want %d", i, sum, want)
+			}
+			ids = append(ids, sub.ctx)
+		}
+		all, err := Allgather(c, ids)
+		if err != nil {
+			return err
+		}
+		owner := map[int64]int{} // id -> parity of the pair holding it
+		for r, rids := range all {
+			if !slices.Equal(rids, all[r%2]) {
+				return fmt.Errorf("ranks %d and %d of one pair hold different ids", r, r%2)
+			}
+			for _, id := range rids {
+				if p, ok := owner[id]; ok && (p != r%2 || r < 2) {
+					return fmt.Errorf("context id %d is taken twice", id)
+				}
+				owner[id] = r % 2
+			}
 		}
 		return nil
 	})

@@ -20,6 +20,7 @@ type World struct {
 	gate      func(fn func())
 	epoch     time.Time     // when the world initialized; Wtime's zero point
 	deadline  time.Duration // per-operation receive budget; 0 = unbounded
+	nextCtx   []int64       // each world rank's next free Split context id (split.go)
 
 	// typed: the ranks share this process (Run), and whitelisted values
 	// travel in memory, the fast path. Otherwise this is a wire world (TCP,
@@ -139,6 +140,7 @@ func (c *config) newWorld(np int, t Transport, boxes []*mailbox) *World {
 		transport: c.wrapTransport(t),
 		boxes:     boxes,
 		names:     names,
+		nextCtx:   make([]int64, np),
 		gate:      c.gate,
 		epoch:     time.Now(),
 		deadline:  c.deadline,
@@ -366,11 +368,5 @@ func (w *World) comm(rank int) *Comm {
 	for i := range ranks {
 		ranks[i] = i
 	}
-	return &Comm{
-		world:   w,
-		ctx:     0,
-		rank:    rank,
-		ranks:   ranks,
-		nextCtx: 1,
-	}
+	return &Comm{world: w, rank: rank, ranks: ranks}
 }

@@ -71,10 +71,16 @@ named '-race -timeout 120s -count=50' \
 # the frames an unused recovery world sends: the plain world's, no others.
 # TestAgree* includes the agreement rule's table over every membership state,
 # the membership transitions (a raced failure notice included) and the rule
-# that a rejoin fails only older-epoch agreements.
+# that a rejoin fails only older-epoch agreements. TestSplit* holds the
+# context-id rule recovery relies on: ids fresh at every depth and width,
+# siblings apart.
 named '-race -timeout 180s -count=1' \
-  'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution' \
+  'TestRecover|TestAgree|TestShrink|TestRevoke|TestWithRecovery|TestErrorsCompose|TestKillAttribution|TestSplit' \
   ./internal/mpi/
+# Two pairs of one Split recovering at once must not share a revoke or an
+# agreement; the agreement row orders its contributions at the coordinator,
+# an interleaving worth twenty fresh runs on every launcher.
+named '-race -timeout 120s -count=20' 'TestRecoverSiblingIsolation' ./internal/mpi/
 go test -race -timeout 120s -count=1 ./internal/ckpt/
 
 # The shm runtime (worker pool, work-stealing loops, reductions) and the

@@ -22,19 +22,63 @@ import (
 // older epoch, whose member list describes a world that no longer exists.
 // DESIGN.md §5, "Who decides an agreement", has the rules.
 
+// rankSet is a set of world ranks of any width: rank r is bit r%64 of word
+// r/64, and the set grows with the highest rank it holds. Membership, the
+// agreement and the start frame all hold ranks in it, gob carries it as it
+// is, and no other code knows its representation.
+type rankSet []uint64
+
+// setOf is the set of the given ranks.
+func setOf(ranks ...int) (s rankSet) {
+	for _, r := range ranks {
+		s.add(r)
+	}
+	return s
+}
+
+func (s rankSet) has(r int) bool { return r >= 0 && r/64 < len(s) && s[r/64]&(1<<(r%64)) != 0 }
+
+func (s *rankSet) add(r int) {
+	for len(*s) <= r/64 {
+		*s = append(*s, 0)
+	}
+	(*s)[r/64] |= 1 << (r % 64)
+}
+
+func (s *rankSet) remove(r int) { *s = s.minus(setOf(r)) }
+
+// union is s ∪ t, minus s \ t and and s ∩ t: each a new set, sharing no
+// words with s or t.
+func (s rankSet) union(t rankSet) rankSet { return setOf(append(s.list(), t.list()...)...) }
+func (s rankSet) minus(t rankSet) rankSet { return setOf(slices.DeleteFunc(s.list(), t.has)...) }
+func (s rankSet) and(t rankSet) rankSet   { return s.minus(s.minus(t)) }
+
+func (s rankSet) empty() bool { return !slices.ContainsFunc(s, func(w uint64) bool { return w != 0 }) }
+
+// list is the ranks of s, ascending.
+func (s rankSet) list() (out []int) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
 // membership is who is in the world: an epoch, bumped by each rejoin, and
-// per world rank one of three states — live (no bit set), failed, or
+// per world rank one of three states — live (in no set), failed, or
 // departed — plus the gone-for-good mark on a failed rank that no launcher
 // will bring back. Its methods are the only transitions, and each reports
-// whether it changed anything.
+// whether it changed anything. Its sets change in place, so nothing reads
+// them outside the owner's lock.
 type membership struct {
 	epoch    int
-	failed   uint64                // main failed, or its connection was lost
-	departed uint64                // main returned nil: final
-	gone     uint64                // failed and never coming back: final
-	rejoined [maxRecoveryRanks]int // epoch of each rank's last rejoin
-	final    bool                  // a coordinator nothing relaunches through: fail marks gone too (DESIGN.md §5)
-	restores int64                 // the last restore context id stamped (restoreCtx)
+	failed   rankSet     // main failed, or its connection was lost
+	departed rankSet     // main returned nil: final
+	gone     rankSet     // failed and never coming back: final
+	rejoined map[int]int // epoch of each rank's last rejoin
+	final    bool        // a coordinator nothing relaunches through: fail marks gone too (DESIGN.md §5)
+	restores int64       // the last restore context id stamped (restoreCtx)
 }
 
 // fail marks a live rank failed, as decided at epoch, and gone too when the
@@ -42,35 +86,32 @@ type membership struct {
 // stale — a notice that lost its race with the rejoin — and changes
 // nothing; so does failing a departed rank.
 func (m *membership) fail(rank, epoch int) bool {
-	bit := uint64(1) << uint(rank)
-	if (m.failed|m.departed)&bit != 0 || m.rejoined[rank] > epoch {
+	if m.failed.has(rank) || m.departed.has(rank) || m.rejoined[rank] > epoch {
 		return false
 	}
-	m.failed |= bit
+	m.failed.add(rank)
 	if m.final {
-		m.gone |= bit
+		m.gone.add(rank)
 	}
 	return true
 }
 
 // depart marks a live rank departed.
 func (m *membership) depart(rank int) bool {
-	bit := uint64(1) << uint(rank)
-	if (m.failed|m.departed)&bit != 0 {
+	if m.failed.has(rank) || m.departed.has(rank) {
 		return false
 	}
-	m.departed |= bit
+	m.departed.add(rank)
 	return true
 }
 
 // abandon marks a failed rank gone for good (DESIGN.md §5, "Who decides a
 // rank is gone").
 func (m *membership) abandon(rank int) bool {
-	bit := uint64(1) << uint(rank)
-	if m.failed&^m.gone&bit == 0 {
+	if !m.failed.has(rank) || m.gone.has(rank) {
 		return false
 	}
-	m.gone |= bit
+	m.gone.add(rank)
 	return true
 }
 
@@ -78,31 +119,16 @@ func (m *membership) abandon(rank int) bool {
 // membership has already reached has been applied, and a gone rank is
 // refused; neither changes anything.
 func (m *membership) rejoin(rank, epoch int) bool {
-	if epoch <= m.epoch || m.gone&(1<<uint(rank)) != 0 {
+	if epoch <= m.epoch || m.gone.has(rank) {
 		return false
 	}
+	if m.rejoined == nil {
+		m.rejoined = make(map[int]int)
+	}
 	m.epoch = epoch
-	m.failed &^= 1 << uint(rank)
+	m.failed.remove(rank)
 	m.rejoined[rank] = epoch
 	return true
-}
-
-// rankMask is the bitmask form of a set of world ranks.
-func rankMask(ranks []int) uint64 {
-	var mask uint64
-	for _, r := range ranks {
-		mask |= 1 << uint(r)
-	}
-	return mask
-}
-
-// maskRanks lists the world ranks of a bitmask, ascending.
-func maskRanks(mask uint64) []int {
-	out := make([]int, 0, bits.OnesCount64(mask))
-	for ; mask != 0; mask &= mask - 1 {
-		out = append(out, bits.TrailingZeros64(mask))
-	}
-	return out
 }
 
 // decide is the agreement rule, the one both coordinators run. An instance
@@ -111,21 +137,19 @@ func maskRanks(mask uint64) []int {
 // departed, and the decided mask names every member that is not live plus
 // every rank a contribution names failed — so a member that dies or returns
 // mid-agreement is folded into the answer instead of stalling it.
-func decide(key agreeKey, members []int, contributions map[int]uint64, m *membership) (mask uint64, ready bool) {
+func decide(key agreeKey, members []int, contributions map[int]rankSet, m *membership) (mask rankSet, ready bool) {
 	if key.epoch < m.epoch {
-		return 0, false
+		return nil, false
 	}
-	out := m.failed | m.departed
 	for _, r := range members {
-		bit := uint64(1) << uint(r)
-		if out&bit != 0 {
-			mask |= bit
+		if m.failed.has(r) || m.departed.has(r) {
+			mask.add(r)
 		} else if _, ok := contributions[r]; !ok {
-			return 0, false
+			return nil, false
 		}
 	}
 	for _, c := range contributions {
-		mask |= c
+		mask = mask.union(c)
 	}
 	return mask, true
 }
@@ -147,7 +171,7 @@ type agreeReq struct {
 	Epoch   int
 	Rank    int   // contributing world rank
 	Members []int // world ranks of the communicator
-	Mask    uint64
+	Mask    rankSet
 }
 
 // agreeResp is the decided value (hub -> worker), with the members in it
@@ -158,9 +182,9 @@ type agreeResp struct {
 	Lead     int // the lowest of the members (agreeKey)
 	Seq      uint64
 	Epoch    int
-	Mask     uint64
-	Departed uint64
-	Gone     uint64
+	Mask     rankSet
+	Departed rankSet
+	Gone     rankSet
 	NewCtx   int64 // the context id of the communicator the decision restores
 }
 
@@ -169,16 +193,16 @@ type agreeResp struct {
 // done, closed once mask or err is set.
 type agreeInst struct {
 	members []int
-	arrived map[int]uint64
+	arrived map[int]rankSet
 	done    chan struct{}
-	mask    uint64
-	final   uint64 // the members of mask that departed or are gone for good
-	ctx     int64  // the context id of the communicator the decision restores
+	mask    rankSet
+	final   rankSet // the members of mask that departed or are gone for good
+	ctx     int64   // the context id of the communicator the decision restores
 	err     error
 }
 
 // release hands the instance's waiter its outcome.
-func (inst *agreeInst) release(mask, final uint64, ctx int64, err error) {
+func (inst *agreeInst) release(mask, final rankSet, ctx int64, err error) {
 	inst.mask, inst.final, inst.ctx, inst.err = mask, final, ctx, err
 	close(inst.done)
 }
@@ -193,7 +217,7 @@ func (as agreements) open(key agreeKey, members []int) *agreeInst {
 	if inst == nil {
 		inst = &agreeInst{
 			members: append([]int(nil), members...),
-			arrived: make(map[int]uint64),
+			arrived: make(map[int]rankSet),
 			done:    make(chan struct{}),
 		}
 		as[key] = inst
@@ -204,7 +228,7 @@ func (as agreements) open(key agreeKey, members []int) *agreeInst {
 // settle applies decide to every open instance and passes each one that is
 // ready to decided, after forgetting it (no further contribution can come),
 // with the context id of the communicator it restores.
-func (as agreements) settle(m *membership, decided func(agreeKey, *agreeInst, uint64, int64)) {
+func (as agreements) settle(m *membership, decided func(agreeKey, *agreeInst, rankSet, int64)) {
 	for key, inst := range as {
 		if mask, ok := decide(key, inst.members, inst.arrived, m); ok {
 			delete(as, key)
@@ -219,7 +243,7 @@ func (as agreements) dropOlder(epoch int, err error) {
 	for key, inst := range as {
 		if key.epoch < epoch {
 			delete(as, key)
-			inst.release(0, 0, 0, err)
+			inst.release(nil, nil, 0, err)
 		}
 	}
 }
@@ -239,7 +263,7 @@ func (r *recoveryState) agree(key agreeKey, members []int, self int) (*agreeInst
 		r.mu.Unlock()
 		return nil, &RankFailedError{} // membership changed: re-form and retry
 	}
-	seen := r.m.failed & rankMask(members)
+	seen := r.m.failed.and(setOf(members...))
 	inst := r.insts.open(key, members)
 	inst.arrived[self] = seen
 	r.settleLocked()
@@ -262,8 +286,8 @@ func (r *recoveryState) agree(key agreeKey, members []int, self int) (*agreeInst
 // hub. Caller holds r.mu.
 func (r *recoveryState) settleLocked() {
 	if r.ctrlSend == nil {
-		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask uint64, ctx int64) {
-			inst.release(mask, mask&(r.m.departed|r.m.gone), ctx, nil)
+		r.insts.settle(&r.m, func(_ agreeKey, inst *agreeInst, mask rankSet, ctx int64) {
+			inst.release(mask, mask.and(r.m.departed.union(r.m.gone)), ctx, nil)
 		})
 	}
 }
@@ -277,18 +301,18 @@ func (r *recoveryState) deliverDecision(resp agreeResp) {
 	r.mu.Lock()
 	inst := r.insts[key]
 	delete(r.insts, key)
-	for _, rank := range maskRanks(resp.Departed) {
+	for _, rank := range resp.Departed.list() {
 		r.m.depart(rank)
 	}
 	r.mu.Unlock()
-	for _, rank := range maskRanks(resp.Mask &^ resp.Departed) {
+	for _, rank := range resp.Mask.minus(resp.Departed).list() {
 		r.world.rankFailed(rank, resp.Epoch, fmt.Errorf("%w: rank %d (agreed)", ErrRankFailed, rank))
 	}
-	for _, rank := range maskRanks(resp.Gone) {
+	for _, rank := range resp.Gone.list() {
 		r.world.rankGone(rank)
 	}
 	if inst != nil {
-		inst.release(resp.Mask, resp.Departed|resp.Gone, resp.NewCtx, nil)
+		inst.release(resp.Mask, resp.Departed.union(resp.Gone), resp.NewCtx, nil)
 	}
 }
 
@@ -306,8 +330,8 @@ func (r *recoveryState) abortPending(err error) {
 }
 
 // agree runs c's next agreement on the members that are out
-// (MPIX_Comm_agree specialized to the failure bitmap): every member still
-// taking part receives the identical mask of world ranks that failed or
+// (MPIX_Comm_agree specialized to the failed set): every member still
+// taking part receives the identical set of world ranks that failed or
 // departed, even when failures race the protocol — a member that dies
 // mid-agreement is folded into the decision rather than stalling it. A
 // departed member is one whose main returned nil: it will never agree, so
@@ -325,7 +349,7 @@ func (c *Comm) agree() (*agreeInst, error) {
 	return r.agree(key, c.ranks, c.worldRank(c.rank))
 }
 
-// without builds the dense communicator of c's members outside out, a mask
+// without builds the dense communicator of c's members outside out, a set
 // every member agreed on (MPIX_Comm_shrink, with restored's decision as its
 // agreement): survivors keep their relative order but are renumbered
 // 0..n-1, and the new communicator has the fresh message context ctx that
@@ -335,18 +359,9 @@ func (c *Comm) agree() (*agreeInst, error) {
 // failure during a program's closing collective can re-form after their
 // peers have returned. Each member computes the identical one with no
 // communication.
-func (c *Comm) without(out uint64, ctx int64) (*Comm, error) {
-	ranks := make([]int, 0, len(c.ranks))
-	newRank := -1
-	for i, wr := range c.ranks {
-		if out&(1<<uint(wr)) != 0 {
-			continue
-		}
-		if i == c.rank {
-			newRank = len(ranks)
-		}
-		ranks = append(ranks, wr)
-	}
+func (c *Comm) without(out rankSet, ctx int64) (*Comm, error) {
+	ranks := slices.DeleteFunc(slices.Clone(c.ranks), out.has)
+	newRank := slices.Index(ranks, c.worldRank(c.rank))
 	if newRank < 0 {
 		return nil, fmt.Errorf("mpi: shrink: calling rank %d is in the agreed failed set", c.rank)
 	}

@@ -27,7 +27,7 @@ import (
 //	hello{Rank, Wire}      worker -> hub, once, identifies the rank
 //	frame{Tag: tagStart}   hub -> worker, once, after all ranks joined;
 //	                       Data carries a gob startInfo (suspicion grace,
-//	                       membership epoch, failed mask)
+//	                       membership epoch, failed and gone ranks)
 //	frame{...}             either direction, user and collective traffic
 //	frame{Dst: ctrlDst, Tag: tagDone}   worker -> hub, rank finished (under
 //	                                    recovery a live rank departs)
@@ -106,8 +106,8 @@ type hello struct {
 type startInfo struct {
 	SuspicionNs int64
 	Epoch       int
-	FailedMask  uint64
-	GoneMask    uint64
+	Failed      rankSet
+	Gone        rankSet
 }
 
 // rejoinInfo rides in a tagRejoin broadcast: which rank was respawned into
@@ -584,7 +584,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	hc := h.newHubConn(hi.Rank, conn, rd)
 
 	h.mu.Lock()
-	if h.m.gone&(1<<uint(hi.Rank)) != 0 {
+	if h.m.gone.has(hi.Rank) {
 		// Given up for good: the survivors have shrunk past the rank.
 		h.mu.Unlock()
 		conn.Close()
@@ -611,7 +611,8 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 	if h.lastPong != nil {
 		h.lastPong[hi.Rank] = time.Now()
 	}
-	mask, gone := h.m.failed, h.m.gone
+	// Encoded under the lock: the membership's sets change in place.
+	data, err := encodeValue(startInfo{SuspicionNs: int64(h.opts.suspicion), Epoch: epoch, Failed: h.m.failed, Gone: h.m.gone})
 	others := h.peersLocked(hi.Rank, true)
 	h.mu.Unlock()
 
@@ -619,7 +620,6 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		sendValue(others, tagFailed, abortInfo{Rank: hi.Rank, Msg: "rank replaced by respawn", Epoch: failedAt})
 	}
 	sendValue(others, tagRejoin, rejoinInfo{Rank: hi.Rank, Epoch: epoch})
-	data, err := encodeValue(startInfo{SuspicionNs: int64(h.opts.suspicion), Epoch: epoch, FailedMask: mask, GoneMask: gone})
 	if err != nil {
 		h.fail(fmt.Errorf("mpi: hub respawn start signal: %w", err))
 		return
@@ -881,7 +881,7 @@ func (h *Hub) rankFailed(hc *hubConn, msg string) {
 		h.mu.Unlock()
 		return
 	}
-	gone := h.m.gone&(1<<uint(hc.rank)) != 0
+	gone := h.m.gone.has(hc.rank)
 	h.announceLocked(abortInfo{Rank: hc.rank, Msg: msg, Epoch: epoch, Gone: gone})
 	if !gone && h.opts.formation > 0 {
 		time.AfterFunc(h.opts.formation, func() { h.rankGone(hc.rank, epoch) })
@@ -952,16 +952,16 @@ type hubDecision struct {
 // decision goes to every live contributor. Caller holds h.mu.
 func (h *Hub) settleLocked() []hubDecision {
 	var out []hubDecision
-	h.agreements.settle(&h.m, func(key agreeKey, inst *agreeInst, mask uint64, ctx int64) {
+	h.agreements.settle(&h.m, func(key agreeKey, inst *agreeInst, mask rankSet, ctx int64) {
 		var conns []*hubConn
 		for r := range inst.arrived {
-			if c := h.conns[r]; c != nil && h.m.failed&(1<<uint(r)) == 0 {
+			if c := h.conns[r]; c != nil && !h.m.failed.has(r) {
 				conns = append(conns, c)
 			}
 		}
 		out = append(out, hubDecision{conns: conns, resp: agreeResp{
 			Ctx: key.ctx, Lead: key.lead, Seq: key.seq, Epoch: key.epoch, Mask: mask,
-			Departed: mask & h.m.departed, Gone: mask & h.m.gone, NewCtx: ctx,
+			Departed: mask.and(h.m.departed), Gone: mask.and(h.m.gone), NewCtx: ctx,
 		}})
 	})
 	return out
@@ -987,7 +987,7 @@ func (h *Hub) broadcastRevoke(origin int, f frame) {
 func (h *Hub) FailedRanks() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return maskRanks(h.m.failed)
+	return h.m.failed.list()
 }
 
 // Supervise runs the hub's np ranks, one goroutine each, and returns each
@@ -1062,7 +1062,7 @@ func (h *Hub) fail(err error) {
 func (h *Hub) peersLocked(except int, live bool) []*hubConn {
 	out := make([]*hubConn, 0, len(h.conns))
 	for r, c := range h.conns {
-		if r != except && !(live && h.m.failed&(1<<uint(r)) != 0) {
+		if r != except && !(live && h.m.failed.has(r)) {
 			out = append(out, c)
 		}
 	}

@@ -3,6 +3,8 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -22,14 +24,6 @@ import (
 // gated on a single atomic load of an event counter that stays zero until
 // the first failure or revoke, so a recovery-enabled world that never
 // fails pays (and is pinned to) the same ping-pong cost as a plain one.
-
-// maxRecoveryRanks bounds WithRecovery worlds: the agreement protocol
-// exchanges the failed set as a 64-bit rank bitmask.
-const maxRecoveryRanks = 64
-
-// errRecoveryRankCap is what every launcher refuses a wider WithRecovery world
-// with, before it listens, dials or maps anything.
-var errRecoveryRankCap = fmt.Errorf("mpi: WithRecovery supports at most %d ranks", maxRecoveryRanks)
 
 // RankFailedError reports that a peer rank failed while the world runs in
 // recovery mode. It is retryable: the world is still alive, and the caller
@@ -67,8 +61,8 @@ func (e *RankFailedError) Unwrap() error        { return e.cause }
 // *RankFailedError, and Comm.Recover lets them re-form and continue. Its
 // relaunch budget is 0: a failed rank is gone at once, and Recover shrinks
 // past it. Run and RunTCP report success if at least one rank completes and
-// the world was never revoked outright. Limited to 64 ranks (the agreement
-// bitmask); explicit aborts and deadline breaches still revoke the world.
+// the world was never revoked outright. Explicit aborts and deadline
+// breaches still revoke the world.
 func WithRecovery() Option {
 	return func(c *config) { c.recovery, c.relaunches = true, 0 }
 }
@@ -213,20 +207,18 @@ func (w *World) pokeAll() {
 // worker starts life already in the hub's epoch, with the hub's view of the
 // failed and gone ranks. Bumping events arms the recovery checks so
 // operations on pre-epoch communicators are interrupted from the first call.
-func (r *recoveryState) seedEpoch(epoch int, failedMask, goneMask uint64) {
-	if epoch <= 0 && failedMask == 0 {
+func (r *recoveryState) seedEpoch(epoch int, failed, gone rankSet) {
+	if epoch <= 0 && failed.empty() {
 		return
 	}
 	r.mu.Lock()
-	if epoch > r.m.epoch {
-		r.m.epoch = epoch
-	}
+	r.m.epoch = max(r.m.epoch, epoch)
 	r.mu.Unlock()
 	r.events.Add(1)
-	for _, rank := range maskRanks(failedMask) {
+	for _, rank := range failed.list() {
 		r.world.rankFailed(rank, epoch, fmt.Errorf("%w: rank %d (failed before this process joined)", ErrRankFailed, rank))
 	}
-	for _, rank := range maskRanks(goneMask) {
+	for _, rank := range gone.list() {
 		r.world.rankGone(rank)
 	}
 }
@@ -239,13 +231,13 @@ func (r *recoveryState) isFailed(rank int) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.m.failed&(1<<uint(rank)) != 0
+	return r.m.failed.has(rank)
 }
 
 // rfeLocked builds a RankFailedError from the current failed set. Caller
 // holds r.mu.
 func (r *recoveryState) rfeLocked(revoked bool) *RankFailedError {
-	ranks := maskRanks(r.m.failed)
+	ranks := r.m.failed.list()
 	var cause error
 	if len(ranks) > 0 {
 		cause = r.failed[ranks[0]]
@@ -284,33 +276,23 @@ func (r *recoveryState) opErr(c *Comm, srcWorld int, startFail uint64) error {
 		return r.rfeLocked(false)
 	}
 	if srcWorld >= 0 {
-		if r.m.failed&(1<<uint(srcWorld)) != 0 {
+		if r.m.failed.has(srcWorld) {
 			return r.rfeLocked(false)
 		}
 		return nil
 	}
 	// AnySource: any failed member of this communicator poisons the match.
-	if r.m.failed&rankMask(c.ranks) != 0 {
+	if slices.ContainsFunc(c.ranks, r.m.failed.has) {
 		return r.rfeLocked(false)
 	}
 	return nil
 }
 
 // sendErr rejects sends into a revoked context, on a stale-epoch
-// communicator, or to a failed rank.
+// communicator, or to a failed rank: opErr's rules for a named peer, with
+// no failure counted as after the start.
 func (r *recoveryState) sendErr(c *Comm, dstWorld int) error {
-	if r.events.Load() == 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.revokedLocked(c) {
-		return r.rfeLocked(true)
-	}
-	if c.epoch < r.m.epoch || r.m.failed&(1<<uint(dstWorld)) != 0 {
-		return r.rfeLocked(false)
-	}
-	return nil
+	return r.opErr(c, dstWorld, math.MaxUint64)
 }
 
 // revokedLocked reports whether c's owner, c itself or the user
@@ -352,10 +334,10 @@ var ErrRestoreTimeout = errors.New("mpi: world not restored to full width")
 
 // gaveUp is restored's ErrRestoreTimeout naming the final ranks. Its text is
 // built only when read, and Recover drops it unread.
-type gaveUp uint64
+type gaveUp rankSet
 
 func (e gaveUp) Error() string {
-	return fmt.Sprintf("%v: ranks %v departed or will not come back", ErrRestoreTimeout, maskRanks(uint64(e)))
+	return fmt.Sprintf("%v: ranks %v departed or will not come back", ErrRestoreTimeout, rankSet(e).list())
 }
 func (e gaveUp) Is(target error) bool { return target == ErrRestoreTimeout }
 
@@ -378,7 +360,7 @@ func (c *Comm) restored() (*Comm, error) {
 	rc := c
 	for {
 		r.mu.Lock()
-		for r.downErr == nil && r.m.failed&^r.m.gone != 0 {
+		for r.downErr == nil && !r.m.failed.minus(r.m.gone).empty() {
 			r.restoreCond.Wait() // until each failed rank has rejoined or is gone
 		}
 		err, epoch := r.downErr, r.m.epoch
@@ -394,14 +376,14 @@ func (c *Comm) restored() (*Comm, error) {
 		// and gone members are final in the decision every member reads, so
 		// all of them give up here together.
 		d, err := rc.agree()
-		if errors.Is(err, ErrRankFailed) || err == nil && d.mask != 0 && d.final == 0 {
+		if errors.Is(err, ErrRankFailed) || err == nil && !d.mask.empty() && d.final.empty() {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
 		nc, err := rc.without(d.mask, d.ctx)
-		if err == nil && d.final != 0 {
+		if err == nil && !d.final.empty() {
 			err = gaveUp(d.final)
 		}
 		return nc, err
@@ -460,7 +442,7 @@ func (c *Comm) FailedRanks() []int {
 	defer w.recov.mu.Unlock()
 	var out []int
 	for i, wr := range c.ranks {
-		if w.recov.m.failed&(1<<uint(wr)) != 0 {
+		if w.recov.m.failed.has(wr) {
 			out = append(out, i)
 		}
 	}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -133,7 +134,7 @@ func agreedOut(c *Comm) ([]int, error) {
 	}
 	var out []int
 	for i, wr := range c.ranks {
-		if d.mask&(1<<uint(wr)) != 0 {
+		if d.mask.has(wr) {
 			out = append(out, i)
 		}
 	}
@@ -186,44 +187,124 @@ func TestAgreeConsistentUnderRacingFailures(t *testing.T) {
 }
 
 // TestAgreeDecide: the one agreement rule both coordinators run, over every
-// membership state of a member × whether it has contributed. Rank 0 has
-// always contributed; rank 1 is the member under test; rank 2 is outside the
-// communicator.
+// membership state of a member × whether it has contributed. The first
+// member has always contributed; arrived lists the other members that have.
+// In the narrow rows rank 1 is the member under test and rank 2 is outside
+// the communicator; the wide rows hold members across word boundaries of
+// the rank set.
 func TestAgreeDecide(t *testing.T) {
-	members := []int{0, 1}
+	narrow, wide := []int{0, 1}, []int{3, 70, 127}
 	cases := []struct {
 		name      string
+		members   []int
 		state     func(m *membership)
-		arrived   bool
+		arrived   []int
 		keyEpoch  int
 		ready     bool
-		mask      uint64
-		rank0Says uint64 // rank 0's contribution
+		mask      []int
+		firstSays []int // the first member's contribution
 	}{
-		{"live arrived", func(*membership) {}, true, 0, true, 0, 0},
-		{"live not arrived", func(*membership) {}, false, 0, false, 0, 0},
-		{"failed arrived", func(m *membership) { m.fail(1, 0) }, true, 0, true, 0b10, 0},
-		{"failed not arrived", func(m *membership) { m.fail(1, 0) }, false, 0, true, 0b10, 0},
-		{"departed arrived", func(m *membership) { m.depart(1) }, true, 0, true, 0b10, 0},
-		{"departed not arrived", func(m *membership) { m.depart(1) }, false, 0, true, 0b10, 0},
-		{"gone not arrived", func(m *membership) { m.fail(1, 0); m.abandon(1) }, false, 0, true, 0b10, 0},
-		{"contribution names a failure", func(*membership) {}, true, 0, true, 0b10, 0b10},
-		{"failure outside the communicator", func(m *membership) { m.fail(2, 0) }, true, 0, true, 0, 0},
-		{"rejoined live arrived", func(m *membership) { m.fail(1, 0); m.rejoin(1, 1) }, true, 1, true, 0, 0},
-		{"older-epoch key, all arrived", func(m *membership) { m.rejoin(2, 1) }, true, 0, false, 0, 0},
-		{"older-epoch key, member failed", func(m *membership) { m.rejoin(2, 1); m.fail(1, 1) }, false, 0, false, 0, 0},
+		{"live arrived", narrow, func(*membership) {}, []int{1}, 0, true, nil, nil},
+		{"live not arrived", narrow, func(*membership) {}, nil, 0, false, nil, nil},
+		{"failed arrived", narrow, func(m *membership) { m.fail(1, 0) }, []int{1}, 0, true, []int{1}, nil},
+		{"failed not arrived", narrow, func(m *membership) { m.fail(1, 0) }, nil, 0, true, []int{1}, nil},
+		{"departed arrived", narrow, func(m *membership) { m.depart(1) }, []int{1}, 0, true, []int{1}, nil},
+		{"departed not arrived", narrow, func(m *membership) { m.depart(1) }, nil, 0, true, []int{1}, nil},
+		{"gone not arrived", narrow, func(m *membership) { m.fail(1, 0); m.abandon(1) }, nil, 0, true, []int{1}, nil},
+		{"contribution names a failure", narrow, func(*membership) {}, []int{1}, 0, true, []int{1}, []int{1}},
+		{"failure outside the communicator", narrow, func(m *membership) { m.fail(2, 0) }, []int{1}, 0, true, nil, nil},
+		{"rejoined live arrived", narrow, func(m *membership) { m.fail(1, 0); m.rejoin(1, 1) }, []int{1}, 1, true, nil, nil},
+		{"older-epoch key, all arrived", narrow, func(m *membership) { m.rejoin(2, 1) }, []int{1}, 0, false, nil, nil},
+		{"older-epoch key, member failed", narrow, func(m *membership) { m.rejoin(2, 1); m.fail(1, 1) }, nil, 0, false, nil, nil},
+		{"wide, all arrived", wide, func(*membership) {}, []int{70, 127}, 0, true, nil, nil},
+		{"wide, last member not arrived", wide, func(*membership) {}, []int{70}, 0, false, nil, nil},
+		{"wide, failed and departed", wide, func(m *membership) { m.fail(70, 0); m.depart(127) }, nil, 0, true, []int{70, 127}, nil},
+		{"wide, failure outside", wide, func(m *membership) { m.fail(64, 0); m.fail(128, 0) }, []int{70, 127}, 0, true, nil, nil},
+		{"wide, contribution names a failure", wide, func(*membership) {}, []int{70, 127}, 0, true, []int{127}, []int{127}},
 	}
 	for _, tc := range cases {
 		var m membership
 		tc.state(&m)
-		contributions := map[int]uint64{0: tc.rank0Says}
-		if tc.arrived {
-			contributions[1] = 0
+		contributions := map[int]rankSet{tc.members[0]: setOf(tc.firstSays...)}
+		for _, r := range tc.arrived {
+			contributions[r] = nil
 		}
-		mask, ready := decide(agreeKey{epoch: tc.keyEpoch}, members, contributions, &m)
-		if ready != tc.ready || mask != tc.mask {
-			t.Errorf("%s: decide = (%#b, %v), want (%#b, %v)", tc.name, mask, ready, tc.mask, tc.ready)
+		mask, ready := decide(agreeKey{epoch: tc.keyEpoch}, tc.members, contributions, &m)
+		if ready != tc.ready || !slices.Equal(mask.list(), tc.mask) {
+			t.Errorf("%s: decide = (%v, %v), want (%v, %v)", tc.name, mask.list(), ready, tc.mask, tc.ready)
 		}
+	}
+}
+
+// TestAgreeRankSetMatchesModel: the rank set against a map model, over ranks
+// 0..199 — four words, with each boundary crossed — under a seeded script
+// of adds and removes; every step compares has and list, and union, minus
+// and and against a second set built the same way, leaving both operands
+// unchanged.
+func TestAgreeRankSetMatchesModel(t *testing.T) {
+	const width = 200
+	rng := rand.New(rand.NewSource(1))
+	var s, u rankSet
+	model, other := map[int]bool{}, map[int]bool{}
+	list := func(m map[int]bool) []int {
+		out := []int{}
+		for r := range width {
+			if m[r] {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	for _, r := range []int{63, 64, 127, 128, 199} {
+		u.add(r)
+		other[r] = true
+	}
+	for step := range 4000 {
+		r := rng.Intn(width)
+		if rng.Intn(3) == 0 {
+			s.remove(r)
+			delete(model, r)
+		} else {
+			s.add(r)
+			model[r] = true
+		}
+		if step%97 == 0 {
+			o := rng.Intn(width)
+			u.add(o)
+			other[o] = true
+		}
+		if s.has(r) != model[r] {
+			t.Fatalf("step %d: has(%d) = %v, model %v", step, r, s.has(r), model[r])
+		}
+		want := list(model)
+		if got := s.list(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: list = %v, model %v", step, got, want)
+		}
+		if s.empty() != (len(want) == 0) {
+			t.Fatalf("step %d: empty = %v with %d ranks", step, s.empty(), len(want))
+		}
+		union, minus, and := map[int]bool{}, map[int]bool{}, map[int]bool{}
+		for r := range width {
+			union[r] = model[r] || other[r]
+			minus[r] = model[r] && !other[r]
+			and[r] = model[r] && other[r]
+		}
+		for _, op := range []struct {
+			name string
+			got  rankSet
+			want map[int]bool
+		}{{"union", s.union(u), union}, {"minus", s.minus(u), minus}, {"and", s.and(u), and}} {
+			if !slices.Equal(op.got.list(), list(op.want)) {
+				t.Fatalf("step %d: %s = %v, model %v", step, op.name, op.got.list(), list(op.want))
+			}
+			op.got.add(width) // a result shares no words with its operands
+		}
+		if !slices.Equal(s.list(), want) || !slices.Equal(u.list(), list(other)) {
+			t.Fatalf("step %d: an operation changed its operands", step)
+		}
+	}
+	if got := setOf(3, 70, 127).list(); !slices.Equal(got, []int{3, 70, 127}) {
+		t.Fatalf("setOf(3, 70, 127).list() = %v", got)
 	}
 }
 
@@ -273,10 +354,10 @@ func TestAgreeMembershipTransitions(t *testing.T) {
 				t.Errorf("%s: step %d %s(%d, %d) changed = %v, want %v", tc.name, i, s.op, s.rank, s.epoch, changed, s.wantsChanged)
 			}
 		}
-		live := ^(m.failed | m.departed) & 0b111
-		if m.epoch != tc.epoch || m.failed != rankMask(tc.failed) || m.departed != rankMask(tc.departed) || live != rankMask(tc.live) {
+		live := setOf(0, 1, 2).minus(m.failed.union(m.departed))
+		if m.epoch != tc.epoch || !slices.Equal(m.failed.list(), tc.failed) || !slices.Equal(m.departed.list(), tc.departed) || !slices.Equal(live.list(), tc.live) {
 			t.Errorf("%s: epoch %d failed %v departed %v live %v; want epoch %d failed %v departed %v live %v", tc.name,
-				m.epoch, maskRanks(m.failed), maskRanks(m.departed), maskRanks(live), tc.epoch, tc.failed, tc.departed, tc.live)
+				m.epoch, m.failed.list(), m.departed.list(), live.list(), tc.epoch, tc.failed, tc.departed, tc.live)
 		}
 	}
 
@@ -475,26 +556,22 @@ func TestWithRecoveryInertOnCleanRuns(t *testing.T) {
 	}
 }
 
-// TestWithRecoveryRankCap: the agreement bitmask bounds recovery worlds.
+// TestWithRecoveryRankCap: recovery has no rank cap of its own; the shm
+// launchers keep the segment's. At np=65 both refuse before anything is
+// listened, dialed or mapped: main never runs, and the joiner never finds
+// out that nothing listens at its hub address.
 func TestWithRecoveryRankCap(t *testing.T) {
-	// Every launcher refuses the 65th rank with the one sentinel, before it
-	// has listened, dialed or mapped anything: main never runs, and the
-	// joiners never find out that nothing listens at their hub address.
+	if !shmSupported {
+		t.Skip("no shm transport on this platform")
+	}
 	var ran atomic.Bool
 	main := func(c *Comm) error { ran.Store(true); return nil }
-	const nobody = "127.0.0.1:1"
-	launchers := append([]launcher{{"join-tcp", func(np int, main func(*Comm) error, opts ...Option) error {
-		return JoinTCP(nobody, 0, np, main, opts...)
-	}}}, recoveryLaunchers...)
-	if shmSupported {
-		launchers = append(launchers, launcher{"join-shm", func(np int, main func(*Comm) error, opts ...Option) error {
-			return JoinShm(nobody, filepath.Join(t.TempDir(), "no-such-segment"), 0, np, main, opts...)
-		}})
-	}
-	for _, l := range launchers {
+	for _, l := range []launcher{{"shm", RunShm}, {"join-shm", func(np int, main func(*Comm) error, opts ...Option) error {
+		return JoinShm("127.0.0.1:1", filepath.Join(t.TempDir(), "no-such-segment"), 0, np, main, opts...)
+	}}} {
 		err := l.run(65, main, WithRecovery())
-		if !errors.Is(err, errRecoveryRankCap) || !strings.Contains(err.Error(), "at most 64") {
-			t.Errorf("%s: want the rank-cap error, got %v", l.name, err)
+		if err == nil || !strings.Contains(err.Error(), "shm segment supports 1..64 ranks, got 65") {
+			t.Errorf("%s: want the segment's rank-cap error, got %v", l.name, err)
 		}
 	}
 	if ran.Load() {
@@ -794,37 +871,49 @@ func TestRecoverSiblingIsolation(t *testing.T) {
 	}
 }
 
-// TestRecoverSixtyTwoLosses: a world of 64 ranks loses 62 of them one at a
-// time, from the top, and the survivors recover after each loss: no count
-// of restores runs out.
+// TestRecoverSixtyTwoLosses: a world loses all but two of its ranks one at
+// a time, from the top, and the survivors recover after each loss: no count
+// of restores runs out (62 at np=64). Past np=64 the first losses are ranks
+// a 64-bit set could not name.
 func TestRecoverSixtyTwoLosses(t *testing.T) {
-	const np = 64
 	sum := func(a, b int) int { return a + b }
-	errs := make([]error, np)
-	err := runWithWatchdog(t, 60*time.Second, func() error {
-		return Run(np, eachRank(errs, func(c *Comm) error {
-			comm := c
-			for round := 0; round < np-2; round++ {
-				last := comm.Size() - 1
-				if comm.Rank() == last {
-					return errDeliberate
-				}
-				if _, rerr := comm.Recv(last, 9, nil); !errors.Is(rerr, ErrRankFailed) {
-					return fmt.Errorf("round %d: want ErrRankFailed, got %v", round, rerr)
-				}
-				nc, err := comm.Recover()
-				if err != nil {
-					return fmt.Errorf("round %d: %w", round, err)
-				}
-				comm = nc
+	for _, tc := range []struct {
+		l  launcher
+		np int
+	}{
+		{launcher{"local", Run}, 64},
+		{launcher{"local", Run}, 65},
+		{launcher{"local", Run}, 128},
+		{launcher{"tcp", RunTCP}, 65},
+	} {
+		t.Run(fmt.Sprintf("%s/np%d", tc.l.name, tc.np), func(t *testing.T) {
+			errs := make([]error, tc.np)
+			err := runWithWatchdog(t, 60*time.Second, func() error {
+				return tc.l.run(tc.np, eachRank(errs, func(c *Comm) error {
+					comm := c
+					for round := 0; round < tc.np-2; round++ {
+						last := comm.Size() - 1
+						if comm.Rank() == last {
+							return errDeliberate
+						}
+						if _, rerr := comm.Recv(last, 9, nil); !errors.Is(rerr, ErrRankFailed) {
+							return fmt.Errorf("round %d: want ErrRankFailed, got %v", round, rerr)
+						}
+						nc, err := comm.Recover()
+						if err != nil {
+							return fmt.Errorf("round %d: %w", round, err)
+						}
+						comm = nc
+					}
+					if got, err := Allreduce(comm, 1, sum); err != nil || got != 2 {
+						return fmt.Errorf("allreduce over the last two ranks = %d, %v; want 2", got, err)
+					}
+					return nil
+				}), WithRecovery())
+			})
+			if err = errors.Join(append(errs, err)...); err != nil {
+				t.Fatal(err)
 			}
-			if got, err := Allreduce(comm, 1, sum); err != nil || got != 2 {
-				return fmt.Errorf("allreduce over the last two ranks = %d, %v; want 2", got, err)
-			}
-			return nil
-		}), WithRecovery())
-	})
-	if err = errors.Join(append(errs, err)...); err != nil {
-		t.Fatal(err)
+		})
 	}
 }

@@ -269,10 +269,7 @@ var respawnLaunchers = func() []launcher {
 // read here from the options. The verdict is mpirun's under -recover: the
 // hub's error, else success if any rank finished.
 func runSupervised(np int, main func(c *Comm) error, opts ...Option) error {
-	cfg, err := newConfig(np, opts)
-	if err != nil {
-		return err
-	}
+	cfg := newConfig(opts)
 	hub, err := StartHub("127.0.0.1:0", np, HubRecovery())
 	if err != nil {
 		return err

@@ -77,8 +77,8 @@ const (
 	defaultShmLargeCap = 4 << 20
 	defaultShmWinCap   = 8 << 20
 
-	// maxShmRanks bounds segment creation: the transport is a same-node
-	// fast path, and the recovery bitmask shares the same 64-rank ceiling.
+	// maxShmRanks bounds a segment's world: the header holds one attach
+	// word per rank below shmOffWinCap.
 	maxShmRanks = 64
 )
 
@@ -169,6 +169,14 @@ func shmBaseDir() string {
 
 var shmSegSeq atomic.Uint64
 
+// checkShmRanks refuses a world of np ranks that no segment can hold.
+func checkShmRanks(np int) error {
+	if np < 1 || np > maxShmRanks {
+		return fmt.Errorf("mpi: shm segment supports 1..%d ranks, got %d", maxShmRanks, np)
+	}
+	return nil
+}
+
 // CreateShmSegment creates and initializes a shared-memory segment file for
 // an np-rank world and returns its path. An empty path auto-names a file
 // under the host's shared-memory directory (/dev/shm when present). The
@@ -179,8 +187,8 @@ func CreateShmSegment(path string, np int) (string, error) {
 	if !shmSupported {
 		return "", ErrShmUnsupported
 	}
-	if np < 1 || np > maxShmRanks {
-		return "", fmt.Errorf("mpi: shm segment supports 1..%d ranks, got %d", maxShmRanks, np)
+	if err := checkShmRanks(np); err != nil {
+		return "", err
 	}
 	ringCap, largeCap, winCap := uint64(defaultShmRingCap), uint64(defaultShmLargeCap), uint64(defaultShmWinCap)
 	size := uint64(shmSegHdrSize) + uint64(np*np)*shmPairSize(ringCap, largeCap) + uint64(np)*winCap

@@ -958,8 +958,13 @@ func (t *shmTransport) statsSnapshot() shmTransportStats {
 // a mixed same-host/remote world interoperates: every rank joins the same
 // hub, and each pair uses the fastest path both ends share.
 func JoinShm(addr, segPath string, rank, np int, main func(c *Comm) error, opts ...Option) error {
-	if segPath != "" && !shmSupported {
-		return ErrShmUnsupported
+	if segPath != "" {
+		if !shmSupported {
+			return ErrShmUnsupported
+		}
+		if err := checkShmRanks(np); err != nil {
+			return err // before anything is dialed or mapped
+		}
 	}
 	return joinHub(addr, segPath, rank, np, false, main, opts...)
 }
@@ -975,9 +980,6 @@ func ShmSupported() bool { return shmSupported }
 // rings instead of sockets. It is the launcher the shm parity, failure, and
 // benchmark suites drive.
 func RunShm(np int, main func(c *Comm) error, opts ...Option) error {
-	if _, err := newConfig(np, opts); err != nil {
-		return err
-	}
 	seg, err := CreateShmSegment("", np)
 	if err != nil {
 		return err

@@ -388,10 +388,7 @@ func joinHub(addr, segPath string, rank, np int, rejoin bool, main func(c *Comm)
 	if rank < 0 || rank >= np {
 		return fmt.Errorf("%w: %d (np %d)", ErrInvalidRank, rank, np)
 	}
-	cfg, err := newConfig(np, opts)
-	if err != nil {
-		return err
-	}
+	cfg := newConfig(opts)
 	if rejoin {
 		// A respawned incarnation must not re-run the fault plan: the injected
 		// kill (or disconnect) that took its predecessor down has done its
@@ -487,7 +484,7 @@ func joinHub(addr, segPath string, rank, np int, rejoin bool, main func(c *Comm)
 		// epoch, carrying the hub's view of the still-failed ranks: its very
 		// first operation on the stale world communicator must be interrupted
 		// into the restore path.
-		w.recov.seedEpoch(si.Epoch, si.FailedMask, si.GoneMask)
+		w.recov.seedEpoch(si.Epoch, si.Failed, si.Gone)
 	}
 	if shmT != nil {
 		shmT.bind(w, box)
@@ -563,10 +560,7 @@ func RunTCP(np int, main func(c *Comm) error, opts ...Option) error {
 // loopback hub plus np joinHub goroutines, with segPath selecting the data
 // plane ("" = TCP only).
 func runHub(np int, segPath string, main func(c *Comm) error, opts ...Option) error {
-	cfg, err := newConfig(np, opts)
-	if err != nil {
-		return err
-	}
+	cfg := newConfig(opts)
 	hubOpts := cfg.hubOpts
 	if cfg.recovery {
 		hubOpts = append(append([]HubOption(nil), hubOpts...), HubRecovery())

@@ -114,51 +114,61 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 // WithDeadline must convert the stall into the world's *DeadlineError whose
 // blocked-operation snapshot names the Recv under the window's ack tag.
 // It runs over TCP, whose windows take the frame path: direct-path ops have
-// no acks to lose.
+// no acks to lose. Each rank joins the hub itself, so only rank 0's deadline
+// can fire: rank 1, blocked in the Fence behind rank 0, has a deadline past
+// the watchdog, and a TCP rank's snapshot holds only its own operations.
 func TestWinDeadlineStalledFence(t *testing.T) {
 	const tagAck0 = tagWinBase - 2 // window 0's ack tag
 	plan := FaultPlan{
 		Rules: []FaultRule{{Src: 1, Dst: 0, Tag: tagAck0, Count: 1, Action: FaultDrop}},
 	}
-	for _, tc := range []struct {
-		name string
-		run  func(np int, main func(c *Comm) error, opts ...Option) error
-		opts []Option
-	}{
-		{"tcp", RunTCP, nil},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]Option{WithFaults(plan), WithDeadline(150 * time.Millisecond)}, tc.opts...)
-			err := runWithWatchdog(t, 20*time.Second, func() error {
-				return tc.run(2, func(c *Comm) error {
-					w, err := WinCreate[float64](c, 8)
-					if err != nil {
-						return err
-					}
-					other := 1 - c.Rank()
-					if err := w.Put(other, 0, make([]float64, 8)); err != nil {
-						return err
-					}
-					return w.Fence()
-				}, opts...)
-			})
-			var derr *DeadlineError
-			if !errors.As(err, &derr) {
-				t.Fatalf("err = %v, want a *DeadlineError in the chain", err)
+	t.Run("tcp", func(t *testing.T) {
+		hub, err := StartHub("127.0.0.1:0", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hub.Close()
+		deadlines := []time.Duration{150 * time.Millisecond, time.Minute}
+		errs := make([]error, 2)
+		err = runWithWatchdog(t, 20*time.Second, func() error {
+			var wg sync.WaitGroup
+			for rank := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[rank] = JoinTCP(hub.Addr(), rank, 2, func(c *Comm) error {
+						w, err := WinCreate[float64](c, 8)
+						if err != nil {
+							return err
+						}
+						if err := w.Put(1-c.Rank(), 0, make([]float64, 8)); err != nil {
+							return err
+						}
+						return w.Fence()
+					}, WithFaults(plan), WithDeadline(deadlines[rank]))
+				}()
 			}
-			if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, ErrWorldAborted) {
-				t.Fatalf("err = %v, want ErrDeadlineExceeded and ErrWorldAborted identities", err)
-			}
-			found := false
-			for _, op := range derr.Blocked {
-				if op.Op == "Recv" && op.Tag == tagAck0 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("blocked snapshot %v names no Recv under the window ack tag", derr.Blocked)
-			}
+			wg.Wait()
+			return errs[0]
 		})
-	}
+		var derr *DeadlineError
+		if !errors.As(err, &derr) {
+			t.Fatalf("rank 0: err = %v, want a *DeadlineError in the chain", err)
+		}
+		if !errors.Is(err, ErrDeadlineExceeded) || !errors.Is(err, ErrWorldAborted) {
+			t.Fatalf("rank 0: err = %v, want ErrDeadlineExceeded and ErrWorldAborted identities", err)
+		}
+		found := false
+		for _, op := range derr.Blocked {
+			if op.Op == "Recv" && op.Tag == tagAck0 {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("blocked snapshot %v names no Recv under the window ack tag", derr.Blocked)
+		}
+		if !errors.Is(errs[1], ErrWorldAborted) || errors.As(errs[1], &derr) {
+			t.Fatalf("rank 1: err = %v, want the revoke of rank 0's deadline, not a deadline of its own", errs[1])
+		}
+	})
 }

@@ -90,17 +90,13 @@ type config struct {
 	faultT *faultTransport // set by wrapTransport; handed to the World
 }
 
-// newConfig applies opts and checks what can be checked before a world of np
-// ranks is built.
-func newConfig(np int, opts []Option) (config, error) {
+// newConfig applies opts.
+func newConfig(opts []Option) config {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.recovery && np > maxRecoveryRanks {
-		return cfg, fmt.Errorf("%w, got %d", errRecoveryRankCap, np)
-	}
-	return cfg, nil
+	return cfg
 }
 
 // wrapTransport applies configured decorations to a transport. The fault
@@ -238,11 +234,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	if np < 1 {
 		return fmt.Errorf("mpi: Run needs at least 1 process, got %d", np)
 	}
-	cfg, err := newConfig(np, opts)
-	if err != nil {
-		return err
-	}
-
+	cfg := newConfig(opts)
 	t := newLocalTransport(np)
 	t.nodeOf, t.latency, t.bandwidth = cfg.nodeOf, cfg.latency, cfg.bandwidth
 

@@ -3,6 +3,7 @@ package shm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // The persistent worker pool behind Parallel. OpenMP implementations do not
@@ -41,6 +42,10 @@ type regionJoin struct {
 	task     any
 	panicked bool // writes guarded by panicMu; read after wg.Wait
 	panicMu  sync.Mutex
+	// ended[id] is set once thread id's body has returned normally, and
+	// returned counts it after that.
+	ended    []bool
+	returned atomic.Int32
 }
 
 // record stores r in slot, one of j's panic slots, unless the slot is
@@ -95,12 +100,14 @@ func getRegion(n int) *region {
 	r.t.ordered = nil
 	r.t.loop = nil
 	if cap(r.join.panics) < n {
-		r.join.panics = make([]any, n)
+		r.join.panics, r.join.ended = make([]any, n), make([]bool, n)
 	} else {
-		r.join.panics = r.join.panics[:n]
+		r.join.panics, r.join.ended = r.join.panics[:n], r.join.ended[:n]
+		clear(r.join.ended)
 	}
 	r.join.task = nil
 	r.join.panicked = false
+	r.join.returned.Store(0)
 	if cap(r.ctxs) < n {
 		r.ctxs = make([]ThreadContext, n)
 	}
@@ -172,7 +179,10 @@ func (w *worker) loop() {
 // runMember executes one thread's region body with the panic containment
 // Parallel documents: the panic is captured for re-raise at the fork point,
 // and the thread leaves the team so sibling threads blocked in a barrier
-// are not stranded.
+// are not stranded. A body that returns is counted before the team's
+// scheduler is looked up, so a barrier entered at any time sees it: a
+// scheduler made after the lookup reads the count, and one made before it
+// is told.
 func runMember(item workItem) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -181,4 +191,9 @@ func runMember(item workItem) {
 		}
 	}()
 	item.body(item.tc)
+	item.join.ended[item.tc.id] = true
+	item.join.returned.Add(1)
+	if s := item.tc.team.sch.Load(); s != nil {
+		s.returned()
+	}
 }

@@ -18,7 +18,7 @@ import (
 // did. Semantics are identical to Parallel, including panic propagation.
 func ParallelSpawn(numThreads int, body func(tc *ThreadContext)) {
 	n := resolveThreads(numThreads)
-	join := &regionJoin{panics: make([]any, n)}
+	join := &regionJoin{panics: make([]any, n), ended: make([]bool, n)}
 	t := &team{size: n, join: join}
 	// Eager team construction, as in the seed implementation.
 	t.sched()

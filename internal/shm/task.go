@@ -1,6 +1,9 @@
 package shm
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Explicit tasks, the OpenMP 3.0 construct ("#pragma omp task" /
 // "#pragma omp taskwait") for irregular parallelism — recursive
@@ -32,7 +35,8 @@ type sched struct {
 	phase       uint64 // barriers tripped so far
 	parked      int    // threads in cond.Wait
 	tasks       []task
-	outstanding int // queued + running tasks
+	outstanding int    // queued + running tasks
+	stuck       string // set when the barrier can never trip: its waiters panic with it
 }
 
 // push queues t. Signalling one parked thread is enough: every waiter runs
@@ -93,9 +97,17 @@ func (s *sched) run(t task) {
 }
 
 // trip ends the barrier phase if every thread has arrived and no task is
-// outstanding, and reports whether it did; s.mu is held.
+// outstanding, and reports whether it did; s.mu is held. A thread whose
+// body returned never arrives: once every other thread waits and no task is
+// left to run, the barrier can never trip, and trip marks it stuck instead.
 func (s *sched) trip() bool {
-	if s.arrived < s.size || s.outstanding > 0 {
+	if s.outstanding > 0 {
+		return false
+	}
+	if s.arrived < s.size {
+		if n := int(s.join.returned.Load()); n > 0 && s.arrived > 0 && s.arrived == s.size-n {
+			s.stuckLocked()
+		}
 		return false
 	}
 	s.arrived = 0
@@ -121,15 +133,39 @@ func (s *sched) wait(g *TaskGroup, done func() bool) {
 	}
 }
 
+// stuckLocked names the threads that returned from the region and those
+// that wait in the barrier (the rest: the ones that panicked have left),
+// and wakes the waiters; s.mu is held.
+func (s *sched) stuckLocked() {
+	var waiting, returned []int
+	s.join.panicMu.Lock()
+	for id, p := range s.join.panics {
+		if s.join.ended[id] {
+			returned = append(returned, id)
+		} else if p == nil {
+			waiting = append(waiting, id)
+		}
+	}
+	s.join.panicMu.Unlock()
+	s.stuck = fmt.Sprintf("shm: barrier of phase %d can never complete: thread(s) %v wait in it, thread(s) %v returned from the region", s.phase, waiting, returned)
+	if s.parked > 0 {
+		s.cond.Broadcast()
+	}
+}
+
 // barrier is the team barrier: it returns once every thread has arrived
-// and no task is outstanding.
+// and no task is outstanding, and panics if that can never happen.
 func (s *sched) barrier() {
 	s.mu.Lock()
 	s.arrived++
 	phase := s.phase
 	s.trip()
-	s.wait(nil, func() bool { return s.phase != phase })
+	s.wait(nil, func() bool { return s.stuck != "" || s.phase != phase })
+	stuck := s.stuck
 	s.mu.Unlock()
+	if stuck != "" {
+		panic(stuck)
+	}
 }
 
 // leave takes a thread whose body panicked out of the team, so that the
@@ -137,6 +173,14 @@ func (s *sched) barrier() {
 func (s *sched) leave() {
 	s.mu.Lock()
 	s.size--
+	s.trip()
+	s.mu.Unlock()
+}
+
+// returned checks, once a thread's body has returned, whether a barrier its
+// siblings wait in can still complete.
+func (s *sched) returned() {
+	s.mu.Lock()
 	s.trip()
 	s.mu.Unlock()
 }

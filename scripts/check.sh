@@ -70,8 +70,10 @@ named '-race -timeout 120s -count=50' \
 # cached pass proves nothing. TestWithRecovery* includes the row that counts
 # the frames an unused recovery world sends: the plain world's, no others.
 # TestAgree* includes the agreement rule's table over every membership state,
-# the membership transitions (a raced failure notice included) and the rule
-# that a rejoin fails only older-epoch agreements. TestSplit* holds the
+# the membership transitions (a raced failure notice included), the rule
+# that a rejoin fails only older-epoch agreements and the rank set against a
+# map model across word boundaries; TestRecover* includes worlds of 65 and
+# 128 ranks losing ranks one at a time. TestSplit* holds the
 # context-id rule recovery relies on: ids fresh at every depth and width,
 # siblings apart.
 named '-race -timeout 180s -count=1' \
@@ -93,7 +95,9 @@ go test -race -timeout 120s -count=1 ./internal/ckpt/
 go test -race -timeout 120s -count=1 ./internal/shm/ ./internal/exemplars/...
 # The team scheduler's interleavings, fifty fresh runs: barriers as task
 # scheduling points, the one deque's newest/oldest takes, a panicking task
-# retiring, the adaptive exemplar bit-equal at every team size, and the
+# retiring, a barrier that a thread returned past panicking at the fork
+# point (TestBarrierNotReachedByAllPanics), the adaptive exemplar bit-equal
+# at every team size, and the
 # forest fire's slabs bit-equal with own-slab ignitions decided before the
 # barrier and cross-slab ones after it.
 named '-race -timeout 120s -count=50' \
@@ -213,6 +217,9 @@ named '-race -timeout 180s -count=1' \
 named '-race -timeout 180s -count=1' \
   'TestWin|TestShmWinReclamation|TestKillRankMidWinEpoch|TestAlltoallv|TestKillRankMidAlltoallv' \
   ./internal/mpi/
+# The stalled fence's deadline report names the origin's ack receive: only
+# rank 0's deadline can fire, so thirty fresh runs must all pass.
+named '-race -timeout 180s -count=30' '^TestWinDeadlineStalledFence$' ./internal/mpi/
 
 # The scheduler service: gang placement, per-tenant fairness, quotas and
 # backpressure, the retry/quarantine supervisor, heartbeat-driven node death,

@@ -173,9 +173,9 @@ func (x *exchange) step(c *mpi.Comm, damping float64) error {
 // returns the full PageRank vector on every rank. Per iteration it moves
 // one coalesced value block per rank pair (AlltoallvInto out of and into
 // buffers the exemplar allocates once; on the local transport each block is
-// copied once, from the sender's buffer into the receiver's, and with two
-// ranks nothing is allocated on the way) plus one scalar Allreduce for the
-// dangling mass.
+// copied once, from the sender's buffer into the receiver's) plus one
+// one-element AllreduceSliceOp for the dangling mass, whose result is the
+// only object a step allocates.
 func PageRankMPI(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, error) {
 	lo, hi := vrange(g.N, c.Rank(), c.Size())
 	x, err := newExchange(c, g, uniform(g.N, hi-lo))
@@ -187,7 +187,7 @@ func PageRankMPI(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, 
 			return nil, err
 		}
 	}
-	return gatherFull(c, x.pr, g.N)
+	return mpi.AllgatherSlice(c, x.pr)
 }
 
 // PageRankRMA is the one-sided formulation: each rank exposes its
@@ -248,7 +248,7 @@ func PageRankRMA(c *mpi.Comm, g *Graph, damping float64, iters int) ([]float64, 
 			contrib[i] = 0 // reset the exposure for the next epoch
 		}
 	}
-	return gatherFull(c, pr, g.N)
+	return mpi.AllgatherSlice(c, pr)
 }
 
 // BFSMPI is the level-synchronized distributed traversal: each level, ranks
@@ -321,19 +321,5 @@ func BFSMPI(c *mpi.Comm, g *Graph, src int) ([]int32, error) {
 		}
 		frontier = next
 	}
-	return gatherFull(c, level, g.N)
-}
-
-// gatherFull concatenates the per-rank blocks into the full n-vector (the
-// blocks are contiguous in rank order by construction of vrange).
-func gatherFull[T int32 | float64](c *mpi.Comm, local []T, n int) ([]T, error) {
-	blocks, err := mpi.Allgather(c, local)
-	if err != nil {
-		return nil, err
-	}
-	full := make([]T, 0, n)
-	for _, b := range blocks {
-		full = append(full, b...)
-	}
-	return full, nil
+	return mpi.AllgatherSlice(c, level)
 }

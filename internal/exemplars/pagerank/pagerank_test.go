@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -491,6 +492,64 @@ func TestStepAllocatesNothing(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector makes sync.Pool drop
+// a share of its Puts, so allocation pins do not hold under it.
+var raceEnabled bool
+
+// TestStepAllocatesOnlyItsAllreduceResult: a warm step at np=2 allocates at
+// most 2 objects per rank. The dangling mass's AllreduceSliceOp returns one;
+// the exchange returns none, and neither collective allocates on its way (it
+// cost about 11 objects per rank while their steps boxed blocks and built
+// displacements, folds and child lists).
+func TestStepAllocatesOnlyItsAllreduceResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const np, steps = 2, 50
+	g := testGraph()
+	perRank := make([]uint64, np)
+	err := mpi.Run(np, func(c *mpi.Comm) error {
+		lo, hi := vrange(g.N, c.Rank(), np)
+		x, err := newExchange(c, g, uniform(g.N, hi-lo))
+		if err != nil {
+			return err
+		}
+		best := uint64(math.MaxUint64)
+		for batch := 0; batch < 4; batch++ { // the first warms up
+			// A step after the barrier, once over, has seen every rank leave
+			// it: the barrier's own objects stay out of the batch.
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if err := x.step(c, 0.85); err != nil {
+				return err
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				if err := x.step(c, 0.85); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if batch > 0 {
+				best = min(best, after.Mallocs-before.Mallocs)
+			}
+		}
+		perRank[c.Rank()] = best
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MemStats are the process's: a rank's batch counts both ranks' steps.
+	got := float64(max(perRank[0], perRank[1])) / steps / np
+	t.Logf("a step allocates %.2f objects per rank", got)
+	if got > 2 {
+		t.Errorf("a step allocates %.2f objects per rank, want at most 2", got)
 	}
 }
 

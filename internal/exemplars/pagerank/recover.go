@@ -91,5 +91,5 @@ func pageRankCkpt(c *mpi.Comm, g *Graph, damping float64, iters int, store ckpt.
 			return nil, err
 		}
 	}
-	return gatherFull(c, pr, g.N)
+	return mpi.AllgatherSlice(c, pr)
 }

@@ -68,13 +68,12 @@ func AlltoallCounts(c *Comm, sendCounts []int) ([]int, error) {
 // freshly allocated receive buffer: send[displ(r) : displ(r)+sendCounts[r]]
 // goes to rank r, and the result holds rank o's block at the offset implied
 // by recvCounts[0..o). Displacements are the prefix sums of the counts —
-// the packed MPI_Alltoallv layout. For a zero-allocation steady state
-// (PageRank runs the exchange every iteration with identical counts), use
-// AlltoallvInto with a reused buffer.
+// the packed MPI_Alltoallv layout. PageRank runs the exchange every iteration
+// with identical counts: AlltoallvInto with a reused buffer allocates nothing.
 func AlltoallvSlice[T any](c *Comm, send []T, sendCounts, recvCounts []int) ([]T, error) {
 	total := 0
 	for _, ct := range recvCounts {
-		total += ct
+		total += max(ct, 0) // AlltoallvInto refuses a negative count
 	}
 	recv := make([]T, total)
 	if err := AlltoallvInto(c, send, sendCounts, recv, recvCounts); err != nil {
@@ -96,42 +95,55 @@ func AlltoallvInto[T any](c *Comm, send []T, sendCounts []int, recv []T, recvCou
 		return fmt.Errorf("mpi: Alltoallv: %d send / %d recv counts for a %d-rank communicator",
 			len(sendCounts), len(recvCounts), n)
 	}
-	sdis, stot := displs(sendCounts)
-	rdis, rtot := displs(recvCounts)
+	r := c.rank
+	so, ro, stot, rtot := 0, 0, 0, 0 // where rank r's own blocks sit, and the sums
+	for i := range n {
+		if sendCounts[i] < 0 || recvCounts[i] < 0 {
+			return fmt.Errorf("mpi: Alltoallv: negative count: sendCounts[%d] = %d, recvCounts[%d] = %d", i, sendCounts[i], i, recvCounts[i])
+		}
+		if i == r {
+			so, ro = stot, rtot
+		}
+		stot, rtot = stot+sendCounts[i], rtot+recvCounts[i]
+	}
 	if stot != len(send) {
 		return fmt.Errorf("mpi: Alltoallv: send counts sum to %d, buffer has %d elements", stot, len(send))
 	}
 	if rtot != len(recv) {
 		return fmt.Errorf("mpi: Alltoallv: recv counts sum to %d, buffer has %d elements", rtot, len(recv))
 	}
-	r := c.rank
-	copy(recv[rdis[r]:rdis[r]+recvCounts[r]], send[sdis[r]:sdis[r]+sendCounts[r]])
+	copy(recv[ro:ro+recvCounts[r]], send[so:so+sendCounts[r]])
 	if n == 1 {
 		return nil
 	}
 	if h := c.hier(); h != nil {
 		return hierAlltoallv(c, h, send, sendCounts, recv, recvCounts)
 	}
+	// Step s sends to r+s and receives from r−s (mod n): the send offset walks
+	// up the buffer and wraps to 0, the receive offset walks down and wraps to
+	// the top.
 	for step := 1; step < n; step++ {
 		dst, src := (r+step)%n, (r-step+n)%n
-		out, in := send[sdis[dst]:sdis[dst]+sendCounts[dst]], recv[rdis[src]:rdis[src]+recvCounts[src]]
-		if err := sparseExchange(c, dst, out, src, in, "mpi: Alltoallv: rank %d sent %d elements, recvCounts say %d"); err != nil {
+		if so += sendCounts[(dst+n-1)%n]; dst == 0 {
+			so = 0
+		}
+		if ro -= recvCounts[src]; src == n-1 {
+			ro = rtot - recvCounts[src]
+		}
+		// An empty block moves no frame, on either side of it.
+		const format = "mpi: Alltoallv: rank %d sent %d elements, recvCounts say %d"
+		var err error
+		switch out, in := send[so:so+sendCounts[dst]], recv[ro:ro+recvCounts[src]]; {
+		case len(out) > 0 && len(in) > 0:
+			err = exchangeSeg(c, dst, tagA2Av, out, src, tagA2Av, in, format)
+		case len(out) > 0:
+			err = sendSeg(c, dst, tagA2Av, out)
+		case len(in) > 0:
+			err = recvSegCopy(c, src, tagA2Av, in, format)
+		}
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// sparseExchange is one step of the pairwise schedule: an empty block moves
-// no frame, on either side of it.
-func sparseExchange[T any](c *Comm, dst int, out []T, src int, in []T, format string) error {
-	switch {
-	case len(out) > 0 && len(in) > 0:
-		return exchangeSeg(c, dst, out, src, tagA2Av, in, format)
-	case len(out) > 0:
-		return c.sendReserved(dst, tagA2Av, out)
-	case len(in) > 0:
-		return recvSegCopy(c, src, tagA2Av, in, format)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -205,6 +206,14 @@ func TestAlltoallvValidation(t *testing.T) {
 		}
 		if err := AlltoallvInto(c, send, good, make([]int64, 3), good); err == nil {
 			return fmt.Errorf("recv buffer size mismatch accepted")
+		}
+		// Negative counts whose sums still match the buffers: refused by name,
+		// not sliced with (which panicked the rank).
+		if _, err := AlltoallvSlice(c, send[:2], []int{-1, 3}, good); err == nil || !strings.Contains(err.Error(), "sendCounts[0] = -1") {
+			return fmt.Errorf("negative send count: err = %v", err)
+		}
+		if err := AlltoallvInto(c, send, good, make([]int64, 2), []int{3, -1}); err == nil || !strings.Contains(err.Error(), "recvCounts[1] = -1") {
+			return fmt.Errorf("negative recv count: err = %v", err)
 		}
 		if _, err := AlltoallCounts(c, []int{1}); err == nil {
 			return fmt.Errorf("short AlltoallCounts vector accepted")

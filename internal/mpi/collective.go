@@ -66,7 +66,7 @@ func Bcast[T any](c *Comm, v T, root int) (T, error) {
 			return zero, err
 		}
 	}
-	for _, kid := range treeChildren(vrank, size) {
+	for kid, end := treeKids(vrank, size); kid < end; kid++ {
 		if err := c.sendReserved(toReal(kid, root, size), tagBcast, v); err != nil {
 			return zero, err
 		}
@@ -92,7 +92,7 @@ func Reduce[T any](c *Comm, v T, combine func(a, b T) T, root int) (T, error) {
 	size := c.Size()
 	vrank := toVirtual(c.rank, root, size)
 	acc := v
-	for _, kid := range treeChildren(vrank, size) {
+	for kid, end := treeKids(vrank, size); kid < end; kid++ {
 		var kv T
 		if _, err := c.recvReserved(toReal(kid, root, size), tagReduce, &kv); err != nil {
 			return zero, err
@@ -219,12 +219,11 @@ func (c *Comm) disseminationBarrier() error {
 		if err := c.sendReserved(to, tagDissem, dist); err != nil {
 			return err
 		}
-		var got int
-		if _, err := c.recvReserved(from, tagDissem, &got); err != nil {
+		if _, err := c.recvReserved(from, tagDissem, &c.token); err != nil {
 			return err
 		}
-		if got != dist {
-			return fmt.Errorf("mpi: dissemination barrier round mismatch: got %d, want %d", got, dist)
+		if c.token != dist {
+			return fmt.Errorf("mpi: dissemination barrier round mismatch: got %d, want %d", c.token, dist)
 		}
 	}
 	return nil

@@ -49,6 +49,9 @@ type Comm struct {
 	hierSt   *hierState
 	progOnce sync.Once
 	prog     *progressEngine
+
+	cells []any // one *segCells[T] per element type (vectorrecv.go)
+	token int   // a Barrier round's token lands here, not in a heap int
 }
 
 // Rank reports this process's rank within the communicator, 0-based:

@@ -293,14 +293,14 @@ func TestExchangeSendErrorWithdrawsTheReceive(t *testing.T) {
 }
 
 // exchangeBytes reports what one call of the step that prepare returns
-// allocates per rank once warm: the least of three batches, as
-// TestLocalRoundTripAllocations takes it.
-func exchangeBytes(t *testing.T, np int, prepare func(c *Comm) func() error) uint64 {
+// allocates per rank once warm, in bytes and in heap objects: the least of
+// three batches, as TestLocalRoundTripAllocations takes it.
+func exchangeBytes(t *testing.T, np int, prepare func(c *Comm) func() error) (bytes uint64, objects float64) {
 	t.Helper()
 	const calls = 50
-	perRank := make([]uint64, np)
+	perRank := make([][2]uint64, np)
 	err := Run(np, func(c *Comm) error {
-		step, best := prepare(c), uint64(math.MaxUint64)
+		step, best := prepare(c), [2]uint64{math.MaxUint64, math.MaxUint64}
 		for batch := 0; batch < 4; batch++ { // the first warms up
 			if err := c.Barrier(); err != nil {
 				return err
@@ -314,7 +314,8 @@ func exchangeBytes(t *testing.T, np int, prepare func(c *Comm) func() error) uin
 			}
 			runtime.ReadMemStats(&after)
 			if batch > 0 {
-				best = min(best, (after.TotalAlloc-before.TotalAlloc)/calls)
+				best[0] = min(best[0], (after.TotalAlloc-before.TotalAlloc)/calls)
+				best[1] = min(best[1], after.Mallocs-before.Mallocs)
 			}
 		}
 		perRank[c.Rank()] = best
@@ -324,7 +325,10 @@ func exchangeBytes(t *testing.T, np int, prepare func(c *Comm) func() error) uin
 		t.Fatal(err)
 	}
 	// MemStats are the process's: a rank's batch counts every rank's calls.
-	return slices.Max(perRank) / uint64(np)
+	for _, b := range perRank {
+		bytes, objects = max(bytes, b[0]), max(objects, float64(b[1]))
+	}
+	return bytes / uint64(np), objects / calls / float64(np)
 }
 
 // TestExchangeStepsAllocateNoBlock: a steady-state AlltoallvInto of 10 000
@@ -358,8 +362,62 @@ func TestExchangeStepsAllocateNoBlock(t *testing.T) {
 			}
 		}},
 	} {
-		if got := exchangeBytes(t, tc.np, tc.prepare); got >= 1<<10 {
+		if got, _ := exchangeBytes(t, tc.np, tc.prepare); got >= 1<<10 {
 			t.Errorf("%s allocates %d bytes per call per rank, want under 1 KiB", tc.name, got)
+		}
+	}
+}
+
+// TestCollectivesAllocateOnlyTheirResult: once warm, a collective call
+// allocates nothing but the value it returns, on every rank. Barrier returns
+// none and allocates nothing (a round's token lands in the communicator), nor
+// does AlltoallvInto at np = 2; AllreduceSliceOp at or below vectorThreshold
+// allocates its result and at most one object more. (Barrier allocated one
+// object per round; the other two 4 and about 8 objects per call per rank,
+// while each step boxed its block, built its displacements, its folds and its
+// tree's child list, and took fresh receive buffers.) At np = 4 an AlltoallvInto ring step
+// (left ≠ right) whose peer is still a step behind when the step's receive
+// is done recalls its block into the private copy Send would have made, two
+// objects (array and box), so the bound there is two per ring step.
+func TestCollectivesAllocateOnlyTheirResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	type row struct {
+		name    string
+		np      int
+		want    float64 // objects per call per rank, at most
+		prepare func(c *Comm) func() error
+	}
+	var rows []row
+	for _, np := range []int{2, 4} {
+		rows = append(rows, row{"Barrier", np, 0, func(c *Comm) func() error { return c.Barrier }})
+		rows = append(rows, row{"AlltoallvInto", np, float64(2 * (np - 2)), func(c *Comm) func() error {
+			const per = 10000
+			counts := make([]int, np)
+			for i := range counts {
+				counts[i] = per
+			}
+			send, recv := make([]float64, np*per), make([]float64, np*per)
+			return func() error { return AlltoallvInto(c, send, counts, recv, counts) }
+		}})
+		for _, op := range []Op{Sum, Max} {
+			for _, elems := range []int{1, vectorThreshold} {
+				rows = append(rows, row{fmt.Sprintf("AllreduceSliceOp(%v) of %d", op, elems), np, 2, func(c *Comm) func() error {
+					v := make([]float64, elems)
+					return func() error {
+						_, err := AllreduceSliceOp(c, v, op)
+						return err
+					}
+				}})
+			}
+		}
+	}
+	for _, r := range rows {
+		_, got := exchangeBytes(t, r.np, r.prepare)
+		t.Logf("%s at np=%d: %.2f objects per call per rank", r.name, r.np, got)
+		if got > r.want {
+			t.Errorf("%s at np=%d allocates %.2f objects per call per rank, want at most %v", r.name, r.np, got, r.want)
 		}
 	}
 }

@@ -43,42 +43,43 @@ func typedValue(v any) (slice, ok bool) {
 // carries it: the elements are copied straight into the receive pointer dst
 // when it points to a slice of exactly the sent type — reusing its backing
 // array when the capacity allows, as rawDecodeInto does on the wire paths —
-// and the frame is marked landed; otherwise (another type, no destination)
-// Val becomes a private copy. A []string never lands: its Status.Bytes
-// needs the elements.
+// and the frame is marked landed, its Val viewing *dst; otherwise (another
+// type, no destination) Val becomes a private copy. A []string never lands:
+// its Status.Bytes needs the elements.
 func (f *frame) settle(dst any) {
 	if !f.borrowed {
 		return
 	}
 	switch x := f.Val.(type) {
 	case []float64:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []int:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []byte:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []int64:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []int32:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []float32:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []bool:
-		f.Val, f.landed = settled(x, dst, f.Val)
+		f.Val, f.landed = settled(x, dst)
 	case []string:
-		f.Val, f.landed = settled(x, nil, f.Val)
+		f.Val, f.landed = settled(x, nil)
 	}
 	f.borrowed, f.lent = false, false
 }
 
-// settled returns val itself (x, already boxed) and true after copying x into
-// *dst, or a private copy of x and false. A nil *[]T is left for the receiver
-// to trip over, on its own goroutine.
-func settled[T any](x []T, dst, val any) (any, bool) {
+// settled returns *dst, boxed where it lies (boxAt), and true after copying x
+// into *dst, or a private copy of x and false: either way the frame no longer
+// names the sender's slice. A nil *[]T is left for the receiver to trip over,
+// on its own goroutine.
+func settled[T any](x []T, dst any) (any, bool) {
 	if p, ok := dst.(*[]T); ok && p != nil {
 		*p = growSlice(*p, len(x))
 		copy(*p, x)
-		return val, true
+		return boxAt(p), true
 	}
 	return append([]T(nil), x...), false
 }

@@ -283,13 +283,13 @@ func hierAllreduce[T any](c *Comm, h *hierState, v T, combine func(a, b T) T) (T
 // the node leader, a Rabenseifner allreduce among the leaders, and a
 // pipelined broadcast back down. Each rank still moves O(len(v)) bytes, but
 // the inter-node link carries one payload per node instead of one per rank.
-func hierAllreduceSlice[T any](c *Comm, h *hierState, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
-	part, err := reduceSlice(h.nodeComm, v, scalarCombine, fo)
+func hierAllreduceSlice[T any](c *Comm, h *hierState, v []T, fo vecFold[T]) ([]T, error) {
+	part, err := reduceSlice(h.nodeComm, v, fo)
 	if err != nil {
 		return nil, err
 	}
 	if h.leaderComm != nil {
-		part, err = allreduceSlice(h.leaderComm, part, scalarCombine, fo)
+		part, err = allreduceSlice(h.leaderComm, part, fo)
 		if err != nil {
 			return nil, err
 		}

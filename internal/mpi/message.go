@@ -130,9 +130,9 @@ type frame struct {
 	// mailbox with no receive posted for it queues it uncopied, whoever takes
 	// it off the queue settles it under the mailbox lock, and the step recalls
 	// what is left before it returns. landed marks a frame whose payload is in
-	// the receive's destination already: copied there by settle (Val still
-	// names the sender's slice, of which only the length may be read), or read
-	// there off the socket (Data views the destination; nothing to release).
+	// the receive's destination already: copied there by settle (Val then views
+	// the destination, not the sender's slice), or read there off the socket
+	// (Data views the destination; nothing to release).
 	borrowed, landed, lent bool
 
 	// rel, when set, overrides how this frame's Data is returned to its

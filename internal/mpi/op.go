@@ -40,28 +40,65 @@ type Number interface {
 }
 
 // Combine applies op to a pair of numbers.
-func Combine[T Number](op Op) func(a, b T) T {
-	switch op {
-	case Sum:
-		return func(a, b T) T { return a + b }
-	case Prod:
-		return func(a, b T) T { return a * b }
-	case Max:
-		return func(a, b T) T {
-			if a > b {
-				return a
-			}
-			return b
-		}
-	case Min:
-		return func(a, b T) T {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	default:
+func Combine[T Number](op Op) func(a, b T) T { return opFold[T](op).combine }
+
+// opFold returns a built-in operator's folds: loops that compile to
+// straight-line arithmetic, one switch per segment, where an indirect call
+// per element would make a megabyte's fold call-bound.
+func opFold[T Number](op Op) opLoops[T] {
+	if op < Sum || op > Min {
 		panic("mpi: unknown Op")
+	}
+	return opLoops[T](op)
+}
+
+// opLoops is a built-in operator as a vecFold. Its fold keeps the accumulator
+// on the other side of Max's and Min's comparison from combine, as the vector
+// collectives always have: the two differ on NaNs and on signed zeros.
+type opLoops[T Number] Op
+
+func (op opLoops[T]) combine(a, b T) T {
+	switch Op(op) {
+	case Sum:
+		return a + b
+	case Prod:
+		return a * b
+	case Max:
+		if a > b {
+			return a
+		}
+		return b
+	default: // Min
+		if a < b {
+			return a
+		}
+		return b
+	}
+}
+
+func (op opLoops[T]) fold(dst, src, in []T) {
+	dst, src = dst[:len(in)], src[:len(in)]
+	switch Op(op) {
+	case Sum:
+		for i, x := range in {
+			dst[i] = src[i] + x
+		}
+	case Prod:
+		for i, x := range in {
+			dst[i] = src[i] * x
+		}
+	case Max:
+		for i, x := range in {
+			if dst[i] = src[i]; x > src[i] {
+				dst[i] = x
+			}
+		}
+	default: // Min
+		for i, x := range in {
+			if dst[i] = src[i]; x < src[i] {
+				dst[i] = x
+			}
+		}
 	}
 }
 

@@ -6,19 +6,14 @@ package mpi
 // these few shapes (binomial-ish tree, ring, dissemination rounds, block
 // segmentation) rather than keeping per-file copies.
 
-// treeParent and treeChildren define the binary broadcast/reduce tree in
-// the rank space rotated so that root is virtual rank 0.
+// treeParent and treeKids define the binary broadcast/reduce tree in the
+// rank space rotated so that root is virtual rank 0: the children of vrank
+// are the virtual ranks [lo, hi), none when lo == hi.
 func treeParent(vrank int) int { return (vrank - 1) / 2 }
 
-func treeChildren(vrank, size int) []int {
-	var kids []int
-	if l := 2*vrank + 1; l < size {
-		kids = append(kids, l)
-	}
-	if r := 2*vrank + 2; r < size {
-		kids = append(kids, r)
-	}
-	return kids
+func treeKids(vrank, size int) (lo, hi int) {
+	lo = min(2*vrank+1, size)
+	return lo, min(2*vrank+3, size)
 }
 
 // toVirtual maps a real rank to its position in a tree rooted at root.

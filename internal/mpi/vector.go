@@ -25,9 +25,9 @@ import (
 //   - AllgatherSlice moves contiguous blocks of one backing array, instead
 //     of boxing elements (or rows) into per-element messages.
 //
-// Payloads of at most vectorThreshold (1024) elements take the scalar
-// algorithms unchanged — at small sizes the ring's extra rounds cost more
-// latency than its bandwidth discipline saves.
+// Payloads of at most vectorThreshold (1024) elements take the scalar tree,
+// with the slice as the value — at small sizes the ring's extra rounds cost
+// more latency than its bandwidth discipline saves.
 //
 // Everything is built on the same reserved-tag point-to-point layer as the
 // scalar collectives, so the failure model carries over unchanged: a rank
@@ -43,10 +43,9 @@ const (
 	tagVecBcast = -16 // pipelined broadcast (length header + chunks)
 )
 
-// vectorThreshold is the element count at or below which AllreduceSlice,
-// reduceSlice and bcastSlice take the scalar whole-slice algorithms: one
-// tree message per hop instead of ring rounds or chunk streams. It sits
-// where ring-round latency and per-hop bandwidth break even for 8-byte
+// vectorThreshold is the element count at or below which AllreduceSlice and
+// reduceSlice take the whole-slice tree, one message per hop instead of ring
+// rounds: where ring-round latency and per-hop bandwidth break even for 8-byte
 // elements on the measured transports. bcastChunk is bcastSlice's pipeline
 // segment, in elements: large enough that framing overhead is noise, small
 // enough that a 3-level tree streams. Both are constants, so every rank of
@@ -56,10 +55,9 @@ const (
 	bcastChunk      = 8192
 )
 
-// sliceReduce lifts an element combine to a whole-slice combine for the
-// scalar fallback paths. It folds b into a in place — a is always the
-// runtime's private accumulator — and panics on mismatched lengths, the
-// same protocol-error behavior as CombineSlices.
+// sliceReduce lifts an element combine to a whole-slice combine, folding b
+// into a in place (a is the runtime's private accumulator); it panics on
+// mismatched lengths, as CombineSlices does.
 func sliceReduce[T any](combine func(a, b T) T) func(a, b []T) []T {
 	return func(a, b []T) []T {
 		if len(a) != len(b) {
@@ -72,119 +70,27 @@ func sliceReduce[T any](combine func(a, b T) T) func(a, b []T) []T {
 	}
 }
 
-// vecFold carries the two reduction loop shapes a reduce-scatter needs.
-// into accumulates in place (dst[i] = dst[i] op in[i]); from first-touches a
-// segment of the fresh accumulator from the rank's own contribution
-// (dst[i] = src[i] op in[i]). The from shape is what lets the collectives
-// skip copying v into the accumulator up front: the first fold over each
-// segment reads the contribution straight out of v, fusing what would
-// otherwise be a copy pass and a fold pass over the same bytes.
-type vecFold[T any] struct {
-	into func(dst, in []T)
-	from func(dst, src, in []T)
+// vecFold is what a reduction folds with. fold is the vector collectives'
+// segment fold, dst[i] = src[i] op in[i]: with src the rank's contribution it
+// first-touches the fresh accumulator, with src == dst it accumulates in
+// place. combine is one element's op, as the whole-slice tree applies it.
+type vecFold[T any] interface {
+	fold(dst, src, in []T)
+	combine(a, b T) T
 }
 
-// foldWith lifts an element combine to the segment folds the reduce-scatter
-// phases run, keeping the accumulator (or the rank's own contribution) as
-// combine's first argument. The per-element indirect call is the price of an
-// arbitrary combine; opFold below replaces it with direct loops.
-func foldWith[T any](combine func(a, b T) T) vecFold[T] {
-	return vecFold[T]{
-		into: func(dst, in []T) {
-			dst = dst[:len(in)]
-			for i, x := range in {
-				dst[i] = combine(dst[i], x)
-			}
-		},
-		from: func(dst, src, in []T) {
-			dst, src = dst[:len(in)], src[:len(in)]
-			for i, x := range in {
-				dst[i] = combine(src[i], x)
-			}
-		},
-	}
-}
+// foldWith lifts an element combine to a vecFold, the accumulator (or the
+// rank's contribution) its first argument; opFold has direct loops instead.
+func foldWith[T any](combine func(a, b T) T) vecFold[T] { return combineFold[T](combine) }
 
-// opFold returns the specialized segment folds for a built-in operator. At a
-// megabyte of float64 the reduction runs once per element, so an indirect
-// call there turns a bandwidth-bound pass into a call-bound one; these loops
-// compile to straight-line arithmetic.
-func opFold[T Number](op Op) vecFold[T] {
-	switch op {
-	case Sum:
-		return vecFold[T]{
-			into: func(dst, in []T) {
-				dst = dst[:len(in)]
-				for i, x := range in {
-					dst[i] += x
-				}
-			},
-			from: func(dst, src, in []T) {
-				dst, src = dst[:len(in)], src[:len(in)]
-				for i, x := range in {
-					dst[i] = src[i] + x
-				}
-			},
-		}
-	case Prod:
-		return vecFold[T]{
-			into: func(dst, in []T) {
-				dst = dst[:len(in)]
-				for i, x := range in {
-					dst[i] *= x
-				}
-			},
-			from: func(dst, src, in []T) {
-				dst, src = dst[:len(in)], src[:len(in)]
-				for i, x := range in {
-					dst[i] = src[i] * x
-				}
-			},
-		}
-	case Max:
-		return vecFold[T]{
-			into: func(dst, in []T) {
-				dst = dst[:len(in)]
-				for i, x := range in {
-					if x > dst[i] {
-						dst[i] = x
-					}
-				}
-			},
-			from: func(dst, src, in []T) {
-				dst, src = dst[:len(in)], src[:len(in)]
-				for i, x := range in {
-					if x > src[i] {
-						dst[i] = x
-					} else {
-						dst[i] = src[i]
-					}
-				}
-			},
-		}
-	case Min:
-		return vecFold[T]{
-			into: func(dst, in []T) {
-				dst = dst[:len(in)]
-				for i, x := range in {
-					if x < dst[i] {
-						dst[i] = x
-					}
-				}
-			},
-			from: func(dst, src, in []T) {
-				dst, src = dst[:len(in)], src[:len(in)]
-				for i, x := range in {
-					if x < src[i] {
-						dst[i] = x
-					} else {
-						dst[i] = src[i]
-					}
-				}
-			},
-		}
-	default:
-		panic("mpi: unknown Op")
+type combineFold[T any] func(a, b T) T
+
+func (f combineFold[T]) combine(a, b T) T { return f(a, b) }
+
+func (f combineFold[T]) fold(dst, src, in []T) {
+	dst, src = dst[:len(in)], src[:len(in)]
+	for i, x := range in {
+		dst[i] = f(src[i], x)
 	}
 }
 
@@ -204,7 +110,7 @@ func opFold[T Number](op Op) vecFold[T] {
 // ring, 2·(n−1) rounds of smaller messages. The returned slice is freshly
 // allocated; v is not mutated.
 func AllreduceSlice[T any](c *Comm, v []T, combine func(a, b T) T) ([]T, error) {
-	return allreduceSlice(c, v, sliceReduce(combine), foldWith(combine))
+	return allreduceSlice(c, v, foldWith(combine))
 }
 
 // AllreduceSliceOp is AllreduceSlice for a built-in operator. Same
@@ -213,36 +119,36 @@ func AllreduceSlice[T any](c *Comm, v []T, combine func(a, b T) T) ([]T, error) 
 // per element, which at megabyte payloads is the difference between a
 // bandwidth-bound fold and a call-bound one.
 func AllreduceSliceOp[T Number](c *Comm, v []T, op Op) ([]T, error) {
-	return allreduceSlice(c, v, sliceReduce(Combine[T](op)), opFold[T](op))
+	return allreduceSlice(c, v, opFold[T](op))
 }
 
-// allreduceSlice is the shared body: scalarCombine serves the
-// below-threshold whole-slice tree, fold the vector reduce-scatter.
-func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
+// allreduceSlice is the shared body: fo's combine serves the below-threshold
+// whole-slice tree, its fold the vector reduce-scatter.
+func allreduceSlice[T any](c *Comm, v []T, fo vecFold[T]) ([]T, error) {
 	n := c.Size()
 	if n == 1 || len(v) <= vectorThreshold {
-		// These paths hand a mutable copy of v onward (or back to the
-		// caller). make+copy rather than append into a fresh slice lets the
-		// runtime skip zeroing the backing array before the copy lands.
+		// make+copy rather than append into a fresh slice lets the runtime
+		// skip zeroing the result before the copy lands.
 		acc := make([]T, len(v))
 		copy(acc, v)
 		if n == 1 {
 			return acc, nil
 		}
-		return Allreduce(c, acc, scalarCombine)
+		if err := allreduceWhole(c, acc, fo); err != nil {
+			return nil, err
+		}
+		return acc, nil
 	}
 	// Multi-node communicator: two-level schedule — reduce within each node,
 	// allreduce among the leaders, broadcast back within each node. Only the
 	// leader-to-leader phase crosses the node boundary, so only ~1/ranks-per-
 	// node of the flat algorithm's traffic contends for the inter-node link.
 	if h := c.hier(); h != nil {
-		return hierAllreduceSlice(c, h, v, scalarCombine, fo)
+		return hierAllreduceSlice(c, h, v, fo)
 	}
 	// The accumulator starts empty, not as a copy of v: every segment's first
-	// fold reads the rank's own contribution straight out of v (the from
-	// shape), round-one sends ship v's segments directly, and the allgather
-	// overwrites everything else — so the upfront copy of the whole payload
-	// would be a wasted pass over the bytes.
+	// fold reads the rank's contribution straight out of v, round-one sends
+	// ship v's segments, and the allgather overwrites everything else.
 	acc := make([]T, len(v))
 	if isPow2(n) {
 		if err := halvingReduceScatter(c, v, acc, fo); err != nil {
@@ -262,13 +168,48 @@ func allreduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo 
 	return acc, nil
 }
 
+// allreduceWhole is allreduceSlice at or below vectorThreshold, in place on
+// acc: Allreduce's tree with the slice as the value, up to rank 0 under
+// tagReduce (each parent combining its children's in order) and down under
+// tagBcast; on a multi-node communicator, each node's tree with the leaders'
+// allreduce at the top. A non-root rank's send up and receive down are one
+// exchange step.
+func allreduceWhole[T any](c *Comm, acc []T, fo vecFold[T]) error {
+	var top *Comm
+	if h := c.hier(); h != nil {
+		c, top = h.nodeComm, h.leaderComm
+	}
+	const format = "mpi: AllreduceSlice: rank %d sent %d elements, want %d (mismatched slice lengths across ranks?)"
+	combine := func(dst, in []T) {
+		for i, x := range in {
+			dst[i] = fo.combine(dst[i], x)
+		}
+	}
+	kid, end := treeKids(c.rank, c.Size())
+	for k := kid; k < end; k++ {
+		if err := recvSegInto(c, k, tagReduce, acc, &cellsOf[T](c).scratch, combine, format); err != nil {
+			return err
+		}
+	}
+	var err error
+	if parent := treeParent(c.rank); c.rank != 0 {
+		err = exchangeSeg(c, parent, tagReduce, acc, parent, tagBcast, acc, format)
+	} else if top != nil {
+		err = allreduceWhole(top, acc, fo)
+	}
+	for ; kid < end && err == nil; kid++ {
+		err = sendSeg(c, kid, tagBcast, acc)
+	}
+	return err
+}
+
 // reduceSlice combines every rank's v elementwise and delivers the full
 // result to rank 0 (nil at the other ranks): the node step under
 // hierAllreduceSlice, on a flat node communicator. Above vectorThreshold it
 // runs the reduce-scatter and then gathers the reduced segments at rank 0 —
 // the same 2·(n−1)/n send volume per rank as AllreduceSlice on the scatter
 // half, with only rank 0 paying the gather's receive volume.
-func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vecFold[T]) ([]T, error) {
+func reduceSlice[T any](c *Comm, v []T, fo vecFold[T]) ([]T, error) {
 	n := c.Size()
 	if n == 1 || len(v) <= vectorThreshold {
 		acc := make([]T, len(v))
@@ -276,7 +217,7 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 		if n == 1 {
 			return acc, nil
 		}
-		return Reduce(c, acc, scalarCombine, 0)
+		return Reduce(c, acc, sliceReduce(fo.combine), 0)
 	}
 	// As in allreduceSlice, the accumulator is first-touched from v by the
 	// reduce-scatter folds; only the rank's own reduced segment is ever read
@@ -303,7 +244,7 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 	}
 	lo, hi := segRange(len(acc), segOf(c.rank), n)
 	if c.rank != 0 {
-		if err := c.sendReserved(0, tagVecRed, acc[lo:hi]); err != nil {
+		if err := sendSeg(c, 0, tagVecRed, acc[lo:hi]); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -323,10 +264,9 @@ func reduceSlice[T any](c *Comm, v []T, scalarCombine func(a, b []T) []T, fo vec
 // construction: n−1 ring steps, in step s each rank sends segment
 // (rank−s) mod n to its right neighbour and folds the incoming segment
 // (rank−s−1) mod n with its own contribution. Each step touches a distinct
-// segment, so every fold is a first touch: acc[seg] = v[seg] op in, reading
-// the rank's contribution straight out of v — acc never needs to start as a
-// copy. Step 0's send likewise ships v's segment directly; later steps
-// forward the partial sums folded into acc the step before. When it returns,
+// segment, so every fold is a first touch, acc[seg] = v[seg] op in. Step 0's
+// send ships v's segment; later steps forward the partial sums folded into
+// acc the step before. When it returns,
 // rank r holds the fully reduced segment (r+1) mod n; the other acc segments
 // hold partial sums (or zeros) and are overwritten by the allgather (or
 // ignored).
@@ -334,26 +274,24 @@ func ringReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 	n := c.Size()
 	r := c.rank
 	left, right := ringNeighbors(r, n)
-	var tmp []T // receive buffer, reused across steps (capacity-recycled)
+	scratch := &cellsOf[T](c).scratch
+	src := v // what this step sends from: v, then acc
 	for step := 0; step < n-1; step++ {
-		sendSeg := ((r-step)%n + n) % n
-		recvSeg := ((r-step-1)%n + n) % n
-		lo, hi := segRange(len(acc), sendSeg, n)
-		src := acc
-		if step == 0 {
-			src = v
-		}
+		out := ((r-step)%n + n) % n
+		in := ((r-step-1)%n + n) % n
+		lo, hi := segRange(len(acc), out, n)
 		// Sends are buffered (and copy or serialize before returning), so
 		// send-then-receive cannot deadlock the ring, and mutating acc's
 		// other segments below never races with this send.
-		if err := c.sendReserved(right, tagVecRed, src[lo:hi]); err != nil {
+		if err := sendSeg(c, right, tagVecRed, src[lo:hi]); err != nil {
 			return err
 		}
-		lo, hi = segRange(len(acc), recvSeg, n)
-		fold := func(dst, in []T) { fo.from(dst, v[lo:hi], in) }
-		if err := recvSegInto(c, left, tagVecRed, acc[lo:hi], &tmp, fold, "mpi: ring reduce-scatter: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
+		lo, hi = segRange(len(acc), in, n)
+		fold := func(dst, in []T) { fo.fold(dst, v[lo:hi], in) }
+		if err := recvSegInto(c, left, tagVecRed, acc[lo:hi], scratch, fold, "mpi: ring reduce-scatter: rank %d sent segment of %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return err
 		}
+		src = acc
 	}
 	return nil
 }
@@ -370,7 +308,7 @@ func ringAllgatherSegs[T any](c *Comm, acc []T) error {
 	for step := 0; step < n-1; step++ {
 		slo, shi := segRange(len(acc), ((r+1-step)%n+n)%n, n)
 		lo, hi := segRange(len(acc), ((r-step)%n+n)%n, n)
-		if err := exchangeSeg(c, right, acc[slo:shi], left, tagVecAg, acc[lo:hi], "mpi: ring allgather: rank %d sent segment of %d elements, want %d"); err != nil {
+		if err := exchangeSeg(c, right, tagVecAg, acc[slo:shi], left, tagVecAg, acc[lo:hi], "mpi: ring allgather: rank %d sent segment of %d elements, want %d"); err != nil {
 			return err
 		}
 	}
@@ -387,21 +325,17 @@ func ringAllgatherSegs[T any](c *Comm, acc []T) error {
 // log2(n) messages instead of n−1. When it returns, rank r holds the fully
 // reduced segment r (segRange decomposition); the rest of acc holds partial
 // sums or untouched zeros. The first round reads the rank's contribution
-// straight out of v — the send ships v's half, the fold first-touches the
-// kept half as acc = v op in — so acc never needs to start as a copy of v;
-// later rounds operate on acc's partial sums alone.
+// straight out of v: the send ships v's half, the fold first-touches the kept
+// half as acc = v op in. Later rounds operate on acc's partial sums alone.
 func halvingReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 	n := c.Size()
 	r := c.rank
-	// The receive scratch stays nil until a receive actually has to decode:
-	// when the frame offers an in-place payload view the fold reads the
-	// payload where it lives.
-	var tmp []T
+	scratch := &cellsOf[T](c).scratch
 	// Invariant: the live group is ranks [base, base+g) owning segments
 	// [base, base+g), with r in the group; both shrink together, so the
 	// group-relative rank order always matches the segment order.
 	base, g := 0, n
-	first := true
+	src := v // what this round sends from and folds over: v, then acc
 	for g > 1 {
 		half := g / 2
 		rel := r - base
@@ -413,28 +347,21 @@ func halvingReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 		} else {
 			keepLo, keepHi, sendLo, sendHi = mid, base+g, base, mid
 		}
-		src := acc
-		if first {
-			src = v
-		}
 		// Both partners send before receiving; sends are buffered, so the
 		// symmetric exchange cannot deadlock.
-		if err := c.sendReserved(partner, tagVecRed, src[segStart(len(acc), sendLo, n):segStart(len(acc), sendHi, n)]); err != nil {
+		if err := sendSeg(c, partner, tagVecRed, src[segStart(len(acc), sendLo, n):segStart(len(acc), sendHi, n)]); err != nil {
 			return err
 		}
 		kl, kh := segStart(len(acc), keepLo, n), segStart(len(acc), keepHi, n)
-		fold := fo.into
-		if first {
-			fold = func(dst, in []T) { fo.from(dst, v[kl:kh], in) }
-		}
-		if err := recvSegInto(c, partner, tagVecRed, acc[kl:kh], &tmp, fold, "mpi: halving reduce-scatter: rank %d sent %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
+		fold := func(dst, in []T) { fo.fold(dst, src[kl:kh], in) }
+		if err := recvSegInto(c, partner, tagVecRed, acc[kl:kh], scratch, fold, "mpi: halving reduce-scatter: rank %d sent %d elements, want %d (mismatched slice lengths across ranks?)"); err != nil {
 			return err
 		}
 		if rel >= half {
 			base += half
 		}
 		g = half
-		first = false
+		src = acc
 	}
 	return nil
 }
@@ -464,7 +391,7 @@ func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 		held := func(x int) []T {
 			return acc[segStart(len(acc), x/half*half, n):segStart(len(acc), x/half*half+half, n)]
 		}
-		if err := exchangeSeg(c, partner, held(r), partner, tagVecAg, held(partner), "mpi: doubling allgather: rank %d sent %d elements, want %d"); err != nil {
+		if err := exchangeSeg(c, partner, tagVecAg, held(r), partner, tagVecAg, held(partner), "mpi: doubling allgather: rank %d sent %d elements, want %d"); err != nil {
 			return err
 		}
 	}
@@ -480,8 +407,8 @@ func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
 // binomial tree, and every interior rank forwards chunk i to its children
 // before receiving chunk i+1 — so the tree's depth overlaps with
 // transmission instead of multiplying it, turning O(depth · bytes) into
-// O(depth · chunk + bytes) per link. Payloads at or below vectorThreshold
-// take the scalar tree whole.
+// O(depth · chunk + bytes) per link. A payload of one chunk at most, as every
+// payload at or below vectorThreshold is, travels whole.
 func bcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
@@ -491,11 +418,11 @@ func bcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 		return v, nil
 	}
 	vrank := toVirtual(c.rank, root, size)
-	kids := treeChildren(vrank, size)
+	kidLo, kidHi := treeKids(vrank, size)
 
-	// The length header travels first on every path: it tells each rank the
-	// total element count, from which root and non-root alike derive the
-	// same whole-vs-pipelined decision without any further agreement.
+	// The length header travels first: it tells each rank the total element
+	// count, from which root and non-root alike derive the same chunks
+	// without any further agreement.
 	var n int
 	var parent int
 	if vrank == 0 {
@@ -506,45 +433,25 @@ func bcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 			return nil, err
 		}
 	}
-	for _, kid := range kids {
+	for kid := kidLo; kid < kidHi; kid++ {
 		if err := c.sendReserved(toReal(kid, root, size), tagVecBcast, n); err != nil {
 			return nil, err
 		}
-	}
-
-	if n <= vectorThreshold {
-		// Small payload: one whole-slice message per tree edge.
-		buf := v
-		if vrank != 0 {
-			buf = nil
-			if _, err := c.recvReserved(parent, tagVecBcast, &buf); err != nil {
-				return nil, err
-			}
-			if len(buf) != n {
-				return nil, fmt.Errorf("mpi: bcastSlice: got %d elements, header said %d", len(buf), n)
-			}
-		}
-		for _, kid := range kids {
-			if err := c.sendReserved(toReal(kid, root, size), tagVecBcast, buf); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
 	}
 
 	buf := v
 	if vrank != 0 {
 		buf = make([]T, n)
 	}
-	for lo := 0; lo < n; lo += bcastChunk {
+	for lo := 0; lo == 0 || lo < n; lo += bcastChunk { // an empty payload is one empty chunk
 		hi := min(lo+bcastChunk, n)
 		if vrank != 0 {
 			if err := recvSegCopy(c, parent, tagVecBcast, buf[lo:hi], "mpi: bcastSlice: got chunk of %[2]d elements, want %[3]d"); err != nil {
 				return nil, err
 			}
 		}
-		for _, kid := range kids {
-			if err := c.sendReserved(toReal(kid, root, size), tagVecBcast, buf[lo:hi]); err != nil {
+		for kid := kidLo; kid < kidHi; kid++ {
+			if err := sendSeg(c, toReal(kid, root, size), tagVecBcast, buf[lo:hi]); err != nil {
 				return nil, err
 			}
 		}

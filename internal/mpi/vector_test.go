@@ -146,7 +146,7 @@ func checkVectorParity(c *Comm, sz int) error {
 		return fmt.Errorf("scalar Reduce: %w", err)
 	}
 	for name, fo := range map[string]vecFold[float64]{"combine": foldWith(sum), "Sum": opFold[float64](Sum)} {
-		vred, err := reduceSlice(c, v, sliceReduce(sum), fo)
+		vred, err := reduceSlice(c, v, fo)
 		if err != nil {
 			return fmt.Errorf("reduceSlice(%s): %w", name, err)
 		}
@@ -278,11 +278,11 @@ func TestVectorOpParity(t *testing.T) {
 							if !reflect.DeepEqual(want, got) {
 								return fmt.Errorf("AllreduceSliceOp(%v) diverges at np=%d size=%d", op, c.Size(), sz)
 							}
-							wantRed, err := reduceSlice(c, v, sliceReduce(Combine[float64](op)), foldWith(Combine[float64](op)))
+							wantRed, err := reduceSlice(c, v, foldWith(Combine[float64](op)))
 							if err != nil {
 								return fmt.Errorf("reduceSlice(%v): %w", op, err)
 							}
-							gotRed, err := reduceSlice(c, v, sliceReduce(Combine[float64](op)), opFold[float64](op))
+							gotRed, err := reduceSlice(c, v, opFold[float64](op))
 							if err != nil {
 								return fmt.Errorf("reduceSlice with opFold(%v): %w", op, err)
 							}

@@ -6,19 +6,13 @@ import (
 	"unsafe"
 )
 
-// Zero-copy segment receives for the vector collectives. A ring or
-// halving/doubling exchange receives a segment only to fold or copy it into
-// the accumulator and discard it — so materializing the payload into a
-// scratch slice first is a whole wasted pass over the bytes (plus the
-// allocation). A copy step names its segment as the receive's destination
-// (recvSegCopy). A fold step reads the payload where it already lives
-// whenever the frame permits it: the typed fast-path value on the local
-// transport (always a private copy), or an in-place element view of the raw
-// little-endian bytes — which for an shm rendezvous frame is the sender's
-// staging block in shared memory, extending the protocol's
-// copy-exactly-once promise to its natural limit: the one copy is the fold
-// itself. Gob payloads and type mismatches fall back to the ordinary
-// decode path through the caller's scratch buffer.
+// Segment receives for the collectives. A ring or halving/doubling exchange
+// receives a segment only to fold or copy it into the accumulator. A copy
+// step names its segment as the receive's destination (recvSegCopy). A fold
+// step names a scratch buffer, which a typed block lands in, and reads a raw
+// one where it already lives: an in-place element view of the little-endian
+// bytes, which for an shm rendezvous frame is the sender's staging block in
+// shared memory, so that the one copy is the fold itself.
 
 // errVecSegLen reports a received segment whose element count does not match
 // the receiver's slot.
@@ -52,29 +46,17 @@ func rawSliceView[T any](f frame) ([]T, bool) {
 	return unsafe.Slice((*T)(unsafe.Pointer(&data[0])), len(data)/size), true
 }
 
-// frameSegView returns the frame's payload as a []T readable in place, and
-// whether such a view exists. The caller must finish with the view before
-// releasing the frame and must not retain it.
-func frameSegView[T any](f frame) ([]T, bool) {
-	if f.HasVal {
-		s, ok := f.Val.([]T)
-		return s, ok
-	}
-	return rawSliceView[T](f)
-}
-
 // recvSegInto receives the next (source, tag) message and folds the payload
-// into seg with the caller's slice-level fold (foldWith for an arbitrary
-// combine, opFold for a built-in operator) — in place from a view when the
-// frame allows it, via the caller's scratch buffer otherwise. When the
-// received element count differs from len(seg) nothing is applied and the
-// error is segLenErr's.
+// into seg with the caller's slice-level fold — from a raw view when the
+// frame allows it, else out of the scratch buffer the receive names as its
+// destination. When the received element count differs from len(seg)
+// nothing is applied and the error is segLenErr's.
 func recvSegInto[T any](c *Comm, source, tag int, seg []T, scratch *[]T, apply func(dst, in []T), format string) error {
 	var f frame
-	if err := c.waitFrame("Recv", source, tag, nil, &f, nil); err != nil {
+	if err := c.waitFrame("Recv", source, tag, scratch, &f, nil); err != nil {
 		return err
 	}
-	in, viewed := frameSegView[T](f)
+	in, viewed := rawSliceView[T](f)
 	if !viewed {
 		if err := f.decodeInto(scratch); err != nil {
 			return err
@@ -108,23 +90,78 @@ func segLenErr(format string, source, got, want int) error {
 // that nothing can spill past it — and a block of the right length therefore
 // lands in the caller's array, copied there by its sender or read there off
 // the socket, with no buffer in between; one that arrived before the receive
-// was posted is decoded into the same view.
+// was posted is decoded into the same view. sendSeg is the send alone.
 func recvSegCopy[T any](c *Comm, source, tag int, seg []T, format string) error {
-	into := seg[:len(seg):len(seg)]
-	_, err := c.recv(source, tag, &into)
-	return segLanded(seg, into, source, format, err)
+	p := &cellsOf[T](c).peers[source]
+	p.into = seg[:len(seg):len(seg)]
+	_, err := c.recv(source, tag, &p.into)
+	return segLanded(seg, &p.into, source, format, err)
 }
 
-func exchangeSeg[T any](c *Comm, dest int, out []T, source, tag int, seg []T, format string) error {
-	into := seg[:len(seg):len(seg)]
-	_, err := c.exchange(dest, tag, out, source, tag, &into)
-	return segLanded(seg, into, source, format, err)
+func exchangeSeg[T any](c *Comm, dest, sendTag int, out []T, source, recvTag int, seg []T, format string) error {
+	peers := cellsOf[T](c).peers
+	to, from := &peers[dest], &peers[source]
+	to.out, from.into = out, seg[:len(seg):len(seg)]
+	_, err := c.exchange(dest, sendTag, to.box, source, recvTag, &from.into)
+	to.out = nil
+	return segLanded(seg, &from.into, source, format, err)
 }
 
-// segLanded checks what a receive into a view of seg left there; a payload
-// that took other storage (another sent type, decoded through gob) is copied
-// over.
-func segLanded[T any](seg, into []T, source int, format string, err error) error {
+func sendSeg[T any](c *Comm, dest, tag int, out []T) error {
+	p := &cellsOf[T](c).peers[dest]
+	p.out = out
+	err := c.sendReserved(dest, tag, p.box)
+	p.out = nil
+	return err
+}
+
+// segCells are a communicator's reusable state for the segment steps of one
+// element type, so that a step allocates nothing: per peer, the block sent to
+// it and its box, and the view a receive from it lands in; and the scratch a
+// block to be folded lands in. They serve the calls a rank makes on
+// the communicator, one at a time, as MPI has collectives made.
+type segCells[T any] struct {
+	peers   []peerCell[T] // by rank in the communicator
+	scratch []T           // grown to the largest block folded
+}
+
+type peerCell[T any] struct {
+	out, into []T
+	box       any // out, boxed once (boxAt)
+}
+
+// cellsOf returns c's cells for T, made on first use.
+func cellsOf[T any](c *Comm) *segCells[T] {
+	for _, x := range c.cells {
+		if s, ok := x.(*segCells[T]); ok {
+			return s
+		}
+	}
+	s := &segCells[T]{peers: make([]peerCell[T], c.Size())}
+	for i := range s.peers {
+		s.peers[i].box = boxAt(&s.peers[i].out)
+	}
+	c.cells = append(c.cells, s)
+	return s
+}
+
+// boxAt returns an interface value holding the slice *p without copying its
+// header to the heap, as a conversion would: the value reads *p when read. So
+// *p may change only while no frame names the value, which holds once the
+// call that sent it returns (frame.borrowed; a landed frame names its
+// destination).
+func boxAt[T any](p *[]T) any {
+	v := any([]T(nil)) // a nil slice converts without allocating
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1] = unsafe.Pointer(p)
+	return v
+}
+
+// segLanded checks what a receive into a view of seg left in *view, and lets
+// the view go; a payload that took other storage (another sent type, decoded
+// through gob) is copied over.
+func segLanded[T any](seg []T, view *[]T, source int, format string, err error) error {
+	into := *view
+	*view = nil
 	switch {
 	case err != nil:
 		return err

@@ -426,7 +426,7 @@ func (w *Win[T]) Accumulate(target, off int, src []T, op Op) error {
 		if err := w.lockApply(t); err != nil {
 			return err
 		}
-		opFold[T](op).into(t.direct[off:off+len(src)], src)
+		opFold[T](op).fold(t.direct[off:], t.direct[off:], src)
 		unlockApply(t)
 		return nil
 	}
@@ -573,7 +573,7 @@ func (w *Win[T]) serve() {
 				o := Op(op.Op)
 				switch o {
 				case Sum, Prod, Max, Min:
-					apply = opFold[T](o).into
+					apply = func(dst, in []T) { opFold[T](o).fold(dst, dst, in) }
 				default:
 					bad = true
 				}

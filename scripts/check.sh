@@ -116,8 +116,8 @@ test -z "$(gofmt -l .)"
 # Send and the exchange step, posting order, non-overtaking, per-pair FIFO
 # across a modeled link, and the link's pricing rule and overlapped burst
 # latency. Twenty fresh runs.
-# (The allocation counts among them skip under the race detector; tier-1's
-# plain `go test ./...` is where they run.)
+# (The allocation counts among them skip under the race detector; the
+# allocation pass at the end runs them fresh without it.)
 named '-race -timeout 300s -count=20' \
   'TestLease|TestLanding|TestExchange|TestPostedAhead|TestIrecvMatchesInPostingOrder|TestAlltoallvWrongLengthBlock|TestMailboxMatchesReferenceModel|TestMailboxHandedFrameReleasedOnceOnFail|TestMailboxClaimedReceiveIsLeftAlone|TestCopyOnSendDecouplesSenderBuffer|TestDeliverWakesOnlyTheMatchingReceive|TestParityNonOvertaking|TestLatencyPreservesPerPairFIFO|TestNetworkPricingRule|TestNetworkBurstOverlapsLatency' \
   ./internal/mpi/
@@ -243,7 +243,12 @@ named '-race -timeout 120s -count=20' \
 # here too.
 named '-bench . -benchtime 1x -timeout 300s' '^TestAdaptiveSimpsonSharedAllocations$' \
   ./internal/shm/ ./internal/exemplars/...
-# The local round trip's allocation pin, fifty fresh runs without the race
-# detector (under it the test skips): each rank sends only once the peer's
-# receive is posted, so no preemption can turn a trip into a cloned one.
-named '-count=50 -timeout 120s' '^TestLocalRoundTripAllocations$' ./internal/mpi/
+# The allocation pins, fifty fresh runs without the race detector (under it
+# they skip): the local round trip, where each rank sends only once the peer's
+# receive is posted, so no preemption can turn a trip into a cloned one; the
+# exchange steps that copy no block; the collectives that allocate only their
+# result (and, at np = 4, AlltoallvInto's private copies for a late peer); and
+# the PageRank step that allocates only its Allreduce result.
+named '-count=50 -timeout 120s' \
+  '^TestLocalRoundTripAllocations$|^TestExchangeStepsAllocateNoBlock$|^TestCollectivesAllocateOnlyTheirResult$|^TestStepAllocatesOnlyItsAllreduceResult$' \
+  ./internal/mpi/ ./internal/exemplars/pagerank/

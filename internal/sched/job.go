@@ -17,13 +17,19 @@
 //     a wall-clock timeout, retry with exponential backoff and jitter, and
 //     a poison-job circuit breaker: a job that keeps failing is quarantined
 //     with its fault report, never requeued hot.
-//   - Graceful degradation: a node that misses heartbeats (or is killed via
-//     the chaos endpoint) drains; its gangs are interrupted and requeued on
-//     the surviving nodes — shrunk to a smaller width when the job allows
-//     it — and the scheduler keeps admitting work at reduced capacity.
+//   - Graceful degradation: a node silent for the heartbeat grace window (or
+//     killed via the chaos endpoint) is declared dead; its gangs are
+//     interrupted and requeued on the surviving nodes — shrunk to a smaller
+//     width when the job allows it — and the scheduler keeps admitting work
+//     at reduced capacity.
 //   - Artifact capture: each job's output and final status are committed to
 //     a per-job directory with the same fsync-then-rename discipline as the
 //     checkpoint store, so a crash never publishes a torn artifact.
+//
+// The scheduler reads the time, and arms every timer, through one clock.
+// Each timer belongs to what it acts on: a run's timeout to its supervisor,
+// a backoff to its retrying job, a grace window to its silenced node. New
+// starts no goroutine, and Close stops every timer it finds armed.
 //
 // The service is exposed over an HTTP+JSON API (see NewHandler) by the
 // schedd daemon and driven by the jobctl client.
@@ -177,6 +183,7 @@ type job struct {
 	history    []string
 	lastErr    string
 	report     *mpi.FaultReport
+	backoff    timer // armed while retrying; Cancel and Close stop it
 
 	out *logBuffer
 	// ckpt is the job's private checkpoint namespace, created at first
@@ -188,9 +195,8 @@ type job struct {
 	// world after releasing the scheduler lock, and so a supervisor mid-run
 	// can consult it without the scheduler lock.
 	intMu    sync.Mutex
-	intCause error         // first interrupt wins
-	intCh    chan struct{} // closed on first interrupt
-	comm     *mpi.Comm     // any rank's comm of the current run, for Abort
+	intCause error     // first interrupt wins
+	comm     *mpi.Comm // any rank's comm of the current run, for Abort
 }
 
 func newJob(spec JobSpec, now time.Time) *job {
@@ -198,7 +204,6 @@ func newJob(spec JobSpec, now time.Time) *job {
 		spec:      spec,
 		state:     StateQueued,
 		submitted: now,
-		intCh:     make(chan struct{}),
 		out:       newLogBuffer(maxLogBytes),
 	}
 }
@@ -213,7 +218,6 @@ func (j *job) interrupt(cause error) {
 		return
 	}
 	j.intCause = cause
-	close(j.intCh)
 	c := j.comm
 	j.intMu.Unlock()
 	if c != nil {
@@ -248,7 +252,6 @@ func (j *job) registerComm(c *mpi.Comm) {
 func (j *job) resetRun() {
 	j.intMu.Lock()
 	j.intCause = nil
-	j.intCh = make(chan struct{})
 	j.comm = nil
 	j.intMu.Unlock()
 }

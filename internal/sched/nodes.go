@@ -15,12 +15,13 @@ type node struct {
 	healthy  bool // false once dead: no placements, gangs evicted
 	draining bool // true: no NEW placements, running gangs finish
 
-	// beating mirrors the simulated node agent: while true the monitor
-	// refreshes lastBeat every tick; silencing it (the chaos knob) makes
-	// the node miss heartbeats until the grace expires and it is declared
-	// dead — the detection path a real cluster walks.
+	// beating mirrors the simulated node agent. Silencing it (the chaos
+	// knob) stamps silentAt and arms grace, which declares the node dead
+	// HeartbeatGrace later unless a revive or a kill stops it first — the
+	// detection path a real cluster walks.
 	beating  bool
-	lastBeat time.Time
+	silentAt time.Time // when the node stopped beating
+	grace    timer
 }
 
 // NodeStatus is the externally visible snapshot of one node.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -96,11 +95,9 @@ type Config struct {
 	// oldest capacity-blocked job has waited this long, dispatch stops
 	// backfilling around it and lets the cluster drain until it fits.
 	StarveAfter time.Duration
-	// HeartbeatEvery and HeartbeatGrace drive the node health monitor
-	// (defaults 100ms and 500ms): healthy nodes beat every tick; a
-	// silenced node that misses beats for the grace window is declared
-	// dead and its gangs are evicted.
-	HeartbeatEvery time.Duration
+	// HeartbeatGrace is how long a silenced node may miss heartbeats
+	// (default 500ms): it is declared dead exactly this long after it went
+	// silent, and its gangs are evicted.
 	HeartbeatGrace time.Duration
 	// Registry resolves program names (default DefaultRegistry()).
 	Registry *Registry
@@ -147,9 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StarveAfter <= 0 {
 		c.StarveAfter = time.Second
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 100 * time.Millisecond
 	}
 	if c.HeartbeatGrace <= 0 {
 		c.HeartbeatGrace = 500 * time.Millisecond
@@ -204,6 +198,7 @@ type tenantQ struct {
 // Close (or Drain then Close). All methods are safe for concurrent use.
 type Scheduler struct {
 	cfg      Config
+	clock    clock
 	gate     *cluster.CoreGate // one shared gate: the platform's real cores
 	ckptRoot *ckpt.FileStore   // nil when checkpoints live in memory
 
@@ -228,20 +223,43 @@ type Scheduler struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	quit chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup // one supervisor per running gang
 }
 
-// New starts a scheduler: its node health monitor runs until Close.
+// clock is where the scheduler reads the time and arms its timers: the
+// real one in production, a manual one in tests, which fires each timer
+// at its exact due time.
+type clock interface {
+	now() time.Time
+	afterFunc(d time.Duration, f func()) timer
+}
+
+// timer is an armed callback; *time.Timer is one.
+type timer interface{ Stop() bool }
+
+type realClock struct{}
+
+func (realClock) now() time.Time                            { return time.Now() }
+func (realClock) afterFunc(d time.Duration, f func()) timer { return time.AfterFunc(d, f) }
+
+// stop disarms a timer that may never have been armed.
+func stop(t timer) {
+	if t != nil {
+		t.Stop()
+	}
+}
+
+// New builds a scheduler. It starts no goroutine: supervisors start with
+// runs, and each timer is armed by what it acts on.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:     cfg,
+		clock:   realClock{},
 		gate:    cluster.NewCoreGate(cfg.Platform.TotalCores()),
 		jobs:    make(map[string]*job),
 		tenants: make(map[string]*tenantQ),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		quit:    make(chan struct{}),
 	}
 	if cfg.CkptDir != "" {
 		root, err := ckpt.NewFileStore(cfg.CkptDir)
@@ -250,65 +268,27 @@ func New(cfg Config) (*Scheduler, error) {
 		}
 		s.ckptRoot = root
 	}
-	now := time.Now()
 	for i := 0; i < cfg.Platform.Nodes; i++ {
 		s.nodes = append(s.nodes, &node{
-			id:       i,
-			cores:    cfg.Platform.CoresPerNode * cfg.Oversubscribe,
-			healthy:  true,
-			beating:  true,
-			lastBeat: now,
+			id:      i,
+			cores:   cfg.Platform.CoresPerNode * cfg.Oversubscribe,
+			healthy: true,
+			beating: true,
 		})
 	}
-	s.wg.Add(1)
-	go s.monitorLoop()
 	return s, nil
 }
 
-// monitorLoop is the heartbeat monitor: it refreshes beating nodes and
-// declares silent ones dead after the grace window, evicting their gangs.
-func (s *Scheduler) monitorLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-			now := time.Now()
-			s.mu.Lock()
-			var evict []*job
-			var causes []error
-			for _, n := range s.nodes {
-				if n.beating {
-					n.lastBeat = now
-					continue
-				}
-				if n.healthy && now.Sub(n.lastBeat) > s.cfg.HeartbeatGrace {
-					s.cfg.Logf("sched: node %d missed heartbeats for %s: declaring dead", n.id, now.Sub(n.lastBeat).Round(time.Millisecond))
-					jobs, cs := s.declareNodeDeadLocked(n, "missed heartbeats")
-					evict = append(evict, jobs...)
-					causes = append(causes, cs...)
-				}
-			}
-			if len(evict) > 0 {
-				s.dispatchLocked()
-			}
-			s.mu.Unlock()
-			for i, j := range evict {
-				j.interrupt(causes[i])
-			}
-		}
-	}
-}
-
-// declareNodeDeadLocked marks the node unhealthy and returns the running
-// jobs whose gangs touch it, paired with their eviction causes. Callers
-// interrupt outside the lock.
+// declareNodeDeadLocked marks the node unhealthy and silent, stops its
+// grace timer, and returns the running jobs whose gangs touch it, paired
+// with their eviction causes. Callers interrupt outside the lock.
 func (s *Scheduler) declareNodeDeadLocked(n *node, why string) ([]*job, []error) {
+	if n.beating {
+		n.beating = false
+		n.silentAt = s.clock.now()
+	}
+	stop(n.grace)
 	n.healthy = false
-	n.beating = false
 	var jobs []*job
 	var causes []error
 	for _, id := range s.order {
@@ -411,7 +391,7 @@ func (s *Scheduler) Submit(spec JobSpec) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, fmt.Errorf("%w: tenant %s has %d jobs queued", ErrTenantQuota, spec.Tenant, len(tq.queued))
 	}
-	j := newJob(spec, time.Now())
+	j := newJob(spec, s.clock.now())
 	s.jobs[spec.ID] = j
 	s.order = append(s.order, spec.ID)
 	s.admitted++
@@ -475,7 +455,7 @@ func (s *Scheduler) dispatchLocked() {
 	if s.closed {
 		return
 	}
-	now := time.Now()
+	now := s.clock.now()
 	for {
 		if starving := s.starvingLocked(now); starving != nil {
 			// The guard: the oldest capacity-blocked job has waited past
@@ -539,15 +519,10 @@ func (s *Scheduler) placeOneLocked(now time.Time) bool {
 			width, placement, ok := s.tryPlaceLocked(j)
 			if !ok {
 				if j.skipsSince.IsZero() {
-					// First skip: start the starvation clock, and make
-					// sure a dispatch fires when it expires even if no
-					// other event does.
+					// First skip: start the starvation clock. It needs no
+					// timer: only an event with a pass of its own can free
+					// the capacity the guard would hoard.
 					j.skipsSince = now
-					time.AfterFunc(s.cfg.StarveAfter+time.Millisecond, func() {
-						s.mu.Lock()
-						s.dispatchLocked()
-						s.mu.Unlock()
-					})
 				}
 				continue // backfill: try the jobs behind it
 			}
@@ -584,7 +559,7 @@ func (s *Scheduler) Cancel(id, reason string) (JobStatus, error) {
 		s.finishLocked(j, StateCanceled, fmt.Sprintf("canceled while queued: %s", reason))
 		commit = true
 	case StateRetrying:
-		// The backoff timer will find the job terminal and stand down.
+		stop(j.backoff)
 		s.finishLocked(j, StateCanceled, fmt.Sprintf("canceled while waiting to retry: %s", reason))
 		commit = true
 	case StateRunning:
@@ -610,7 +585,7 @@ func (s *Scheduler) Cancel(id, reason string) (JobStatus, error) {
 // line into its history. It is the only way a job becomes terminal.
 func (s *Scheduler) finishLocked(j *job, state State, note string) {
 	j.state = state
-	j.finished = time.Now()
+	j.finished = s.clock.now()
 	if s.live--; s.live == 0 && s.idle != nil {
 		close(s.idle)
 		s.idle = nil
@@ -668,7 +643,12 @@ func (s *Scheduler) Nodes() []NodeStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]NodeStatus, 0, len(s.nodes))
+	now := s.clock.now()
 	for _, n := range s.nodes {
+		last := now // a beating node's last heartbeat is now
+		if !n.beating {
+			last = n.silentAt
+		}
 		out = append(out, NodeStatus{
 			ID:            n.id,
 			Hostname:      s.cfg.Platform.Hostname(n.id),
@@ -677,7 +657,7 @@ func (s *Scheduler) Nodes() []NodeStatus {
 			Healthy:       n.healthy,
 			Draining:      n.draining,
 			Beating:       n.beating,
-			LastHeartbeat: n.lastBeat,
+			LastHeartbeat: last,
 		})
 	}
 	return out
@@ -742,15 +722,39 @@ func (s *Scheduler) KillNode(id int) error {
 
 // SilenceNode is the heartbeat chaos knob: the node stops beating but its
 // gangs keep running, exactly like a machine that dropped off the
-// network. The monitor declares it dead after the grace window.
+// network. Unless revived or killed first, it is declared dead
+// HeartbeatGrace later.
 func (s *Scheduler) SilenceNode(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id < 0 || id >= len(s.nodes) {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	s.nodes[id].beating = false
+	if n := s.nodes[id]; n.beating {
+		n.beating = false
+		n.silentAt = s.clock.now()
+		n.grace = s.clock.afterFunc(s.cfg.HeartbeatGrace, func() { s.graceExpired(n) })
+	}
 	return nil
+}
+
+// graceExpired declares a node dead once it has been silent for the whole
+// grace window, and evicts its gangs. A revive, a kill or Close stops the
+// timer; the checks turn away a callback that was already on its way.
+func (s *Scheduler) graceExpired(n *node) {
+	s.mu.Lock()
+	silent := s.clock.now().Sub(n.silentAt)
+	if s.closed || n.beating || !n.healthy || silent < s.cfg.HeartbeatGrace {
+		s.mu.Unlock()
+		return
+	}
+	s.cfg.Logf("sched: node %d missed heartbeats for %s: declaring dead", n.id, silent.Round(time.Millisecond))
+	jobs, causes := s.declareNodeDeadLocked(n, "missed heartbeats")
+	s.dispatchLocked()
+	s.mu.Unlock()
+	for i, j := range jobs {
+		j.interrupt(causes[i])
+	}
 }
 
 // DrainNode stops new placements on the node; running gangs finish
@@ -773,10 +777,10 @@ func (s *Scheduler) ReviveNode(id int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	n := s.nodes[id]
+	stop(n.grace)
 	n.healthy = true
 	n.draining = false
 	n.beating = true
-	n.lastBeat = time.Now()
 	s.dispatchLocked()
 	s.mu.Unlock()
 	return nil
@@ -808,8 +812,8 @@ func (s *Scheduler) Drain(timeout time.Duration) error {
 }
 
 // Close shuts the scheduler down: queued and retrying jobs are canceled,
-// running gangs are revoked and reaped as canceled, and every background
-// goroutine is joined before Close returns.
+// running gangs are revoked and reaped as canceled, and every supervisor
+// is joined and every timer stopped before Close returns.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -829,12 +833,16 @@ func (s *Scheduler) Close() {
 			s.finishLocked(j, StateCanceled, "canceled: scheduler shutdown")
 			commits = append(commits, j)
 		case StateRetrying:
+			stop(j.backoff)
 			s.finishLocked(j, StateCanceled, "canceled: scheduler shutdown")
 			commits = append(commits, j)
 		case StateRunning:
 			interrupts = append(interrupts, j)
 			causes = append(causes, fmt.Errorf("sched: job %s: scheduler shutdown: %w", id, errCancelRun))
 		}
+	}
+	for _, n := range s.nodes {
+		stop(n.grace)
 	}
 	s.mu.Unlock()
 	for i, j := range interrupts {
@@ -843,7 +851,6 @@ func (s *Scheduler) Close() {
 	for _, j := range commits {
 		s.commitArtifact(j)
 	}
-	close(s.quit)
 	s.wg.Wait()
 }
 
@@ -874,13 +881,4 @@ func (s *Scheduler) retryBudget(spec JobSpec) int {
 	default:
 		return s.cfg.DefaultMaxRetries
 	}
-}
-
-// sortedTenants is a test hook: the tenant ring in a stable order.
-func (s *Scheduler) sortedTenants() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]string(nil), s.tenantNames...)
-	sort.Strings(out)
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -48,9 +49,6 @@ func newTestSched(t *testing.T, cfg Config) *Scheduler {
 	if cfg.StarveAfter == 0 {
 		cfg.StarveAfter = 150 * time.Millisecond
 	}
-	if cfg.HeartbeatEvery == 0 {
-		cfg.HeartbeatEvery = 10 * time.Millisecond
-	}
 	if cfg.HeartbeatGrace == 0 {
 		cfg.HeartbeatGrace = 50 * time.Millisecond
 	}
@@ -82,17 +80,23 @@ func registryWithHang(t *testing.T) *Registry {
 
 func waitState(t *testing.T, s *Scheduler, id string, want State, timeout time.Duration) JobStatus {
 	t.Helper()
+	return waitFor(t, s, id, "state "+want.String(), func(st JobStatus) bool { return st.State == want.String() }, timeout)
+}
+
+// waitFor polls a job's status until ok holds, failing the test after timeout.
+func waitFor(t *testing.T, s *Scheduler, id, want string, ok func(JobStatus) bool, timeout time.Duration) JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		st, err := s.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State == want.String() {
+		if ok(st) {
 			return st
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s: state %s, want %s (error %q, history %v)", id, st.State, want, st.Error, st.History)
+			t.Fatalf("job %s: state %s after %d attempts, want %s (error %q, history %v)", id, st.State, st.Attempts, want, st.Error, st.History)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -329,26 +333,31 @@ func TestCancelWhileRunningRevokesAndReaps(t *testing.T) {
 	}
 }
 
-// TestCancelWhileRetrying: a job waiting out its backoff is canceled
-// before the timer fires; the timer must stand down.
+// TestCancelWhileRetrying: a job waiting out its backoff is canceled one
+// nanosecond before the timer is due. Cancel stops the timer, and at the
+// due time the job is still canceled, not resurrected.
 func TestCancelWhileRetrying(t *testing.T) {
-	s := newTestSched(t, Config{RetryBase: 2 * time.Second, RetryMax: 4 * time.Second})
+	s, clk := newManualSched(t, Config{RetryBase: 2 * time.Second, RetryMax: 4 * time.Second})
 	st, err := s.Submit(JobSpec{Tenant: "a", Program: "boom", Width: 1, MaxRetries: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, st.ID, StateRetrying, 5*time.Second)
+	clk.advance(clk.untilNext(t) - time.Nanosecond)
+	if got, _ := s.Status(st.ID); got.State != "retrying" || got.Attempts != 1 {
+		t.Fatalf("1ns before the backoff ends: %s after %d attempts, want retrying after 1", got.State, got.Attempts)
+	}
 	if _, err := s.Cancel(st.ID, ""); err != nil {
 		t.Fatal(err)
 	}
-	final := waitState(t, s, st.ID, StateCanceled, time.Second)
-	if final.Failures != 1 {
-		t.Fatalf("failures = %d, want the one pre-cancel failure", final.Failures)
+	if n := clk.pending(); n != 0 {
+		t.Fatalf("%d callbacks pending after Cancel, want the backoff stopped", n)
 	}
-	// Outlive the backoff: the job must stay canceled, not resurrect.
-	time.Sleep(50 * time.Millisecond)
-	if got, _ := s.Status(st.ID); got.State != "canceled" {
-		t.Fatalf("state after backoff = %s, want canceled", got.State)
+	clk.advance(time.Nanosecond)
+	final, _ := s.Status(st.ID)
+	if final.State != "canceled" || final.Attempts != 1 || final.Failures != 1 {
+		t.Fatalf("at the backoff's due time: %s, %d attempts, %d failures; want canceled with the one pre-cancel failure",
+			final.State, final.Attempts, final.Failures)
 	}
 }
 
@@ -585,10 +594,19 @@ func TestRetryWithBackoffThenSuccess(t *testing.T) {
 // its budget is parked terminally with the full failure history, and is
 // never requeued hot.
 func TestPoisonJobQuarantined(t *testing.T) {
-	s := newTestSched(t, Config{})
+	s, clk := newManualSched(t, Config{})
 	st, err := s.Submit(JobSpec{Tenant: "a", Program: "boom", Width: 2, MaxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateRetrying, 5*time.Second)
+	clk.advance(clk.untilNext(t) - time.Nanosecond)
+	if got, _ := s.Status(st.ID); got.State != "retrying" || got.Attempts != 1 {
+		t.Fatalf("1ns before the backoff ends: %s after %d attempts, want retrying after 1", got.State, got.Attempts)
+	}
+	clk.advance(time.Nanosecond)
+	if got, _ := s.Status(st.ID); got.Attempts != 2 {
+		t.Fatalf("at the backoff's due time: %d attempts, want the second run started", got.Attempts)
 	}
 	final := waitState(t, s, st.ID, StateQuarantined, 15*time.Second)
 	if final.Attempts != 2 || final.Failures != 2 {
@@ -597,9 +615,12 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	if !strings.Contains(final.Error, "poison job") || !strings.Contains(final.Error, "boom") {
 		t.Fatalf("error = %q, want the poison verdict wrapping the cause", final.Error)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if got, _ := s.Status(st.ID); got.State != "quarantined" {
-		t.Fatalf("state = %s after quarantine, want it to stay quarantined", got.State)
+	if n := clk.pending(); n != 0 {
+		t.Fatalf("%d callbacks pending after quarantine, want none", n)
+	}
+	clk.advance(time.Hour)
+	if got, _ := s.Status(st.ID); got.State != "quarantined" || got.Attempts != 2 {
+		t.Fatalf("an hour after quarantine: %s after %d attempts, want it to stay quarantined after 2", got.State, got.Attempts)
 	}
 	if qs := s.Stats(); qs.Quarantined != 1 || qs.Lost() != 0 {
 		t.Fatalf("stats = %+v, want 1 quarantined, 0 lost", qs)
@@ -660,15 +681,28 @@ func TestRecoverJobSurvivesKill(t *testing.T) {
 }
 
 // TestWallClockTimeoutSpendsRetryBudget: a run that outlives its budget
-// is interrupted and counts as a failure, not an eviction.
+// is interrupted exactly at its timeout and counts as a failure, not an
+// eviction.
 func TestWallClockTimeoutSpendsRetryBudget(t *testing.T) {
-	s := newTestSched(t, Config{Registry: registryWithHang(t)})
+	s, clk := newManualSched(t, Config{Registry: registryWithHang(t)})
 	st, err := s.Submit(JobSpec{
 		Tenant: "a", Program: "hang", Width: 2,
-		OpDeadline: time.Minute, Timeout: 100 * time.Millisecond, MaxRetries: -1,
+		OpDeadline: time.Minute, Timeout: time.Minute, MaxRetries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	clk.awaitPending(t, 1) // the supervisor arms the timeout as the run starts
+	clk.advance(time.Minute - time.Nanosecond)
+	if cause := j.interruptCause(); cause != nil {
+		t.Fatalf("1ns before the timeout: interrupted by %v", cause)
+	}
+	clk.advance(time.Nanosecond)
+	if cause := j.interruptCause(); !errors.Is(cause, ErrJobTimeout) {
+		t.Fatalf("at the timeout: interrupt cause %v, want ErrJobTimeout", cause)
 	}
 	final := waitState(t, s, st.ID, StateQuarantined, 10*time.Second)
 	if !strings.Contains(final.Error, "wall-clock") {
@@ -746,39 +780,39 @@ func TestElasticJobShrinksOntoDegradedCluster(t *testing.T) {
 }
 
 // TestHeartbeatMissDeclaresNodeDead: the detection path — a silenced node
-// (no chaos kill, just missing beats) is declared dead after the grace
-// window and its gangs are evicted.
+// (no chaos kill, just missing beats) is declared dead exactly when the
+// grace window ends, and its gang is evicted and rerun on the survivor.
 func TestHeartbeatMissDeclaresNodeDead(t *testing.T) {
-	s := newTestSched(t, Config{
+	s, clk := newManualSched(t, Config{
 		Platform:       testPlatform(2, 2),
-		HeartbeatEvery: 10 * time.Millisecond,
+		Registry:       registryWithHang(t),
 		HeartbeatGrace: 40 * time.Millisecond,
 	})
-	st, err := s.Submit(JobSpec{Tenant: "a", Program: "sleep", Width: 4, MinWidth: 1, Args: map[string]string{"ms": "500"}})
+	st, err := s.Submit(JobSpec{Tenant: "a", Program: "hang", Width: 4, MinWidth: 1, OpDeadline: time.Minute, Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, st.ID, StateRunning, 5*time.Second)
+	silenced := clk.now()
 	if err := s.SilenceNode(0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nodes := s.Nodes()
-		if !nodes[0].Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("monitor never declared the silent node dead")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clk.advance(40*time.Millisecond - time.Nanosecond)
+	if n := s.Nodes()[0]; !n.Healthy || n.Beating || !n.LastHeartbeat.Equal(silenced) {
+		t.Fatalf("1ns before the grace ends: node 0 = %+v, want healthy, silent, last heard at the silence", n)
 	}
-	final := waitState(t, s, st.ID, StateSucceeded, 10*time.Second)
-	if final.Requeues < 1 {
-		t.Fatalf("requeues = %d, want the eviction recorded", final.Requeues)
+	if got, _ := s.Status(st.ID); got.State != "running" || got.Attempts != 1 {
+		t.Fatalf("1ns before the grace ends: %s after %d attempts, want the first run still running", got.State, got.Attempts)
 	}
-	if final.RanWidth != 2 {
-		t.Fatalf("ran width = %d, want 2 on the surviving node", final.RanWidth)
+	clk.advance(time.Nanosecond)
+	if s.Nodes()[0].Healthy {
+		t.Fatal("at the end of the grace window node 0 is still healthy")
+	}
+	rerun := waitFor(t, s, st.ID, "a second run", func(st JobStatus) bool { return st.Attempts == 2 && st.State == "running" }, 10*time.Second)
+	if rerun.Requeues != 1 || rerun.Failures != 0 {
+		t.Fatalf("requeues %d, failures %d; want the eviction recorded as one budget-free requeue", rerun.Requeues, rerun.Failures)
+	}
+	if rerun.RanWidth != 2 || fmt.Sprint(rerun.Placement) != "[1 1]" {
+		t.Fatalf("rerun at width %d on %v, want width 2 on the surviving node 1", rerun.RanWidth, rerun.Placement)
 	}
 }
 
@@ -930,6 +964,124 @@ func TestCloseReapsEverything(t *testing.T) {
 	if st.Lost() != 0 {
 		t.Fatalf("lost = %d after close, want 0", st.Lost())
 	}
+}
+
+// TestCloseStopsEveryTimer: each timer belongs to what it acts on — a
+// retrying job's backoff, a silenced node's grace, a running job's timeout
+// — and Close stops them all, so nothing changes once it has returned. New
+// starts no goroutine for Close to join.
+func TestCloseStopsEveryTimer(t *testing.T) {
+	t.Run("New starts no goroutine", func(t *testing.T) {
+		// Goroutines left by earlier tests may still be exiting, so the
+		// count may fall; it must not rise.
+		before := runtime.NumGoroutine()
+		s, err := New(Config{Platform: testPlatform(2, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("New took the goroutine count from %d to %d", before, got)
+		}
+		s.Close()
+		if got := runtime.NumGoroutine(); got > before {
+			t.Errorf("New then Close took the goroutine count from %d to %d", before, got)
+		}
+	})
+	t.Run("Close", func(t *testing.T) {
+		s, clk := newManualSched(t, Config{Platform: testPlatform(2, 2), Registry: registryWithHang(t)})
+		if _, err := s.Submit(JobSpec{ID: "boom", Tenant: "a", Program: "boom", Width: 1, MaxRetries: 5}); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, "boom", StateRetrying, 5*time.Second)
+		if _, err := s.Submit(JobSpec{ID: "hang", Tenant: "a", Program: "hang", Width: 2, OpDeadline: time.Minute, Timeout: time.Hour}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SilenceNode(1); err != nil {
+			t.Fatal(err)
+		}
+		clk.awaitPending(t, 3) // boom's backoff, node 1's grace, hang's timeout
+		s.Close()
+		if n := clk.pending(); n != 0 {
+			t.Fatalf("%d callbacks pending after Close, want none", n)
+		}
+		jobs, nodes := s.List("", ""), nodeStates(s)
+		clk.advance(2 * time.Hour)
+		if got := s.List("", ""); !reflect.DeepEqual(got, jobs) {
+			t.Errorf("jobs after advancing past every due time:\n%+v\nwant, as Close left them:\n%+v", got, jobs)
+		}
+		if got := nodeStates(s); got != nodes {
+			t.Errorf("nodes after advancing past every due time: %s, want %s", got, nodes)
+		}
+	})
+	t.Run("ReviveNode before the grace", func(t *testing.T) {
+		s, clk := newManualSched(t, Config{Platform: testPlatform(2, 2), HeartbeatGrace: time.Second})
+		if err := s.SilenceNode(0); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Second - time.Nanosecond)
+		if err := s.ReviveNode(0); err != nil {
+			t.Fatal(err)
+		}
+		if n := clk.pending(); n != 0 {
+			t.Fatalf("%d callbacks pending after the revive, want the grace stopped", n)
+		}
+		for _, d := range []time.Duration{time.Nanosecond, time.Hour} {
+			clk.advance(d)
+			if n := s.Nodes()[0]; !n.Healthy || !n.Beating {
+				t.Fatalf("revived node 0 = %+v, want healthy and beating", n)
+			}
+		}
+	})
+	t.Run("KillNode on a silenced node", func(t *testing.T) {
+		var mu sync.Mutex
+		deaths := 0
+		s, clk := newManualSched(t, Config{
+			Platform: testPlatform(2, 2), Registry: registryWithHang(t), HeartbeatGrace: time.Second,
+			Logf: func(format string, args ...any) {
+				if strings.Contains(fmt.Sprintf(format, args...), "missed heartbeats") {
+					mu.Lock()
+					deaths++
+					mu.Unlock()
+				}
+			},
+		})
+		st, err := s.Submit(JobSpec{Tenant: "a", Program: "hang", Width: 4, MinWidth: 1, OpDeadline: time.Minute, Timeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		silenced := clk.now()
+		if err := s.SilenceNode(0); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(time.Second / 2)
+		if err := s.KillNode(0); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, s, st.ID, "a second run", func(st JobStatus) bool { return st.Attempts == 2 && st.State == "running" }, 10*time.Second)
+		clk.awaitPending(t, 1) // the rerun's timeout: the kill stopped the grace
+		clk.advance(2 * time.Second)
+		n := s.Nodes()[0]
+		if n.Healthy || !n.LastHeartbeat.Equal(silenced) {
+			t.Fatalf("node 0 = %+v, want dead, last heard at the silence", n)
+		}
+		got, _ := s.Status(st.ID)
+		mu.Lock()
+		defer mu.Unlock()
+		if got.Requeues != 1 || got.Attempts != 2 || s.Stats().Requeues != 1 || deaths != 0 {
+			t.Fatalf("requeues %d, attempts %d, grace deaths %d past the grace; want the kill's one eviction only",
+				got.Requeues, got.Attempts, deaths)
+		}
+	})
+}
+
+// nodeStates is the part of Nodes that only events change: a beating
+// node's LastHeartbeat reads the clock.
+func nodeStates(s *Scheduler) string {
+	out := ""
+	for _, n := range s.Nodes() {
+		out += fmt.Sprintf("[%d healthy=%t beating=%t used=%d]", n.ID, n.Healthy, n.Beating, n.Used)
+	}
+	return out
 }
 
 // TestChaosLoadZeroLostJobs is the package-scale chaos drill: a mixed

@@ -16,7 +16,7 @@ func (s *Scheduler) startLocked(j *job, width int, placement []int) {
 	j.resetRun()
 	j.state = StateRunning
 	j.attempts++
-	j.started = time.Now()
+	j.started = s.clock.now()
 	j.ranWidth = width
 	j.placement = placement
 	j.skipsSince = time.Time{}
@@ -97,7 +97,7 @@ func (s *Scheduler) supervise(j *job, width int, placement []int, attempt int) {
 		if timeout <= 0 {
 			timeout = s.cfg.DefaultTimeout
 		}
-		timer := time.AfterFunc(timeout, func() {
+		expiry := s.clock.afterFunc(timeout, func() {
 			j.interrupt(fmt.Errorf("sched: job %s exceeded its %s wall-clock budget: %w", spec.ID, timeout, ErrJobTimeout))
 		})
 		runErr = mpi.Run(width, func(c *mpi.Comm) error {
@@ -106,7 +106,7 @@ func (s *Scheduler) supervise(j *job, width int, placement []int, attempt int) {
 			}
 			return body(c)
 		}, opts...)
-		timer.Stop()
+		expiry.Stop()
 	}
 	s.finishRun(j, rep, runErr)
 }
@@ -177,7 +177,7 @@ func (s *Scheduler) finishRun(j *job, rep *mpi.FaultReport, runErr error) {
 			j.state = StateRetrying
 			delay := s.backoff(j.failures)
 			s.cfg.Logf("sched: job %s failed (%d/%d), retrying in %s", j.spec.ID, j.failures, budget, delay.Round(time.Millisecond))
-			time.AfterFunc(delay, func() { s.requeueAfterBackoff(j) })
+			j.backoff = s.clock.afterFunc(delay, func() { s.requeueAfterBackoff(j) })
 		}
 	}
 	s.dispatchLocked()
@@ -188,17 +188,11 @@ func (s *Scheduler) finishRun(j *job, rep *mpi.FaultReport, runErr error) {
 }
 
 // requeueAfterBackoff returns a retrying job to the queue, unless a
-// cancel (or shutdown) won the race while it waited.
+// cancel (or shutdown) stopped its timer too late and won the race.
 func (s *Scheduler) requeueAfterBackoff(j *job) {
 	s.mu.Lock()
 	if j.state != StateRetrying {
 		s.mu.Unlock()
-		return
-	}
-	if s.closed {
-		s.finishLocked(j, StateCanceled, "canceled: scheduler shutdown")
-		s.mu.Unlock()
-		s.commitArtifact(j)
 		return
 	}
 	s.enqueueLocked(j)

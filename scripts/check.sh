@@ -229,11 +229,13 @@ named '-race -timeout 180s -count=30' '^TestWinDeadlineStalledFence$' ./internal
 # every admitted job terminal and zero lost.
 go test -race -timeout 180s -count=1 ./internal/sched/
 # Dispatch runs on the goroutine of the event that can change a placement, so
-# these tests assert a placement (or its refusal) the moment Submit or a run's
-# end returns, with no sleep. Twenty fresh runs, so that one passing by timing
-# luck fails the gate.
+# the first four tests assert a placement (or its refusal) the moment Submit or
+# a run's end returns, with no sleep. The rest run on a manual clock: a
+# backoff, a run's timeout and a silenced node's grace are asserted one
+# nanosecond before their due time and at it, and Close must leave no timer
+# armed. Twenty fresh runs, so that one passing by timing luck fails the gate.
 named '-race -timeout 120s -count=20' \
-  'TestSubmitPlacesBeforeReturning|TestFinishPlacesNextJob|TestTenantSlotsQuota|TestCloseReapsEverything' \
+  'TestSubmitPlacesBeforeReturning|TestFinishPlacesNextJob|TestTenantSlotsQuota|TestCloseReapsEverything|TestCancelWhileRetrying|TestPoisonJobQuarantined|TestHeartbeatMissDeclaresNodeDead|TestWallClockTimeoutSpendsRetryBudget|TestCloseStopsEveryTimer' \
   ./internal/sched/
 
 # Benchmark smoke pass: one iteration of every benchmark, so a refactor that

@@ -553,6 +553,54 @@ func TestStepAllocatesOnlyItsAllreduceResult(t *testing.T) {
 	}
 }
 
+// TestPageRankMPIAllocatesItsPlanAndResults: a whole warm PageRankMPI call at
+// np=2 allocates, per rank, one AllreduceSliceOp result per iteration, the
+// plan's objects and the vector it returns, nothing more: the count and
+// gather collectives allocate only their results. (The call cost 6 objects
+// more per rank while AlltoallCounts gathered the whole count matrix and
+// AllgatherSlice boxed its blocks and concatenated them.)
+func TestPageRankMPIAllocatesItsPlanAndResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	// uniform's block; newExchange's exchange, edgeSlot, sendCounts, dang,
+	// slot table, sendIdx, acc, recvVals and kernel; the recvCounts and
+	// recvIdx its collectives return.
+	const np, iters, calls, plan = 2, 20, 10, 12
+	g := testGraph()
+	perRank := make([]uint64, np)
+	err := mpi.Run(np, func(c *mpi.Comm) error {
+		best := uint64(math.MaxUint64)
+		for batch := 0; batch < 4; batch++ { // the first warms up
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < calls; i++ {
+				if _, err := PageRankMPI(c, g, 0.85, iters); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if batch > 0 {
+				best = min(best, after.Mallocs-before.Mallocs)
+			}
+		}
+		perRank[c.Rank()] = best
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MemStats are the process's: a rank's batch counts both ranks' calls.
+	got := float64(max(perRank[0], perRank[1])) / calls / np
+	t.Logf("a PageRankMPI call allocates %.2f objects per rank", got)
+	if want := float64(iters + plan + 1); got > want {
+		t.Errorf("a PageRankMPI call allocates %.2f objects per rank, want at most %v", got, want)
+	}
+}
+
 // The exemplar against its oracle without the harness: same graph shape as
 // the gating benchmark's pagerank-np2-local workload.
 var benchGraph = sync.OnceValue(func() *Graph { return Gen(20000, 8, 1) })

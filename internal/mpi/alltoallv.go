@@ -42,24 +42,21 @@ const (
 // AlltoallCounts exchanges the count matrix: every rank passes its
 // per-destination send counts and learns its per-origin receive counts —
 // the usual prologue when only the senders know the sizes (a BFS frontier,
-// a PageRank contribution list). One Allgather of the count vectors; the
-// payload is np ints per rank, negligible next to the data exchange it
-// sizes.
+// a PageRank contribution list). It is AlltoallvInto's pairwise schedule with
+// one count per peer, flat on every topology: each rank receives n ints, each
+// landing in the returned slice, its only object.
 func AlltoallCounts(c *Comm, sendCounts []int) ([]int, error) {
-	n := c.Size()
+	n, r := c.Size(), c.rank
 	if len(sendCounts) != n {
 		return nil, fmt.Errorf("mpi: AlltoallCounts: %d counts for a %d-rank communicator", len(sendCounts), n)
 	}
-	rows, err := Allgather(c, sendCounts)
-	if err != nil {
-		return nil, err
-	}
 	recvCounts := make([]int, n)
-	for o, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("mpi: AlltoallCounts: rank %d sent %d counts, want %d", o, len(row), n)
+	recvCounts[r] = sendCounts[r]
+	for step := 1; step < n; step++ {
+		dst, src := (r+step)%n, (r-step+n)%n
+		if err := exchangeSeg(c, dst, tagA2Av, sendCounts[dst:dst+1], src, tagA2Av, recvCounts[src:src+1], "mpi: AlltoallCounts: rank %d sent %d counts, want %d"); err != nil {
+			return nil, err
 		}
-		recvCounts[o] = row[c.rank]
 	}
 	return recvCounts, nil
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,59 @@ func TestAlltoallvHier(t *testing.T) {
 						t.Fatalf("%s: %v", desc, err)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAlltoallCountsIsTheTranspose: each rank's receive counts are its column
+// of the count matrix, which every rank here builds for itself, and its send
+// counts are left as they were: on every transport at np = 2, 3 and 4, two
+// calls in a row, and on multi-node topologies, where the counts take the
+// flat pairwise schedule too (every frame under tagA2Av, none through a
+// leader).
+func TestAlltoallCountsIsTheTranspose(t *testing.T) {
+	check := func(c *Comm) error {
+		np := c.Size()
+		for call := 0; call < 2; call++ {
+			matrix := make([][]int, np)
+			for o := range matrix {
+				matrix[o] = make([]int, np)
+				for d := range matrix[o] {
+					matrix[o][d] = (o*5+d*3+call)%7 + 100*call // zeros among them
+				}
+			}
+			mine := slices.Clone(matrix[c.Rank()])
+			got, err := AlltoallCounts(c, mine)
+			if err != nil {
+				return fmt.Errorf("AlltoallCounts: %w", err)
+			}
+			if !slices.Equal(mine, matrix[c.Rank()]) {
+				return fmt.Errorf("rank %d: send counts became %v, want %v", c.Rank(), mine, matrix[c.Rank()])
+			}
+			for o := range matrix {
+				if got[o] != matrix[o][c.Rank()] {
+					return fmt.Errorf("call %d: rank %d recvCounts = %v, want column %d of %v", call, c.Rank(), got, c.Rank(), matrix)
+				}
+			}
+		}
+		return nil
+	}
+	for name, runner := range parityRunners() {
+		for _, np := range []int{2, 3, 4} {
+			if err := runner(np, check); err != nil {
+				t.Fatalf("%s np=%d: %v", name, np, err)
+			}
+		}
+	}
+	for _, np := range []int{3, 4} {
+		for _, topo := range hierTopologies(np) {
+			mc := NewMessageCounter()
+			if err := Run(np, check, WithTopology(topo), WithHierarchy(HierOn), WithCounter(mc)); err != nil {
+				t.Fatalf("np=%d topo=%v: %v", np, topo, err)
+			}
+			if got, want := mc.Tag(tagA2Av), 2*np*(np-1); got != want || mc.Total() != want {
+				t.Errorf("np=%d topo=%v: %d frames under tagA2Av of %d in all, want %d and no other", np, topo, got, mc.Total(), want)
 			}
 		}
 	}

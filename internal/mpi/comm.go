@@ -52,6 +52,7 @@ type Comm struct {
 
 	cells []any // one *segCells[T] per element type (vectorrecv.go)
 	token int   // a Barrier round's token lands here, not in a heap int
+	offs  []int // AllgatherSlice's per-rank lengths and block offsets (vector.go)
 }
 
 // Rank reports this process's rank within the communicator, 0-based:

@@ -350,9 +350,10 @@ func TestExchangeStepsAllocateNoBlock(t *testing.T) {
 			counts, send, recv := []int{per, per}, make([]float64, 2*per), make([]float64, 2*per)
 			return func() error { return AlltoallvInto(c, send, counts, recv, counts) }
 		}},
-		{"doublingAllgatherSegs", 4, func(c *Comm) func() error {
+		{"doublingAllgather", 4, func(c *Comm) func() error {
 			acc := make([]float64, 8<<10)
-			return func() error { return doublingAllgatherSegs(c, acc) }
+			seg := func(i int) int { return segStart(len(acc), i, 4) }
+			return func() error { return doublingAllgather(c, acc, seg, "") }
 		}},
 		{"Sendrecv", 2, func(c *Comm) func() error {
 			send, recv := make([]float64, 8<<10), []float64(nil)
@@ -372,13 +373,18 @@ func TestExchangeStepsAllocateNoBlock(t *testing.T) {
 // allocates nothing but the value it returns, on every rank. Barrier returns
 // none and allocates nothing (a round's token lands in the communicator), nor
 // does AlltoallvInto at np = 2; AllreduceSliceOp at or below vectorThreshold
-// allocates its result and at most one object more. (Barrier allocated one
-// object per round; the other two 4 and about 8 objects per call per rank,
-// while each step boxed its block, built its displacements, its folds and its
-// tree's child list, and took fresh receive buffers.) At np = 4 an AlltoallvInto ring step
-// (left ≠ right) whose peer is still a step behind when the step's receive
-// is done recalls its block into the private copy Send would have made, two
-// objects (array and box), so the bound there is two per ring step.
+// allocates its result and at most one object more; AllgatherSlice and
+// AlltoallCounts their result alone (a length lands in the communicator's
+// offsets cell, a count in the result). (Barrier allocated one object per
+// round; AllreduceSliceOp and AlltoallvInto 4 and about 8 objects per call
+// per rank, while each step boxed its block, built its displacements, its
+// folds and its tree's child list, and took fresh receive buffers;
+// AllgatherSlice and AlltoallCounts 3.5 to 4 at np = 2 and 8 to 9.5 at np = 4,
+// through Allgather's boxes, its slice of blocks and the received blocks, and
+// the concatenation or the whole count matrix.) At np = 4 a pairwise step
+// (left ≠ right) whose peer is still a step behind when the step's receive is
+// done recalls its block into the private copy Send would have made, two
+// objects (array and box), so the bound there is two per such step.
 func TestCollectivesAllocateOnlyTheirResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -400,6 +406,33 @@ func TestCollectivesAllocateOnlyTheirResult(t *testing.T) {
 			}
 			send, recv := make([]float64, np*per), make([]float64, np*per)
 			return func() error { return AlltoallvInto(c, send, counts, recv, counts) }
+		}})
+		// AllgatherSlice and AlltoallCounts return one slice each; at np = 4
+		// their ring and pairwise steps may recall a block for a late peer.
+		for _, blocks := range []struct {
+			name string
+			len  func(rank int) int
+		}{
+			{"equal", func(int) int { return 1000 }},
+			{"unequal, rank 0's empty", func(rank int) int { return 300 * rank }},
+		} {
+			rows = append(rows, row{"AllgatherSlice of " + blocks.name + " blocks", np, float64(1 + 2*(np-2)), func(c *Comm) func() error {
+				v := make([]float64, blocks.len(c.Rank()))
+				return func() error {
+					_, err := AllgatherSlice(c, v)
+					return err
+				}
+			}})
+		}
+		rows = append(rows, row{"AlltoallCounts", np, float64(1 + 2*(np-2)), func(c *Comm) func() error {
+			counts := make([]int, np)
+			for i := range counts {
+				counts[i] = 10*c.Rank() + i
+			}
+			return func() error {
+				_, err := AlltoallCounts(c, counts)
+				return err
+			}
 		}})
 		for _, op := range []Op{Sum, Max} {
 			for _, elems := range []int{1, vectorThreshold} {

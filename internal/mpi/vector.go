@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Vector collectives: the large-payload counterparts of the scalar
 // collectives in collective.go. The scalar algorithms move one whole value
@@ -22,8 +19,8 @@ import (
 //     node leader) and bcastSlice (fixed-size chunks pipelined down the
 //     binomial tree, so tree depth overlaps with transmission instead of
 //     multiplying it).
-//   - AllgatherSlice moves contiguous blocks of one backing array, instead
-//     of boxing elements (or rows) into per-element messages.
+//   - AllgatherSlice runs the same allgather over the per-rank lengths and
+//     then lands each rank's block at its final offset in one result array.
 //
 // Payloads of at most vectorThreshold (1024) elements take the scalar tree,
 // with the slice as the value — at small sizes the ring's extra rounds cost
@@ -150,19 +147,12 @@ func allreduceSlice[T any](c *Comm, v []T, fo vecFold[T]) ([]T, error) {
 	// fold reads the rank's contribution straight out of v, round-one sends
 	// ship v's segments, and the allgather overwrites everything else.
 	acc := make([]T, len(v))
-	if isPow2(n) {
-		if err := halvingReduceScatter(c, v, acc, fo); err != nil {
-			return nil, err
-		}
-		if err := doublingAllgatherSegs(c, acc); err != nil {
-			return nil, err
-		}
-		return acc, nil
+	shift, err := reduceScatter(c, v, acc, fo)
+	if err == nil {
+		seg := func(i int) int { return segStart(len(acc), i, n) }
+		err = allgatherBlocks(c, acc, (c.rank+shift)%n, seg, "mpi: allgather: rank %d sent segment of %d elements, want %d")
 	}
-	if err := ringReduceScatter(c, v, acc, fo); err != nil {
-		return nil, err
-	}
-	if err := ringAllgatherSegs(c, acc); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return acc, nil
@@ -223,31 +213,16 @@ func reduceSlice[T any](c *Comm, v []T, fo vecFold[T]) ([]T, error) {
 	// reduce-scatter folds; only the rank's own reduced segment is ever read
 	// back out of it, so no upfront copy.
 	acc := make([]T, len(v))
-	pow2 := isPow2(n)
-	if pow2 {
-		if err := halvingReduceScatter(c, v, acc, fo); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := ringReduceScatter(c, v, acc, fo); err != nil {
-			return nil, err
-		}
+	shift, err := reduceScatter(c, v, acc, fo)
+	if err != nil {
+		return nil, err
 	}
-	// After the reduce-scatter, rank r owns the fully reduced segment r
-	// (halving path) or (r+1) mod n (ring path). Everyone ships their segment
-	// to rank 0, which assembles.
-	segOf := func(r int) int {
-		if pow2 {
-			return r
-		}
-		return (r + 1) % n
-	}
+	// Rank r owns the fully reduced segment (r+shift) mod n. Everyone ships
+	// their segment to rank 0, which assembles.
+	segOf := func(r int) int { return (r + shift) % n }
 	lo, hi := segRange(len(acc), segOf(c.rank), n)
 	if c.rank != 0 {
-		if err := sendSeg(c, 0, tagVecRed, acc[lo:hi]); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, sendSeg(c, 0, tagVecRed, acc[lo:hi])
 	}
 	out := make([]T, len(acc))
 	copy(out[lo:hi], acc[lo:hi])
@@ -258,6 +233,17 @@ func reduceSlice[T any](c *Comm, v []T, fo vecFold[T]) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// reduceScatter runs the reduce-scatter half of the Rabenseifner
+// construction, by halving on power-of-two world sizes and by the ring on the
+// rest, and reports where it leaves rank r's fully reduced segment: at
+// (r+shift) mod n.
+func reduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) (shift int, err error) {
+	if isPow2(c.Size()) {
+		return 0, halvingReduceScatter(c, v, acc, fo)
+	}
+	return 1, ringReduceScatter(c, v, acc, fo)
 }
 
 // ringReduceScatter runs the reduce-scatter half of the Rabenseifner
@@ -296,19 +282,27 @@ func ringReduceScatter[T any](c *Comm, v, acc []T, fo vecFold[T]) error {
 	return nil
 }
 
-// ringAllgatherSegs runs the allgather half: n−1 ring steps circulating the
-// reduced segments until every rank holds all of them. In step s each rank
-// sends segment (rank+1−s) mod n — its own reduced segment first, then
-// whatever it most recently received — and the incoming segment
-// (rank−s) mod n lands in place (exchangeSeg).
-func ringAllgatherSegs[T any](c *Comm, acc []T) error {
+// allgatherBlocks runs the allgather half: every rank ends up holding all n
+// blocks of acc, block i being acc[at(i):at(i+1)], rank r holding block first
+// at the start. Power-of-two world sizes take recursive doubling, where first
+// is r; the rest take the ring.
+func allgatherBlocks[T any](c *Comm, acc []T, first int, at func(i int) int, format string) error {
+	if isPow2(c.Size()) {
+		return doublingAllgather(c, acc, at, format)
+	}
+	return ringAllgather(c, acc, first, at, format)
+}
+
+// ringAllgather is n−1 ring steps. In step s each rank sends block
+// (first−s) mod n — the one it holds at the start, then whatever it most
+// recently received — and the incoming block (first−s−1) mod n lands in place
+// (exchangeSeg).
+func ringAllgather[T any](c *Comm, acc []T, first int, at func(i int) int, format string) error {
 	n := c.Size()
-	r := c.rank
-	left, right := ringNeighbors(r, n)
+	left, right := ringNeighbors(c.rank, n)
 	for step := 0; step < n-1; step++ {
-		slo, shi := segRange(len(acc), ((r+1-step)%n+n)%n, n)
-		lo, hi := segRange(len(acc), ((r-step)%n+n)%n, n)
-		if err := exchangeSeg(c, right, tagVecAg, acc[slo:shi], left, tagVecAg, acc[lo:hi], "mpi: ring allgather: rank %d sent segment of %d elements, want %d"); err != nil {
+		out, in := (first-step+n)%n, (first-step-1+n)%n
+		if err := exchangeSeg(c, right, tagVecAg, acc[at(out):at(out+1)], left, tagVecAg, acc[at(in):at(in+1)], format); err != nil {
 			return err
 		}
 	}
@@ -376,22 +370,21 @@ func segStart(total, s, n int) int {
 	return lo
 }
 
-// doublingAllgatherSegs runs the allgather half by recursive doubling,
-// unwinding halvingReduceScatter's recursion: log2(n) rounds of exchanges
-// with the same partners in reverse order, each round doubling the
-// contiguous segment range every rank holds, until all ranks hold [0, n).
-func doublingAllgatherSegs[T any](c *Comm, acc []T) error {
+// doublingAllgather unwinds halvingReduceScatter's recursion: log2(n) rounds
+// of exchanges with the same partners in reverse order, each round doubling
+// the contiguous run of blocks every rank holds, from block r at rank r until
+// all ranks hold [0, n). A round's partner is its step's destination and its
+// source alike, so no block waits for a late peer.
+func doublingAllgather[T any](c *Comm, acc []T, at func(i int) int, format string) error {
 	n := c.Size()
 	r := c.rank
 	for g := 2; g <= n; g *= 2 {
 		half := g / 2
 		groupBase := r / g * g
 		partner := groupBase + ((r - groupBase) ^ half)
-		// Entering this round rank x holds segments [x/half*half, +half).
-		held := func(x int) []T {
-			return acc[segStart(len(acc), x/half*half, n):segStart(len(acc), x/half*half+half, n)]
-		}
-		if err := exchangeSeg(c, partner, tagVecAg, held(r), partner, tagVecAg, held(partner), "mpi: doubling allgather: rank %d sent %d elements, want %d"); err != nil {
+		// Entering this round rank x holds blocks [x/half*half, +half).
+		held := func(x int) []T { return acc[at(x/half*half):at(x/half*half+half)] }
+		if err := exchangeSeg(c, partner, tagVecAg, held(r), partner, tagVecAg, held(partner), format); err != nil {
 			return err
 		}
 	}
@@ -460,15 +453,27 @@ func bcastSlice[T any](c *Comm, v []T, root int) ([]T, error) {
 }
 
 // AllgatherSlice concatenates every rank's slice, in rank order, at every
-// rank: MPI_Allgatherv over one backing array. Per-rank lengths may differ
-// (each block travels with its length). It is the ring of Allgather with a
-// slice as the value — each step one exchange, the block lent and landed —
-// and the result is a single freshly allocated slice rather than a slice of
-// slices.
+// rank: MPI_Allgatherv into one fresh array, its only object. Per-rank lengths
+// may differ. It runs AllreduceSlice's allgather half over the lengths, one
+// int per rank landing in the communicator's offsets cell, and then over the
+// blocks, each landing at its final offset: the data is copied once.
 func AllgatherSlice[T any](c *Comm, v []T) ([]T, error) {
-	blocks, err := Allgather(c, v)
-	if err != nil {
+	n, r := c.Size(), c.rank
+	if len(c.offs) != n+1 {
+		c.offs = make([]int, n+1)
+	}
+	offs := c.offs // rank i's length at offs[i+1], then its block's bounds
+	offs[r+1] = len(v)
+	if err := allgatherBlocks(c, offs[1:], r, func(i int) int { return i }, "mpi: AllgatherSlice: rank %d sent %d lengths, want %d"); err != nil {
 		return nil, err
 	}
-	return slices.Concat(blocks...), nil
+	for i := 1; i <= n; i++ {
+		offs[i] += offs[i-1]
+	}
+	out := make([]T, offs[n])
+	copy(out[offs[r]:], v)
+	if err := allgatherBlocks(c, out, r, func(i int) int { return offs[i] }, "mpi: AllgatherSlice: rank %d sent %d elements, want %d"); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

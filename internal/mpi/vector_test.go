@@ -173,21 +173,36 @@ func checkVectorParity(c *Comm, sz int) error {
 		}
 	}
 
-	// Variable-length per-rank blocks for the gather family.
+	// Variable-length per-rank blocks for the gather family; then every
+	// rank's block empty, and only the last rank's block non-empty.
 	blk := make([]float64, sz%7+3*rank)
 	for i := range blk {
 		blk[i] = float64(rank*1000 + i)
 	}
-	sgat, err := Allgather(c, append([]float64(nil), blk...))
-	if err != nil {
-		return fmt.Errorf("scalar Allgather: %w", err)
+	last := make([]float64, 0, sz+1)
+	if rank == n-1 {
+		last = append(last, v...)
+		last = append(last, -1)
 	}
-	vgat, err := AllgatherSlice(c, blk)
-	if err != nil {
-		return fmt.Errorf("AllgatherSlice: %w", err)
-	}
-	if !equalSlices(flatten(sgat), vgat) {
-		return fmt.Errorf("AllgatherSlice diverges from Allgather at size %d", sz)
+	for _, b := range []struct {
+		name string
+		blk  []float64
+	}{
+		{"unequal blocks", blk},
+		{"every block empty", blk[:0]},
+		{"only the last rank's block non-empty", last},
+	} {
+		sgat, err := Allgather(c, append([]float64(nil), b.blk...))
+		if err != nil {
+			return fmt.Errorf("scalar Allgather: %w", err)
+		}
+		vgat, err := AllgatherSlice(c, b.blk)
+		if err != nil {
+			return fmt.Errorf("AllgatherSlice: %w", err)
+		}
+		if !equalSlices(flatten(sgat), vgat) {
+			return fmt.Errorf("AllgatherSlice of %s diverges from Allgather at size %d", b.name, sz)
+		}
 	}
 	return nil
 }

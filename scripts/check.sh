@@ -249,8 +249,9 @@ named '-bench . -benchtime 1x -timeout 300s' '^TestAdaptiveSimpsonSharedAllocati
 # they skip): the local round trip, where each rank sends only once the peer's
 # receive is posted, so no preemption can turn a trip into a cloned one; the
 # exchange steps that copy no block; the collectives that allocate only their
-# result (and, at np = 4, AlltoallvInto's private copies for a late peer); and
-# the PageRank step that allocates only its Allreduce result.
+# result (and, at np = 4, the pairwise steps' private copies for a late peer);
+# the PageRank step that allocates only its Allreduce result; and the whole
+# PageRank call that allocates only its plan and its results.
 named '-count=50 -timeout 120s' \
-  '^TestLocalRoundTripAllocations$|^TestExchangeStepsAllocateNoBlock$|^TestCollectivesAllocateOnlyTheirResult$|^TestStepAllocatesOnlyItsAllreduceResult$' \
+  '^TestLocalRoundTripAllocations$|^TestExchangeStepsAllocateNoBlock$|^TestCollectivesAllocateOnlyTheirResult$|^TestStepAllocatesOnlyItsAllreduceResult$|^TestPageRankMPIAllocatesItsPlanAndResults$' \
   ./internal/mpi/ ./internal/exemplars/pagerank/

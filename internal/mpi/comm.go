@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -240,15 +241,32 @@ func (c *Comm) exchange(dest, sendTag int, sendVal any, source, recvTag int, v a
 
 // Send delivers v to rank dest under the given tag, blocking at most for
 // local buffering (MPI buffered-mode semantics; there is no rendezvous).
-// Tags must be non-negative, as in MPI. The value the receiver observes is
-// always a private copy, taken before Send returns on every transport, so
-// mutating v — or a slice it contains — after Send never races with the
-// receiver.
+// Tags must lie in [0, math.MaxInt32], the bound every transport's frame
+// header holds (MPI's MPI_TAG_UB); any other is ErrInvalidTag, for Recv and
+// Sendrecv too. The value the receiver observes is always a private copy,
+// taken before Send returns on every transport, so mutating v — or a slice
+// it contains — after Send never races with the receiver.
 func (c *Comm) Send(dest, tag int, v any) error {
-	if tag < 0 {
-		return fmt.Errorf("%w: user tags must be >= 0, got %d", ErrInvalidTag, tag)
+	if err := checkSendTag(tag); err != nil {
+		return err
 	}
 	return c.sendValue(dest, tag, v)
+}
+
+// checkSendTag refuses a user tag outside [0, math.MaxInt32] (Send).
+func checkSendTag(tag int) error {
+	if tag < 0 || tag > math.MaxInt32 {
+		return fmt.Errorf("%w: user tags must be in [0, %d], got %d", ErrInvalidTag, math.MaxInt32, tag)
+	}
+	return nil
+}
+
+// checkRecvTag refuses a receive tag that is neither AnyTag nor a user tag.
+func checkRecvTag(tag int) error {
+	if tag != AnyTag && (tag < 0 || tag > math.MaxInt32) {
+		return fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
+	}
+	return nil
 }
 
 // Recv blocks until a message matching (source, tag) arrives and decodes it
@@ -258,8 +276,8 @@ func (c *Comm) Send(dest, tag int, v any) error {
 // place, so copy out what must survive the next Recv into v; after an error
 // its contents are unspecified.
 func (c *Comm) Recv(source, tag int, v any) (Status, error) {
-	if tag < 0 && tag != AnyTag {
-		return Status{}, fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
+	if err := checkRecvTag(tag); err != nil {
+		return Status{}, err
 	}
 	return c.recv(source, tag, v)
 }
@@ -269,11 +287,11 @@ func (c *Comm) Recv(source, tag int, v any) (Status, error) {
 // receive for (source, recvTag), posted before the send, is decoded into
 // recvPtr.
 func (c *Comm) Sendrecv(dest, sendTag int, sendVal any, source, recvTag int, recvPtr any) (Status, error) {
-	if sendTag < 0 {
-		return Status{}, fmt.Errorf("%w: user tags must be >= 0, got %d", ErrInvalidTag, sendTag)
+	if err := checkSendTag(sendTag); err != nil {
+		return Status{}, err
 	}
-	if recvTag < 0 && recvTag != AnyTag {
-		return Status{}, fmt.Errorf("%w: receive tag %d", ErrInvalidTag, recvTag)
+	if err := checkRecvTag(recvTag); err != nil {
+		return Status{}, err
 	}
 	return c.exchange(dest, sendTag, sendVal, source, recvTag, recvPtr)
 }

@@ -21,7 +21,7 @@ func dialRank(t *testing.T, addr string, rank int) (net.Conn, frame) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := newWireWriter(conn).writeHello(hello{Rank: rank, Wire: wireVersion2}); err != nil {
+	if err := writeHello(conn, hello{Rank: rank}); err != nil {
 		t.Fatal(err)
 	}
 	start, _, err := newWireReader(conn).readFrame()

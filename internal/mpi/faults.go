@@ -35,7 +35,8 @@ const (
 	// which propagates out of the rank's main and revokes the world, as a
 	// crashed process would.
 	FaultKillRank
-	// FaultCorrupt flips one bit of the matched frame's payload in flight —
+	// FaultCorrupt flips one bit of the matched frame in flight — the low bit
+	// of its last byte, a payload byte or, for an empty payload, the CRC's —
 	// after the CRC is computed, so the receiver's integrity check fires.
 	// On a resilient TCP session (HubSuspicion) the corruption is detected by
 	// the hub, the connection is torn down, and the clean captured copy is
@@ -285,8 +286,8 @@ func (t *faultTransport) Send(f frame) error {
 		return nil
 	case FaultCorrupt:
 		// Arm the wire-level bit flip, then send: the transport corrupts the
-		// frame's last payload byte after the CRC is computed, so the
-		// receiver detects it. Transports without frame integrity pass the
+		// frame's last byte after the CRC is computed, so the receiver
+		// detects it. Transports without frame integrity pass the
 		// frame through untouched rather than silently delivering bad data.
 		if cc, ok := t.inner.(corruptCapable); ok {
 			cc.corruptNextFrame()

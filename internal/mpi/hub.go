@@ -16,13 +16,14 @@ import (
 // the role of the interconnect: it preserves per-connection FIFO order, so
 // the non-overtaking guarantee carries over from the in-process transport.
 //
-// Wire protocol, per connection. The stream opens with a gob hello naming the
-// rank and the wire version, which the hub checks; from there on both
-// directions carry the one frame format of wire.go, which makes the
-// connection a resumable *session* (session.go): every frame carries a
-// sequence number, raw frames carry a CRC32C, receivers ack cumulatively, and
-// senders keep unacknowledged frames in a bounded replay buffer. Message
-// sequence:
+// Wire protocol, per connection. The stream opens with a hello, one
+// self-contained gob value naming the rank and the wire version, which the
+// hub checks; from there on both directions carry the one frame layout of
+// wire.go, which makes the connection a resumable *session* (session.go):
+// every frame carries a sequence number and a CRC32C, receivers ack
+// cumulatively, and senders keep unacknowledged frames in a bounded replay
+// buffer. A control frame's Data is a gob payload in that same layout.
+// Message sequence:
 //
 //	hello{Rank, Wire}      worker -> hub, once, identifies the rank
 //	frame{Tag: tagStart}   hub -> worker, once, after all ranks joined;
@@ -85,8 +86,8 @@ const (
 
 type hello struct {
 	Rank int
-	// Wire names the frame format the worker speaks (wire.go): wireVersion2,
-	// or the hub refuses the connection. Every worker is launched from the
+	// Wire names the frame format the worker speaks (wire.go): wireVersion,
+	// or the hub refuses the connection; writeHello fills it in. Every worker is launched from the
 	// launcher's own binary, so another value is a program from another tree.
 	Wire int
 	// Resume marks a session-resume dial: the worker's original connection
@@ -384,9 +385,9 @@ func (h *Hub) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if hi.Wire != wireVersion2 {
+	if hi.Wire != wireVersion {
 		h.refuse(conn, fmt.Errorf("mpi: hub: rank %d announced wire version %d, this hub speaks version %d only",
-			hi.Rank, hi.Wire, wireVersion2))
+			hi.Rank, hi.Wire, wireVersion))
 		return
 	}
 	if hi.Resume {
@@ -687,8 +688,9 @@ func (h *Hub) heartbeatLoop() {
 
 // route forwards every frame read from one worker connection until the
 // worker reports done or the connection breaks. Frames are dup-suppressed
-// and acknowledged through the session; raw frames are forwarded verbatim.
-// down is closed on return so a resume can safely reuse the wireReader.
+// and acknowledged through the session; payloads are forwarded as they
+// arrived. down is closed on return so a resume can safely reuse the
+// wireReader.
 func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 	defer close(down)
 	rd := hc.rd

@@ -326,7 +326,7 @@ func hubOf(h *atomic.Pointer[Hub]) Option {
 // after any blocking receive. Under WithRecovery the rank that lost its
 // connection is the failure and its peer sees *RankFailedError.
 func TestLandingLostPayloadFailsTheReceive(t *testing.T) {
-	const half = v2RawPrefixLen + 8*landElems/2
+	const half = framePrefixLen + 8*landElems/2
 	for _, tc := range []struct {
 		name    string
 		cut     bool
@@ -527,7 +527,7 @@ func TestLandingDeadlineWaitsForTheRead(t *testing.T) {
 				return nil
 			}
 			defer close(over)
-			cutReads(c, &seamReader{left: v2RawPrefixLen + 8*landElems/2, hit: hit, gate: gate})
+			cutReads(c, &seamReader{left: framePrefixLen + 8*landElems/2, hit: hit, gate: gate})
 			if err := c.Send(0, 0, 0); err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -251,6 +252,31 @@ func TestParityErrorPaths(t *testing.T) {
 		{name: "send reserved user tag", np: 2, body: func(c *Comm) error {
 			if err := c.Send(0, -5, 1); !errors.Is(err, ErrInvalidTag) {
 				return fmt.Errorf("Send tag -5 = %v, want ErrInvalidTag", err)
+			}
+			return nil
+		}},
+		{name: "tag above MaxInt32", np: 2, body: func(c *Comm) error {
+			big := int(int64(math.MaxInt32) + 1)
+			if err := c.Send(1-c.Rank(), big, 1); !errors.Is(err, ErrInvalidTag) {
+				return fmt.Errorf("Send tag %d = %v, want ErrInvalidTag", big, err)
+			}
+			if _, err := c.Sendrecv(1-c.Rank(), big, 1, 1-c.Rank(), 0, nil); !errors.Is(err, ErrInvalidTag) {
+				return fmt.Errorf("Sendrecv send tag %d = %v, want ErrInvalidTag", big, err)
+			}
+			if _, err := c.Sendrecv(1-c.Rank(), 0, 1, 1-c.Rank(), big, nil); !errors.Is(err, ErrInvalidTag) {
+				return fmt.Errorf("Sendrecv receive tag %d = %v, want ErrInvalidTag", big, err)
+			}
+			if _, err := c.Recv(1-c.Rank(), big, nil); !errors.Is(err, ErrInvalidTag) {
+				return fmt.Errorf("Recv tag %d = %v, want ErrInvalidTag", big, err)
+			}
+			// The largest tag still travels, on every transport.
+			if c.Rank() == 0 {
+				return c.Send(1, math.MaxInt32, 42)
+			}
+			var got int
+			st, err := c.Recv(0, math.MaxInt32, &got)
+			if err != nil || st.Tag != math.MaxInt32 || got != 42 {
+				return fmt.Errorf("Recv tag MaxInt32 = %d (status tag %d), %v; want 42", got, st.Tag, err)
 			}
 			return nil
 		}},

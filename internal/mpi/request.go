@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Request is a handle on a nonblocking operation, mirroring MPI_Request;
 // Wait completes it. A pending Irecv rides on the same mailbox primitive as
 // a blocking Recv, so a world abort or a WithDeadline expiry completes the
@@ -49,10 +47,8 @@ func (c *Comm) Isend(dest, tag int, v any) *Request {
 func (c *Comm) Irecv(source, tag int, v any) *Request {
 	r := newRequest()
 	f, w := new(frame), (*waiter)(nil)
-	var err error
-	if tag < 0 && tag != AnyTag {
-		err = fmt.Errorf("%w: receive tag %d", ErrInvalidTag, tag)
-	} else {
+	err := checkRecvTag(tag)
+	if err == nil {
 		err = c.waitFrame("Recv", source, tag, v, f, &w)
 	}
 	if w == nil {

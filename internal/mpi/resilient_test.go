@@ -126,66 +126,150 @@ func TestDisconnectWithoutSuspicionIsFatal(t *testing.T) {
 	}
 }
 
+// corruptRows are the payloads a corrupted frame carries in the FaultCorrupt
+// tests: a raw []int64, and gob payloads — a scalar and a []string. value is
+// what rank 0 sends on iteration iter; recv receives it at rank 1 and returns
+// what arrived, in value's form.
+var corruptRows = []struct {
+	name  string
+	value func(iter int) any
+	recv  func(c *Comm) (any, error)
+}{
+	{"[]int64", func(iter int) any { return []int64{int64(iter), 7, 9} }, func(c *Comm) (any, error) {
+		var got []int64
+		_, err := c.Recv(0, 3, &got)
+		return got, err
+	}},
+	{"scalar", func(iter int) any { return iter + 7 }, func(c *Comm) (any, error) {
+		var got int
+		_, err := c.Recv(0, 3, &got)
+		return got, err
+	}},
+	{"[]string", func(iter int) any { return []string{fmt.Sprint(iter), "seven"} }, func(c *Comm) (any, error) {
+		var got []string
+		_, err := c.Recv(0, 3, &got)
+		return got, err
+	}},
+}
+
 // TestCorruptFaultHealedBySession: a seeded bit flip on the wire is caught
-// by the frame CRC; the connection is torn down and the clean captured copy
-// is retransmitted on resume, so the receiver observes only intact data and
-// the run completes cleanly.
+// by the frame CRC, whatever the payload; the connection is torn down and the
+// clean captured copy is retransmitted on resume, so the receiver observes
+// only intact data and the run completes cleanly. The flip lands on the frame
+// the rule matched: a streamed frame (a replay gap, which no resume can heal)
+// follows the loop, and a flip still armed would land there.
 func TestCorruptFaultHealedBySession(t *testing.T) {
-	rep := &FaultReport{}
-	plan := FaultPlan{Rules: []FaultRule{
-		{Src: 0, Dst: 1, Tag: 3, SkipFirst: 1, Count: 1, Action: FaultCorrupt},
-	}}
-	err := runWithWatchdog(t, 30*time.Second, func() error {
-		return RunTCP(2, func(c *Comm) error {
-			for iter := 0; iter < 8; iter++ {
-				if c.Rank() == 0 {
-					if err := c.Send(1, 3, []int64{int64(iter), 7, 9}); err != nil {
+	for _, row := range corruptRows {
+		t.Run(row.name, func(t *testing.T) {
+			rep := &FaultReport{}
+			plan := FaultPlan{Rules: []FaultRule{
+				{Src: 0, Dst: 1, Tag: 3, SkipFirst: 1, Count: 1, Action: FaultCorrupt},
+			}}
+			streamed := make([]float64, replayFrameMax/8+1)
+			err := runWithWatchdog(t, 30*time.Second, func() error {
+				return RunTCP(2, func(c *Comm) error {
+					if c.Rank() == 0 {
+						for iter := 0; iter < 8; iter++ {
+							if err := c.Send(1, 3, row.value(iter)); err != nil {
+								return err
+							}
+						}
+						if _, err := c.Recv(1, 5, nil); err != nil {
+							return err
+						}
+						return c.Send(1, 4, streamed)
+					}
+					for iter := 0; iter < 8; iter++ {
+						got, err := row.recv(c)
+						if err != nil {
+							return err
+						}
+						if want := row.value(iter); !reflect.DeepEqual(got, want) {
+							return fmt.Errorf("iter %d: received %v, want %v — corruption leaked through", iter, got, want)
+						}
+					}
+					if err := c.Send(0, 5, 0); err != nil {
 						return err
 					}
-					continue
-				}
-				var got []int64
-				if _, err := c.Recv(0, 3, &got); err != nil {
+					var got []float64
+					_, err := c.Recv(0, 4, &got)
 					return err
-				}
-				if want := []int64{int64(iter), 7, 9}; !reflect.DeepEqual(got, want) {
-					return fmt.Errorf("iter %d: received %v, want %v — corruption leaked through", iter, got, want)
-				}
+				}, WithHubOptions(HubSuspicion(5*time.Second)), WithFaults(plan), WithFaultReport(rep))
+			})
+			if err != nil {
+				t.Fatalf("corrupted frame should be healed by retransmit, got %v", err)
 			}
-			return nil
-		}, WithHubOptions(HubSuspicion(5*time.Second)), WithFaults(plan), WithFaultReport(rep))
-	})
-	if err != nil {
-		t.Fatalf("corrupted frame should be healed by retransmit, got %v", err)
-	}
-	injected := rep.Injected()
-	if len(injected) != 1 || injected[0].Action != FaultCorrupt {
-		t.Fatalf("expected exactly one injected corruption, got %v", injected)
+			injected := rep.Injected()
+			if len(injected) != 1 || injected[0].Action != FaultCorrupt {
+				t.Fatalf("expected exactly one injected corruption, got %v", injected)
+			}
+		})
 	}
 }
 
 // TestCorruptFaultWithoutSuspicionSurfaces: with no resumable session the
-// CRC failure is fatal, and the error names the corrupt frame rather than
-// passing bad bytes to the program.
+// CRC failure is fatal, whatever the payload, and the error names the
+// corrupt frame rather than passing bad bytes to the program.
 func TestCorruptFaultWithoutSuspicionSurfaces(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		value any
+		recv  any
+	}{
+		{"[]float64", []float64{1, 2, 3}, new([]float64)},
+		{"scalar", 3, new(int)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			plan := FaultPlan{Rules: []FaultRule{
+				{Src: 0, Dst: 1, Tag: 3, Count: 1, Action: FaultCorrupt},
+			}}
+			err := runWithWatchdog(t, 30*time.Second, func() error {
+				return RunTCP(2, func(c *Comm) error {
+					if c.Rank() == 0 {
+						return c.Send(1, 3, row.value)
+					}
+					_, err := c.Recv(0, 3, row.recv)
+					return err
+				}, WithFaults(plan))
+			})
+			if err == nil {
+				t.Fatal("unresumable corruption should fail the world")
+			}
+			if !strings.Contains(err.Error(), "corrupt frame") {
+				t.Fatalf("failure should name the corrupt frame, got %v", err)
+			}
+		})
+	}
+}
+
+// TestCorruptFaultOverShmPassesThrough: the shm rings hand the receiver the
+// memory the sender wrote, so FaultCorrupt on a ring frame is a pass-through;
+// it must not arm the hub connection and flip a later frame there, such as the
+// rank's done frame.
+func TestCorruptFaultOverShmPassesThrough(t *testing.T) {
+	if !shmSupported {
+		t.Skip("no shared-memory transport on this platform")
+	}
 	plan := FaultPlan{Rules: []FaultRule{
 		{Src: 0, Dst: 1, Tag: 3, Count: 1, Action: FaultCorrupt},
 	}}
 	err := runWithWatchdog(t, 30*time.Second, func() error {
-		return RunTCP(2, func(c *Comm) error {
+		return RunShm(2, func(c *Comm) error {
 			if c.Rank() == 0 {
 				return c.Send(1, 3, []float64{1, 2, 3})
 			}
 			var got []float64
-			_, err := c.Recv(0, 3, &got)
-			return err
+			if _, err := c.Recv(0, 3, &got); err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(got, []float64{1, 2, 3}) {
+				return fmt.Errorf("received %v", got)
+			}
+			return nil
 		}, WithFaults(plan))
 	})
-	if err == nil {
-		t.Fatal("unresumable corruption should fail the world")
-	}
-	if !strings.Contains(err.Error(), "corrupt frame") {
-		t.Fatalf("failure should name the corrupt frame, got %v", err)
+	if err != nil {
+		t.Fatalf("FaultCorrupt over shm should pass the frame through, got %v", err)
 	}
 }
 
@@ -714,7 +798,7 @@ func loseConnection(addr string, rank int, release <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	err = newWireWriter(conn).writeHello(hello{Rank: rank, Wire: wireVersion2})
+	err = writeHello(conn, hello{Rank: rank})
 	if err == nil {
 		_, _, err = newWireReader(conn).readFrame() // the start frame
 	}

@@ -212,8 +212,8 @@ func (s *session) brokenLocked(cause error) error {
 
 // resumeLocked moves a parked session onto conn and retransmits tail, what
 // the peer has not acknowledged (sendSession.pending). The buffered layers
-// switch connections, the gob streams keep their state, and the peer's
-// retransmission is read while ours goes out. A broken retransmission breaks
+// switch connections — every frame stands alone, so nothing else carries
+// over — and the peer's retransmission is read while ours goes out. A broken retransmission breaks
 // the new connection like any other write and is returned.
 func (s *session) resumeLocked(conn net.Conn, tail []replayEntry) error {
 	s.conn = conn
@@ -251,7 +251,7 @@ func (s *session) retireLocked(cause error) {
 }
 
 // writeVerdict sends the hub's reply to a resume hello, 9 raw bytes outside
-// the framed session (the hello came on a fresh encoder too): a status byte,
+// the framed session (as the hello is): a status byte,
 // 1 for accepted, and the hub's highest received sequence. A refusal is all
 // zeros.
 func writeVerdict(conn net.Conn, ok bool, seqIn uint64) error {
@@ -340,7 +340,7 @@ func (s *sendSession) trim(ack uint64) {
 	for ; i < len(s.replay) && s.replay[i].seq <= ack; i++ {
 		b := s.replay[i].buf
 		s.replayBytes -= len(b)
-		if len(s.spare) < ackEvery && cap(b) <= v2RawPrefixLen+replayFrameMax {
+		if len(s.spare) < ackEvery && cap(b) <= framePrefixLen+replayFrameMax {
 			s.spare = append(s.spare, b)
 		} else {
 			putWireBuf(b)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -241,8 +242,100 @@ func TestSessionUnencodableSendUnderSuspicion(t *testing.T) {
 	}
 }
 
+// TestSessionResumesAtEveryCut: a connection carries a hello and three
+// frames — a control frame with a gob payload, a raw []float64 and a []string
+// — and breaks at every byte offset past the hello. The reader that read the
+// prefix is then reset onto the replay of every frame it did not read in
+// full, as a resume does (session.resumeLocked), and must deliver each frame
+// exactly once, in order, with its payload intact: no frame leaves state
+// behind that its replay could contradict.
+func TestSessionResumesAtEveryCut(t *testing.T) {
+	var conn bytes.Buffer
+	if err := writeHello(&conn, hello{Rank: 1}); err != nil {
+		t.Fatal(err)
+	}
+	helloLen := conn.Len()
+	failure := abortInfo{Rank: 2, Msg: "rank 2 failed"}
+	ctrl, err := encodeValue(failure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats, strs := []float64{1.5, -2, 1e300}, []string{"halo", "", "exchange"}
+	w := sessionWriter(&conn)
+	for _, f := range []frame{
+		{Dst: ctrlDst, Tag: tagFailed, Data: ctrl},
+		{Ctx: 1, Src: 0, Dst: 1, Tag: 4, Val: floats, HasVal: true},
+		{Ctx: 1, Src: 0, Dst: 1, Tag: 5, Val: strs, HasVal: true},
+	} {
+		if werr, err := w.transmit(f, false); werr != nil || err != nil {
+			t.Fatal(werr, err)
+		}
+	}
+	wire := conn.Bytes()
+	var replay [][]byte // each frame as captured for replay
+	for _, e := range w.sess.replay {
+		replay = append(replay, bytes.Clone(e.buf))
+	}
+
+	// check requires f to be frame seq with its payload intact.
+	check := func(f frame, seq uint64) error {
+		switch seq {
+		case 1:
+			var got abortInfo
+			if f.Dst != ctrlDst || f.Tag != tagFailed {
+				return fmt.Errorf("control frame addressed %d tag %d", f.Dst, f.Tag)
+			}
+			if err := decodeValue(f.Data, &got); err != nil || got != failure {
+				return fmt.Errorf("control payload %+v, %v", got, err)
+			}
+		case 2:
+			var got []float64
+			if err := f.decodeInto(&got); err != nil || f.Tag != 4 || !reflect.DeepEqual(got, floats) {
+				return fmt.Errorf("[]float64 frame tag %d: %v, %v", f.Tag, got, err)
+			}
+		case 3:
+			var got []string
+			if err := f.decodeInto(&got); err != nil || f.Tag != 5 || !reflect.DeepEqual(got, strs) {
+				return fmt.Errorf("[]string frame tag %d: %q, %v", f.Tag, got, err)
+			}
+		}
+		return nil
+	}
+	for cut := helloLen; cut <= len(wire); cut++ {
+		rd := newWireReader(bytes.NewReader(wire[:cut]))
+		if hi, err := rd.readHello(); err != nil || hi.Rank != 1 || hi.Wire != wireVersion {
+			t.Fatalf("cut %d: hello %+v, %v", cut, hi, err)
+		}
+		var got uint64 // frames read in full
+		for resumed := false; ; {
+			f, seq, err := rd.readFrame()
+			if err != nil {
+				if resumed && err != io.EOF {
+					t.Fatalf("cut %d: after the resume, frame %d: %v", cut, got+1, err)
+				}
+				if resumed {
+					break
+				}
+				rd.resetConn(bytes.NewReader(bytes.Join(replay[got:], nil)))
+				resumed = true
+				continue
+			}
+			if seq != got+1 {
+				t.Fatalf("cut %d: frame %d arrived after %d", cut, seq, got)
+			}
+			if err := check(f, seq); err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			got = seq
+		}
+		if got != uint64(len(replay)) {
+			t.Fatalf("cut %d: %d of %d frames delivered", cut, got, len(replay))
+		}
+	}
+}
+
 // sessionFrames is what transmit puts on a connection for a session's frames
-// 1 to 5, one slice each: raw frames but for 2 and 5, gob.
+// 1 to 5, one slice each: raw payloads but for 2 and 5, gob.
 func sessionFrames(f *testing.F) [][]byte {
 	var conn bytes.Buffer
 	w := sessionWriter(&conn)
@@ -266,8 +359,8 @@ func sessionFrames(f *testing.F) [][]byte {
 // accepts carry sequences 1, 2, … each once, and an ack past the five sent
 // ends the read. The seeds are real transmit output: clean, with a frame
 // replayed, with one skipped, with an ack from the future, and with a flipped
-// sequence bit in a raw frame (the CRC's) and in a gob frame (the
-// contiguity check's).
+// sequence bit in a raw frame and in a frame with a gob payload (the CRC
+// catches both).
 func FuzzSessionReceive(f *testing.F) {
 	fr := sessionFrames(f)
 	ack := func(n uint64) []byte {

@@ -256,11 +256,6 @@ func (t *shmTransport) Send(f frame) error {
 	if f.Dst < 0 || f.Dst >= t.np {
 		return ErrInvalidRank
 	}
-	if !headerRanksFit(f) {
-		// A tag beyond 31 bits does not fit the record header; the gob
-		// wire carries full-width tags, so route the oddball via the hub.
-		return t.tcp.Send(f)
-	}
 	p := &t.out[f.Dst]
 	mode := p.mode.Load()
 	if mode == shmPairUndecided {
@@ -285,37 +280,22 @@ func (t *shmTransport) Send(f frame) error {
 	return err
 }
 
-// sendRing materializes the frame's payload representation and dispatches
-// it to the eager, rendezvous, or chunked protocol.
+// sendRing puts the frame in wire form (wireShape: raw element storage, or gob
+// bytes exactly as the TCP wire would carry them, so nothing typed crosses the
+// process boundary raw) and dispatches it to the eager, rendezvous, or
+// chunked protocol.
 func (t *shmTransport) sendRing(p *shmSendPair, f frame) error {
-	kind := f.Raw
-	val := any(nil)
-	data := f.Data
-	if f.HasVal {
-		if k, ok := rawKindOf(f.Val); ok {
-			kind, val, data = k, f.Val, nil
-		} else {
-			// Outside the raw whitelist: gob here, exactly as the TCP wire
-			// would, so nothing typed crosses the process boundary raw.
-			enc, err := encodeValue(f.Val)
-			if err != nil {
-				return err
-			}
-			kind, val, data = rawNone, nil, enc
-		}
+	f, kind, paylen, err := wireShape(f)
+	if err != nil {
+		return err
 	}
-	paylen := len(data)
-	if val != nil {
-		paylen = rawSizeOf(val)
-	}
-
 	if paylen <= min(shmEagerMax, int(t.seg.ringCap/4)-shmRecHdrSize) {
-		return t.sendEager(p, f, kind, val, data, paylen)
+		return t.sendEager(p, f, kind, paylen)
 	}
 	if paylen <= t.maxBlockPayload() {
-		return t.sendLarge(p, f, kind, val, data, paylen)
+		return t.sendLarge(p, f, kind, paylen)
 	}
-	return t.sendChunked(p, f, kind, val, data, paylen)
+	return t.sendChunked(p, f, kind, paylen)
 }
 
 // maxBlockPayload is the largest payload staged as a single block: the
@@ -339,23 +319,7 @@ func putShmRecHdr(b []byte, size uint32, kind, flags byte, f frame, paylen uint3
 	le.PutUint64(b[24:], uint64(f.Ctx))
 }
 
-// shmCopyPayload writes the payload bytes into dst from whichever
-// representation the send carries: a direct memcpy of the value's storage
-// when a raw view exists, the element-encode loop otherwise, a plain copy
-// for already-encoded bytes.
-func shmCopyPayload(dst []byte, val any, data []byte) {
-	if val != nil {
-		if view, ok := rawBytesView(val); ok {
-			copy(dst, view)
-		} else {
-			rawEncode(dst, val)
-		}
-		return
-	}
-	copy(dst, data)
-}
-
-func (t *shmTransport) sendEager(p *shmSendPair, f frame, kind byte, val any, data []byte, paylen int) error {
+func (t *shmTransport) sendEager(p *shmSendPair, f frame, kind byte, paylen int) error {
 	rec := shmAlign8(shmRecHdrSize + paylen)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -367,13 +331,13 @@ func (t *shmTransport) sendEager(p *shmSendPair, f frame, kind byte, val any, da
 		return err
 	}
 	putShmRecHdr(p.ring[off:], uint32(rec), kind, 0, f, uint32(paylen))
-	shmCopyPayload(p.ring[off+shmRecHdrSize:off+shmRecHdrSize+uint64(paylen)], val, data)
+	putPayload(p.ring[off+shmRecHdrSize:off+shmRecHdrSize+uint64(paylen)], f)
 	p.msgTail.Store(tail + rec) // release: publishes header and payload
 	t.stats.eager.Add(1)
 	return nil
 }
 
-func (t *shmTransport) sendLarge(p *shmSendPair, f frame, kind byte, val any, data []byte, paylen int) error {
+func (t *shmTransport) sendLarge(p *shmSendPair, f frame, kind byte, paylen int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Checked under the pair mutex: peerFailed's reclaim takes the same
@@ -387,7 +351,7 @@ func (t *shmTransport) sendLarge(p *shmSendPair, f frame, kind byte, val any, da
 	if err != nil {
 		return err
 	}
-	shmCopyPayload(p.large[blkOff+shmBlkHdrSize:blkOff+shmBlkHdrSize+uint64(paylen)], val, data)
+	putPayload(p.large[blkOff+shmBlkHdrSize:blkOff+shmBlkHdrSize+uint64(paylen)], f)
 	rec := shmAlign8(shmRecHdrSize + 8)
 	off, tail, err := t.reserve(p, f.Dst, rec)
 	if err != nil {
@@ -408,23 +372,9 @@ func (t *shmTransport) sendLarge(p *shmSendPair, f frame, kind byte, val any, da
 // sendChunked streams an oversized payload through the large region in
 // rendezvous-sized chunks. The pair mutex is held across the whole message
 // so its records stay consecutive (per-pair FIFO makes reassembly trivial).
-func (t *shmTransport) sendChunked(p *shmSendPair, f frame, kind byte, val any, data []byte, paylen int) error {
-	src := data
-	scratch := []byte(nil)
-	if val != nil {
-		if view, ok := rawBytesView(val); ok {
-			src = view
-		} else {
-			scratch = getWireBuf(paylen)
-			rawEncode(scratch, val)
-			src = scratch
-		}
-	}
-	defer func() {
-		if scratch != nil {
-			putWireBuf(scratch)
-		}
-	}()
+func (t *shmTransport) sendChunked(p *shmSendPair, f frame, kind byte, paylen int) error {
+	src, scratch := payloadBytes(f, paylen)
+	defer putWireBuf(scratch)
 
 	chunk := t.maxBlockPayload()
 	if chunk > 1<<20 {
@@ -907,13 +857,6 @@ func (t *shmTransport) winDirectOK(r int) bool {
 	}
 	p := &t.out[r]
 	return p.mode.Load() != shmPairTCP && !p.dead.Load()
-}
-
-// corruptNextFrame delegates to the hub connection: the shm rings hand the
-// receiver the very memory the sender wrote (no wire to corrupt), so only
-// frames taking the TCP fallback can carry an injected bit flip.
-func (t *shmTransport) corruptNextFrame() bool {
-	return t.tcp.corruptNextFrame()
 }
 
 // severConnection severs the hub connection underneath the shm data plane:

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -177,9 +176,9 @@ func (t *tcpTransport) recvFrame(wake <-chan struct{}) (frame, *waiter, error) {
 }
 
 // reconnect redials the hub until the grace window closes, then performs
-// the resume handshake: a fresh-encoder hello{Resume, Ack} (the persistent
-// session encoders stay untouched), the hub's verdict carrying its
-// acknowledged sequence, and the session's resume onto the new connection.
+// the resume handshake: hello{Resume, Ack}, written as every hello is
+// (writeHello), the hub's verdict carrying its acknowledged sequence, and the
+// session's resume onto the new connection.
 func (t *tcpTransport) reconnect(cause error) {
 	deadline := time.Now().Add(t.grace)
 	backoff := 2 * time.Millisecond
@@ -205,10 +204,7 @@ func (t *tcpTransport) reconnect(cause error) {
 			}
 			continue
 		}
-		// A fresh one-shot encoder for the resume hello: the hub reads it
-		// with a fresh decoder, so the session's persistent gob streams —
-		// which must survive the swap byte-exact — are never touched.
-		if err := gob.NewEncoder(conn).Encode(hello{Rank: t.rank, Wire: wireVersion2, Resume: true, Ack: ack}); err != nil {
+		if err := writeHello(conn, hello{Rank: t.rank, Resume: true, Ack: ack}); err != nil {
 			conn.Close()
 			time.Sleep(backoff)
 			continue
@@ -265,9 +261,9 @@ func (t *tcpTransport) severConnection() {
 }
 
 // corruptNextFrame implements corruptCapable: FaultCorrupt arms a one-shot
-// bit flip on the next raw frame's payload, applied at wire-write time only
-// — the captured replay copy stays clean, so the retransmission after the
-// CRC failure heals the corruption.
+// bit flip in the last byte of the frame sent next — the one the rule
+// matched — applied at wire-write time only: the captured replay copy stays
+// clean, so the retransmission after the CRC failure heals the corruption.
 func (t *tcpTransport) corruptNextFrame() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -427,7 +423,7 @@ func joinHub(addr, segPath string, rank, np int, rejoin bool, main func(c *Comm)
 	}
 	defer data.Close()
 
-	if err := t.w.writeHello(hello{Rank: rank, Wire: wireVersion2, Rejoin: rejoin}); err != nil {
+	if err := writeHello(conn, hello{Rank: rank, Rejoin: rejoin}); err != nil {
 		return fmt.Errorf("mpi: hello to hub: %w", err)
 	}
 

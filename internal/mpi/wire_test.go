@@ -15,10 +15,10 @@ import (
 	"time"
 )
 
-// Wire-layer tests: the raw codec's round trips, raw frames interleaved with
-// a live gob stream, the one decoder under arbitrary bytes, the refusal of
-// any other wire version, and the allocation discipline the pooled buffers
-// buy.
+// Wire-layer tests: the raw codec's round trips, raw and gob payloads
+// interleaved in the one frame layout, the one decoder under arbitrary bytes,
+// the refusal of any other wire version, and the allocation discipline the
+// pooled buffers buy.
 
 // sessionWriter is a wireWriter on w with a fresh session: what transmit
 // needs.
@@ -103,10 +103,11 @@ func TestRawDecodeIntoReusesBacking(t *testing.T) {
 	}
 }
 
-// TestWireInterleavedFrames: one connection carries gob frames and raw
-// frames back to back; the reader demultiplexes by kind byte without either
-// stream corrupting the other — the property that lets typed payloads share
-// a connection with control traffic.
+// TestWireInterleavedFrames: one connection carries gob and raw payloads back
+// to back, all four frames in the one layout; the reader tells them apart by
+// the header's element kind, each decodes on its own, and neither corrupts
+// the other — the property that lets typed payloads share a connection with
+// control traffic.
 func TestWireInterleavedFrames(t *testing.T) {
 	var conn bytes.Buffer
 	w := sessionWriter(&conn)
@@ -281,7 +282,7 @@ func testWireRawSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWireAnnouncedLengthCostsWhatArrived: a raw header announcing the
+// TestWireAnnouncedLengthCostsWhatArrived: a frame header announcing the
 // longest payload the reader believes, followed by ten bytes and the end of
 // the stream, is an error that allocates about what arrived — not the
 // gigabyte announced.
@@ -314,7 +315,7 @@ func TestWireAnnouncedLengthCostsWhatArrived(t *testing.T) {
 // rank and both versions that reaches every rank already joined; dialed into
 // a formed world it is a stray connection, closed and ignored.
 func TestMixedVersionWorld(t *testing.T) {
-	const refusal = "rank 1 announced wire version 0, this hub speaks version 2 only"
+	const refusal = "rank 1 announced wire version 0, this hub speaks version 3 only"
 	dialV0 := func(t *testing.T, hub *Hub) net.Conn {
 		conn, err := net.Dial("tcp", hub.Addr())
 		if err != nil {
@@ -401,7 +402,7 @@ func TestMixedVersionWorld(t *testing.T) {
 
 // FuzzWireReadFrame: the one decoder under arbitrary bytes. readFrame never
 // panics and returns an error or a frame carrying what its header announced;
-// and a clean raw frame with one bit (flip picks it) of its sequence number,
+// and a clean frame with one bit (flip picks it) of its sequence number,
 // its header, its CRC or its CRC-covered payload flipped is an error —
 // *CorruptFrameError while the length field is intact — never a frame with
 // other contents. The seeds are real transmit output and damaged copies of
@@ -438,11 +439,20 @@ func FuzzWireReadFrame(f *testing.F) {
 	// must cost what arrived, not a gigabyte.
 	announced := transmit(frame{Ctx: 1, Dst: 1, Tag: 5, Val: make([]byte, 10), HasVal: true})
 	le.PutUint32(announced[lenAt:], maxRawFrame)
+	done := transmit(frame{Dst: ctrlDst, Tag: tagDone}) // a control frame, its payload empty
+	// A gob-kind (rawNone) payload that is not gob: the reader hands it over
+	// intact, and only its decoding fails.
+	notGob := transmit(frame{Ctx: 1, Dst: 1, Tag: 6, Data: []byte("not gob")})
+	fr, _, err := newWireReader(bytes.NewReader(notGob)).readFrame()
+	var v int
+	if err != nil || fr.Raw != rawNone || fr.decodeInto(&v) == nil {
+		f.Fatalf("a rawNone frame of non-gob bytes: %+v, %v; want it read and its decoding refused", fr, err)
+	}
 	for _, seed := range [][]byte{
-		small, streamed, ack, append(ack, small...),
-		transmit(frame{Dst: ctrlDst, Tag: tagDone}), // a gob control frame
+		small, streamed, ack, append(ack, small...), done, notGob,
 		small[:20], small[:len(small)-3], // truncated header, truncated payload
-		damaged(small, v2RawPrefixLen-1, 0x10), // a flipped CRC byte
+		damaged(small, framePrefixLen-1, 0x10), // a flipped CRC byte
+		damaged(done, len(done)-1, 0x01),       // FaultCorrupt's flip on an empty payload: the CRC's last byte
 		damaged(small, 0, 0x01),                // an unknown kind byte
 		tooLong,
 	} {
@@ -454,7 +464,7 @@ func FuzzWireReadFrame(f *testing.F) {
 		// sequence number's first and ninth.
 		const h = 8 * seqLen // the header's first bit
 		last := uint(8*(len(seed)-1)) - 1
-		for _, bit := range []uint{h + 3, h + 8*20 + 1, h + 8*24, h + 8*25 + 3, h + 8*25 + 12, h + 8*rawHeaderLen + 31, h + 8*(rawHeaderLen+crcLen), last, 0, 8} {
+		for _, bit := range []uint{h + 3, h + 8*20 + 1, h + 8*24, h + 8*25 + 3, h + 8*25 + 12, h + 8*headerLen + 31, h + 8*(headerLen+crcLen), last, 0, 8} {
 			f.Add(seed, bit)
 		}
 	}
@@ -462,17 +472,17 @@ func FuzzWireReadFrame(f *testing.F) {
 
 	// first skips the acks a stream opens with, as readFrame does, and reports
 	// the payload length the frame after them announces: -1 if it is not a
-	// raw frame with its prefix complete.
+	// frame with its prefix complete.
 	first := func(data []byte) (rest []byte, n int) {
 		for len(data) >= 1+seqLen && data[0] == kindAck {
 			data = data[1+seqLen:]
 		}
-		if len(data) < v2RawPrefixLen || data[0] != kindRaw {
+		if len(data) < framePrefixLen || data[0] != kindFrame {
 			return data, -1
 		}
 		return data, int(le.Uint32(data[lenAt:]))
 	}
-	// read runs readFrame over data and checks a raw frame carries what it
+	// read runs readFrame over data and checks a frame carries what it
 	// announced: n bytes.
 	read := func(t *testing.T, data []byte) (n int, err error) {
 		_, n = first(data)
@@ -482,7 +492,7 @@ func FuzzWireReadFrame(f *testing.F) {
 		}
 		fr.release()
 		if n >= 0 && len(fr.Data) != n {
-			t.Fatalf("raw frame announced %d payload bytes, carries %d", n, len(fr.Data))
+			t.Fatalf("frame announced %d payload bytes, carries %d", n, len(fr.Data))
 		}
 		return n, nil
 	}
@@ -491,20 +501,20 @@ func FuzzWireReadFrame(f *testing.F) {
 		if err != nil || n < 0 {
 			return
 		}
-		// A clean raw frame. Flip one of the bits its CRC covers, or of the
+		// A clean frame. Flip one of the bits its CRC covers, or of the
 		// CRC: the sequence number and the header, then the CRC, then the
 		// payload's two windows.
 		clean, _ := first(data)
-		covered := seqLen + rawHeaderLen + crcLen + n
+		covered := seqLen + headerLen + crcLen + n
 		if n > 2*crcWindow {
 			covered -= n - 2*crcWindow
 		}
 		bit := int(flip % uint(8*covered))
 		at := 1 + bit/8
-		if n > 2*crcWindow && at >= v2RawPrefixLen+crcWindow {
+		if n > 2*crcWindow && at >= framePrefixLen+crcWindow {
 			at += n - 2*crcWindow
 		}
-		_, err = read(t, damaged(clean[:v2RawPrefixLen+n], at, 1<<(bit%8)))
+		_, err = read(t, damaged(clean[:framePrefixLen+n], at, 1<<(bit%8)))
 		if err == nil {
 			t.Fatalf("bit %d of byte %d flipped and the frame was accepted", bit%8, at)
 		}

@@ -213,3 +213,61 @@ func TestHTTPListAndPrograms(t *testing.T) {
 		t.Fatalf("healthz = %d, want 200", resp.StatusCode)
 	}
 }
+
+// FuzzSubmitSpec: arbitrary bodies through NewHandler's POST /api/v1/jobs,
+// each against a fresh scheduler on the manual clock with every node killed
+// first, so an admitted job queues and never runs; the scheduler is closed
+// after the request. Only 201, 400 or 429 comes back; a 400 admits nothing
+// and names its cause after ErrBadSpec's text; a 201 admits one job, which
+// asks for no more ranks than the cluster's cores (an elastic one may shrink
+// to them). The seeds are TestBadSpecsRejected's rows and one good spec.
+func FuzzSubmitSpec(f *testing.F) {
+	const cores = 4 // testPlatform(2, 2)
+	for _, tc := range badSpecs {
+		body, err := json.Marshal(tc.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"tenant":"a","program":"integration","width":2,"args":{"n":"1000"}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, _ := newManualSched(t, Config{Platform: testPlatform(2, 2)})
+		for id := range 2 {
+			if err := s.KillNode(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))
+		admitted := s.Stats().Admitted
+		s.Close()
+		switch rec.Code {
+		case http.StatusCreated:
+			var spec JobSpec // what the handler decoded: the body's first value
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+				t.Fatalf("201 for a body the handler could not decode: %v", err)
+			}
+			if admitted != 1 {
+				t.Fatalf("201 with %d jobs admitted, want 1", admitted)
+			}
+			if spec.Width > cores && (spec.MinWidth < 1 || spec.MinWidth > cores) {
+				t.Fatalf("admitted width %d, min_width %d on %d cores", spec.Width, spec.MinWidth, cores)
+			}
+		case http.StatusBadRequest:
+			var reply struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+				t.Fatalf("400 body %q: %v", rec.Body, err)
+			}
+			if cause, ok := strings.CutPrefix(reply.Error, ErrBadSpec.Error()+": "); !ok || cause == "" {
+				t.Fatalf("400 error %q names no cause after %q", reply.Error, ErrBadSpec)
+			}
+			if admitted != 0 {
+				t.Fatalf("400 with %d jobs admitted", admitted)
+			}
+		case http.StatusTooManyRequests:
+		default:
+			t.Fatalf("status %d (%s) for body %q", rec.Code, rec.Body, body)
+		}
+	})
+}

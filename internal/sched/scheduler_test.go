@@ -159,30 +159,33 @@ func TestDuplicateJobID(t *testing.T) {
 	}
 }
 
+// badSpecs are specs admission refuses on testPlatform(2, 2): each is
+// ErrBadSpec, naming the bad arg where it has one.
+var badSpecs = []struct {
+	name string
+	spec JobSpec
+}{
+	{"no tenant", JobSpec{Program: "sleep", Width: 1}},
+	{"unknown program", JobSpec{Tenant: "a", Program: "no-such", Width: 1}},
+	{"width beyond cluster", JobSpec{Tenant: "a", Program: "sleep", Width: 5}},
+	{"min width beyond cluster", JobSpec{Tenant: "a", Program: "sleep", Width: 9, MinWidth: 8}},
+	{"min width above width", JobSpec{Tenant: "a", Program: "sleep", Width: 2, MinWidth: 3}},
+	{"kill rank outside gang", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(2)}},
+	{"negative kill rank", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(-1)}},
+	{"path traversal id", JobSpec{ID: "../escape", Tenant: "a", Program: "sleep", Width: 1}},
+	{"non-integer exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "1e6"}}},
+	{"misspelt exemplar arg", JobSpec{Tenant: "a", Program: "drugdesign", Width: 1, Args: map[string]string{"ligand": "40"}}},
+	{"bad recovery arg", JobSpec{Tenant: "a", Program: "pagerank-recover", Width: 1, Args: map[string]string{"ckpt_every": "often"}}},
+	{"out-of-range exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "0"}}},
+	{"fixed exemplar size", JobSpec{Tenant: "a", Program: "pagerank", Width: 1, Args: map[string]string{"vertices": "1"}}},
+	{"arg the recovery form ignores", JobSpec{Tenant: "a", Program: "forestfire-recover", Width: 1, Args: map[string]string{"trials": "100"}}},
+	{"checkpoint arg on a plain form", JobSpec{Tenant: "a", Program: "forestfire", Width: 1, Args: map[string]string{"ckpt_every": "2"}}},
+}
+
 // TestBadSpecsRejected: the rest of the admission matrix.
 func TestBadSpecsRejected(t *testing.T) {
 	s := newTestSched(t, Config{Platform: testPlatform(2, 2)})
-	cases := []struct {
-		name string
-		spec JobSpec
-	}{
-		{"no tenant", JobSpec{Program: "sleep", Width: 1}},
-		{"unknown program", JobSpec{Tenant: "a", Program: "no-such", Width: 1}},
-		{"width beyond cluster", JobSpec{Tenant: "a", Program: "sleep", Width: 5}},
-		{"min width beyond cluster", JobSpec{Tenant: "a", Program: "sleep", Width: 9, MinWidth: 8}},
-		{"min width above width", JobSpec{Tenant: "a", Program: "sleep", Width: 2, MinWidth: 3}},
-		{"kill rank outside gang", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(2)}},
-		{"negative kill rank", JobSpec{Tenant: "a", Program: "sleep", Width: 2, KillRank: intPtr(-1)}},
-		{"path traversal id", JobSpec{ID: "../escape", Tenant: "a", Program: "sleep", Width: 1}},
-		{"non-integer exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "1e6"}}},
-		{"misspelt exemplar arg", JobSpec{Tenant: "a", Program: "drugdesign", Width: 1, Args: map[string]string{"ligand": "40"}}},
-		{"bad recovery arg", JobSpec{Tenant: "a", Program: "pagerank-recover", Width: 1, Args: map[string]string{"ckpt_every": "often"}}},
-		{"out-of-range exemplar arg", JobSpec{Tenant: "a", Program: "integration", Width: 1, Args: map[string]string{"n": "0"}}},
-		{"fixed exemplar size", JobSpec{Tenant: "a", Program: "pagerank", Width: 1, Args: map[string]string{"vertices": "1"}}},
-		{"arg the recovery form ignores", JobSpec{Tenant: "a", Program: "forestfire-recover", Width: 1, Args: map[string]string{"trials": "100"}}},
-		{"checkpoint arg on a plain form", JobSpec{Tenant: "a", Program: "forestfire", Width: 1, Args: map[string]string{"ckpt_every": "2"}}},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSpecs {
 		if _, err := s.Submit(tc.spec); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: err = %v, want ErrBadSpec", tc.name, err)
 		}

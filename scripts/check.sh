@@ -187,13 +187,14 @@ named '-race -timeout 240s -count=1' 'TestRespawn' ./cmd/mpirun/
 # and those args reaching mpirun's ranks in-process and in worker processes.
 named '-race -timeout 180s -count=1' 'TestCatalog|TestLauncherArgs' \
   ./internal/exemplars/ ./cmd/mpirun/
-# The wire decoder, the session's accept path above it, the shm record decoder
-# and the ckpt manifest loader under arbitrary bytes, 10 s each beyond the
-# seeds `go test` runs.
+# The wire decoder, the session's accept path above it, the shm record decoder,
+# the ckpt manifest loader and the scheduler's job-submission endpoint under
+# arbitrary bytes, 10 s each beyond the seeds `go test` runs.
 go test -run '^$' -fuzz '^FuzzWireReadFrame$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzSessionReceive$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzShmRecord$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/mpi
 go test -run '^$' -fuzz '^FuzzManifest$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/ckpt
+go test -run '^$' -fuzz '^FuzzSubmitSpec$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/sched
 
 # The topology-aware layer: hierarchical collective parity (every two-level
 # collective element-equal to its flat counterpart across world sizes,
